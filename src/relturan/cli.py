@@ -25,10 +25,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-from . import density, graphio, hosts, lemma_checks, patterns, richness, tiling
-from .core import OrderedGraph, tau
-
-VERSION = "0.1.0"
+from . import __version__, density, graphio, hosts, lemma_checks, patterns, richness, tiling
+from .core import tau
 
 
 @dataclass(frozen=True)
@@ -82,7 +80,7 @@ def _emit(result: dict, args, inputs: dict[str, str]) -> None:
                 if k not in ("command", "func") and v is not None
             },
             seed=getattr(args, "seed", None),
-            version=VERSION,
+            version=__version__,
             input_digests={name: _digest(p) for name, p in inputs.items()},
             timestamp=time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         )
@@ -192,7 +190,7 @@ def cmd_analyze_richness(args) -> int:
         "level_counts": counts[1:],
         "rich_levels": rich,
         "rich_count": len(rich),
-        "average_richness": richness.subgraph_average_richness(counts, d, m),
+        "average_richness": richness.average_richness(counts, d, m),
     }
     _write_csv(
         args,
@@ -227,9 +225,8 @@ def cmd_embed_hk(args) -> int:
 
     witness = richness.embed_hk_rich(g, args.k, thresholds)
     ok = witness is not None
-    if ok:
-        hk = patterns.build_hk(args.k)
-        assert patterns.validate_witness(hk, g.to_ordered(), witness)
+    if ok and not patterns.validate_witness(patterns.build_hk(args.k), g.to_ordered(), witness):
+        raise CheckFailure(f"embedding {list(witness.map)} is not an ordered copy of H_{args.k}")
     trace_record["witness"] = list(witness.map) if ok else None
     if args.trace:
         Path(args.trace).write_text(json.dumps(_jsonify(trace_record), indent=2) + "\n")
@@ -390,19 +387,22 @@ def cmd_report(args) -> int:
 # ------------------------------------------------------------------ parser
 
 
+def _seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be non-negative, got {seed}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="relturan", description=__doc__)
-    p.add_argument("--version", action="version", version=VERSION)
+    p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, seed=True):
-        sp.add_argument("--seed", type=int, default=0 if seed else None)
-        sp.add_argument("--workers", type=int, default=1,
-                        help="accepted for interface stability; results never depend on it")
+    def common(sp):
+        sp.add_argument("--seed", type=_seed, default=0)
         sp.add_argument("--budget", type=int, default=None)
         sp.add_argument("--out-dir", default=None)
-        sp.add_argument("--json", action="store_true",
-                        help="JSON output (always on; flag kept for compatibility)")
 
     sp = sub.add_parser("gen-host", help="sample and save a blocked random host")
     sp.add_argument("--d", type=int, required=True)

@@ -151,17 +151,6 @@ def tau(level: int, d: int) -> int:
     return 1 << (2 * d - level - 1)
 
 
-def tau_of_set(A: Iterable[BitString], level: int) -> int:
-    """Number of pairs u < v in A with delta(u, v) = level (exact count)."""
-    A_list = list(A)
-    count = 0
-    for i, u in enumerate(A_list):
-        for v in A_list[i + 1:]:
-            if u.value != v.value and delta(u, v) == level:
-                count += 1
-    return count
-
-
 class OrderedGraph:
     """An ordered graph on vertices 0..n-1 with the natural order.
 

@@ -8,6 +8,10 @@ G' of G that avoid an ordered copy of the pattern F.  Three routes:
 * ``rho_exact``: branch-and-bound over edges with the bound kept + remaining.
 * ``rho_local_search``: seeded hill climbing, lower bounds only.
 
+All three test containment with ``patterns.contains_ordered``, built on the
+one ordered-copy kernel; the last two keep the subgraph under test in an
+``EdgeMask`` and change it one edge at a time.
+
 Plus the derandomized two-label constructor that keeps at least a quarter of
 the edges of any host while avoiding every increasing 2-edge path.
 """
@@ -20,7 +24,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .core import OrderedGraph
-from .patterns import contains_ordered, has_monotone_p3, monotone_p3
+from .patterns import contains_ordered, has_monotone_p3, ordered_copies
 
 EXHAUSTIVE_EDGE_CAP = 20
 
@@ -48,8 +52,28 @@ def _check_pattern(pattern: OrderedGraph) -> None:
         raise ValueError("pattern must have at least one edge")
 
 
-def _free(pattern: OrderedGraph, host: OrderedGraph, edges: list[tuple[int, int]]) -> bool:
-    return contains_ordered(pattern, OrderedGraph(host.n, edges)) is None
+class EdgeMask:
+    """A mutable edge set on vertices 0..n-1, one forward bitmask per vertex.
+
+    It offers the ``n``/``forward`` view that ``ordered_copies`` reads, so the
+    searches below add and remove single edges instead of rebuilding an
+    OrderedGraph for every containment test.  Edges are given as (u, v), u < v.
+    """
+
+    __slots__ = ("n", "_fwd")
+
+    def __init__(self, n: int):
+        self.n = n
+        self._fwd = [0] * n
+
+    def forward(self, u: int) -> int:
+        return self._fwd[u]
+
+    def add(self, e: tuple[int, int]) -> None:
+        self._fwd[e[0]] |= 1 << e[1]
+
+    def remove(self, e: tuple[int, int]) -> None:
+        self._fwd[e[0]] &= ~(1 << e[1])
 
 
 def rho_exhaustive(pattern: OrderedGraph, host: OrderedGraph) -> DensityResult:
@@ -85,7 +109,7 @@ def rho_exhaustive(pattern: OrderedGraph, host: OrderedGraph) -> DensityResult:
             return
         e = edges[i]
         chosen.append(e)
-        if _free(pattern, host, chosen):
+        if contains_ordered(pattern, OrderedGraph(n, chosen)) is None:
             dfs(i + 1)
         chosen.pop()
         dfs(i + 1)
@@ -93,40 +117,6 @@ def rho_exhaustive(pattern: OrderedGraph, host: OrderedGraph) -> DensityResult:
     dfs(0)
     cert = tuple(best[0]) if best else ()
     return DensityResult(best_count, len(edges), cert, True, nodes)
-
-
-def _copies_through_edge(pattern: OrderedGraph, host: OrderedGraph, edge: tuple[int, int]) -> int:
-    """Number of ordered copies of ``pattern`` in ``host`` that use ``edge``.
-
-    Used only to order branching edges, so a plain backtracking count on the
-    small hosts involved is fine.
-    """
-    k, n = pattern.n, host.n
-    count = 0
-
-    def extend(i: int, images: list[int], used_edge: bool) -> None:
-        nonlocal count
-        if i == k:
-            count += used_edge
-            return
-        lo = images[-1] + 1 if images else 0
-        for v in range(lo, n - (k - i - 1)):
-            ok = True
-            hit = used_edge
-            for u in range(i):
-                if (pattern.backward(i) >> u) & 1:
-                    if not host.has_edge(images[u], v):
-                        ok = False
-                        break
-                    if tuple(sorted((images[u], v))) == edge:
-                        hit = True
-            if ok:
-                images.append(v)
-                extend(i + 1, images, hit)
-                images.pop()
-
-    extend(0, [], False)
-    return count
 
 
 def rho_exact(
@@ -140,25 +130,34 @@ def rho_exact(
     Edges are branched in descending order of the number of pattern copies
     through them (fail-first); the bound is kept + remaining.  The result is
     optimal unless the node budget runs out, in which case ``exact`` is
-    False and the best subgraph found so far is returned.  Among optima, the
-    lexicographically least edge set is returned.
+    False and the best subgraph found so far is returned: the empty one,
+    which is always pattern-free, if no leaf and no usable warm start came
+    first.  Among optima, the lexicographically least edge set is returned.
+    A warm start must be a subset of the host's edges (ValueError otherwise);
+    it is used only if it is pattern-free.
     """
     _check_pattern(pattern)
     edges = host.sorted_edges()
     total = len(edges)
-    weights = {e: _copies_through_edge(pattern, host, e) for e in edges}
+    # a copy uses each of its image edges once, so one pass over all copies
+    # counts the copies through every edge
+    weights = dict.fromkeys(edges, 0)
+    for images in ordered_copies(pattern, host):
+        for u, v in pattern.edges:
+            weights[images[u], images[v]] += 1
     order = sorted(edges, key=lambda e: (-weights[e], e))
 
-    best_count = -1
+    best_count = 0
     best_cert: tuple[tuple[int, int], ...] = ()
     if warm_start is not None:
-        ws = tuple(sorted(tuple(sorted(e)) for e in warm_start))
-        if _free(pattern, host, list(ws)):
-            best_count = len(ws)
-            best_cert = ws
+        ws = host.subgraph_edges(warm_start)
+        if contains_ordered(pattern, ws) is None:
+            best_count = len(ws.edges)
+            best_cert = tuple(ws.sorted_edges())
     nodes = 0
     exhausted = False
     chosen: list[tuple[int, int]] = []
+    mask = EdgeMask(host.n)
 
     def dfs(i: int) -> None:
         nonlocal best_count, best_cert, nodes, exhausted
@@ -176,14 +175,16 @@ def rho_exact(
             return
         e = order[i]
         chosen.append(e)
-        if _free(pattern, host, chosen):
+        mask.add(e)
+        if contains_ordered(pattern, mask) is None:
             dfs(i + 1)
         chosen.pop()
+        mask.remove(e)
         dfs(i + 1)
 
     dfs(0)
     exact = not exhausted
-    if exact and best_count >= 0:
+    if exact:
         best_cert = _lex_least_certificate(pattern, host, best_count)
     return DensityResult(best_count, total, best_cert, exact, nodes)
 
@@ -198,6 +199,7 @@ def _lex_least_certificate(
     """
     edges = host.sorted_edges()
     chosen: list[tuple[int, int]] = []
+    mask = EdgeMask(host.n)
     out: list[tuple[tuple[int, int], ...]] = []
 
     def dfs(i: int) -> bool:
@@ -208,9 +210,11 @@ def _lex_least_certificate(
             return False
         e = edges[i]
         chosen.append(e)
-        if _free(pattern, host, chosen) and dfs(i + 1):
+        mask.add(e)
+        if contains_ordered(pattern, mask) is None and dfs(i + 1):
             return True
         chosen.pop()
+        mask.remove(e)
         return dfs(i + 1)
 
     dfs(0)
@@ -226,28 +230,20 @@ def quarter_free_subgraph(host: OrderedGraph) -> OrderedGraph:
     greedy choice keeps the conditional expectation from dropping, so the
     integer outcome is >= e/4.  No kept path u < v < w can exist because v
     would need to be both SINK and SOURCE.
+
+    Labels are fixed in vertex order, so when v is labelled its backward
+    neighbours are labelled and its forward ones are not.  Only v's own edges
+    change the expectation: as a SOURCE each forward edge survives with
+    probability 1/2, as a SINK each backward edge from a SOURCE survives
+    surely.  The greedy rule is therefore: v is a SOURCE iff
+    |forward(v)| >= 2 |backward(v) & sources|, ties going to SOURCE.
     """
-    n = host.n
-    labels: dict[int, bool] = {}  # True = SOURCE
-
-    def expected_kept_x4(partial: dict[int, bool]) -> int:
-        # 4 * expected number of kept edges; per-endpoint factors are twice
-        # the survival probability, i.e. in {0, 1, 2}, so this stays integral
-        total = 0
-        for u, v in host.edges:
-            pu = (2 if partial[u] else 0) if u in partial else 1
-            pv = (0 if partial[v] else 2) if v in partial else 1
-            total += pu * pv
-        return total
-
-    for v in range(n):
-        labels[v] = True
-        as_source = expected_kept_x4(labels)
-        labels[v] = False
-        as_sink = expected_kept_x4(labels)
-        labels[v] = as_source >= as_sink  # ties -> SOURCE, deterministic
-    kept = [(u, v) for u, v in host.sorted_edges() if labels[u] and not labels[v]]
-    return OrderedGraph(n, kept)
+    sources = 0
+    for v in range(host.n):
+        if host.forward(v).bit_count() >= 2 * (host.backward(v) & sources).bit_count():
+            sources |= 1 << v
+    kept = [(u, v) for u, v in host.edges if sources >> u & 1 and not sources >> v & 1]
+    return OrderedGraph(host.n, kept)
 
 
 def rho_local_search(
@@ -269,19 +265,31 @@ def rho_local_search(
     all_edges = host.sorted_edges()
     total = len(all_edges)
 
+    # ``current`` and ``mask`` always hold the same edges
     current: set[tuple[int, int]] = set()
+    mask = EdgeMask(host.n)
+
+    def put(e: tuple[int, int]) -> None:
+        current.add(e)
+        mask.add(e)
+
+    def drop(e: tuple[int, int]) -> None:
+        current.discard(e)
+        mask.remove(e)
+
     if has_monotone_p3(pattern):
-        current = set(quarter_free_subgraph(host).edges)
-        if not _free(pattern, host, list(current)):
-            current = set()
+        start = quarter_free_subgraph(host)
+        if contains_ordered(pattern, start) is None:
+            for e in start.edges:
+                put(e)
 
     def try_add(e: tuple[int, int]) -> bool:
         if e in current:
             return False
-        current.add(e)
-        if _free(pattern, host, list(current)):
+        put(e)
+        if contains_ordered(pattern, mask) is None:
             return True
-        current.discard(e)
+        drop(e)
         return False
 
     for e in all_edges:
@@ -293,29 +301,22 @@ def rho_local_search(
         nodes += 1
         if len(current) == total:
             break
-        missing = [e for e in all_edges if e not in current]
-        if not missing:
-            break
-        e = rng.choice(missing)
-        current.add(e)
+        e = rng.choice([c for c in all_edges if c not in current])
+        put(e)
         removed = []
-        while True:
-            witness = contains_ordered(pattern, OrderedGraph(host.n, list(current)))
-            if witness is None:
-                break
+        while (witness := contains_ordered(pattern, mask)) is not None:
             # delete one edge of the found copy, cheapest = any edge other
             # than the fresh one (prefer the last in canonical order)
-            copy_edges = sorted(
-                tuple(sorted((witness.map[u], witness.map[v]))) for u, v in pattern.edges
-            )
+            copy_edges = sorted((witness.map[u], witness.map[v]) for u, v in pattern.edges)
             victims = [c for c in copy_edges if c != e] or copy_edges
             victim = victims[-1]
-            current.discard(victim)
+            drop(victim)
             removed.append(victim)
-        if len(removed) >= 1 and len(current) < len(best):
+        if removed and len(current) < len(best):
             # net loss: revert
-            current.discard(e)
-            current.update(removed)
+            drop(e)
+            for r in removed:
+                put(r)
         if len(current) > len(best):
             best = set(current)
 

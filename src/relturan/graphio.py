@@ -93,10 +93,9 @@ def dumps_blocked(g: BlockedGraph) -> str:
         if not mat.any():
             continue
         lines.append(f"{x} {y}")
-        for i in range(g.m):
-            # row as a little-endian bit integer: column j is bit j
-            val = sum(1 << j for j in np.flatnonzero(mat[i]))
-            lines.append(f"{val:0{width}x}")
+        # each row as a little-endian bit integer: column j is bit j
+        for row in np.packbits(mat, axis=1, bitorder="little"):
+            lines.append(f"{int.from_bytes(row.tobytes(), 'little'):0{width}x}")
     return "\n".join(lines) + "\n"
 
 

@@ -1,11 +1,12 @@
 """Ordered-subgraph containment and the monotone-path classification.
 
 An ordered copy of a pattern F in a host G is a strictly increasing injection
-of vertex labels that maps every pattern edge to a host edge.  The
-backtracking search places pattern vertices left to right, so at each step
-the candidate host vertices form an interval above the previous image and
-edge constraints reduce to bitmask intersections with backward
-neighbourhoods already placed.
+of vertex labels that maps every pattern edge to a host edge.  One
+backtracking kernel, ``ordered_copies``, enumerates them: it places pattern
+vertices left to right, so at each step the candidate host vertices form an
+interval above the previous image and edge constraints reduce to bitmask
+intersections with backward neighbourhoods already placed.  Containment and
+the density solvers' copy counts are built on it.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional
+from typing import Iterator, Optional
 
 from .core import OrderedGraph
 
@@ -42,51 +43,53 @@ def validate_witness(pattern: OrderedGraph, host: OrderedGraph, w: EmbeddingWitn
     return all(host.has_edge(w.map[u], w.map[v]) for u, v in pattern.edges)
 
 
-def contains_ordered(pattern: OrderedGraph, host: OrderedGraph) -> Optional[EmbeddingWitness]:
-    """Find one ordered copy of ``pattern`` in ``host``, or None.
+def ordered_copies(pattern: OrderedGraph, host) -> Iterator[tuple[int, ...]]:
+    """Every ordered copy of ``pattern`` in ``host``, in lexicographic order.
 
-    Vertices of the pattern are placed in increasing order; the image of
-    vertex i must exceed the image of i-1 and lie in the intersection of the
-    forward neighbourhoods of the already-placed backward neighbours of i.
+    Pattern vertices are placed in increasing order; the image of vertex i
+    must exceed the image of i-1, leave room for the vertices after it, and
+    lie in the forward neighbourhood of every placed backward neighbour of i.
+    Only ``host.n`` and ``host.forward`` are read, so any forward-bitmask
+    edge set can stand in for an OrderedGraph.
     """
     k, n = pattern.n, host.n
-    if k == 0:
-        return EmbeddingWitness(())
     if k > n:
-        return None
-    # forward degree pruning: image of i needs at least as many host
-    # neighbours above/below as the pattern vertex has
-    images: list[int] = []
+        return
+    if k == 0:
+        yield ()
+        return
+    forward = host.forward
+    back = [pattern.backward(i) for i in range(k)]
+    full = (1 << n) - 1
+    images = [0] * k
+    pending = [0] * k  # untried candidates at each depth
+    pending[0] = full >> (k - 1)
+    i = 0
+    while i >= 0:
+        mask = pending[i]
+        if not mask:
+            i -= 1
+            continue
+        low = mask & -mask
+        pending[i] = mask ^ low
+        images[i] = low.bit_length() - 1
+        if i == k - 1:
+            yield tuple(images)
+            continue
+        i += 1
+        mask = (full >> (k - i - 1)) & ~((low << 1) - 1)
+        b = back[i]
+        while b:
+            lb = b & -b
+            mask &= forward(images[lb.bit_length() - 1])
+            b ^= lb
+        pending[i] = mask
 
-    def candidates(i: int) -> int:
-        lo = images[i - 1] + 1 if i else 0
-        mask = ((1 << n) - 1) & ~((1 << lo) - 1)
-        back = pattern.backward(i)
-        while back:
-            low = back & -back
-            j = low.bit_length() - 1
-            mask &= host.forward(images[j])
-            back ^= low
-        return mask
 
-    def extend(i: int) -> bool:
-        if i == k:
-            return True
-        # leave room for the remaining k - i - 1 vertices
-        mask = candidates(i) & ((1 << (n - (k - i - 1))) - 1)
-        while mask:
-            low = mask & -mask
-            v = low.bit_length() - 1
-            mask ^= low
-            images.append(v)
-            if extend(i + 1):
-                return True
-            images.pop()
-        return False
-
-    if extend(0):
-        return EmbeddingWitness(tuple(images))
-    return None
+def contains_ordered(pattern: OrderedGraph, host) -> Optional[EmbeddingWitness]:
+    """The lexicographically first ordered copy of ``pattern`` in ``host``, or None."""
+    images = next(ordered_copies(pattern, host), None)
+    return None if images is None else EmbeddingWitness(images)
 
 
 def contains_ordered_bruteforce(pattern: OrderedGraph, host: OrderedGraph) -> bool:

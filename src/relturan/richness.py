@@ -29,7 +29,7 @@ from .patterns import EmbeddingWitness
 class RichnessCertificate:
     alpha: float
     levels: tuple[int, ...]  # the alpha-rich levels, ascending
-    average: Fraction  # (1/d) sum_l e_l / tau_l
+    average: Fraction  # average_richness of the level counts
 
     @property
     def count(self) -> int:
@@ -41,24 +41,30 @@ def rich_levels(g: HypercubeGraph, alpha: float) -> RichnessCertificate:
     if not 0 <= alpha <= 1:
         raise ValueError("alpha must be in [0, 1]")
     counts = g.level_counts()
-    levels = []
-    acc = Fraction(0)
-    for level in range(1, g.d + 1):
-        cap = tau(level, g.d)
-        acc += Fraction(counts[level], cap)
-        if counts[level] >= alpha * cap:
-            levels.append(level)
-    return RichnessCertificate(alpha, tuple(levels), acc / g.d)
+    levels = tuple(
+        level for level in range(1, g.d + 1) if counts[level] >= alpha * tau(level, g.d)
+    )
+    return RichnessCertificate(alpha, levels, average_richness(counts, g.d))
 
 
-def subgraph_average_richness(level_counts: list[int], d: int, m: int) -> Fraction:
-    """Average per-level density of a blocked-host subgraph.
+def average_richness(level_counts: list[int], d: int, m: int = 1) -> Fraction:
+    """(1/d) sum_l e_l / (tau_l m^2): each level's count against its capacity.
 
-    Normalises each level count by 2^(d-1) m^2, the nominal per-level edge
-    count of the host, and averages over levels.
+    A blocked host on {0,1}^d x [m] has tau_l m^2 vertex pairs at level l; a
+    cube graph is the case m = 1.  The complete host gives exactly 1.
     """
-    denom = (1 << (d - 1)) * m * m
-    return sum(Fraction(level_counts[level], denom) for level in range(1, d + 1)) / d
+    return sum(
+        Fraction(level_counts[level], tau(level, d) * m * m) for level in range(1, d + 1)
+    ) / d
+
+
+class PostconditionError(RuntimeError):
+    """A guarantee of the extraction pipeline failed its explicit re-check."""
+
+
+def _require(condition: bool, message: str) -> None:
+    if not condition:
+        raise PostconditionError(message)
 
 
 @dataclass(frozen=True)
@@ -72,7 +78,8 @@ def strip_top_forward(g: HypercubeGraph) -> tuple[HypercubeGraph, StripStats]:
 
     Removal decisions are computed on the input and applied simultaneously.
     The number removed at level l is at most (#vertices with top level l)
-    times 2^(d-l), i.e. at most twice p_l tau_l; asserted on every run.
+    times 2^(d-l), i.e. at most twice p_l tau_l; checked on every run
+    (PostconditionError otherwise).
     """
     d, n = g.d, g.n
     top = [0] * n
@@ -95,7 +102,8 @@ def strip_top_forward(g: HypercubeGraph) -> tuple[HypercubeGraph, StripStats]:
             victims ^= low
     for level in range(1, d + 1):
         count = sum(1 for x in range(n) if top[x] == level)
-        assert removed[level] <= count * (1 << (d - level))
+        _require(removed[level] <= count * (1 << (d - level)),
+                 f"removed {removed[level]} level-{level} edges, bound {count << (d - level)}")
     return HypercubeGraph(d, adj=adj), StripStats(tuple(top), tuple(removed))
 
 
@@ -250,7 +258,7 @@ def extract_rich_interval(
         return StageFailure("interval", f"|Y2 ∩ J| = {len(inside)}")
     # members of Y2 have positive backward degree at the pivot level, so the
     # chosen interval is the right half of its parent
-    assert j_idx & 1 == 1
+    _require(j_idx & 1 == 1, f"interval {j_idx} at the pivot level is a left half")
     parent = FundamentalInterval(d, BitString(pivot - 1, j_idx >> 1))
     lhs = parent.lhs()
     inside_mask = 0
@@ -280,7 +288,7 @@ def extract_rich_interval(
     ]
     if len(surviving) < max(1, thresholds.final_prop * len(working)):
         return StageFailure("surviving-levels", f"{len(surviving)} levels survive")
-    assert all(level > pivot for level in surviving)
+    _require(all(level > pivot for level in surviving), "a surviving level is not above the pivot")
 
     rhs = parent.rhs()
     base = rhs.lo
@@ -331,16 +339,15 @@ def extract_rich_interval(
 
 
 def _replay_postconditions(g: HypercubeGraph, res: ExtractionResult) -> None:
-    """Independent re-checks of the extraction guarantees."""
+    """Independent re-checks of the extraction guarantees (PostconditionError)."""
     sub = res.subgraph
     y3 = set(res.trace.y3)
     for u, v in sub.edges():
-        assert v + res.rhs_base in y3, "larger endpoint not adjacent to x"
-        assert g.has_edge(res.x, v + res.rhs_base)
+        _require(v + res.rhs_base in y3 and g.has_edge(res.x, v + res.rhs_base),
+                 "larger endpoint not adjacent to x")
     cert = rich_levels(sub, res.certified_eta)
-    assert cert.count >= res.certified_rich_count, (
-        f"recomputed rich count {cert.count} < certified {res.certified_rich_count}"
-    )
+    _require(cert.count >= res.certified_rich_count,
+             f"recomputed rich count {cert.count} < certified {res.certified_rich_count}")
 
 
 def embed_hk_rich(

@@ -2,10 +2,12 @@ import json
 
 import pytest
 
+from relturan import __version__, richness
 from relturan.cli import main
-from relturan.graphio import read_blocked, write_ordered
-from relturan.hosts import generate_host
-from relturan.patterns import build_hk, monotone_p3
+from relturan.core import HypercubeGraph
+from relturan.graphio import read_blocked, write_hypercube, write_ordered
+from relturan.hosts import complete_hypercube, complete_ordered, generate_host
+from relturan.patterns import EmbeddingWitness, build_hk, monotone_p3
 
 
 @pytest.fixture
@@ -17,8 +19,6 @@ def p3_file(tmp_path):
 
 @pytest.fixture
 def k4_file(tmp_path):
-    from relturan.hosts import complete_ordered
-
     path = tmp_path / "k4.og"
     write_ordered(path, complete_ordered(4))
     return str(path)
@@ -65,6 +65,15 @@ class TestSolve:
             results.append(json.loads(capsys.readouterr().out)["best_edges"])
         assert results[0] == results[1]
 
+    def test_budget_before_first_leaf_reports_empty_subgraph(self, p3_file, tmp_path, capsys):
+        k5 = tmp_path / "k5.og"
+        write_ordered(k5, complete_ordered(5))
+        assert main(["solve", "--pattern", p3_file, "--host", str(k5),
+                     "--mode", "exact", "--budget", "2"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["best_edges"] == 0 and out["exact"] is False
+        assert out["ratio"]["float"] == 0
+
 
 class TestGenHost:
     def test_roundtrip(self, tmp_path, capsys):
@@ -76,6 +85,19 @@ class TestGenHost:
         stats = json.loads(capsys.readouterr().out)
         assert stats["edges"] == loaded.num_edges()
 
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen-host", "--d", "2", "--m", "4", "--seed", "-1",
+                  "--out", str(tmp_path / "host.rg")])
+        assert exc.value.code == 2
+        assert "non-negative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [["--workers", "2"], ["--json"]])
+    def test_removed_flags_are_usage_errors(self, flag, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen-host", "--d", "2", "--m", "4", "--out", str(tmp_path / "h.rg"), *flag])
+        assert exc.value.code == 2
+
 
 class TestAnalyzeRichness:
     def test_blocked_host(self, tmp_path, capsys):
@@ -86,13 +108,22 @@ class TestAnalyzeRichness:
         out = json.loads(capsys.readouterr().out)
         assert out["d"] == 3 and out["m"] == 8
         assert len(out["level_counts"]) == 3
+        avg = richness.average_richness([0, *out["level_counts"]], 3, 8)
+        assert out["average_richness"]["num"] == str(avg.numerator)
+        assert out["average_richness"]["den"] == str(avg.denominator)
+
+    def test_complete_cube_average_is_one(self, tmp_path, capsys):
+        # each level against its capacity tau_l: the complete cube fills all of them
+        host_file = tmp_path / "cube.hg"
+        write_hypercube(host_file, complete_hypercube(4))
+        assert main(["analyze-richness", "--host", str(host_file), "--alpha", "0.5"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["average_richness"] == {"num": "1", "den": "1", "float": 1.0}
+        assert out["rich_levels"] == [1, 2, 3, 4]
 
 
 class TestEmbedHk:
     def test_success_with_trace(self, tmp_path, capsys):
-        from relturan.graphio import write_hypercube
-        from relturan.hosts import complete_hypercube
-
         host_file = tmp_path / "cube.hg"
         write_hypercube(host_file, complete_hypercube(5))
         trace_file = tmp_path / "trace.json"
@@ -104,12 +135,18 @@ class TestEmbedHk:
         assert "extraction" in trace and trace["witness"] == out["witness"]
 
     def test_failure_exits_1(self, tmp_path, capsys):
-        from relturan.graphio import write_hypercube
-        from relturan.core import HypercubeGraph
-
         host_file = tmp_path / "sparse.hg"
         write_hypercube(host_file, HypercubeGraph(3, [(0, 4)]))
         assert main(["embed-hk", "--host", str(host_file), "--k", "3"]) == 1
+
+    def test_invalid_witness_exits_1(self, tmp_path, capsys, monkeypatch):
+        # the witness is re-validated by an explicit check, so this holds under -O
+        host_file = tmp_path / "cube.hg"
+        write_hypercube(host_file, complete_hypercube(4))
+        monkeypatch.setattr(richness, "embed_hk_rich",
+                            lambda g, k, thresholds: EmbeddingWitness((3, 2, 1, 0)))
+        assert main(["embed-hk", "--host", str(host_file), "--k", "2"]) == 1
+        assert "not an ordered copy" in capsys.readouterr().err
 
 
 class TestAppendixCheck:
@@ -200,6 +237,12 @@ class TestTileCommands:
                    "--epsilon", "0.9", "--out-dir", str(out_dir)])
         assert rc in (0, 1)
         assert (out_dir / "levels.csv").exists()
+
+    def test_version(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.strip() == __version__
 
     def test_unknown_flag_exits_2(self, p3_file):
         with pytest.raises(SystemExit) as exc:

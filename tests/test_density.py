@@ -104,6 +104,18 @@ class TestExact:
         res = rho_exact(P3, complete_ordered(4), node_budget=1, warm_start=ws)
         assert res.best_edge_count >= 4
 
+    def test_budget_before_first_leaf_returns_empty_subgraph(self):
+        # the empty subgraph is pattern-free, so the bound is never below 0
+        res = rho_exact(P3, complete_ordered(5), node_budget=2)
+        assert not res.exact
+        assert res.best_edge_count == 0 and res.certificate == ()
+        assert res.ratio == 0
+
+    def test_warm_start_outside_host_refused(self):
+        host = OrderedGraph(4, [(0, 1), (2, 3)])
+        with pytest.raises(ValueError):
+            rho_exact(P3, host, warm_start=((0, 3), (1, 2), (0, 2)))
+
 
 class TestQuarterConstructor:
     @given(ordered_graphs(max_n=8, max_edges=16))
@@ -121,6 +133,29 @@ class TestQuarterConstructor:
     def test_single_edge_kept(self):
         host = OrderedGraph(2, [(0, 1)])
         assert len(quarter_free_subgraph(host).edges) == 1
+
+    @given(ordered_graphs(max_n=8, max_edges=20))
+    @settings(max_examples=80)
+    def test_matches_greedy_conditional_expectation(self, host):
+        # reference: label each vertex by recomputing 4x the expected number
+        # of kept edges over all edges, ties to SOURCE
+        labels = {}
+
+        def expected_x4():
+            total = 0
+            for u, v in host.edges:
+                pu = (2 if labels[u] else 0) if u in labels else 1
+                pv = (0 if labels[v] else 2) if v in labels else 1
+                total += pu * pv
+            return total
+
+        for v in range(host.n):
+            labels[v] = True
+            as_source = expected_x4()
+            labels[v] = False
+            labels[v] = as_source >= expected_x4()
+        kept = {(u, v) for u, v in host.edges if labels[u] and not labels[v]}
+        assert quarter_free_subgraph(host).edges == kept
 
 
 class TestLocalSearch:

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,7 +15,7 @@ from relturan.graphio import (
     read_ordered,
     write_ordered,
 )
-from relturan.hosts import generate_host
+from relturan.hosts import BlockedGraph, generate_host
 
 
 @st.composite
@@ -90,6 +91,20 @@ class TestBlockedFormat:
         host = generate_host(m=4, d=2, seed=0)
         text = dumps_blocked(host)
         assert dumps_blocked(loads_blocked(text)) == text
+
+    @pytest.mark.parametrize("m", [64, 256])
+    def test_roundtrip_wide_rows(self, m):
+        # columns 63 and up do not fit a 64-bit integer
+        host = generate_host(m=m, d=1, seed=0)
+        assert loads_blocked(dumps_blocked(host)) == host
+
+    def test_row_bit_j_is_column_j(self):
+        m = 70
+        mat = np.zeros((m, m), dtype=bool)
+        mat[0, m - 1] = mat[1, 0] = True
+        rows = dumps_blocked(BlockedGraph(1, m, 0, {(0, 1): mat})).splitlines()[2:]
+        assert int(rows[0], 16) == 1 << (m - 1) and int(rows[1], 16) == 1
+        assert all(len(row) == (m + 3) // 4 for row in rows)
 
     def test_bad_block_pair(self):
         with pytest.raises(FormatError):

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,7 @@ from relturan.patterns import (
     interval_chromatic_bruteforce,
     monotone_p3,
     monotone_profile,
+    ordered_copies,
     pi_ordered,
     validate_witness,
 )
@@ -35,6 +38,24 @@ def all_ordered_graphs(n):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     for mask in range(1 << len(pairs)):
         yield OrderedGraph(n, [p for i, p in enumerate(pairs) if (mask >> i) & 1])
+
+
+class TestOrderedCopies:
+    @given(ordered_graphs(max_n=4), ordered_graphs(max_n=7))
+    @settings(max_examples=150)
+    def test_count_and_order_match_bruteforce(self, pat, host):
+        brute = [
+            combo
+            for combo in combinations(range(host.n), pat.n)
+            if all(host.has_edge(combo[u], combo[v]) for u, v in pat.edges)
+        ]
+        assert list(ordered_copies(pat, host)) == brute
+
+    def test_first_copy_is_the_witness(self):
+        host = OrderedGraph(6, [(0, 3), (1, 2), (2, 4), (3, 5), (2, 5)])
+        copies = list(ordered_copies(monotone_p3(), host))
+        assert copies == [(0, 3, 5), (1, 2, 4), (1, 2, 5)]
+        assert contains_ordered(monotone_p3(), host).map == copies[0]
 
 
 class TestContainment:

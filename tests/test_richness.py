@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -10,14 +11,15 @@ from relturan.hosts import complete_hypercube
 from relturan.patterns import build_hk, validate_witness
 from relturan.richness import (
     ExtractionResult,
+    PostconditionError,
     StageFailure,
     Thresholds,
     _replay_postconditions,
+    average_richness,
     embed_hk_rich,
     extract_rich_interval,
     rich_levels,
     strip_top_forward,
-    subgraph_average_richness,
 )
 
 
@@ -62,15 +64,19 @@ class TestRichLevels:
 
 
 class TestAverageRichness:
-    def test_full_host_is_one(self):
-        d, m = 3, 4
-        counts = [0] + [(1 << (d - 1)) * m * m] * d
-        assert subgraph_average_richness(counts, d, m) == 1
+    def test_complete_cube_is_one(self):
+        g = complete_hypercube(4)
+        assert average_richness(g.level_counts(), 4) == 1
+        assert rich_levels(g, 0.5).average == 1
 
-    def test_half_density(self):
-        d, m = 2, 2
-        counts = [0, 4, 4]  # capacity 2^(d-1) m^2 = 8 per level
-        assert subgraph_average_richness(counts, d, m) == Fraction(1, 2)
+    def test_complete_blocked_host_is_one(self):
+        d, m = 3, 4
+        counts = [0] + [tau(level, d) * m * m for level in range(1, d + 1)]
+        assert average_richness(counts, d, m) == 1
+
+    def test_each_level_against_its_own_capacity(self):
+        # capacities tau_1 = 4, tau_2 = 2 at d = 2: half of level 1, all of level 2
+        assert average_richness([0, 2, 2], 2) == Fraction(3, 4)
 
 
 class TestStrip:
@@ -144,6 +150,14 @@ class TestExtraction:
         assert isinstance(res, ExtractionResult)
         recomputed = rich_levels(res.subgraph, res.certified_eta)
         assert recomputed.count >= res.certified_rich_count
+
+    def test_replay_rejects_overstated_certificate(self):
+        # an explicit check, not an assert: it holds under python -O too
+        g = complete_hypercube(5)
+        res = extract_rich_interval(g, Thresholds.desk())
+        inflated = dataclasses.replace(res, certified_rich_count=g.d + 1)
+        with pytest.raises(PostconditionError):
+            _replay_postconditions(g, inflated)
 
     def test_paper_preset_fails_on_thinned_graph(self):
         rng = random.Random(1)
