@@ -25,8 +25,10 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 from . import __version__, density, graphio, hosts, lemma_checks, patterns, richness, tiling
-from .core import tau
+from .core import delta_int, tau
 
 
 @dataclass(frozen=True)
@@ -113,7 +115,7 @@ def cmd_gen_host(args) -> int:
         "d": args.d,
         "m": args.m,
         "seed": args.seed,
-        "edges": host.num_edges(),
+        "edges": sum(counts),
         "level_counts": counts[1:],
         "out": args.out,
     }
@@ -168,8 +170,8 @@ def cmd_solve(args) -> int:
 def cmd_analyze_richness(args) -> int:
     with open(args.host) as fh:
         text = fh.read()
-    header = text.splitlines()[0].split() if text.splitlines() else []
-    if len(header) == 3:  # blocked host: "d m seed"
+    first = text.partition("\n")[0].splitlines()
+    if first and len(first[0].split()) == 3:  # blocked host: "d m seed"
         host = graphio.loads_blocked(text)
         d, m = host.d, host.m
         counts = host.level_counts()
@@ -223,9 +225,9 @@ def cmd_embed_hk(args) -> int:
         trace_record["certified_rich_count"] = res.certified_rich_count
     trace_record["stripped_edges_per_level"] = list(stats.removed_per_level[1:])
 
-    witness = richness.embed_hk_rich(g, args.k, thresholds)
+    witness = richness.embed_hk_extracted(g, args.k, res, thresholds)
     ok = witness is not None
-    if ok and not patterns.validate_witness(patterns.build_hk(args.k), g.to_ordered(), witness):
+    if ok and not patterns.validate_witness(patterns.build_hk(args.k), g, witness):
         raise CheckFailure(f"embedding {list(witness.map)} is not an ordered copy of H_{args.k}")
     trace_record["witness"] = list(witness.map) if ok else None
     if args.trace:
@@ -246,14 +248,14 @@ def cmd_tile_sample(args) -> int:
     pat = graphio.read_ordered(args.pattern)
     cfg = _tiling_config(args, pat.n)
     verts = tiling.sample_many(cfg, args.n_samples, args.seed)
-    from .core import delta_int
-
     per_slot = []
     for t in range(cfg.h - 1):
+        # the split level of a pair depends only on u ^ v: count each xor once
+        xors, xor_counts = np.unique(verts[:, t] ^ verts[:, t + 1], return_counts=True)
         counts: dict[int, int] = {}
-        for a, b in zip(verts[:, t], verts[:, t + 1]):
-            lv = delta_int(int(a), int(b), cfg.d)
-            counts[lv] = counts.get(lv, 0) + 1
+        for x, c in zip(xors.tolist(), xor_counts.tolist()):
+            lv = delta_int(x, 0, cfg.d)
+            counts[lv] = counts.get(lv, 0) + c
         per_slot.append({str(k): v for k, v in sorted(counts.items())})
     result = {
         "n_samples": args.n_samples,
@@ -394,6 +396,13 @@ def _seed(text: str) -> int:
     return seed
 
 
+def _unit_fraction(text: str) -> float:
+    value = float(text)
+    if not 0 <= value <= 1:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="relturan", description=__doc__)
     p.add_argument("--version", action="version", version=__version__)
@@ -425,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("analyze-richness", help="per-level edge richness of a host")
     sp.add_argument("--host", required=True)
-    sp.add_argument("--alpha", type=float, required=True)
+    sp.add_argument("--alpha", type=_unit_fraction, required=True)
     common(sp)
     sp.set_defaults(func=cmd_analyze_richness)
 

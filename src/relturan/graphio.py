@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import BitString, HypercubeGraph, OrderedGraph
-from .hosts import BlockedGraph
+from .core import HypercubeGraph, OrderedGraph
+from .hosts import DEFAULT_VERTEX_BUDGET, BlockedGraph
 
 
 class FormatError(ValueError):
@@ -21,6 +21,10 @@ class FormatError(ValueError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
+
+
+#: largest cube dimension a file may declare: the host vertex budget
+_MAX_CUBE_D = DEFAULT_VERTEX_BUDGET.bit_length() - 1
 
 
 def dumps_ordered(g: OrderedGraph) -> str:
@@ -54,13 +58,15 @@ def loads_ordered(text: str) -> OrderedGraph:
         raise FormatError(1, str(exc)) from None
 
 
+def _labels(d: int) -> list[str]:
+    """The bitstring label of every vertex of {0,1}^d, in vertex order."""
+    return [format(v, f"0{d}b") for v in range(1 << d)]
+
+
 def dumps_hypercube(g: HypercubeGraph) -> str:
-    edge_list = sorted(g.edges())
-    lines = [f"{g.d} {len(edge_list)}"]
-    lines.extend(
-        f"{BitString(g.d, u)} {BitString(g.d, v)}" for u, v in edge_list
-    )
-    return "\n".join(lines) + "\n"
+    labels = _labels(g.d)
+    lines = [f"{labels[u]} {labels[v]}" for u, v in g.edges()]
+    return "\n".join([f"{g.d} {len(lines)}", *lines]) + "\n"
 
 
 def loads_hypercube(text: str) -> HypercubeGraph:
@@ -71,31 +77,44 @@ def loads_hypercube(text: str) -> HypercubeGraph:
         d, m = (int(t) for t in lines[0].split())
     except ValueError:
         raise FormatError(1, f"expected 'd m', got {lines[0]!r}") from None
-    edges = []
-    for i in range(1, m + 1):
-        if i >= len(lines):
-            raise FormatError(i + 1, f"expected {m} edge lines, file ends early")
-        parts = lines[i].split()
-        if len(parts) != 2 or any(len(p) != d or set(p) - {"0", "1"} for p in parts):
-            raise FormatError(i + 1, f"expected two length-{d} bitstrings, got {lines[i]!r}")
-        u, v = (int(p, 2) for p in parts)
+    if not 1 <= d <= _MAX_CUBE_D:
+        raise FormatError(1, f"need 1 <= d <= {_MAX_CUBE_D}, got {d}")
+    # one lookup checks a label's length and alphabet and gives its vertex
+    vertex = {label: v for v, label in enumerate(_labels(d))}.get
+    adj = [0] * (1 << d)
+    for line_no, line in enumerate(lines[1:m + 1], 2):
+        parts = line.split()
+        if len(parts) != 2 or (u := vertex(parts[0])) is None or (v := vertex(parts[1])) is None:
+            raise FormatError(line_no, f"expected two length-{d} bitstrings, got {line!r}")
         if u == v:
-            raise FormatError(i + 1, "self-loop")
-        edges.append((u, v))
-    return HypercubeGraph(d, edges)
+            raise FormatError(line_no, "self-loop")
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    if len(lines) <= m:
+        raise FormatError(len(lines) + 1, f"expected {m} edge lines, file ends early")
+    return HypercubeGraph(d, adj=adj)
 
 
 def dumps_blocked(g: BlockedGraph) -> str:
-    width = (g.m + 3) // 4
-    lines = [f"{g.d} {g.m} {g.seed}"]
-    for (x, y) in sorted(g.blocks):
-        mat = g.blocks[(x, y)]
-        if not mat.any():
-            continue
-        lines.append(f"{x} {y}")
-        # each row as a little-endian bit integer: column j is bit j
-        for row in np.packbits(mat, axis=1, bitorder="little"):
-            lines.append(f"{int.from_bytes(row.tobytes(), 'little'):0{width}x}")
+    m = g.m
+    lines = [f"{g.d} {m} {g.seed}"]
+    keys = sorted(g.blocks)
+    if keys:
+        mats = np.stack([g.blocks[key] for key in keys])
+        nonempty = mats.any(axis=(1, 2))
+        # a row is the little-endian bit integer of its columns (column j is
+        # bit j) in ceil(m/4) hex digits: reverse each row's bytes for
+        # big-endian hex, then drop the leading digit, always 0, that the
+        # bytes have beyond ceil(m/4) when that is odd
+        packed = np.packbits(mats[nonempty], axis=2, bitorder="little")[:, :, ::-1]
+        row_bytes = packed.shape[2]
+        rows = packed.tobytes().hex("\n", row_bytes).split("\n")
+        skip = 2 * row_bytes - (m + 3) // 4
+        if skip:
+            rows = [row[skip:] for row in rows]
+        for b, (x, y) in enumerate(key for key, keep in zip(keys, nonempty) if keep):
+            lines.append(f"{x} {y}")
+            lines += rows[b * m:(b + 1) * m]
     return "\n".join(lines) + "\n"
 
 
@@ -109,7 +128,8 @@ def loads_blocked(text: str) -> BlockedGraph:
         raise FormatError(1, f"expected 'd m seed', got {lines[0]!r}") from None
     if d < 1 or m < 1:
         raise FormatError(1, "need d >= 1 and m >= 1")
-    blocks: dict[tuple[int, int], np.ndarray] = {}
+    pairs: dict[tuple[int, int], None] = {}  # insertion-ordered set
+    rows: list[int] = []  # every block's rows, in file order
     i = 1
     while i < len(lines):
         try:
@@ -118,25 +138,27 @@ def loads_blocked(text: str) -> BlockedGraph:
             raise FormatError(i + 1, f"expected 'x y', got {lines[i]!r}") from None
         if not 0 <= x < y < (1 << d):
             raise FormatError(i + 1, f"block pair ({x}, {y}) out of range")
-        if (x, y) in blocks:
+        if (x, y) in pairs:
             raise FormatError(i + 1, f"duplicate block pair ({x}, {y})")
-        mat = np.zeros((m, m), dtype=bool)
-        for r in range(m):
-            i += 1
-            if i >= len(lines):
-                raise FormatError(i + 1, "block matrix truncated")
+        pairs[(x, y)] = None
+        for line_no, line in enumerate(lines[i + 1:i + m + 1], i + 2):
             try:
-                val = int(lines[i], 16)
+                row = int(line, 16)
             except ValueError:
-                raise FormatError(i + 1, f"expected hex row, got {lines[i]!r}") from None
-            if val >> m:
-                raise FormatError(i + 1, f"row has bits beyond column {m - 1}")
-            for j in range(m):
-                if (val >> j) & 1:
-                    mat[r, j] = True
-        blocks[(x, y)] = mat
-        i += 1
-    return BlockedGraph(d, m, seed, blocks)
+                raise FormatError(line_no, f"expected hex row, got {line!r}") from None
+            if row >> m:
+                raise FormatError(line_no, f"row has bits beyond column {m - 1}")
+            rows.append(row)
+        i += m + 1
+        if i > len(lines):
+            raise FormatError(len(lines) + 1, "block matrix truncated")
+    row_bytes = (m + 7) // 8
+    packed = b"".join([row.to_bytes(row_bytes, "little") for row in rows])
+    bits = np.unpackbits(
+        np.frombuffer(packed, dtype=np.uint8).reshape(len(pairs), m, row_bytes),
+        axis=2, count=m, bitorder="little",
+    ).view(bool)
+    return BlockedGraph(d, m, seed, dict(zip(pairs, bits)))
 
 
 def write_blocked(path, g: BlockedGraph) -> None:

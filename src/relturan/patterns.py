@@ -15,9 +15,18 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Protocol
 
 from .core import OrderedGraph
+
+
+class EdgeQuery(Protocol):
+    """A host that reports its vertex count and answers edge queries."""
+
+    @property
+    def n(self) -> int: ...
+
+    def has_edge(self, u: int, v: int) -> bool: ...
 
 
 @dataclass(frozen=True)
@@ -30,8 +39,12 @@ class EmbeddingWitness:
         return len(self.map)
 
 
-def validate_witness(pattern: OrderedGraph, host: OrderedGraph, w: EmbeddingWitness) -> bool:
-    """Pure checker: strictly increasing, in range, and edge-preserving."""
+def validate_witness(pattern: OrderedGraph, host: EdgeQuery, w: EmbeddingWitness) -> bool:
+    """Pure checker: strictly increasing, in range, and edge-preserving.
+
+    Only ``host.n`` and ``host.has_edge`` are read, so an OrderedGraph and a
+    HypercubeGraph are checked alike, without flattening one into the other.
+    """
     if len(w.map) != pattern.n:
         return False
     for img in w.map:

@@ -290,19 +290,20 @@ def extract_rich_interval(
         return StageFailure("surviving-levels", f"{len(surviving)} levels survive")
     _require(all(level > pivot for level in surviving), "a surviving level is not above the pivot")
 
+    if width < 1:
+        return StageFailure("subgraph", "right half is a single vertex")
+    # the subgraph keeps the edges of rhs(I) whose larger endpoint is in Y3
     rhs = parent.rhs()
     base = rhs.lo
-    sub_edges = []
-    for y in y3:
-        mask = g.adj[y] & ((1 << y) - 1) & (((1 << rhs.size) - 1) << base)
-        while mask:
-            low = mask & -mask
-            u = low.bit_length() - 1
-            sub_edges.append((u - base, y - base))
-            mask ^= low
-    subgraph = HypercubeGraph(width, sub_edges) if width >= 1 else None
-    if subgraph is None:
-        return StageFailure("subgraph", "right half is a single vertex")
+    rhs_mask = ((1 << rhs.size) - 1) << base
+    sub_adj = []
+    for w in range(base, base + rhs.size):
+        below = (1 << w) - 1
+        kept = g.adj[w] & ~below & y3_mask
+        if (y3_mask >> w) & 1:
+            kept |= g.adj[w] & below & rhs_mask
+        sub_adj.append(kept >> base)
+    subgraph = HypercubeGraph(width, adj=sub_adj)
 
     # each counted vertex contributes an integer backward degree of at least
     # ceil(f_value * 2^(d - level)); the implied richness of the extracted
@@ -342,9 +343,10 @@ def _replay_postconditions(g: HypercubeGraph, res: ExtractionResult) -> None:
     """Independent re-checks of the extraction guarantees (PostconditionError)."""
     sub = res.subgraph
     y3 = set(res.trace.y3)
-    for u, v in sub.edges():
-        _require(v + res.rhs_base in y3 and g.has_edge(res.x, v + res.rhs_base),
-                 "larger endpoint not adjacent to x")
+    for v, mask in enumerate(sub.adj):
+        if mask & ((1 << v) - 1):  # v is the larger endpoint of an edge
+            _require(v + res.rhs_base in y3 and g.has_edge(res.x, v + res.rhs_base),
+                     "larger endpoint not adjacent to x")
     cert = rich_levels(sub, res.certified_eta)
     _require(cert.count >= res.certified_rich_count,
              f"recomputed rich count {cert.count} < certified {res.certified_rich_count}")
@@ -361,19 +363,30 @@ def embed_hk_rich(
     forward neighbour y, which precedes everything in the right half.
     Returns None as soon as any stage fails.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
     if thresholds is None:
         thresholds = Thresholds.desk()
-    if k == 1:
-        try:
-            u, v = min(g.edges())
-        except ValueError:
-            return None
-        return EmbeddingWitness((u, v))
+    res = None
+    if k > 1:
+        res = extract_rich_interval(strip_top_forward(g)[0], thresholds)
+    return embed_hk_extracted(g, k, res, thresholds)
 
-    stripped, _ = strip_top_forward(g)
-    res = extract_rich_interval(stripped, thresholds)
+
+def embed_hk_extracted(
+    g: HypercubeGraph,
+    k: int,
+    res: Union[ExtractionResult, StageFailure, None],
+    thresholds: Thresholds,
+) -> Optional[EmbeddingWitness]:
+    """``embed_hk_rich`` continued from its top-level extraction.
+
+    ``res`` must be ``extract_rich_interval(strip_top_forward(g)[0],
+    thresholds)``; it is not read when k = 1.
+    """
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    if k == 1:
+        least = next(g.edges(), None)  # edges() runs in lexicographic order
+        return None if least is None else EmbeddingWitness(least)
     if isinstance(res, StageFailure):
         return None
     inner = embed_hk_rich(res.subgraph, k - 1, thresholds)
@@ -393,5 +406,4 @@ def embed_hk_rich(
     y = (mask & -mask).bit_length() - 1
     if not (x < y < lifted[0]):
         return None
-    witness = EmbeddingWitness((x, y) + lifted)
-    return witness
+    return EmbeddingWitness((x, y) + lifted)

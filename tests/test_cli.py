@@ -1,10 +1,11 @@
 import json
+from collections import Counter
 
 import pytest
 
-from relturan import __version__, richness
+from relturan import __version__, graphio, richness, tiling
 from relturan.cli import main
-from relturan.core import HypercubeGraph
+from relturan.core import HypercubeGraph, delta_int
 from relturan.graphio import read_blocked, write_hypercube, write_ordered
 from relturan.hosts import complete_hypercube, complete_ordered, generate_host
 from relturan.patterns import EmbeddingWitness, build_hk, monotone_p3
@@ -121,6 +122,27 @@ class TestAnalyzeRichness:
         assert out["average_richness"] == {"num": "1", "den": "1", "float": 1.0}
         assert out["rich_levels"] == [1, 2, 3, 4]
 
+    @pytest.mark.parametrize("alpha", ["1.5", "-0.1", "nan"])
+    @pytest.mark.parametrize("kind", ["blocked", "cube"])
+    def test_alpha_outside_unit_interval_is_usage_error(self, alpha, kind, tmp_path, capsys):
+        host_file = tmp_path / "host.txt"
+        if kind == "blocked":
+            graphio.write_blocked(host_file, generate_host(4, 2, seed=0))
+        else:
+            write_hypercube(host_file, complete_hypercube(3))
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze-richness", "--host", str(host_file), "--alpha", alpha])
+        assert exc.value.code == 2
+        assert "must be in [0, 1]" in capsys.readouterr().err
+
+    def test_alpha_one_is_accepted_on_blocked_host(self, tmp_path, capsys):
+        host_file = tmp_path / "host.rg"
+        graphio.write_blocked(host_file, generate_host(4, 2, seed=0))
+        assert main(["analyze-richness", "--host", str(host_file), "--alpha", "1"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        # level 1 pairs are present with probability 2^(1-d) = 1/2, so not all there
+        assert 1 not in out["rich_levels"] and 2 in out["rich_levels"]
+
 
 class TestEmbedHk:
     def test_success_with_trace(self, tmp_path, capsys):
@@ -143,10 +165,31 @@ class TestEmbedHk:
         # the witness is re-validated by an explicit check, so this holds under -O
         host_file = tmp_path / "cube.hg"
         write_hypercube(host_file, complete_hypercube(4))
-        monkeypatch.setattr(richness, "embed_hk_rich",
-                            lambda g, k, thresholds: EmbeddingWitness((3, 2, 1, 0)))
+        calls = []
+
+        def bad_embedding(g, k, res, thresholds):
+            calls.append((k, res))
+            return EmbeddingWitness((3, 2, 1, 0))
+
+        monkeypatch.setattr(richness, "embed_hk_extracted", bad_embedding)
         assert main(["embed-hk", "--host", str(host_file), "--k", "2"]) == 1
         assert "not an ordered copy" in capsys.readouterr().err
+        # the CLI hands its own top-level extraction on instead of running it again
+        assert len(calls) == 1
+        assert calls[0][0] == 2 and isinstance(calls[0][1], richness.ExtractionResult)
+
+    def test_witness_matches_library(self, tmp_path, capsys):
+        host_file = tmp_path / "cube.hg"
+        write_hypercube(host_file, complete_hypercube(6))
+        for k in (1, 2, 3):
+            assert main(["embed-hk", "--host", str(host_file), "--k", str(k)]) == 0
+            out = json.loads(capsys.readouterr().out)
+            assert out["witness"] == list(richness.embed_hk_rich(complete_hypercube(6), k).map)
+
+    def test_bad_k_is_usage_error(self, tmp_path, capsys):
+        host_file = tmp_path / "cube.hg"
+        write_hypercube(host_file, complete_hypercube(3))
+        assert main(["embed-hk", "--host", str(host_file), "--k", "0"]) == 2
 
 
 class TestAppendixCheck:
@@ -237,6 +280,16 @@ class TestTileCommands:
                    "--epsilon", "0.9", "--out-dir", str(out_dir)])
         assert rc in (0, 1)
         assert (out_dir / "levels.csv").exists()
+
+    def test_sample_split_levels_match_per_pair_count(self, p3_file, capsys):
+        assert main(["tile-sample", "--pattern", p3_file, "--d", "7",
+                     "--levels", "1,2,3,4,5,6,7", "--w", "4",
+                     "--n-samples", "3000", "--seed", "2"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        verts = tiling.sample_many(tiling.TilingConfig(7, tuple(range(1, 8)), 4, 3), 3000, 2)
+        for t, slot in enumerate(out["per_slot_split_levels"]):
+            expected = Counter(delta_int(int(a), int(b), 7) for a, b in verts[:, t:t + 2])
+            assert slot == {str(k): v for k, v in sorted(expected.items())}
 
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relturan.core import OrderedGraph
+from relturan.core import HypercubeGraph, OrderedGraph
 from relturan.patterns import (
     EmbeddingWitness,
     MonotonePathError,
@@ -105,6 +105,30 @@ class TestValidateWitness:
         pat = OrderedGraph(2, [(0, 1)])
         host = OrderedGraph(3, [(1, 2)])
         assert not validate_witness(pat, host, EmbeddingWitness((1,)))
+
+    @settings(max_examples=80)
+    @given(st.data())
+    def test_cube_graph_agrees_with_its_ordered_graph(self, data):
+        # the check reads only n and has_edge, so the cube graph needs no flattening
+        d = data.draw(st.integers(1, 4))
+        n = 1 << d
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        keep = data.draw(st.sampled_from([0.3, 0.8, 1.0]))
+        rng = data.draw(st.randoms(use_true_random=False))
+        cube = HypercubeGraph(d, [p for p in pairs if rng.random() < keep])
+        ordered = cube.to_ordered()
+        pat = data.draw(ordered_graphs(min_n=1, max_n=4))
+        witnesses = [tuple(data.draw(st.lists(st.integers(-1, n), min_size=pat.n - 1,
+                                               max_size=pat.n + 1))) for _ in range(4)]
+        witnesses.append(tuple(sorted(rng.sample(range(n), min(pat.n, n)))))
+        found = contains_ordered(pat, ordered)
+        if found is not None:
+            witnesses.append(tuple(found.map))
+        for images in witnesses:
+            w = EmbeddingWitness(images)
+            assert validate_witness(pat, cube, w) == validate_witness(pat, ordered, w)
+        if found is not None:
+            assert validate_witness(pat, cube, found)
 
 
 class TestMonotonePath:

@@ -16,6 +16,7 @@ from relturan.richness import (
     Thresholds,
     _replay_postconditions,
     average_richness,
+    embed_hk_extracted,
     embed_hk_rich,
     extract_rich_interval,
     rich_levels,
@@ -144,6 +145,31 @@ class TestExtraction:
         for _, v in res.subgraph.edges():
             assert g.has_edge(res.x, v + res.rhs_base)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_subgraph_is_right_half_edges_ending_in_y3(self, seed):
+        # per-edge reference for the per-vertex mask construction
+        rng = random.Random(seed)
+        g, _ = strip_top_forward(random_cube_graph(rng, rng.randint(3, 6), keep=0.85))
+        res = extract_rich_interval(g, Thresholds.desk())
+        assert isinstance(res, ExtractionResult)
+        base, size = res.rhs_base, 1 << res.subgraph.d
+        expected = {
+            (u - base, y - base)
+            for y in res.trace.y3
+            for u in range(base, y)
+            if g.has_edge(u, y)
+        }
+        assert all(base <= y < base + size for y in res.trace.y3)
+        assert set(res.subgraph.edges()) == expected
+
+    def test_replay_rejects_endpoint_not_adjacent_to_x(self):
+        g = complete_hypercube(5)
+        res = extract_rich_interval(g, Thresholds.desk())
+        _, v = max(res.subgraph.edges())
+        cut = [e for e in g.edges() if e != (res.x, v + res.rhs_base)]
+        with pytest.raises(PostconditionError):
+            _replay_postconditions(HypercubeGraph(g.d, cut), res)
+
     def test_certified_count_is_honest(self):
         g = complete_hypercube(5)
         res = extract_rich_interval(g, Thresholds.desk())
@@ -204,6 +230,15 @@ class TestEmbedHkRich:
             w = embed_hk_rich(g, 2)
             if w is not None:
                 assert validate_witness(build_hk(2), g.to_ordered(), w)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_continues_from_given_extraction(self, k):
+        rng = random.Random(k)
+        for _ in range(5):
+            g = random_cube_graph(rng, 6, keep=0.95)
+            res = extract_rich_interval(strip_top_forward(g)[0], Thresholds.desk())
+            a = embed_hk_extracted(g, k, res, Thresholds.desk())
+            assert a == embed_hk_rich(g, k, Thresholds.desk())
 
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
