@@ -391,8 +391,8 @@ def cmd_report(args) -> int:
 
 def _seed(text: str) -> int:
     seed = int(text)
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"seed must be non-negative, got {seed}")
+    if not 0 <= seed < 1 << 64:  # Philox keys are uint64
+        raise argparse.ArgumentTypeError(f"seed must be non-negative and below 2^64, got {seed}")
     return seed
 
 

@@ -7,13 +7,16 @@ where level = delta(x, y).  There are no intra-block edges.
 
 Randomness comes from a counter-based generator (Philox) keyed by
 (seed, block-pair index), so the output is independent of generation order
-and worker count.
+and worker count.  Generation reuses one Philox object and resets its state
+to counter 0 under each pair's key, so each pair still draws exactly the
+stream of ``Philox(key=[seed, pair_index])`` and host files do not change.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -27,15 +30,13 @@ class BudgetError(ValueError):
     pass
 
 
-def _pair_index(x: int, y: int, n_blocks: int) -> int:
-    """Index of (x, y), x < y, in lexicographic order over all block pairs."""
-    return x * (2 * n_blocks - x - 1) // 2 + (y - x - 1)
-
-
-def _pair_rng(seed: int, pair_idx: int) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.Philox(key=np.array([seed, pair_idx], dtype=np.uint64))
-    )
+def _pair_levels(x: np.ndarray, y: np.ndarray, d: int) -> np.ndarray:
+    """``delta_int`` over arrays of block pairs."""
+    xor = np.bitwise_xor(x, y)
+    if not xor.all():
+        raise ValueError("delta is undefined for equal strings")
+    # frexp's exponent of a positive integer below 2^53 is its bit length
+    return d + 1 - np.frexp(xor)[1]
 
 
 class BlockedGraph:
@@ -69,13 +70,17 @@ class BlockedGraph:
 
     def level_counts(self) -> list[int]:
         """Edge count per level 1..d (index 0 unused)."""
-        counts = [0] * (self.d + 1)
-        for (x, y), mat in self.blocks.items():
-            counts[delta_int(x, y, self.d)] += int(mat.sum())
-        return counts
+        if not self.blocks:
+            return [0] * (self.d + 1)
+        pairs = np.fromiter(chain.from_iterable(self.blocks), np.int64, 2 * len(self.blocks))
+        x, y = pairs.reshape(-1, 2).T
+        edges = np.count_nonzero(np.stack(list(self.blocks.values())), axis=(1, 2))
+        # float weights are exact: a host has fewer than 2^53 edges
+        counts = np.bincount(_pair_levels(x, y, self.d), weights=edges, minlength=self.d + 1)
+        return counts.astype(np.int64).tolist()
 
     def num_edges(self) -> int:
-        return sum(int(mat.sum()) for mat in self.blocks.values())
+        return sum(self.level_counts())
 
     def thin_every_other(self) -> "BlockedGraph":
         """Deterministic half-density subgraph: keep every second edge per block pair."""
@@ -116,17 +121,20 @@ def generate_host(m: int, d: int, seed: int, budget: int = DEFAULT_VERTEX_BUDGET
         raise ValueError("need m >= 1 and d >= 1")
     if (m << d) > budget:
         raise BudgetError(f"{m << d} vertices exceeds budget {budget}")
-    n_blocks = 1 << d
-    blocks: dict[tuple[int, int], np.ndarray] = {}
-    for x in range(n_blocks):
-        for y in range(x + 1, n_blocks):
-            p = 2.0 ** (delta_int(x, y, d) - d)
-            rng = _pair_rng(seed, _pair_index(x, y, n_blocks))
-            if p >= 1.0:
-                blocks[(x, y)] = np.ones((m, m), dtype=bool)
-            else:
-                blocks[(x, y)] = rng.random((m, m)) < p
-    return BlockedGraph(d, m, seed, blocks)
+    xs, ys = np.triu_indices(1 << d, k=1)  # pair-index order
+    levels = _pair_levels(xs, ys, d)
+    mats = np.ones((len(xs), m, m), dtype=bool)  # level d: probability 1
+    bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    rng = np.random.Generator(bitgen)
+    state = bitgen.state  # counter 0; setting it also resets the output buffer
+    draw = np.empty((m, m))
+    drawn = np.flatnonzero(levels < d)
+    for idx, p in zip(drawn.tolist(), np.ldexp(1.0, levels[drawn] - d).tolist()):
+        state["state"]["key"][1] = idx
+        bitgen.state = state
+        rng.random(out=draw)
+        np.less(draw, p, out=mats[idx])
+    return BlockedGraph(d, m, seed, dict(zip(zip(xs.tolist(), ys.tolist()), mats)))
 
 
 @dataclass(frozen=True)

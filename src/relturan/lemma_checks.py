@@ -137,19 +137,40 @@ def check_locally_balanced(
     """
     if n < 4 or eps <= 0:
         raise ValueError("need n >= 4 and eps > 0")
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must be in [0, 2^64), got {seed}")
+    if not exhaustive and n_samples < 1:
+        raise ValueError(f"need n_samples >= 1, got {n_samples}")
     m, hi = _window_lengths(n)
+    # A window of length L with sum s violates iff |s - L/2| >= eps L.  The
+    # float test is evaluated once per possible sum; as |s - L/2| is exact and
+    # grows away from L/2, the violating sums are s <= low[L] or s >= high[L].
+    low, high = {}, {}
+    for length in range(m, hi + 1):
+        viol = np.abs(np.arange(length + 1) - length / 2) >= eps * length
+        low[length] = np.count_nonzero(viol[:length // 2 + 1]) - 1
+        high[length] = length + 1 - np.count_nonzero(viol[(length + 1) // 2:])
+    prefix_dtype = np.int16 if n < 1 << 15 else np.int32  # prefix sums are at most n
 
     def batch_violations(bits: np.ndarray) -> tuple[int, int, int]:
-        prefix = np.zeros((bits.shape[0], n + 1), dtype=np.int64)
-        np.cumsum(bits, axis=1, out=prefix[:, 1:])
-        bad = np.zeros(bits.shape[0], dtype=bool)
+        rows = bits.shape[0]
+        prefix = np.zeros((rows, n + 1), dtype=prefix_dtype)
+        np.cumsum(bits, axis=1, dtype=prefix_dtype, out=prefix[:, 1:])
+        buf = np.empty(rows * (n + 1 - m), dtype=prefix_dtype)
+        bad = np.zeros(rows, dtype=bool)
         cells = bad_cells = 0
         for length in range(m, hi + 1):
-            sums = prefix[:, length:] - prefix[:, :-length]
-            viol = np.abs(sums - length / 2) >= eps * length
-            bad |= np.any(viol, axis=1)
-            cells += viol.size
-            bad_cells += int(viol.sum())
+            width = n + 1 - length
+            sums = buf[:rows * width].reshape(rows, width)
+            np.subtract(prefix[:, length:], prefix[:, :-length], out=sums)
+            below = sums.min(axis=1) <= low[length]
+            above = sums.max(axis=1) >= high[length]
+            bad |= below | above
+            cells += sums.size
+            if below.any():
+                bad_cells += np.count_nonzero(sums <= low[length])
+            if above.any():
+                bad_cells += np.count_nonzero(sums >= high[length])
         return int(bad.sum()), bad_cells, cells
 
     if exhaustive:

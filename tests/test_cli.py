@@ -93,6 +93,19 @@ class TestGenHost:
         assert exc.value.code == 2
         assert "non-negative" in capsys.readouterr().err
 
+    def test_seed_beyond_uint64_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen-host", "--d", "2", "--m", "4", "--seed", str(2**64),
+                  "--out", str(tmp_path / "host.rg")])
+        assert exc.value.code == 2
+        assert "2^64" in capsys.readouterr().err
+
+    def test_largest_seed_is_accepted(self, tmp_path, capsys):
+        out_file = tmp_path / "host.rg"
+        assert main(["gen-host", "--d", "2", "--m", "3", "--seed", str(2**64 - 1),
+                     "--out", str(out_file)]) == 0
+        assert read_blocked(out_file) == generate_host(3, 2, seed=2**64 - 1)
+
     @pytest.mark.parametrize("flag", [["--workers", "2"], ["--json"]])
     def test_removed_flags_are_usage_errors(self, flag, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -209,6 +222,12 @@ class TestAppendixCheck:
 
     def test_bad_json_is_usage_error(self):
         assert main(["appendix-check", "--lemma", "a1", "--params", "{oops"]) == 2
+
+    @pytest.mark.parametrize("extra", [{"n_samples": 0}, {"seed": -1}, {"seed": 2**64}])
+    def test_a2_bad_samples_or_seed_is_usage_error(self, extra, capsys):
+        params = json.dumps({"n": 1024, "eps": 0.3, "n_samples": 10, "seed": 1, **extra})
+        assert main(["appendix-check", "--lemma", "a2", "--params", params]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestManifest:

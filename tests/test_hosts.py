@@ -1,15 +1,44 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relturan.core import delta_int
+from relturan.graphio import dumps_blocked, loads_blocked
 from relturan.hosts import (
+    BlockedGraph,
     BudgetError,
-    _pair_index,
     complete_hypercube,
     complete_ordered,
     generate_host,
     verify_host,
 )
+
+
+def _pair_index(x: int, y: int, n_blocks: int) -> int:
+    """Index of (x, y), x < y, in lexicographic order over all block pairs."""
+    return x * (2 * n_blocks - x - 1) // 2 + (y - x - 1)
+
+
+def reference_host_blocks(m: int, d: int, seed: int) -> dict:
+    """One fresh Philox per block pair, keyed (seed, pair index), drawn from counter 0."""
+    n_blocks = 1 << d
+    blocks = {}
+    for x in range(n_blocks):
+        for y in range(x + 1, n_blocks):
+            key = np.array([seed, _pair_index(x, y, n_blocks)], dtype=np.uint64)
+            rng = np.random.Generator(np.random.Philox(key=key))
+            blocks[(x, y)] = rng.random((m, m)) < 2.0 ** (delta_int(x, y, d) - d)
+    return blocks
+
+
+def reference_level_counts(host: BlockedGraph) -> list[int]:
+    counts = [0] * (host.d + 1)
+    for (x, y), mat in host.blocks.items():
+        counts[delta_int(x, y, host.d)] += int(mat.sum())
+    return counts
 
 
 class TestPairIndex:
@@ -18,6 +47,71 @@ class TestPairIndex:
             nb = 1 << d
             seen = [_pair_index(x, y, nb) for x in range(nb) for y in range(x + 1, nb)]
             assert sorted(seen) == list(range(nb * (nb - 1) // 2))
+
+
+class TestStreams:
+    @given(
+        st.integers(1, 9),
+        st.integers(1, 5),
+        st.one_of(st.sampled_from([0, 1, 2**64 - 1]), st.integers(0, 2**64 - 1)),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_per_pair_philox(self, m, d, seed):
+        host = generate_host(m, d, seed)
+        ref = reference_host_blocks(m, d, seed)
+        assert list(host.blocks) == list(ref)
+        for key, mat in ref.items():
+            assert np.array_equal(host.blocks[key], mat), key
+
+    # sha256 of dumps_blocked output, fixed before generation reused one Philox
+    @pytest.mark.parametrize("m, d, seed, digest", [
+        (8, 8, 0, "3a23978644be91856d78655f103d42f9506043c1f581a97fa2459771a982f068"),
+        (256, 4, 9, "f986a35efb67fce3192ff02ca172aed4d1aaa6b545d92c942b080309aa92d7fb"),
+        (5, 3, 7, "e8c457cf87336f4dabfd3f63bc8a4efb8509d1edd82f5f38c5a7167445d0db53"),
+    ])
+    def test_pinned_files(self, m, d, seed, digest):
+        text = dumps_blocked(generate_host(m, d, seed))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_seed_outside_uint64_is_refused(self):
+        for seed in (-1, 2**64):
+            with pytest.raises(OverflowError):
+                generate_host(2, 1, seed)
+
+
+class TestLevelCounts:
+    def _check(self, host):
+        want = reference_level_counts(host)
+        assert host.level_counts() == want
+        assert host.num_edges() == sum(want)
+
+    def test_generated(self):
+        self._check(generate_host(5, 4, seed=3))
+
+    def test_no_blocks(self):
+        host = loads_blocked("3 4 0\n")
+        assert host.blocks == {}
+        assert host.level_counts() == [0, 0, 0, 0]
+        self._check(host)
+
+    def test_loaded_views(self):
+        host = loads_blocked(dumps_blocked(generate_host(7, 3, seed=11)))
+        assert all(mat.base is not None for mat in host.blocks.values())
+        self._check(host)
+
+    def test_thinned(self):
+        self._check(generate_host(6, 3, seed=4).thin_every_other())
+
+    def test_keys_out_of_pair_order(self):
+        rng = np.random.default_rng(0)
+        keys = [(6, 7), (0, 4), (2, 3), (0, 1), (1, 6), (3, 5)]
+        host = BlockedGraph(3, 4, 0, {k: rng.random((4, 4)) < 0.5 for k in keys})
+        self._check(host)
+
+    def test_self_pair_is_refused(self):
+        host = BlockedGraph(2, 2, 0, {(1, 1): np.ones((2, 2), dtype=bool)})
+        with pytest.raises(ValueError):
+            host.level_counts()
 
 
 class TestGeneration:

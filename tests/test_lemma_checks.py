@@ -17,6 +17,20 @@ from relturan.lemma_checks import (
 )
 
 
+def _float_window_counts(bits: np.ndarray, eps: float) -> tuple[int, int]:
+    """Violating and total windows over the checked lengths, by the float test."""
+    n = bits.shape[1]
+    m, hi = _window_lengths(n)
+    prefix = np.zeros((bits.shape[0], n + 1), dtype=np.int64)
+    np.cumsum(bits, axis=1, out=prefix[:, 1:])
+    bad = cells = 0
+    for length in range(m, hi + 1):
+        viol = np.abs(prefix[:, length:] - prefix[:, :-length] - length / 2) >= eps * length
+        bad += int(viol.sum())
+        cells += viol.size
+    return bad, cells
+
+
 class TestBinomialFraction:
     def test_hand_computed_failure(self):
         # C(6, 2) = 15 vs (1/4 - 1/16) C(16, 2) = 22.5
@@ -88,6 +102,39 @@ class TestLocallyBalanced:
         )
         assert rep.extra["violating"] == direct
         assert rep.samples == 1 << n
+
+    @pytest.mark.parametrize("n, eps, n_samples, seed", [
+        (64, 0.25, 400, 3),  # eps L = L/2 - s for L divisible by 4: tie cases
+        (64, 0.125, 400, 4),  # ties at L divisible by 8
+        (96, 0.5, 300, 5),  # only the all-0 and all-1 windows violate
+        (128, 0.15, 300, 7),
+        (1024, 0.1, 60, 1),  # most strings violate
+        (1024, 0.3, 60, 2**64 - 1),
+        (1 << 15, 0.25, 3, 8),  # int32 prefix
+    ])
+    def test_monte_carlo_matches_float_window_scan(self, n, eps, n_samples, seed):
+        rep = check_locally_balanced(n, eps, n_samples, seed)
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+        chunk = max(1, (1 << 22) // n)
+        bits = np.concatenate([
+            rng.integers(0, 2, size=(min(chunk, n_samples - start), n), dtype=np.int64)
+            for start in range(0, n_samples, chunk)
+        ])
+        assert rep.extra["violating"] == sum(string_violates(row, eps) for row in bits)
+        bad_cells, cells = _float_window_counts(bits, eps)
+        assert rep.extra["window_fraction"] == bad_cells / cells
+
+    def test_exhaustive_tie_cases_match_float_window_scan(self):
+        n, eps = 12, 0.25
+        rep = check_locally_balanced(n, eps, n_samples=0, seed=0, exhaustive=True)
+        vals = np.arange(1 << n, dtype=np.int64)
+        bad_cells, cells = _float_window_counts((vals[:, None] >> np.arange(n - 1, -1, -1)) & 1, eps)
+        assert rep.extra["window_fraction"] == bad_cells / cells
+
+    @pytest.mark.parametrize("n_samples, seed", [(0, 1), (-3, 1), (10, -1), (10, 2**64)])
+    def test_rejects_bad_samples_and_seeds(self, n_samples, seed):
+        with pytest.raises(ValueError):
+            check_locally_balanced(64, 0.3, n_samples, seed)
 
     def test_monte_carlo_report(self):
         rep = check_locally_balanced(256, eps=0.2, n_samples=500, seed=1)
