@@ -5,7 +5,10 @@ G' of G that avoid an ordered copy of the pattern F.  Three routes:
 
 * ``rho_exhaustive``: pruned enumeration of all F-free edge subsets (small
   hosts, hard cap on e(G)); the reference oracle.
-* ``rho_exact``: branch-and-bound over edges with the bound kept + remaining.
+* ``rho_exact``: branch-and-bound over edges; the bound is kept + undecided
+  less a greedy packing of copies that share no undecided edge.  One
+  iterative search routine runs both its passes: the optimum, then the
+  lexicographically least certificate.
 * ``rho_local_search``: seeded hill climbing, lower bounds only.
 
 All three test containment with ``patterns.contains_ordered``, built on the
@@ -21,7 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Optional
 
 from .core import OrderedGraph
 from .patterns import contains_ordered, has_monotone_p3, ordered_copies
@@ -62,9 +65,11 @@ class EdgeMask:
 
     __slots__ = ("n", "_fwd")
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         self.n = n
         self._fwd = [0] * n
+        for e in edges:
+            self.add(e)
 
     def forward(self, u: int) -> int:
         return self._fwd[u]
@@ -119,22 +124,142 @@ def rho_exhaustive(pattern: OrderedGraph, host: OrderedGraph) -> DensityResult:
     return DensityResult(best_count, len(edges), cert, True, nodes)
 
 
+def packing_bound(
+    pattern: OrderedGraph, kept: EdgeMask, live: EdgeMask, size: int, floor: int = -1
+) -> int:
+    """Upper bound on e(S) over pattern-free S with kept <= S <= live.
+
+    ``size`` is the number of edges of ``live``, and ``kept`` must be
+    pattern-free.  Copies in ``live`` are packed greedily, in lexicographic
+    order, while their undecided edges (those outside ``kept``) stay pairwise
+    disjoint.  No copy lies inside ``kept``, so S misses one undecided edge of
+    each packed copy, a different one per copy: e(S) <= size - packing.  The
+    packing stops once the bound is down to ``floor``.
+    """
+    need = size - floor
+    if need <= 0:
+        return size
+    kept_fwd, live_fwd, pattern_edges = kept._fwd, live._fwd, sorted(pattern.edges)
+    # a packed copy's undecided edges leave ``live`` until the walk ends, which
+    # prunes the walk; a copy the kernel yields through one of them anyway
+    # (chosen before the removal) is skipped
+    packed_edges: list[tuple[int, int]] = []
+    packed = 0
+    for images in ordered_copies(pattern, live):
+        undecided = []
+        for a, b in pattern_edges:
+            u, v = images[a], images[b]
+            if not kept_fwd[u] >> v & 1:
+                if not live_fwd[u] >> v & 1:
+                    break
+                undecided.append((u, v))
+        else:
+            for e in undecided:
+                live.remove(e)
+            packed_edges += undecided
+            packed += 1
+            if packed == need:
+                break
+    for e in packed_edges:
+        live.add(e)
+    return size - packed
+
+
+# how a search node at depth i left for its child: fresh node, order[i] kept,
+# order[i] dropped
+_ENTER, _INCLUDED, _EXCLUDED = 0, 1, 2
+
+
+def _search(
+    pattern: OrderedGraph,
+    n: int,
+    order: list[tuple[int, int]],
+    threshold: int,
+    node_budget: Optional[int] = None,
+    first_leaf: bool = False,
+) -> tuple[Optional[tuple[tuple[int, int], ...]], int, bool]:
+    """Include-first DFS over ``order`` for pattern-free sets above ``threshold``.
+
+    Node i decides edge order[i]; the include branch runs only while the kept
+    set stays pattern-free.  A node is pruned when kept + undecided, or the
+    packing bound, is at most the threshold.  The packing bound is at least
+    |kept|, so it is tried only where |kept| <= threshold.  Each leaf reached
+    is a new best and becomes the threshold; with ``first_leaf`` the search
+    stops there.  The DFS keeps an explicit stack: its depth, up to e(host),
+    is not limited by Python's recursion limit.
+
+    Returns (the last leaf's sorted edges or None, nodes, budget exhausted).
+    """
+    total = len(order)
+    kept, live = EdgeMask(n), EdgeMask(n, order)  # live = kept + undecided
+    chosen: list[tuple[int, int]] = []
+    best = None
+    nodes = 0
+    step = [_ENTER] * (total + 1)
+    i = 0
+    while i >= 0:
+        if step[i] == _ENTER:
+            nodes += 1
+            if node_budget is not None and nodes > node_budget:
+                return best, nodes, True
+            k = len(chosen)
+            room = k + total - i
+            if room <= threshold or (
+                k <= threshold and packing_bound(pattern, kept, live, room, threshold) <= threshold
+            ):
+                i -= 1
+                continue
+            if i == total:
+                threshold, best = k, tuple(sorted(chosen))
+                if first_leaf:
+                    break
+                i -= 1
+                continue
+            e = order[i]
+            kept.add(e)
+            if contains_ordered(pattern, kept) is None:
+                chosen.append(e)
+                step[i] = _INCLUDED
+                i += 1
+                step[i] = _ENTER
+                continue
+            kept.remove(e)
+        elif step[i] == _INCLUDED:
+            kept.remove(order[i])
+            chosen.pop()
+        else:  # both branches done
+            live.add(order[i])
+            i -= 1
+            continue
+        live.remove(order[i])
+        step[i] = _EXCLUDED
+        i += 1
+        step[i] = _ENTER
+    return best, nodes, False
+
+
 def rho_exact(
     pattern: OrderedGraph,
     host: OrderedGraph,
     node_budget: Optional[int] = None,
     warm_start: Optional[tuple[tuple[int, int], ...]] = None,
 ) -> DensityResult:
-    """Branch-and-bound over include/exclude edge decisions.
+    """Branch-and-bound over include/exclude edge decisions, in two passes.
 
-    Edges are branched in descending order of the number of pattern copies
-    through them (fail-first); the bound is kept + remaining.  The result is
-    optimal unless the node budget runs out, in which case ``exact`` is
-    False and the best subgraph found so far is returned: the empty one,
-    which is always pattern-free, if no leaf and no usable warm start came
-    first.  Among optima, the lexicographically least edge set is returned.
-    A warm start must be a subset of the host's edges (ValueError otherwise);
-    it is used only if it is pattern-free.
+    Both passes run ``_search``, whose bound is kept + undecided less a
+    greedy packing of copies disjoint in their undecided edges.  The first
+    pass branches on edges in descending order of the number of pattern
+    copies through them (fail-first) and raises the threshold with each
+    better leaf.  The result is optimal unless ``node_budget`` first-pass
+    nodes run out, in which case ``exact`` is False and the best subgraph
+    found so far is returned: the empty one, which is always pattern-free,
+    if no leaf and no usable warm start came first.  When the first pass
+    completes, the second branches in canonical edge order with threshold
+    optimum - 1 and stops at its first leaf, which is the lexicographically
+    least optimum.  ``nodes_explored`` counts the nodes of both passes; the
+    budget applies to the first.  A warm start must be a subset of the
+    host's edges (ValueError otherwise); it is used only if it is
+    pattern-free.
     """
     _check_pattern(pattern)
     edges = host.sorted_edges()
@@ -154,71 +279,13 @@ def rho_exact(
         if contains_ordered(pattern, ws) is None:
             best_count = len(ws.edges)
             best_cert = tuple(ws.sorted_edges())
-    nodes = 0
-    exhausted = False
-    chosen: list[tuple[int, int]] = []
-    mask = EdgeMask(host.n)
-
-    def dfs(i: int) -> None:
-        nonlocal best_count, best_cert, nodes, exhausted
-        if exhausted:
-            return
-        nodes += 1
-        if node_budget is not None and nodes > node_budget:
-            exhausted = True
-            return
-        if len(chosen) + (total - i) <= best_count:
-            return
-        if i == total:
-            best_count = len(chosen)
-            best_cert = tuple(sorted(chosen))
-            return
-        e = order[i]
-        chosen.append(e)
-        mask.add(e)
-        if contains_ordered(pattern, mask) is None:
-            dfs(i + 1)
-        chosen.pop()
-        mask.remove(e)
-        dfs(i + 1)
-
-    dfs(0)
-    exact = not exhausted
-    if exact:
-        best_cert = _lex_least_certificate(pattern, host, best_count)
-    return DensityResult(best_count, total, best_cert, exact, nodes)
-
-
-def _lex_least_certificate(
-    pattern: OrderedGraph, host: OrderedGraph, target: int
-) -> tuple[tuple[int, int], ...]:
-    """First F-free subset of size ``target`` in canonical include-first DFS order.
-
-    That DFS order coincides with lexicographic order on sorted edge tuples
-    for sets of equal size, so the first hit is the least certificate.
-    """
-    edges = host.sorted_edges()
-    chosen: list[tuple[int, int]] = []
-    mask = EdgeMask(host.n)
-    out: list[tuple[tuple[int, int], ...]] = []
-
-    def dfs(i: int) -> bool:
-        if len(chosen) == target:
-            out.append(tuple(chosen))
-            return True
-        if len(chosen) + (len(edges) - i) < target:
-            return False
-        e = edges[i]
-        chosen.append(e)
-        mask.add(e)
-        if contains_ordered(pattern, mask) is None and dfs(i + 1):
-            return True
-        chosen.pop()
-        mask.remove(e)
-        return dfs(i + 1)
-
-    dfs(0)
-    return out[0] if out else ()
+    found, nodes, exhausted = _search(pattern, host.n, order, best_count, node_budget)
+    if found is not None:
+        best_count, best_cert = len(found), found
+    if not exhausted:
+        best_cert, more, _ = _search(pattern, host.n, edges, best_count - 1, first_leaf=True)
+        nodes += more
+    return DensityResult(best_count, total, best_cert, not exhausted, nodes)
 
 
 def quarter_free_subgraph(host: OrderedGraph) -> OrderedGraph:

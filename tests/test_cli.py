@@ -5,10 +5,10 @@ import pytest
 
 from relturan import __version__, graphio, richness, tiling
 from relturan.cli import main
-from relturan.core import HypercubeGraph, delta_int
+from relturan.core import HypercubeGraph, OrderedGraph, delta_int
 from relturan.graphio import read_blocked, write_hypercube, write_ordered
 from relturan.hosts import complete_hypercube, complete_ordered, generate_host
-from relturan.patterns import EmbeddingWitness, build_hk, monotone_p3
+from relturan.patterns import EmbeddingWitness, build_hk, contains_ordered, monotone_p3
 
 
 @pytest.fixture
@@ -74,6 +74,20 @@ class TestSolve:
         out = json.loads(capsys.readouterr().out)
         assert out["best_edges"] == 0 and out["exact"] is False
         assert out["ratio"]["float"] == 0
+
+    def test_deep_search_within_budget(self, p3_file, tmp_path, capsys):
+        # K_50 has 1,225 edges, so the search runs far deeper than Python's
+        # recursion limit before the budget stops it
+        k50 = tmp_path / "k50.og"
+        write_ordered(k50, complete_ordered(50))
+        assert main(["solve", "--pattern", p3_file, "--host", str(k50),
+                     "--mode", "exact", "--budget", "3000"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["exact"] is False and out["total"] == 1225
+        cert = [tuple(e) for e in out["certificate"]]
+        assert len(cert) == out["best_edges"] > 0
+        assert set(cert) <= complete_ordered(50).edges
+        assert contains_ordered(monotone_p3(), OrderedGraph(50, cert)) is None
 
 
 class TestGenHost:

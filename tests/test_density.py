@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from relturan.core import OrderedGraph
 from relturan.density import (
+    EdgeMask,
+    packing_bound,
     quarter_free_subgraph,
     rho_exact,
     rho_exhaustive,
@@ -36,6 +38,23 @@ def random_host(rng, max_n=7, max_edges=14):
 
 
 P3 = monotone_p3()
+
+# P3, H_2, the other two 2-edge patterns on 3 vertices, the crossing and
+# nesting matchings and the increasing path on 4 vertices
+ORACLE_PATTERNS = [
+    P3,
+    build_hk(2),
+    OrderedGraph(3, [(0, 1), (0, 2)]),
+    OrderedGraph(3, [(0, 2), (1, 2)]),
+    OrderedGraph(4, [(0, 2), (1, 3)]),
+    OrderedGraph(4, [(0, 3), (1, 2)]),
+    monotone_p3(4),
+]
+
+
+def root_bound(pattern, host):
+    edges = host.sorted_edges()
+    return packing_bound(pattern, EdgeMask(host.n), EdgeMask(host.n, edges), len(edges))
 
 
 class TestExhaustive:
@@ -88,6 +107,31 @@ class TestExact:
                 assert b.exact
                 assert a.certificate == b.certificate
 
+    @given(
+        st.sampled_from(ORACLE_PATTERNS),
+        ordered_graphs(max_n=7, max_edges=14),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_exhaustive_with_random_warm_start(self, pat, host, rnd):
+        # the warm start may contain a copy, and is then unused
+        warm = tuple(e for e in host.sorted_edges() if rnd.random() < 0.5)
+        ref = rho_exhaustive(pat, host)
+        for ws in (None, warm):
+            res = rho_exact(pat, host, warm_start=ws)
+            assert (res.best_edge_count, res.certificate, res.exact) == (
+                ref.best_edge_count, ref.certificate, ref.exact)
+
+    def test_optimal_warm_start_does_not_hide_least_certificate(self):
+        # B = {0,1,2} -> {3,4} is an optimum of P3 on K_5 but not the least
+        # one; the certificate pass must still find A = {0,1} -> {2,3,4}
+        warm = tuple((u, v) for u in (0, 1, 2) for v in (3, 4))
+        least = tuple((u, v) for u in (0, 1) for v in (2, 3, 4))
+        res = rho_exact(P3, complete_ordered(5), warm_start=warm)
+        assert res.exact
+        assert res.best_edge_count == 6
+        assert res.certificate == least
+
     def test_k7_value(self):
         res = rho_exact(P3, complete_ordered(7))
         assert res.best_edge_count == 49 // 4
@@ -115,6 +159,39 @@ class TestExact:
         host = OrderedGraph(4, [(0, 1), (2, 3)])
         with pytest.raises(ValueError):
             rho_exact(P3, host, warm_start=((0, 3), (1, 2), (0, 2)))
+
+
+class TestPackingBound:
+    def test_root_bound_is_at_least_the_optimum(self):
+        rng = random.Random(11)
+        for _ in range(60):
+            host = random_host(rng)
+            for pat in ORACLE_PATTERNS:
+                bound = root_bound(pat, host)
+                assert rho_exhaustive(pat, host).best_edge_count <= bound <= len(host.edges)
+
+    def test_pattern_free_host_keeps_every_edge(self):
+        host = OrderedGraph(6, [(0, 3), (1, 3), (2, 3), (4, 5)])  # no P3
+        assert root_bound(P3, host) == 4
+
+    def test_disjoint_copies_each_cost_an_edge(self):
+        # two edge-disjoint P3 copies: (0,1,2) and (3,4,5)
+        host = OrderedGraph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
+        assert root_bound(P3, host) == 2
+
+    def test_prunes_complete_hosts(self):
+        # both passes together take 280 (P3) and 319 (H_2) nodes on K_8; the
+        # bound kept + undecided alone took 6,672 and about 53k in the first
+        assert rho_exact(P3, complete_ordered(8)).nodes_explored <= 560
+        assert rho_exact(build_hk(2), complete_ordered(8)).nodes_explored <= 640
+
+    def test_floor_stops_the_packing(self):
+        host = complete_ordered(6)  # 15 edges
+        live = EdgeMask(6, host.edges)
+        assert packing_bound(P3, EdgeMask(6), live, 15, floor=13) == 13
+        assert packing_bound(P3, EdgeMask(6), live, 15) < 13
+        # the walk puts every packed edge back
+        assert all(live.forward(u) == host.forward(u) for u in range(6))
 
 
 class TestQuarterConstructor:
