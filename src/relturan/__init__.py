@@ -74,11 +74,7 @@ from .richness import (
     strip_top_forward,
 )
 from .tiling import (
-    EmbeddingSample,
     TilingConfig,
-    exact_edge_probability,
-    exact_pair_probability,
-    sample_embedding,
     sample_many,
     tiling_guarantee_report,
 )

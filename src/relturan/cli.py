@@ -277,7 +277,7 @@ def cmd_tile_sample(args) -> int:
 def cmd_tile_verify(args) -> int:
     pat = graphio.read_ordered(args.pattern)
     cfg = _tiling_config(args, pat.n)
-    budget = args.budget or tiling.DEFAULT_REPORT_BUDGET
+    budget = tiling.DEFAULT_REPORT_BUDGET if args.budget is None else args.budget
     report = tiling.tiling_guarantee_report(pat, cfg, args.epsilon, budget=budget)
     per_level = [
         {
@@ -403,14 +403,28 @@ def _unit_fraction(text: str) -> float:
     return value
 
 
+def _open_unit_fraction(text: str) -> float:
+    value = float(text)
+    if not 0 < value < 1:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1), got {text}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="relturan", description=__doc__)
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, budget_type=int):
         sp.add_argument("--seed", type=_seed, default=0)
-        sp.add_argument("--budget", type=int, default=None)
+        sp.add_argument("--budget", type=budget_type, default=None)
         sp.add_argument("--out-dir", default=None)
 
     sp = sub.add_parser("gen-host", help="sample and save a blocked random host")
@@ -461,8 +475,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--levels", required=True)
     sp.add_argument("--w", type=int, required=True)
-    sp.add_argument("--epsilon", type=float, required=True)
-    common(sp)
+    sp.add_argument("--epsilon", type=_open_unit_fraction, required=True)
+    common(sp, budget_type=_positive_int)
     sp.set_defaults(func=cmd_tile_verify)
 
     sp = sub.add_parser("appendix-check", help="verify one auxiliary inequality")

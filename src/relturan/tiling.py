@@ -3,9 +3,13 @@
 The sampler draws a window of consecutive positions inside an ascending
 level set, a uniform subset of levels within the window, and then uniform
 bitstring blocks that assemble into a chain v_1 < ... < v_h whose
-consecutive pairs split exactly at the chosen levels.  The exact oracle
-computes the probability that a fixed (i, j) slot lands on a fixed pair
-(x, y) by counting admissible level sets, in exact rational arithmetic.
+consecutive pairs split exactly at the chosen levels.  The exact
+guarantee report decides, for every pair (x, y), whether the chance that
+some pattern edge lands on it reaches the near-uniform bound.  That chance
+depends on x only through the split level and on y only through its bits
+at the at most 2w - 2 level positions within w - 1 of the split's
+position, so the report counts these classes of y in integer arithmetic,
+and its work per level depends on w and not on d.
 
 Window convention: the start a is uniform on the integers [0, L - w), the
 half-open variant; the level positions used are (a, a + w].
@@ -16,13 +20,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
-from .core import HypercubeGraph, OrderedGraph, delta_int, tau
+from .core import OrderedGraph, tau
 
-DEFAULT_REPORT_BUDGET = 1 << 22  # max number of exact cells in a report
+DEFAULT_REPORT_BUDGET = 1 << 22  # max number of y-classes in a report
 
 
 @dataclass(frozen=True)
@@ -54,31 +57,6 @@ class TilingConfig:
             return self.levels.index(level) + 1
         except ValueError:
             return 0
-
-
-@dataclass(frozen=True)
-class EmbeddingSample:
-    """One draw: window start, chosen levels, and the vertex chain."""
-
-    a: int
-    levels: tuple[int, ...]  # l_1 < ... < l_h
-    vertices: tuple[int, ...]  # v_1 < ... < v_h, integer-coded
-
-    def check(self, cfg: TilingConfig) -> None:
-        assert 0 <= self.a < cfg.L - cfg.w
-        for l in self.levels:
-            pos = cfg.position_of(l)
-            assert self.a < pos <= self.a + cfg.w
-        for vi, vj, l in zip(self.vertices, self.vertices[1:], self.levels):
-            assert vi < vj and delta_int(vi, vj, cfg.d) == l
-        top = self.levels[-1]
-        assert (self.vertices[-1] >> (cfg.d - top)) & 1 == 0
-
-
-def sample_embedding(cfg: TilingConfig, rng: np.random.Generator) -> EmbeddingSample:
-    """One draw of the embedding chain (single-sample convenience wrapper)."""
-    v, a, levels = _sample_batch(cfg, 1, rng)
-    return EmbeddingSample(int(a[0]), tuple(int(l) for l in levels[0]), tuple(int(x) for x in v[0]))
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -121,88 +99,6 @@ def sample_many(cfg: TilingConfig, n: int, seed: int) -> np.ndarray:
     return verts
 
 
-def exact_pair_probability(cfg: TilingConfig, i: int, j: int, x: int, y: int) -> Fraction:
-    """P(v_i = x and v_j = y), exact.
-
-    Counts admissible level sets per window position: the slot-i level is
-    pinned at the split level of (x, y); lower slots take positions where y
-    has bit 1, slot j a position where y has bit 0, and higher slots are
-    free.  The bitstring blocks contribute the factor
-    2^(j-1) / 2^(2d - split - 1).
-    """
-    d, L, w, h = cfg.d, cfg.L, cfg.w, cfg.h
-    if not 1 <= i < j <= h:
-        raise ValueError("need 1 <= i < j <= h")
-    if not 0 <= x < y < (1 << d):
-        raise ValueError("need 0 <= x < y < 2^d")
-    split = delta_int(x, y, d)
-    kappa = cfg.position_of(split)
-    if kappa == 0:
-        return Fraction(0)
-
-    # ones[p] = number of positions q <= p where y has bit 1 at level iota(q)
-    ones = [0] * (L + 1)
-    for p in range(1, L + 1):
-        bit = (y >> (d - cfg.levels[p - 1])) & 1
-        ones[p] = ones[p - 1] + bit
-
-    def count_ones(lo: int, hi: int) -> int:
-        # positions in [lo, hi]
-        if hi < lo:
-            return 0
-        return ones[hi] - ones[lo - 1]
-
-    total = 0
-    for a in range(0, L - w):
-        if not a < kappa <= a + w:
-            continue
-        c1 = math.comb(count_ones(a + 1, kappa - 1), i - 1)
-        if c1 == 0:
-            continue
-        inner = 0
-        for r in range(kappa + 1, a + w + 1):
-            bit_r = (y >> (d - cfg.levels[r - 1])) & 1
-            if bit_r != 0:
-                continue
-            inner += math.comb(count_ones(kappa + 1, r - 1), j - i - 1) * math.comb(
-                a + w - r, h - j
-            )
-        total += c1 * inner
-    prob_levels = Fraction(total, (L - w) * math.comb(w, h))
-    return prob_levels * Fraction(1 << (j - 1), 1 << (2 * d - split - 1))
-
-
-def exact_vertex_probability(cfg: TilingConfig, x: int) -> Fraction:
-    """P(v_1 = x) for chains of length h = 1."""
-    if cfg.h != 1:
-        raise ValueError("vertex marginal is defined for h = 1 configurations")
-    d, L, w = cfg.d, cfg.L, cfg.w
-    total = Fraction(0)
-    for p in range(1, L + 1):
-        level = cfg.levels[p - 1]
-        if (x >> (d - level)) & 1:
-            continue  # split bit must be 0
-        windows = sum(1 for a in range(0, L - w) if a < p <= a + w)
-        total += Fraction(windows, (L - w) * w) * Fraction(1, 1 << (d - 1))
-    return total
-
-
-def exact_edge_probability(
-    pattern: OrderedGraph, cfg: TilingConfig, x: int, y: int
-) -> Fraction:
-    """P(xy lands on an embedded pattern edge): sum over pattern edges.
-
-    The per-edge events are disjoint because the chain is strictly
-    increasing, so the sum is exact.
-    """
-    if pattern.n != cfg.h:
-        raise ValueError("pattern size must equal the chain length")
-    total = Fraction(0)
-    for u, v in pattern.sorted_edges():
-        total += exact_pair_probability(cfg, u + 1, v + 1, x, y)
-    return total
-
-
 @dataclass(frozen=True)
 class LevelGuarantee:
     level: int
@@ -226,6 +122,78 @@ class GuaranteeReport:
         return Fraction(self.passing_levels, len(self.per_level))
 
 
+def _class_span(cfg: TilingConfig, kappa: int) -> tuple[int, int, int, int]:
+    """(a_lo, a_hi, n_left, n_right) for the level in position kappa.
+
+    a runs over the window starts with a < kappa <= a + w and 0 <= a < L - w
+    (none for kappa = L).  y is read at the n_left positions a_lo+1..kappa-1
+    and the n_right positions kappa+1..a_hi+w.
+    """
+    a_lo, a_hi = max(0, kappa - cfg.w), min(kappa - 1, cfg.L - cfg.w - 1)
+    if a_lo > a_hi:
+        return a_lo, a_hi, 0, 0
+    return a_lo, a_hi, kappa - 1 - a_lo, a_hi + cfg.w - kappa
+
+
+def _score_bound(pattern: OrderedGraph, w: int) -> int:
+    """An upper bound on every integer ``_class_scores`` forms.
+
+    Each binomial it reads is C(n, m) with n < w, so at most 2^(w-1); each
+    term of S is at most the largest value of every factor.
+    """
+    h = pattern.n
+    scores = sum(
+        (1 << v) * w * math.comb(w - 1, u) * (w - 1) * math.comb(w - 1, v - u - 1)
+        * math.comb(w - 1, h - v - 1)
+        for u, v in pattern.sorted_edges()
+    )
+    return max(scores, 1 << (w - 1))
+
+
+def _class_scores(
+    pattern: OrderedGraph, cfg: TilingConfig, kappa: int, comb: np.ndarray
+) -> np.ndarray:
+    """S for every class of y at the level in position kappa, as int64.
+
+    A class fixes y's bits at positions a_lo+1..kappa-1 (the row index, bit
+    t for position a_lo+1+t) and kappa+1..a_hi+w (the column index, bit s
+    for position kappa+1+s).  For the edge of slots i < j,
+
+        S_ij(y) = sum_a C(ones(a+1..kappa-1), i-1)
+                  * sum_{r: y_r = 0} C(ones(kappa+1..r-1), j-i-1) C(a+w-r, h-j)
+
+    over window starts a and slot-j positions kappa < r <= a + w; S sums
+    2^(j-1) S_ij over the edges.  The row and column factors are independent,
+    so each slot i costs one matrix product.
+    """
+    w, h = cfg.w, cfg.h
+    a_lo, a_hi, n_left, n_right = _class_span(cfg, kappa)
+    starts = a_hi - a_lo + 1
+
+    left_bits = (np.arange(1 << n_left)[:, None] >> np.arange(n_left)) & 1
+    # ones_from[:, t]: ones at positions a_lo+1+t .. kappa-1, the count for a = a_lo + t
+    ones_from = np.zeros((1 << n_left, n_left + 1), dtype=np.int64)
+    ones_from[:, :n_left] = np.cumsum(left_bits[:, ::-1], axis=1)[:, ::-1]
+    left_ones = ones_from[:, :starts]
+
+    right_bits = (np.arange(1 << n_right)[:, None] >> np.arange(n_right)) & 1
+    ones_before = np.cumsum(right_bits, axis=1) - right_bits  # ones at kappa+1 .. r-1
+    # free positions above slot j: a + w - r for a = a_lo + t and r = kappa + 1 + s
+    above = (a_lo + w - kappa - 1) + np.arange(starts)[None, :] - np.arange(n_right)[:, None]
+
+    right_by_i: dict[int, np.ndarray] = {}
+    for u, v in pattern.sorted_edges():
+        i, j = u + 1, v + 1
+        slot_j = (1 - right_bits) * comb[ones_before, j - i - 1]
+        tail = np.where(above >= 0, comb[np.maximum(above, 0), h - j], 0)
+        right = (slot_j @ tail) << (j - 1)
+        right_by_i[i] = right_by_i.get(i, 0) + right
+    scores = np.zeros((1 << n_left, 1 << n_right), dtype=np.int64)
+    for i, right in right_by_i.items():
+        scores += comb[left_ones, i - 1] @ right.T
+    return scores
+
+
 def tiling_guarantee_report(
     pattern: OrderedGraph,
     cfg: TilingConfig,
@@ -236,53 +204,42 @@ def tiling_guarantee_report(
 
     For each working level, every pair (x, y) splitting there is checked
     against (1 - eps) e(pattern) / (L tau_level).  The probability depends
-    on x only through the split level, so cells are grouped by y.
+    on x only through the split level, and on y only through the class of
+    its bits at the level positions within w - 1 of the split's position.
+    Over the common denominator (L - w) C(w, h) tau_level a pair passes iff
+    its class score S (see ``_class_scores``) reaches one integer cut, so
+    the report counts passing classes and scales each by the number of
+    pairs it stands for.  ``budget`` bounds the number of classes.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    d = cfg.d
-    cells = len(cfg.levels) << (d - 1)
-    if cells > budget:
-        raise ValueError(f"{cells} exact cells exceed budget {budget}")
+    if pattern.n != cfg.h:
+        raise ValueError("pattern size must equal the chain length")
+    if not 0 < epsilon < math.inf:
+        raise ValueError("epsilon must be positive and finite")
+    d, L, w, h = cfg.d, cfg.L, cfg.w, cfg.h
+    widths = [sum(_class_span(cfg, kappa)[2:]) for kappa in range(1, L + 1)]  # class bits
+    classes = sum(1 << k for k in widths)
+    if classes > budget:
+        raise ValueError(f"{classes} y-classes exceed budget {budget}")
+    bound = _score_bound(pattern, w)
+    if bound >= np.iinfo(np.int64).max:
+        raise ValueError(f"class scores up to {bound} could overflow int64 (w = {w}, h = {h})")
+
     e_pat = len(pattern.edges)
     eps = Fraction(epsilon)
+    p, q = eps.numerator, eps.denominator
+    # S L q >= (q - p) e (L - w) C(w, h), and 0 <= S <= bound
+    cut = -(-(q - p) * e_pat * (L - w) * math.comb(w, h) // (L * q))
+    cut = min(max(cut, 0), bound + 1)
+    comb = np.array([[math.comb(n, m) for m in range(h)] for n in range(w)], dtype=np.int64)
     per_level = []
     passing_levels = 0
-    for level in cfg.levels:
+    for kappa, (level, k) in enumerate(zip(cfg.levels, widths), start=1):
         cap = tau(level, d)
-        threshold = (1 - eps) * Fraction(e_pat, cfg.L * cap)
-        passing = 0
-        width = d - level
-        per_y = 1 << width  # x's pairing with a given y at this level
-        for y in range(1 << d):
-            if (y >> width) & 1 == 0:
-                continue
-            x = y & ~((1 << (width + 1)) - 1)  # any representative splits alike
-            if exact_edge_probability(pattern, cfg, x, y) >= threshold:
-                passing += per_y
+        threshold = (1 - eps) * Fraction(e_pat, L * cap)
+        passing_classes = int(np.count_nonzero(_class_scores(pattern, cfg, kappa, comb) >= cut))
+        # a class holds 2^(d-1-k) values of y, each paired with 2^(d-level) values of x
+        passing = passing_classes << (2 * d - 1 - k - level)
         per_level.append(LevelGuarantee(level, threshold, passing, cap))
         if Fraction(passing, cap) >= 1 - eps:
             passing_levels += 1
     return GuaranteeReport(epsilon, tuple(per_level), passing_levels)
-
-
-def good_vertex_check(y: int, cfg: TilingConfig, m_window: int, eta: float) -> bool:
-    """Near-balance of y's bits along the level-set positions.
-
-    True iff every window J of at least m_window positions has, for each bit
-    value, at least (1 - eta)/2 |J| positions where y carries that bit.
-    """
-    if m_window < 1:
-        raise ValueError("m_window must be at least 1")
-    d, L = cfg.d, cfg.L
-    ones = [0] * (L + 1)
-    for p in range(1, L + 1):
-        ones[p] = ones[p - 1] + ((y >> (d - cfg.levels[p - 1])) & 1)
-    for lo in range(1, L + 1):
-        for hi in range(lo + m_window - 1, L + 1):
-            size = hi - lo + 1
-            c1 = ones[hi] - ones[lo - 1]
-            need = (1 - eta) / 2 * size
-            if c1 < need or (size - c1) < need:
-                return False
-    return True

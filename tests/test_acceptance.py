@@ -41,7 +41,8 @@ from relturan.richness import (
     rich_levels,
     strip_top_forward,
 )
-from relturan.tiling import TilingConfig, exact_edge_probability, exact_pair_probability, sample_many
+from relturan.tiling import TilingConfig, sample_many
+from tiling_oracle import exact_edge_probability, exact_pair_probability
 
 P3 = monotone_p3()
 

@@ -314,6 +314,33 @@ class TestTileCommands:
         assert rc in (0, 1)
         assert (out_dir / "levels.csv").exists()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--epsilon", "inf", "must be in (0, 1)"),
+        ("--epsilon", "1.0", "must be in (0, 1)"),
+        ("--epsilon", "1.5", "must be in (0, 1)"),
+        ("--epsilon", "0", "must be in (0, 1)"),
+        ("--epsilon", "nan", "must be in (0, 1)"),
+        ("--budget", "0", "must be at least 1"),
+        ("--budget", "-3", "must be at least 1"),
+    ])
+    def test_verify_bad_epsilon_or_budget_is_usage_error(self, p3_file, capsys, flag, value, message):
+        args = {"--epsilon": "0.5", flag: value}
+        with pytest.raises(SystemExit) as exc:
+            main(["tile-verify", "--pattern", p3_file, "--d", "6", "--levels", "1,2,3,4,5,6",
+                  "--w", "4", *(part for item in args.items() for part in item)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and message in err
+
+    def test_verify_budget_counts_classes(self, p3_file, capsys):
+        # d = 6, w = 4: positions 1..6 hold 8, 16, 16, 16, 8 and 1 classes of y
+        argv = ["tile-verify", "--pattern", p3_file, "--d", "6", "--levels", "1,2,3,4,5,6",
+                "--w", "4", "--epsilon", "0.5", "--budget"]
+        assert main([*argv, "65"]) == 0
+        capsys.readouterr()
+        assert main([*argv, "64"]) == 2
+        assert "error: 65 y-classes exceed budget 64" in capsys.readouterr().err
+
     def test_sample_split_levels_match_per_pair_count(self, p3_file, capsys):
         assert main(["tile-sample", "--pattern", p3_file, "--d", "7",
                      "--levels", "1,2,3,4,5,6,7", "--w", "4",

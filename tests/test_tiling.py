@@ -6,19 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relturan.core import OrderedGraph, delta_int
-from relturan.patterns import monotone_p3
-from relturan.tiling import (
-    EmbeddingSample,
-    TilingConfig,
+from relturan.core import OrderedGraph, tau
+from relturan.hosts import complete_ordered
+from relturan.patterns import build_hk, monotone_p3
+from relturan.tiling import TilingConfig, make_rng, sample_many, tiling_guarantee_report
+from tiling_oracle import (
     exact_edge_probability,
     exact_pair_probability,
-    exact_vertex_probability,
-    good_vertex_check,
-    make_rng,
+    oracle_guarantee_report,
     sample_embedding,
-    sample_many,
-    tiling_guarantee_report,
 )
 
 
@@ -91,10 +87,6 @@ class TestExactOracle:
             )
             assert total == 1
 
-    def test_vertex_marginal_sums_to_one(self):
-        cfg = TilingConfig(5, (1, 2, 3, 4, 5), 2, 1)
-        assert sum(exact_vertex_probability(cfg, x) for x in range(32)) == 1
-
     def test_zero_when_level_unavailable(self):
         cfg = TilingConfig(5, (1, 2, 4, 5), 2, 2)
         # x, y splitting at level 3, which is not in the level set
@@ -142,31 +134,98 @@ class TestGuaranteeReport:
         with pytest.raises(ValueError):
             tiling_guarantee_report(monotone_p3(), cfg, 0.5, budget=10)
 
+    def test_budget_counts_classes(self):
+        # d = L = 5, w = 2: positions 1..5 have 2, 4, 4, 2 and 1 classes
+        cfg = full_cfg(d=5, w=2, h=2)
+        edge = OrderedGraph(2, [(0, 1)])
+        tiling_guarantee_report(edge, cfg, 0.5, budget=13)
+        with pytest.raises(ValueError, match="13 y-classes exceed budget 12"):
+            tiling_guarantee_report(edge, cfg, 0.5, budget=12)
+
+    def test_large_d_within_default_budget(self):
+        cfg = full_cfg(d=40, w=4, h=3)
+        report = tiling_guarantee_report(monotone_p3(), cfg, 0.5)
+        assert [lg.level for lg in report.per_level] == list(range(1, 41))
+        for lg in report.per_level:
+            assert lg.total_pairs == tau(lg.level, 40)
+            assert 0 <= lg.passing_pairs <= lg.total_pairs
+
+    def test_score_overflow_is_refused(self):
+        cfg = full_cfg(d=41, w=40, h=40)
+        with pytest.raises(ValueError, match="overflow int64"):
+            tiling_guarantee_report(complete_ordered(40), cfg, 0.5, budget=1 << 100)
+
+    @pytest.mark.parametrize("epsilon", [0.0, -0.5, math.inf, math.nan])
+    def test_rejects_bad_epsilon(self, epsilon):
+        with pytest.raises(ValueError):
+            tiling_guarantee_report(monotone_p3(), full_cfg(5, 3, 3), epsilon)
+
     def test_pattern_size_must_match(self):
         cfg = full_cfg(5, 3, 3)
         with pytest.raises(ValueError):
             exact_edge_probability(OrderedGraph(2, [(0, 1)]), cfg, 0, 1)
+        with pytest.raises(ValueError):
+            tiling_guarantee_report(OrderedGraph(2, [(0, 1)]), cfg, 0.5)
 
 
-class TestGoodVertex:
-    def test_alternating_is_good(self):
-        d = 8
-        cfg = full_cfg(d, 2, 1)
-        y = int("01010101", 2)
-        # odd windows of an alternating string are off by one, so eta must
-        # absorb a 1/3 deficit at window size 3
-        assert good_vertex_check(y, cfg, m_window=2, eta=0.5)
+# patterns whose vertex count is the chain length h
+ORACLE_PATTERNS = {
+    "edge": OrderedGraph(2, [(0, 1)]),
+    "P3": monotone_p3(),
+    "K3": complete_ordered(3),
+    "H2": build_hk(2),
+    "path4": OrderedGraph(4, [(0, 1), (1, 2), (2, 3)]),
+}
 
-    def test_all_zeros_is_bad(self):
-        d = 8
-        cfg = full_cfg(d, 2, 1)
-        assert not good_vertex_check(0, cfg, m_window=2, eta=0.25)
 
-    def test_good_proportion_at_moderate_scale(self):
-        d = 12
-        cfg = full_cfg(d, 2, 1)
-        m_window = math.ceil(math.log(d) ** 2)
-        good = sum(
-            1 for y in range(1 << d) if good_vertex_check(y, cfg, m_window, eta=0.5)
+@st.composite
+def oracle_cases(draw):
+    """(pattern, cfg, epsilon) with d <= 10 and a random ascending level set."""
+    pattern = ORACLE_PATTERNS[draw(st.sampled_from(sorted(ORACLE_PATTERNS)))]
+    h = pattern.n
+    d = draw(st.integers(h + 1, 10))
+    levels = draw(st.lists(st.integers(1, d), min_size=h + 1, max_size=d, unique=True))
+    cfg = TilingConfig(d, tuple(sorted(levels)), draw(st.integers(h, len(levels) - 1)), h)
+    epsilon = draw(st.sampled_from([0.5, 0.25, 0.75, 0.1, 0.9, 0.999]))
+    if draw(st.booleans()):
+        # pin some level's threshold exactly on the probability of some of its cells
+        ratios = set()
+        for level in cfg.levels:
+            width = d - level
+            scale = Fraction(cfg.L * tau(level, d), len(pattern.edges))
+            for y in range(1 << d):
+                if (y >> width) & 1:
+                    x = y >> (width + 1) << (width + 1)
+                    ratios.add(scale * exact_edge_probability(pattern, cfg, x, y))
+        ties = sorted(r for r in ratios if 0 < r < 1)
+        if ties:
+            epsilon = 1 - draw(st.sampled_from(ties))
+    return pattern, cfg, epsilon
+
+
+class TestReportAgainstOracle:
+    @given(oracle_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_per_cell_oracle(self, case):
+        pattern, cfg, epsilon = case
+        assert tiling_guarantee_report(pattern, cfg, epsilon) == oracle_guarantee_report(
+            pattern, cfg, epsilon
         )
-        assert good / (1 << d) > 0.5
+
+    def test_exact_threshold_counts_as_passing(self):
+        # at eps = 1/4 the level-3 threshold equals the probability of the cells
+        # y = 001xxx, the least nonzero one at that level
+        pattern, cfg, level = monotone_p3(), full_cfg(6, 4, 3), 3
+        p = exact_edge_probability(pattern, cfg, 0b000000, 0b001000)
+        report = tiling_guarantee_report(pattern, cfg, 0.25)
+        assert report == oracle_guarantee_report(pattern, cfg, 0.25)
+        lg = report.per_level[level - 1]
+        assert lg.threshold == p == Fraction(1, 1024)
+        # every cell with nonzero probability passes, the tied ones included
+        zero_cells = sum(
+            1 << (6 - level)
+            for y in range(1 << 6)
+            if (y >> (6 - level)) & 1
+            and exact_edge_probability(pattern, cfg, y & ~0b1111, y) == 0
+        )
+        assert lg.passing_pairs == lg.total_pairs - zero_cells
