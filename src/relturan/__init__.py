@@ -8,12 +8,10 @@ from .core import (
     BitString,
     FundamentalInterval,
     HypercubeGraph,
-    LevelProfile,
     OrderedGraph,
     delta,
     delta_int,
     fundamental_partition,
-    level_profile,
     lex_less,
     tau,
 )

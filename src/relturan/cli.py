@@ -154,7 +154,8 @@ def cmd_solve(args) -> int:
     elif args.mode == "exact":
         res = density.rho_exact(pat, host, node_budget=args.budget)
     else:
-        res = density.rho_local_search(pat, host, budget=args.budget or 2000, seed=args.seed)
+        budget = 2000 if args.budget is None else args.budget
+        res = density.rho_local_search(pat, host, budget=budget, seed=args.seed)
     result = {
         "best_edges": res.best_edge_count,
         "total": res.total_edges,
@@ -360,7 +361,7 @@ def cmd_report(args) -> int:
                         res = density.rho_local_search(
                             patterns.monotone_p3(),
                             host,
-                            budget=args.budget or 500,
+                            budget=500 if args.budget is None else args.budget,
                             seed=seed,
                         )
                         kept = res.best_edge_count
@@ -443,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--pattern", required=True)
     sp.add_argument("--host", required=True)
     sp.add_argument("--mode", choices=("exact", "exhaustive", "local"), default="exact")
-    common(sp)
+    common(sp, budget_type=_positive_int)
     sp.set_defaults(func=cmd_solve)
 
     sp = sub.add_parser("analyze-richness", help="per-level edge richness of a host")
@@ -487,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("report", help="run a parameter grid and emit a CSV table")
     sp.add_argument("--grid", required=True, help="JSON grid specification file")
-    common(sp)
+    common(sp, budget_type=_positive_int)
     sp.set_defaults(func=cmd_report)
 
     return p

@@ -183,6 +183,11 @@ class OrderedGraph:
         self._fwd = tuple(fwd)
         self._bwd = tuple(bwd)
 
+    @property
+    def forward_masks(self) -> tuple[int, ...]:
+        """forward(u) for every vertex u, indexable by u."""
+        return self._fwd
+
     def forward(self, u: int) -> int:
         """Bitmask of neighbours v > u."""
         return self._fwd[u]
@@ -337,32 +342,3 @@ class HypercubeGraph:
 
     def __repr__(self) -> str:
         return f"HypercubeGraph(d={self.d}, m={self.num_edges()})"
-
-
-@dataclass(frozen=True)
-class LevelProfile:
-    """Per-level edge counts of a graph on {0,1}^d against full-cube capacities."""
-
-    d: int
-    counts: tuple[int, ...]  # counts[level] for level in 1..d; counts[0] == 0
-
-    def __post_init__(self) -> None:
-        if len(self.counts) != self.d + 1 or self.counts[0] != 0:
-            raise ValueError("counts must be indexed 1..d with counts[0] == 0")
-        for level in range(1, self.d + 1):
-            if not 0 <= self.counts[level] <= tau(level, self.d):
-                raise ValueError(f"count at level {level} exceeds capacity")
-
-    def capacity(self, level: int) -> int:
-        return tau(level, self.d)
-
-    def ratio(self, level: int) -> float:
-        return self.counts[level] / tau(level, self.d)
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
-
-def level_profile(g: HypercubeGraph) -> LevelProfile:
-    return LevelProfile(g.d, tuple(g.level_counts()))

@@ -11,9 +11,11 @@ G' of G that avoid an ordered copy of the pattern F.  Three routes:
   lexicographically least certificate.
 * ``rho_local_search``: seeded hill climbing, lower bounds only.
 
-All three test containment with ``patterns.contains_ordered``, built on the
-one ordered-copy kernel; the last two keep the subgraph under test in an
-``EdgeMask`` and change it one edge at a time.
+All three search with the one ordered-copy kernel.  The first two test
+whole-graph ``patterns.contains_ordered``.  The local search keeps its set
+pattern-free and adds one edge at a time, so every new copy passes through
+that edge; it searches only those, with ``patterns.first_copy_through``.
+The last two hold the subgraph under test in an ``EdgeMask``.
 
 Plus the derandomized two-label constructor that keeps at least a quarter of
 the edges of any host while avoiding every increasing 2-edge path.
@@ -27,7 +29,7 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .core import OrderedGraph
-from .patterns import contains_ordered, has_monotone_p3, ordered_copies
+from .patterns import contains_ordered, first_copy_through, has_monotone_p3, ordered_copies
 
 EXHAUSTIVE_EDGE_CAP = 20
 
@@ -56,29 +58,39 @@ def _check_pattern(pattern: OrderedGraph) -> None:
 
 
 class EdgeMask:
-    """A mutable edge set on vertices 0..n-1, one forward bitmask per vertex.
+    """A mutable edge set on vertices 0..n-1, forward and backward bitmasks per vertex.
 
-    It offers the ``n``/``forward`` view that ``ordered_copies`` reads, so the
-    searches below add and remove single edges instead of rebuilding an
-    OrderedGraph for every containment test.  Edges are given as (u, v), u < v.
+    It offers the ``n``/``forward_masks``/``backward`` view that
+    ``ordered_copies`` and ``first_copy_through`` read, so the searches below
+    add and remove single edges instead of rebuilding an OrderedGraph for
+    every containment test.  Edges are given as (u, v), u < v.
     """
 
-    __slots__ = ("n", "_fwd")
+    __slots__ = ("n", "_fwd", "_bwd")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         self.n = n
         self._fwd = [0] * n
+        self._bwd = [0] * n
         for e in edges:
             self.add(e)
 
-    def forward(self, u: int) -> int:
-        return self._fwd[u]
+    @property
+    def forward_masks(self) -> list[int]:
+        return self._fwd
+
+    def backward(self, v: int) -> int:
+        return self._bwd[v]
 
     def add(self, e: tuple[int, int]) -> None:
-        self._fwd[e[0]] |= 1 << e[1]
+        u, v = e
+        self._fwd[u] |= 1 << v
+        self._bwd[v] |= 1 << u
 
     def remove(self, e: tuple[int, int]) -> None:
-        self._fwd[e[0]] &= ~(1 << e[1])
+        u, v = e
+        self._fwd[u] &= ~(1 << v)
+        self._bwd[v] &= ~(1 << u)
 
 
 def rho_exhaustive(pattern: OrderedGraph, host: OrderedGraph) -> DensityResult:
@@ -325,7 +337,7 @@ def rho_local_search(
     contains an increasing 2-edge path), else empty; then greedily add all
     addable edges, and for ``budget`` rounds try a random add with repair by
     cheapest deletion from the created copy, keeping the move only if it does
-    not lose edges.
+    not lose edges.  Containment is tested only through the edge just added.
     """
     _check_pattern(pattern)
     rng = random.Random(seed)
@@ -354,7 +366,7 @@ def rho_local_search(
         if e in current:
             return False
         put(e)
-        if contains_ordered(pattern, mask) is None:
+        if first_copy_through(pattern, mask, *e) is None:
             return True
         drop(e)
         return False
@@ -371,10 +383,12 @@ def rho_local_search(
         e = rng.choice([c for c in all_edges if c not in current])
         put(e)
         removed = []
-        while (witness := contains_ordered(pattern, mask)) is not None:
+        # ``mask`` less e is pattern-free, so every copy passes through e and
+        # the anchored search finds the lexicographically first one
+        while (images := first_copy_through(pattern, mask, *e)) is not None:
             # delete one edge of the found copy, cheapest = any edge other
             # than the fresh one (prefer the last in canonical order)
-            copy_edges = sorted((witness.map[u], witness.map[v]) for u, v in pattern.edges)
+            copy_edges = sorted((images[u], images[v]) for u, v in pattern.edges)
             victims = [c for c in copy_edges if c != e] or copy_edges
             victim = victims[-1]
             drop(victim)

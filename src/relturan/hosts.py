@@ -82,16 +82,6 @@ class BlockedGraph:
     def num_edges(self) -> int:
         return sum(self.level_counts())
 
-    def thin_every_other(self) -> "BlockedGraph":
-        """Deterministic half-density subgraph: keep every second edge per block pair."""
-        blocks = {}
-        for key, mat in self.blocks.items():
-            flat = mat.flatten()
-            idx = np.flatnonzero(flat)
-            flat[idx[1::2]] = False
-            blocks[key] = flat.reshape(mat.shape)
-        return BlockedGraph(self.d, self.m, self.seed, blocks)
-
     def to_ordered(self, budget: int = DEFAULT_VERTEX_BUDGET) -> OrderedGraph:
         """Flatten to vertex labels x * m + i (lexicographic order preserved)."""
         if self.n > budget:

@@ -68,26 +68,6 @@ def check_binomial_fraction(
     )
 
 
-def first_passing_n(
-    alpha: Number, eps: Number, k: int, n_max: int, eta: Optional[Number] = None
-) -> Optional[int]:
-    """Least n <= n_max where the binomial-fraction inequality holds,
-    with the canonical choice eta = eps / (2k) unless overridden.
-
-    This is a scan, not a threshold claim: the inequality need not be
-    monotone in n, and the asymptotic statement promises nothing at any
-    specific n.
-    """
-    alpha, eps = Fraction(alpha), Fraction(eps)
-    eta = Fraction(eta) if eta is not None else eps / (2 * k)
-    if eta >= alpha:
-        raise ValueError("eta must be smaller than alpha")
-    for n in range(k, n_max + 1):
-        if check_binomial_fraction(alpha, eps, k, eta, n).passed:
-            return n
-    return None
-
-
 def _window_lengths(n: int) -> tuple[int, int]:
     """Minimal window m = ceil(ln^2 n) and the reduced check range [m, 2m).
 
@@ -98,19 +78,6 @@ def _window_lengths(n: int) -> tuple[int, int]:
     """
     m = math.ceil(math.log(n) ** 2)
     return m, min(2 * m - 1, n)
-
-
-def string_violates(bits: Sequence[int], eps: float) -> bool:
-    """True iff some window of length >= ceil(ln^2 n) deviates by eps |J|."""
-    n = len(bits)
-    m, hi = _window_lengths(n)
-    arr = np.asarray(bits, dtype=np.int64)
-    prefix = np.concatenate([[0], np.cumsum(arr)])
-    for length in range(m, hi + 1):
-        sums = prefix[length:] - prefix[:-length]
-        if np.any(np.abs(sums - length / 2) >= eps * length):
-            return True
-    return False
 
 
 def check_locally_balanced(

@@ -5,8 +5,10 @@ of vertex labels that maps every pattern edge to a host edge.  One
 backtracking kernel, ``ordered_copies``, enumerates them: it places pattern
 vertices left to right, so at each step the candidate host vertices form an
 interval above the previous image and edge constraints reduce to bitmask
-intersections with backward neighbourhoods already placed.  Containment and
-the density solvers' copy counts are built on it.
+intersections with backward neighbourhoods already placed.  Optional
+per-vertex masks of allowed images let ``first_copy_through`` pin a pattern
+edge onto one host edge.  Containment and the density solvers' copy counts
+are built on it.
 """
 
 from __future__ import annotations
@@ -14,8 +16,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
-from typing import Iterator, Optional, Protocol
+from typing import Iterator, Optional, Protocol, Sequence
 
 from .core import OrderedGraph
 
@@ -56,14 +59,19 @@ def validate_witness(pattern: OrderedGraph, host: EdgeQuery, w: EmbeddingWitness
     return all(host.has_edge(w.map[u], w.map[v]) for u, v in pattern.edges)
 
 
-def ordered_copies(pattern: OrderedGraph, host) -> Iterator[tuple[int, ...]]:
+def ordered_copies(
+    pattern: OrderedGraph, host, allowed: Optional[Sequence[int]] = None
+) -> Iterator[tuple[int, ...]]:
     """Every ordered copy of ``pattern`` in ``host``, in lexicographic order.
 
     Pattern vertices are placed in increasing order; the image of vertex i
     must exceed the image of i-1, leave room for the vertices after it, and
     lie in the forward neighbourhood of every placed backward neighbour of i.
-    Only ``host.n`` and ``host.forward`` are read, so any forward-bitmask
-    edge set can stand in for an OrderedGraph.
+    With ``allowed``, the image of vertex i must also lie in the bitmask
+    ``allowed[i]``; ``first_copy_through`` pins a pattern edge onto one host
+    edge this way.  Only ``host.n`` and ``host.forward_masks`` (forward(u)
+    for every u, read once per call) are used, so any forward-bitmask edge
+    set can stand in for an OrderedGraph.
     """
     k, n = pattern.n, host.n
     if k > n:
@@ -71,12 +79,17 @@ def ordered_copies(pattern: OrderedGraph, host) -> Iterator[tuple[int, ...]]:
     if k == 0:
         yield ()
         return
-    forward = host.forward
-    back = [pattern.backward(i) for i in range(k)]
+    fwd = host.forward_masks
     full = (1 << n) - 1
+    # limit[i]: the images vertex i may take before its predecessors are known
+    if allowed is None:
+        limit = [full >> (k - i - 1) for i in range(k)]
+    else:
+        limit = [full >> (k - i - 1) & allowed[i] for i in range(k)]
+    preds = _predecessors(pattern)
     images = [0] * k
     pending = [0] * k  # untried candidates at each depth
-    pending[0] = full >> (k - 1)
+    pending[0] = limit[0]
     i = 0
     while i >= 0:
         mask = pending[i]
@@ -90,13 +103,50 @@ def ordered_copies(pattern: OrderedGraph, host) -> Iterator[tuple[int, ...]]:
             yield tuple(images)
             continue
         i += 1
-        mask = (full >> (k - i - 1)) & ~((low << 1) - 1)
-        b = back[i]
-        while b:
-            lb = b & -b
-            mask &= forward(images[lb.bit_length() - 1])
-            b ^= lb
+        mask = limit[i] & ~((low << 1) - 1)
+        for j in preds[i]:
+            mask &= fwd[images[j]]
         pending[i] = mask
+
+
+@lru_cache(maxsize=64)
+def _predecessors(pattern: OrderedGraph) -> tuple[tuple[int, ...], ...]:
+    """For each pattern vertex, its backward neighbours in ascending order."""
+    return tuple(tuple(sorted(a for a, b in pattern.edges if b == i)) for i in range(pattern.n))
+
+
+def first_copy_through(
+    pattern: OrderedGraph, host, u: int, v: int
+) -> Optional[tuple[int, ...]]:
+    """The lexicographically least ordered copy with (u, v) as an image edge.
+
+    For each pattern edge (a, b) the kernel runs with a pinned to u and b
+    to v: vertices before a lie below u, vertices between a and b below v,
+    and every pattern edge into a pinned vertex confines its source to the
+    host's backward neighbourhood of that vertex's image.  The least of
+    these first copies is the answer.  When ``host`` less the edge (u, v)
+    is pattern-free, every copy passes through (u, v), so this equals
+    ``contains_ordered`` at a fraction of its cost.  Reads ``host.n``,
+    ``host.forward_masks`` and ``host.backward``; needs u < v.
+    """
+    k, full = pattern.n, (1 << host.n) - 1
+    below_u, below_v = (1 << u) - 1, (1 << v) - 1
+    back_u, back_v = host.backward(u), host.backward(v)
+    preds = _predecessors(pattern)
+    best = None
+    for a, b in pattern.edges:
+        allowed = [below_u] * a + [1 << u] + [below_v] * (b - a - 1) + [1 << v]
+        allowed += [full] * (k - b - 1)
+        for x in preds[a]:
+            allowed[x] &= back_u
+        for x in preds[b]:
+            allowed[x] &= back_v
+        if not all(allowed):
+            continue
+        images = next(ordered_copies(pattern, host, allowed), None)
+        if images is not None and (best is None or images < best):
+            best = images
+    return best
 
 
 def contains_ordered(pattern: OrderedGraph, host) -> Optional[EmbeddingWitness]:

@@ -66,6 +66,22 @@ class TestSolve:
             results.append(json.loads(capsys.readouterr().out)["best_edges"])
         assert results[0] == results[1]
 
+    @pytest.mark.parametrize("mode", ["local", "exact"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_bad_budget_is_usage_error(self, p3_file, k4_file, capsys, mode, value):
+        # 0 used to mean the default and -3 ran no rounds; both exited 0
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--pattern", p3_file, "--host", k4_file,
+                  "--mode", mode, "--budget", value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "must be at least 1" in err
+
+    def test_local_budget_counts_rounds(self, p3_file, k4_file, capsys):
+        assert main(["solve", "--pattern", p3_file, "--host", k4_file,
+                     "--mode", "local", "--budget", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["nodes_explored"] == 1
+
     def test_budget_before_first_leaf_reports_empty_subgraph(self, p3_file, tmp_path, capsys):
         k5 = tmp_path / "k5.og"
         write_ordered(k5, complete_ordered(5))
@@ -296,6 +312,17 @@ class TestReport:
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps({"experiment": "mystery"}))
         assert main(["report", "--grid", str(grid)]) == 2
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_bad_budget_is_usage_error(self, tmp_path, capsys, value):
+        # 0 used to mean the default of 500 rounds
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"experiment": "local-density", "m": 2, "d_values": [2]}))
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "--grid", str(grid), "--budget", value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "must be at least 1" in err
 
 
 class TestTileCommands:

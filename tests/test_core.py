@@ -13,7 +13,6 @@ from relturan.core import (
     delta,
     delta_int,
     fundamental_partition,
-    level_profile,
     lex_less,
     tau,
 )
@@ -193,12 +192,3 @@ class TestHypercubeGraph:
         og = g.to_ordered()
         assert og.n == 4 and og.edges == {(0, 3), (1, 2)}
 
-
-class TestLevelProfile:
-    def test_profile_of_dense_graph(self):
-        g = HypercubeGraph(2, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
-        prof = level_profile(g)
-        assert prof.counts == (0, 4, 2)
-        assert prof.capacity(1) == tau(1, 2)
-        assert prof.ratio(1) == 1.0
-        assert prof.total == 6

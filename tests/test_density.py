@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -14,8 +15,9 @@ from relturan.density import (
     rho_exhaustive,
     rho_local_search,
 )
-from relturan.hosts import complete_ordered
+from relturan.hosts import complete_ordered, generate_host
 from relturan.patterns import build_hk, contains_ordered, has_monotone_p3, monotone_p3
+from local_search_oracle import rho_local_search_whole_graph
 
 
 @st.composite
@@ -191,7 +193,7 @@ class TestPackingBound:
         assert packing_bound(P3, EdgeMask(6), live, 15, floor=13) == 13
         assert packing_bound(P3, EdgeMask(6), live, 15) < 13
         # the walk puts every packed edge back
-        assert all(live.forward(u) == host.forward(u) for u in range(6))
+        assert live.forward_masks == list(host.forward_masks)
 
 
 class TestQuarterConstructor:
@@ -256,3 +258,51 @@ class TestLocalSearch:
         a = rho_local_search(P3, host, budget=100, seed=3)
         b = rho_local_search(P3, host, budget=100, seed=3)
         assert a.certificate == b.certificate
+
+
+def _fields(res):
+    return res.best_edge_count, res.total_edges, res.certificate, res.nodes_explored
+
+
+class TestAnchoredLocalSearch:
+    """The anchored local search against the whole-graph one it replaced."""
+
+    @given(st.sampled_from(ORACLE_PATTERNS), ordered_graphs(max_n=9, max_edges=30),
+           st.integers(0, 50), st.integers(0, 2**32))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_whole_graph_search(self, pattern, host, budget, seed):
+        assert _fields(rho_local_search(pattern, host, budget, seed)) == _fields(
+            rho_local_search_whole_graph(pattern, host, budget, seed))
+
+    @pytest.mark.parametrize("pattern", [P3, build_hk(2), monotone_p3(4)])
+    def test_matches_on_a_blocked_host(self, pattern):
+        host = generate_host(4, 3, 1).to_ordered()  # 32 vertices
+        assert _fields(rho_local_search(pattern, host, 40, 3)) == _fields(
+            rho_local_search_whole_graph(pattern, host, 40, 3))
+
+    def test_pinned_certificate(self):
+        res = rho_local_search(P3, generate_host(16, 3, 0).to_ordered(), budget=300)
+        assert (res.best_edge_count, res.total_edges, res.nodes_explored) == (1496, 2940, 300)
+        digest = hashlib.sha256(repr(res.certificate).encode()).hexdigest()
+        assert digest == "0ad23e28db44dd001cee6ff59f24125a16935bd76b493f49c9167d58bcac5c3d"
+
+
+def test_exact_outputs_pinned_on_small_instances():
+    # the bench's exact-small instance shapes: P3 and H_2 on K_7, P3 on K_8,
+    # and both on 8 random 9-vertex hosts with 14 edges
+    h2 = build_hk(2)
+    instances = [(P3, complete_ordered(7)), (h2, complete_ordered(7)), (P3, complete_ordered(8))]
+    rng = random.Random(0)
+    pairs = [(u, v) for u in range(9) for v in range(u + 1, 9)]
+    for _ in range(8):
+        host = OrderedGraph(9, rng.sample(pairs, 14))
+        instances += [(P3, host), (h2, host)]
+    results = [rho_exact(pattern, host) for pattern, host in instances]
+    assert [(r.best_edge_count, r.nodes_explored) for r in results] == [
+        (12, 150), (15, 198), (16, 280), (9, 85), (12, 66), (8, 78), (12, 42), (10, 64),
+        (12, 82), (9, 78), (12, 68), (10, 82), (12, 106), (8, 60), (12, 64), (9, 83),
+        (12, 86), (8, 95), (11, 59),
+    ]
+    assert all(r.exact for r in results)
+    digest = hashlib.sha256(repr([r.certificate for r in results]).encode()).hexdigest()
+    assert digest == "5023d71e1269d82e964452ec99babb75dc15e2d37993ebea2ba24972f3c6c13d"

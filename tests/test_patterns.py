@@ -15,6 +15,7 @@ from relturan.patterns import (
     contains_ordered_bruteforce,
     embed_into_hk,
     find_monotone_p3,
+    first_copy_through,
     has_monotone_p3,
     interval_chromatic,
     interval_chromatic_bruteforce,
@@ -24,6 +25,8 @@ from relturan.patterns import (
     pi_ordered,
     validate_witness,
 )
+from relturan.density import EdgeMask
+from test_density import ORACLE_PATTERNS
 
 
 @st.composite
@@ -38,6 +41,10 @@ def all_ordered_graphs(n):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     for mask in range(1 << len(pairs)):
         yield OrderedGraph(n, [p for i, p in enumerate(pairs) if (mask >> i) & 1])
+
+
+def mask_edges(mask):
+    return [(u, v) for u in range(mask.n) for v in range(u + 1, mask.n) if mask.forward_masks[u] >> v & 1]
 
 
 class TestOrderedCopies:
@@ -56,6 +63,81 @@ class TestOrderedCopies:
         copies = list(ordered_copies(monotone_p3(), host))
         assert copies == [(0, 3, 5), (1, 2, 4), (1, 2, 5)]
         assert contains_ordered(monotone_p3(), host).map == copies[0]
+
+
+class TestAllowedMasks:
+    @given(ordered_graphs(max_n=4), ordered_graphs(max_n=7))
+    @settings(max_examples=80)
+    def test_all_ones_is_the_plain_kernel(self, pat, host):
+        ones = [(1 << host.n) - 1] * pat.n
+        assert list(ordered_copies(pat, host, ones)) == list(ordered_copies(pat, host))
+
+    @given(ordered_graphs(max_n=4), ordered_graphs(max_n=7), st.data())
+    @settings(max_examples=120)
+    def test_masks_filter_the_copies(self, pat, host, data):
+        allowed = [data.draw(st.integers(0, (1 << host.n) - 1)) for _ in range(pat.n)]
+        want = [c for c in ordered_copies(pat, host)
+                if all(allowed[i] >> c[i] & 1 for i in range(pat.n))]
+        assert list(ordered_copies(pat, host, allowed)) == want
+
+
+class TestFirstCopyThrough:
+    @given(st.sampled_from(ORACLE_PATTERNS), ordered_graphs(min_n=2, max_n=9), st.data())
+    @settings(max_examples=300)
+    def test_least_copy_with_the_image_edge(self, pat, host, data):
+        pairs = sorted(host.edges) or [(0, 1)]
+        u, v = data.draw(st.sampled_from(pairs) | st.tuples(
+            st.integers(0, host.n - 2), st.integers(1, host.n - 1)).filter(lambda e: e[0] < e[1]))
+        through = [c for c in ordered_copies(pat, host)
+                   if any((c[a], c[b]) == (u, v) for a, b in pat.edges)]
+        assert first_copy_through(pat, host, u, v) == min(through, default=None)
+
+    @given(st.sampled_from(ORACLE_PATTERNS), ordered_graphs(min_n=2, max_n=9), st.data())
+    @settings(max_examples=100)
+    def test_equals_containment_after_one_edge_on_a_free_host(self, pat, host, data):
+        # the local search's invariant: the host less the new edge is pattern-free
+        mask = EdgeMask(host.n)
+        for e in sorted(host.edges):
+            mask.add(e)
+            if contains_ordered(pat, mask) is not None:
+                mask.remove(e)
+        missing = sorted(set(combinations(range(host.n), 2)) - set(mask_edges(mask)))
+        if not missing:
+            return
+        u, v = data.draw(st.sampled_from(missing))
+        mask.add((u, v))
+        witness = contains_ordered(pat, mask)
+        assert first_copy_through(pat, mask, u, v) == (None if witness is None else witness.map)
+
+    def test_pinned_hand_case(self):
+        # copies of P3 in K_4 through (1, 2): (0, 1, 2) pins (1, 2) as its
+        # second edge, (1, 2, 3) as its first
+        assert first_copy_through(monotone_p3(), OrderedGraph(4, combinations(range(4), 2)),
+                                  1, 2) == (0, 1, 2)
+        assert first_copy_through(monotone_p3(), OrderedGraph(4, [(1, 2), (2, 3)]),
+                                  1, 2) == (1, 2, 3)
+        assert first_copy_through(monotone_p3(), OrderedGraph(4, [(0, 1), (2, 3)]), 1, 2) is None
+
+
+class TestEdgeMask:
+    @given(st.integers(1, 9), st.lists(st.tuples(st.booleans(), st.integers(0, 80))))
+    @settings(max_examples=100)
+    def test_masks_match_an_ordered_graph(self, n, ops):
+        pairs = list(combinations(range(n), 2)) or [None]
+        mask, edges = EdgeMask(n), set()
+        for add, i in ops:
+            e = pairs[i % len(pairs)]
+            if e is None:
+                continue
+            if add:
+                mask.add(e)
+                edges.add(e)
+            else:
+                mask.remove(e)
+                edges.discard(e)
+        g = OrderedGraph(n, edges)
+        assert [mask.backward(v) for v in range(n)] == [g.backward(v) for v in range(n)]
+        assert list(mask.forward_masks) == list(g.forward_masks)
 
 
 class TestContainment:
