@@ -63,7 +63,6 @@ from .patterns import (
 )
 from .richness import (
     ExtractionResult,
-    RichnessCertificate,
     StageFailure,
     Thresholds,
     embed_hk_rich,

@@ -57,7 +57,11 @@ def _digest(path: str) -> str:
 
 def _jsonify(obj):
     if isinstance(obj, Fraction):
-        return {"num": str(obj.numerator), "den": str(obj.denominator), "float": float(obj)}
+        try:
+            approx = float(obj)
+        except OverflowError:  # exact binomials outgrow a double; num/den stay exact
+            approx = None
+        return {"num": str(obj.numerator), "den": str(obj.denominator), "float": approx}
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return _jsonify(dataclasses.asdict(obj))
     if isinstance(obj, dict):
@@ -175,17 +179,11 @@ def cmd_analyze_richness(args) -> int:
     if first and len(first[0].split()) == 3:  # blocked host: "d m seed"
         host = graphio.loads_blocked(text)
         d, m = host.d, host.m
-        counts = host.level_counts()
-        rich = [
-            level
-            for level in range(1, d + 1)
-            if counts[level] >= args.alpha * tau(level, d) * m * m
-        ]
     else:
-        g = graphio.loads_hypercube(text)
-        d, m = g.d, 1
-        counts = g.level_counts()
-        rich = list(richness.rich_levels(g, args.alpha).levels)
+        host = graphio.loads_hypercube(text)
+        d, m = host.d, 1
+    counts = host.level_counts()
+    rich = richness.rich_levels(counts, d, args.alpha, m)
     result = {
         "d": d,
         "m": m,
@@ -200,7 +198,7 @@ def cmd_analyze_richness(args) -> int:
         "levels.csv",
         ["level", "count", "capacity", "rich"],
         [
-            [lv, counts[lv], tau(lv, d) * m * m, int(lv in set(rich))]
+            [lv, counts[lv], tau(lv, d) * m * m, int(lv in rich)]
             for lv in range(1, d + 1)
         ],
     )
@@ -335,7 +333,7 @@ def cmd_appendix_check(args) -> int:
             margin=int(ok) - 1,
             passed=ok,
         )
-    _emit(report.to_json(), args, {})
+    _emit(report, args, {})
     if not report.passed:
         raise CheckFailure(f"lemma check {report.lemma} failed")
     return 0
@@ -423,35 +421,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, budget_type=int):
-        sp.add_argument("--seed", type=_seed, default=0)
-        sp.add_argument("--budget", type=budget_type, default=None)
+    def options(sp, func, seed=False, budget=None):
+        """Register --seed and --budget only on subcommands that read them."""
+        if seed:
+            sp.add_argument("--seed", type=_seed, default=0)
+        if budget:
+            sp.add_argument("--budget", type=budget, default=None)
         sp.add_argument("--out-dir", default=None)
+        sp.set_defaults(func=func)
 
     sp = sub.add_parser("gen-host", help="sample and save a blocked random host")
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--out", required=True)
-    common(sp)
-    sp.set_defaults(func=cmd_gen_host, budget=hosts.DEFAULT_VERTEX_BUDGET)
+    options(sp, cmd_gen_host, seed=True, budget=int)
+    sp.set_defaults(budget=hosts.DEFAULT_VERTEX_BUDGET)
 
     sp = sub.add_parser("classify", help="classify an ordered pattern")
     sp.add_argument("--pattern", required=True)
-    common(sp)
-    sp.set_defaults(func=cmd_classify)
+    options(sp, cmd_classify)
 
     sp = sub.add_parser("solve", help="largest pattern-free subgraph of a host")
     sp.add_argument("--pattern", required=True)
     sp.add_argument("--host", required=True)
     sp.add_argument("--mode", choices=("exact", "exhaustive", "local"), default="exact")
-    common(sp, budget_type=_positive_int)
-    sp.set_defaults(func=cmd_solve)
+    options(sp, cmd_solve, seed=True, budget=_positive_int)
 
     sp = sub.add_parser("analyze-richness", help="per-level edge richness of a host")
     sp.add_argument("--host", required=True)
     sp.add_argument("--alpha", type=_unit_fraction, required=True)
-    common(sp)
-    sp.set_defaults(func=cmd_analyze_richness)
+    options(sp, cmd_analyze_richness)
 
     sp = sub.add_parser("embed-hk", help="embed the staircase via interval extraction")
     sp.add_argument("--host", required=True)
@@ -459,8 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--epsilon", type=float, default=0.1)
     sp.add_argument("--preset", choices=("paper", "desk"), default="desk")
     sp.add_argument("--trace", default=None, help="write the audit trace to this JSON file")
-    common(sp)
-    sp.set_defaults(func=cmd_embed_hk)
+    options(sp, cmd_embed_hk)
 
     sp = sub.add_parser("tile-sample", help="draw windowed embedding chains")
     sp.add_argument("--pattern", required=True)
@@ -468,8 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--levels", required=True, help="comma-separated ascending levels")
     sp.add_argument("--w", type=int, required=True)
     sp.add_argument("--n-samples", type=int, default=10000)
-    common(sp)
-    sp.set_defaults(func=cmd_tile_sample)
+    options(sp, cmd_tile_sample, seed=True)
 
     sp = sub.add_parser("tile-verify", help="exact per-level near-uniformity table")
     sp.add_argument("--pattern", required=True)
@@ -477,19 +474,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--levels", required=True)
     sp.add_argument("--w", type=int, required=True)
     sp.add_argument("--epsilon", type=_open_unit_fraction, required=True)
-    common(sp, budget_type=_positive_int)
-    sp.set_defaults(func=cmd_tile_verify)
+    options(sp, cmd_tile_verify, budget=_positive_int)
 
     sp = sub.add_parser("appendix-check", help="verify one auxiliary inequality")
     sp.add_argument("--lemma", choices=("a1", "a2", "a3"), required=True)
     sp.add_argument("--params", required=True, help="JSON object of check parameters")
-    common(sp)
-    sp.set_defaults(func=cmd_appendix_check)
+    options(sp, cmd_appendix_check)
 
     sp = sub.add_parser("report", help="run a parameter grid and emit a CSV table")
     sp.add_argument("--grid", required=True, help="JSON grid specification file")
-    common(sp, budget_type=_positive_int)
-    sp.set_defaults(func=cmd_report)
+    options(sp, cmd_report, seed=True, budget=_positive_int)
 
     return p
 

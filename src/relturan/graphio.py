@@ -23,7 +23,8 @@ class FormatError(ValueError):
         self.line_no = line_no
 
 
-#: largest cube dimension a file may declare: the host vertex budget
+#: largest cube dimension a file may declare: the host vertex budget, which
+#: also caps the m << d vertices of a blocked-host header
 _MAX_CUBE_D = DEFAULT_VERTEX_BUDGET.bit_length() - 1
 
 
@@ -97,24 +98,21 @@ def loads_hypercube(text: str) -> HypercubeGraph:
 
 def dumps_blocked(g: BlockedGraph) -> str:
     m = g.m
+    pairs, mats = g.nonempty()
+    # a row is the little-endian bit integer of its columns (column j is bit
+    # j) in ceil(m/4) hex digits: reverse each row's bytes for big-endian
+    # hex, then drop the leading digit, always 0, that the bytes have beyond
+    # ceil(m/4) when that is odd
+    packed = np.packbits(mats, axis=2, bitorder="little")[:, :, ::-1]
+    row_bytes = packed.shape[2]
+    rows = packed.tobytes().hex("\n", row_bytes).split("\n")
+    skip = 2 * row_bytes - (m + 3) // 4
+    if skip:
+        rows = [row[skip:] for row in rows]
     lines = [f"{g.d} {m} {g.seed}"]
-    keys = sorted(g.blocks)
-    if keys:
-        mats = np.stack([g.blocks[key] for key in keys])
-        nonempty = mats.any(axis=(1, 2))
-        # a row is the little-endian bit integer of its columns (column j is
-        # bit j) in ceil(m/4) hex digits: reverse each row's bytes for
-        # big-endian hex, then drop the leading digit, always 0, that the
-        # bytes have beyond ceil(m/4) when that is odd
-        packed = np.packbits(mats[nonempty], axis=2, bitorder="little")[:, :, ::-1]
-        row_bytes = packed.shape[2]
-        rows = packed.tobytes().hex("\n", row_bytes).split("\n")
-        skip = 2 * row_bytes - (m + 3) // 4
-        if skip:
-            rows = [row[skip:] for row in rows]
-        for b, (x, y) in enumerate(key for key, keep in zip(keys, nonempty) if keep):
-            lines.append(f"{x} {y}")
-            lines += rows[b * m:(b + 1) * m]
+    for b, (x, y) in enumerate(pairs.tolist()):
+        lines.append(f"{x} {y}")
+        lines += rows[b * m:(b + 1) * m]
     return "\n".join(lines) + "\n"
 
 
@@ -128,6 +126,8 @@ def loads_blocked(text: str) -> BlockedGraph:
         raise FormatError(1, f"expected 'd m seed', got {lines[0]!r}") from None
     if d < 1 or m < 1:
         raise FormatError(1, "need d >= 1 and m >= 1")
+    if m << d > DEFAULT_VERTEX_BUDGET:
+        raise FormatError(1, f"{m << d} vertices exceeds budget {DEFAULT_VERTEX_BUDGET}")
     pairs: dict[tuple[int, int], None] = {}  # insertion-ordered set
     rows: list[int] = []  # every block's rows, in file order
     i = 1
@@ -158,7 +158,7 @@ def loads_blocked(text: str) -> BlockedGraph:
         np.frombuffer(packed, dtype=np.uint8).reshape(len(pairs), m, row_bytes),
         axis=2, count=m, bitorder="little",
     ).view(bool)
-    return BlockedGraph(d, m, seed, dict(zip(pairs, bits)))
+    return BlockedGraph(d, m, seed, list(pairs), bits)
 
 
 def write_blocked(path, g: BlockedGraph) -> None:

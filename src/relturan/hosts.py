@@ -1,9 +1,10 @@
 """Seeded construction of the blocked random host family and complete hosts.
 
 The host on {0,1}^d x [m] keeps an m x m boolean matrix per ordered pair of
-blocks (x, y), x < y; entry (i, j) says whether (x, i)(y, j) is an edge.  Each
-cross-block pair is present independently with probability 2^(level - d)
-where level = delta(x, y).  There are no intra-block edges.
+blocks (x, y), x < y; entry (i, j) says whether (x, i)(y, j) is an edge.  The
+matrices are stacked in one (P, m, m) array beside a (P, 2) array of pairs.
+Each cross-block pair is present independently with probability
+2^(level - d) where level = delta(x, y).  There are no intra-block edges.
 
 Randomness comes from a counter-based generator (Philox) keyed by
 (seed, block-pair index), so the output is independent of generation order
@@ -15,12 +16,11 @@ stream of ``Philox(key=[seed, pair_index])`` and host files do not change.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from itertools import chain
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HypercubeGraph, OrderedGraph, delta_int, tau
+from .core import HypercubeGraph, OrderedGraph, delta_int
 
 #: refuse hosts with more vertices than this unless the caller overrides
 DEFAULT_VERTEX_BUDGET = 1 << 21
@@ -42,18 +42,36 @@ def _pair_levels(x: np.ndarray, y: np.ndarray, d: int) -> np.ndarray:
 class BlockedGraph:
     """A graph on {0,1}^d x [m] with block structure, ordered lexicographically.
 
-    ``blocks[(x, y)]`` for x < y is an m x m boolean array; row i, column j is
-    the pair ((x, i), (y, j)).  Vertex (x, i) precedes (y, j) iff x < y or
-    x == y and i < j.
+    ``pairs`` is a (P, 2) array of block pairs x < y in lexicographic order
+    and ``mats`` the matching (P, m, m) boolean array; row i, column j of
+    ``mats[b]`` is the pair ((x, i), (y, j)) for (x, y) = ``pairs[b]``.
+    Pairs not listed have no edges.  Vertex (x, i) precedes (y, j) iff
+    x < y or x == y and i < j.
     """
 
-    __slots__ = ("d", "m", "seed", "blocks")
+    __slots__ = ("d", "m", "seed", "pairs", "mats", "_keys")
 
-    def __init__(self, d: int, m: int, seed: int, blocks: dict[tuple[int, int], np.ndarray]):
+    def __init__(self, d: int, m: int, seed: int, pairs, mats):
+        if d > 31:  # pair keys x << d | y must fit in an int64
+            raise ValueError(f"d = {d} exceeds 31")
         self.d = d
         self.m = m
         self.seed = seed
-        self.blocks = blocks
+        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        mats = np.asarray(mats, dtype=bool).reshape(-1, m, m)
+        # one sortable int64 per pair: x and y are below 2^d
+        keys = pairs[:, 0] << d | pairs[:, 1]
+        if (keys[1:] <= keys[:-1]).any():
+            order = np.argsort(keys, kind="stable")
+            pairs, mats, keys = pairs[order], mats[order], keys[order]
+        self.pairs = pairs
+        self.mats = mats
+        self._keys = keys
+
+    @property
+    def blocks(self) -> dict[tuple[int, int], np.ndarray]:
+        """``{(x, y): view of its m x m block}`` over every listed pair."""
+        return dict(zip(map(tuple, self.pairs.tolist()), self.mats))
 
     @property
     def n_blocks(self) -> int:
@@ -63,20 +81,26 @@ class BlockedGraph:
     def n(self) -> int:
         return self.m << self.d
 
+    def nonempty(self) -> tuple[np.ndarray, np.ndarray]:
+        """``pairs`` and ``mats`` restricted to blocks with at least one edge."""
+        keep = self.mats.any(axis=(1, 2))
+        return self.pairs[keep], self.mats[keep]
+
     def block_matrix(self, x: int, y: int) -> np.ndarray:
         if not 0 <= x < y < self.n_blocks:
             raise ValueError(f"need 0 <= x < y < {self.n_blocks}")
-        return self.blocks.get((x, y), np.zeros((self.m, self.m), dtype=bool))
+        key = x << self.d | y
+        b = int(np.searchsorted(self._keys, key))
+        if b < len(self._keys) and self._keys[b] == key:
+            return self.mats[b]
+        return np.zeros((self.m, self.m), dtype=bool)
 
     def level_counts(self) -> list[int]:
         """Edge count per level 1..d (index 0 unused)."""
-        if not self.blocks:
-            return [0] * (self.d + 1)
-        pairs = np.fromiter(chain.from_iterable(self.blocks), np.int64, 2 * len(self.blocks))
-        x, y = pairs.reshape(-1, 2).T
-        edges = np.count_nonzero(np.stack(list(self.blocks.values())), axis=(1, 2))
+        edges = np.count_nonzero(self.mats, axis=(1, 2))
         # float weights are exact: a host has fewer than 2^53 edges
-        counts = np.bincount(_pair_levels(x, y, self.d), weights=edges, minlength=self.d + 1)
+        levels = _pair_levels(self.pairs[:, 0], self.pairs[:, 1], self.d)
+        counts = np.bincount(levels, weights=edges, minlength=self.d + 1)
         return counts.astype(np.int64).tolist()
 
     def num_edges(self) -> int:
@@ -86,20 +110,16 @@ class BlockedGraph:
         """Flatten to vertex labels x * m + i (lexicographic order preserved)."""
         if self.n > budget:
             raise BudgetError(f"{self.n} vertices exceeds budget {budget}")
-        edges = []
-        for (x, y), mat in self.blocks.items():
-            rows, cols = np.nonzero(mat)
-            base_x, base_y = x * self.m, y * self.m
-            edges.extend((base_x + int(i), base_y + int(j)) for i, j in zip(rows, cols))
-        return OrderedGraph(self.n, edges)
+        b, i, j = np.nonzero(self.mats)
+        us = self.pairs[b, 0] * self.m + i
+        vs = self.pairs[b, 1] * self.m + j
+        return OrderedGraph(self.n, zip(us.tolist(), vs.tolist()))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BlockedGraph) or (self.d, self.m) != (other.d, other.m):
             return False
-        keys = set(self.blocks) | set(other.blocks)
-        return all(
-            np.array_equal(self.block_matrix(*k), other.block_matrix(*k)) for k in keys
-        )
+        (p, a), (q, b) = self.nonempty(), other.nonempty()
+        return np.array_equal(p, q) and np.array_equal(a, b)
 
     def __repr__(self) -> str:
         return f"BlockedGraph(d={self.d}, m={self.m}, seed={self.seed})"
@@ -124,7 +144,7 @@ def generate_host(m: int, d: int, seed: int, budget: int = DEFAULT_VERTEX_BUDGET
         bitgen.state = state
         rng.random(out=draw)
         np.less(draw, p, out=mats[idx])
-    return BlockedGraph(d, m, seed, dict(zip(zip(xs.tolist(), ys.tolist()), mats)))
+    return BlockedGraph(d, m, seed, np.column_stack((xs, ys)), mats)
 
 
 @dataclass(frozen=True)

@@ -29,23 +29,6 @@ class LemmaCheckReport:
     samples: Optional[int] = None
     extra: dict = field(default_factory=dict)
 
-    def to_json(self) -> dict:
-        def conv(v):
-            if isinstance(v, Fraction):
-                return {"num": str(v.numerator), "den": str(v.denominator)}
-            return v
-
-        return {
-            "lemma": self.lemma,
-            "params": {k: conv(v) for k, v in self.params.items()},
-            "lhs": conv(self.lhs),
-            "rhs": conv(self.rhs),
-            "margin": conv(self.margin),
-            "passed": self.passed,
-            "samples": self.samples,
-            "extra": {k: conv(v) for k, v in self.extra.items()},
-        }
-
 
 def check_binomial_fraction(
     alpha: Number, eps: Number, k: int, eta: Number, n: int

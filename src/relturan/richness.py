@@ -25,26 +25,15 @@ from .core import FundamentalInterval, BitString, HypercubeGraph, tau
 from .patterns import EmbeddingWitness
 
 
-@dataclass(frozen=True)
-class RichnessCertificate:
-    alpha: float
-    levels: tuple[int, ...]  # the alpha-rich levels, ascending
-    average: Fraction  # average_richness of the level counts
+def rich_levels(counts: list[int], d: int, alpha: float, m: int = 1) -> list[int]:
+    """The alpha-rich levels, ascending: count_l >= alpha tau_l m^2, exactly.
 
-    @property
-    def count(self) -> int:
-        return len(self.levels)
-
-
-def rich_levels(g: HypercubeGraph, alpha: float) -> RichnessCertificate:
-    """Classify every level against the alpha threshold; exact counting."""
+    ``counts`` are per-level edge counts (index 0 unused) of a cube graph
+    (m = 1) or a blocked host on {0,1}^d x [m].
+    """
     if not 0 <= alpha <= 1:
         raise ValueError("alpha must be in [0, 1]")
-    counts = g.level_counts()
-    levels = tuple(
-        level for level in range(1, g.d + 1) if counts[level] >= alpha * tau(level, g.d)
-    )
-    return RichnessCertificate(alpha, levels, average_richness(counts, g.d))
+    return [level for level in range(1, d + 1) if counts[level] >= alpha * tau(level, d) * m * m]
 
 
 def average_richness(level_counts: list[int], d: int, m: int = 1) -> Fraction:
@@ -73,6 +62,14 @@ class StripStats:
     removed_per_level: tuple[int, ...]  # index 0 unused
 
 
+def _top_forward_level(g: HypercubeGraph, x: int) -> int:
+    """The highest level at which x has a forward neighbour, 0 if none."""
+    for level in range(g.d, 0, -1):
+        if g.adj[x] & g.forward_mask(x, level):
+            return level
+    return 0
+
+
 def strip_top_forward(g: HypercubeGraph) -> tuple[HypercubeGraph, StripStats]:
     """Remove each vertex's forward edges at its own highest forward level.
 
@@ -82,12 +79,7 @@ def strip_top_forward(g: HypercubeGraph) -> tuple[HypercubeGraph, StripStats]:
     (PostconditionError otherwise).
     """
     d, n = g.d, g.n
-    top = [0] * n
-    for x in range(n):
-        for level in range(d, 0, -1):
-            if g.adj[x] & g.forward_mask(x, level):
-                top[x] = level
-                break
+    top = [_top_forward_level(g, x) for x in range(n)]
     adj = list(g.adj)
     removed = [0] * (d + 1)
     for x in range(n):
@@ -132,8 +124,8 @@ class Thresholds:
 
     @classmethod
     def paper(cls, eps: float) -> "Thresholds":
-        if eps <= 0:
-            raise ValueError("eps must be positive")
+        if not 0 < eps <= 1:  # eps is the working set's rich_levels alpha
+            raise ValueError("eps must be in (0, 1]")
         return cls(
             rich_alpha=eps,
             y1_value=eps / 3,
@@ -205,12 +197,7 @@ def extract_rich_interval(
     index so reruns are reproducible.
     """
     d, n = g.d, g.n
-    counts = g.level_counts()
-    working = [
-        level
-        for level in range(1, d + 1)
-        if counts[level] >= thresholds.rich_alpha * tau(level, d)
-    ]
+    working = rich_levels(g.level_counts(), d, thresholds.rich_alpha)
     if len(working) < 2:
         return StageFailure("working-levels", f"only {len(working)} levels qualify")
 
@@ -347,9 +334,9 @@ def _replay_postconditions(g: HypercubeGraph, res: ExtractionResult) -> None:
         if mask & ((1 << v) - 1):  # v is the larger endpoint of an edge
             _require(v + res.rhs_base in y3 and g.has_edge(res.x, v + res.rhs_base),
                      "larger endpoint not adjacent to x")
-    cert = rich_levels(sub, res.certified_eta)
-    _require(cert.count >= res.certified_rich_count,
-             f"recomputed rich count {cert.count} < certified {res.certified_rich_count}")
+    count = len(rich_levels(sub.level_counts(), sub.d, res.certified_eta))
+    _require(count >= res.certified_rich_count,
+             f"recomputed rich count {count} < certified {res.certified_rich_count}")
 
 
 def embed_hk_rich(
@@ -395,11 +382,7 @@ def embed_hk_extracted(
     lifted = tuple(v + res.rhs_base for v in inner.map)
 
     x = res.x
-    top = 0
-    for level in range(g.d, 0, -1):
-        if g.adj[x] & g.forward_mask(x, level):
-            top = level
-            break
+    top = _top_forward_level(g, x)
     if top <= res.pivot_level:
         return None  # cannot happen when extraction succeeded; defensive
     mask = g.adj[x] & g.forward_mask(x, top)

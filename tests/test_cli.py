@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from relturan import __version__, graphio, richness, tiling
+from relturan import __version__, graphio, lemma_checks, richness, tiling
 from relturan.cli import main
 from relturan.core import HypercubeGraph, OrderedGraph, delta_int
 from relturan.graphio import read_blocked, write_hypercube, write_ordered
@@ -246,6 +246,20 @@ class TestAppendixCheck:
         params = json.dumps({"alpha": "1/2", "eps": "1/16", "k": 2, "eta": "1/8", "n": 16})
         assert main(["appendix-check", "--lemma", "a1", "--params", params]) == 1
 
+    def test_binomials_beyond_double_range_stay_exact(self, capsys):
+        params = {"alpha": "1/2", "eps": "1/10", "k": 600, "eta": "1/10", "n": 2000}
+        report = lemma_checks.check_binomial_fraction(**params)
+        assert main(["appendix-check", "--lemma", "a1", "--params", json.dumps(params)]) == (
+            0 if report.passed else 1
+        )
+        out = json.loads(capsys.readouterr().out)
+        for key in ("lhs", "rhs", "margin"):
+            exact = getattr(report, key)
+            assert out[key]["num"] == str(exact.numerator)
+            assert out[key]["den"] == str(exact.denominator)
+        assert out["rhs"]["float"] is None
+        assert out["params"]["alpha"]["float"] == 0.5
+
     def test_identity_mode(self, capsys):
         params = json.dumps({"n_max": 20})
         assert main(["appendix-check", "--lemma", "a3", "--params", params]) == 0
@@ -266,6 +280,7 @@ class TestManifest:
         assert main(["classify", "--pattern", p3_file, "--out-dir", str(out_dir)]) == 0
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["command"] == "classify"
+        assert manifest["seed"] is None  # classify takes no --seed
         assert "pattern" in manifest["input_digests"]
         result = json.loads((out_dir / "result.json").read_text())
         assert result == json.loads(capsys.readouterr().out)
@@ -388,3 +403,25 @@ class TestTileCommands:
         with pytest.raises(SystemExit) as exc:
             main(["classify", "--pattern", p3_file, "--bogus"])
         assert exc.value.code == 2
+
+
+class TestOptions:
+    @pytest.mark.parametrize("argv, flag", [
+        (argv, flag)
+        for argv, flags in [
+            (["classify", "--pattern", "p.og"], ["--seed", "--budget"]),
+            (["analyze-richness", "--host", "h.rg", "--alpha", "0.5"], ["--seed", "--budget"]),
+            (["embed-hk", "--host", "h.cg", "--k", "2"], ["--seed", "--budget"]),
+            (["appendix-check", "--lemma", "a3", "--params", "{}"], ["--seed", "--budget"]),
+            (["tile-sample", "--pattern", "p.og", "--d", "3", "--levels", "1,2,3", "--w", "1"],
+             ["--budget"]),
+            (["tile-verify", "--pattern", "p.og", "--d", "3", "--levels", "1,2,3", "--w", "1",
+              "--epsilon", "0.5"], ["--seed"]),
+        ]
+        for flag in flags
+    ], ids=lambda v: v if isinstance(v, str) else v[0])
+    def test_flag_a_command_does_not_read_exits_2(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, flag, "1"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err

@@ -94,7 +94,7 @@ def blocked_hosts(draw):
             blocks[pair] = rng.random((m, m)) < draw(st.sampled_from([0.02, 0.5, 0.98]))
         else:
             blocks[pair] = np.full((m, m), kind == "one")
-    return BlockedGraph(d, m, draw(st.integers(0, 1000)), blocks)
+    return BlockedGraph(d, m, draw(st.integers(0, 1000)), list(blocks), list(blocks.values()))
 
 
 @st.composite
@@ -195,7 +195,7 @@ class TestBlockedFormat:
         m = 70
         mat = np.zeros((m, m), dtype=bool)
         mat[0, m - 1] = mat[1, 0] = True
-        rows = dumps_blocked(BlockedGraph(1, m, 0, {(0, 1): mat})).splitlines()[2:]
+        rows = dumps_blocked(BlockedGraph(1, m, 0, [(0, 1)], [mat])).splitlines()[2:]
         assert int(rows[0], 16) == 1 << (m - 1) and int(rows[1], 16) == 1
         assert all(len(row) == (m + 3) // 4 for row in rows)
 
@@ -225,7 +225,7 @@ class TestBlockedFormat:
         mat = np.zeros((m, m), dtype=bool)
         mat[0, 0] = mat[0, m - 1] = True
         mat[m - 1, 1:8] = True
-        g = BlockedGraph(1, m, 7, {(0, 1): mat})
+        g = BlockedGraph(1, m, 7, [(0, 1)], [mat])
         assert dumps_blocked(g) == text
         assert loads_blocked(text) == g
 
@@ -254,6 +254,11 @@ MALFORMED_BLOCKED = [
     ("pair-beyond-2^d", "1 1 0\n0 2\n1\n", 2),
     ("pair-not-increasing", "2 1 0\n0 1\n1\n2 2\n1\n", 4),
     ("pair-line-malformed", "1 1 0\n0 1 1\n1\n", 2),
+    # m << d beyond the vertex budget: d = 60 once decoded with its level-1
+    # edge counted at level 0, d = 70 once overflowed int64
+    ("header-beyond-the-vertex-budget", "1 1048577 0\n", 1),
+    ("header-d=60", f"60 1 0\n0 {(1 << 60) - 1}\n1\n", 1),
+    ("header-d=70", f"70 1 0\n0 {(1 << 70) - 1}\n1\n", 1),
 ]
 MALFORMED_CUBE = [
     ("empty-file", "", 1),

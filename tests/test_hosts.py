@@ -19,12 +19,10 @@ from relturan.hosts import (
 
 def thin_every_other(host: BlockedGraph) -> BlockedGraph:
     """Imbalance fixture: keep every second edge of each block pair, in row-major order."""
-    blocks = {}
-    for key, mat in host.blocks.items():
-        flat = mat.flatten()
+    mats = host.mats.reshape(len(host.mats), -1).copy()
+    for flat in mats:
         flat[np.flatnonzero(flat)[1::2]] = False
-        blocks[key] = flat.reshape(mat.shape)
-    return BlockedGraph(host.d, host.m, host.seed, blocks)
+    return BlockedGraph(host.d, host.m, host.seed, host.pairs, mats)
 
 
 def _pair_index(x: int, y: int, n_blocks: int) -> int:
@@ -115,11 +113,17 @@ class TestLevelCounts:
     def test_keys_out_of_pair_order(self):
         rng = np.random.default_rng(0)
         keys = [(6, 7), (0, 4), (2, 3), (0, 1), (1, 6), (3, 5)]
-        host = BlockedGraph(3, 4, 0, {k: rng.random((4, 4)) < 0.5 for k in keys})
+        host = BlockedGraph(3, 4, 0, keys, rng.random((len(keys), 4, 4)) < 0.5)
         self._check(host)
 
+    def test_d_beyond_int64_keys_is_refused(self):
+        # at d = 32 the key x << d | y wraps past int64 once x >= 2^31
+        with pytest.raises(ValueError):
+            BlockedGraph(32, 1, 0, [(1, 2)], np.ones((1, 1, 1), dtype=bool))
+        assert BlockedGraph(31, 1, 0, [(1, 2)], np.ones((1, 1, 1), dtype=bool)).block_matrix(1, 2).all()
+
     def test_self_pair_is_refused(self):
-        host = BlockedGraph(2, 2, 0, {(1, 1): np.ones((2, 2), dtype=bool)})
+        host = BlockedGraph(2, 2, 0, [(1, 1)], np.ones((1, 2, 2), dtype=bool))
         with pytest.raises(ValueError):
             host.level_counts()
 

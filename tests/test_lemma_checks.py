@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relturan.cli import _jsonify
 from relturan.lemma_checks import (
     _window_lengths,
     check_binomial_average,
@@ -185,6 +186,6 @@ class TestBinomialAverage:
 
     def test_report_serializes(self):
         rep = check_binomial_fraction(Fraction(1, 2), Fraction(1, 5), 2, Fraction(1, 8), 100)
-        js = rep.to_json()
+        js = _jsonify(rep)
         assert js["lemma"] == "binomial-fraction"
-        assert js["lhs"] == {"num": "666", "den": "1"}
+        assert js["lhs"] == {"num": "666", "den": "1", "float": 666.0}

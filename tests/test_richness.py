@@ -33,20 +33,18 @@ def random_cube_graph(rng, d, keep=0.8):
 class TestRichLevels:
     def test_complete_cube_all_rich(self):
         g = complete_hypercube(4)
-        cert = rich_levels(g, alpha=1.0)
-        assert cert.levels == (1, 2, 3, 4)
-        assert cert.average == 1
+        assert rich_levels(g.level_counts(), g.d, alpha=1.0) == [1, 2, 3, 4]
 
     def test_alpha_zero_includes_everything(self):
         g = HypercubeGraph(3, [(0, 4)])
-        assert rich_levels(g, 0.0).count == 3
+        assert len(rich_levels(g.level_counts(), d=3, alpha=0.0)) == 3
 
     def test_threshold_is_sharp(self):
         d = 3
         # exactly half the level-3 pairs present
         g = HypercubeGraph(d, [(0, 1), (2, 3)])
-        assert 3 in rich_levels(g, 0.5).levels
-        assert 3 not in rich_levels(g, 0.51).levels
+        assert 3 in rich_levels(g.level_counts(), d, 0.5)
+        assert 3 not in rich_levels(g.level_counts(), d, 0.51)
 
     @given(st.integers(2, 5), st.data())
     @settings(max_examples=30)
@@ -57,18 +55,17 @@ class TestRichLevels:
         kept = [e for e in edges if rng.random() < 0.7]
         sub = HypercubeGraph(d, kept)
         alpha = data.draw(st.floats(0.0, 1.0))
-        assert set(rich_levels(sub, alpha).levels) <= set(rich_levels(g, alpha).levels)
+        assert set(rich_levels(sub.level_counts(), d, alpha)) <= set(rich_levels(g.level_counts(), d, alpha))
 
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError):
-            rich_levels(complete_hypercube(2), 1.5)
+            rich_levels(complete_hypercube(2).level_counts(), 2, 1.5)
 
 
 class TestAverageRichness:
     def test_complete_cube_is_one(self):
         g = complete_hypercube(4)
         assert average_richness(g.level_counts(), 4) == 1
-        assert rich_levels(g, 0.5).average == 1
 
     def test_complete_blocked_host_is_one(self):
         d, m = 3, 4
@@ -124,6 +121,8 @@ class TestThresholds:
     def test_paper_rejects_bad_eps(self):
         with pytest.raises(ValueError):
             Thresholds.paper(0.0)
+        with pytest.raises(ValueError):
+            Thresholds.paper(1.5)
 
 
 class TestExtraction:
@@ -174,8 +173,9 @@ class TestExtraction:
         g = complete_hypercube(5)
         res = extract_rich_interval(g, Thresholds.desk())
         assert isinstance(res, ExtractionResult)
-        recomputed = rich_levels(res.subgraph, res.certified_eta)
-        assert recomputed.count >= res.certified_rich_count
+        sub = res.subgraph
+        recomputed = rich_levels(sub.level_counts(), sub.d, res.certified_eta)
+        assert len(recomputed) >= res.certified_rich_count
 
     def test_replay_rejects_overstated_certificate(self):
         # an explicit check, not an assert: it holds under python -O too
