@@ -206,12 +206,19 @@ def cmd_analyze_richness(args) -> int:
     return 0
 
 
+#: ``embed-hk --preset paper`` without ``--epsilon``
+PAPER_EPSILON = 0.1
+
+
 def cmd_embed_hk(args) -> int:
-    g = graphio.read_hypercube(args.host)
     if args.preset == "paper":
-        thresholds = richness.Thresholds.paper(args.epsilon)
+        thresholds = richness.Thresholds.paper(
+            PAPER_EPSILON if args.epsilon is None else args.epsilon)
+    elif args.epsilon is not None:
+        raise ValueError("--epsilon sets the paper preset's thresholds; pass --preset paper")
     else:
         thresholds = richness.Thresholds.desk()
+    g = graphio.read_hypercube(args.host)
 
     trace_record: dict = {"k": args.k, "preset": args.preset}
     stripped, stats = richness.strip_top_forward(g)
@@ -409,6 +416,13 @@ def _open_unit_fraction(text: str) -> float:
     return value
 
 
+def _positive_unit_fraction(text: str) -> float:
+    value = float(text)
+    if not 0 < value <= 1:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {text}")
+    return value
+
+
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -455,7 +469,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("embed-hk", help="embed the staircase via interval extraction")
     sp.add_argument("--host", required=True)
     sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--epsilon", type=float, default=0.1)
+    sp.add_argument("--epsilon", type=_positive_unit_fraction, default=None,
+                    help=f"the paper preset's eps (default {PAPER_EPSILON}); "
+                         "a usage error under --preset desk")
     sp.add_argument("--preset", choices=("paper", "desk"), default="desk")
     sp.add_argument("--trace", default=None, help="write the audit trace to this JSON file")
     options(sp, cmd_embed_hk)

@@ -5,6 +5,10 @@ Cube-graph format: first line "d m", then m lines with two bitstrings.
 Blocked-host format: first line "d m seed", then for each nonempty block
 pair a line "x y" followed by m hex-encoded rows of the m x m matrix.
 All writers emit in sorted order so round-trips are byte-identical.
+
+Cube and blocked-host files laid out exactly as the writers lay them out are
+decoded as whole numpy arrays; every other file goes through the per-line
+readers, the only code that raises ``FormatError``.
 """
 
 from __future__ import annotations
@@ -59,18 +63,100 @@ def loads_ordered(text: str) -> OrderedGraph:
         raise FormatError(1, str(exc)) from None
 
 
-def _labels(d: int) -> list[str]:
-    """The bitstring label of every vertex of {0,1}^d, in vertex order."""
-    return [format(v, f"0{d}b") for v in range(1 << d)]
+#: rows per slab of the cube decoder's layout check
+_SLAB = 1 << 16
+
+
+def _label_bytes(d: int) -> np.ndarray:
+    """(2^d, d) uint8 table: row v is v's bitstring label in ASCII "0"/"1"."""
+    big_endian = np.arange(1 << d, dtype=">u4").view(np.uint8).reshape(-1, 4)
+    return np.unpackbits(big_endian, axis=1)[:, 32 - d:] | ord("0")
 
 
 def dumps_hypercube(g: HypercubeGraph) -> str:
-    labels = _labels(g.d)
-    lines = [f"{labels[u]} {labels[v]}" for u, v in g.edges()]
-    return "\n".join([f"{g.d} {len(lines)}", *lines]) + "\n"
+    d = g.d
+    # the forward neighbours v > u of u are the set bits of adj[u] >> (u + 1):
+    # lay those masks end to end as little-endian bytes and unpack them once
+    forward = [mask >> u >> 1 for u, mask in enumerate(g.adj)]
+    sizes = [(f.bit_length() + 7) // 8 for f in forward]
+    packed = b"".join([f.to_bytes(size, "little") for f, size in zip(forward, sizes)])
+    offsets = np.cumsum([0, *sizes[:-1]]) * 8  # first bit of each vertex's mask
+    bits = np.flatnonzero(np.unpackbits(np.frombuffer(packed, np.uint8), bitorder="little"))
+    us = np.searchsorted(offsets, bits, side="right") - 1
+    vs = bits - offsets[us] + us + 1
+    head = f"{d} {len(bits)}\n".encode()
+    out = np.empty(len(head) + len(bits) * (2 * d + 2), np.uint8)
+    out[:len(head)] = np.frombuffer(head, np.uint8)
+    lines = out[len(head):].reshape(len(bits), 2 * d + 2)
+    labels = _label_bytes(d)
+    lines[:, :d] = labels[us]
+    lines[:, d] = ord(" ")
+    lines[:, d + 1:-1] = labels[vs]
+    lines[:, -1] = ord("\n")
+    return str(out, "ascii")
 
 
 def loads_hypercube(text: str) -> HypercubeGraph:
+    """Decode a cube-graph file.
+
+    When the header line ends in "\\n" and the first m edge lines are laid out
+    exactly as ``dumps_hypercube`` writes them, they are decoded as one byte
+    array.  Any other file goes to the per-line reader, which alone raises
+    ``FormatError``, so what a file means and how it fails do not depend on
+    the path taken.
+    """
+    start = text.find("\n") + 1  # of the first edge line; 0 if there is none
+    head = text[:start - 1] if start else text
+    try:
+        d, m = (int(t) for t in head.split())
+    except ValueError:
+        return _loads_hypercube_lines(text)
+    width = 2 * d + 2  # two labels, a space and a newline
+    if not (start and text.isascii() and head.splitlines() == [head]
+            and 1 <= d <= _MAX_CUBE_D and 0 <= m * width <= len(text) - start):
+        return _loads_hypercube_lines(text)
+    rows = np.frombuffer(text.encode("ascii"), np.uint8, m * width, start)
+    rows = rows.reshape(m, width)
+    # b | 1 == ord("1") holds for exactly the label bytes "0" and "1"; checked
+    # a slab of rows at a time, so that no temporary is as large as the file
+    layout = np.full(width, ord("1"), np.uint8)
+    layout[d] = ord(" ") | 1
+    layout[-1] = ord("\n") | 1
+    if not all(((rows[i:i + _SLAB] | 1) == layout).all() for i in range(0, m, _SLAB)):
+        return _loads_hypercube_lines(text)
+    u = np.zeros(m, np.int32)
+    v = np.zeros(m, np.int32)
+    for i in range(d):
+        u <<= 1
+        u += rows[:, i]
+        v <<= 1
+        v += rows[:, d + 1 + i]
+    # each label byte is ord("0") plus its bit
+    u -= ord("0") * ((1 << d) - 1)
+    v -= ord("0") * ((1 << d) - 1)
+    del rows
+    if (u == v).any():  # the per-line reader names the first one
+        return _loads_hypercube_lines(text)
+    n = 1 << d
+    # both orientations of every edge as sorted keys u << d | v: each vertex's
+    # neighbours are one run, found by searchsorted
+    keys = np.concatenate([u.astype(np.int64) << d | v, v.astype(np.int64) << d | u])
+    del u, v
+    keys.sort()
+    bounds = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) << d)
+    adj = [0] * n
+    mark = np.zeros(n, bool)
+    for x in np.flatnonzero(np.diff(bounds)).tolist():
+        nbrs = keys[bounds[x]:bounds[x + 1]] & (n - 1)
+        mark[nbrs] = True
+        adj[x] = int.from_bytes(np.packbits(mark[:nbrs[-1] + 1], bitorder="little").tobytes(), "little")
+        mark[nbrs] = False
+    return HypercubeGraph(d, adj=adj)
+
+
+def _loads_hypercube_lines(text: str) -> HypercubeGraph:
+    """The per-line cube-graph reader: any spacing ``str.split`` takes and any
+    line break ``str.splitlines`` takes; the only source of ``FormatError``."""
     lines = text.splitlines()
     if not lines:
         raise FormatError(1, "empty file")
@@ -81,7 +167,7 @@ def loads_hypercube(text: str) -> HypercubeGraph:
     if not 1 <= d <= _MAX_CUBE_D:
         raise FormatError(1, f"need 1 <= d <= {_MAX_CUBE_D}, got {d}")
     # one lookup checks a label's length and alphabet and gives its vertex
-    vertex = {label: v for v, label in enumerate(_labels(d))}.get
+    vertex = {format(v, f"0{d}b"): v for v in range(1 << d)}.get
     adj = [0] * (1 << d)
     for line_no, line in enumerate(lines[1:m + 1], 2):
         parts = line.split()
@@ -116,7 +202,77 @@ def dumps_blocked(g: BlockedGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+#: hex digit value of each byte; 16 for bytes that are not lowercase hex digits
+_NIBBLE = np.full(256, 16, np.uint8)
+_NIBBLE[np.frombuffer(b"0123456789abcdef", np.uint8)] = np.arange(16)
+
+
+def _pair_array(pair_lines: list[str]) -> np.ndarray | None:
+    """The (P, 2) int64 array of block-pair lines that are each two runs of
+    1-18 ASCII digits around one space, or None if any line is not."""
+    joined = "\n".join(pair_lines)
+    if not (pair_lines and joined.isascii()):
+        return None
+    chars = np.frombuffer(joined.encode("ascii"), np.uint8)
+    is_sep = (chars == ord(" ")) | (chars == ord("\n"))
+    sep = np.flatnonzero(is_sep)
+    # the join put P - 1 newlines in, so P spaces at every other separator
+    # make the separators alternate: one space on each line
+    if len(sep) != 2 * len(pair_lines) - 1 or (chars[sep[0::2]] != ord(" ")).any():
+        return None
+    digits = np.diff(sep, prepend=-1, append=len(chars)) - 1
+    if not (((1 <= digits) & (digits <= 18)).all() and (is_sep | (chars - ord("0") < 10)).all()):
+        return None
+    return np.fromstring(joined, dtype=np.int64, sep=" ").reshape(-1, 2)
+
+
 def loads_blocked(text: str) -> BlockedGraph:
+    """Decode a blocked-host file.
+
+    When every block-pair line is "x y" in decimal, every pair is in range
+    and listed once, and every row is exactly ceil(m/4) lowercase hex digits
+    with no bit beyond column m - 1, the file is decoded as whole arrays.
+    Any other file goes to the per-line reader, which alone raises
+    ``FormatError``.
+    """
+    lines = text.splitlines()
+    try:
+        d, m, seed = (int(t) for t in lines[0].split())
+    except (IndexError, ValueError):
+        return _loads_blocked_lines(text)
+    stride = m + 1  # a pair line and its m rows
+    if d < 1 or m < 1 or m << d > DEFAULT_VERTEX_BUDGET or (len(lines) - 1) % stride:
+        return _loads_blocked_lines(text)
+    pairs = _pair_array(lines[1::stride])
+    if pairs is None:
+        return _loads_blocked_lines(text)
+    x, y = pairs.T
+    if not ((0 <= x) & (x < y) & (y < 1 << d)).all() or len(np.unique(x << d | y)) < len(x):
+        return _loads_blocked_lines(text)
+    rows = lines[1:]
+    del rows[::stride]
+    width = (m + 3) // 4
+    hex_rows = "".join(rows)
+    if set(map(len, rows)) != {width} or not hex_rows.isascii():
+        return _loads_blocked_lines(text)
+    nibbles = _NIBBLE[np.frombuffer(hex_rows.encode("ascii"), np.uint8)].reshape(-1, width)
+    if (nibbles > 15).any():
+        return _loads_blocked_lines(text)
+    # a row is the big-endian hex of its little-endian column bits: reverse
+    # the nibbles, pad them to whole bytes and pair them, low nibble first
+    nibbles = nibbles[:, ::-1]
+    if width % 2:
+        nibbles = np.pad(nibbles, ((0, 0), (0, 1)))
+    packed = nibbles[:, 0::2] | nibbles[:, 1::2] << 4
+    if m % 8 and (packed[:, -1] >> m % 8).any():  # bits beyond column m - 1
+        return _loads_blocked_lines(text)
+    bits = np.unpackbits(packed, axis=1, count=m, bitorder="little").view(bool)
+    return BlockedGraph(d, m, seed, pairs, bits.reshape(-1, m, m))
+
+
+def _loads_blocked_lines(text: str) -> BlockedGraph:
+    """The per-line blocked-host reader: any row ``int(row, 16)`` takes; the
+    only source of ``FormatError``."""
     lines = text.splitlines()
     if not lines:
         raise FormatError(1, "empty file")

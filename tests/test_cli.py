@@ -234,6 +234,36 @@ class TestEmbedHk:
         write_hypercube(host_file, complete_hypercube(3))
         assert main(["embed-hk", "--host", str(host_file), "--k", "0"]) == 2
 
+    @pytest.mark.parametrize("value", ["-5", "0", "1.5", "inf", "nan"])
+    def test_epsilon_outside_unit_interval_is_usage_error(self, tmp_path, capsys, value):
+        host_file = tmp_path / "cube.hg"
+        write_hypercube(host_file, complete_hypercube(3))
+        with pytest.raises(SystemExit) as exc:
+            main(["embed-hk", "--host", str(host_file), "--k", "2", "--preset", "paper",
+                  "--epsilon", value])
+        assert exc.value.code == 2
+        assert "must be in (0, 1]" in capsys.readouterr().err
+
+    def test_epsilon_under_desk_preset_is_usage_error(self, tmp_path, capsys):
+        host_file = tmp_path / "cube.hg"
+        write_hypercube(host_file, complete_hypercube(3))
+        for preset in ([], ["--preset", "desk"]):
+            assert main(["embed-hk", "--host", str(host_file), "--k", "2", *preset,
+                         "--epsilon", "0.5"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and "error: --epsilon" in captured.err
+
+    def test_paper_preset_defaults_to_epsilon_0_1(self, tmp_path, capsys):
+        host_file = tmp_path / "cube.hg"
+        write_hypercube(host_file, complete_hypercube(5))
+        runs = []
+        for epsilon in ([], ["--epsilon", "0.1"], ["--epsilon", "1"]):
+            rc = main(["embed-hk", "--host", str(host_file), "--k", "2", "--preset", "paper",
+                       *epsilon])
+            runs.append((rc, capsys.readouterr().out))
+        assert runs[0] == runs[1] and runs[0][0] in (0, 1)
+        assert runs[2][0] in (0, 1)
+
 
 class TestAppendixCheck:
     def test_pass(self, capsys):

@@ -1,8 +1,12 @@
+import functools
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relturan import graphio
 from relturan.cli import main
 from relturan.core import HypercubeGraph, OrderedGraph
 from relturan.graphio import (
@@ -16,7 +20,7 @@ from relturan.graphio import (
     read_ordered,
     write_ordered,
 )
-from relturan.hosts import BlockedGraph, generate_host
+from relturan.hosts import BlockedGraph, complete_hypercube, generate_host
 
 
 # ---------------------------------------------------------------- references
@@ -27,16 +31,23 @@ from relturan.hosts import BlockedGraph, generate_host
 def ref_decode_cube(text):
     lines = text.splitlines()
     d, m = (int(t) for t in lines[0].split())
+
+    @functools.cache
+    def value(s):
+        assert len(s) == d and set(s) <= {"0", "1"}
+        return sum(1 << (d - 1 - i) for i, c in enumerate(s) if c == "1")
+
     edges = set()
     for line in lines[1:m + 1]:
         labels = line.split()
-        assert len(labels) == 2 and all(len(s) == d and set(s) <= {"0", "1"} for s in labels)
-        u, v = (sum(1 << (d - 1 - i) for i, c in enumerate(s) if c == "1") for s in labels)
+        assert len(labels) == 2
+        u, v = map(value, labels)
         edges.add((min(u, v), max(u, v)))
     return d, edges
 
 
 def ref_encode_cube(d, edges):
+    @functools.cache
     def label(v):
         return "".join("1" if (v >> (d - 1 - i)) & 1 else "0" for i in range(d))
 
@@ -71,8 +82,20 @@ def ref_encode_blocked(d, m, seed, blocks, keep_empty=False):
     return "\n".join(lines) + "\n"
 
 
+def seeded_sparse_cube(d, draws, seed):
+    """The graph on {0,1}^d of ``draws`` seeded random pairs, self-pairs dropped."""
+    pairs = np.random.default_rng(seed).integers(0, 1 << d, size=(draws, 2))
+    return HypercubeGraph(d, [(int(u), int(v)) for u, v in pairs if u != v])
+
+
 @st.composite
 def cube_edge_sets(draw):
+    """Up to 40 edges on a cube of dimension at most 6, or a dense d = 8 graph."""
+    if draw(st.sampled_from(["sparse", "dense"])) == "dense":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        us, vs = np.triu_indices(1 << 8, 1)
+        keep = rng.random(len(us)) < draw(st.sampled_from([0.5, 0.98]))
+        return 8, set(zip(us[keep].tolist(), vs[keep].tolist()))
     d = draw(st.integers(1, 6))
     n = 1 << d
     pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
@@ -156,6 +179,7 @@ class TestHypercubeFormat:
         with pytest.raises(FormatError):
             loads_hypercube("3 1\n01 10\n")
 
+    @settings(deadline=None)
     @given(cube_edge_sets())
     def test_matches_reference(self, case):
         d, edges = case
@@ -169,6 +193,24 @@ class TestHypercubeFormat:
     def test_reversed_and_repeated_edges_load(self):
         g = loads_hypercube("2 3\n11 00\n00 11\n01 10\n")
         assert g == HypercubeGraph(2, [(0, 3), (1, 2)])
+
+    @pytest.mark.parametrize("graph, digest", [
+        (lambda: complete_hypercube(4),
+         "063b048d9bb6afe7aa4ee64aa2f56b968b9db26187d52cb1315a56c302a5e571"),
+        (lambda: complete_hypercube(10),
+         "de999097f879f1dfa4bb41af6d169d9024ae840f37e45ee8a9d365e5ba141d9d"),
+        (lambda: seeded_sparse_cube(9, 3000, 2024),
+         "e3ed95d7eaac719006be4f14436f2a1d83878543536d4f9c45e6911753c165b3"),
+    ], ids=["complete-d4", "complete-d10", "sparse-d9"])
+    def test_pinned_bytes(self, graph, digest):
+        text = dumps_hypercube(graph())
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_canonical_file_takes_the_array_path(self, monkeypatch):
+        g = seeded_sparse_cube(7, 500, 1)
+        text = dumps_hypercube(g)
+        monkeypatch.setattr(graphio, "_loads_hypercube_lines", None)
+        assert loads_hypercube(text) == g
 
 
 class TestBlockedFormat:
@@ -229,6 +271,12 @@ class TestBlockedFormat:
         assert dumps_blocked(g) == text
         assert loads_blocked(text) == g
 
+    def test_canonical_file_takes_the_array_path(self, monkeypatch):
+        host = generate_host(m=9, d=3, seed=5)
+        text = dumps_blocked(host)
+        monkeypatch.setattr(graphio, "_loads_blocked_lines", None)
+        assert loads_blocked(text) == host
+
     def test_bad_block_pair(self):
         with pytest.raises(FormatError):
             loads_blocked("2 2 0\n3 1\n0\n0\n")
@@ -254,6 +302,8 @@ MALFORMED_BLOCKED = [
     ("pair-beyond-2^d", "1 1 0\n0 2\n1\n", 2),
     ("pair-not-increasing", "2 1 0\n0 1\n1\n2 2\n1\n", 4),
     ("pair-line-malformed", "1 1 0\n0 1 1\n1\n", 2),
+    # the pair lines hold four numbers and two spaces between them, not one each
+    ("pair-lines-three-and-one", "2 1 0\n0 1 2\n1\n3\n1\n", 2),
     # m << d beyond the vertex budget: d = 60 once decoded with its level-1
     # edge counted at level 0, d = 70 once overflowed int64
     ("header-beyond-the-vertex-budget", "1 1048577 0\n", 1),
@@ -301,3 +351,107 @@ class TestMalformedInput:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.startswith("error: line ") and "Traceback" not in captured.err
+
+
+# ---------------------------------------------------------------- array paths
+# loads_hypercube and loads_blocked decode canonical files as whole arrays and
+# hand every other file to the per-line readers, which stay the oracle: they
+# alone raise FormatError.
+
+CUBE_TEXT = "3 3\n000 011\n001 111\n101 110\n"
+BLOCKED_TEXT = "2 5 7\n0 1\n11\n00\n00\n00\n1e\n1 3\n00\n04\n00\n10\n00\n"
+
+# (what differs from the canonical file, kind, file text); the per-line readers accept each
+ACCEPTED_NONCANONICAL = [
+    ("tab-separator", "cube", "3 3\n000\t011\n001\t111\n101\t110\n"),
+    ("double-space", "cube", "3 3\n000  011\n001 111\n101 110\n"),
+    ("leading-and-trailing-blanks", "cube", "3 3\n 000 011\n001 111 \n\t101 110\t\n"),
+    ("header-spacing", "cube", " 3  3 \n000 011\n001 111\n101 110\n"),
+    ("crlf", "cube", CUBE_TEXT.replace("\n", "\r\n")),
+    ("cr", "cube", CUBE_TEXT.replace("\n", "\r")),
+    ("form-feed-breaks", "cube", CUBE_TEXT.replace("\n", "\x0c")),
+    ("lines-beyond-m", "cube", CUBE_TEXT + "111 000\nnot an edge\n"),
+    ("no-final-newline", "cube", CUBE_TEXT[:-1]),
+    ("uppercase-hex", "blocked", BLOCKED_TEXT.replace("1e", "1E")),
+    ("0x-prefix", "blocked", BLOCKED_TEXT.replace("\n11\n", "\n0x11\n")),
+    ("short-rows", "blocked", BLOCKED_TEXT.replace("\n00\n", "\n0\n")),
+    ("long-rows", "blocked", BLOCKED_TEXT.replace("\n04\n", "\n0004\n")),
+    ("underscore-and-plus", "blocked", BLOCKED_TEXT.replace("\n11\n", "\n+1_1\n")),
+    ("row-blanks", "blocked", BLOCKED_TEXT.replace("\n10\n", "\n 10\t\n")),
+    ("pair-tab", "blocked", BLOCKED_TEXT.replace("1 3", "1\t3")),
+    ("pair-leading-zeros", "blocked", BLOCKED_TEXT.replace("1 3", "01 003")),
+    ("pair-spacing", "blocked", BLOCKED_TEXT.replace("0 1", " 0  1 ")),
+    ("crlf", "blocked", BLOCKED_TEXT.replace("\n", "\r\n")),
+    ("no-final-newline", "blocked", BLOCKED_TEXT[:-1]),
+]
+
+
+def _codec(kind):
+    if kind == "cube":
+        return loads_hypercube, graphio._loads_hypercube_lines
+    return loads_blocked, graphio._loads_blocked_lines
+
+
+def _outcome(loads, text):
+    """The graph ``loads`` returns, or the line number and message it raises."""
+    try:
+        return loads(text)
+    except FormatError as exc:
+        return exc.line_no, str(exc)
+
+
+#: characters that the codecs treat differently from one another
+MUTATION_CHARS = "01 \n\t\r\x0b\x1c2aAfF9x+-_é"
+
+
+def _mutate(text, at, op, char):
+    """``text`` with ``char`` inserted before, or put in place of, the character
+    at index ``at``, or with that character deleted."""
+    return text[:at] + ("" if op == "delete" else char) + text[at + (op != "insert"):]
+
+
+class TestArrayPaths:
+    @pytest.mark.parametrize("name, kind, text", ACCEPTED_NONCANONICAL,
+                             ids=[f"{kind}-{name}" for name, kind, _ in ACCEPTED_NONCANONICAL])
+    def test_noncanonical_forms_stay_accepted(self, name, kind, text):
+        canonical = CUBE_TEXT if kind == "cube" else BLOCKED_TEXT
+        loads, loads_lines = _codec(kind)
+        want = loads(canonical)
+        assert loads(text) == want == loads_lines(text)
+
+    def test_canonical_tables_are_canonical(self):
+        assert dumps_hypercube(loads_hypercube(CUBE_TEXT)) == CUBE_TEXT
+        assert dumps_blocked(loads_blocked(BLOCKED_TEXT)) == BLOCKED_TEXT
+
+    @pytest.mark.parametrize("kind, name, text, line_no", MALFORMED,
+                             ids=[f"{kind}-{name}" for kind, name, _, _ in MALFORMED])
+    def test_malformed_message_is_the_line_readers(self, kind, name, text, line_no):
+        loads, loads_lines = _codec(kind)
+        assert _outcome(loads, text) == _outcome(loads_lines, text)
+
+    @pytest.mark.parametrize("kind", ["cube", "blocked"])
+    def test_every_one_byte_mutation_of_a_small_file(self, kind):
+        text = CUBE_TEXT if kind == "cube" else BLOCKED_TEXT
+        loads, loads_lines = _codec(kind)
+        for at in range(len(text)):
+            for op in ("replace", "insert", "delete"):
+                for char in MUTATION_CHARS:
+                    mutated = _mutate(text, at, op, char)
+                    assert _outcome(loads, mutated) == _outcome(loads_lines, mutated), repr(mutated)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_one_byte_mutation_matches_the_line_reader(self, data):
+        kind = data.draw(st.sampled_from(["cube", "blocked"]))
+        if kind == "cube":
+            d, edges = data.draw(cube_edge_sets().filter(lambda case: case[0] < 8))
+            text = dumps_hypercube(HypercubeGraph(d, edges))
+        else:
+            text = dumps_blocked(data.draw(blocked_hosts()))
+        # half the time, hit a separator or a line end
+        breaks = [i for i, c in enumerate(text) if c in " \n"]
+        at = data.draw(st.one_of(st.integers(0, len(text) - 1), st.sampled_from(breaks)))
+        mutated = _mutate(text, at, data.draw(st.sampled_from(["replace", "insert", "delete"])),
+                          data.draw(st.sampled_from(MUTATION_CHARS)))
+        loads, loads_lines = _codec(kind)
+        assert _outcome(loads, mutated) == _outcome(loads_lines, mutated)
