@@ -117,12 +117,16 @@ def loads_hypercube(text: str) -> HypercubeGraph:
         return _loads_hypercube_lines(text)
     rows = np.frombuffer(text.encode("ascii"), np.uint8, m * width, start)
     rows = rows.reshape(m, width)
-    # b | 1 == ord("1") holds for exactly the label bytes "0" and "1"; checked
-    # a slab of rows at a time, so that no temporary is as large as the file
+    # on a label column b | 1 == ord("1") holds for exactly the bytes "0" and
+    # "1"; the separator and line-end columns are masked with 0 and must match
+    # exactly.  Checked a slab of rows at a time, so that no temporary is as
+    # large as the file
+    mask = np.ones(width, np.uint8)
+    mask[[d, -1]] = 0
     layout = np.full(width, ord("1"), np.uint8)
-    layout[d] = ord(" ") | 1
-    layout[-1] = ord("\n") | 1
-    if not all(((rows[i:i + _SLAB] | 1) == layout).all() for i in range(0, m, _SLAB)):
+    layout[d] = ord(" ")
+    layout[-1] = ord("\n")
+    if not all(((rows[i:i + _SLAB] | mask) == layout).all() for i in range(0, m, _SLAB)):
         return _loads_hypercube_lines(text)
     u = np.zeros(m, np.int32)
     v = np.zeros(m, np.int32)

@@ -319,6 +319,8 @@ MALFORMED_CUBE = [
     ("digit-2", "2 2\n00 01\n02 11\n", 3),
     ("binary-prefix", "3 1\n0b1 000\n", 2),
     ("one-label", "2 1\n00\n", 2),
+    # "!" is " " | 1: a bit-or layout check must not take it for the separator
+    ("bang-separator", "3 1\n000!011\n", 2),
     ("self-loop", "2 2\n00 11\n01 01\n", 3),
     ("truncated", "2 3\n00 01\n", 3),
 ]
@@ -400,8 +402,12 @@ def _outcome(loads, text):
         return exc.line_no, str(exc)
 
 
-#: characters that the codecs treat differently from one another
-MUTATION_CHARS = "01 \n\t\r\x0b\x1c2aAfF9x+-_é"
+#: every ASCII character, and non-ASCII ones that str.splitlines does and
+#: does not break lines on
+ALL_CHARS = "".join(map(chr, range(128))) + "é\x85\u2028"
+#: characters that the codecs treat differently from one another, among them
+#: each byte b with b | 1 equal to a byte of the canonical cube layout
+MUTATION_CHARS = "01 !\n\t\r\x0b\x1c2aAfF9x+-_é"
 
 
 def _mutate(text, at, op, char):
@@ -435,7 +441,7 @@ class TestArrayPaths:
         loads, loads_lines = _codec(kind)
         for at in range(len(text)):
             for op in ("replace", "insert", "delete"):
-                for char in MUTATION_CHARS:
+                for char in ALL_CHARS if op != "delete" else " ":
                     mutated = _mutate(text, at, op, char)
                     assert _outcome(loads, mutated) == _outcome(loads_lines, mutated), repr(mutated)
 
