@@ -5,14 +5,9 @@ the long tail of helpers.
 """
 
 from .core import (
-    BitString,
-    FundamentalInterval,
     HypercubeGraph,
     OrderedGraph,
-    delta,
     delta_int,
-    fundamental_partition,
-    lex_less,
     tau,
 )
 from .density import (

@@ -1,147 +1,24 @@
-"""Bitstring vertices, lexicographic order, levels, and fundamental intervals.
+"""Cube vertices as integers, their levels, and the two graph classes.
 
-Vertices of the binary cube are strings x = x_1 x_2 ... x_d with x_1 the most
-significant bit, so the lexicographic order on strings coincides with the
-integer order on their values.  Everything downstream (hosts, richness,
-tiling) is phrased in terms of the level delta(x, y) of a pair: the first
-index at which the two strings differ.
-
-Indices are 1-based in docstrings (matching the usual convention for string
-positions) and 0-based only inside bit arithmetic.
+A vertex of the binary cube {0,1}^d is the integer 0..2^d-1 whose binary
+expansion, most significant bit first, is the string x_1 x_2 ... x_d, so the
+lexicographic order on strings is the integer order.  Everything downstream
+(hosts, richness, tiling) is phrased in terms of the level of a pair,
+``delta_int(u, v, d)``: the first index, 1-based, at which the two strings
+differ.  ``tau`` counts the pairs at each level.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 
-@dataclass(frozen=True, order=False)
-class BitString:
-    """A binary string of fixed length ``d`` stored as a machine integer.
-
-    ``value`` is sum_i bits_i * 2^(d-i), so comparing values compares strings
-    lexicographically.  Leading zeros are significant: BitString(3, 1) is 001.
-    """
-
-    d: int
-    value: int
-
-    def __post_init__(self) -> None:
-        if self.d < 0:
-            raise ValueError(f"length must be non-negative, got {self.d}")
-        if not 0 <= self.value < (1 << self.d):
-            raise ValueError(f"value {self.value} out of range for length {self.d}")
-
-    @classmethod
-    def from_bits(cls, bits: Sequence[int]) -> "BitString":
-        value = 0
-        for b in bits:
-            if b not in (0, 1):
-                raise ValueError(f"bits must be 0/1, got {b!r}")
-            value = (value << 1) | b
-        return cls(len(bits), value)
-
-    @classmethod
-    def from_str(cls, s: str) -> "BitString":
-        return cls.from_bits([int(c) for c in s])
-
-    def bit(self, i: int) -> int:
-        """The i-th bit, 1-based, bit 1 most significant."""
-        if not 1 <= i <= self.d:
-            raise IndexError(f"bit index {i} out of range [1, {self.d}]")
-        return (self.value >> (self.d - i)) & 1
-
-    @property
-    def bits(self) -> tuple[int, ...]:
-        return tuple((self.value >> (self.d - i)) & 1 for i in range(1, self.d + 1))
-
-    def __str__(self) -> str:
-        return format(self.value, f"0{self.d}b") if self.d else ""
-
-    def __lt__(self, other: "BitString") -> bool:
-        return lex_less(self, other)
-
-
-def delta(x: BitString, y: BitString) -> int:
-    """First index at which x and y differ (1-based)."""
-    if x.d != y.d:
-        raise ValueError(f"length mismatch: {x.d} != {y.d}")
-    xor = x.value ^ y.value
-    if xor == 0:
-        raise ValueError("delta is undefined for equal strings")
-    return x.d - (xor.bit_length() - 1)
-
-
 def delta_int(u: int, v: int, d: int) -> int:
-    """delta on raw integer-coded vertices of {0,1}^d."""
+    """The level of u != v in {0,1}^d: the first index at which they differ (1-based)."""
     xor = u ^ v
     if xor == 0:
         raise ValueError("delta is undefined for equal strings")
     return d - (xor.bit_length() - 1)
-
-
-def lex_less(x: BitString, y: BitString) -> bool:
-    """True iff x strictly precedes y lexicographically."""
-    if x.d != y.d:
-        raise ValueError(f"length mismatch: {x.d} != {y.d}")
-    return x.value < y.value
-
-
-@dataclass(frozen=True)
-class FundamentalInterval:
-    """The set of strings in {0,1}^d that extend a fixed prefix of length ``level``."""
-
-    d: int
-    prefix: BitString
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.prefix.d <= self.d:
-            raise ValueError(f"prefix length {self.prefix.d} out of range [0, {self.d}]")
-
-    @property
-    def level(self) -> int:
-        return self.prefix.d
-
-    @property
-    def size(self) -> int:
-        return 1 << (self.d - self.level)
-
-    @property
-    def lo(self) -> int:
-        """Integer value of the smallest member."""
-        return self.prefix.value << (self.d - self.level)
-
-    @property
-    def hi(self) -> int:
-        """Integer value of the largest member."""
-        return self.lo + self.size - 1
-
-    def members(self) -> Iterator[BitString]:
-        for v in range(self.lo, self.hi + 1):
-            yield BitString(self.d, v)
-
-    def __contains__(self, x: BitString) -> bool:
-        return x.d == self.d and self.lo <= x.value <= self.hi
-
-    def lhs(self) -> "FundamentalInterval":
-        """The half whose next bit is 0."""
-        if self.level >= self.d:
-            raise ValueError("singleton interval has no halves")
-        return FundamentalInterval(self.d, BitString(self.level + 1, self.prefix.value << 1))
-
-    def rhs(self) -> "FundamentalInterval":
-        """The half whose next bit is 1."""
-        if self.level >= self.d:
-            raise ValueError("singleton interval has no halves")
-        return FundamentalInterval(self.d, BitString(self.level + 1, (self.prefix.value << 1) | 1))
-
-
-def fundamental_partition(d: int, level: int) -> list[FundamentalInterval]:
-    """The 2^level fundamental intervals at the given level, in order."""
-    if not 0 <= level <= d:
-        raise ValueError(f"level {level} out of range [0, {d}]")
-    return [FundamentalInterval(d, BitString(level, p)) for p in range(1 << level)]
 
 
 def tau(level: int, d: int) -> int:
@@ -195,9 +72,6 @@ class OrderedGraph:
     def backward(self, u: int) -> int:
         """Bitmask of neighbours v < u."""
         return self._bwd[u]
-
-    def adjacency(self, u: int) -> int:
-        return self._fwd[u] | self._bwd[u]
 
     def has_edge(self, u: int, v: int) -> bool:
         if u > v:
@@ -326,13 +200,6 @@ class HypercubeGraph:
 
     def to_ordered(self) -> OrderedGraph:
         return OrderedGraph(self.n, list(self.edges()))
-
-    def subgraph_edges(self, keep: Iterable[tuple[int, int]]) -> "HypercubeGraph":
-        g = HypercubeGraph(self.d, keep)
-        for u, v in g.edges():
-            if not self.has_edge(u, v):
-                raise ValueError(f"edge ({u}, {v}) not in graph")
-        return g
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, HypercubeGraph) and self.d == other.d and self.adj == other.adj

@@ -48,9 +48,6 @@ class DensityResult:
             return Fraction(1)  # nothing to delete
         return Fraction(self.best_edge_count, self.total_edges)
 
-    def subgraph(self, host: OrderedGraph) -> OrderedGraph:
-        return host.subgraph_edges(self.certificate)
-
 
 def _check_pattern(pattern: OrderedGraph) -> None:
     if not pattern.edges:

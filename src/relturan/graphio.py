@@ -46,6 +46,8 @@ def loads_ordered(text: str) -> OrderedGraph:
         n, m = (int(t) for t in lines[0].split())
     except ValueError:
         raise FormatError(1, f"expected 'n m', got {lines[0]!r}") from None
+    if not 0 <= n <= DEFAULT_VERTEX_BUDGET or m < 0:
+        raise FormatError(1, f"need 0 <= n <= {DEFAULT_VERTEX_BUDGET} and m >= 0, got {lines[0]!r}")
     edges = []
     for i in range(1, m + 1):
         if i >= len(lines):
@@ -245,7 +247,7 @@ def loads_blocked(text: str) -> BlockedGraph:
     except (IndexError, ValueError):
         return _loads_blocked_lines(text)
     stride = m + 1  # a pair line and its m rows
-    if d < 1 or m < 1 or m << d > DEFAULT_VERTEX_BUDGET or (len(lines) - 1) % stride:
+    if not 1 <= d <= _MAX_CUBE_D or m < 1 or m << d > DEFAULT_VERTEX_BUDGET or (len(lines) - 1) % stride:
         return _loads_blocked_lines(text)
     pairs = _pair_array(lines[1::stride])
     if pairs is None:
@@ -284,8 +286,8 @@ def _loads_blocked_lines(text: str) -> BlockedGraph:
         d, m, seed = (int(t) for t in lines[0].split())
     except ValueError:
         raise FormatError(1, f"expected 'd m seed', got {lines[0]!r}") from None
-    if d < 1 or m < 1:
-        raise FormatError(1, "need d >= 1 and m >= 1")
+    if not 1 <= d <= _MAX_CUBE_D or m < 1:  # before m << d, a 2^d-bit integer
+        raise FormatError(1, f"need 1 <= d <= {_MAX_CUBE_D} and m >= 1")
     if m << d > DEFAULT_VERTEX_BUDGET:
         raise FormatError(1, f"{m << d} vertices exceeds budget {DEFAULT_VERTEX_BUDGET}")
     pairs: dict[tuple[int, int], None] = {}  # insertion-ordered set

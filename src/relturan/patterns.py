@@ -17,7 +17,6 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from typing import Iterator, Optional, Protocol, Sequence
 
 from .core import OrderedGraph
@@ -155,40 +154,6 @@ def contains_ordered(pattern: OrderedGraph, host) -> Optional[EmbeddingWitness]:
     return None if images is None else EmbeddingWitness(images)
 
 
-def contains_ordered_bruteforce(pattern: OrderedGraph, host: OrderedGraph) -> bool:
-    """Independent oracle: enumerate all increasing injections."""
-    for combo in combinations(range(host.n), pattern.n):
-        if all(host.has_edge(combo[u], combo[v]) for u, v in pattern.edges):
-            return True
-    return pattern.n == 0
-
-
-@dataclass(frozen=True)
-class MonotoneProfile:
-    """lengths[v] = length of the longest increasing path ending at v."""
-
-    lengths: tuple[int, ...]
-
-    @property
-    def longest(self) -> int:
-        return max(self.lengths, default=0)
-
-
-def monotone_profile(g: OrderedGraph) -> MonotoneProfile:
-    """Single left-to-right pass: len(v) = 1 + max over backward neighbours."""
-    lengths = [0] * g.n
-    for v in range(g.n):
-        back = g.backward(v)
-        best = -1
-        while back:
-            low = back & -back
-            u = low.bit_length() - 1
-            best = max(best, lengths[u])
-            back ^= low
-        lengths[v] = best + 1
-    return MonotoneProfile(tuple(lengths))
-
-
 def monotone_p3(k: int = 3) -> OrderedGraph:
     """The increasing path on k vertices (k=3: the monotone path of length two)."""
     return OrderedGraph(k, [(i, i + 1) for i in range(k - 1)])
@@ -196,7 +161,7 @@ def monotone_p3(k: int = 3) -> OrderedGraph:
 
 def has_monotone_p3(g: OrderedGraph) -> bool:
     """True iff some vertex has both a backward and a forward neighbour."""
-    return monotone_profile(g).longest >= 2
+    return find_monotone_p3(g) is not None
 
 
 def find_monotone_p3(g: OrderedGraph) -> Optional[tuple[int, int, int]]:
@@ -227,27 +192,6 @@ def interval_chromatic(g: OrderedGraph) -> int:
             parts += 1
             start = v
     return parts
-
-
-def interval_chromatic_bruteforce(g: OrderedGraph) -> int:
-    """Oracle: try all interval partitions by number of parts (n <= ~10)."""
-    n = g.n
-    if n == 0:
-        return 1
-
-    def ok(cuts: tuple[int, ...]) -> bool:
-        bounds = [0, *cuts, n]
-        for a, b in zip(bounds, bounds[1:]):
-            for u, v in g.edges:
-                if a <= u and v < b:
-                    return False
-        return True
-
-    for parts in range(1, n + 1):
-        for cuts in combinations(range(1, n), parts - 1):
-            if ok(cuts):
-                return parts
-    return n
 
 
 def pi_ordered(g: OrderedGraph) -> Fraction:
@@ -281,13 +225,14 @@ class MonotonePathError(ValueError):
 def embed_into_hk(g: OrderedGraph) -> EmbeddingWitness:
     """The explicit embedding v_i -> (i, len_i) of a path-free graph into H_k.
 
-    Requires g to have no increasing 2-edge path; k = |V(g)|.
+    len_i, the number of edges on the longest increasing path ending at v_i,
+    is 1 when v_i has a backward neighbour and 0 otherwise, since g has no
+    increasing 2-edge path; k = |V(g)|.
     """
     witness = find_monotone_p3(g)
     if witness is not None:
         raise MonotonePathError(witness)
-    lengths = monotone_profile(g).lengths
-    return EmbeddingWitness(tuple(2 * i + lengths[i] for i in range(g.n)))
+    return EmbeddingWitness(tuple(2 * i + (g.backward(i) != 0) for i in range(g.n)))
 
 
 class VanishingClass(enum.Enum):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .core import FundamentalInterval, BitString, HypercubeGraph, tau
+from .core import HypercubeGraph, tau
 from .patterns import EmbeddingWitness
 
 
@@ -173,10 +173,9 @@ class ExtractionTrace:
 
 @dataclass(frozen=True)
 class ExtractionResult:
-    interval: FundamentalInterval  # the parent interval I, level pivot - 1
-    x: int  # vertex in lhs(I), original coordinates
+    x: int  # vertex in the left half of the parent interval I, original coordinates
     subgraph: HypercubeGraph  # on {0,1}^(d - pivot), relabelled
-    rhs_base: int  # original coordinate of the smallest rhs(I) member
+    rhs_base: int  # original coordinate of the smallest member of I's right half
     pivot_level: int
     certified_eta: float
     certified_rich_count: int
@@ -246,14 +245,13 @@ def extract_rich_interval(
     # members of Y2 have positive backward degree at the pivot level, so the
     # chosen interval is the right half of its parent
     _require(j_idx & 1 == 1, f"interval {j_idx} at the pivot level is a left half")
-    parent = FundamentalInterval(d, BitString(pivot - 1, j_idx >> 1))
-    lhs = parent.lhs()
+    base, size = j_idx << width, 1 << width  # the right half's first vertex and size
     inside_mask = 0
     for y in inside:
         inside_mask |= 1 << y
 
     best_x, best_deg = -1, -1
-    for x in range(lhs.lo, lhs.hi + 1):
+    for x in range(base - size, base):  # the left half
         deg = bin(g.adj[x] & inside_mask).count("1")
         if deg > best_deg:
             best_x, best_deg = x, deg
@@ -279,12 +277,10 @@ def extract_rich_interval(
 
     if width < 1:
         return StageFailure("subgraph", "right half is a single vertex")
-    # the subgraph keeps the edges of rhs(I) whose larger endpoint is in Y3
-    rhs = parent.rhs()
-    base = rhs.lo
-    rhs_mask = ((1 << rhs.size) - 1) << base
+    # the subgraph keeps the edges of the right half whose larger endpoint is in Y3
+    rhs_mask = ((1 << size) - 1) << base
     sub_adj = []
-    for w in range(base, base + rhs.size):
+    for w in range(base, base + size):
         below = (1 << w) - 1
         kept = g.adj[w] & ~below & y3_mask
         if (y3_mask >> w) & 1:
@@ -304,7 +300,6 @@ def extract_rich_interval(
     )
     certified_eta = min(certified_eta, 1.0) * (1 - 1e-9)
     result = ExtractionResult(
-        interval=parent,
         x=x,
         subgraph=subgraph,
         rhs_base=base,

@@ -27,7 +27,6 @@ from relturan.lemma_checks import (
 from relturan.patterns import (
     build_hk,
     contains_ordered,
-    contains_ordered_bruteforce,
     embed_into_hk,
     has_monotone_p3,
     monotone_p3,
@@ -42,6 +41,7 @@ from relturan.richness import (
     strip_top_forward,
 )
 from relturan.tiling import TilingConfig, sample_many
+from patterns_oracle import contains_ordered_bruteforce
 from tiling_oracle import exact_edge_probability, exact_pair_probability
 
 P3 = monotone_p3()

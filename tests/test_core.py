@@ -1,27 +1,18 @@
 import math
-from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from relturan.core import (
-    BitString,
-    FundamentalInterval,
-    HypercubeGraph,
-    OrderedGraph,
-    delta,
-    delta_int,
-    fundamental_partition,
-    lex_less,
-    tau,
-)
+from relturan.core import HypercubeGraph, OrderedGraph, delta_int, tau
+from relturan.hosts import _pair_levels
 
 
-def naive_delta(x: BitString, y: BitString) -> int:
-    # first differing bit, scanning from the most significant side
-    for i in range(1, x.d + 1):
-        if x.bit(i) != y.bit(i):
+def naive_delta(x: int, y: int, d: int) -> int:
+    # first differing character of the two labels, scanning from the left
+    for i, (a, b) in enumerate(zip(format(x, f"0{d}b"), format(y, f"0{d}b")), 1):
+        if a != b:
             return i
     raise AssertionError("equal strings")
 
@@ -34,50 +25,33 @@ def bit_pairs(draw):
     d = draw(dims)
     x = draw(st.integers(0, (1 << d) - 1))
     y = draw(st.integers(0, (1 << d) - 1).filter(lambda v: v != x))
-    return BitString(d, x), BitString(d, y)
-
-
-class TestBitString:
-    def test_roundtrip_str(self):
-        b = BitString.from_str("01101")
-        assert str(b) == "01101"
-        assert b.d == 5 and b.value == 13
-
-    def test_bits_msb_first(self):
-        b = BitString.from_str("100")
-        assert b.bit(1) == 1 and b.bit(2) == 0 and b.bit(3) == 0
-        assert b.bits == (1, 0, 0)
-
-    def test_from_bits(self):
-        assert BitString.from_bits([1, 0, 1]).value == 5
-
-    @given(bit_pairs())
-    def test_lex_order_matches_integer_order(self, pair):
-        x, y = pair
-        assert (x < y) == (x.value < y.value)
-        assert lex_less(x, y) == (x.value < y.value)
+    return x, y, d
 
 
 class TestDelta:
     @given(bit_pairs())
     def test_matches_naive_scan(self, pair):
-        x, y = pair
-        assert delta(x, y) == naive_delta(x, y)
+        assert delta_int(*pair) == naive_delta(*pair)
 
     @given(bit_pairs())
     def test_symmetric(self, pair):
-        x, y = pair
-        assert delta(x, y) == delta(y, x)
+        x, y, d = pair
+        assert delta_int(x, y, d) == delta_int(y, x, d)
 
     def test_known_values(self):
-        assert delta(BitString.from_str("000"), BitString.from_str("100")) == 1
-        assert delta(BitString.from_str("010"), BitString.from_str("011")) == 3
+        assert delta_int(0b000, 0b100, 3) == 1
+        assert delta_int(0b010, 0b011, 3) == 3
         assert delta_int(0b000, 0b001, 3) == 3
+        with pytest.raises(ValueError):
+            delta_int(5, 5, 3)
 
-    @given(bit_pairs())
-    def test_int_variant_agrees(self, pair):
-        x, y = pair
-        assert delta_int(x.value, y.value, x.d) == delta(x, y)
+    @given(st.lists(bit_pairs(), min_size=1, max_size=20))
+    def test_int_variant_agrees(self, pairs):
+        # the hosts' array form of delta_int, on block pairs of one dimension
+        d = max(pair[2] for pair in pairs)
+        x = np.array([pair[0] for pair in pairs], dtype=np.int64)
+        y = np.array([pair[1] for pair in pairs], dtype=np.int64)
+        assert _pair_levels(x, y, d).tolist() == [delta_int(a, b, d) for a, b in zip(x.tolist(), y.tolist())]
 
     @given(st.integers(2, 8), st.data())
     def test_ultrametric(self, d, data):
@@ -111,32 +85,6 @@ class TestTau:
             assert count == tau(level, d)
 
 
-class TestFundamentalInterval:
-    def test_members_share_prefix(self):
-        iv = FundamentalInterval(4, BitString(2, 0b10))
-        members = [m.value for m in iv.members()]
-        assert len(members) == 4 == iv.size
-        assert all(m >> 2 == 0b10 for m in members)
-        assert iv.lo == 0b1000 and iv.hi == 0b1011
-
-    def test_halves(self):
-        iv = FundamentalInterval(3, BitString(1, 1))
-        assert {m.value for m in iv.lhs().members()} == {0b100, 0b101}
-        assert {m.value for m in iv.rhs().members()} == {0b110, 0b111}
-
-    @given(st.integers(1, 8), st.data())
-    def test_partition_covers_cube(self, d, data):
-        level = data.draw(st.integers(1, d))
-        seen = []
-        for iv in fundamental_partition(d, level):
-            seen.extend(m.value for m in iv.members())
-        assert sorted(seen) == list(range(1 << d))
-
-    def test_contains(self):
-        iv = FundamentalInterval(3, BitString(1, 0))
-        assert BitString(3, 0b011) in iv and BitString(3, 0b100) not in iv
-
-
 class TestOrderedGraph:
     def test_canonical_edges(self):
         g = OrderedGraph(4, [(2, 0), (1, 3)])
@@ -154,7 +102,6 @@ class TestOrderedGraph:
         g = OrderedGraph(4, [(0, 2), (1, 2), (2, 3)])
         assert g.backward(2) == 0b0011
         assert g.forward(2) == 0b1000
-        assert g.adjacency(2) == 0b1011
 
     def test_subgraph_edges_rejects_foreign(self):
         g = OrderedGraph(3, [(0, 1)])

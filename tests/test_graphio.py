@@ -309,6 +309,8 @@ MALFORMED_BLOCKED = [
     ("header-beyond-the-vertex-budget", "1 1048577 0\n", 1),
     ("header-d=60", f"60 1 0\n0 {(1 << 60) - 1}\n1\n", 1),
     ("header-d=70", f"70 1 0\n0 {(1 << 70) - 1}\n1\n", 1),
+    # refused before m << d, a 2^d-bit integer, is formed
+    ("header-d=100000", "100000 1 0\n", 1),
 ]
 MALFORMED_CUBE = [
     ("empty-file", "", 1),
@@ -324,30 +326,49 @@ MALFORMED_CUBE = [
     ("self-loop", "2 2\n00 11\n01 01\n", 3),
     ("truncated", "2 3\n00 01\n", 3),
 ]
-
-
-MALFORMED = [("blocked", *case) for case in MALFORMED_BLOCKED] + [
-    ("cube", *case) for case in MALFORMED_CUBE
+MALFORMED_ORDERED = [
+    ("empty-file", "", 1),
+    ("n-m-missing", "3\n", 1),
+    ("negative-n", "-1 0\n", 1),
+    ("negative-m", "3 -1\n", 1),
+    # refused before the graph allocates a list of n entries
+    ("n-beyond-the-vertex-budget", "10000000000 0\n", 1),
+    ("huge-n", f"{1 << 70} 0\n", 1),
 ]
+
+
+MALFORMED = (
+    [("blocked", *case) for case in MALFORMED_BLOCKED]
+    + [("cube", *case) for case in MALFORMED_CUBE]
+    + [("ordered", *case) for case in MALFORMED_ORDERED]
+)
+#: the malformed files of the two formats that have an array decoder
+MALFORMED_ARRAY = [case for case in MALFORMED if case[0] != "ordered"]
+LOADS = {"blocked": loads_blocked, "cube": loads_hypercube, "ordered": loads_ordered}
 
 
 class TestMalformedInput:
     @pytest.mark.parametrize("kind, name, text, line_no", MALFORMED,
                              ids=[f"{kind}-{name}" for kind, name, _, _ in MALFORMED])
     def test_format_error_names_the_line(self, kind, name, text, line_no):
-        loads = loads_blocked if kind == "blocked" else loads_hypercube
         with pytest.raises(FormatError) as exc:
-            loads(text)
+            LOADS[kind](text)
         assert exc.value.line_no == line_no
 
     @pytest.mark.parametrize("kind, name, text, line_no", MALFORMED,
                              ids=[f"{kind}-{name}" for kind, name, _, _ in MALFORMED])
     def test_cli_exits_2_without_traceback(self, kind, name, text, line_no, tmp_path, capsys):
-        host = tmp_path / "host.txt"
-        host.write_text(text)
-        commands = [["analyze-richness", "--host", str(host), "--alpha", "0.5"]]
+        path = tmp_path / "graph.txt"
+        path.write_text(text)
+        if kind == "ordered":
+            pattern = tmp_path / "p3.og"
+            write_ordered(pattern, OrderedGraph(3, [(0, 1), (1, 2)]))
+            commands = [["classify", "--pattern", str(path)],
+                        ["solve", "--pattern", str(pattern), "--host", str(path)]]
+        else:
+            commands = [["analyze-richness", "--host", str(path), "--alpha", "0.5"]]
         if kind == "cube":
-            commands.append(["embed-hk", "--host", str(host), "--k", "2"])
+            commands.append(["embed-hk", "--host", str(path), "--k", "2"])
         for argv in commands:
             assert main(argv) == 2
             captured = capsys.readouterr()
@@ -429,8 +450,8 @@ class TestArrayPaths:
         assert dumps_hypercube(loads_hypercube(CUBE_TEXT)) == CUBE_TEXT
         assert dumps_blocked(loads_blocked(BLOCKED_TEXT)) == BLOCKED_TEXT
 
-    @pytest.mark.parametrize("kind, name, text, line_no", MALFORMED,
-                             ids=[f"{kind}-{name}" for kind, name, _, _ in MALFORMED])
+    @pytest.mark.parametrize("kind, name, text, line_no", MALFORMED_ARRAY,
+                             ids=[f"{kind}-{name}" for kind, name, _, _ in MALFORMED_ARRAY])
     def test_malformed_message_is_the_line_readers(self, kind, name, text, line_no):
         loads, loads_lines = _codec(kind)
         assert _outcome(loads, text) == _outcome(loads_lines, text)

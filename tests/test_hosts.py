@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relturan.core import delta_int
+from relturan.core import OrderedGraph, delta_int
 from relturan.graphio import dumps_blocked, loads_blocked
 from relturan.hosts import (
     BlockedGraph,
@@ -15,6 +15,7 @@ from relturan.hosts import (
     generate_host,
     verify_host,
 )
+from relturan.patterns import build_hk, contains_ordered
 
 
 def thin_every_other(host: BlockedGraph) -> BlockedGraph:
@@ -183,6 +184,21 @@ class TestGeneration:
         for i in range(3):
             for j in range(3):
                 assert og.has_edge(i, 3 + j) == bool(mat[i, j])
+
+
+class TestPathFreeSide:
+    @given(st.integers(1, 4), st.integers(1, 5), st.integers(0, 2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_each_level_is_h2_free(self, m, d, seed):
+        # the level of a block pair is an ultrametric, so no copy of H_2 (ab,
+        # ad, cd for a < b < c < d) lies within one level: each level is an
+        # H_k-free subgraph (k >= 2) holding about 1/d of the host's edges
+        g = generate_host(m, d, seed).to_ordered()
+        levels = {}
+        for u, v in g.edges:
+            levels.setdefault(delta_int(u // m, v // m, d), []).append((u, v))
+        for edges in levels.values():
+            assert contains_ordered(build_hk(2), OrderedGraph(g.n, edges)) is None
 
 
 class TestVerification:

@@ -12,20 +12,18 @@ from relturan.patterns import (
     build_hk,
     classify_vanishing,
     contains_ordered,
-    contains_ordered_bruteforce,
     embed_into_hk,
     find_monotone_p3,
     first_copy_through,
     has_monotone_p3,
     interval_chromatic,
-    interval_chromatic_bruteforce,
     monotone_p3,
-    monotone_profile,
     ordered_copies,
     pi_ordered,
     validate_witness,
 )
 from relturan.density import EdgeMask
+from patterns_oracle import contains_ordered_bruteforce, interval_chromatic_bruteforce
 from test_density import ORACLE_PATTERNS
 
 
@@ -217,10 +215,6 @@ class TestMonotonePath:
     def test_p3_shape(self):
         g = monotone_p3()
         assert g.n == 3 and g.sorted_edges() == [(0, 1), (1, 2)]
-
-    def test_profile(self):
-        g = OrderedGraph(4, [(0, 1), (1, 3), (2, 3)])
-        assert monotone_profile(g).lengths == (0, 1, 0, 2)
 
     @given(ordered_graphs())
     def test_detection_matches_containment(self, g):

@@ -131,9 +131,9 @@ class TestExtraction:
         res = extract_rich_interval(g, Thresholds.desk())
         assert isinstance(res, ExtractionResult)
         assert res.subgraph.d == g.d - res.pivot_level
-        assert res.interval.level == res.pivot_level - 1
-        assert res.x in [m.value for m in res.interval.lhs().members()]
-        assert res.rhs_base == res.interval.rhs().lo
+        w = g.d - res.pivot_level
+        assert res.x in range(res.rhs_base - (1 << w), res.rhs_base)
+        assert res.rhs_base % (1 << w) == 0 and (res.rhs_base >> w) & 1 == 1
         _replay_postconditions(g, res)
 
     def test_edge_endpoints_adjacent_to_x(self):
