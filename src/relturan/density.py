@@ -24,6 +24,7 @@ the edges of any host while avoiding every increasing 2-edge path.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -371,14 +372,26 @@ def rho_local_search(
     for e in all_edges:
         try_add(e)
 
+    # the rounds keep ``absent`` = all_edges less ``current``, in the same
+    # sorted order, so rng.choice picks what it would from a fresh filter
+    absent = [c for c in all_edges if c not in current]
+
+    def add(e: tuple[int, int]) -> None:
+        put(e)
+        del absent[bisect_left(absent, e)]
+
+    def remove(e: tuple[int, int]) -> None:
+        drop(e)
+        insort(absent, e)
+
     best = set(current)
     nodes = 0
     for _ in range(budget):
         nodes += 1
-        if len(current) == total:
+        if not absent:
             break
-        e = rng.choice([c for c in all_edges if c not in current])
-        put(e)
+        e = rng.choice(absent)
+        add(e)
         removed = []
         # ``mask`` less e is pattern-free, so every copy passes through e and
         # the anchored search finds the lexicographically first one
@@ -388,13 +401,13 @@ def rho_local_search(
             copy_edges = sorted((images[u], images[v]) for u, v in pattern.edges)
             victims = [c for c in copy_edges if c != e] or copy_edges
             victim = victims[-1]
-            drop(victim)
+            remove(victim)
             removed.append(victim)
         if removed and len(current) < len(best):
             # net loss: revert
-            drop(e)
+            remove(e)
             for r in removed:
-                put(r)
+                add(r)
         if len(current) > len(best):
             best = set(current)
 

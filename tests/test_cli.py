@@ -1,6 +1,7 @@
 import json
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from relturan import __version__, graphio, lemma_checks, richness, tiling
@@ -135,6 +136,14 @@ class TestGenHost:
         assert main(["gen-host", "--d", "2", "--m", "3", "--seed", str(2**64 - 1),
                      "--out", str(out_file)]) == 0
         assert read_blocked(out_file) == generate_host(3, 2, seed=2**64 - 1)
+
+    def test_host_beyond_memory_cap_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        # 2^16 vertices pass the vertex budget, but 2^31 block pairs do not fit;
+        # triu_indices fails here so that a missing guard cannot allocate them
+        monkeypatch.setattr(np, "triu_indices", None)
+        assert main(["gen-host", "--d", "16", "--m", "1", "--out", str(tmp_path / "h.rg")]) == 2
+        assert "block pairs" in capsys.readouterr().err
+        assert not (tmp_path / "h.rg").exists()
 
     @pytest.mark.parametrize("flag", [["--workers", "2"], ["--json"]])
     def test_removed_flags_are_usage_errors(self, flag, tmp_path):

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relturan import hosts
 from relturan.core import OrderedGraph, delta_int
 from relturan.graphio import dumps_blocked, loads_blocked
 from relturan.hosts import (
     BlockedGraph,
     BudgetError,
+    _philox_words,
     complete_hypercube,
     complete_ordered,
     generate_host,
@@ -59,8 +61,9 @@ class TestPairIndex:
 
 
 class TestStreams:
+    # m <= 12 draws from _philox_words, m >= 13 from Philox.random_raw
     @given(
-        st.integers(1, 9),
+        st.integers(1, 16),
         st.integers(1, 5),
         st.one_of(st.sampled_from([0, 1, 2**64 - 1]), st.integers(0, 2**64 - 1)),
     )
@@ -86,6 +89,29 @@ class TestStreams:
         for seed in (-1, 2**64):
             with pytest.raises(OverflowError):
                 generate_host(2, 1, seed)
+            with pytest.raises(OverflowError):
+                _philox_words(seed, [0], 4)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**63 + 5, 2**64 - 1])
+    def test_kernel_matches_philox(self, seed):
+        idx = [0, 1, 7, 2**32 + 3, 2**63, 2**64 - 2, 2**64 - 1]
+        for n in (1, 3, 4, 10, 64, 161):
+            got = _philox_words(seed, idx, n)
+            for row, i in zip(got, idx):
+                key = np.array([seed, i], dtype=np.uint64)
+                assert np.array_equal(row, np.random.Philox(key=key).random_raw(n)), (i, n)
+
+    @given(st.integers(1, 53), st.integers(0, 2**64 - 1))
+    def test_word_threshold(self, k, word):
+        # Generator.random maps the word w to (w >> 11) * 2^-53
+        for w in (2 ** (64 - k) - 1, 2 ** (64 - k), word):
+            assert ((w >> 11) * 2.0**-53 < 2.0**-k) == (w >> (64 - k) == 0)
+
+    def test_random_is_the_top_53_bits(self):
+        key = np.array([5, 3], dtype=np.uint64)
+        words = np.random.Philox(key=key).random_raw(1000)
+        doubles = np.random.Generator(np.random.Philox(key=key)).random(1000)
+        assert np.array_equal(doubles, (words >> np.uint64(11)) * 2.0**-53)
 
 
 class TestLevelCounts:
@@ -153,6 +179,21 @@ class TestGeneration:
     def test_budget_refusal(self):
         with pytest.raises(BudgetError):
             generate_host(1 << 12, 10, seed=0)
+
+    def test_memory_refusal(self, monkeypatch):
+        # a host that passes the guard reaches triu_indices, made to fail here
+        # so that a missing guard cannot allocate gigabytes
+        def admitted(*args, **kwargs):
+            raise RuntimeError("admitted")
+
+        monkeypatch.setattr(hosts.np, "triu_indices", admitted)
+        # 2^16 vertices pass the vertex budget; the cells alone need 2 GiB
+        for m, d in ((1, 16), (2, 14), (1, 13), (16, 12), (1 << 13, 4)):
+            with pytest.raises(BudgetError):
+                generate_host(m, d, seed=0)
+        for m, d in ((8, 12), (1, 12), (1 << 12, 4)):
+            with pytest.raises(RuntimeError, match="admitted"):
+                generate_host(m, d, seed=0)
 
     def test_edge_probability_converges(self):
         # empirical block density vs 2^(delta - d) at a fixed block pair
