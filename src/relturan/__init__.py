@@ -8,6 +8,7 @@ from .core import (
     HypercubeGraph,
     OrderedGraph,
     delta_int,
+    level_block,
     tau,
 )
 from .density import (

@@ -346,16 +346,33 @@ def cmd_appendix_check(args) -> int:
     return 0
 
 
+def _grid_ints(spec: dict, key: str, default: list) -> list[int]:
+    """``spec[key]``, checked to be a list of ints (JSON true and false are not)."""
+    values = spec.get(key, default)
+    if not isinstance(values, list) or any(type(v) is not int for v in values):
+        raise ValueError(f"grid {key} must be a list of integers, got {values!r}")
+    return values
+
+
 def cmd_report(args) -> int:
     with open(args.grid) as fh:
         spec = json.load(fh)
+    # check the whole grid before any row runs
+    if not isinstance(spec, dict):
+        raise ValueError("grid must be a JSON object")
     experiment = spec.get("experiment", "quarter-density")
     if experiment not in ("quarter-density", "local-density"):
         raise ValueError(f"unknown experiment {experiment!r}")
+    d_values = _grid_ints(spec, "d_values", [])
+    m_values = _grid_ints(spec, "m_values", [spec.get("m", 8)])
+    seeds = _grid_ints(spec, "seeds", [args.seed])
+    for seed in seeds:
+        if not 0 <= seed < 1 << 64:  # the rule of --seed
+            raise ValueError(f"grid seeds must be non-negative and below 2^64, got {seed}")
     rows = []
-    for d in spec.get("d_values", []):
-        for m in spec.get("m_values", [spec.get("m", 8)]):
-            for seed in spec.get("seeds", [args.seed]):
+    for d in d_values:
+        for m in m_values:
+            for seed in seeds:
                 t0 = time.perf_counter()
                 try:
                     host = hosts.generate_host(m, d, seed).to_ordered()

@@ -5,7 +5,8 @@ expansion, most significant bit first, is the string x_1 x_2 ... x_d, so the
 lexicographic order on strings is the integer order.  Everything downstream
 (hosts, richness, tiling) is phrased in terms of the level of a pair,
 ``delta_int(u, v, d)``: the first index, 1-based, at which the two strings
-differ.  ``tau`` counts the pairs at each level.
+differ.  ``tau`` counts the pairs at each level.  ``level_block`` is the one
+level geometry: the aligned block of the vertices at a given level from v.
 """
 
 from __future__ import annotations
@@ -19,6 +20,17 @@ def delta_int(u: int, v: int, d: int) -> int:
     if xor == 0:
         raise ValueError("delta is undefined for equal strings")
     return d - (xor.bit_length() - 1)
+
+
+def level_block(v: int, level: int, d: int) -> int:
+    """The first vertex of the block {u : delta(u, v) = level} in {0,1}^d, 1 <= level <= d.
+
+    The block is the 2^(d-level) consecutive vertices that agree with v before
+    ``level`` and differ from it there.  It lies before v iff bit d - level of
+    v is 1.
+    """
+    width = d - level
+    return ((v >> width) ^ 1) << width
 
 
 def tau(level: int, d: int) -> int:
@@ -157,46 +169,27 @@ class HypercubeGraph:
                 mask ^= low
 
     def num_edges(self) -> int:
-        return sum(bin(m).count("1") for m in self.adj) // 2
+        return sum(m.bit_count() for m in self.adj) // 2
 
-    def backward_mask(self, v: int, level: int) -> int:
-        """Bitmask of all u < v with delta(u, v) = level (whether adjacent or not).
-
-        Nonempty only when bit ``level`` of v is 1, in which case it is the
-        aligned block of 2^(d-level) strings agreeing with v before ``level``
-        and having 0 there.
-        """
+    def backward_degrees(self, level: int) -> list[int]:
+        """Every vertex's number of backward level-``level`` neighbours, indexed by vertex."""
         if not 1 <= level <= self.d:
             raise ValueError(f"level {level} out of range [1, {self.d}]")
-        width = self.d - level
-        if (v >> width) & 1 == 0:
-            return 0
-        lo = (v >> (width + 1)) << (width + 1)
-        block = (1 << (1 << width)) - 1
-        return block << lo
-
-    def forward_mask(self, v: int, level: int) -> int:
-        """Bitmask of all u > v with delta(v, u) = level (whether adjacent or not)."""
-        if not 1 <= level <= self.d:
-            raise ValueError(f"level {level} out of range [1, {self.d}]")
-        width = self.d - level
-        if (v >> width) & 1 == 1:
-            return 0
-        lo = ((v >> (width + 1)) << (width + 1)) | (1 << width)
-        block = (1 << (1 << width)) - 1
-        return block << lo
-
-    def backward_degree(self, v: int, level: int) -> int:
-        """Number of backward level-``level`` neighbours of v."""
-        return bin(self.adj[v] & self.backward_mask(v, level)).count("1")
+        size = 1 << (self.d - level)
+        block = (1 << size) - 1
+        degrees = [0] * self.n
+        # the vertices whose bit d - level is 1 come in runs of ``size``; a run
+        # shares one level block, the run just before it
+        for start in range(size, self.n, 2 * size):
+            lo = level_block(start, level, self.d)
+            degrees[start : start + size] = [
+                ((mask >> lo) & block).bit_count() for mask in self.adj[start : start + size]
+            ]
+        return degrees
 
     def level_counts(self) -> list[int]:
         """e_level for level = 1..d (index 0 unused)."""
-        counts = [0] * (self.d + 1)
-        for v in range(self.n):
-            for level in range(1, self.d + 1):
-                counts[level] += self.backward_degree(v, level)
-        return counts
+        return [0] + [sum(self.backward_degrees(level)) for level in range(1, self.d + 1)]
 
     def to_ordered(self) -> OrderedGraph:
         return OrderedGraph(self.n, list(self.edges()))

@@ -82,6 +82,13 @@ def _philox_words(seed, idx, n_words: int) -> np.ndarray:
     return np.stack((c0, c1, c2, c3), axis=-1).reshape(len(k1), -1)[:, :n_words]
 
 
+def philox_rng(seed: int) -> np.random.Generator:
+    """The Philox4x64-10 ``Generator`` keyed [seed, 0] of every stream outside host generation."""
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must be in [0, 2^64), got {seed}")
+    return np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+
+
 def _pair_levels(x: np.ndarray, y: np.ndarray, d: int) -> np.ndarray:
     """``delta_int`` over arrays of block pairs."""
     xor = np.bitwise_xor(x, y)
@@ -181,6 +188,8 @@ def generate_host(m: int, d: int, seed: int, budget: int = DEFAULT_VERTEX_BUDGET
     """Sample the blocked host: cross-block pair probability 2^(delta(x,y) - d)."""
     if m < 1 or d < 1:
         raise ValueError("need m >= 1 and d >= 1")
+    if d > budget.bit_length():  # so m << d > budget; refused before that shift
+        raise BudgetError(f"2^{d} blocks exceed budget {budget}")
     if (m << d) > budget:
         raise BudgetError(f"{m << d} vertices exceeds budget {budget}")
     n_pairs, words = (1 << d) * ((1 << d) - 1) // 2, m * m
@@ -275,7 +284,7 @@ def verify_host(
             LevelCheck(level, count, float(expected), rel, abs(rel) <= epsilon)
         )
 
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+    rng = philox_rng(seed)
     subset_size = min(m, math.ceil(m ** (2 / 3)))
     pair_checks = []
     worst = 0.0

@@ -15,6 +15,8 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from .hosts import philox_rng
+
 Number = Union[int, float, Fraction]
 
 
@@ -87,8 +89,7 @@ def check_locally_balanced(
     """
     if n < 4 or eps <= 0:
         raise ValueError("need n >= 4 and eps > 0")
-    if not 0 <= seed < 1 << 64:
-        raise ValueError(f"seed must be in [0, 2^64), got {seed}")
+    rng = philox_rng(seed)  # checks the seed even where exhaustive mode reads none
     if not exhaustive and n_samples < 1:
         raise ValueError(f"need n_samples >= 1, got {n_samples}")
     m, hi = _window_lengths(n)
@@ -138,7 +139,6 @@ def check_locally_balanced(
         ci = (frac, frac)
         samples = total
     else:
-        rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
         violating = bad_cells = cells = 0
         samples = n_samples
         chunk = max(1, (1 << 22) // n)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .core import HypercubeGraph, tau
+from .core import HypercubeGraph, delta_int, level_block, tau
 from .patterns import EmbeddingWitness
 
 
@@ -62,14 +62,6 @@ class StripStats:
     removed_per_level: tuple[int, ...]  # index 0 unused
 
 
-def _top_forward_level(g: HypercubeGraph, x: int) -> int:
-    """The highest level at which x has a forward neighbour, 0 if none."""
-    for level in range(g.d, 0, -1):
-        if g.adj[x] & g.forward_mask(x, level):
-            return level
-    return 0
-
-
 def strip_top_forward(g: HypercubeGraph) -> tuple[HypercubeGraph, StripStats]:
     """Remove each vertex's forward edges at its own highest forward level.
 
@@ -79,23 +71,28 @@ def strip_top_forward(g: HypercubeGraph) -> tuple[HypercubeGraph, StripStats]:
     (PostconditionError otherwise).
     """
     d, n = g.d, g.n
-    top = [_top_forward_level(g, x) for x in range(n)]
+    top = [0] * n
     adj = list(g.adj)
     removed = [0] * (d + 1)
     for x in range(n):
-        if top[x] == 0:
+        forward = g.adj[x] >> (x + 1) << (x + 1)
+        if not forward:
             continue
-        victims = g.adj[x] & g.forward_mask(x, top[x])
-        removed[top[x]] += bin(victims).count("1")
+        # forward level blocks lie nearer x the higher their level, so the
+        # least forward neighbour is at the top level, and the top level's
+        # neighbours are the forward neighbours before its block ends
+        level = top[x] = delta_int(x, (forward & -forward).bit_length() - 1, d)
+        end = level_block(x, level, d) + (1 << (d - level))
+        victims = forward & ((1 << end) - 1)
+        removed[level] += victims.bit_count()
         adj[x] &= ~victims
         while victims:
             low = victims & -victims
             adj[low.bit_length() - 1] &= ~(1 << x)
             victims ^= low
     for level in range(1, d + 1):
-        count = sum(1 for x in range(n) if top[x] == level)
-        _require(removed[level] <= count * (1 << (d - level)),
-                 f"removed {removed[level]} level-{level} edges, bound {count << (d - level)}")
+        bound = top.count(level) << (d - level)
+        _require(removed[level] <= bound, f"removed {removed[level]} level-{level} edges, bound {bound}")
     return HypercubeGraph(d, adj=adj), StripStats(tuple(top), tuple(removed))
 
 
@@ -196,15 +193,12 @@ def extract_rich_interval(
     index so reruns are reproducible.
     """
     d, n = g.d, g.n
-    working = rich_levels(g.level_counts(), d, thresholds.rich_alpha)
+    back = [[]] + [g.backward_degrees(level) for level in range(1, d + 1)]
+    working = rich_levels([sum(row) for row in back], d, thresholds.rich_alpha)
     if len(working) < 2:
         return StageFailure("working-levels", f"only {len(working)} levels qualify")
 
     # f(level, y) = backward level-degree / 2^(d - level), exact via integers
-    back = {
-        level: [g.backward_degree(y, level) for y in range(n)] for level in working
-    }
-
     def f(level: int, y: int) -> float:
         return back[level][y] / (1 << (d - level))
 
@@ -219,16 +213,11 @@ def extract_rich_interval(
     level_sets = {
         y: [level for level in working if f(level, y) >= thresholds.f_value] for y in y1
     }
-    low_half = {}
-    high_half = {}
-    for y, ls in level_sets.items():
-        hi = (len(ls) + 1) // 2  # largest ceil(|L_y|/2) elements
-        low_half[y] = ls[: len(ls) - hi]
-        high_half[y] = ls[len(ls) - hi:]
+    # the high half is the largest ceil(|L_y|/2) levels, the low half the rest
+    low_half = {y: ls[: len(ls) // 2] for y, ls in level_sets.items()}
+    high_half = {y: ls[len(ls) // 2 :] for y, ls in level_sets.items()}
 
-    popularity = {
-        level: sum(1 for y in y1 if level in low_half[y]) for level in working
-    }
+    popularity = {level: sum(level in low_half[y] for y in y1) for level in working}
     pivot = max(working, key=lambda level: (popularity[level], -level))
     if popularity[pivot] < max(1, thresholds.lstar_prop * len(y1)):
         return StageFailure("pivot-level", f"best popularity {popularity[pivot]}")
@@ -246,26 +235,17 @@ def extract_rich_interval(
     # chosen interval is the right half of its parent
     _require(j_idx & 1 == 1, f"interval {j_idx} at the pivot level is a left half")
     base, size = j_idx << width, 1 << width  # the right half's first vertex and size
-    inside_mask = 0
-    for y in inside:
-        inside_mask |= 1 << y
+    inside_mask = sum(1 << y for y in inside)
 
-    best_x, best_deg = -1, -1
-    for x in range(base - size, base):  # the left half
-        deg = bin(g.adj[x] & inside_mask).count("1")
-        if deg > best_deg:
-            best_x, best_deg = x, deg
-    if best_deg < max(1, thresholds.x_prop * len(inside)):
-        return StageFailure("x", f"best left-vertex degree {best_deg}")
-    x = best_x
+    # the left half's vertex with most neighbours inside, the least such
+    degree = {x: (g.adj[x] & inside_mask).bit_count() for x in range(base - size, base)}
+    x = max(degree, key=lambda v: (degree[v], -v))
+    if degree[x] < max(1, thresholds.x_prop * len(inside)):
+        return StageFailure("x", f"best left-vertex degree {degree[x]}")
     y3 = [y for y in inside if g.has_edge(x, y)]
-    y3_mask = 0
-    for y in y3:
-        y3_mask |= 1 << y
+    y3_mask = sum(1 << y for y in y3)
 
-    popular_count = {
-        level: sum(1 for y in y3 if level in high_half[y]) for level in working
-    }
+    popular_count = {level: sum(level in high_half[y] for y in y3) for level in working}
     surviving = [
         level
         for level in working
@@ -377,11 +357,10 @@ def embed_hk_extracted(
     lifted = tuple(v + res.rhs_base for v in inner.map)
 
     x = res.x
-    top = _top_forward_level(g, x)
-    if top <= res.pivot_level:
+    forward = g.adj[x] >> (x + 1) << (x + 1)
+    y = (forward & -forward).bit_length() - 1  # at x's top forward level
+    if not forward or delta_int(x, y, g.d) <= res.pivot_level:
         return None  # cannot happen when extraction succeeded; defensive
-    mask = g.adj[x] & g.forward_mask(x, top)
-    y = (mask & -mask).bit_length() - 1
     if not (x < y < lifted[0]):
         return None
     return EmbeddingWitness((x, y) + lifted)

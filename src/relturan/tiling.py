@@ -24,6 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .core import OrderedGraph, tau
+from .hosts import philox_rng
 
 DEFAULT_REPORT_BUDGET = 1 << 22  # max number of y-classes in a report
 
@@ -59,10 +60,6 @@ class TilingConfig:
             return 0
 
 
-def make_rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
-
-
 def _sample_batch(
     cfg: TilingConfig, n: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -95,7 +92,7 @@ def _sample_batch(
 
 def sample_many(cfg: TilingConfig, n: int, seed: int) -> np.ndarray:
     """n sampled vertex chains as an [n, h] integer array."""
-    verts, _, _ = _sample_batch(cfg, n, make_rng(seed))
+    verts, _, _ = _sample_batch(cfg, n, philox_rng(seed))
     return verts
 
 

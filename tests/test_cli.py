@@ -1,3 +1,4 @@
+import csv
 import json
 from collections import Counter
 
@@ -366,6 +367,33 @@ class TestReport:
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps({"experiment": "mystery"}))
         assert main(["report", "--grid", str(grid)]) == 2
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"d_values": ["x"]}, "grid d_values must be a list of integers"),
+        ({"d_values": [True], "m": 2}, "grid d_values must be a list of integers"),
+        ({"d_values": 2}, "grid d_values must be a list of integers"),
+        ({"d_values": [2], "m": 2.0}, "grid m_values must be a list of integers"),
+        ({"d_values": [2], "m_values": [None]}, "grid m_values must be a list of integers"),
+        ({"d_values": [2], "m": 2, "seeds": [2**64]}, "grid seeds must be non-negative and below 2^64"),
+        ({"d_values": [2], "m": 2, "seeds": [0, -1]}, "grid seeds must be non-negative and below 2^64"),
+        # 1.5 used to draw the host of seed 1 under a row that said 1.5
+        ({"d_values": [2], "m": 2, "seeds": [1.5]}, "grid seeds must be a list of integers"),
+        ([{"d_values": [2]}], "grid must be a JSON object"),
+    ])
+    def test_bad_grid_is_usage_error_before_any_row(self, tmp_path, capsys, spec, message):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps(spec))
+        assert main(["report", "--grid", str(grid)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
+
+    def test_refused_sizes_are_infeasible_rows(self, tmp_path, capsys):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"d_values": [-1, 30, 10**21], "m": 2, "seeds": [0]}))
+        assert main(["report", "--grid", str(grid)]) == 0
+        rows = list(csv.reader(capsys.readouterr().out.splitlines()[1:4]))
+        assert [row[3].split(":")[0] for row in rows] == ["infeasible"] * 3
 
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_bad_budget_is_usage_error(self, tmp_path, capsys, value):

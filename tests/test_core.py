@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from relturan.core import HypercubeGraph, OrderedGraph, delta_int, tau
+from relturan.core import HypercubeGraph, OrderedGraph, delta_int, level_block, tau
 from relturan.hosts import _pair_levels
 
 
@@ -109,21 +109,49 @@ class TestOrderedGraph:
             g.subgraph_edges([(1, 2)])
 
 
+@st.composite
+def cube_graphs(draw, max_d=6):
+    d = draw(st.integers(1, max_d))
+    n = 1 << d
+    keep = draw(st.floats(0, 1))
+    bits = draw(st.randoms(use_true_random=False))
+    return HypercubeGraph(d, [(u, v) for u in range(n) for v in range(u + 1, n) if bits.random() < keep])
+
+
+class TestLevelGeometry:
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_level_block(self, d):
+        n = 1 << d
+        for v in range(n):
+            for level in range(1, d + 1):
+                block = [u for u in range(n) if u != v and delta_int(u, v, d) == level]
+                lo = level_block(v, level, d)
+                assert block == list(range(lo, lo + (1 << (d - level))))
+                assert (lo < v) == ((v >> (d - level)) & 1 == 1)
+
+    @given(cube_graphs())
+    def test_backward_degrees_and_level_counts(self, g):
+        d = g.d
+        degrees = [[0] * g.n for _ in range(d + 1)]
+        counts = [0] * (d + 1)
+        for u, v in g.edges():
+            degrees[delta_int(u, v, d)][v] += 1
+            counts[delta_int(u, v, d)] += 1
+        for level in range(1, d + 1):
+            assert g.backward_degrees(level) == degrees[level]
+        assert g.level_counts() == counts
+
+    @pytest.mark.parametrize("level", [-1, 0, 4])
+    def test_backward_degrees_rejects_level_out_of_range(self, level):
+        with pytest.raises(ValueError, match="out of range"):
+            HypercubeGraph(3).backward_degrees(level)
+
+
 class TestHypercubeGraph:
     def test_edge_iteration_roundtrip(self):
         edges = [(0, 3), (1, 2), (0, 1)]
         g = HypercubeGraph(2, edges)
         assert sorted(g.edges()) == sorted(edges)
-
-    @given(st.integers(1, 5), st.data())
-    def test_backward_forward_masks(self, d, data):
-        v = data.draw(st.integers(0, (1 << d) - 1))
-        level = data.draw(st.integers(1, d))
-        g = HypercubeGraph(d)
-        back = {u for u in range(1 << d) if u < v and delta_int(u, v, d) == level}
-        fwd = {u for u in range(1 << d) if u > v and delta_int(v, u, d) == level}
-        assert {u for u in range(1 << d) if (g.backward_mask(v, level) >> u) & 1} == back
-        assert {u for u in range(1 << d) if (g.forward_mask(v, level) >> u) & 1} == fwd
 
     def test_level_counts_bruteforce(self):
         d = 3

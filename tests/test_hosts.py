@@ -15,9 +15,11 @@ from relturan.hosts import (
     complete_hypercube,
     complete_ordered,
     generate_host,
+    philox_rng,
     verify_host,
 )
 from relturan.patterns import build_hk, contains_ordered
+from relturan.tiling import TilingConfig, sample_many
 
 
 def thin_every_other(host: BlockedGraph) -> BlockedGraph:
@@ -91,6 +93,21 @@ class TestStreams:
                 generate_host(2, 1, seed)
             with pytest.raises(OverflowError):
                 _philox_words(seed, [0], 4)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**63 + 5, 2**64 - 1])
+    def test_philox_rng_is_keyed_by_seed_and_zero(self, seed):
+        key = np.array([seed, 0], dtype=np.uint64)
+        want = np.random.Generator(np.random.Philox(key=key)).random(50)
+        assert np.array_equal(philox_rng(seed).random(50), want)
+
+    @pytest.mark.parametrize("seed", [-1, -5, 2**64])
+    def test_seeded_consumers_refuse_seed_outside_uint64(self, seed):
+        cfg = TilingConfig(6, (1, 2, 3, 4, 5, 6), 4, 2)
+        for call in (lambda: philox_rng(seed),
+                     lambda: verify_host(generate_host(2, 2, 0), 0.5, 1, seed),
+                     lambda: sample_many(cfg, 5, seed)):
+            with pytest.raises(ValueError, match="seed must be in"):
+                call()
 
     @pytest.mark.parametrize("seed", [0, 1, 2**63 + 5, 2**64 - 1])
     def test_kernel_matches_philox(self, seed):
@@ -179,6 +196,12 @@ class TestGeneration:
     def test_budget_refusal(self):
         with pytest.raises(BudgetError):
             generate_host(1 << 12, 10, seed=0)
+
+    @pytest.mark.parametrize("d", [23, 10**5, 10**21])
+    def test_dimension_past_budget_is_refused_before_shifting(self, d):
+        # m << d at d = 10^21 raised OverflowError, and d = 10^5 failed to print its vertex count
+        with pytest.raises(BudgetError, match=f"2\\^{d} blocks exceed budget"):
+            generate_host(2, d, seed=0)
 
     def test_memory_refusal(self, monkeypatch):
         # a host that passes the guard reaches triu_indices, made to fail here

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relturan.core import HypercubeGraph, tau
+from relturan.core import HypercubeGraph, delta_int, tau
 from relturan.hosts import complete_hypercube
 from relturan.patterns import build_hk, validate_witness
 from relturan.richness import (
@@ -83,10 +83,28 @@ class TestStrip:
         stripped, stats = strip_top_forward(g)
         # every vertex except the largest has forward neighbours; its top
         # level block disappears
-        for x in range(g.n):
-            if stats.top_level[x]:
-                assert stripped.adj[x] & stripped.forward_mask(x, stats.top_level[x]) == 0
+        assert stats.top_level[-1] == 0
+        for x in range(g.n - 1):
+            top = stats.top_level[x]
+            assert top >= 1
+            assert not any(stripped.has_edge(x, y) for y in range(x + 1, g.n) if delta_int(x, y, 3) == top)
         assert sum(stats.removed_per_level) == g.num_edges() - stripped.num_edges()
+
+    @given(st.integers(1, 6), st.floats(0, 1), st.randoms(use_true_random=False))
+    def test_top_level_and_victims_match_bruteforce(self, d, keep, rng):
+        g = random_cube_graph(rng, d, keep)
+        stripped, stats = strip_top_forward(g)
+        removed = set()
+        removed_per_level = [0] * (d + 1)
+        for x in range(g.n):
+            forward = [y for y in range(x + 1, g.n) if g.has_edge(x, y)]
+            top = max((delta_int(x, y, d) for y in forward), default=0)
+            assert stats.top_level[x] == top
+            victims = {(x, y) for y in forward if delta_int(x, y, d) == top}
+            removed |= victims
+            removed_per_level[top] += len(victims)
+        assert set(stripped.edges()) == set(g.edges()) - removed
+        assert list(stats.removed_per_level) == removed_per_level
 
     def test_adjacency_stays_symmetric(self):
         rng = random.Random(3)
@@ -221,6 +239,21 @@ class TestEmbedHkRich:
             w = embed_hk_rich(g, k)
             assert w is not None
             assert validate_witness(build_hk(k), host, w)
+
+    @pytest.mark.parametrize("d, witnesses", [
+        (4, [(0, 1), (0, 1, 8, 10), None]),
+        (5, [(0, 1), (0, 1, 16, 18), (0, 1, 16, 18, 24, 28)]),
+        (6, [(0, 1), (0, 1, 32, 34), (0, 1, 32, 34, 48, 52)]),
+        (7, [(0, 1), (0, 1, 64, 66), (0, 1, 64, 66, 96, 100)]),
+        (8, [(0, 1), (0, 1, 128, 130), (0, 1, 128, 130, 192, 196)]),
+        (9, [(0, 1), (0, 1, 256, 258), (0, 1, 256, 258, 384, 388)]),
+        (10, [(0, 1), (0, 1, 512, 514), (0, 1, 512, 514, 768, 772)]),
+    ])
+    def test_pinned_witnesses_on_complete_cubes(self, d, witnesses):
+        # the witnesses the per-level mask helpers found before the level geometry replaced them
+        g = complete_hypercube(d)
+        got = [embed_hk_rich(g, k) for k in (1, 2, 3)]
+        assert [None if w is None else w.map for w in got] == witnesses
 
     def test_random_dense_graphs_validate(self):
         rng = random.Random(11)
