@@ -250,7 +250,7 @@ class TestEmbedHkRich:
         (10, [(0, 1), (0, 1, 512, 514), (0, 1, 512, 514, 768, 772)]),
     ])
     def test_pinned_witnesses_on_complete_cubes(self, d, witnesses):
-        # the witnesses the per-level mask helpers found before the level geometry replaced them
+        # found by the earlier per-level mask implementation: an oracle independent of level_block
         g = complete_hypercube(d)
         got = [embed_hk_rich(g, k) for k in (1, 2, 3)]
         assert [None if w is None else w.map for w in got] == witnesses
