@@ -17,6 +17,7 @@ import argparse
 import csv
 import dataclasses
 import hashlib
+import inspect
 import json
 import sys
 import time
@@ -112,7 +113,7 @@ def _write_csv(args, name: str, header: list[str], rows: list[list]) -> Optional
 
 
 def cmd_gen_host(args) -> int:
-    host = hosts.generate_host(args.m, args.d, args.seed, budget=args.budget)
+    host = hosts.generate_host(args.m, args.d, args.seed)
     graphio.write_blocked(args.out, host)
     counts = host.level_counts()
     result = {
@@ -315,31 +316,48 @@ def cmd_tile_verify(args) -> int:
     return 0
 
 
+#: check parameters that must be JSON integers (true and false are not)
+_INT_PARAMS = frozenset({"k", "n", "x", "y", "n_samples", "seed", "n_max"})
+
+
+def _check_identity_range(n_max: int = 60) -> lemma_checks.LemmaCheckReport:
+    """The A3 identity for every n <= n_max and x + y + 1 <= n."""
+    ok = all(
+        lemma_checks.vandermonde_identity_holds(n, x, y)
+        for n in range(1, n_max + 1)
+        for x in range(n)
+        for y in range(n - x)
+    )
+    return lemma_checks.LemmaCheckReport(
+        lemma="binomial-average-identity",
+        params={"n_max": n_max},
+        lhs=int(ok),
+        rhs=1,
+        margin=int(ok) - 1,
+        passed=ok,
+    )
+
+
 def cmd_appendix_check(args) -> int:
     params = json.loads(args.params)
+    if not isinstance(params, dict):
+        raise ValueError("params must be a JSON object")
     if args.lemma == "a1":
-        report = lemma_checks.check_binomial_fraction(**params)
+        check = lemma_checks.check_binomial_fraction
     elif args.lemma == "a2":
-        report = lemma_checks.check_locally_balanced(**params)
+        check = lemma_checks.check_locally_balanced
     elif "f" in params:
-        report = lemma_checks.check_binomial_average(**params)
+        check = lemma_checks.check_binomial_average
     else:
-        n_max = params.get("n_max", 60)
-        ok = all(
-            lemma_checks.vandermonde_identity_holds(n, x, y)
-            for n in range(1, n_max + 1)
-            for x in range(n)
-            for y in range(n - x)
-            if x + y + 1 <= n
-        )
-        report = lemma_checks.LemmaCheckReport(
-            lemma="binomial-average-identity",
-            params={"n_max": n_max},
-            lhs=int(ok),
-            rhs=1,
-            margin=int(ok) - 1,
-            passed=ok,
-        )
+        check = _check_identity_range
+    try:
+        inspect.signature(check).bind(**params)
+    except TypeError as exc:  # a parameter the check does not take, or a missing one
+        raise ValueError(f"params of --lemma {args.lemma}: {exc}") from None
+    for key, value in params.items():
+        if key in _INT_PARAMS and type(value) is not int:
+            raise ValueError(f"param {key} must be an integer, got {json.dumps(value)}")
+    report = check(**params)
     _emit(report, args, {})
     if not report.passed:
         raise CheckFailure(f"lemma check {report.lemma} failed")
@@ -465,8 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--out", required=True)
-    options(sp, cmd_gen_host, seed=True, budget=int)
-    sp.set_defaults(budget=hosts.DEFAULT_VERTEX_BUDGET)
+    options(sp, cmd_gen_host, seed=True)
 
     sp = sub.add_parser("classify", help="classify an ordered pattern")
     sp.add_argument("--pattern", required=True)

@@ -96,14 +96,6 @@ class OrderedGraph:
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
 
-    def subgraph_edges(self, keep: Iterable[tuple[int, int]]) -> "OrderedGraph":
-        """Spanning subgraph on the same vertex set with the given edges."""
-        keep = set(tuple(sorted(e)) for e in keep)
-        extra = keep - self.edges
-        if extra:
-            raise ValueError(f"edges not in graph: {sorted(extra)[:3]}")
-        return OrderedGraph(self.n, keep)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, OrderedGraph)

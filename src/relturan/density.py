@@ -15,7 +15,8 @@ All three search with the one ordered-copy kernel.  The first two test
 whole-graph ``patterns.contains_ordered``.  The local search keeps its set
 pattern-free and adds one edge at a time, so every new copy passes through
 that edge; it searches only those, with ``patterns.first_copy_through``.
-The last two hold the subgraph under test in an ``EdgeMask``.
+Every search but the oracle holds the edges it keeps in one ``EdgeMask``
+and reads its certificates from it with ``EdgeMask.edges``.
 
 Plus the derandomized two-label constructor that keeps at least a quarter of
 the edges of any host while avoiding every increasing 2-edge path.
@@ -89,6 +90,20 @@ class EdgeMask:
         u, v = e
         self._fwd[u] &= ~(1 << v)
         self._bwd[v] &= ~(1 << u)
+
+    def __contains__(self, e: tuple[int, int]) -> bool:
+        u, v = e
+        return self._fwd[u] >> v & 1 == 1
+
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The edges in lexicographic order, read from the set bits of each forward mask."""
+        out = []
+        for u, fwd in enumerate(self._fwd):
+            while fwd:
+                low = fwd & -fwd
+                out.append((u, low.bit_length() - 1))
+                fwd ^= low
+        return tuple(out)
 
 
 def rho_exhaustive(pattern: OrderedGraph, host: OrderedGraph) -> DensityResult:
@@ -202,7 +217,7 @@ def _search(
     """
     total = len(order)
     kept, live = EdgeMask(n), EdgeMask(n, order)  # live = kept + undecided
-    chosen: list[tuple[int, int]] = []
+    k = 0  # edges in kept
     best = None
     nodes = 0
     step = [_ENTER] * (total + 1)
@@ -212,7 +227,6 @@ def _search(
             nodes += 1
             if node_budget is not None and nodes > node_budget:
                 return best, nodes, True
-            k = len(chosen)
             room = k + total - i
             if room <= threshold or (
                 k <= threshold and packing_bound(pattern, kept, live, room, threshold) <= threshold
@@ -220,7 +234,7 @@ def _search(
                 i -= 1
                 continue
             if i == total:
-                threshold, best = k, tuple(sorted(chosen))
+                threshold, best = k, kept.edges()
                 if first_leaf:
                     break
                 i -= 1
@@ -228,7 +242,7 @@ def _search(
             e = order[i]
             kept.add(e)
             if contains_ordered(pattern, kept) is None:
-                chosen.append(e)
+                k += 1
                 step[i] = _INCLUDED
                 i += 1
                 step[i] = _ENTER
@@ -236,7 +250,7 @@ def _search(
             kept.remove(e)
         elif step[i] == _INCLUDED:
             kept.remove(order[i])
-            chosen.pop()
+            k -= 1
         else:  # both branches done
             live.add(order[i])
             i -= 1
@@ -285,10 +299,13 @@ def rho_exact(
     best_count = 0
     best_cert: tuple[tuple[int, int], ...] = ()
     if warm_start is not None:
-        ws = host.subgraph_edges(warm_start)
-        if contains_ordered(pattern, ws) is None:
-            best_count = len(ws.edges)
-            best_cert = tuple(ws.sorted_edges())
+        ws = sorted({(u, v) if u < v else (v, u) for u, v in warm_start})
+        # refused before the mask, which would wrap a negative vertex
+        foreign = [e for e in ws if e not in host.edges]
+        if foreign:
+            raise ValueError(f"edges not in graph: {foreign[:3]}")
+        if contains_ordered(pattern, EdgeMask(host.n, ws)) is None:
+            best_count, best_cert = len(ws), tuple(ws)
     found, nodes, exhausted = _search(pattern, host.n, order, best_count, node_budget)
     if found is not None:
         best_count, best_cert = len(found), found
@@ -342,49 +359,36 @@ def rho_local_search(
     all_edges = host.sorted_edges()
     total = len(all_edges)
 
-    # ``current`` and ``mask`` always hold the same edges
-    current: set[tuple[int, int]] = set()
-    mask = EdgeMask(host.n)
-
-    def put(e: tuple[int, int]) -> None:
-        current.add(e)
-        mask.add(e)
-
-    def drop(e: tuple[int, int]) -> None:
-        current.discard(e)
-        mask.remove(e)
-
+    kept = EdgeMask(host.n)
     if has_monotone_p3(pattern):
         start = quarter_free_subgraph(host)
         if contains_ordered(pattern, start) is None:
             for e in start.edges:
-                put(e)
+                kept.add(e)
 
-    def try_add(e: tuple[int, int]) -> bool:
-        if e in current:
-            return False
-        put(e)
-        if first_copy_through(pattern, mask, *e) is None:
-            return True
-        drop(e)
-        return False
-
+    # the greedy pass appends the edges it refuses, so ``absent`` is
+    # all_edges less ``kept`` in sorted order; the rounds keep it so with
+    # ``bisect``, and rng.choice picks what it would from a fresh filter
+    absent = []
     for e in all_edges:
-        try_add(e)
-
-    # the rounds keep ``absent`` = all_edges less ``current``, in the same
-    # sorted order, so rng.choice picks what it would from a fresh filter
-    absent = [c for c in all_edges if c not in current]
+        if e not in kept:
+            kept.add(e)
+            if first_copy_through(pattern, kept, *e) is not None:
+                kept.remove(e)
+                absent.append(e)
 
     def add(e: tuple[int, int]) -> None:
-        put(e)
+        kept.add(e)
         del absent[bisect_left(absent, e)]
 
     def remove(e: tuple[int, int]) -> None:
-        drop(e)
+        kept.remove(e)
         insort(absent, e)
 
-    best = set(current)
+    # every round starts with as many kept edges as ``best`` has: a round
+    # that removes two or more edges loses and is reverted, one that removes
+    # none gains and is the new best
+    best = kept.edges()
     nodes = 0
     for _ in range(budget):
         nodes += 1
@@ -393,9 +397,9 @@ def rho_local_search(
         e = rng.choice(absent)
         add(e)
         removed = []
-        # ``mask`` less e is pattern-free, so every copy passes through e and
+        # ``kept`` less e is pattern-free, so every copy passes through e and
         # the anchored search finds the lexicographically first one
-        while (images := first_copy_through(pattern, mask, *e)) is not None:
+        while (images := first_copy_through(pattern, kept, *e)) is not None:
             # delete one edge of the found copy, cheapest = any edge other
             # than the fresh one (prefer the last in canonical order)
             copy_edges = sorted((images[u], images[v]) for u, v in pattern.edges)
@@ -403,13 +407,11 @@ def rho_local_search(
             victim = victims[-1]
             remove(victim)
             removed.append(victim)
-        if removed and len(current) < len(best):
-            # net loss: revert
+        if len(removed) > 1:
             remove(e)
             for r in removed:
                 add(r)
-        if len(current) > len(best):
-            best = set(current)
+        elif not removed:
+            best = kept.edges()
 
-    cert = tuple(sorted(best))
-    return DensityResult(len(cert), total, cert, False, nodes)
+    return DensityResult(len(best), total, best, False, nodes)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .core import HypercubeGraph, OrderedGraph, delta_int
 
-#: refuse hosts with more vertices than this unless the caller overrides
+#: refuse hosts with more vertices than this
 DEFAULT_VERTEX_BUDGET = 1 << 21
 #: refuse hosts whose P m^2 cells plus ``_PAIR_BYTES`` per pair exceed this
 _MAX_HOST_BYTES = 1 << 31
@@ -82,10 +82,15 @@ def _philox_words(seed, idx, n_words: int) -> np.ndarray:
     return np.stack((c0, c1, c2, c3), axis=-1).reshape(len(k1), -1)[:, :n_words]
 
 
+def _check_seed(seed: int) -> None:
+    """A seed is a Philox key word: an int (not a bool) in [0, 2^64)."""
+    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must be in [0, 2^64), got {seed}")
+
+
 def philox_rng(seed: int) -> np.random.Generator:
     """The Philox4x64-10 ``Generator`` keyed [seed, 0] of every stream outside host generation."""
-    if not 0 <= seed < 1 << 64:
-        raise ValueError(f"seed must be in [0, 2^64), got {seed}")
+    _check_seed(seed)
     return np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
 
 
@@ -165,10 +170,10 @@ class BlockedGraph:
     def num_edges(self) -> int:
         return sum(self.level_counts())
 
-    def to_ordered(self, budget: int = DEFAULT_VERTEX_BUDGET) -> OrderedGraph:
+    def to_ordered(self) -> OrderedGraph:
         """Flatten to vertex labels x * m + i (lexicographic order preserved)."""
-        if self.n > budget:
-            raise BudgetError(f"{self.n} vertices exceeds budget {budget}")
+        if self.n > DEFAULT_VERTEX_BUDGET:
+            raise BudgetError(f"{self.n} vertices exceeds budget {DEFAULT_VERTEX_BUDGET}")
         b, i, j = np.nonzero(self.mats)
         us = self.pairs[b, 0] * self.m + i
         vs = self.pairs[b, 1] * self.m + j
@@ -184,18 +189,19 @@ class BlockedGraph:
         return f"BlockedGraph(d={self.d}, m={self.m}, seed={self.seed})"
 
 
-def generate_host(m: int, d: int, seed: int, budget: int = DEFAULT_VERTEX_BUDGET) -> BlockedGraph:
+def generate_host(m: int, d: int, seed: int) -> BlockedGraph:
     """Sample the blocked host: cross-block pair probability 2^(delta(x,y) - d)."""
+    _check_seed(seed)
     if m < 1 or d < 1:
         raise ValueError("need m >= 1 and d >= 1")
-    if d > budget.bit_length():  # so m << d > budget; refused before that shift
-        raise BudgetError(f"2^{d} blocks exceed budget {budget}")
-    if (m << d) > budget:
-        raise BudgetError(f"{m << d} vertices exceeds budget {budget}")
+    if d > DEFAULT_VERTEX_BUDGET.bit_length():  # so m << d exceeds it; refused before that shift
+        raise BudgetError(f"2^{d} blocks exceed budget {DEFAULT_VERTEX_BUDGET}")
+    if (m << d) > DEFAULT_VERTEX_BUDGET:
+        raise BudgetError(f"{m << d} vertices exceeds budget {DEFAULT_VERTEX_BUDGET}")
     n_pairs, words = (1 << d) * ((1 << d) - 1) // 2, m * m
     if n_pairs * (words + _PAIR_BYTES) > _MAX_HOST_BYTES:
         raise BudgetError(f"{n_pairs} block pairs of {words} cells exceed {_MAX_HOST_BYTES} bytes")
-    key = np.array(seed, dtype=np.uint64)  # raises OverflowError outside uint64
+    key = np.array(seed, dtype=np.uint64)
     xs, ys = np.triu_indices(1 << d, k=1)  # pair-index order
     levels = _pair_levels(xs, ys, d)
     mats = np.ones((n_pairs, words), dtype=bool)  # level d: probability 1
@@ -307,19 +313,19 @@ def verify_host(
     return HostReport(d, m, epsilon, tuple(level_checks), tuple(pair_checks), worst)
 
 
-def complete_ordered(n: int, budget: int = DEFAULT_VERTEX_BUDGET) -> OrderedGraph:
+def complete_ordered(n: int) -> OrderedGraph:
     if n < 1:
         raise ValueError("need n >= 1")
-    if n > budget or n > 4096:
+    if n > DEFAULT_VERTEX_BUDGET or n > 4096:
         raise BudgetError(f"complete graph on {n} vertices refused")
     return OrderedGraph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
-def complete_hypercube(d: int, budget: int = DEFAULT_VERTEX_BUDGET) -> HypercubeGraph:
+def complete_hypercube(d: int) -> HypercubeGraph:
     if d < 1:
         raise ValueError("need d >= 1")
     n = 1 << d
-    if n > budget or d > 13:
+    if n > DEFAULT_VERTEX_BUDGET or d > 13:
         raise BudgetError(f"complete cube graph at d={d} refused")
     full = (1 << n) - 1
     adj = [full ^ (1 << v) for v in range(n)]

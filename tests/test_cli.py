@@ -307,6 +307,19 @@ class TestAppendixCheck:
     def test_bad_json_is_usage_error(self):
         assert main(["appendix-check", "--lemma", "a1", "--params", "{oops"]) == 2
 
+    @pytest.mark.parametrize("lemma, params, message", [
+        ("a1", [1], "params must be a JSON object"),
+        ("a2", {"n": 1024, "eps": 0.3, "n_samples": 10, "seed": 1, "bogus": 1},
+         "unexpected keyword argument 'bogus'"),
+        ("a2", {"n": 1024, "eps": 0.3, "n_samples": 10}, "missing a required argument: 'seed'"),
+        ("a3", {"n_max": "x"}, 'param n_max must be an integer, got "x"'),
+        ("a3", {"n_max": True}, "param n_max must be an integer, got true"),
+    ], ids=["a1-list", "a2-unknown-key", "a2-missing-key", "a3-string-int", "a3-bool-int"])
+    def test_bad_params_are_usage_errors(self, lemma, params, message, capsys):
+        assert main(["appendix-check", "--lemma", lemma, "--params", json.dumps(params)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and message in err
+
     @pytest.mark.parametrize("extra", [{"n_samples": 0}, {"seed": -1}, {"seed": 2**64}])
     def test_a2_bad_samples_or_seed_is_usage_error(self, extra, capsys):
         params = json.dumps({"n": 1024, "eps": 0.3, "n_samples": 10, "seed": 1, **extra})
@@ -476,6 +489,7 @@ class TestOptions:
     @pytest.mark.parametrize("argv, flag", [
         (argv, flag)
         for argv, flags in [
+            (["gen-host", "--d", "2", "--m", "2", "--out", "h.bg"], ["--budget"]),
             (["classify", "--pattern", "p.og"], ["--seed", "--budget"]),
             (["analyze-richness", "--host", "h.rg", "--alpha", "0.5"], ["--seed", "--budget"]),
             (["embed-hk", "--host", "h.cg", "--k", "2"], ["--seed", "--budget"]),

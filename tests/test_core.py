@@ -103,11 +103,6 @@ class TestOrderedGraph:
         assert g.backward(2) == 0b0011
         assert g.forward(2) == 0b1000
 
-    def test_subgraph_edges_rejects_foreign(self):
-        g = OrderedGraph(3, [(0, 1)])
-        with pytest.raises(ValueError):
-            g.subgraph_edges([(1, 2)])
-
 
 @st.composite
 def cube_graphs(draw, max_d=6):

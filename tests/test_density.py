@@ -162,6 +162,21 @@ class TestExact:
         with pytest.raises(ValueError):
             rho_exact(P3, host, warm_start=((0, 3), (1, 2), (0, 2)))
 
+    def test_warm_start_pairs_are_canonicalised_and_checked(self):
+        host = complete_ordered(6)
+        # {0, 1} -> {2, ..., 5}: P3-free with 8 edges, one short of the optimum
+        canon = tuple((u, v) for u in (0, 1) for v in range(2, 6))
+        messy = tuple((v, u) for u, v in canon) + canon[:3]
+        for budget in (None, 1, 10):
+            assert rho_exact(P3, host, budget, messy) == rho_exact(P3, host, budget, canon)
+        # a one-node budget ends before the first leaf: only the warm start is found
+        res = rho_exact(P3, host, node_budget=1, warm_start=messy)
+        assert (res.best_edge_count, res.certificate, res.exact) == (8, canon, False)
+        assert rho_exact(P3, host, node_budget=1).best_edge_count == 0
+        for foreign in ((0, 9), (-1, 2)):
+            with pytest.raises(ValueError, match="not in graph"):
+                rho_exact(P3, complete_ordered(4), warm_start=(foreign, (0, 2)))
+
 
 class TestPackingBound:
     def test_root_bound_is_at_least_the_optimum(self):

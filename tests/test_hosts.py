@@ -89,10 +89,18 @@ class TestStreams:
 
     def test_seed_outside_uint64_is_refused(self):
         for seed in (-1, 2**64):
-            with pytest.raises(OverflowError):
+            with pytest.raises(ValueError, match="seed must be in"):
                 generate_host(2, 1, seed)
             with pytest.raises(OverflowError):
                 _philox_words(seed, [0], 4)
+
+    @pytest.mark.parametrize("seed", [1.5, True, False, "1"])
+    def test_seed_that_is_not_an_int_is_refused(self, seed):
+        # a float or bool seed would key the stream of int(seed) and be
+        # written into the host header, where the reader refuses it
+        for call in (lambda: generate_host(2, 2, seed), lambda: philox_rng(seed)):
+            with pytest.raises(ValueError, match="seed must be in"):
+                call()
 
     @pytest.mark.parametrize("seed", [0, 1, 2**63 + 5, 2**64 - 1])
     def test_philox_rng_is_keyed_by_seed_and_zero(self, seed):

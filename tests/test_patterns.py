@@ -136,6 +136,8 @@ class TestEdgeMask:
         g = OrderedGraph(n, edges)
         assert [mask.backward(v) for v in range(n)] == [g.backward(v) for v in range(n)]
         assert list(mask.forward_masks) == list(g.forward_masks)
+        assert all((e in mask) == (e in edges) for e in combinations(range(n), 2))
+        assert mask.edges() == tuple(sorted(edges))
 
 
 class TestContainment:
