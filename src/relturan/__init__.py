@@ -44,11 +44,8 @@ from .lemma_checks import (
     vandermonde_identity_holds,
 )
 from .patterns import (
-    EmbeddingWitness,
     MonotonePathError,
-    VanishingClass,
     build_hk,
-    classify_vanishing,
     contains_ordered,
     embed_into_hk,
     has_monotone_p3,

@@ -19,9 +19,9 @@ import dataclasses
 import hashlib
 import inspect
 import json
+import math
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -30,18 +30,6 @@ import numpy as np
 
 from . import __version__, density, graphio, hosts, lemma_checks, patterns, richness, tiling
 from .core import delta_int, tau
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Everything needed to rerun a command and get identical artifacts."""
-
-    command: str
-    params: dict
-    seed: Optional[int]
-    version: str
-    input_digests: dict
-    timestamp: str
 
 
 class CheckFailure(Exception):
@@ -79,18 +67,15 @@ def _emit(result: dict, args, inputs: dict[str, str]) -> None:
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         (out / "result.json").write_text(payload + "\n")
-        manifest = RunManifest(
-            command=args.command,
-            params={
-                k: v
-                for k, v in vars(args).items()
-                if k not in ("command", "func") and v is not None
-            },
-            seed=getattr(args, "seed", None),
-            version=__version__,
-            input_digests={name: _digest(p) for name, p in inputs.items()},
-            timestamp=time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        )
+        manifest = {
+            "command": args.command,
+            "params": {k: v for k, v in vars(args).items()
+                       if k not in ("command", "func") and v is not None},
+            "seed": getattr(args, "seed", None),
+            "version": __version__,
+            "input_digests": {name: _digest(p) for name, p in inputs.items()},
+            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+        }
         (out / "manifest.json").write_text(
             json.dumps(_jsonify(manifest), indent=2, sort_keys=True) + "\n"
         )
@@ -136,16 +121,13 @@ def cmd_classify(args) -> int:
         pi = patterns.pi_ordered(pat)
     except ValueError:
         pi = None
-    hk = None
-    if not has_p3 and pat.edges:
-        hk = list(patterns.embed_into_hk(pat).map)
-    cls = patterns.classify_vanishing(pat) if pat.edges else None
     result = {
         "has_monotone_p3": has_p3,
         "chi_interval": chi,
         "pi": pi,
-        "classification": cls.name if cls else None,
-        "hk_embedding": hk,
+        # rho_<(F) = 0 iff F has no monotone P3; an edgeless F gets no class
+        "classification": ("AT_LEAST_QUARTER" if has_p3 else "ZERO") if pat.edges else None,
+        "hk_embedding": patterns.embed_into_hk(pat) if pat.edges and not has_p3 else None,
     }
     _emit(result, args, {"pattern": args.pattern})
     return 0
@@ -235,8 +217,8 @@ def cmd_embed_hk(args) -> int:
     witness = richness.embed_hk_extracted(g, args.k, res, thresholds)
     ok = witness is not None
     if ok and not patterns.validate_witness(patterns.build_hk(args.k), g, witness):
-        raise CheckFailure(f"embedding {list(witness.map)} is not an ordered copy of H_{args.k}")
-    trace_record["witness"] = list(witness.map) if ok else None
+        raise CheckFailure(f"embedding {list(witness)} is not an ordered copy of H_{args.k}")
+    trace_record["witness"] = witness
     if args.trace:
         Path(args.trace).write_text(json.dumps(_jsonify(trace_record), indent=2) + "\n")
     result = {"embedded": ok, "k": args.k, "witness": trace_record["witness"]}
@@ -316,8 +298,24 @@ def cmd_tile_verify(args) -> int:
     return 0
 
 
-#: check parameters that must be JSON integers (true and false are not)
-_INT_PARAMS = frozenset({"k", "n", "x", "y", "n_samples", "seed", "n_max"})
+def _is_number(value) -> bool:
+    """A finite JSON number: true, false, NaN and Infinity (or 1e400) are not."""
+    return type(value) is int or type(value) is float and math.isfinite(value)
+
+
+#: each check parameter's description and JSON type test; the exact checks read
+#: alpha, eps, eta and f with Fraction, so a string such as "1/3" serves there,
+#: but a2 compares its eps with floats
+_FRACTION = ("a number or a fraction string", lambda v: _is_number(v) or type(v) is str)
+_PARAM_TYPES = {
+    **dict.fromkeys(("k", "n", "x", "y", "n_samples", "seed", "n_max"),
+                    ("an integer", lambda v: type(v) is int)),
+    **dict.fromkeys(("alpha", "eps", "eta"), _FRACTION),
+    "f": ("a list of numbers or fraction strings",
+          lambda v: type(v) is list and all(map(_FRACTION[1], v))),
+    "exhaustive": ("true or false", lambda v: type(v) is bool),
+    "a2 eps": ("a number", _is_number),
+}
 
 
 def _check_identity_range(n_max: int = 60) -> lemma_checks.LemmaCheckReport:
@@ -354,9 +352,10 @@ def cmd_appendix_check(args) -> int:
         inspect.signature(check).bind(**params)
     except TypeError as exc:  # a parameter the check does not take, or a missing one
         raise ValueError(f"params of --lemma {args.lemma}: {exc}") from None
-    for key, value in params.items():
-        if key in _INT_PARAMS and type(value) is not int:
-            raise ValueError(f"param {key} must be an integer, got {json.dumps(value)}")
+    for key, value in params.items():  # bound above, so every key is a known parameter
+        kind, ok = _PARAM_TYPES["a2 eps" if (args.lemma, key) == ("a2", "eps") else key]
+        if not ok(value):
+            raise ValueError(f"param {key} must be {kind}, got {json.dumps(value)}")
     report = check(**params)
     _emit(report, args, {})
     if not report.passed:
@@ -546,7 +545,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except CheckFailure as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
-    except (graphio.FormatError, FileNotFoundError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # FormatError and JSONDecodeError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -172,6 +172,8 @@ def _loads_hypercube_lines(text: str) -> HypercubeGraph:
         raise FormatError(1, f"expected 'd m', got {lines[0]!r}") from None
     if not 1 <= d <= _MAX_CUBE_D:
         raise FormatError(1, f"need 1 <= d <= {_MAX_CUBE_D}, got {d}")
+    if m < 0:  # lines[1:m + 1] would drop lines from the end
+        raise FormatError(1, f"need m >= 0, got {m}")
     # one lookup checks a label's length and alphabet and gives its vertex
     vertex = {format(v, f"0{d}b"): v for v in range(1 << d)}.get
     adj = [0] * (1 << d)

@@ -1,61 +1,37 @@
 """Ordered-subgraph containment and the monotone-path classification.
 
 An ordered copy of a pattern F in a host G is a strictly increasing injection
-of vertex labels that maps every pattern edge to a host edge.  One
-backtracking kernel, ``ordered_copies``, enumerates them: it places pattern
-vertices left to right, so at each step the candidate host vertices form an
-interval above the previous image and edge constraints reduce to bitmask
-intersections with backward neighbourhoods already placed.  Optional
-per-vertex masks of allowed images let ``first_copy_through`` pin a pattern
-edge onto one host edge.  Containment and the density solvers' copy counts
-are built on it.
+of vertex labels that maps every pattern edge to a host edge; it is held as
+its tuple of images, pattern vertex i -> images[i].  One backtracking kernel,
+``ordered_copies``, enumerates them: it places pattern vertices left to
+right, so at each step the candidate host vertices form an interval above
+the previous image and edge constraints reduce to bitmask intersections with
+backward neighbourhoods already placed.  Optional per-vertex masks of
+allowed images let ``first_copy_through`` pin a pattern edge onto one host
+edge.  Containment and the density solvers' copy counts are built on it.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Optional, Protocol, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .core import OrderedGraph
 
 
-class EdgeQuery(Protocol):
-    """A host that reports its vertex count and answers edge queries."""
-
-    @property
-    def n(self) -> int: ...
-
-    def has_edge(self, u: int, v: int) -> bool: ...
-
-
-@dataclass(frozen=True)
-class EmbeddingWitness:
-    """An order-preserving edge-preserving injection, pattern vertex i -> map[i]."""
-
-    map: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.map)
-
-
-def validate_witness(pattern: OrderedGraph, host: EdgeQuery, w: EmbeddingWitness) -> bool:
-    """Pure checker: strictly increasing, in range, and edge-preserving.
+def validate_witness(pattern: OrderedGraph, host, images: Sequence[int]) -> bool:
+    """Pure checker: ``images`` is strictly increasing, in range, and edge-preserving.
 
     Only ``host.n`` and ``host.has_edge`` are read, so an OrderedGraph and a
     HypercubeGraph are checked alike, without flattening one into the other.
     """
-    if len(w.map) != pattern.n:
-        return False
-    for img in w.map:
-        if not 0 <= img < host.n:
-            return False
-    for a, b in zip(w.map, w.map[1:]):
-        if a >= b:
-            return False
-    return all(host.has_edge(w.map[u], w.map[v]) for u, v in pattern.edges)
+    return (
+        len(images) == pattern.n
+        and all(0 <= img < host.n for img in images)
+        and all(a < b for a, b in zip(images, images[1:]))
+        and all(host.has_edge(images[u], images[v]) for u, v in pattern.edges)
+    )
 
 
 def ordered_copies(
@@ -148,10 +124,9 @@ def first_copy_through(
     return best
 
 
-def contains_ordered(pattern: OrderedGraph, host) -> Optional[EmbeddingWitness]:
+def contains_ordered(pattern: OrderedGraph, host) -> Optional[tuple[int, ...]]:
     """The lexicographically first ordered copy of ``pattern`` in ``host``, or None."""
-    images = next(ordered_copies(pattern, host), None)
-    return None if images is None else EmbeddingWitness(images)
+    return next(ordered_copies(pattern, host), None)
 
 
 def monotone_p3(k: int = 3) -> OrderedGraph:
@@ -222,7 +197,7 @@ class MonotonePathError(ValueError):
         self.witness = witness
 
 
-def embed_into_hk(g: OrderedGraph) -> EmbeddingWitness:
+def embed_into_hk(g: OrderedGraph) -> tuple[int, ...]:
     """The explicit embedding v_i -> (i, len_i) of a path-free graph into H_k.
 
     len_i, the number of edges on the longest increasing path ending at v_i,
@@ -232,16 +207,4 @@ def embed_into_hk(g: OrderedGraph) -> EmbeddingWitness:
     witness = find_monotone_p3(g)
     if witness is not None:
         raise MonotonePathError(witness)
-    return EmbeddingWitness(tuple(2 * i + (g.backward(i) != 0) for i in range(g.n)))
-
-
-class VanishingClass(enum.Enum):
-    ZERO = "ZERO"
-    AT_LEAST_QUARTER = "AT_LEAST_QUARTER"
-
-
-def classify_vanishing(g: OrderedGraph) -> VanishingClass:
-    """Relative density is zero iff there is no increasing 2-edge path."""
-    if has_monotone_p3(g):
-        return VanishingClass.AT_LEAST_QUARTER
-    return VanishingClass.ZERO
+    return tuple(2 * i + (g.backward(i) != 0) for i in range(g.n))

@@ -22,7 +22,6 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .core import HypercubeGraph, delta_int, level_block, tau
-from .patterns import EmbeddingWitness
 
 
 def rich_levels(counts: list[int], d: int, alpha: float, m: int = 1) -> list[int]:
@@ -316,7 +315,7 @@ def _replay_postconditions(g: HypercubeGraph, res: ExtractionResult) -> None:
 
 def embed_hk_rich(
     g: HypercubeGraph, k: int, thresholds: Optional[Thresholds] = None
-) -> Optional[EmbeddingWitness]:
+) -> Optional[tuple[int, ...]]:
     """Recursively embed the staircase H_k using interval extraction.
 
     Base case k=1 takes the lexicographically least edge.  Otherwise strip
@@ -338,7 +337,7 @@ def embed_hk_extracted(
     k: int,
     res: Union[ExtractionResult, StageFailure, None],
     thresholds: Thresholds,
-) -> Optional[EmbeddingWitness]:
+) -> Optional[tuple[int, ...]]:
     """``embed_hk_rich`` continued from its top-level extraction.
 
     ``res`` must be ``extract_rich_interval(strip_top_forward(g)[0],
@@ -347,14 +346,13 @@ def embed_hk_extracted(
     if k < 1:
         raise ValueError("k must be at least 1")
     if k == 1:
-        least = next(g.edges(), None)  # edges() runs in lexicographic order
-        return None if least is None else EmbeddingWitness(least)
+        return next(g.edges(), None)  # edges() runs in lexicographic order
     if isinstance(res, StageFailure):
         return None
     inner = embed_hk_rich(res.subgraph, k - 1, thresholds)
     if inner is None:
         return None
-    lifted = tuple(v + res.rhs_base for v in inner.map)
+    lifted = tuple(v + res.rhs_base for v in inner)
 
     x = res.x
     forward = g.adj[x] >> (x + 1) << (x + 1)
@@ -363,4 +361,4 @@ def embed_hk_extracted(
         return None  # cannot happen when extraction succeeded; defensive
     if not (x < y < lifted[0]):
         return None
-    return EmbeddingWitness((x, y) + lifted)
+    return (x, y) + lifted

@@ -65,7 +65,7 @@ def rho_local_search_whole_graph(
         put(e)
         removed = []
         while (witness := contains_ordered(pattern, mask)) is not None:
-            copy_edges = sorted((witness.map[u], witness.map[v]) for u, v in pattern.edges)
+            copy_edges = sorted((witness[u], witness[v]) for u, v in pattern.edges)
             victims = [c for c in copy_edges if c != e] or copy_edges
             victim = victims[-1]
             drop(victim)

@@ -10,7 +10,7 @@ from relturan.cli import main
 from relturan.core import HypercubeGraph, OrderedGraph, delta_int
 from relturan.graphio import read_blocked, write_hypercube, write_ordered
 from relturan.hosts import complete_hypercube, complete_ordered, generate_host
-from relturan.patterns import EmbeddingWitness, build_hk, contains_ordered, monotone_p3
+from relturan.patterns import build_hk, contains_ordered, monotone_p3
 
 
 @pytest.fixture
@@ -43,6 +43,21 @@ class TestClassify:
         assert out["classification"] == "ZERO"
         assert out["chi_interval"] == 5
         assert out["hk_embedding"] is not None
+
+    @pytest.mark.parametrize("pattern, classification, hk_embedding", [
+        (monotone_p3(), "AT_LEAST_QUARTER", None),
+        (build_hk(3), "ZERO", [0, 3, 4, 7, 8, 11]),
+        (OrderedGraph(2, [(0, 1)]), "ZERO", [0, 3]),
+        (OrderedGraph(3, []), None, None),
+    ], ids=["p3", "h3", "edge", "edgeless"])
+    def test_classification_and_hk_embedding(self, pattern, classification, hk_embedding,
+                                             tmp_path, capsys):
+        # zero density iff no monotone P3, and an edgeless pattern gets no class
+        path = tmp_path / "pattern.og"
+        write_ordered(path, pattern)
+        assert main(["classify", "--pattern", str(path)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert (out["classification"], out["hk_embedding"]) == (classification, hk_embedding)
 
     def test_missing_file_is_usage_error(self, tmp_path):
         assert main(["classify", "--pattern", str(tmp_path / "nope.og")]) == 2
@@ -222,7 +237,7 @@ class TestEmbedHk:
 
         def bad_embedding(g, k, res, thresholds):
             calls.append((k, res))
-            return EmbeddingWitness((3, 2, 1, 0))
+            return (3, 2, 1, 0)
 
         monkeypatch.setattr(richness, "embed_hk_extracted", bad_embedding)
         assert main(["embed-hk", "--host", str(host_file), "--k", "2"]) == 1
@@ -237,7 +252,7 @@ class TestEmbedHk:
         for k in (1, 2, 3):
             assert main(["embed-hk", "--host", str(host_file), "--k", str(k)]) == 0
             out = json.loads(capsys.readouterr().out)
-            assert out["witness"] == list(richness.embed_hk_rich(complete_hypercube(6), k).map)
+            assert out["witness"] == list(richness.embed_hk_rich(complete_hypercube(6), k))
 
     def test_bad_k_is_usage_error(self, tmp_path, capsys):
         host_file = tmp_path / "cube.hg"
@@ -314,16 +329,65 @@ class TestAppendixCheck:
         ("a2", {"n": 1024, "eps": 0.3, "n_samples": 10}, "missing a required argument: 'seed'"),
         ("a3", {"n_max": "x"}, 'param n_max must be an integer, got "x"'),
         ("a3", {"n_max": True}, "param n_max must be an integer, got true"),
-    ], ids=["a1-list", "a2-unknown-key", "a2-missing-key", "a3-string-int", "a3-bool-int"])
+        ("a2", {"n": 1024, "eps": "0.3", "n_samples": 10, "seed": 1},
+         'param eps must be a number, got "0.3"'),
+        ("a2", {"n": 8, "eps": 0.3, "n_samples": 10, "seed": 1, "exhaustive": "no"},
+         'param exhaustive must be true or false, got "no"'),
+        ("a1", {"alpha": [1], "eps": "1/5", "k": 2, "eta": "1/8", "n": 100},
+         "param alpha must be a number or a fraction string, got [1]"),
+        ("a1", {"alpha": "1/2", "eps": True, "k": 2, "eta": "1/8", "n": 100},
+         "param eps must be a number or a fraction string, got true"),
+        ("a3", {"f": 5, "n": 5, "x": 1, "y": 1, "alpha": 0.5, "eps": 0.1, "eta": 0.1},
+         "param f must be a list of numbers or fraction strings, got 5"),
+        ("a3", {"f": [0.5, [1]], "n": 2, "x": 0, "y": 0, "alpha": 0.5, "eps": 0.1, "eta": 0.1},
+         "param f must be a list of numbers or fraction strings, got [0.5, [1]]"),
+        # json.loads reads Infinity and 1e400 as float("inf"), which Fraction refuses
+        # with an OverflowError and a2 would compare as a threshold
+        ("a1", {"alpha": float("inf"), "eps": "1/5", "k": 2, "eta": "1/8", "n": 100},
+         "param alpha must be a number or a fraction string, got Infinity"),
+        ("a2", {"n": 64, "eps": float("nan"), "n_samples": 5, "seed": 1},
+         "param eps must be a number, got NaN"),
+    ], ids=["a1-list", "a2-unknown-key", "a2-missing-key", "a3-string-int", "a3-bool-int",
+            "a2-string-eps", "a2-string-exhaustive", "a1-list-alpha", "a1-bool-eps",
+            "a3-int-f", "a3-nested-f", "a1-infinite-alpha", "a2-nan-eps"])
     def test_bad_params_are_usage_errors(self, lemma, params, message, capsys):
         assert main(["appendix-check", "--lemma", lemma, "--params", json.dumps(params)]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and message in err
 
+    def test_fraction_strings_and_numbers_are_accepted(self, capsys):
+        params = {"f": [0.5, "1/2", 1, 0, "0.5"], "n": 5, "x": 1, "y": 1,
+                  "alpha": "1/2", "eps": 0.5, "eta": 0}
+        report = lemma_checks.check_binomial_average(**params)
+        assert main(["appendix-check", "--lemma", "a3", "--params", json.dumps(params)]) == (
+            0 if report.passed else 1
+        )
+        assert json.loads(capsys.readouterr().out)["passed"] is report.passed
+
     @pytest.mark.parametrize("extra", [{"n_samples": 0}, {"seed": -1}, {"seed": 2**64}])
     def test_a2_bad_samples_or_seed_is_usage_error(self, extra, capsys):
         params = json.dumps({"n": 1024, "eps": 0.3, "n_samples": 10, "seed": 1, **extra})
         assert main(["appendix-check", "--lemma", "a2", "--params", params]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestFileSystemErrors:
+    @pytest.mark.parametrize("case", ["out-is-a-dir", "pattern-is-a-dir", "trace-under-a-file",
+                                      "out-dir-is-a-file"])
+    def test_user_path_errors_are_usage_errors(self, case, p3_file, tmp_path, capsys):
+        a_dir, a_file = tmp_path / "dir", tmp_path / "file"
+        a_dir.mkdir()
+        a_file.write_text("")
+        cube = tmp_path / "cube.hg"
+        write_hypercube(cube, complete_hypercube(3))
+        argv = {
+            "out-is-a-dir": ["gen-host", "--d", "2", "--m", "2", "--out", str(a_dir)],
+            "pattern-is-a-dir": ["classify", "--pattern", str(a_dir)],
+            "trace-under-a-file": ["embed-hk", "--host", str(cube), "--k", "1",
+                                   "--trace", str(a_file / "t.json")],
+            "out-dir-is-a-file": ["classify", "--pattern", p3_file, "--out-dir", str(a_file)],
+        }[case]
+        assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
 

@@ -317,6 +317,8 @@ MALFORMED_CUBE = [
     ("header-d=0", "0 0\n", 1),
     ("header-beyond-the-vertex-budget", "22 0\n", 1),
     ("header-not-two-ints", "3\n", 1),
+    # lines[1:m + 1] with m = -2 would read the first and last edge lines
+    ("negative-m", "2 -2\n00 01\n10 11\n11 00\n", 1),
     ("wrong-length", "3 1\n001 01\n", 2),
     ("digit-2", "2 2\n00 01\n02 11\n", 3),
     ("binary-prefix", "3 1\n0b1 000\n", 2),

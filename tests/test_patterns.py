@@ -6,11 +6,8 @@ from hypothesis import strategies as st
 
 from relturan.core import HypercubeGraph, OrderedGraph
 from relturan.patterns import (
-    EmbeddingWitness,
     MonotonePathError,
-    VanishingClass,
     build_hk,
-    classify_vanishing,
     contains_ordered,
     embed_into_hk,
     find_monotone_p3,
@@ -60,7 +57,16 @@ class TestOrderedCopies:
         host = OrderedGraph(6, [(0, 3), (1, 2), (2, 4), (3, 5), (2, 5)])
         copies = list(ordered_copies(monotone_p3(), host))
         assert copies == [(0, 3, 5), (1, 2, 4), (1, 2, 5)]
-        assert contains_ordered(monotone_p3(), host).map == copies[0]
+        assert contains_ordered(monotone_p3(), host) == copies[0]
+
+    @given(ordered_graphs(max_n=4), ordered_graphs(max_n=7))
+    @settings(max_examples=150)
+    def test_containment_is_the_first_copy_and_validates(self, pat, host):
+        # a copy is its image tuple: containment hands the kernel's first one on
+        found = contains_ordered(pat, host)
+        assert found == next(ordered_copies(pat, host), None)
+        if found is not None:
+            assert validate_witness(pat, host, found)
 
 
 class TestAllowedMasks:
@@ -105,7 +111,7 @@ class TestFirstCopyThrough:
         u, v = data.draw(st.sampled_from(missing))
         mask.add((u, v))
         witness = contains_ordered(pat, mask)
-        assert first_copy_through(pat, mask, u, v) == (None if witness is None else witness.map)
+        assert first_copy_through(pat, mask, u, v) == witness
 
     def test_pinned_hand_case(self):
         # copies of P3 in K_4 through (1, 2): (0, 1, 2) pins (1, 2) as its
@@ -175,18 +181,18 @@ class TestValidateWitness:
     def test_rejects_decreasing(self):
         pat = OrderedGraph(2, [(0, 1)])
         host = OrderedGraph(3, [(1, 2)])
-        assert not validate_witness(pat, host, EmbeddingWitness((2, 1)))
+        assert not validate_witness(pat, host, (2, 1))
 
     def test_rejects_missing_edge(self):
         pat = OrderedGraph(2, [(0, 1)])
         host = OrderedGraph(3, [(1, 2)])
-        assert not validate_witness(pat, host, EmbeddingWitness((0, 1)))
-        assert validate_witness(pat, host, EmbeddingWitness((1, 2)))
+        assert not validate_witness(pat, host, (0, 1))
+        assert validate_witness(pat, host, (1, 2))
 
     def test_rejects_wrong_size(self):
         pat = OrderedGraph(2, [(0, 1)])
         host = OrderedGraph(3, [(1, 2)])
-        assert not validate_witness(pat, host, EmbeddingWitness((1,)))
+        assert not validate_witness(pat, host, (1,))
 
     @settings(max_examples=80)
     @given(st.data())
@@ -205,10 +211,9 @@ class TestValidateWitness:
         witnesses.append(tuple(sorted(rng.sample(range(n), min(pat.n, n)))))
         found = contains_ordered(pat, ordered)
         if found is not None:
-            witnesses.append(tuple(found.map))
+            witnesses.append(found)
         for images in witnesses:
-            w = EmbeddingWitness(images)
-            assert validate_witness(pat, cube, w) == validate_witness(pat, ordered, w)
+            assert validate_witness(pat, cube, images) == validate_witness(pat, ordered, images)
         if found is not None:
             assert validate_witness(pat, cube, found)
 
@@ -297,10 +302,3 @@ class TestEmbedIntoHk:
                 if not has_monotone_p3(g):
                     w = embed_into_hk(g)
                     assert validate_witness(g, build_hk(n), w)
-
-
-class TestClassification:
-    def test_values(self):
-        assert classify_vanishing(monotone_p3()) is VanishingClass.AT_LEAST_QUARTER
-        assert classify_vanishing(build_hk(3)) is VanishingClass.ZERO
-        assert classify_vanishing(OrderedGraph(2, [(0, 1)])) is VanishingClass.ZERO
