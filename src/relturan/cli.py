@@ -62,10 +62,12 @@ def _jsonify(obj):
 
 def _emit(result: dict, args, inputs: dict[str, str]) -> None:
     payload = json.dumps(_jsonify(result), indent=2, sort_keys=True)
-    print(payload)
     if args.out_dir:
+        # made before printing, so a run whose out-dir fails prints no result
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
+    print(payload)
+    if args.out_dir:
         (out / "result.json").write_text(payload + "\n")
         manifest = {
             "command": args.command,

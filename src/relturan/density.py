@@ -11,12 +11,16 @@ G' of G that avoid an ordered copy of the pattern F.  Three routes:
   lexicographically least certificate.
 * ``rho_local_search``: seeded hill climbing, lower bounds only.
 
-All three search with the one ordered-copy kernel.  The first two test
-whole-graph ``patterns.contains_ordered``.  The local search keeps its set
-pattern-free and adds one edge at a time, so every new copy passes through
-that edge; it searches only those, with ``patterns.first_copy_through``.
-Every search but the oracle holds the edges it keeps in one ``EdgeMask``
-and reads its certificates from it with ``EdgeMask.edges``.
+All three find copies with the one ordered-copy kernel.  The oracle tests
+whole-graph ``patterns.contains_ordered``.  The exact search enumerates the
+copies once per solve, each as an int mask over the host's edge indices,
+and runs its include test and packing bound on that table with bitwise
+operations.  The table takes about copies x e/8 bytes; one that would pass
+2^31 bytes is refused with ``hosts.BudgetError``.  The local search keeps
+its set pattern-free and adds one edge at a time, so every new copy passes
+through that edge; it searches only those, with
+``patterns.first_copy_through``, and holds its kept edges in an
+``EdgeMask``.
 
 Plus the derandomized two-label constructor that keeps at least a quarter of
 the edges of any host while avoiding every increasing 2-edge path.
@@ -28,12 +32,15 @@ import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .core import OrderedGraph
+from .hosts import BudgetError
 from .patterns import contains_ordered, first_copy_through, has_monotone_p3, ordered_copies
 
 EXHAUSTIVE_EDGE_CAP = 20
+#: refuse copy tables past this many bytes, the cap ``generate_host`` uses
+_MAX_TABLE_BYTES = 1 << 31
 
 
 @dataclass(frozen=True)
@@ -60,8 +67,8 @@ class EdgeMask:
     """A mutable edge set on vertices 0..n-1, forward and backward bitmasks per vertex.
 
     It offers the ``n``/``forward_masks``/``backward`` view that
-    ``ordered_copies`` and ``first_copy_through`` read, so the searches below
-    add and remove single edges instead of rebuilding an OrderedGraph for
+    ``ordered_copies`` and ``first_copy_through`` read, so the local search
+    adds and removes single edges instead of rebuilding an OrderedGraph for
     every containment test.  Edges are given as (u, v), u < v.
     """
 
@@ -149,44 +156,75 @@ def rho_exhaustive(pattern: OrderedGraph, host: OrderedGraph) -> DensityResult:
     return DensityResult(best_count, len(edges), cert, True, nodes)
 
 
-def packing_bound(
-    pattern: OrderedGraph, kept: EdgeMask, live: EdgeMask, size: int, floor: int = -1
-) -> int:
-    """Upper bound on e(S) over pattern-free S with kept <= S <= live.
+def _copy_table(
+    pattern: OrderedGraph, host: OrderedGraph, edges: list[tuple[int, int]]
+) -> tuple[list[int], list[list[int]]]:
+    """Every ordered copy of ``pattern`` in ``host`` as an int mask over indices into ``edges``.
 
-    ``size`` is the number of edges of ``live``, and ``kept`` must be
-    pattern-free.  Copies in ``live`` are packed greedily, in lexicographic
-    order, while their undecided edges (those outside ``kept``) stay pairwise
-    disjoint.  No copy lies inside ``kept``, so S misses one undecided edge of
-    each packed copy, a different one per copy: e(S) <= size - packing.  The
-    packing stops once the bound is down to ``floor``.
+    The copies come in the kernel's lexicographic order; ``through[i]`` lists
+    the masks of the copies that use edges[i].  The table takes about
+    copies x e/8 bytes, and each copy is charged an upper bound on its mask
+    and list slots while the table is built: past ``_MAX_TABLE_BYTES`` it
+    raises ``BudgetError`` instead of exhausting memory.
+    """
+    index: list[dict[int, int]] = [{} for _ in range(host.n)]  # index[u][v]: (u, v)'s index
+    for i, (u, v) in enumerate(edges):
+        index[u][v] = i
+    pattern_edges = sorted(pattern.edges)
+    # a mask's int object holds at most len(edges) bits in 30-bit digits;
+    # each copy also fills one slot of ``copies`` and one of ``through`` per edge
+    copy_bytes = 28 + 4 * (len(edges) // 30 + 1) + 8 * (1 + len(pattern_edges))
+    max_copies = _MAX_TABLE_BYTES // copy_bytes
+    copies: list[int] = []
+    through: list[list[int]] = [[] for _ in edges]
+    for images in ordered_copies(pattern, host):
+        if len(copies) == max_copies:
+            raise BudgetError(
+                f"more than {max_copies} copies of the pattern exceed {_MAX_TABLE_BYTES} bytes"
+            )
+        bits = [index[images[a]][images[b]] for a, b in pattern_edges]
+        mask = 0
+        for i in bits:
+            mask |= 1 << i
+        copies.append(mask)
+        for i in bits:
+            through[i].append(mask)
+    return copies, through
+
+
+def _closes_copy(through: list[int], kept: int) -> bool:
+    """Whether one of the copies in ``through`` lies inside the edge mask ``kept``.
+
+    Given the copies through an edge e and a ``kept`` holding e, this is
+    exactly whether ``kept`` contains the pattern when ``kept`` less e is
+    pattern-free: every copy inside ``kept`` then passes through e.
+    """
+    return any(not c & ~kept for c in through)
+
+
+def packing_bound(copies: list[int], kept: int, dead: int, size: int, floor: int = -1) -> int:
+    """Upper bound on e(S) over pattern-free S with kept <= S, S missing ``dead``.
+
+    ``copies`` are edge masks in lexicographic order, ``kept`` (pattern-free)
+    and ``dead`` (excluded) are disjoint edge masks, and ``size`` is the
+    number of edges outside ``dead``.  Copies that miss ``dead`` are packed
+    greedily, in order, while their undecided edges (those outside ``kept``)
+    stay pairwise disjoint: a packed copy's undecided edges join ``dead``
+    for the rest of the walk.  No copy lies inside ``kept``, so S misses one
+    undecided edge of each packed copy, a different one per copy:
+    e(S) <= size - packing.  The packing stops once the bound is down to
+    ``floor``.
     """
     need = size - floor
     if need <= 0:
         return size
-    kept_fwd, live_fwd, pattern_edges = kept._fwd, live._fwd, sorted(pattern.edges)
-    # a packed copy's undecided edges leave ``live`` until the walk ends, which
-    # prunes the walk; a copy the kernel yields through one of them anyway
-    # (chosen before the removal) is skipped
-    packed_edges: list[tuple[int, int]] = []
     packed = 0
-    for images in ordered_copies(pattern, live):
-        undecided = []
-        for a, b in pattern_edges:
-            u, v = images[a], images[b]
-            if not kept_fwd[u] >> v & 1:
-                if not live_fwd[u] >> v & 1:
-                    break
-                undecided.append((u, v))
-        else:
-            for e in undecided:
-                live.remove(e)
-            packed_edges += undecided
+    for c in copies:
+        if not c & dead:
+            dead |= c & ~kept
             packed += 1
             if packed == need:
                 break
-    for e in packed_edges:
-        live.add(e)
     return size - packed
 
 
@@ -196,14 +234,14 @@ _ENTER, _INCLUDED, _EXCLUDED = 0, 1, 2
 
 
 def _search(
-    pattern: OrderedGraph,
-    n: int,
-    order: list[tuple[int, int]],
+    copies: list[int],
+    through: list[list[int]],
+    order: Sequence[int],
     threshold: int,
     node_budget: Optional[int] = None,
     first_leaf: bool = False,
-) -> tuple[Optional[tuple[tuple[int, int], ...]], int, bool]:
-    """Include-first DFS over ``order`` for pattern-free sets above ``threshold``.
+) -> tuple[Optional[int], int, bool]:
+    """Include-first DFS over the edge indices ``order`` for pattern-free sets above ``threshold``.
 
     Node i decides edge order[i]; the include branch runs only while the kept
     set stays pattern-free.  A node is pruned when kept + undecided, or the
@@ -211,12 +249,13 @@ def _search(
     |kept|, so it is tried only where |kept| <= threshold.  Each leaf reached
     is a new best and becomes the threshold; with ``first_leaf`` the search
     stops there.  The DFS keeps an explicit stack: its depth, up to e(host),
-    is not limited by Python's recursion limit.
+    is not limited by Python's recursion limit.  ``kept`` and ``dead`` (the
+    excluded edges) are int masks over edge indices.
 
-    Returns (the last leaf's sorted edges or None, nodes, budget exhausted).
+    Returns (the last leaf's kept mask or None, nodes, budget exhausted).
     """
     total = len(order)
-    kept, live = EdgeMask(n), EdgeMask(n, order)  # live = kept + undecided
+    kept = dead = 0
     k = 0  # edges in kept
     best = None
     nodes = 0
@@ -229,37 +268,41 @@ def _search(
                 return best, nodes, True
             room = k + total - i
             if room <= threshold or (
-                k <= threshold and packing_bound(pattern, kept, live, room, threshold) <= threshold
+                k <= threshold and packing_bound(copies, kept, dead, room, threshold) <= threshold
             ):
                 i -= 1
                 continue
             if i == total:
-                threshold, best = k, kept.edges()
+                threshold, best = k, kept
                 if first_leaf:
                     break
                 i -= 1
                 continue
             e = order[i]
-            kept.add(e)
-            if contains_ordered(pattern, kept) is None:
+            if not _closes_copy(through[e], kept | 1 << e):
+                kept |= 1 << e
                 k += 1
                 step[i] = _INCLUDED
                 i += 1
                 step[i] = _ENTER
                 continue
-            kept.remove(e)
         elif step[i] == _INCLUDED:
-            kept.remove(order[i])
+            kept ^= 1 << order[i]
             k -= 1
         else:  # both branches done
-            live.add(order[i])
+            dead ^= 1 << order[i]
             i -= 1
             continue
-        live.remove(order[i])
+        dead |= 1 << order[i]
         step[i] = _EXCLUDED
         i += 1
         step[i] = _ENTER
     return best, nodes, False
+
+
+def _edges_of(mask: int, edges: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """The edges at the set bits of ``mask``, in the order of ``edges``."""
+    return tuple(e for i, e in enumerate(edges) if mask >> i & 1)
 
 
 def rho_exact(
@@ -270,7 +313,9 @@ def rho_exact(
 ) -> DensityResult:
     """Branch-and-bound over include/exclude edge decisions, in two passes.
 
-    Both passes run ``_search``, whose bound is kept + undecided less a
+    The pattern's copies in the host are enumerated once, into the table of
+    ``_copy_table`` (``BudgetError`` if it would pass ``_MAX_TABLE_BYTES``).
+    Both passes run ``_search`` on it; its bound is kept + undecided less a
     greedy packing of copies disjoint in their undecided edges.  The first
     pass branches on edges in descending order of the number of pattern
     copies through them (fail-first) and raises the threshold with each
@@ -288,13 +333,8 @@ def rho_exact(
     _check_pattern(pattern)
     edges = host.sorted_edges()
     total = len(edges)
-    # a copy uses each of its image edges once, so one pass over all copies
-    # counts the copies through every edge
-    weights = dict.fromkeys(edges, 0)
-    for images in ordered_copies(pattern, host):
-        for u, v in pattern.edges:
-            weights[images[u], images[v]] += 1
-    order = sorted(edges, key=lambda e: (-weights[e], e))
+    copies, through = _copy_table(pattern, host, edges)
+    order = sorted(range(total), key=lambda i: (-len(through[i]), i))
 
     best_count = 0
     best_cert: tuple[tuple[int, int], ...] = ()
@@ -306,11 +346,12 @@ def rho_exact(
             raise ValueError(f"edges not in graph: {foreign[:3]}")
         if contains_ordered(pattern, EdgeMask(host.n, ws)) is None:
             best_count, best_cert = len(ws), tuple(ws)
-    found, nodes, exhausted = _search(pattern, host.n, order, best_count, node_budget)
+    found, nodes, exhausted = _search(copies, through, order, best_count, node_budget)
     if found is not None:
-        best_count, best_cert = len(found), found
+        best_count, best_cert = found.bit_count(), _edges_of(found, edges)
     if not exhausted:
-        best_cert, more, _ = _search(pattern, host.n, edges, best_count - 1, first_leaf=True)
+        least, more, _ = _search(copies, through, range(total), best_count - 1, first_leaf=True)
+        best_cert = _edges_of(least, edges)
         nodes += more
     return DensityResult(best_count, total, best_cert, not exhausted, nodes)
 

@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from relturan import __version__, graphio, lemma_checks, richness, tiling
+from relturan import __version__, density, graphio, lemma_checks, richness, tiling
 from relturan.cli import main
 from relturan.core import HypercubeGraph, OrderedGraph, delta_int
 from relturan.graphio import read_blocked, write_hypercube, write_ordered
@@ -83,6 +83,13 @@ class TestSolve:
             results.append(json.loads(capsys.readouterr().out)["best_edges"])
         assert results[0] == results[1]
 
+    def test_copy_table_past_its_cap_is_usage_error(self, p3_file, k4_file, capsys, monkeypatch):
+        # K_4 has 4 copies of P3, each charged some 50 bytes
+        monkeypatch.setattr(density, "_MAX_TABLE_BYTES", 100)
+        assert main(["solve", "--pattern", p3_file, "--host", k4_file, "--mode", "exact"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and "exceed 100 bytes" in err
+
     @pytest.mark.parametrize("mode", ["local", "exact"])
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_bad_budget_is_usage_error(self, p3_file, k4_file, capsys, mode, value):
@@ -117,6 +124,8 @@ class TestSolve:
                      "--mode", "exact", "--budget", "3000"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["exact"] is False and out["total"] == 1225
+        # the value of the search that walked the kernel at every node
+        assert out["best_edges"] == 348
         cert = [tuple(e) for e in out["certificate"]]
         assert len(cert) == out["best_edges"] > 0
         assert set(cert) <= complete_ordered(50).edges
@@ -388,7 +397,9 @@ class TestFileSystemErrors:
             "out-dir-is-a-file": ["classify", "--pattern", p3_file, "--out-dir", str(a_file)],
         }[case]
         assert main(argv) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        # a failed run prints no result
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
 
 
 class TestManifest:

@@ -7,17 +7,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relturan.core import OrderedGraph
+from relturan import density
 from relturan.density import (
     EdgeMask,
+    _closes_copy,
+    _copy_table,
     packing_bound,
     quarter_free_subgraph,
     rho_exact,
     rho_exhaustive,
     rho_local_search,
 )
-from relturan.hosts import complete_ordered, generate_host
+from relturan.hosts import BudgetError, complete_ordered, generate_host
 from relturan.patterns import build_hk, contains_ordered, has_monotone_p3, monotone_p3
 from local_search_oracle import rho_local_search_whole_graph
+from packing_oracle import packing_bound as walk_packing_bound
 
 
 @st.composite
@@ -54,9 +58,10 @@ ORACLE_PATTERNS = [
 ]
 
 
-def root_bound(pattern, host):
+def root_bound(pattern, host, floor=-1):
     edges = host.sorted_edges()
-    return packing_bound(pattern, EdgeMask(host.n), EdgeMask(host.n, edges), len(edges))
+    copies, _ = _copy_table(pattern, host, edges)
+    return packing_bound(copies, 0, 0, len(edges), floor)
 
 
 class TestExhaustive:
@@ -197,18 +202,76 @@ class TestPackingBound:
         assert root_bound(P3, host) == 2
 
     def test_prunes_complete_hosts(self):
-        # both passes together take 280 (P3) and 319 (H_2) nodes on K_8; the
-        # bound kept + undecided alone took 6,672 and about 53k in the first
-        assert rho_exact(P3, complete_ordered(8)).nodes_explored <= 560
-        assert rho_exact(build_hk(2), complete_ordered(8)).nodes_explored <= 640
+        # both passes together; the bound kept + undecided alone took 6,672
+        # (P3) and about 53k (H_2) nodes in the first
+        assert rho_exact(P3, complete_ordered(8)).nodes_explored == 280
+        assert rho_exact(build_hk(2), complete_ordered(8)).nodes_explored == 319
 
     def test_floor_stops_the_packing(self):
         host = complete_ordered(6)  # 15 edges
-        live = EdgeMask(6, host.edges)
-        assert packing_bound(P3, EdgeMask(6), live, 15, floor=13) == 13
-        assert packing_bound(P3, EdgeMask(6), live, 15) < 13
-        # the walk puts every packed edge back
-        assert live.forward_masks == list(host.forward_masks)
+        assert root_bound(P3, host, floor=13) == 13
+        assert root_bound(P3, host) < 13
+
+    @pytest.mark.parametrize("pattern, best, nodes", [(P3, 22, 1863), (build_hk(2), 30, 1500)])
+    def test_search_tree_pinned_on_a_blocked_host(self, pattern, best, nodes):
+        # the values of the search that walked the kernel at every node
+        res = rho_exact(pattern, generate_host(2, 3, 0).to_ordered())
+        assert (res.best_edge_count, res.nodes_explored, res.exact) == (best, nodes, True)
+
+
+class TestCopyTable:
+    """The table's include test and packing bound against the kernel."""
+
+    @given(st.sampled_from(ORACLE_PATTERNS), ordered_graphs(max_n=9, max_edges=30),
+           st.randoms(use_true_random=False), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_kernel_walk(self, pattern, host, rnd, data):
+        # split the edges into a pattern-free kept part, undecided and excluded
+        edges = host.sorted_edges()
+        copies, through = _copy_table(pattern, host, edges)
+        kept, live = EdgeMask(host.n), EdgeMask(host.n)
+        kept_bits = dead_bits = 0
+        for i, e in enumerate(edges):
+            r = rnd.random()
+            if r < 1 / 3:
+                kept.add(e)
+                if contains_ordered(pattern, kept) is None:
+                    kept_bits |= 1 << i
+                    live.add(e)
+                    continue
+                kept.remove(e)
+            if r < 2 / 3:
+                live.add(e)
+            else:
+                dead_bits |= 1 << i
+        for i, e in enumerate(edges):
+            if e not in kept:
+                kept.add(e)
+                assert _closes_copy(through[i], kept_bits | 1 << i) == (
+                    contains_ordered(pattern, kept) is not None)
+                kept.remove(e)
+        size = len(live.edges())
+        for floor in (-1, data.draw(st.integers(-1, size + 1))):
+            assert packing_bound(copies, kept_bits, dead_bits, size, floor) == (
+                walk_packing_bound(pattern, kept, live, size, floor))
+
+    def test_table_lists_every_copy_by_edge(self):
+        host = complete_ordered(5)
+        edges = host.sorted_edges()
+        copies, through = _copy_table(P3, host, edges)
+        index = {e: i for i, e in enumerate(edges)}
+        expected = [1 << index[a, b] | 1 << index[b, c]
+                    for a in range(5) for b in range(a + 1, 5) for c in range(b + 1, 5)]
+        assert copies == expected
+        assert through == [[c for c in copies if c >> i & 1] for i in range(len(edges))]
+
+    def test_memory_guard(self, monkeypatch):
+        # K_8 has 56 copies of P3 over 28 edges, each charged some 50 bytes
+        monkeypatch.setattr(density, "_MAX_TABLE_BYTES", 1000)
+        with pytest.raises(BudgetError, match="exceed 1000 bytes"):
+            rho_exact(P3, complete_ordered(8))
+        # a host with fewer copies still fits
+        assert rho_exact(P3, complete_ordered(4)).best_edge_count == 4
 
 
 class TestQuarterConstructor:
