@@ -259,7 +259,7 @@ def cmd_tile_sample(args) -> int:
         args,
         "chains.csv",
         [f"v{t + 1}" for t in range(cfg.h)],
-        [[int(x) for x in row] for row in verts[: min(len(verts), 10000)]],
+        verts[:10000].tolist(),
     )
     _emit(result, args, {"pattern": args.pattern})
     return 0

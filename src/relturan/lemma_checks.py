@@ -95,59 +95,67 @@ def check_locally_balanced(
     m, hi = _window_lengths(n)
     # A window of length L with sum s violates iff |s - L/2| >= eps L.  The
     # float test is evaluated once per possible sum; as |s - L/2| is exact and
-    # grows away from L/2, the violating sums are s <= low[L] or s >= high[L].
-    low, high = {}, {}
+    # grows away from L/2, the violating sums are the below[L] smallest and
+    # those >= high[L].  The scan keeps each sum s as its residue s - below[L]
+    # mod 2^k, with 2^k > hi: one-to-one on [0, L], it sends the below[L]
+    # smallest sums to the top, so s violates iff its residue >= threshold[L].
+    below, threshold = {}, {}
     for length in range(m, hi + 1):
         viol = np.abs(np.arange(length + 1) - length / 2) >= eps * length
-        low[length] = np.count_nonzero(viol[:length // 2 + 1]) - 1
-        high[length] = length + 1 - np.count_nonzero(viol[(length + 1) // 2:])
-    prefix_dtype = np.int16 if n < 1 << 15 else np.int32  # prefix sums are at most n
+        below[length] = int(np.count_nonzero(viol[:length // 2 + 1]))
+        high = length + 1 - int(np.count_nonzero(viol[(length + 1) // 2:]))
+        threshold[length] = high - below[length]
+    dtype = np.uint8 if hi < 256 else np.uint16
+    modulus = int(np.iinfo(dtype).max) + 1
+    block = max(1, (1 << 18) // (n + 1))  # rows whose residues stay in cache
+    cells_per_row = sum(n + 1 - length for length in range(m, hi + 1))
 
-    def batch_violations(bits: np.ndarray) -> tuple[int, int, int]:
-        rows = bits.shape[0]
-        prefix = np.zeros((rows, n + 1), dtype=prefix_dtype)
-        np.cumsum(bits, axis=1, dtype=prefix_dtype, out=prefix[:, 1:])
-        buf = np.empty(rows * (n + 1 - m), dtype=prefix_dtype)
-        bad = np.zeros(rows, dtype=bool)
-        cells = bad_cells = 0
-        for length in range(m, hi + 1):
-            width = n + 1 - length
-            sums = buf[:rows * width].reshape(rows, width)
-            np.subtract(prefix[:, length:], prefix[:, :-length], out=sums)
-            below = sums.min(axis=1) <= low[length]
-            above = sums.max(axis=1) >= high[length]
-            bad |= below | above
-            cells += sums.size
-            if below.any():
-                bad_cells += np.count_nonzero(sums <= low[length])
-            if above.any():
-                bad_cells += np.count_nonzero(sums >= high[length])
-        return int(bad.sum()), bad_cells, cells
+    def batch_violations(bits: np.ndarray) -> tuple[int, int]:
+        bad = np.zeros(bits.shape[0], dtype=bool)
+        bad_cells = 0
+        for start in range(0, bits.shape[0], block):
+            rows = bits[start:start + block].astype(dtype)
+            prefix = np.zeros((rows.shape[0], n + 1), dtype=dtype)
+            np.cumsum(rows, axis=1, dtype=dtype, out=prefix[:, 1:])  # exact mod 2^k
+            resid = prefix[:, m:] - prefix[:, :-m]
+            offset = 0  # resid holds s - offset mod 2^k
+            for length in range(m, hi + 1):
+                sums = resid[:, :n + 1 - length]
+                if length > m:
+                    sums += rows[:, length - 1:]
+                if below[length] != offset:
+                    sums -= (below[length] - offset) % modulus
+                    offset = below[length]
+                hit = sums.max(axis=1) >= threshold[length]
+                if hit.any():
+                    bad[start:start + block] |= hit
+                    bad_cells += int(np.count_nonzero(sums >= threshold[length]))
+        return int(np.count_nonzero(bad)), bad_cells
 
     if exhaustive:
         if n > 22:
             raise ValueError("exhaustive mode supports n <= 22")
         total = 1 << n
-        violating = bad_cells = cells = 0
+        violating = bad_cells = 0
         chunk = 1 << 14
         for start in range(0, total, chunk):
             vals = np.arange(start, min(start + chunk, total), dtype=np.int64)
             bits = (vals[:, None] >> np.arange(n - 1, -1, -1)) & 1
-            v, bc, c = batch_violations(bits)
-            violating, bad_cells, cells = violating + v, bad_cells + bc, cells + c
+            v, bc = batch_violations(bits)
+            violating, bad_cells = violating + v, bad_cells + bc
         frac = violating / total
         ci = (frac, frac)
         samples = total
     else:
-        violating = bad_cells = cells = 0
+        violating = bad_cells = 0
         samples = n_samples
         chunk = max(1, (1 << 22) // n)
         remaining = n_samples
         while remaining:
             b = min(chunk, remaining)
             bits = rng.integers(0, 2, size=(b, n), dtype=np.int64)
-            v, bc, c = batch_violations(bits)
-            violating, bad_cells, cells = violating + v, bad_cells + bc, cells + c
+            v, bc = batch_violations(bits)
+            violating, bad_cells = violating + v, bad_cells + bc
             remaining -= b
         frac = violating / n_samples
         half = 1.96 * math.sqrt(max(frac * (1 - frac), 1e-12) / n_samples)
@@ -165,7 +173,7 @@ def check_locally_balanced(
             "ci_low": ci[0],
             "ci_high": ci[1],
             "violating": violating,
-            "window_fraction": bad_cells / cells if cells else 0.0,
+            "window_fraction": bad_cells / (samples * cells_per_row),
         },
     )
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relturan import lemma_checks
 from relturan.cli import _jsonify
 from relturan.lemma_checks import (
     _window_lengths,
@@ -40,6 +41,21 @@ def _float_window_counts(bits: np.ndarray, eps: float) -> tuple[int, int]:
         bad += int(viol.sum())
         cells += viol.size
     return bad, cells
+
+
+def _drawn_bits(n: int, n_samples: int, seed: int) -> np.ndarray:
+    """The strings check_locally_balanced draws, by its documented chunked stream."""
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+    chunk = max(1, (1 << 22) // n)
+    return np.concatenate([
+        rng.integers(0, 2, size=(min(chunk, n_samples - start), n), dtype=np.int64)
+        for start in range(0, n_samples, chunk)
+    ])
+
+
+def _all_strings(n: int) -> np.ndarray:
+    vals = np.arange(1 << n, dtype=np.int64)
+    return (vals[:, None] >> np.arange(n - 1, -1, -1)) & 1
 
 
 class TestBinomialFraction:
@@ -107,16 +123,12 @@ class TestLocallyBalanced:
         (128, 0.15, 300, 7),
         (1024, 0.1, 60, 1),  # most strings violate
         (1024, 0.3, 60, 2**64 - 1),
-        (1 << 15, 0.25, 3, 8),  # int32 prefix
+        (1 << 15, 0.25, 3, 8),  # few long strings
+        (1 << 17, 0.1, 2, 6),  # hi = 279: uint16 residues, blocks of one row
     ])
     def test_monte_carlo_matches_float_window_scan(self, n, eps, n_samples, seed):
         rep = check_locally_balanced(n, eps, n_samples, seed)
-        rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
-        chunk = max(1, (1 << 22) // n)
-        bits = np.concatenate([
-            rng.integers(0, 2, size=(min(chunk, n_samples - start), n), dtype=np.int64)
-            for start in range(0, n_samples, chunk)
-        ])
+        bits = _drawn_bits(n, n_samples, seed)
         assert rep.extra["violating"] == sum(string_violates(row, eps) for row in bits)
         bad_cells, cells = _float_window_counts(bits, eps)
         assert rep.extra["window_fraction"] == bad_cells / cells
@@ -124,8 +136,47 @@ class TestLocallyBalanced:
     def test_exhaustive_tie_cases_match_float_window_scan(self):
         n, eps = 12, 0.25
         rep = check_locally_balanced(n, eps, n_samples=0, seed=0, exhaustive=True)
-        vals = np.arange(1 << n, dtype=np.int64)
-        bad_cells, cells = _float_window_counts((vals[:, None] >> np.arange(n - 1, -1, -1)) & 1, eps)
+        bad_cells, cells = _float_window_counts(_all_strings(n), eps)
+        assert rep.extra["window_fraction"] == bad_cells / cells
+
+    def test_extreme_windows_on_uint16_residues(self, monkeypatch):
+        # hi = 279 >= 256: a uint8 residue would alias the near-all-0 and
+        # near-all-1 windows, which uniform strings of this length never hold
+        n, eps = 1 << 17, 0.45
+        bits = np.ones((2, n), dtype=np.int64)
+        bits[1, :n // 2] = 0
+
+        class Fixed:
+            def integers(self, low, high, size, dtype):
+                return bits[:size[0]]
+
+        monkeypatch.setattr(lemma_checks, "philox_rng", lambda seed: Fixed())
+        rep = check_locally_balanced(n, eps, 2, seed=0)
+        assert rep.extra["violating"] == 2
+        bad_cells, cells = _float_window_counts(bits, eps)
+        assert rep.extra["window_fraction"] == bad_cells / cells
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(4, 3000),
+        eps=st.sampled_from([0.1, 0.125, 0.25, 1 / 3])
+        | st.floats(0, 0.7, exclude_min=True, allow_subnormal=False),
+        n_samples=st.integers(1, 6),
+        seed=st.integers(0, 2**64 - 1),
+        exhaustive=st.booleans(),
+    )
+    def test_residue_scan_matches_float_oracles(self, n, eps, n_samples, seed, exhaustive):
+        # float-tie eps values put sums exactly on |s - L/2| = eps L; eps >= 0.5
+        # leaves only the all-0 and all-1 windows (or none) violating
+        if exhaustive:
+            n = n % 9 + 4  # 2^n strings: keep n <= 12
+        rep = check_locally_balanced(n, eps, n_samples, seed, exhaustive=exhaustive)
+        bits = _all_strings(n) if exhaustive else _drawn_bits(n, n_samples, seed)
+        assert rep.samples == len(bits)
+        assert rep.extra["violating"] == sum(string_violates(row, eps) for row in bits)
+        bad_cells, cells = _float_window_counts(bits, eps)
+        assert type(rep.extra["violating"]) is int
+        assert type(rep.extra["window_fraction"]) is float
         assert rep.extra["window_fraction"] == bad_cells / cells
 
     @pytest.mark.parametrize("n_samples, seed", [(0, 1), (-3, 1), (10, -1), (10, 2**64)])
