@@ -128,14 +128,16 @@ def cmd_classify(args) -> int:
         "chi_interval": chi,
         "pi": pi,
         # rho_<(F) = 0 iff F has no monotone P3; an edgeless F gets no class
-        "classification": ("AT_LEAST_QUARTER" if has_p3 else "ZERO") if pat.edges else None,
-        "hk_embedding": patterns.embed_into_hk(pat) if pat.edges and not has_p3 else None,
+        "classification": ("AT_LEAST_QUARTER" if has_p3 else "ZERO") if pat.num_edges() else None,
+        "hk_embedding": patterns.embed_into_hk(pat) if pat.num_edges() and not has_p3 else None,
     }
     _emit(result, args, {"pattern": args.pattern})
     return 0
 
 
 def cmd_solve(args) -> int:
+    if args.mode == "exhaustive" and args.budget is not None:
+        raise ValueError("--budget bounds the exact and local searches; exhaustive mode takes none")
     pat = graphio.read_ordered(args.pattern)
     host = graphio.read_ordered(args.host)
     if args.mode == "exhaustive":
@@ -382,6 +384,8 @@ def cmd_report(args) -> int:
     experiment = spec.get("experiment", "quarter-density")
     if experiment not in ("quarter-density", "local-density"):
         raise ValueError(f"unknown experiment {experiment!r}")
+    if experiment == "quarter-density" and args.budget is not None:
+        raise ValueError("--budget sets the local-density rounds; quarter-density takes none")
     d_values = _grid_ints(spec, "d_values", [])
     m_values = _grid_ints(spec, "m_values", [spec.get("m", 8)])
     seeds = _grid_ints(spec, "seeds", [args.seed])
@@ -397,7 +401,7 @@ def cmd_report(args) -> int:
                     host = hosts.generate_host(m, d, seed).to_ordered()
                     if experiment == "quarter-density":
                         sub = density.quarter_free_subgraph(host)
-                        kept = len(sub.edges)
+                        kept = sub.num_edges()
                     else:
                         res = density.rho_local_search(
                             patterns.monotone_p3(),
@@ -406,7 +410,7 @@ def cmd_report(args) -> int:
                             seed=seed,
                         )
                         kept = res.best_edge_count
-                    total = len(host.edges)
+                    total = host.num_edges()
                     ratio = kept / total if total else 1.0
                     status = "ok"
                 except (hosts.BudgetError, ValueError) as exc:

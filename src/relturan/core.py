@@ -40,20 +40,34 @@ def tau(level: int, d: int) -> int:
     return 1 << (2 * d - level - 1)
 
 
+def mask_edges(fwd: Sequence[int]) -> list[tuple[int, int]]:
+    """The edges (u, v) of the forward bitmasks ``fwd``, in lexicographic order."""
+    out = []
+    for u, mask in enumerate(fwd):
+        while mask:
+            low = mask & -mask
+            out.append((u, low.bit_length() - 1))
+            mask ^= low
+    return out
+
+
 class OrderedGraph:
     """An ordered graph on vertices 0..n-1 with the natural order.
 
-    Edges are unordered pairs (u, v) with u < v.  Per-vertex forward and
-    backward neighbourhoods are kept as bitmasks for fast containment search.
-    Instances are immutable after construction.
+    Edges are unordered pairs (u, v) with u < v.  The graph is held only as
+    per-vertex forward and backward neighbourhood bitmasks, which the
+    containment kernel reads directly; the edge set and the sorted edge list
+    are read off the forward masks on demand.  Instances are immutable after
+    construction.
     """
 
-    __slots__ = ("n", "edges", "_fwd", "_bwd")
+    __slots__ = ("n", "_fwd", "_bwd")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        canon = set()
+        fwd = [0] * n
+        bwd = [0] * n
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at {u}")
@@ -61,21 +75,26 @@ class OrderedGraph:
                 u, v = v, u
             if not (0 <= u < v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            canon.add((u, v))
-        self.n = n
-        self.edges = frozenset(canon)
-        fwd = [0] * n
-        bwd = [0] * n
-        for u, v in canon:
             fwd[u] |= 1 << v
             bwd[v] |= 1 << u
+        self.n = n
         self._fwd = tuple(fwd)
         self._bwd = tuple(bwd)
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The edge set, built afresh from the masks at every read."""
+        return frozenset(mask_edges(self._fwd))
 
     @property
     def forward_masks(self) -> tuple[int, ...]:
         """forward(u) for every vertex u, indexable by u."""
         return self._fwd
+
+    @property
+    def backward_masks(self) -> tuple[int, ...]:
+        """backward(v) for every vertex v, indexable by v."""
+        return self._bwd
 
     def forward(self, u: int) -> int:
         """Bitmask of neighbours v > u."""
@@ -86,28 +105,29 @@ class OrderedGraph:
         return self._bwd[u]
 
     def has_edge(self, u: int, v: int) -> bool:
+        """Whether (u, v) is an edge; False for any pair outside 0..n-1."""
         if u > v:
             u, v = v, u
-        return (self._fwd[u] >> v) & 1 == 1
+        return 0 <= u and v < self.n and (self._fwd[u] >> v) & 1 == 1
 
     def num_edges(self) -> int:
-        return len(self.edges)
+        return sum(mask.bit_count() for mask in self._fwd)
 
     def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
+        return mask_edges(self._fwd)
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, OrderedGraph)
             and self.n == other.n
-            and self.edges == other.edges
+            and self._fwd == other._fwd
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        return hash((self.n, self._fwd))
 
     def __repr__(self) -> str:
-        return f"OrderedGraph(n={self.n}, m={len(self.edges)})"
+        return f"OrderedGraph(n={self.n}, m={self.num_edges()})"
 
 
 class HypercubeGraph:

@@ -19,8 +19,8 @@ operations.  The table takes about copies x e/8 bytes; one that would pass
 2^31 bytes is refused with ``hosts.BudgetError``.  The local search keeps
 its set pattern-free and adds one edge at a time, so every new copy passes
 through that edge; it searches only those, with
-``patterns.first_copy_through``, and holds its kept edges in an
-``EdgeMask``.
+``patterns.first_copy_through``, and holds its kept edges as two plain lists
+of forward and backward bitmasks that it edits in place.
 
 Plus the derandomized two-label constructor that keeps at least a quarter of
 the edges of any host while avoiding every increasing 2-edge path.
@@ -32,9 +32,9 @@ import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
-from .core import OrderedGraph
+from .core import OrderedGraph, mask_edges
 from .hosts import BudgetError
 from .patterns import contains_ordered, first_copy_through, has_monotone_p3, ordered_copies
 
@@ -45,11 +45,14 @@ _MAX_TABLE_BYTES = 1 << 31
 
 @dataclass(frozen=True)
 class DensityResult:
-    best_edge_count: int
     total_edges: int
     certificate: tuple[tuple[int, int], ...]  # sorted edge list of the best subgraph
     exact: bool
     nodes_explored: int
+
+    @property
+    def best_edge_count(self) -> int:
+        return len(self.certificate)
 
     @property
     def ratio(self) -> Fraction:
@@ -59,58 +62,8 @@ class DensityResult:
 
 
 def _check_pattern(pattern: OrderedGraph) -> None:
-    if not pattern.edges:
+    if not pattern.num_edges():
         raise ValueError("pattern must have at least one edge")
-
-
-class EdgeMask:
-    """A mutable edge set on vertices 0..n-1, forward and backward bitmasks per vertex.
-
-    It offers the ``n``/``forward_masks``/``backward`` view that
-    ``ordered_copies`` and ``first_copy_through`` read, so the local search
-    adds and removes single edges instead of rebuilding an OrderedGraph for
-    every containment test.  Edges are given as (u, v), u < v.
-    """
-
-    __slots__ = ("n", "_fwd", "_bwd")
-
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
-        self.n = n
-        self._fwd = [0] * n
-        self._bwd = [0] * n
-        for e in edges:
-            self.add(e)
-
-    @property
-    def forward_masks(self) -> list[int]:
-        return self._fwd
-
-    def backward(self, v: int) -> int:
-        return self._bwd[v]
-
-    def add(self, e: tuple[int, int]) -> None:
-        u, v = e
-        self._fwd[u] |= 1 << v
-        self._bwd[v] |= 1 << u
-
-    def remove(self, e: tuple[int, int]) -> None:
-        u, v = e
-        self._fwd[u] &= ~(1 << v)
-        self._bwd[v] &= ~(1 << u)
-
-    def __contains__(self, e: tuple[int, int]) -> bool:
-        u, v = e
-        return self._fwd[u] >> v & 1 == 1
-
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        """The edges in lexicographic order, read from the set bits of each forward mask."""
-        out = []
-        for u, fwd in enumerate(self._fwd):
-            while fwd:
-                low = fwd & -fwd
-                out.append((u, low.bit_length() - 1))
-                fwd ^= low
-        return tuple(out)
 
 
 def rho_exhaustive(pattern: OrderedGraph, host: OrderedGraph) -> DensityResult:
@@ -153,7 +106,7 @@ def rho_exhaustive(pattern: OrderedGraph, host: OrderedGraph) -> DensityResult:
 
     dfs(0)
     cert = tuple(best[0]) if best else ()
-    return DensityResult(best_count, len(edges), cert, True, nodes)
+    return DensityResult(len(edges), cert, True, nodes)
 
 
 def _copy_table(
@@ -170,14 +123,14 @@ def _copy_table(
     index: list[dict[int, int]] = [{} for _ in range(host.n)]  # index[u][v]: (u, v)'s index
     for i, (u, v) in enumerate(edges):
         index[u][v] = i
-    pattern_edges = sorted(pattern.edges)
+    pattern_edges = pattern.sorted_edges()
     # a mask's int object holds at most len(edges) bits in 30-bit digits;
     # each copy also fills one slot of ``copies`` and one of ``through`` per edge
     copy_bytes = 28 + 4 * (len(edges) // 30 + 1) + 8 * (1 + len(pattern_edges))
     max_copies = _MAX_TABLE_BYTES // copy_bytes
     copies: list[int] = []
     through: list[list[int]] = [[] for _ in edges]
-    for images in ordered_copies(pattern, host):
+    for images in ordered_copies(pattern, host.forward_masks):
         if len(copies) == max_copies:
             raise BudgetError(
                 f"more than {max_copies} copies of the pattern exceed {_MAX_TABLE_BYTES} bytes"
@@ -336,24 +289,22 @@ def rho_exact(
     copies, through = _copy_table(pattern, host, edges)
     order = sorted(range(total), key=lambda i: (-len(through[i]), i))
 
-    best_count = 0
     best_cert: tuple[tuple[int, int], ...] = ()
     if warm_start is not None:
         ws = sorted({(u, v) if u < v else (v, u) for u, v in warm_start})
-        # refused before the mask, which would wrap a negative vertex
-        foreign = [e for e in ws if e not in host.edges]
+        foreign = [e for e in ws if not host.has_edge(*e)]
         if foreign:
             raise ValueError(f"edges not in graph: {foreign[:3]}")
-        if contains_ordered(pattern, EdgeMask(host.n, ws)) is None:
-            best_count, best_cert = len(ws), tuple(ws)
-    found, nodes, exhausted = _search(copies, through, order, best_count, node_budget)
+        if contains_ordered(pattern, OrderedGraph(host.n, ws)) is None:
+            best_cert = tuple(ws)
+    found, nodes, exhausted = _search(copies, through, order, len(best_cert), node_budget)
     if found is not None:
-        best_count, best_cert = found.bit_count(), _edges_of(found, edges)
+        best_cert = _edges_of(found, edges)
     if not exhausted:
-        least, more, _ = _search(copies, through, range(total), best_count - 1, first_leaf=True)
+        least, more, _ = _search(copies, through, range(total), len(best_cert) - 1, first_leaf=True)
         best_cert = _edges_of(least, edges)
         nodes += more
-    return DensityResult(best_count, total, best_cert, not exhausted, nodes)
+    return DensityResult(total, best_cert, not exhausted, nodes)
 
 
 def quarter_free_subgraph(host: OrderedGraph) -> OrderedGraph:
@@ -373,12 +324,13 @@ def quarter_free_subgraph(host: OrderedGraph) -> OrderedGraph:
     surely.  The greedy rule is therefore: v is a SOURCE iff
     |forward(v)| >= 2 |backward(v) & sources|, ties going to SOURCE.
     """
+    fwd, bwd = host.forward_masks, host.backward_masks
     sources = 0
     for v in range(host.n):
-        if host.forward(v).bit_count() >= 2 * (host.backward(v) & sources).bit_count():
+        if fwd[v].bit_count() >= 2 * (bwd[v] & sources).bit_count():
             sources |= 1 << v
-    kept = [(u, v) for u, v in host.edges if sources >> u & 1 and not sources >> v & 1]
-    return OrderedGraph(host.n, kept)
+    kept = [mask & ~sources if sources >> u & 1 else 0 for u, mask in enumerate(fwd)]
+    return OrderedGraph(host.n, mask_edges(kept))
 
 
 def rho_local_search(
@@ -399,37 +351,44 @@ def rho_local_search(
     rng = random.Random(seed)
     all_edges = host.sorted_edges()
     total = len(all_edges)
+    pattern_edges = pattern.sorted_edges()
 
-    kept = EdgeMask(host.n)
+    # the kept edges: fwd[u] holds u's kept neighbours v > u, bwd[v] those u < v
+    fwd, bwd = [0] * host.n, [0] * host.n
     if has_monotone_p3(pattern):
         start = quarter_free_subgraph(host)
         if contains_ordered(pattern, start) is None:
-            for e in start.edges:
-                kept.add(e)
+            fwd, bwd = list(start.forward_masks), list(start.backward_masks)
 
     # the greedy pass appends the edges it refuses, so ``absent`` is
-    # all_edges less ``kept`` in sorted order; the rounds keep it so with
-    # ``bisect``, and rng.choice picks what it would from a fresh filter
+    # all_edges less the kept edges in sorted order; the rounds keep it so
+    # with ``bisect``, and rng.choice picks what it would from a fresh filter
     absent = []
-    for e in all_edges:
-        if e not in kept:
-            kept.add(e)
-            if first_copy_through(pattern, kept, *e) is not None:
-                kept.remove(e)
-                absent.append(e)
+    for u, v in all_edges:
+        if not fwd[u] >> v & 1:
+            fwd[u] |= 1 << v
+            bwd[v] |= 1 << u
+            if first_copy_through(pattern, fwd, bwd, u, v) is not None:
+                fwd[u] ^= 1 << v
+                bwd[v] ^= 1 << u
+                absent.append((u, v))
 
     def add(e: tuple[int, int]) -> None:
-        kept.add(e)
+        u, v = e
+        fwd[u] |= 1 << v
+        bwd[v] |= 1 << u
         del absent[bisect_left(absent, e)]
 
     def remove(e: tuple[int, int]) -> None:
-        kept.remove(e)
+        u, v = e
+        fwd[u] &= ~(1 << v)
+        bwd[v] &= ~(1 << u)
         insort(absent, e)
 
     # every round starts with as many kept edges as ``best`` has: a round
     # that removes two or more edges loses and is reverted, one that removes
     # none gains and is the new best
-    best = kept.edges()
+    best = tuple(mask_edges(fwd))
     nodes = 0
     for _ in range(budget):
         nodes += 1
@@ -438,12 +397,12 @@ def rho_local_search(
         e = rng.choice(absent)
         add(e)
         removed = []
-        # ``kept`` less e is pattern-free, so every copy passes through e and
+        # the kept edges less e are pattern-free, so every copy passes through e and
         # the anchored search finds the lexicographically first one
-        while (images := first_copy_through(pattern, kept, *e)) is not None:
+        while (images := first_copy_through(pattern, fwd, bwd, *e)) is not None:
             # delete one edge of the found copy, cheapest = any edge other
             # than the fresh one (prefer the last in canonical order)
-            copy_edges = sorted((images[u], images[v]) for u, v in pattern.edges)
+            copy_edges = [(images[u], images[v]) for u, v in pattern_edges]
             victims = [c for c in copy_edges if c != e] or copy_edges
             victim = victims[-1]
             remove(victim)
@@ -453,6 +412,6 @@ def rho_local_search(
             for r in removed:
                 add(r)
         elif not removed:
-            best = kept.edges()
+            best = tuple(mask_edges(fwd))
 
-    return DensityResult(len(best), total, best, False, nodes)
+    return DensityResult(total, best, False, nodes)

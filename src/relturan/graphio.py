@@ -33,7 +33,7 @@ _MAX_CUBE_D = DEFAULT_VERTEX_BUDGET.bit_length() - 1
 
 
 def dumps_ordered(g: OrderedGraph) -> str:
-    lines = [f"{g.n} {len(g.edges)}"]
+    lines = [f"{g.n} {g.num_edges()}"]
     lines.extend(f"{u} {v}" for u, v in g.sorted_edges())
     return "\n".join(lines) + "\n"
 

@@ -6,9 +6,12 @@ its tuple of images, pattern vertex i -> images[i].  One backtracking kernel,
 ``ordered_copies``, enumerates them: it places pattern vertices left to
 right, so at each step the candidate host vertices form an interval above
 the previous image and edge constraints reduce to bitmask intersections with
-backward neighbourhoods already placed.  Optional per-vertex masks of
-allowed images let ``first_copy_through`` pin a pattern edge onto one host
-edge.  Containment and the density solvers' copy counts are built on it.
+backward neighbourhoods already placed.  The kernel reads the host as a
+sequence of forward bitmasks, one per vertex: an OrderedGraph's
+``forward_masks``, or the plain lists the local search edits in place.
+Optional per-vertex masks of allowed images let ``first_copy_through`` pin a
+pattern edge onto one host edge.  Containment and the density solvers' copy
+counts are built on it.
 """
 
 from __future__ import annotations
@@ -30,31 +33,29 @@ def validate_witness(pattern: OrderedGraph, host, images: Sequence[int]) -> bool
         len(images) == pattern.n
         and all(0 <= img < host.n for img in images)
         and all(a < b for a, b in zip(images, images[1:]))
-        and all(host.has_edge(images[u], images[v]) for u, v in pattern.edges)
+        and all(host.has_edge(images[u], images[v]) for u, v in pattern.sorted_edges())
     )
 
 
 def ordered_copies(
-    pattern: OrderedGraph, host, allowed: Optional[Sequence[int]] = None
+    pattern: OrderedGraph, fwd: Sequence[int], allowed: Optional[Sequence[int]] = None
 ) -> Iterator[tuple[int, ...]]:
-    """Every ordered copy of ``pattern`` in ``host``, in lexicographic order.
+    """Every ordered copy of ``pattern`` in the host ``fwd``, in lexicographic order.
 
     Pattern vertices are placed in increasing order; the image of vertex i
     must exceed the image of i-1, leave room for the vertices after it, and
     lie in the forward neighbourhood of every placed backward neighbour of i.
     With ``allowed``, the image of vertex i must also lie in the bitmask
     ``allowed[i]``; ``first_copy_through`` pins a pattern edge onto one host
-    edge this way.  Only ``host.n`` and ``host.forward_masks`` (forward(u)
-    for every u, read once per call) are used, so any forward-bitmask edge
-    set can stand in for an OrderedGraph.
+    edge this way.  The host is given by its forward bitmasks: it has
+    len(fwd) vertices, and fwd[u] holds u's neighbours v > u.
     """
-    k, n = pattern.n, host.n
+    k, n = pattern.n, len(fwd)
     if k > n:
         return
     if k == 0:
         yield ()
         return
-    fwd = host.forward_masks
     full = (1 << n) - 1
     # limit[i]: the images vertex i may take before its predecessors are known
     if allowed is None:
@@ -87,11 +88,13 @@ def ordered_copies(
 @lru_cache(maxsize=64)
 def _predecessors(pattern: OrderedGraph) -> tuple[tuple[int, ...], ...]:
     """For each pattern vertex, its backward neighbours in ascending order."""
-    return tuple(tuple(sorted(a for a, b in pattern.edges if b == i)) for i in range(pattern.n))
+    return tuple(
+        tuple(a for a in range(i) if pattern.backward(i) >> a & 1) for i in range(pattern.n)
+    )
 
 
 def first_copy_through(
-    pattern: OrderedGraph, host, u: int, v: int
+    pattern: OrderedGraph, fwd: Sequence[int], bwd: Sequence[int], u: int, v: int
 ) -> Optional[tuple[int, ...]]:
     """The lexicographically least ordered copy with (u, v) as an image edge.
 
@@ -99,17 +102,17 @@ def first_copy_through(
     to v: vertices before a lie below u, vertices between a and b below v,
     and every pattern edge into a pinned vertex confines its source to the
     host's backward neighbourhood of that vertex's image.  The least of
-    these first copies is the answer.  When ``host`` less the edge (u, v)
+    these first copies is the answer.  When the host less the edge (u, v)
     is pattern-free, every copy passes through (u, v), so this equals
-    ``contains_ordered`` at a fraction of its cost.  Reads ``host.n``,
-    ``host.forward_masks`` and ``host.backward``; needs u < v.
+    ``contains_ordered`` at a fraction of its cost.  The host is given by
+    its forward and backward bitmasks ``fwd`` and ``bwd``; needs u < v.
     """
-    k, full = pattern.n, (1 << host.n) - 1
+    k, full = pattern.n, (1 << len(fwd)) - 1
     below_u, below_v = (1 << u) - 1, (1 << v) - 1
-    back_u, back_v = host.backward(u), host.backward(v)
+    back_u, back_v = bwd[u], bwd[v]
     preds = _predecessors(pattern)
     best = None
-    for a, b in pattern.edges:
+    for a, b in pattern.sorted_edges():
         allowed = [below_u] * a + [1 << u] + [below_v] * (b - a - 1) + [1 << v]
         allowed += [full] * (k - b - 1)
         for x in preds[a]:
@@ -118,15 +121,15 @@ def first_copy_through(
             allowed[x] &= back_v
         if not all(allowed):
             continue
-        images = next(ordered_copies(pattern, host, allowed), None)
+        images = next(ordered_copies(pattern, fwd, allowed), None)
         if images is not None and (best is None or images < best):
             best = images
     return best
 
 
-def contains_ordered(pattern: OrderedGraph, host) -> Optional[tuple[int, ...]]:
+def contains_ordered(pattern: OrderedGraph, host: OrderedGraph) -> Optional[tuple[int, ...]]:
     """The lexicographically first ordered copy of ``pattern`` in ``host``, or None."""
-    return next(ordered_copies(pattern, host), None)
+    return next(ordered_copies(pattern, host.forward_masks), None)
 
 
 def monotone_p3(k: int = 3) -> OrderedGraph:

@@ -221,7 +221,7 @@ def tiling_guarantee_report(
     if bound >= np.iinfo(np.int64).max:
         raise ValueError(f"class scores up to {bound} could overflow int64 (w = {w}, h = {h})")
 
-    e_pat = len(pattern.edges)
+    e_pat = pattern.num_edges()
     eps = Fraction(epsilon)
     p, q = eps.numerator, eps.denominator
     # S L q >= (q - p) e (L - w) C(w, h), and 0 <= S <= bound

@@ -1,8 +1,9 @@
 """Whole-graph reference for the local search.
 
 ``rho_local_search`` tests containment only through the edge it just added.
-This is the same hill climb with every test a whole-graph
-``contains_ordered`` from vertex 0, as the package ran it before anchoring.
+This is the same hill climb with every test a whole-graph walk of the
+ordered-copy kernel from vertex 0, as the package ran it before anchoring.
+It holds its kept edges as a set beside one plain list of forward bitmasks.
 Both must agree on the best count, the certificate and the round count.
 """
 
@@ -11,8 +12,8 @@ from __future__ import annotations
 import random
 
 from relturan.core import OrderedGraph
-from relturan.density import DensityResult, EdgeMask, _check_pattern, quarter_free_subgraph
-from relturan.patterns import contains_ordered, has_monotone_p3
+from relturan.density import DensityResult, _check_pattern, quarter_free_subgraph
+from relturan.patterns import contains_ordered, has_monotone_p3, ordered_copies
 
 
 def rho_local_search_whole_graph(
@@ -27,27 +28,30 @@ def rho_local_search_whole_graph(
     total = len(all_edges)
 
     current: set[tuple[int, int]] = set()
-    mask = EdgeMask(host.n)
+    fwd = [0] * host.n
 
     def put(e: tuple[int, int]) -> None:
         current.add(e)
-        mask.add(e)
+        fwd[e[0]] |= 1 << e[1]
 
     def drop(e: tuple[int, int]) -> None:
         current.discard(e)
-        mask.remove(e)
+        fwd[e[0]] &= ~(1 << e[1])
+
+    def first_copy():
+        return next(ordered_copies(pattern, fwd), None)
 
     if has_monotone_p3(pattern):
         start = quarter_free_subgraph(host)
         if contains_ordered(pattern, start) is None:
-            for e in start.edges:
+            for e in start.sorted_edges():
                 put(e)
 
     def try_add(e: tuple[int, int]) -> bool:
         if e in current:
             return False
         put(e)
-        if contains_ordered(pattern, mask) is None:
+        if first_copy() is None:
             return True
         drop(e)
         return False
@@ -64,7 +68,7 @@ def rho_local_search_whole_graph(
         e = rng.choice([c for c in all_edges if c not in current])
         put(e)
         removed = []
-        while (witness := contains_ordered(pattern, mask)) is not None:
+        while (witness := first_copy()) is not None:
             copy_edges = sorted((witness[u], witness[v]) for u, v in pattern.edges)
             victims = [c for c in copy_edges if c != e] or copy_edges
             victim = victims[-1]
@@ -77,5 +81,4 @@ def rho_local_search_whole_graph(
         if len(current) > len(best):
             best = set(current)
 
-    cert = tuple(sorted(best))
-    return DensityResult(len(cert), total, cert, False, nodes)
+    return DensityResult(total, tuple(sorted(best)), False, nodes)

@@ -10,15 +10,16 @@ edges from them until the walk ends.  Both must give the same bound.
 from __future__ import annotations
 
 from relturan.core import OrderedGraph
-from relturan.density import EdgeMask
 from relturan.patterns import ordered_copies
 
 
 def packing_bound(
-    pattern: OrderedGraph, kept: EdgeMask, live: EdgeMask, size: int, floor: int = -1
+    pattern: OrderedGraph, kept: list[int], live: list[int], size: int, floor: int = -1
 ) -> int:
     """Upper bound on e(S) over pattern-free S with kept <= S <= live.
 
+    ``kept`` and ``live`` are edge sets as lists of forward bitmasks, one per
+    host vertex; ``live`` is edited during the walk and restored after it.
     ``size`` is the number of edges of ``live``, and ``kept`` must be
     pattern-free.  Copies in ``live`` are packed greedily, in lexicographic
     order, while their undecided edges (those outside ``kept``) stay pairwise
@@ -29,7 +30,7 @@ def packing_bound(
     need = size - floor
     if need <= 0:
         return size
-    kept_fwd, live_fwd, pattern_edges = kept._fwd, live._fwd, sorted(pattern.edges)
+    pattern_edges = sorted(pattern.edges)
     # a packed copy's undecided edges leave ``live`` until the walk ends, which
     # prunes the walk; a copy the kernel yields through one of them anyway
     # (chosen before the removal) is skipped
@@ -39,17 +40,17 @@ def packing_bound(
         undecided = []
         for a, b in pattern_edges:
             u, v = images[a], images[b]
-            if not kept_fwd[u] >> v & 1:
-                if not live_fwd[u] >> v & 1:
+            if not kept[u] >> v & 1:
+                if not live[u] >> v & 1:
                     break
                 undecided.append((u, v))
         else:
-            for e in undecided:
-                live.remove(e)
+            for u, v in undecided:
+                live[u] &= ~(1 << v)
             packed_edges += undecided
             packed += 1
             if packed == need:
                 break
-    for e in packed_edges:
-        live.add(e)
+    for u, v in packed_edges:
+        live[u] |= 1 << v
     return size - packed

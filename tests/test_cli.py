@@ -101,6 +101,13 @@ class TestSolve:
         err = capsys.readouterr().err
         assert "error:" in err and "must be at least 1" in err
 
+    def test_budget_in_exhaustive_mode_is_usage_error(self, p3_file, k4_file, capsys):
+        # the exhaustive oracle has no budget; the flag used to be ignored
+        assert main(["solve", "--pattern", p3_file, "--host", k4_file,
+                     "--mode", "exhaustive", "--budget", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error: --budget" in captured.err
+
     def test_local_budget_counts_rounds(self, p3_file, k4_file, capsys):
         assert main(["solve", "--pattern", p3_file, "--host", k4_file,
                      "--mode", "local", "--budget", "1"]) == 0
@@ -482,6 +489,15 @@ class TestReport:
         assert main(["report", "--grid", str(grid)]) == 0
         rows = list(csv.reader(capsys.readouterr().out.splitlines()[1:4]))
         assert [row[3].split(":")[0] for row in rows] == ["infeasible"] * 3
+
+    def test_budget_on_a_quarter_density_grid_is_usage_error(self, tmp_path, capsys):
+        # the quarter constructor has no rounds; the flag used to be ignored.
+        # The grid is checked whole before any row runs, so no CSV is printed
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"experiment": "quarter-density", "m": 2, "d_values": [2]}))
+        assert main(["report", "--grid", str(grid), "--budget", "7"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error: --budget" in captured.err
 
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_bad_budget_is_usage_error(self, tmp_path, capsys, value):

@@ -1,8 +1,9 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relturan.core import HypercubeGraph, OrderedGraph, delta_int, level_block, tau
@@ -102,6 +103,36 @@ class TestOrderedGraph:
         g = OrderedGraph(4, [(0, 2), (1, 2), (2, 3)])
         assert g.backward(2) == 0b0011
         assert g.forward(2) == 0b1000
+
+    # the graph keeps only its bitmasks: every edge view is read off them
+    @given(st.integers(0, 9), st.data())
+    @settings(max_examples=200)
+    def test_masks_match_a_set_reference(self, n, data):
+        pairs = list(combinations(range(n), 2))
+        picked = data.draw(st.lists(st.sampled_from(pairs), max_size=40)) if pairs else []
+        # each pair may be given reversed, and repeats stay in the list
+        flips = data.draw(st.lists(st.booleans(), min_size=len(picked), max_size=len(picked)))
+        edges = [(v, u) if flip else (u, v) for (u, v), flip in zip(picked, flips)]
+        ref = set(picked)
+        g = OrderedGraph(n, edges)
+
+        assert g.edges == ref
+        assert g.sorted_edges() == sorted(ref)
+        assert g.num_edges() == len(ref)
+        assert all(g.has_edge(u, v) == g.has_edge(v, u) == ((u, v) in ref) for u, v in pairs)
+        # a negative vertex must not wrap round to the masks' end
+        assert not any(g.has_edge(u - n, v) or g.has_edge(u, v + n) for u, v in pairs)
+        assert not g.has_edge(n, n + 1)
+        fwd = [sum(1 << v for a, v in ref if a == u) for u in range(n)]
+        bwd = [sum(1 << u for u, b in ref if b == v) for v in range(n)]
+        assert [g.forward(u) for u in range(n)] == list(g.forward_masks) == fwd
+        assert [g.backward(v) for v in range(n)] == list(g.backward_masks) == bwd
+
+        h = OrderedGraph(n, data.draw(st.permutations(edges)))
+        assert h == g and hash(h) == hash(g)
+        assert OrderedGraph(n + 1, edges) != g
+        if ref:
+            assert OrderedGraph(n, sorted(ref)[1:]) != g
 
 
 @st.composite

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from relturan.core import OrderedGraph
 from relturan import density
 from relturan.density import (
-    EdgeMask,
     _closes_copy,
     _copy_table,
     packing_bound,
@@ -19,7 +18,13 @@ from relturan.density import (
     rho_local_search,
 )
 from relturan.hosts import BudgetError, complete_ordered, generate_host
-from relturan.patterns import build_hk, contains_ordered, has_monotone_p3, monotone_p3
+from relturan.patterns import (
+    build_hk,
+    contains_ordered,
+    has_monotone_p3,
+    monotone_p3,
+    ordered_copies,
+)
 from local_search_oracle import rho_local_search_whole_graph
 from packing_oracle import packing_bound as walk_packing_bound
 
@@ -226,31 +231,35 @@ class TestCopyTable:
            st.randoms(use_true_random=False), st.data())
     @settings(max_examples=200, deadline=None)
     def test_matches_kernel_walk(self, pattern, host, rnd, data):
-        # split the edges into a pattern-free kept part, undecided and excluded
+        # split the edges into a pattern-free kept part, undecided and excluded;
+        # ``kept`` and ``live`` (kept + undecided) are lists of forward masks
         edges = host.sorted_edges()
         copies, through = _copy_table(pattern, host, edges)
-        kept, live = EdgeMask(host.n), EdgeMask(host.n)
+        kept, live = [0] * host.n, [0] * host.n
+
+        def has_copy(fwd):
+            return next(ordered_copies(pattern, fwd), None) is not None
+
         kept_bits = dead_bits = 0
-        for i, e in enumerate(edges):
+        for i, (u, v) in enumerate(edges):
             r = rnd.random()
             if r < 1 / 3:
-                kept.add(e)
-                if contains_ordered(pattern, kept) is None:
+                kept[u] |= 1 << v
+                if not has_copy(kept):
                     kept_bits |= 1 << i
-                    live.add(e)
+                    live[u] |= 1 << v
                     continue
-                kept.remove(e)
+                kept[u] ^= 1 << v
             if r < 2 / 3:
-                live.add(e)
+                live[u] |= 1 << v
             else:
                 dead_bits |= 1 << i
-        for i, e in enumerate(edges):
-            if e not in kept:
-                kept.add(e)
-                assert _closes_copy(through[i], kept_bits | 1 << i) == (
-                    contains_ordered(pattern, kept) is not None)
-                kept.remove(e)
-        size = len(live.edges())
+        for i, (u, v) in enumerate(edges):
+            if not kept[u] >> v & 1:
+                kept[u] |= 1 << v
+                assert _closes_copy(through[i], kept_bits | 1 << i) == has_copy(kept)
+                kept[u] ^= 1 << v
+        size = sum(mask.bit_count() for mask in live)
         for floor in (-1, data.draw(st.integers(-1, size + 1))):
             assert packing_bound(copies, kept_bits, dead_bits, size, floor) == (
                 walk_packing_bound(pattern, kept, live, size, floor))

@@ -19,7 +19,6 @@ from relturan.patterns import (
     pi_ordered,
     validate_witness,
 )
-from relturan.density import EdgeMask
 from patterns_oracle import contains_ordered_bruteforce, interval_chromatic_bruteforce
 from test_density import ORACLE_PATTERNS
 
@@ -38,8 +37,12 @@ def all_ordered_graphs(n):
         yield OrderedGraph(n, [p for i, p in enumerate(pairs) if (mask >> i) & 1])
 
 
-def mask_edges(mask):
-    return [(u, v) for u in range(mask.n) for v in range(u + 1, mask.n) if mask.forward_masks[u] >> v & 1]
+def copies_in(pat, host, allowed=None):
+    return list(ordered_copies(pat, host.forward_masks, allowed))
+
+
+def through(pat, host, u, v):
+    return first_copy_through(pat, host.forward_masks, host.backward_masks, u, v)
 
 
 class TestOrderedCopies:
@@ -51,11 +54,11 @@ class TestOrderedCopies:
             for combo in combinations(range(host.n), pat.n)
             if all(host.has_edge(combo[u], combo[v]) for u, v in pat.edges)
         ]
-        assert list(ordered_copies(pat, host)) == brute
+        assert copies_in(pat, host) == brute
 
     def test_first_copy_is_the_witness(self):
         host = OrderedGraph(6, [(0, 3), (1, 2), (2, 4), (3, 5), (2, 5)])
-        copies = list(ordered_copies(monotone_p3(), host))
+        copies = copies_in(monotone_p3(), host)
         assert copies == [(0, 3, 5), (1, 2, 4), (1, 2, 5)]
         assert contains_ordered(monotone_p3(), host) == copies[0]
 
@@ -64,7 +67,7 @@ class TestOrderedCopies:
     def test_containment_is_the_first_copy_and_validates(self, pat, host):
         # a copy is its image tuple: containment hands the kernel's first one on
         found = contains_ordered(pat, host)
-        assert found == next(ordered_copies(pat, host), None)
+        assert found == next(ordered_copies(pat, host.forward_masks), None)
         if found is not None:
             assert validate_witness(pat, host, found)
 
@@ -74,15 +77,15 @@ class TestAllowedMasks:
     @settings(max_examples=80)
     def test_all_ones_is_the_plain_kernel(self, pat, host):
         ones = [(1 << host.n) - 1] * pat.n
-        assert list(ordered_copies(pat, host, ones)) == list(ordered_copies(pat, host))
+        assert copies_in(pat, host, ones) == copies_in(pat, host)
 
     @given(ordered_graphs(max_n=4), ordered_graphs(max_n=7), st.data())
     @settings(max_examples=120)
     def test_masks_filter_the_copies(self, pat, host, data):
         allowed = [data.draw(st.integers(0, (1 << host.n) - 1)) for _ in range(pat.n)]
-        want = [c for c in ordered_copies(pat, host)
+        want = [c for c in copies_in(pat, host)
                 if all(allowed[i] >> c[i] & 1 for i in range(pat.n))]
-        assert list(ordered_copies(pat, host, allowed)) == want
+        assert copies_in(pat, host, allowed) == want
 
 
 class TestFirstCopyThrough:
@@ -92,58 +95,31 @@ class TestFirstCopyThrough:
         pairs = sorted(host.edges) or [(0, 1)]
         u, v = data.draw(st.sampled_from(pairs) | st.tuples(
             st.integers(0, host.n - 2), st.integers(1, host.n - 1)).filter(lambda e: e[0] < e[1]))
-        through = [c for c in ordered_copies(pat, host)
-                   if any((c[a], c[b]) == (u, v) for a, b in pat.edges)]
-        assert first_copy_through(pat, host, u, v) == min(through, default=None)
+        via = [c for c in copies_in(pat, host)
+               if any((c[a], c[b]) == (u, v) for a, b in pat.edges)]
+        assert through(pat, host, u, v) == min(via, default=None)
 
     @given(st.sampled_from(ORACLE_PATTERNS), ordered_graphs(min_n=2, max_n=9), st.data())
     @settings(max_examples=100)
     def test_equals_containment_after_one_edge_on_a_free_host(self, pat, host, data):
         # the local search's invariant: the host less the new edge is pattern-free
-        mask = EdgeMask(host.n)
+        kept = []
         for e in sorted(host.edges):
-            mask.add(e)
-            if contains_ordered(pat, mask) is not None:
-                mask.remove(e)
-        missing = sorted(set(combinations(range(host.n), 2)) - set(mask_edges(mask)))
+            if contains_ordered(pat, OrderedGraph(host.n, kept + [e])) is None:
+                kept.append(e)
+        missing = sorted(set(combinations(range(host.n), 2)) - set(kept))
         if not missing:
             return
         u, v = data.draw(st.sampled_from(missing))
-        mask.add((u, v))
-        witness = contains_ordered(pat, mask)
-        assert first_copy_through(pat, mask, u, v) == witness
+        g = OrderedGraph(host.n, kept + [(u, v)])
+        assert through(pat, g, u, v) == contains_ordered(pat, g)
 
     def test_pinned_hand_case(self):
         # copies of P3 in K_4 through (1, 2): (0, 1, 2) pins (1, 2) as its
         # second edge, (1, 2, 3) as its first
-        assert first_copy_through(monotone_p3(), OrderedGraph(4, combinations(range(4), 2)),
-                                  1, 2) == (0, 1, 2)
-        assert first_copy_through(monotone_p3(), OrderedGraph(4, [(1, 2), (2, 3)]),
-                                  1, 2) == (1, 2, 3)
-        assert first_copy_through(monotone_p3(), OrderedGraph(4, [(0, 1), (2, 3)]), 1, 2) is None
-
-
-class TestEdgeMask:
-    @given(st.integers(1, 9), st.lists(st.tuples(st.booleans(), st.integers(0, 80))))
-    @settings(max_examples=100)
-    def test_masks_match_an_ordered_graph(self, n, ops):
-        pairs = list(combinations(range(n), 2)) or [None]
-        mask, edges = EdgeMask(n), set()
-        for add, i in ops:
-            e = pairs[i % len(pairs)]
-            if e is None:
-                continue
-            if add:
-                mask.add(e)
-                edges.add(e)
-            else:
-                mask.remove(e)
-                edges.discard(e)
-        g = OrderedGraph(n, edges)
-        assert [mask.backward(v) for v in range(n)] == [g.backward(v) for v in range(n)]
-        assert list(mask.forward_masks) == list(g.forward_masks)
-        assert all((e in mask) == (e in edges) for e in combinations(range(n), 2))
-        assert mask.edges() == tuple(sorted(edges))
+        assert through(monotone_p3(), OrderedGraph(4, combinations(range(4), 2)), 1, 2) == (0, 1, 2)
+        assert through(monotone_p3(), OrderedGraph(4, [(1, 2), (2, 3)]), 1, 2) == (1, 2, 3)
+        assert through(monotone_p3(), OrderedGraph(4, [(0, 1), (2, 3)]), 1, 2) is None
 
 
 class TestContainment:
