@@ -206,27 +206,24 @@ def cmd_embed_hk(args) -> int:
     else:
         thresholds = richness.Thresholds.desk()
     g = graphio.read_hypercube(args.host)
-
-    trace_record: dict = {"k": args.k, "preset": args.preset}
     stripped, stats = richness.strip_top_forward(g)
     res = richness.extract_rich_interval(stripped, thresholds)
-    if isinstance(res, richness.StageFailure):
-        trace_record["extraction"] = {"failed_stage": res.stage, "detail": res.detail}
-    else:
-        trace_record["extraction"] = dataclasses.asdict(res.trace)
-        trace_record["certified_eta"] = res.certified_eta
-        trace_record["certified_rich_count"] = res.certified_rich_count
-    trace_record["stripped_edges_per_level"] = list(stats.removed_per_level[1:])
-
     witness = richness.embed_hk_extracted(g, args.k, res, thresholds)
     ok = witness is not None
     if ok and not patterns.validate_witness(patterns.build_hk(args.k), g, witness):
         raise CheckFailure(f"embedding {list(witness)} is not an ordered copy of H_{args.k}")
-    trace_record["witness"] = witness
-    if args.trace:
+    if args.trace:  # the audit record is built only when it is written
+        trace_record: dict = {"k": args.k, "preset": args.preset}
+        if isinstance(res, richness.StageFailure):
+            trace_record["extraction"] = {"failed_stage": res.stage, "detail": res.detail}
+        else:
+            trace_record["extraction"] = dataclasses.asdict(res.trace)
+            trace_record["certified_eta"] = res.certified_eta
+            trace_record["certified_rich_count"] = res.certified_rich_count
+        trace_record["stripped_edges_per_level"] = list(stats.removed_per_level[1:])
+        trace_record["witness"] = witness
         Path(args.trace).write_text(json.dumps(_jsonify(trace_record), indent=2) + "\n")
-    result = {"embedded": ok, "k": args.k, "witness": trace_record["witness"]}
-    _emit(result, args, {"host": args.host})
+    _emit({"embedded": ok, "k": args.k, "witness": witness}, args, {"host": args.host})
     if not ok:
         raise CheckFailure(f"no H_{args.k} embedding found under the {args.preset} preset")
     return 0

@@ -18,9 +18,11 @@ and runs its include test and packing bound on that table with bitwise
 operations.  The table takes about copies x e/8 bytes; one that would pass
 2^31 bytes is refused with ``hosts.BudgetError``.  The local search keeps
 its set pattern-free and adds one edge at a time, so every new copy passes
-through that edge; it searches only those, with
-``patterns.first_copy_through``, and holds its kept edges as two plain lists
-of forward and backward bitmasks that it edits in place.
+through that edge; it searches only those, with one kernel search compiled
+per solve, on forward and backward bitmask lists it edits in place.  A
+round begins level with the best set, so one that deletes a second edge has
+lost and stops there.  Its quarter start is checked to have no increasing
+2-edge path, which every copy of a pattern it is used for contains.
 
 Plus the derandomized two-label constructor that keeps at least a quarter of
 the edges of any host while avoiding every increasing 2-edge path.
@@ -36,7 +38,7 @@ from typing import Optional, Sequence
 
 from .core import OrderedGraph, mask_edges
 from .hosts import BudgetError
-from .patterns import contains_ordered, first_copy_through, has_monotone_p3, ordered_copies
+from .patterns import contains_ordered, has_monotone_p3, ordered_copies, through_edge_search
 
 EXHAUSTIVE_EDGE_CAP = 20
 #: refuse copy tables past this many bytes, the cap ``generate_host`` uses
@@ -81,32 +83,26 @@ def rho_exhaustive(pattern: OrderedGraph, host: OrderedGraph) -> DensityResult:
             f"host has {len(edges)} edges, exhaustive cap is {EXHAUSTIVE_EDGE_CAP}; "
             "use rho_exact"
         )
-    n = host.n
-    best: list[tuple[int, ...]] = []
-    best_count = -1
+    best: tuple[tuple[int, int], ...] = ()
     chosen: list[tuple[int, int]] = []
     nodes = 0
 
     def dfs(i: int) -> None:
-        nonlocal best_count, nodes
+        nonlocal best, nodes
         nodes += 1
-        if len(chosen) + (len(edges) - i) <= best_count:
+        if len(chosen) + (len(edges) - i) <= len(best):
             return
-        if i == len(edges):
-            if len(chosen) > best_count:
-                best_count = len(chosen)
-                best[:] = [tuple(chosen)]
+        if i == len(edges):  # not pruned above, so larger than best
+            best = tuple(chosen)
             return
-        e = edges[i]
-        chosen.append(e)
-        if contains_ordered(pattern, OrderedGraph(n, chosen)) is None:
+        chosen.append(edges[i])
+        if contains_ordered(pattern, OrderedGraph(host.n, chosen)) is None:
             dfs(i + 1)
         chosen.pop()
         dfs(i + 1)
 
     dfs(0)
-    cert = tuple(best[0]) if best else ()
-    return DensityResult(len(edges), cert, True, nodes)
+    return DensityResult(len(edges), best, True, nodes)
 
 
 def _copy_table(
@@ -341,77 +337,68 @@ def rho_local_search(
 ) -> DensityResult:
     """Seeded hill climbing over F-free edge subsets (lower bound only).
 
-    Start from the quarter constructor when it is feasible (the pattern
-    contains an increasing 2-edge path), else empty; then greedily add all
-    addable edges, and for ``budget`` rounds try a random add with repair by
-    cheapest deletion from the created copy, keeping the move only if it does
-    not lose edges.  Containment is tested only through the edge just added.
+    Start from the quarter constructor when the pattern contains an
+    increasing 2-edge path (the start has none, checked in O(n), so it is
+    F-free), else empty; then greedily add all addable edges, and for
+    ``budget`` rounds try a random add with repair by cheapest deletion from
+    the created copy, keeping the move only if it does not lose edges.  A
+    round starts with as many edges as the best set, so its second deletion
+    loses it whatever comes next: it stops and is reverted there.
+    Containment is tested only through the edge just added, by a through-edge
+    search compiled once per solve.
     """
     _check_pattern(pattern)
     rng = random.Random(seed)
     all_edges = host.sorted_edges()
-    total = len(all_edges)
     pattern_edges = pattern.sorted_edges()
+    first_copy_through = through_edge_search(pattern, host.n)
 
     # the kept edges: fwd[u] holds u's kept neighbours v > u, bwd[v] those u < v
     fwd, bwd = [0] * host.n, [0] * host.n
     if has_monotone_p3(pattern):
         start = quarter_free_subgraph(host)
-        if contains_ordered(pattern, start) is None:
+        if not has_monotone_p3(start):
             fwd, bwd = list(start.forward_masks), list(start.backward_masks)
 
-    # the greedy pass appends the edges it refuses, so ``absent`` is
-    # all_edges less the kept edges in sorted order; the rounds keep it so
-    # with ``bisect``, and rng.choice picks what it would from a fresh filter
+    def flip(e: tuple[int, int]) -> None:
+        u, v = e
+        fwd[u] ^= 1 << v
+        bwd[v] ^= 1 << u
+
+    # ``absent``: all_edges less the kept ones, sorted as the greedy pass appends
+    # them and ``bisect`` keeps them, so rng.choice picks as from a fresh filter
     absent = []
-    for u, v in all_edges:
-        if not fwd[u] >> v & 1:
-            fwd[u] |= 1 << v
-            bwd[v] |= 1 << u
-            if first_copy_through(pattern, fwd, bwd, u, v) is not None:
-                fwd[u] ^= 1 << v
-                bwd[v] ^= 1 << u
-                absent.append((u, v))
+    for e in all_edges:
+        if not fwd[e[0]] >> e[1] & 1:
+            flip(e)
+            if first_copy_through(fwd, bwd, *e) is not None:
+                flip(e)
+                absent.append(e)
 
-    def add(e: tuple[int, int]) -> None:
-        u, v = e
-        fwd[u] |= 1 << v
-        bwd[v] |= 1 << u
-        del absent[bisect_left(absent, e)]
-
-    def remove(e: tuple[int, int]) -> None:
-        u, v = e
-        fwd[u] &= ~(1 << v)
-        bwd[v] &= ~(1 << u)
-        insort(absent, e)
-
-    # every round starts with as many kept edges as ``best`` has: a round
-    # that removes two or more edges loses and is reverted, one that removes
-    # none gains and is the new best
-    best = tuple(mask_edges(fwd))
-    nodes = 0
-    for _ in range(budget):
-        nodes += 1
+    best = fwd.copy()  # read as edges once, at the end
+    nodes = 0  # rounds begun
+    for nodes in range(1, budget + 1):
         if not absent:
             break
         e = rng.choice(absent)
-        add(e)
+        flip(e)
         removed = []
-        # the kept edges less e are pattern-free, so every copy passes through e and
-        # the anchored search finds the lexicographically first one
-        while (images := first_copy_through(pattern, fwd, bwd, *e)) is not None:
+        # the kept edges less e are pattern-free, so every copy passes through e
+        while len(removed) < 2 and (images := first_copy_through(fwd, bwd, *e)) is not None:
             # delete one edge of the found copy, cheapest = any edge other
             # than the fresh one (prefer the last in canonical order)
             copy_edges = [(images[u], images[v]) for u, v in pattern_edges]
             victims = [c for c in copy_edges if c != e] or copy_edges
-            victim = victims[-1]
-            remove(victim)
-            removed.append(victim)
-        if len(removed) > 1:
-            remove(e)
-            for r in removed:
-                add(r)
-        elif not removed:
-            best = tuple(mask_edges(fwd))
+            flip(victims[-1])
+            removed.append(victims[-1])
+        if len(removed) == 2:  # lost: the round is undone
+            for r in (e, *removed):
+                flip(r)
+            continue
+        del absent[bisect_left(absent, e)]
+        if removed:  # as many edges as before: the move stands
+            insort(absent, removed[0])
+        else:  # one edge more
+            best = fwd.copy()
 
-    return DensityResult(total, best, False, nodes)
+    return DensityResult(len(all_edges), tuple(mask_edges(best)), False, nodes)

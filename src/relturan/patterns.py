@@ -2,23 +2,23 @@
 
 An ordered copy of a pattern F in a host G is a strictly increasing injection
 of vertex labels that maps every pattern edge to a host edge; it is held as
-its tuple of images, pattern vertex i -> images[i].  One backtracking kernel,
-``ordered_copies``, enumerates them: it places pattern vertices left to
-right, so at each step the candidate host vertices form an interval above
-the previous image and edge constraints reduce to bitmask intersections with
-backward neighbourhoods already placed.  The kernel reads the host as a
-sequence of forward bitmasks, one per vertex: an OrderedGraph's
-``forward_masks``, or the plain lists the local search edits in place.
-Optional per-vertex masks of allowed images let ``first_copy_through`` pin a
-pattern edge onto one host edge.  Containment and the density solvers' copy
-counts are built on it.
+its tuple of images, pattern vertex i -> images[i].  One backtracking kernel
+enumerates them, behind ``ordered_copies``: it places pattern vertices left
+to right, each among the host vertices above the previous image and in the
+forward neighbourhoods of its placed backward neighbours, all as bitmask
+operations.  It reads the host as forward bitmasks, one per
+vertex: an OrderedGraph's ``forward_masks``, or the plain lists the local
+search edits in place.  ``through_edge_search`` compiles, once per pattern,
+the masks that pin a pattern edge onto one host edge and feeds them to the
+kernel; ``first_copy_through`` is one such search.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence
+from operator import itemgetter
+from typing import Callable, Iterator, Optional, Sequence
 
 from .core import OrderedGraph
 
@@ -46,23 +46,24 @@ def ordered_copies(
     must exceed the image of i-1, leave room for the vertices after it, and
     lie in the forward neighbourhood of every placed backward neighbour of i.
     With ``allowed``, the image of vertex i must also lie in the bitmask
-    ``allowed[i]``; ``first_copy_through`` pins a pattern edge onto one host
-    edge this way.  The host is given by its forward bitmasks: it has
+    ``allowed[i]``.  The host is given by its forward bitmasks: it has
     len(fwd) vertices, and fwd[u] holds u's neighbours v > u.
     """
-    k, n = pattern.n, len(fwd)
-    if k > n:
-        return
+    k, full = pattern.n, (1 << len(fwd)) - 1
+    limit = [full >> (k - i - 1) for i in range(k)]  # leave room for the vertices after i
+    if allowed is not None:
+        limit = [room & mask for room, mask in zip(limit, allowed, strict=True)]
+    return _walk(_predecessors(pattern), fwd, limit)
+
+
+def _walk(
+    preds: Sequence[Sequence[int]], fwd: Sequence[int], limit: Sequence[int]
+) -> Iterator[tuple[int, ...]]:
+    """The kernel of ``ordered_copies``; limit[i] bounds vertex i's image before preds[i]."""
+    k = len(limit)
     if k == 0:
         yield ()
         return
-    full = (1 << n) - 1
-    # limit[i]: the images vertex i may take before its predecessors are known
-    if allowed is None:
-        limit = [full >> (k - i - 1) for i in range(k)]
-    else:
-        limit = [full >> (k - i - 1) & allowed[i] for i in range(k)]
-    preds = _predecessors(pattern)
     images = [0] * k
     pending = [0] * k  # untried candidates at each depth
     pending[0] = limit[0]
@@ -105,26 +106,46 @@ def first_copy_through(
     these first copies is the answer.  When the host less the edge (u, v)
     is pattern-free, every copy passes through (u, v), so this equals
     ``contains_ordered`` at a fraction of its cost.  The host is given by
-    its forward and backward bitmasks ``fwd`` and ``bwd``; needs u < v.
+    its forward and backward bitmasks ``fwd`` and ``bwd``; ValueError
+    unless 0 <= u < v < len(fwd).
     """
-    k, full = pattern.n, (1 << len(fwd)) - 1
-    below_u, below_v = (1 << u) - 1, (1 << v) - 1
-    back_u, back_v = bwd[u], bwd[v]
-    preds = _predecessors(pattern)
-    best = None
+    if not 0 <= u < v < len(fwd):
+        raise ValueError(f"need 0 <= u < v < {len(fwd)}, got u={u}, v={v}")
+    return through_edge_search(pattern, len(fwd))(fwd, bwd, u, v)
+
+
+def through_edge_search(pattern: OrderedGraph, n: int) -> Callable[..., Optional[tuple[int, ...]]]:
+    """``first_copy_through(pattern, ...)`` on n-vertex hosts as ``f(fwd, bwd, u, v)``.
+
+    Which mask bounds each vertex's image depends only on the pattern, so it
+    is compiled here, once, into a template per pattern edge that picks each
+    vertex's mask from those a call builds.  ``f`` checks no arguments.
+    """
+    k, preds = pattern.n, _predecessors(pattern)
+    room = [((1 << n) - 1) >> (k - i - 1) for i in range(k)]
+    # codes into a call's masks: below u (0), and in bwd[u] (+1) for a's
+    # predecessors, in bwd[v] (+2) for b's; u (4); below v (5), in bwd[v] (+1)
+    # for b's predecessors; v (7); 8 + i for vertex i's room, after b
+    templates = []
     for a, b in pattern.sorted_edges():
-        allowed = [below_u] * a + [1 << u] + [below_v] * (b - a - 1) + [1 << v]
-        allowed += [full] * (k - b - 1)
-        for x in preds[a]:
-            allowed[x] &= back_u
-        for x in preds[b]:
-            allowed[x] &= back_v
-        if not all(allowed):
-            continue
-        images = next(ordered_copies(pattern, fwd, allowed), None)
-        if images is not None and (best is None or images < best):
-            best = images
-    return best
+        codes = [(i in preds[a]) + 2 * (i in preds[b]) for i in range(a)]
+        codes += [4] + [5 + (i in preds[b]) for i in range(a + 1, b)] + [7]
+        templates.append(itemgetter(*codes, *range(8 + b + 1, 8 + k)))
+
+    def search(fwd: Sequence[int], bwd: Sequence[int], u: int, v: int) -> Optional[tuple[int, ...]]:
+        below_u, below_v, back_u, back_v = (1 << u) - 1, (1 << v) - 1, bwd[u], bwd[v]
+        masks = [below_u, below_u & back_u, below_u & back_v, below_u & back_u & back_v,
+                 1 << u & back_v, below_v, below_v & back_v, 1 << v, *room]
+        best = None
+        for template in templates:
+            limit = template(masks)
+            if all(limit):
+                images = next(_walk(preds, fwd, limit), None)
+                if images is not None and (best is None or images < best):
+                    best = images
+        return best
+
+    return search
 
 
 def contains_ordered(pattern: OrderedGraph, host: OrderedGraph) -> Optional[tuple[int, ...]]:
@@ -160,15 +181,10 @@ def interval_chromatic(g: OrderedGraph) -> int:
     vertex has a neighbour inside the current one.  Greedy is optimal for
     interval partitions (cross-checked exhaustively in tests).
     """
-    if g.n == 0:
-        return 1
-    parts = 1
-    start = 0
+    parts, start = 1, 0
     for v in range(1, g.n):
-        inside = g.backward(v) >> start
-        if inside:
-            parts += 1
-            start = v
+        if g.backward(v) >> start:  # v has a neighbour in the current interval
+            parts, start = parts + 1, v
     return parts
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -366,6 +367,19 @@ class TestAnchoredLocalSearch:
         host = generate_host(4, 3, 1).to_ordered()  # 32 vertices
         assert _fields(rho_local_search(pattern, host, 40, 3)) == _fields(
             rho_local_search_whole_graph(pattern, host, 40, 3))
+
+    # on dense hosts the whole-graph search repairs many losing rounds through
+    # three or more deletions; the anchored one stops them at the second
+    @pytest.mark.parametrize("pattern", [P3, build_hk(2), monotone_p3(4)])
+    @pytest.mark.parametrize("host", [
+        complete_ordered(9),
+        complete_ordered(10),
+        OrderedGraph(10, random.Random(10).sample(list(combinations(range(10), 2)), 38)),
+    ], ids=["K9", "K10", "dense10"])
+    @pytest.mark.parametrize("budget, seed", [(60, 1), (100, 2)])
+    def test_matches_on_a_dense_host(self, pattern, host, budget, seed):
+        assert _fields(rho_local_search(pattern, host, budget, seed)) == _fields(
+            rho_local_search_whole_graph(pattern, host, budget, seed))
 
     def test_pinned_certificate(self):
         res = rho_local_search(P3, generate_host(16, 3, 0).to_ordered(), budget=300)

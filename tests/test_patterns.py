@@ -114,6 +114,12 @@ class TestFirstCopyThrough:
         g = OrderedGraph(host.n, kept + [(u, v)])
         assert through(pat, g, u, v) == contains_ordered(pat, g)
 
+    @pytest.mark.parametrize("u, v", [(2, 1), (1, 1), (2, 5), (-1, 2)],
+                             ids=["u>v", "u=v", "v=n", "u<0"])
+    def test_refuses_an_edge_out_of_range(self, u, v):
+        with pytest.raises(ValueError, match="0 <= u < v < 5"):
+            through(monotone_p3(), OrderedGraph(5, combinations(range(5), 2)), u, v)
+
     def test_pinned_hand_case(self):
         # copies of P3 in K_4 through (1, 2): (0, 1, 2) pins (1, 2) as its
         # second edge, (1, 2, 3) as its first
