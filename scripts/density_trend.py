@@ -32,8 +32,8 @@ def main() -> int:
     for d in range(2, args.d_max + 1):
         t0 = time.perf_counter()
         host = generate_host(args.m, d, args.seed).to_ordered()
-        total = len(host.edges)
-        q = len(quarter_free_subgraph(host).edges) / total
+        total = host.num_edges()
+        q = quarter_free_subgraph(host).num_edges() / total
         res = rho_local_search(pat, host, budget=args.budget, seed=args.seed)
         local = res.best_edge_count / total
         ratios.append(local)

@@ -81,6 +81,17 @@ class OrderedGraph:
         self._fwd = tuple(fwd)
         self._bwd = tuple(bwd)
 
+    @classmethod
+    def _from_masks(cls, n: int, fwd: tuple[int, ...], bwd: tuple[int, ...]) -> OrderedGraph:
+        """The graph whose masks are ``fwd`` and ``bwd``, taken as they are.
+
+        The caller vouches that both have n entries, that fwd[u] holds only
+        vertices v with u < v < n, and that ``bwd`` is its transpose.
+        """
+        g = cls.__new__(cls)
+        g.n, g._fwd, g._bwd = n, fwd, bwd
+        return g
+
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
         """The edge set, built afresh from the masks at every read."""

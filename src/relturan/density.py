@@ -19,13 +19,15 @@ operations.  The table takes about copies x e/8 bytes; one that would pass
 2^31 bytes is refused with ``hosts.BudgetError``.  The local search keeps
 its set pattern-free and adds one edge at a time, so every new copy passes
 through that edge; it searches only those, with one kernel search compiled
-per solve, on forward and backward bitmask lists it edits in place.  A
-round begins level with the best set, so one that deletes a second edge has
-lost and stops there.  Its quarter start is checked to have no increasing
-2-edge path, which every copy of a pattern it is used for contains.
+per solve, on forward and backward bitmask lists it edits in place.  Its
+greedy pass asks only whether such a copy exists.  A round begins level
+with the best set, so one that deletes a second edge has lost and stops
+there.  Its quarter start is checked to have no increasing 2-edge path,
+which every copy of a pattern it is used for contains.
 
 Plus the derandomized two-label constructor that keeps at least a quarter of
-the edges of any host while avoiding every increasing 2-edge path.
+the edges of any host while avoiding every increasing 2-edge path, built in
+O(n) mask operations.
 """
 
 from __future__ import annotations
@@ -319,14 +321,20 @@ def quarter_free_subgraph(host: OrderedGraph) -> OrderedGraph:
     probability 1/2, as a SINK each backward edge from a SOURCE survives
     surely.  The greedy rule is therefore: v is a SOURCE iff
     |forward(v)| >= 2 |backward(v) & sources|, ties going to SOURCE.
+
+    The kept forward masks are fwd[u] less the sources for each SOURCE u,
+    and their transpose is bwd[v] & sources for each SINK v: O(n) mask
+    operations in all, with no edge list.
     """
     fwd, bwd = host.forward_masks, host.backward_masks
     sources = 0
     for v in range(host.n):
         if fwd[v].bit_count() >= 2 * (bwd[v] & sources).bit_count():
             sources |= 1 << v
-    kept = [mask & ~sources if sources >> u & 1 else 0 for u, mask in enumerate(fwd)]
-    return OrderedGraph(host.n, mask_edges(kept))
+    sinks = ~sources
+    kept_fwd = tuple(mask & sinks if sources >> u & 1 else 0 for u, mask in enumerate(fwd))
+    kept_bwd = tuple(0 if sources >> v & 1 else mask & sources for v, mask in enumerate(bwd))
+    return OrderedGraph._from_masks(host.n, kept_fwd, kept_bwd)
 
 
 def rho_local_search(
@@ -345,13 +353,15 @@ def rho_local_search(
     round starts with as many edges as the best set, so its second deletion
     loses it whatever comes next: it stops and is reverted there.
     Containment is tested only through the edge just added, by a through-edge
-    search compiled once per solve.
+    search compiled once per solve.  The greedy pass walks the host's
+    forward masks less the kept ones in canonical order and asks only
+    whether some copy passes through the new edge; the rounds take the
+    least such copy, whose edges choose the victim.
     """
     _check_pattern(pattern)
     rng = random.Random(seed)
-    all_edges = host.sorted_edges()
     pattern_edges = pattern.sorted_edges()
-    first_copy_through = through_edge_search(pattern, host.n)
+    copy_through, first_copy_through = through_edge_search(pattern, host.n)
 
     # the kept edges: fwd[u] holds u's kept neighbours v > u, bwd[v] those u < v
     fwd, bwd = [0] * host.n, [0] * host.n
@@ -365,15 +375,18 @@ def rho_local_search(
         fwd[u] ^= 1 << v
         bwd[v] ^= 1 << u
 
-    # ``absent``: all_edges less the kept ones, sorted as the greedy pass appends
-    # them and ``bisect`` keeps them, so rng.choice picks as from a fresh filter
+    # ``absent``: the host's edges less the kept ones, sorted as the greedy pass
+    # appends them and ``bisect`` keeps them, so rng.choice picks as from a
+    # fresh filter. The pass adds only the edge in hand, so its candidates,
+    # the host's edges outside the start, are read off the masks once
     absent = []
-    for e in all_edges:
-        if not fwd[e[0]] >> e[1] & 1:
-            flip(e)
-            if first_copy_through(fwd, bwd, *e) is not None:
-                flip(e)
-                absent.append(e)
+    for u, v in mask_edges([mask & ~kept for mask, kept in zip(host.forward_masks, fwd)]):
+        fwd[u] ^= 1 << v
+        bwd[v] ^= 1 << u
+        if copy_through(fwd, bwd, u, v):
+            fwd[u] ^= 1 << v
+            bwd[v] ^= 1 << u
+            absent.append((u, v))
 
     best = fwd.copy()  # read as edges once, at the end
     nodes = 0  # rounds begun
@@ -401,4 +414,4 @@ def rho_local_search(
         else:  # one edge more
             best = fwd.copy()
 
-    return DensityResult(len(all_edges), tuple(mask_edges(best)), False, nodes)
+    return DensityResult(host.num_edges(), tuple(mask_edges(best)), False, nodes)

@@ -65,6 +65,25 @@ def _window_lengths(n: int) -> tuple[int, int]:
     return m, min(2 * m - 1, n)
 
 
+def _uniform_bits(
+    rng: np.random.Generator, count: int, carry: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The next ``count`` bits of ``rng.integers(0, 2, dtype=np.int64)``, as uint8.
+
+    That draw takes each bit as the top bit of one 32-bit half of a raw
+    64-bit word, low half first, and keeps a word's unused high half for the
+    next draw.  Here ``carry`` holds the bit of that pending half (no entry
+    or one), and the bits come straight from the raw words; the new pending
+    bit is returned beside them.
+    """
+    words = rng.bit_generator.random_raw((count - len(carry) + 1) // 2)
+    halves = words.astype("<u8", copy=False).view("<u4")  # low, high, low, ...
+    bits = np.empty(len(carry) + len(halves), dtype=np.uint8)
+    bits[:len(carry)] = carry
+    np.right_shift(halves, 31, out=bits[len(carry):], casting="unsafe")
+    return bits[:count], bits[count:]
+
+
 def check_locally_balanced(
     n: int,
     eps: float,
@@ -151,10 +170,11 @@ def check_locally_balanced(
         samples = n_samples
         chunk = max(1, (1 << 22) // n)
         remaining = n_samples
+        carry = np.empty(0, dtype=np.uint8)
         while remaining:
             b = min(chunk, remaining)
-            bits = rng.integers(0, 2, size=(b, n), dtype=np.int64)
-            v, bc = batch_violations(bits)
+            bits, carry = _uniform_bits(rng, b * n, carry)
+            v, bc = batch_violations(bits.reshape(b, n))
             violating, bad_cells = violating + v, bad_cells + bc
             remaining -= b
         frac = violating / n_samples

@@ -10,7 +10,8 @@ operations.  It reads the host as forward bitmasks, one per
 vertex: an OrderedGraph's ``forward_masks``, or the plain lists the local
 search edits in place.  ``through_edge_search`` compiles, once per pattern,
 the masks that pin a pattern edge onto one host edge and feeds them to the
-kernel; ``first_copy_through`` is one such search.
+kernel, behind two entries: whether some copy passes through a host edge,
+and the least such copy, which ``first_copy_through`` returns.
 """
 
 from __future__ import annotations
@@ -111,15 +112,21 @@ def first_copy_through(
     """
     if not 0 <= u < v < len(fwd):
         raise ValueError(f"need 0 <= u < v < {len(fwd)}, got u={u}, v={v}")
-    return through_edge_search(pattern, len(fwd))(fwd, bwd, u, v)
+    return through_edge_search(pattern, len(fwd))[1](fwd, bwd, u, v)
 
 
-def through_edge_search(pattern: OrderedGraph, n: int) -> Callable[..., Optional[tuple[int, ...]]]:
-    """``first_copy_through(pattern, ...)`` on n-vertex hosts as ``f(fwd, bwd, u, v)``.
+def through_edge_search(
+    pattern: OrderedGraph, n: int
+) -> tuple[Callable[..., bool], Callable[..., Optional[tuple[int, ...]]]]:
+    """Two searches for copies through a host edge, on n-vertex hosts: ``(exists, least)``.
 
-    Which mask bounds each vertex's image depends only on the pattern, so it
-    is compiled here, once, into a template per pattern edge that picks each
-    vertex's mask from those a call builds.  ``f`` checks no arguments.
+    ``least(fwd, bwd, u, v)`` is ``first_copy_through(pattern, fwd, bwd, u, v)``;
+    ``exists(fwd, bwd, u, v)`` is whether it is not None, and stops at the
+    first template whose walk yields a copy.  Which mask bounds each
+    vertex's image depends only on the pattern, so it is compiled here,
+    once, into a template per pattern edge that picks each vertex's mask
+    from those a call builds; both searches share the templates.  Neither
+    checks its arguments.
     """
     k, preds = pattern.n, _predecessors(pattern)
     room = [((1 << n) - 1) >> (k - i - 1) for i in range(k)]
@@ -132,20 +139,31 @@ def through_edge_search(pattern: OrderedGraph, n: int) -> Callable[..., Optional
         codes += [4] + [5 + (i in preds[b]) for i in range(a + 1, b)] + [7]
         templates.append(itemgetter(*codes, *range(8 + b + 1, 8 + k)))
 
-    def search(fwd: Sequence[int], bwd: Sequence[int], u: int, v: int) -> Optional[tuple[int, ...]]:
+    def limits(bwd: Sequence[int], u: int, v: int) -> Iterator[tuple[int, ...]]:
+        """Each template's image bounds for the edge (u, v), skipping those with an empty one."""
         below_u, below_v, back_u, back_v = (1 << u) - 1, (1 << v) - 1, bwd[u], bwd[v]
         masks = [below_u, below_u & back_u, below_u & back_v, below_u & back_u & back_v,
                  1 << u & back_v, below_v, below_v & back_v, 1 << v, *room]
-        best = None
         for template in templates:
             limit = template(masks)
             if all(limit):
-                images = next(_walk(preds, fwd, limit), None)
-                if images is not None and (best is None or images < best):
-                    best = images
+                yield limit
+
+    def exists(fwd: Sequence[int], bwd: Sequence[int], u: int, v: int) -> bool:
+        for limit in limits(bwd, u, v):
+            if next(_walk(preds, fwd, limit), None) is not None:
+                return True
+        return False
+
+    def least(fwd: Sequence[int], bwd: Sequence[int], u: int, v: int) -> Optional[tuple[int, ...]]:
+        best = None
+        for limit in limits(bwd, u, v):
+            images = next(_walk(preds, fwd, limit), None)
+            if images is not None and (best is None or images < best):
+                best = images
         return best
 
-    return search
+    return exists, least
 
 
 def contains_ordered(pattern: OrderedGraph, host: OrderedGraph) -> Optional[tuple[int, ...]]:

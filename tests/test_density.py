@@ -325,6 +325,34 @@ class TestQuarterConstructor:
         assert quarter_free_subgraph(host).edges == kept
 
 
+def _assert_masks_match_the_edge_list_route(host):
+    sub = quarter_free_subgraph(host)
+    ref = OrderedGraph(host.n, sub.sorted_edges())
+    assert sub.forward_masks == ref.forward_masks
+    assert sub.backward_masks == ref.backward_masks
+    assert sub == ref and hash(sub) == hash(ref)
+
+
+class TestQuarterMasks:
+    """The mask-built quarter subgraph against the edge-list constructor."""
+
+    @given(ordered_graphs(max_n=8, max_edges=28))
+    @settings(max_examples=100)
+    def test_matches_the_edge_list_route(self, host):
+        _assert_masks_match_the_edge_list_route(host)
+
+    @pytest.mark.parametrize("m, d", [(8, 5), (8, 6), (16, 3)])
+    def test_matches_the_edge_list_route_on_blocked_hosts(self, m, d):
+        _assert_masks_match_the_edge_list_route(generate_host(m, d, 0).to_ordered())
+
+    def test_pinned_on_a_large_blocked_host(self):
+        # 2,048 vertices and 65,915 edges; the digest is the edge-list route's
+        sub = quarter_free_subgraph(generate_host(8, 8, 0).to_ordered())
+        assert sub.num_edges() == 24431
+        digest = hashlib.sha256(repr((sub.forward_masks, sub.backward_masks)).encode()).hexdigest()
+        assert digest == "b27b98e76f0abbb263572d3cb4d1eb9b67a38f6e2208c793d3632b4a1622b4e4"
+
+
 class TestLocalSearch:
     def test_result_is_valid_lower_bound(self):
         rng = random.Random(7)

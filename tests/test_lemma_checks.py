@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from relturan import lemma_checks
 from relturan.cli import _jsonify
+from relturan.hosts import philox_rng
 from relturan.lemma_checks import (
     _window_lengths,
     check_binomial_average,
@@ -146,13 +147,44 @@ class TestLocallyBalanced:
         bits = np.ones((2, n), dtype=np.int64)
         bits[1, :n // 2] = 0
 
+        # raw words whose 32-bit halves, low first, carry these bits on top
+        halves = bits.astype(np.uint64).ravel() << 31
+        words = halves[0::2] | halves[1::2] << 32
+
         class Fixed:
-            def integers(self, low, high, size, dtype):
-                return bits[:size[0]]
+            class bit_generator:
+                @staticmethod
+                def random_raw(count):
+                    return words[:count]
 
         monkeypatch.setattr(lemma_checks, "philox_rng", lambda seed: Fixed())
         rep = check_locally_balanced(n, eps, 2, seed=0)
         assert rep.extra["violating"] == 2
+        bad_cells, cells = _float_window_counts(bits, eps)
+        assert rep.extra["window_fraction"] == bad_cells / cells
+
+    @pytest.mark.parametrize("counts", [[27, 45, 1], [466_033 * 9, 27], [1, 1, 0, 6], [8, 8]])
+    def test_raw_bits_continue_the_integers_stream(self, counts):
+        ref, raw = philox_rng(5), philox_rng(5)
+        carry = np.empty(0, dtype=np.uint8)
+        for count in counts:
+            bits, carry = lemma_checks._uniform_bits(raw, count, carry)
+            assert np.array_equal(bits, ref.integers(0, 2, size=count, dtype=np.int64))
+
+    def test_odd_chunk_boundary_keeps_the_integers_stream(self):
+        # n = 9: a chunk is 466,033 rows, so its 4,194,297 bits end mid-word
+        # and the next chunk starts with the high half the last word left
+        n, eps, n_samples, seed = 9, 0.3, 466_040, 11
+        rep = check_locally_balanced(n, eps, n_samples, seed)
+        bits = _drawn_bits(n, n_samples, seed)
+        m, hi = _window_lengths(n)
+        prefix = np.zeros((n_samples, n + 1), dtype=np.int64)
+        np.cumsum(bits, axis=1, out=prefix[:, 1:])
+        bad = np.zeros(n_samples, dtype=bool)
+        for length in range(m, hi + 1):
+            sums = prefix[:, length:] - prefix[:, :-length]
+            bad |= (np.abs(sums - length / 2) >= eps * length).any(axis=1)
+        assert rep.extra["violating"] == int(np.count_nonzero(bad))
         bad_cells, cells = _float_window_counts(bits, eps)
         assert rep.extra["window_fraction"] == bad_cells / cells
 

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relturan.core import HypercubeGraph, OrderedGraph
+from relturan.hosts import generate_host
 from relturan.patterns import (
     MonotonePathError,
     build_hk,
@@ -17,6 +18,7 @@ from relturan.patterns import (
     monotone_p3,
     ordered_copies,
     pi_ordered,
+    through_edge_search,
     validate_witness,
 )
 from patterns_oracle import contains_ordered_bruteforce, interval_chromatic_bruteforce
@@ -126,6 +128,31 @@ class TestFirstCopyThrough:
         assert through(monotone_p3(), OrderedGraph(4, combinations(range(4), 2)), 1, 2) == (0, 1, 2)
         assert through(monotone_p3(), OrderedGraph(4, [(1, 2), (2, 3)]), 1, 2) == (1, 2, 3)
         assert through(monotone_p3(), OrderedGraph(4, [(0, 1), (2, 3)]), 1, 2) is None
+
+
+class TestThroughEdgeExistence:
+    @given(st.sampled_from([monotone_p3(), build_hk(2), monotone_p3(4)])
+           | ordered_graphs(min_n=2, max_n=5).filter(lambda g: g.num_edges() > 0),
+           ordered_graphs(min_n=2, max_n=9), st.data())
+    @settings(max_examples=200)
+    def test_exists_iff_a_least_copy(self, pat, host, data):
+        # a kept state is any subset of the host's edges, probed at every pair
+        exists, least = through_edge_search(pat, host.n)
+        edges = sorted(host.edges)
+        kept = OrderedGraph(host.n, data.draw(st.lists(st.sampled_from(edges), unique=True))
+                            if edges else [])
+        fwd, bwd = list(kept.forward_masks), list(kept.backward_masks)
+        for u, v in combinations(range(host.n), 2):
+            assert exists(fwd, bwd, u, v) == (least(fwd, bwd, u, v) is not None)
+
+    def test_exists_on_a_blocked_host(self):
+        # every pair of a 32-vertex blocked host, edge or not
+        host = generate_host(4, 3, 1).to_ordered()
+        fwd, bwd = list(host.forward_masks), list(host.backward_masks)
+        for pat in (monotone_p3(), build_hk(2), monotone_p3(4)):
+            exists, least = through_edge_search(pat, host.n)
+            for u, v in combinations(range(host.n), 2):
+                assert exists(fwd, bwd, u, v) == (least(fwd, bwd, u, v) is not None)
 
 
 class TestContainment:
