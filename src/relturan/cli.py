@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import hashlib
 import inspect
 import json
@@ -29,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__, density, graphio, hosts, lemma_checks, patterns, richness, tiling
-from .core import delta_int, tau
+from .core import tau
 
 
 class CheckFailure(Exception):
@@ -238,15 +239,12 @@ def cmd_tile_sample(args) -> int:
     pat = graphio.read_ordered(args.pattern)
     cfg = _tiling_config(args, pat.n)
     verts = tiling.sample_many(cfg, args.n_samples, args.seed)
-    per_slot = []
-    for t in range(cfg.h - 1):
-        # the split level of a pair depends only on u ^ v: count each xor once
-        xors, xor_counts = np.unique(verts[:, t] ^ verts[:, t + 1], return_counts=True)
-        counts: dict[int, int] = {}
-        for x, c in zip(xors.tolist(), xor_counts.tolist()):
-            lv = delta_int(x, 0, cfg.d)
-            counts[lv] = counts.get(lv, 0) + c
-        per_slot.append({str(k): v for k, v in sorted(counts.items())})
+    # the split level of every chain's consecutive pairs, counted per slot
+    levels = hosts._pair_levels(verts[:, :-1], verts[:, 1:], cfg.d)
+    per_slot = [
+        {str(lv): c for lv, c in enumerate(np.bincount(slot, minlength=cfg.d + 1).tolist()) if c}
+        for slot in levels.T
+    ]
     result = {
         "n_samples": args.n_samples,
         "d": cfg.d,
@@ -467,7 +465,10 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it as it was, and
+    every call of ``main`` gets a fresh namespace of the defaults."""
     p = argparse.ArgumentParser(prog="relturan", description=__doc__)
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -541,8 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except CheckFailure as exc:

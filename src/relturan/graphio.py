@@ -6,12 +6,27 @@ Blocked-host format: first line "d m seed", then for each nonempty block
 pair a line "x y" followed by m hex-encoded rows of the m x m matrix.
 All writers emit in sorted order so round-trips are byte-identical.
 
-Cube and blocked-host files laid out exactly as the writers lay them out are
-decoded as whole numpy arrays; every other file goes through the per-line
-readers, the only code that raises ``FormatError``.
+The two bulk formats are written as fixed-width byte records in one
+uint8 array, with no Python string per line:
+
+- a cube edge line is a record of 2d + 2 bytes: u's label, " ", v's label
+  and "\n", where a label is d bytes "0"/"1", most significant bit first;
+- a blocked-host row line is a record of ceil(m/4) + 1 bytes: the row's
+  lowercase hex digits and "\n".  The "x y" line before each block's m
+  rows is the one line of varying width.
+
+A file is decoded as whole numpy arrays when it is ASCII, its header line
+ends in "\n" and holds no other line break, and its lines are laid out
+exactly as these records: the first m edge lines of a cube file; every
+line of a blocked-host file, which then ends in "\n", with each "x y" line
+two runs of decimal digits around one space.  Every other file goes
+through the per-line readers, the only code that raises ``FormatError``,
+so what a file means and how it fails do not depend on the path taken.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -65,44 +80,89 @@ def loads_ordered(text: str) -> OrderedGraph:
         raise FormatError(1, str(exc)) from None
 
 
-#: rows per slab of the cube decoder's layout check
-_SLAB = 1 << 16
+#: bytes per slab of the cube decoder's layout check, so that no temporary
+#: is as large as the file
+_SLAB_BYTES = 1 << 20
 
 
-def _label_bytes(d: int) -> np.ndarray:
-    """(2^d, d) uint8 table: row v is v's bitstring label in ASCII "0"/"1"."""
+def _label_fields(d: int) -> np.ndarray:
+    """(2^d,) V{d + 1} table: entry v is v's bitstring label in ASCII "0"/"1"
+    and one more byte, left 0."""
     big_endian = np.arange(1 << d, dtype=">u4").view(np.uint8).reshape(-1, 4)
-    return np.unpackbits(big_endian, axis=1)[:, 32 - d:] | ord("0")
+    fields = np.zeros((1 << d, d + 1), np.uint8)
+    np.bitwise_or(np.unpackbits(big_endian, axis=1)[:, 32 - d:], ord("0"), out=fields[:, :d])
+    return fields.view(f"V{d + 1}").ravel()
 
 
-def dumps_hypercube(g: HypercubeGraph) -> str:
+def _encode_hypercube(g: HypercubeGraph) -> np.ndarray:
+    """The cube-graph file as a uint8 array: the header, then one record of
+    2d + 2 bytes per edge."""
     d = g.d
     # the forward neighbours v > u of u are the set bits of adj[u] >> (u + 1):
     # lay those masks end to end as little-endian bytes and unpack them once
     forward = [mask >> u >> 1 for u, mask in enumerate(g.adj)]
     sizes = [(f.bit_length() + 7) // 8 for f in forward]
     packed = b"".join([f.to_bytes(size, "little") for f, size in zip(forward, sizes)])
-    offsets = np.cumsum([0, *sizes[:-1]]) * 8  # first bit of each vertex's mask
     bits = np.flatnonzero(np.unpackbits(np.frombuffer(packed, np.uint8), bitorder="little"))
-    us = np.searchsorted(offsets, bits, side="right") - 1
-    vs = bits - offsets[us] + us + 1
+    counts = [f.bit_count() for f in forward]
+    us = np.repeat(np.arange(len(forward)), counts)
+    # bit b of the unpacked masks, in u's mask that starts at bit offsets[u],
+    # is v = b - offsets[u] + u + 1
+    offsets = np.cumsum([0, *sizes[:-1]]) * 8
+    vs = bits - np.repeat(offsets - np.arange(len(forward)) - 1, counts)
     head = f"{d} {len(bits)}\n".encode()
     out = np.empty(len(head) + len(bits) * (2 * d + 2), np.uint8)
     out[:len(head)] = np.frombuffer(head, np.uint8)
-    lines = out[len(head):].reshape(len(bits), 2 * d + 2)
-    labels = _label_bytes(d)
-    lines[:, :d] = labels[us]
+    # a record is two (d + 1)-byte fields, u's label and " ", then v's label
+    # and "\n": each label is gathered as one opaque V{d + 1} value, then the
+    # byte after it is set
+    fields = _label_fields(d)
+    records = out[len(head):].view(fields.dtype).reshape(-1, 2)
+    records[:, 0] = fields[us]
+    records[:, 1] = fields[vs]
+    lines = out[len(head):].reshape(-1, 2 * d + 2)
     lines[:, d] = ord(" ")
-    lines[:, d + 1:-1] = labels[vs]
     lines[:, -1] = ord("\n")
-    return str(out, "ascii")
+    return out
+
+
+def dumps_hypercube(g: HypercubeGraph) -> str:
+    return str(_encode_hypercube(g), "ascii")
+
+
+def _cube_layout_ok(buf: bytes, start: int, m: int, d: int) -> bool:
+    """Whether the m records of 2d + 2 bytes from ``buf[start]`` on are each
+    two labels of "0"/"1" bytes around " " and ending in "\n"."""
+    width = 2 * d + 2
+    # on a label column b | 1 == ord("1") holds for exactly the bytes "0" and
+    # "1"; the separator and line-end columns are masked with 0 and must match
+    # exactly
+    mask = np.ones(width, np.uint8)
+    mask[[d, -1]] = 0
+    layout = np.full(width, ord("1"), np.uint8)
+    layout[d] = ord(" ")
+    layout[-1] = ord("\n")
+    # the layout repeats every lcm(width, 8) bytes: check whole periods as
+    # uint64 words, a slab at a time, and the records after them as bytes
+    period = math.lcm(width, 8)
+    whole = m * width // period
+    words = np.frombuffer(buf, np.uint64, whole * period // 8, start).reshape(whole, period // 8)
+    mask_words = np.tile(mask, period // width).view(np.uint64)
+    layout_words = np.tile(layout, period // width).view(np.uint64)
+    slab = max(1, _SLAB_BYTES // period)
+    if not all(((words[i:i + slab] | mask_words) == layout_words).all()
+               for i in range(0, whole, slab)):
+        return False
+    rest = np.frombuffer(buf, np.uint8, m * width - whole * period, start + whole * period)
+    return bool(((rest.reshape(-1, width) | mask) == layout).all())
 
 
 def loads_hypercube(text: str) -> HypercubeGraph:
     """Decode a cube-graph file.
 
-    When the header line ends in "\\n" and the first m edge lines are laid out
-    exactly as ``dumps_hypercube`` writes them, they are decoded as one byte
+    When the file is ASCII, its header line ends in "\\n" and holds no other
+    line break, and the first m edge lines are each a record of 2d + 2 bytes,
+    "u v\\n" with u and v d-byte "0"/"1" labels, they are decoded as one byte
     array.  Any other file goes to the per-line reader, which alone raises
     ``FormatError``, so what a file means and how it fails do not depend on
     the path taken.
@@ -117,19 +177,10 @@ def loads_hypercube(text: str) -> HypercubeGraph:
     if not (start and text.isascii() and head.splitlines() == [head]
             and 1 <= d <= _MAX_CUBE_D and 0 <= m * width <= len(text) - start):
         return _loads_hypercube_lines(text)
-    rows = np.frombuffer(text.encode("ascii"), np.uint8, m * width, start)
-    rows = rows.reshape(m, width)
-    # on a label column b | 1 == ord("1") holds for exactly the bytes "0" and
-    # "1"; the separator and line-end columns are masked with 0 and must match
-    # exactly.  Checked a slab of rows at a time, so that no temporary is as
-    # large as the file
-    mask = np.ones(width, np.uint8)
-    mask[[d, -1]] = 0
-    layout = np.full(width, ord("1"), np.uint8)
-    layout[d] = ord(" ")
-    layout[-1] = ord("\n")
-    if not all(((rows[i:i + _SLAB] | mask) == layout).all() for i in range(0, m, _SLAB)):
+    buf = text.encode("ascii")
+    if not _cube_layout_ok(buf, start, m, d):
         return _loads_hypercube_lines(text)
+    rows = np.frombuffer(buf, np.uint8, m * width, start).reshape(m, width)
     u = np.zeros(m, np.int32)
     v = np.zeros(m, np.int32)
     for i in range(d):
@@ -140,16 +191,18 @@ def loads_hypercube(text: str) -> HypercubeGraph:
     # each label byte is ord("0") plus its bit
     u -= ord("0") * ((1 << d) - 1)
     v -= ord("0") * ((1 << d) - 1)
-    del rows
+    del rows, buf  # the encoded file, before the keys are made
     if (u == v).any():  # the per-line reader names the first one
         return _loads_hypercube_lines(text)
     n = 1 << d
     # both orientations of every edge as sorted keys u << d | v: each vertex's
-    # neighbours are one run, found by searchsorted
-    keys = np.concatenate([u.astype(np.int64) << d | v, v.astype(np.int64) << d | u])
+    # neighbours are one run, found by searchsorted.  Below 2^31 they sort as int32
+    key_type = np.int32 if 2 * d < 31 else np.int64
+    u, v = u.astype(key_type, copy=False), v.astype(key_type, copy=False)
+    keys = np.concatenate([u << d | v, v << d | u])
     del u, v
     keys.sort()
-    bounds = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) << d)
+    bounds = np.searchsorted(keys, np.arange(n + 1, dtype=key_type) << d)
     adj = [0] * n
     mark = np.zeros(n, bool)
     for x in np.flatnonzero(np.diff(bounds)).tolist():
@@ -190,7 +243,21 @@ def _loads_hypercube_lines(text: str) -> HypercubeGraph:
     return HypercubeGraph(d, adj=adj)
 
 
-def dumps_blocked(g: BlockedGraph) -> str:
+def _decimal_fields(a: np.ndarray) -> np.ndarray:
+    """``a``'s non-negative integers in decimal ASCII, right-aligned in
+    fields of the widest one's length along a new last axis, with 0 bytes
+    in place of leading zeros."""
+    size = len(str(a.max())) if a.size else 1
+    power = 10 ** np.arange(size - 1, -1, -1, dtype=np.int64)
+    a = a[..., None]
+    digits = (a // power % 10).astype(np.uint8) + ord("0")
+    digits[(a < power) & (power > 1)] = 0
+    return digits
+
+
+def _encode_blocked(g: BlockedGraph) -> np.ndarray:
+    """The blocked-host file as a uint8 array: the header, then per
+    nonempty block its "x y" line and m records of ceil(m/4) + 1 bytes."""
     m = g.m
     pairs, mats = g.nonempty()
     # a row is the little-endian bit integer of its columns (column j is bit
@@ -198,16 +265,25 @@ def dumps_blocked(g: BlockedGraph) -> str:
     # hex, then drop the leading digit, always 0, that the bytes have beyond
     # ceil(m/4) when that is odd
     packed = np.packbits(mats, axis=2, bitorder="little")[:, :, ::-1]
-    row_bytes = packed.shape[2]
-    rows = packed.tobytes().hex("\n", row_bytes).split("\n")
-    skip = 2 * row_bytes - (m + 3) // 4
-    if skip:
-        rows = [row[skip:] for row in rows]
-    lines = [f"{g.d} {m} {g.seed}"]
-    for b, (x, y) in enumerate(pairs.tolist()):
-        lines.append(f"{x} {y}")
-        lines += rows[b * m:(b + 1) * m]
-    return "\n".join(lines) + "\n"
+    hex_width, width = 2 * packed.shape[2], (m + 3) // 4
+    digits = np.frombuffer(packed.tobytes().hex().encode("ascii"), np.uint8)
+    # one row per block: its "x y\n" line as two fields padded with 0 bytes,
+    # then its m row records; dropping the padding lays the blocks end to end
+    fields = _decimal_fields(pairs)
+    field_width = fields.shape[2] + 1
+    lines = np.empty((len(pairs), 2 * field_width + m * (width + 1)), np.uint8)
+    pair_lines = lines[:, :2 * field_width].reshape(len(pairs), 2, field_width)
+    pair_lines[:, :, :-1] = fields
+    pair_lines[:, :, -1] = (ord(" "), ord("\n"))
+    rows = lines[:, 2 * field_width:].reshape(len(pairs), m, width + 1)
+    rows[:, :, :-1] = digits.reshape(len(pairs), m, hex_width)[:, :, hex_width - width:]
+    rows[:, :, -1] = ord("\n")
+    head = np.frombuffer(f"{g.d} {m} {g.seed}\n".encode(), np.uint8)
+    return np.concatenate((head, lines[lines != 0]))
+
+
+def dumps_blocked(g: BlockedGraph) -> str:
+    return str(_encode_blocked(g), "ascii")
 
 
 #: hex digit value of each byte; 16 for bytes that are not lowercase hex digits
@@ -215,55 +291,62 @@ _NIBBLE = np.full(256, 16, np.uint8)
 _NIBBLE[np.frombuffer(b"0123456789abcdef", np.uint8)] = np.arange(16)
 
 
-def _pair_array(pair_lines: list[str]) -> np.ndarray | None:
-    """The (P, 2) int64 array of block-pair lines that are each two runs of
-    1-18 ASCII digits around one space, or None if any line is not."""
-    joined = "\n".join(pair_lines)
-    if not (pair_lines and joined.isascii()):
-        return None
-    chars = np.frombuffer(joined.encode("ascii"), np.uint8)
+def _pair_array(chars: np.ndarray, count: int) -> np.ndarray | None:
+    """The (count, 2) int64 array of the ``count`` lines that ``chars`` holds,
+    each ending in its one "\\n", when each is "x y": two runs of 1-18 ASCII
+    digits around one space; None if any is not."""
     is_sep = (chars == ord(" ")) | (chars == ord("\n"))
     sep = np.flatnonzero(is_sep)
-    # the join put P - 1 newlines in, so P spaces at every other separator
-    # make the separators alternate: one space on each line
-    if len(sep) != 2 * len(pair_lines) - 1 or (chars[sep[0::2]] != ord(" ")).any():
+    # with the newlines, spaces at every other separator make the separators
+    # alternate: one space on each line
+    if len(sep) != 2 * count or (chars[sep[0::2]] != ord(" ")).any():
         return None
-    digits = np.diff(sep, prepend=-1, append=len(chars)) - 1
+    digits = np.diff(sep, prepend=-1) - 1
     if not (((1 <= digits) & (digits <= 18)).all() and (is_sep | (chars - ord("0") < 10)).all()):
         return None
-    return np.fromstring(joined, dtype=np.int64, sep=" ").reshape(-1, 2)
+    return np.fromstring(chars.tobytes(), dtype=np.int64, sep=" ").reshape(-1, 2)
 
 
 def loads_blocked(text: str) -> BlockedGraph:
     """Decode a blocked-host file.
 
-    When every block-pair line is "x y" in decimal, every pair is in range
-    and listed once, and every row is exactly ceil(m/4) lowercase hex digits
-    with no bit beyond column m - 1, the file is decoded as whole arrays.
-    Any other file goes to the per-line reader, which alone raises
-    ``FormatError``.
+    When the file is ASCII and ends in "\\n", its header line holds no other
+    line break, every block-pair line is "x y" in decimal, every pair is in
+    range and listed once, and every row line is a record of ceil(m/4) + 1
+    bytes, lowercase hex digits and "\\n", with no bit beyond column m - 1,
+    the file is decoded as whole arrays.  Any other file goes to the
+    per-line reader, which alone raises ``FormatError``.
     """
-    lines = text.splitlines()
+    start = text.find("\n") + 1  # of the first block-pair line; 0 if there is none
+    head = text[:start - 1] if start else text
     try:
-        d, m, seed = (int(t) for t in lines[0].split())
-    except (IndexError, ValueError):
+        d, m, seed = (int(t) for t in head.split())
+    except ValueError:
         return _loads_blocked_lines(text)
-    stride = m + 1  # a pair line and its m rows
-    if not 1 <= d <= _MAX_CUBE_D or m < 1 or m << d > DEFAULT_VERTEX_BUDGET or (len(lines) - 1) % stride:
+    if not (start and text.isascii() and head.splitlines() == [head] and text.endswith("\n")
+            and 1 <= d <= _MAX_CUBE_D and 1 <= m and m << d <= DEFAULT_VERTEX_BUDGET):
         return _loads_blocked_lines(text)
-    pairs = _pair_array(lines[1::stride])
+    buf = np.frombuffer(text.encode("ascii"), np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    stride, width = m + 1, (m + 3) // 4  # lines per block; hex digits per row
+    if len(ends) == 1 or (len(ends) - 1) % stride:
+        return _loads_blocked_lines(text)
+    lengths = np.diff(ends).reshape(-1, stride)  # every line after the header, its "\n" included
+    n_pairs = len(lengths)
+    if (lengths[:, 1:] != width + 1).any():
+        return _loads_blocked_lines(text)
+    # a block is its pair line and m row records, laid end to end
+    spans = np.column_stack((lengths[:, 0], np.full(n_pairs, m * (width + 1)))).ravel()
+    is_pair = np.repeat(np.tile([True, False], n_pairs), spans)
+    body = buf[start:]
+    pairs = _pair_array(body[is_pair], n_pairs)
     if pairs is None:
         return _loads_blocked_lines(text)
     x, y = pairs.T
-    if not ((0 <= x) & (x < y) & (y < 1 << d)).all() or len(np.unique(x << d | y)) < len(x):
+    keys = np.sort(x << d | y)  # a pair listed twice is two equal neighbours
+    if not ((0 <= x) & (x < y) & (y < 1 << d)).all() or (keys[1:] == keys[:-1]).any():
         return _loads_blocked_lines(text)
-    rows = lines[1:]
-    del rows[::stride]
-    width = (m + 3) // 4
-    hex_rows = "".join(rows)
-    if set(map(len, rows)) != {width} or not hex_rows.isascii():
-        return _loads_blocked_lines(text)
-    nibbles = _NIBBLE[np.frombuffer(hex_rows.encode("ascii"), np.uint8)].reshape(-1, width)
+    nibbles = _NIBBLE[body[~is_pair].reshape(-1, width + 1)[:, :width]]
     if (nibbles > 15).any():
         return _loads_blocked_lines(text)
     # a row is the big-endian hex of its little-endian column bits: reverse
@@ -326,8 +409,8 @@ def _loads_blocked_lines(text: str) -> BlockedGraph:
 
 
 def write_blocked(path, g: BlockedGraph) -> None:
-    with open(path, "w") as fh:
-        fh.write(dumps_blocked(g))
+    with open(path, "wb") as fh:
+        fh.write(_encode_blocked(g))
 
 
 def read_blocked(path) -> BlockedGraph:
@@ -346,8 +429,8 @@ def read_ordered(path) -> OrderedGraph:
 
 
 def write_hypercube(path, g: HypercubeGraph) -> None:
-    with open(path, "w") as fh:
-        fh.write(dumps_hypercube(g))
+    with open(path, "wb") as fh:
+        fh.write(_encode_hypercube(g))
 
 
 def read_hypercube(path) -> HypercubeGraph:

@@ -95,12 +95,40 @@ def philox_rng(seed: int) -> np.random.Generator:
 
 
 def _pair_levels(x: np.ndarray, y: np.ndarray, d: int) -> np.ndarray:
-    """``delta_int`` over arrays of block pairs."""
+    """``delta_int`` over arrays of pairs of vertices of {0,1}^d, d <= 63."""
     xor = np.bitwise_xor(x, y)
     if not xor.all():
         raise ValueError("delta is undefined for equal strings")
-    # frexp's exponent of a positive integer below 2^53 is its bit length
-    return d + 1 - np.frexp(xor)[1]
+    # frexp's exponent of a positive integer below 2^53 is its bit length; a
+    # larger one's bit length is 32 more than that of its top bits
+    high = xor >> 32
+    return d + 1 - np.where(high, np.frexp(high)[1] + 32, np.frexp(xor)[1])
+
+
+def _bit_rows(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[int, ...]:
+    """For each r < n, the int whose bit c is set for every pair (r, c) of
+    ``rows`` and ``cols``: distinct pairs of integers below n."""
+    if not len(rows):
+        return (0,) * n
+    key_type = np.int32 if n * n <= 1 << 31 else np.int64
+    rows, cols = np.divmod(np.sort(rows.astype(key_type) * n + cols), n)
+    # each nonempty row's bytes, up to the one of its highest bit, are laid
+    # end to end; a pair's byte is then nondecreasing in the sorted order, so
+    # the bits of one byte are a run, and as they are distinct their sum is
+    # their OR
+    first = np.flatnonzero(np.diff(rows, prepend=-1))  # of each nonempty row
+    ends = np.append(first[1:], len(rows))
+    sizes = cols[ends - 1] // 8 + 1
+    starts = np.cumsum(sizes) - sizes
+    byte = np.repeat(starts, ends - first) + (cols >> 3)
+    run = np.flatnonzero(np.diff(byte, prepend=-1))
+    packed = np.zeros(int(starts[-1] + sizes[-1]), np.uint8)
+    packed[byte[run]] = np.add.reduceat((1 << (cols & 7)).astype(np.uint8), run)
+    raw = packed.tobytes()
+    masks = [0] * n
+    for r, start, size in zip(rows[first].tolist(), starts.tolist(), sizes.tolist()):
+        masks[r] = int.from_bytes(raw[start:start + size], "little")
+    return tuple(masks)
 
 
 class BlockedGraph:
@@ -174,10 +202,12 @@ class BlockedGraph:
         """Flatten to vertex labels x * m + i (lexicographic order preserved)."""
         if self.n > DEFAULT_VERTEX_BUDGET:
             raise BudgetError(f"{self.n} vertices exceeds budget {DEFAULT_VERTEX_BUDGET}")
-        b, i, j = np.nonzero(self.mats)
-        us = self.pairs[b, 0] * self.m + i
-        vs = self.pairs[b, 1] * self.m + j
-        return OrderedGraph(self.n, zip(us.tolist(), vs.tolist()))
+        m = self.m
+        b, cell = np.divmod(np.flatnonzero(self.mats), m * m)
+        i, j = np.divmod(cell, m)
+        us = self.pairs[b, 0] * m + i
+        vs = self.pairs[b, 1] * m + j  # > us, as x < y
+        return OrderedGraph._from_masks(self.n, _bit_rows(self.n, us, vs), _bit_rows(self.n, vs, us))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BlockedGraph) or (self.d, self.m) != (other.d, other.m):

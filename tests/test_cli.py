@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from relturan import __version__, density, graphio, lemma_checks, richness, tiling
-from relturan.cli import main
+from relturan.cli import build_parser, main
 from relturan.core import HypercubeGraph, OrderedGraph, delta_int
 from relturan.graphio import read_blocked, write_hypercube, write_ordered
 from relturan.hosts import complete_hypercube, complete_ordered, generate_host
@@ -564,6 +564,20 @@ class TestTileCommands:
             expected = Counter(delta_int(int(a), int(b), 7) for a, b in verts[:, t:t + 2])
             assert slot == {str(k): v for k, v in sorted(expected.items())}
 
+    def test_sample_split_levels_at_d_62(self, p3_file, capsys):
+        # pairs that split at a low level xor to above 2^53, beyond the
+        # integers a double holds
+        levels = (1, 2, 3, 30, 58, 60, 61, 62)
+        assert main(["tile-sample", "--pattern", p3_file, "--d", "62",
+                     "--levels", ",".join(map(str, levels)), "--w", "4",
+                     "--n-samples", "3000", "--seed", "4"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        verts = tiling.sample_many(tiling.TilingConfig(62, levels, 4, 3), 3000, 4)
+        for t, slot in enumerate(out["per_slot_split_levels"]):
+            expected = Counter(delta_int(int(a), int(b), 62) for a, b in verts[:, t:t + 2])
+            assert slot == {str(k): v for k, v in sorted(expected.items())}
+        assert "1" in out["per_slot_split_levels"][0]
+
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
@@ -597,3 +611,36 @@ class TestOptions:
             main([*argv, flag, "1"])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+
+class TestParserReuse:
+    """``main`` parses with one parser per process; no call may see another's flags."""
+
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_seed_does_not_carry_over(self, tmp_path, capsys):
+        path = str(tmp_path / "h.rg")
+        assert main(["gen-host", "--d", "2", "--m", "2", "--out", path, "--seed", "5"]) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == 5
+        assert main(["gen-host", "--d", "2", "--m", "2", "--out", path]) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == 0
+        assert read_blocked(path) == generate_host(2, 2, 0)
+
+    def test_budget_does_not_carry_over(self, p3_file, k4_file, capsys):
+        # exhaustive mode is a usage error with any --budget, so it fails if
+        # the exact call's budget were still set
+        argv = ["solve", "--pattern", p3_file, "--host", k4_file, "--mode"]
+        assert main([*argv, "exact", "--budget", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["exact"] is False
+        assert main([*argv, "exhaustive"]) == 0
+        assert json.loads(capsys.readouterr().out)["best_edges"] == 4
+
+    def test_usage_error_still_exits_2(self, p3_file, capsys):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["classify", "--pattern", p3_file, "--seed", "1"])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+        assert main(["classify", "--pattern", p3_file]) == 0
+        assert json.loads(capsys.readouterr().out)["has_monotone_p3"] is True

@@ -54,6 +54,18 @@ class TestDelta:
         y = np.array([pair[1] for pair in pairs], dtype=np.int64)
         assert _pair_levels(x, y, d).tolist() == [delta_int(a, b, d) for a, b in zip(x.tolist(), y.tolist())]
 
+    @given(st.integers(1, 63), st.data())
+    def test_int_variant_is_exact_beyond_2_53(self, d, data):
+        # float64 rounds 2^54 - 1 up to 2^54: bit lengths of large xors are
+        # not read off one frexp
+        top = (1 << d) - 1
+        values = st.one_of(st.integers(0, top), st.sampled_from([0, top, top >> 1, 1 << (d - 1)]))
+        pairs = data.draw(st.lists(st.tuples(values, values).filter(lambda p: p[0] != p[1]),
+                                   min_size=1, max_size=20))
+        x = np.array([a for a, _ in pairs], dtype=np.int64)
+        y = np.array([b for _, b in pairs], dtype=np.int64)
+        assert _pair_levels(x, y, d).tolist() == [delta_int(a, b, d) for a, b in pairs]
+
     @given(st.integers(2, 8), st.data())
     def test_ultrametric(self, d, data):
         vals = data.draw(

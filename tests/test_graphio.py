@@ -206,6 +206,38 @@ class TestHypercubeFormat:
         text = dumps_hypercube(graph())
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    # the per-line writer's bytes on every complete cube the CI and the
+    # benchmark write, on seeded random cube graphs and on edgeless ones
+    @pytest.mark.parametrize("d, digest", enumerate([
+        "bbc71dbbc0ee6439cf77b46a975bb8f08043049552f169c19900d273af5a4c8f",
+        "3db9f19026f01ffaaf8517f1421454eaada4d69dbaf216623338edd74819a48d",
+        "5c9e29091455814887a767c5a7b5a8a07e9ea47ab967fbc4fc0322e44f3d5290",
+        "063b048d9bb6afe7aa4ee64aa2f56b968b9db26187d52cb1315a56c302a5e571",
+        "6b0e69aa29d7088868a3037e60ca8d90ea99d3bfa60e23030bf2fadd783fdab9",
+        "0c9444d07af034463c10c0697b0d2851794080db166038b630f6064a9f054d4b",
+        "3bb734f6b825e6227202d5875b24f98c268425b57aec21378c54ef77fe359337",
+        "73e6c4cb615ea34ca4285acd0824e5677de5318769970567fd7979df15e3ad5b",
+        "7be05bd32889459ecc1a9eef9fce1c4bc3bf041ef6457a81e2f3c006393f84af",
+        "de999097f879f1dfa4bb41af6d169d9024ae840f37e45ee8a9d365e5ba141d9d",
+        "5f59bcd07b0741fcb131d8ba692009b85aa30c81b906ba9a76ea525ecc7b8996",
+    ], 1))
+    def test_pinned_bytes_of_complete_cubes(self, d, digest):
+        text = dumps_hypercube(complete_hypercube(d))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("d, draws, seed, digest", [
+        (1, 3, 0, "bbc71dbbc0ee6439cf77b46a975bb8f08043049552f169c19900d273af5a4c8f"),
+        (3, 10, 1, "f3517ff9cc7c0f4468ab697a0b438ad67e173eb4f330d33bd1f9aa3b8ef4d464"),
+        (5, 200, 2, "333ec9ecaa33ad388a48e6cc4d82c611ea7d297656f37d0886f6fe3c27655ea7"),
+        (11, 20000, 7, "7e5a8cc04bb21f9cc710ebe1f6d2ec5054855c754c4fec0f211f9ba456dfe24e"),
+        (13, 50000, 3, "170ebaa6daec66fbe00bebf894d9007c9eddc95541f5bf8bc155d02260d9c96b"),
+        (1, 0, 0, "f4a8ae8e74ddfb896a256de4e3099911dcaa6a9302591713898069b0bcd6e3d7"),
+        (8, 0, 0, "f20d961db0814769179475eefc5d1075b03dab5a12ff4a53e5f1676def9f89f7"),
+    ])
+    def test_pinned_bytes_of_seeded_cubes(self, d, draws, seed, digest):
+        text = dumps_hypercube(seeded_sparse_cube(d, draws, seed))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     def test_canonical_file_takes_the_array_path(self, monkeypatch):
         g = seeded_sparse_cube(7, 500, 1)
         text = dumps_hypercube(g)
@@ -270,6 +302,27 @@ class TestBlockedFormat:
         g = BlockedGraph(1, m, 7, [(0, 1)], [mat])
         assert dumps_blocked(g) == text
         assert loads_blocked(text) == g
+
+    # the per-pair writer's bytes, at odd and even row widths, across the
+    # 64-bit column boundary and at the two sizes the benchmark writes
+    @pytest.mark.parametrize("m, d, digest", [
+        (1, 2, "2492d48191f5305efc78de76695d9bbd3a236e93972fcee2f926e04f3ffe05f0"),
+        (5, 3, "2f3f1f606b45fc0564fc211e09d10434f26f309876d5a56eb688f03875ad25f7"),
+        (8, 8, "3a23978644be91856d78655f103d42f9506043c1f581a97fa2459771a982f068"),
+        (9, 3, "afc6dca1b90b45a0409dda5da8979b198483f0d7acf3b69b2c94b45d0ddbb20a"),
+        (63, 2, "cf574d2621b7046fe529cd69816ad782fa935dc203f79b9dbb2726840aa87f2f"),
+        (64, 2, "5f77402e64315774e46e4f76c6627a1574756b93b56a1de62706e4f4c29f767a"),
+        (70, 1, "1ad5c69b807e86827a589837c16ffe18be5fc3b7630ac86dd9e1331341f12c96"),
+        (256, 4, "c044e34d29ebf8a58d68dc0d71f3bd159cd659facab2c85ef047b035c642494d"),
+    ])
+    def test_pinned_bytes(self, m, d, digest):
+        text = dumps_blocked(generate_host(m, d, 0))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_edgeless_host_is_its_header(self):
+        g = BlockedGraph(3, 5, 9, np.zeros((0, 2)), np.zeros((0, 5, 5)))
+        assert dumps_blocked(g) == "3 5 9\n"
+        assert loads_blocked("3 5 9\n") == g
 
     def test_canonical_file_takes_the_array_path(self, monkeypatch):
         host = generate_host(m=9, d=3, seed=5)

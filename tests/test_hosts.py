@@ -257,6 +257,44 @@ class TestGeneration:
             for j in range(3):
                 assert og.has_edge(i, 3 + j) == bool(mat[i, j])
 
+    @staticmethod
+    def edge_list_route(host: BlockedGraph) -> OrderedGraph:
+        """The host flattened one edge at a time through the edge-list constructor."""
+        b, i, j = np.nonzero(host.mats)
+        us = host.pairs[b, 0] * host.m + i
+        vs = host.pairs[b, 1] * host.m + j
+        return OrderedGraph(host.n, zip(us.tolist(), vs.tolist()))
+
+    @pytest.mark.parametrize("m, d", [(1, 1), (1, 5), (3, 2), (8, 5), (8, 8), (63, 2),
+                                      (64, 2), (70, 1), (256, 1)])
+    def test_to_ordered_matches_the_edge_list_route(self, m, d):
+        host = generate_host(m, d, seed=3)
+        og, want = host.to_ordered(), self.edge_list_route(host)
+        assert og == want
+        assert og.forward_masks == want.forward_masks and og.backward_masks == want.backward_masks
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 70), st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_to_ordered_of_thinned_hosts_matches_the_edge_list_route(self, m, d, seed):
+        host = thin_every_other(generate_host(m, d, seed))
+        og, want = host.to_ordered(), self.edge_list_route(host)
+        assert og.forward_masks == want.forward_masks and og.backward_masks == want.backward_masks
+
+    def test_to_ordered_of_a_sparse_host_on_two_million_vertices(self):
+        # 2^21 vertices, four edges: the masks cost what their bits need
+        mat = np.zeros((256, 256), dtype=bool)
+        mat[0, 0] = mat[255, 7] = True
+        host = BlockedGraph(13, 256, 0, [(0, 1), (5, 8191)], [mat, mat])
+        og = host.to_ordered()
+        assert og.n == 1 << 21
+        assert og.sorted_edges() == [(0, 256), (255, 263), (1280, 2096896), (1535, 2096903)]
+        assert og.backward_masks[2096903] == 1 << 1535
+
+    def test_to_ordered_of_an_edgeless_host(self):
+        host = BlockedGraph(2, 3, 0, np.zeros((0, 2)), np.zeros((0, 3, 3)))
+        og = host.to_ordered()
+        assert og == OrderedGraph(12, []) and og.backward_masks == (0,) * 12
+
 
 class TestPathFreeSide:
     @given(st.integers(1, 4), st.integers(1, 5), st.integers(0, 2**32 - 1))
