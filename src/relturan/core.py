@@ -1,4 +1,4 @@
-"""Cube vertices as integers, their levels, and the two graph classes.
+"""Cube vertices as integers, their levels, and the ordered graph with its cube case.
 
 A vertex of the binary cube {0,1}^d is the integer 0..2^d-1 whose binary
 expansion, most significant bit first, is the string x_1 x_2 ... x_d, so the
@@ -7,11 +7,13 @@ lexicographic order on strings is the integer order.  Everything downstream
 ``delta_int(u, v, d)``: the first index, 1-based, at which the two strings
 differ.  ``tau`` counts the pairs at each level.  ``level_block`` is the one
 level geometry: the aligned block of the vertices at a given level from v.
+A cube graph, ``HypercubeGraph``, is an ``OrderedGraph`` on 2^d vertices
+that adds the per-level statistics and no stored state.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 
 def delta_int(u: int, v: int, d: int) -> int:
@@ -51,6 +53,25 @@ def mask_edges(fwd: Sequence[int]) -> list[tuple[int, int]]:
     return out
 
 
+def _edge_masks(
+    n: int, edges: Iterable[tuple[int, int]], span: str
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The forward and backward masks of ``edges`` on 0..n-1; ``span`` names
+    the vertex range in the out-of-range message."""
+    fwd = [0] * n
+    bwd = [0] * n
+    for u, v in edges:
+        if u == v:
+            raise ValueError(f"self-loop at {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) out of range for {span}")
+        if u > v:
+            u, v = v, u
+        fwd[u] |= 1 << v
+        bwd[v] |= 1 << u
+    return tuple(fwd), tuple(bwd)
+
+
 class OrderedGraph:
     """An ordered graph on vertices 0..n-1 with the natural order.
 
@@ -58,7 +79,7 @@ class OrderedGraph:
     per-vertex forward and backward neighbourhood bitmasks, which the
     containment kernel reads directly; the edge set and the sorted edge list
     are read off the forward masks on demand.  Instances are immutable after
-    construction.
+    construction, and equal only to instances of the same class.
     """
 
     __slots__ = ("n", "_fwd", "_bwd")
@@ -66,27 +87,16 @@ class OrderedGraph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        fwd = [0] * n
-        bwd = [0] * n
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop at {u}")
-            if u > v:
-                u, v = v, u
-            if not (0 <= u < v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            fwd[u] |= 1 << v
-            bwd[v] |= 1 << u
         self.n = n
-        self._fwd = tuple(fwd)
-        self._bwd = tuple(bwd)
+        self._fwd, self._bwd = _edge_masks(n, edges, f"n={n}")
 
     @classmethod
     def _from_masks(cls, n: int, fwd: tuple[int, ...], bwd: tuple[int, ...]) -> OrderedGraph:
         """The graph whose masks are ``fwd`` and ``bwd``, taken as they are.
 
         The caller vouches that both have n entries, that fwd[u] holds only
-        vertices v with u < v < n, and that ``bwd`` is its transpose.
+        vertices v with u < v < n, and that ``bwd`` is its transpose; for a
+        HypercubeGraph, n is a power of two and at least 2.
         """
         g = cls.__new__(cls)
         g.n, g._fwd, g._bwd = n, fwd, bwd
@@ -128,11 +138,7 @@ class OrderedGraph:
         return mask_edges(self._fwd)
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, OrderedGraph)
-            and self.n == other.n
-            and self._fwd == other._fwd
-        )
+        return type(other) is type(self) and self.n == other.n and self._fwd == other._fwd
 
     def __hash__(self) -> int:
         return hash((self.n, self._fwd))
@@ -141,72 +147,38 @@ class OrderedGraph:
         return f"OrderedGraph(n={self.n}, m={self.num_edges()})"
 
 
-class HypercubeGraph:
+class HypercubeGraph(OrderedGraph):
     """An ordered graph on {0,1}^d, vertices coded as integers 0..2^d-1.
 
-    Adjacency is stored as one bitmask per vertex so that dense graphs on
-    moderately large cubes (d up to ~12) stay cheap to hold and query.
+    It stores nothing beyond the ordered graph's masks: d is read off n.
     """
 
-    __slots__ = ("d", "adj")
+    __slots__ = ()
 
-    def __init__(self, d: int, edges: Iterable[tuple[int, int]] = (), adj: Sequence[int] | None = None):
+    def __init__(self, d: int, edges: Iterable[tuple[int, int]] = ()):
         if d < 1:
             raise ValueError("dimension must be at least 1")
-        self.d = d
-        n = 1 << d
-        if adj is not None:
-            if len(adj) != n:
-                raise ValueError("adjacency table has wrong size")
-            for v, mask in enumerate(adj):
-                if (mask >> v) & 1:
-                    raise ValueError(f"self-loop at {v}")
-            self.adj = tuple(adj)
-            for v, mask in enumerate(self.adj):
-                if mask >> n:
-                    raise ValueError("adjacency mask out of range")
-        else:
-            table = [0] * n
-            for u, v in edges:
-                if u == v:
-                    raise ValueError(f"self-loop at {u}")
-                if not (0 <= u < n and 0 <= v < n):
-                    raise ValueError(f"edge ({u}, {v}) out of range for d={d}")
-                table[u] |= 1 << v
-                table[v] |= 1 << u
-            self.adj = tuple(table)
+        self.n = 1 << d
+        self._fwd, self._bwd = _edge_masks(self.n, edges, f"d={d}")
 
     @property
-    def n(self) -> int:
-        return 1 << self.d
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return (self.adj[u] >> v) & 1 == 1
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        for u in range(self.n):
-            mask = self.adj[u] & ~((1 << (u + 1)) - 1)
-            while mask:
-                low = mask & -mask
-                yield (u, low.bit_length() - 1)
-                mask ^= low
-
-    def num_edges(self) -> int:
-        return sum(m.bit_count() for m in self.adj) // 2
+    def d(self) -> int:
+        return self.n.bit_length() - 1
 
     def backward_degrees(self, level: int) -> list[int]:
         """Every vertex's number of backward level-``level`` neighbours, indexed by vertex."""
-        if not 1 <= level <= self.d:
-            raise ValueError(f"level {level} out of range [1, {self.d}]")
-        size = 1 << (self.d - level)
+        d = self.d
+        if not 1 <= level <= d:
+            raise ValueError(f"level {level} out of range [1, {d}]")
+        size = 1 << (d - level)
         block = (1 << size) - 1
         degrees = [0] * self.n
         # the vertices whose bit d - level is 1 come in runs of ``size``; a run
         # shares one level block, the run just before it
         for start in range(size, self.n, 2 * size):
-            lo = level_block(start, level, self.d)
+            lo = level_block(start, level, d)
             degrees[start : start + size] = [
-                ((mask >> lo) & block).bit_count() for mask in self.adj[start : start + size]
+                ((mask >> lo) & block).bit_count() for mask in self._bwd[start : start + size]
             ]
         return degrees
 
@@ -215,13 +187,8 @@ class HypercubeGraph:
         return [0] + [sum(self.backward_degrees(level)) for level in range(1, self.d + 1)]
 
     def to_ordered(self) -> OrderedGraph:
-        return OrderedGraph(self.n, list(self.edges()))
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, HypercubeGraph) and self.d == other.d and self.adj == other.adj
-
-    def __hash__(self) -> int:
-        return hash((self.d, self.adj))
+        """The same graph as a plain OrderedGraph, sharing this one's masks."""
+        return OrderedGraph._from_masks(self.n, self._fwd, self._bwd)
 
     def __repr__(self) -> str:
         return f"HypercubeGraph(d={self.d}, m={self.num_edges()})"

@@ -98,9 +98,9 @@ def _encode_hypercube(g: HypercubeGraph) -> np.ndarray:
     """The cube-graph file as a uint8 array: the header, then one record of
     2d + 2 bytes per edge."""
     d = g.d
-    # the forward neighbours v > u of u are the set bits of adj[u] >> (u + 1):
+    # the forward neighbours v > u of u are the set bits of fwd[u] >> (u + 1):
     # lay those masks end to end as little-endian bytes and unpack them once
-    forward = [mask >> u >> 1 for u, mask in enumerate(g.adj)]
+    forward = [mask >> u >> 1 for u, mask in enumerate(g.forward_masks)]
     sizes = [(f.bit_length() + 7) // 8 for f in forward]
     packed = b"".join([f.to_bytes(size, "little") for f, size in zip(forward, sizes)])
     bits = np.flatnonzero(np.unpackbits(np.frombuffer(packed, np.uint8), bitorder="little"))
@@ -203,14 +203,18 @@ def loads_hypercube(text: str) -> HypercubeGraph:
     del u, v
     keys.sort()
     bounds = np.searchsorted(keys, np.arange(n + 1, dtype=key_type) << d)
-    adj = [0] * n
+    fwd = [0] * n
+    bwd = [0] * n
     mark = np.zeros(n, bool)
     for x in np.flatnonzero(np.diff(bounds)).tolist():
         nbrs = keys[bounds[x]:bounds[x + 1]] & (n - 1)
         mark[nbrs] = True
-        adj[x] = int.from_bytes(np.packbits(mark[:nbrs[-1] + 1], bitorder="little").tobytes(), "little")
+        a = int.from_bytes(np.packbits(mark[:nbrs[-1] + 1], bitorder="little").tobytes(), "little")
         mark[nbrs] = False
-    return HypercubeGraph(d, adj=adj)
+        # x's run holds all its neighbours: those above x, then those below
+        fwd[x] = a >> x << x
+        bwd[x] = a & ((1 << x) - 1)
+    return HypercubeGraph._from_masks(n, tuple(fwd), tuple(bwd))
 
 
 def _loads_hypercube_lines(text: str) -> HypercubeGraph:
@@ -229,18 +233,21 @@ def _loads_hypercube_lines(text: str) -> HypercubeGraph:
         raise FormatError(1, f"need m >= 0, got {m}")
     # one lookup checks a label's length and alphabet and gives its vertex
     vertex = {format(v, f"0{d}b"): v for v in range(1 << d)}.get
-    adj = [0] * (1 << d)
+    fwd = [0] * (1 << d)
+    bwd = [0] * (1 << d)
     for line_no, line in enumerate(lines[1:m + 1], 2):
         parts = line.split()
         if len(parts) != 2 or (u := vertex(parts[0])) is None or (v := vertex(parts[1])) is None:
             raise FormatError(line_no, f"expected two length-{d} bitstrings, got {line!r}")
         if u == v:
             raise FormatError(line_no, "self-loop")
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
+        if u > v:
+            u, v = v, u
+        fwd[u] |= 1 << v
+        bwd[v] |= 1 << u
     if len(lines) <= m:
         raise FormatError(len(lines) + 1, f"expected {m} edge lines, file ends early")
-    return HypercubeGraph(d, adj=adj)
+    return HypercubeGraph._from_masks(1 << d, tuple(fwd), tuple(bwd))
 
 
 def _decimal_fields(a: np.ndarray) -> np.ndarray:

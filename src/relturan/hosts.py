@@ -343,12 +343,19 @@ def verify_host(
     return HostReport(d, m, epsilon, tuple(level_checks), tuple(pair_checks), worst)
 
 
+def _complete_masks(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The forward and backward masks of the complete graph on 0..n-1."""
+    full = (1 << n) - 1
+    fwd = tuple(full >> (u + 1) << (u + 1) for u in range(n))
+    return fwd, tuple((1 << v) - 1 for v in range(n))
+
+
 def complete_ordered(n: int) -> OrderedGraph:
     if n < 1:
         raise ValueError("need n >= 1")
     if n > DEFAULT_VERTEX_BUDGET or n > 4096:
         raise BudgetError(f"complete graph on {n} vertices refused")
-    return OrderedGraph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    return OrderedGraph._from_masks(n, *_complete_masks(n))
 
 
 def complete_hypercube(d: int) -> HypercubeGraph:
@@ -357,6 +364,4 @@ def complete_hypercube(d: int) -> HypercubeGraph:
     n = 1 << d
     if n > DEFAULT_VERTEX_BUDGET or d > 13:
         raise BudgetError(f"complete cube graph at d={d} refused")
-    full = (1 << n) - 1
-    adj = [full ^ (1 << v) for v in range(n)]
-    return HypercubeGraph(d, adj=adj)
+    return HypercubeGraph._from_masks(n, *_complete_masks(n))

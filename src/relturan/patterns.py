@@ -24,11 +24,10 @@ from typing import Callable, Iterator, Optional, Sequence
 from .core import OrderedGraph
 
 
-def validate_witness(pattern: OrderedGraph, host, images: Sequence[int]) -> bool:
+def validate_witness(pattern: OrderedGraph, host: OrderedGraph, images: Sequence[int]) -> bool:
     """Pure checker: ``images`` is strictly increasing, in range, and edge-preserving.
 
-    Only ``host.n`` and ``host.has_edge`` are read, so an OrderedGraph and a
-    HypercubeGraph are checked alike, without flattening one into the other.
+    A cube graph is an OrderedGraph, so it is checked as it is, unconverted.
     """
     return (
         len(images) == pattern.n

@@ -25,10 +25,14 @@ from .core import HypercubeGraph, delta_int, level_block, tau
 
 
 def rich_levels(counts: list[int], d: int, alpha: float, m: int = 1) -> list[int]:
-    """The alpha-rich levels, ascending: count_l >= alpha tau_l m^2, exactly.
+    """The alpha-rich levels, ascending: count_l >= alpha * tau_l * m * m in floats.
 
-    ``counts`` are per-level edge counts (index 0 unused) of a cube graph
-    (m = 1) or a blocked host on {0,1}^d x [m].
+    The product is a double rounded at each step, not alpha tau_l m^2
+    exactly: at alpha = 0.1, d = 4, level 4 and m = 5 it is 20.0, though 0.1
+    times 200 is exactly 20.0000000000000011..., so a count of 20 is rich.
+    ``bench/oracles.py`` compares the same way.  ``counts`` are per-level
+    edge counts (index 0 unused) of a cube graph (m = 1) or a blocked host
+    on {0,1}^d x [m].
     """
     if not 0 <= alpha <= 1:
         raise ValueError("alpha must be in [0, 1]")
@@ -64,17 +68,17 @@ class StripStats:
 def strip_top_forward(g: HypercubeGraph) -> tuple[HypercubeGraph, StripStats]:
     """Remove each vertex's forward edges at its own highest forward level.
 
-    Removal decisions are computed on the input and applied simultaneously.
+    Removal decisions are computed on the input's forward masks and applied
+    simultaneously: x's victims leave fwd[x], and x leaves each victim's bwd.
     The number removed at level l is at most (#vertices with top level l)
     times 2^(d-l), i.e. at most twice p_l tau_l; checked on every run
     (PostconditionError otherwise).
     """
     d, n = g.d, g.n
     top = [0] * n
-    adj = list(g.adj)
+    fwd, bwd = list(g.forward_masks), list(g.backward_masks)
     removed = [0] * (d + 1)
-    for x in range(n):
-        forward = g.adj[x] >> (x + 1) << (x + 1)
+    for x, forward in enumerate(g.forward_masks):
         if not forward:
             continue
         # forward level blocks lie nearer x the higher their level, so the
@@ -84,15 +88,16 @@ def strip_top_forward(g: HypercubeGraph) -> tuple[HypercubeGraph, StripStats]:
         end = level_block(x, level, d) + (1 << (d - level))
         victims = forward & ((1 << end) - 1)
         removed[level] += victims.bit_count()
-        adj[x] &= ~victims
+        fwd[x] ^= victims
         while victims:
             low = victims & -victims
-            adj[low.bit_length() - 1] &= ~(1 << x)
+            bwd[low.bit_length() - 1] ^= 1 << x
             victims ^= low
     for level in range(1, d + 1):
         bound = top.count(level) << (d - level)
         _require(removed[level] <= bound, f"removed {removed[level]} level-{level} edges, bound {bound}")
-    return HypercubeGraph(d, adj=adj), StripStats(tuple(top), tuple(removed))
+    stripped = HypercubeGraph._from_masks(n, tuple(fwd), tuple(bwd))
+    return stripped, StripStats(tuple(top), tuple(removed))
 
 
 @dataclass(frozen=True)
@@ -237,7 +242,7 @@ def extract_rich_interval(
     inside_mask = sum(1 << y for y in inside)
 
     # the left half's vertex with most neighbours inside, the least such
-    degree = {x: (g.adj[x] & inside_mask).bit_count() for x in range(base - size, base)}
+    degree = {x: (g.forward(x) & inside_mask).bit_count() for x in range(base - size, base)}
     x = max(degree, key=lambda v: (degree[v], -v))
     if degree[x] < max(1, thresholds.x_prop * len(inside)):
         return StageFailure("x", f"best left-vertex degree {degree[x]}")
@@ -256,16 +261,17 @@ def extract_rich_interval(
 
     if width < 1:
         return StageFailure("subgraph", "right half is a single vertex")
-    # the subgraph keeps the edges of the right half whose larger endpoint is in Y3
+    # the subgraph keeps the edges of the right half whose larger endpoint is
+    # in Y3: w's forward neighbours in Y3 and, for w in Y3, its backward
+    # neighbours in the right half, relabelled by the base
+    rhs = slice(base, base + size)
     rhs_mask = ((1 << size) - 1) << base
-    sub_adj = []
-    for w in range(base, base + size):
-        below = (1 << w) - 1
-        kept = g.adj[w] & ~below & y3_mask
-        if (y3_mask >> w) & 1:
-            kept |= g.adj[w] & below & rhs_mask
-        sub_adj.append(kept >> base)
-    subgraph = HypercubeGraph(width, adj=sub_adj)
+    sub_fwd = tuple((mask & y3_mask) >> base for mask in g.forward_masks[rhs])
+    sub_bwd = tuple(
+        (mask & rhs_mask) >> base if (y3_mask >> w) & 1 else 0
+        for w, mask in enumerate(g.backward_masks[rhs], base)
+    )
+    subgraph = HypercubeGraph._from_masks(size, sub_fwd, sub_bwd)
 
     # each counted vertex contributes an integer backward degree of at least
     # ceil(f_value * 2^(d - level)); the implied richness of the extracted
@@ -304,8 +310,8 @@ def _replay_postconditions(g: HypercubeGraph, res: ExtractionResult) -> None:
     """Independent re-checks of the extraction guarantees (PostconditionError)."""
     sub = res.subgraph
     y3 = set(res.trace.y3)
-    for v, mask in enumerate(sub.adj):
-        if mask & ((1 << v) - 1):  # v is the larger endpoint of an edge
+    for v in range(sub.n):
+        if sub.backward(v):  # v is the larger endpoint of an edge
             _require(v + res.rhs_base in y3 and g.has_edge(res.x, v + res.rhs_base),
                      "larger endpoint not adjacent to x")
     count = len(rich_levels(sub.level_counts(), sub.d, res.certified_eta))
@@ -346,7 +352,9 @@ def embed_hk_extracted(
     if k < 1:
         raise ValueError("k must be at least 1")
     if k == 1:
-        return next(g.edges(), None)  # edges() runs in lexicographic order
+        # the least edge: the first vertex with a forward neighbour, and its least one
+        u = next((u for u, forward in enumerate(g.forward_masks) if forward), None)
+        return None if u is None else (u, (g.forward(u) & -g.forward(u)).bit_length() - 1)
     if isinstance(res, StageFailure):
         return None
     inner = embed_hk_rich(res.subgraph, k - 1, thresholds)
@@ -355,7 +363,7 @@ def embed_hk_extracted(
     lifted = tuple(v + res.rhs_base for v in inner)
 
     x = res.x
-    forward = g.adj[x] >> (x + 1) << (x + 1)
+    forward = g.forward(x)
     y = (forward & -forward).bit_length() - 1  # at x's top forward level
     if not forward or delta_int(x, y, g.d) <= res.pivot_level:
         return None  # cannot happen when extraction succeeded; defensive

@@ -198,7 +198,7 @@ def test_criterion_8_extraction_soundness():
         d = rng.randint(3, 7)
         keep = rng.uniform(0.7, 1.0)
         full = complete_hypercube(d)
-        g = HypercubeGraph(d, [e for e in full.edges() if rng.random() < keep])
+        g = HypercubeGraph(d, [e for e in full.sorted_edges() if rng.random() < keep])
         res = extract_rich_interval(g, thresholds)
         if not isinstance(res, ExtractionResult):
             continue
@@ -208,7 +208,7 @@ def test_criterion_8_extraction_soundness():
         recomputed = rich_levels(sub.level_counts(), sub.d, res.certified_eta)
         assert len(recomputed) >= res.certified_rich_count
         # every edge's larger endpoint is a forward neighbour of x
-        for _, v in res.subgraph.edges():
+        for _, v in res.subgraph.sorted_edges():
             assert g.has_edge(res.x, v + res.rhs_base)
         # embedding successes replay under the containment oracle
         w = embed_hk_rich(g, 2, thresholds)

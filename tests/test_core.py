@@ -1,13 +1,17 @@
 import math
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relturan import graphio
 from relturan.core import HypercubeGraph, OrderedGraph, delta_int, level_block, tau
-from relturan.hosts import _pair_levels
+from relturan.graphio import dumps_hypercube, loads_hypercube
+from relturan.hosts import _pair_levels, complete_hypercube
+from relturan.richness import ExtractionResult, Thresholds, extract_rich_interval, strip_top_forward
 
 
 def naive_delta(x: int, y: int, d: int) -> int:
@@ -172,7 +176,7 @@ class TestLevelGeometry:
         d = g.d
         degrees = [[0] * g.n for _ in range(d + 1)]
         counts = [0] * (d + 1)
-        for u, v in g.edges():
+        for u, v in g.sorted_edges():
             degrees[delta_int(u, v, d)][v] += 1
             counts[delta_int(u, v, d)] += 1
         for level in range(1, d + 1):
@@ -189,7 +193,7 @@ class TestHypercubeGraph:
     def test_edge_iteration_roundtrip(self):
         edges = [(0, 3), (1, 2), (0, 1)]
         g = HypercubeGraph(2, edges)
-        assert sorted(g.edges()) == sorted(edges)
+        assert sorted(g.sorted_edges()) == sorted(edges)
 
     def test_level_counts_bruteforce(self):
         d = 3
@@ -205,3 +209,84 @@ class TestHypercubeGraph:
         og = g.to_ordered()
         assert og.n == 4 and og.edges == {(0, 3), (1, 2)}
 
+
+    @given(cube_graphs(max_d=4))
+    def test_to_ordered_shares_the_masks(self, g):
+        og = g.to_ordered()
+        assert type(og) is OrderedGraph
+        assert og.forward_masks is g.forward_masks and og.backward_masks is g.backward_masks
+        assert og == OrderedGraph(g.n, g.sorted_edges())
+
+    def test_never_equals_a_plain_ordered_graph(self):
+        g, og = HypercubeGraph(2, [(0, 3)]), OrderedGraph(4, [(0, 3)])
+        assert g != og and og != g
+        assert g.to_ordered() == og and g == HypercubeGraph(2, [(3, 0)])
+
+    @given(cube_graphs(max_d=4))
+    def test_has_edge_is_false_outside_the_cube(self, g):
+        n = g.n
+        for u in range(n):
+            assert not any(g.has_edge(u, v) or g.has_edge(v, u) for v in (-1, -n, n, n + 1, 2 * n))
+        assert not g.has_edge(-1, -2) and not g.has_edge(n, n + 1)
+
+    def test_stores_nothing_beyond_the_ordered_graph(self):
+        g = HypercubeGraph(3, [(0, 7)])
+        assert HypercubeGraph.__slots__ == () and not hasattr(g, "__dict__")
+        assert (g.n, g.d) == (8, 3)
+
+    @pytest.mark.parametrize("d, edges, message", [
+        (0, (), "dimension must be at least 1"),
+        (2, [(1, 1)], "self-loop at 1"),
+        (2, [(0, 4)], r"edge \(0, 4\) out of range for d=2"),
+        (2, [(5, 1)], r"edge \(5, 1\) out of range for d=2"),
+        (2, [(-1, 2)], r"edge \(-1, 2\) out of range for d=2"),
+    ])
+    def test_constructor_errors(self, d, edges, message):
+        with pytest.raises(ValueError, match=message):
+            HypercubeGraph(d, edges)
+
+
+def assert_is_the_edge_list_graph(g):
+    """``g``, built from masks by ``_from_masks``, equals the graph built from
+    its edge list, backward masks included: the check ``_from_masks`` skips."""
+    ref = HypercubeGraph(g.d, g.sorted_edges())
+    assert type(g) is HypercubeGraph
+    assert g == ref and g.backward_masks == ref.backward_masks
+
+
+class TestMaskProducers:
+    """Every producer of a cube graph from masks, against the edge-list route."""
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_complete_hypercube(self, d):
+        g = complete_hypercube(d)
+        assert_is_the_edge_list_graph(g)
+        assert g.num_edges() == (1 << d) * ((1 << d) - 1) // 2
+
+    @settings(deadline=None)
+    @given(cube_graphs())
+    def test_decoders(self, g):
+        text = dumps_hypercube(g)
+        # the per-line reader is not reached when the array path takes the file
+        with mock.patch.object(graphio, "_loads_hypercube_lines", side_effect=AssertionError):
+            decoded = loads_hypercube(text)
+        assert_is_the_edge_list_graph(decoded)
+        assert_is_the_edge_list_graph(graphio._loads_hypercube_lines(text))
+        assert decoded == g
+
+    @settings(deadline=None)
+    @given(cube_graphs())
+    def test_strip_and_extraction(self, g):
+        stripped, _ = strip_top_forward(g)
+        assert_is_the_edge_list_graph(stripped)
+        for h in (g, stripped):
+            res = extract_rich_interval(h, Thresholds.desk())
+            if isinstance(res, ExtractionResult):
+                assert_is_the_edge_list_graph(res.subgraph)
+
+    @pytest.mark.parametrize("d", range(3, 9))
+    def test_extraction_on_complete_cubes(self, d):
+        g = complete_hypercube(d)
+        res = extract_rich_interval(strip_top_forward(g)[0], Thresholds.desk())
+        assert isinstance(res, ExtractionResult)
+        assert_is_the_edge_list_graph(res.subgraph)

@@ -1,4 +1,5 @@
 import hashlib
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -340,7 +341,16 @@ class TestCompleteHosts:
         g = complete_ordered(5)
         assert len(g.edges) == 10
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 63, 64, 65, 300])
+    def test_complete_ordered_matches_the_edge_list_route(self, n):
+        g = complete_ordered(n)
+        ref = OrderedGraph(n, combinations(range(n), 2))
+        assert g == ref and g.backward_masks == ref.backward_masks
+
     def test_complete_ordered_refusal(self):
+        assert complete_ordered(4096).num_edges() == 4096 * 4095 // 2
+        with pytest.raises(BudgetError, match="complete graph on 4097 vertices refused"):
+            complete_ordered(4097)
         with pytest.raises(BudgetError):
             complete_ordered(5000)
 

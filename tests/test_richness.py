@@ -26,7 +26,7 @@ from relturan.richness import (
 
 def random_cube_graph(rng, d, keep=0.8):
     full = complete_hypercube(d)
-    edges = [e for e in full.edges() if rng.random() < keep]
+    edges = [e for e in full.sorted_edges() if rng.random() < keep]
     return HypercubeGraph(d, edges)
 
 
@@ -51,11 +51,17 @@ class TestRichLevels:
     def test_deletion_never_gains_levels(self, d, data):
         rng = random.Random(data.draw(st.integers(0, 10**6)))
         g = random_cube_graph(rng, d)
-        edges = list(g.edges())
+        edges = list(g.sorted_edges())
         kept = [e for e in edges if rng.random() < 0.7]
         sub = HypercubeGraph(d, kept)
         alpha = data.draw(st.floats(0.0, 1.0))
         assert set(rich_levels(sub.level_counts(), d, alpha)) <= set(rich_levels(g.level_counts(), d, alpha))
+
+    def test_threshold_is_the_float_product(self):
+        # 0.1 * 8 * 5 * 5 rounds to 20.0; 0.1 * 200 is exactly 20.0000000000000011...
+        assert Fraction(0.1) * tau(4, 4) * 5 * 5 > 20
+        assert rich_levels([0, 0, 0, 0, 20], 4, 0.1, 5) == [4]
+        assert rich_levels([0, 0, 0, 0, 19], 4, 0.1, 5) == []
 
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError):
@@ -103,14 +109,14 @@ class TestStrip:
             victims = {(x, y) for y in forward if delta_int(x, y, d) == top}
             removed |= victims
             removed_per_level[top] += len(victims)
-        assert set(stripped.edges()) == set(g.edges()) - removed
+        assert set(stripped.sorted_edges()) == set(g.sorted_edges()) - removed
         assert list(stats.removed_per_level) == removed_per_level
 
     def test_adjacency_stays_symmetric(self):
         rng = random.Random(3)
         g = random_cube_graph(rng, 4)
         stripped, _ = strip_top_forward(g)
-        for u, v in stripped.edges():
+        for u, v in stripped.sorted_edges():
             assert stripped.has_edge(v, u)
             assert g.has_edge(u, v)
 
@@ -159,7 +165,7 @@ class TestExtraction:
         g = random_cube_graph(rng, 5, keep=0.9)
         res = extract_rich_interval(g, Thresholds.desk())
         assert isinstance(res, ExtractionResult)
-        for _, v in res.subgraph.edges():
+        for _, v in res.subgraph.sorted_edges():
             assert g.has_edge(res.x, v + res.rhs_base)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -177,13 +183,13 @@ class TestExtraction:
             if g.has_edge(u, y)
         }
         assert all(base <= y < base + size for y in res.trace.y3)
-        assert set(res.subgraph.edges()) == expected
+        assert set(res.subgraph.sorted_edges()) == expected
 
     def test_replay_rejects_endpoint_not_adjacent_to_x(self):
         g = complete_hypercube(5)
         res = extract_rich_interval(g, Thresholds.desk())
-        _, v = max(res.subgraph.edges())
-        cut = [e for e in g.edges() if e != (res.x, v + res.rhs_base)]
+        _, v = max(res.subgraph.sorted_edges())
+        cut = [e for e in g.sorted_edges() if e != (res.x, v + res.rhs_base)]
         with pytest.raises(PostconditionError):
             _replay_postconditions(HypercubeGraph(g.d, cut), res)
 
