@@ -161,14 +161,20 @@ def cmd_solve(args) -> int:
 
 
 def cmd_analyze_richness(args) -> int:
-    with open(args.host) as fh:
-        text = fh.read()
-    first = text.partition("\n")[0].splitlines()
+    # the header line tells the formats apart; the reader then reads the file,
+    # and fails on one that is not text as reading it whole as text does
+    with open(args.host, errors="replace") as fh:
+        if fh.seekable():
+            head, text = fh.readline(), None
+        else:  # a pipe can be read only once: whole, as text
+            fh.reconfigure(errors="strict")
+            head = text = fh.read()
+    first = head.partition("\n")[0].splitlines()
     if first and len(first[0].split()) == 3:  # blocked host: "d m seed"
-        host = graphio.loads_blocked(text)
+        host = graphio.read_blocked(args.host) if text is None else graphio.loads_blocked(text)
         d, m = host.d, host.m
     else:
-        host = graphio.loads_hypercube(text)
+        host = graphio.read_hypercube(args.host) if text is None else graphio.loads_hypercube(text)
         d, m = host.d, 1
     counts = host.level_counts()
     rich = richness.rich_levels(counts, d, args.alpha, m)
@@ -239,12 +245,16 @@ def cmd_tile_sample(args) -> int:
     pat = graphio.read_ordered(args.pattern)
     cfg = _tiling_config(args, pat.n)
     verts = tiling.sample_many(cfg, args.n_samples, args.seed)
-    # the split level of every chain's consecutive pairs, counted per slot
-    levels = hosts._pair_levels(verts[:, :-1], verts[:, 1:], cfg.d)
-    per_slot = [
-        {str(lv): c for lv, c in enumerate(np.bincount(slot, minlength=cfg.d + 1).tolist()) if c}
-        for slot in levels.T
-    ]
+    # the split level of every chain's consecutive pairs, counted per slot,
+    # over slabs of chains
+    counts = np.zeros((cfg.h - 1, cfg.d + 1), np.int64)
+    step = max(1, graphio._SLAB_BYTES // (8 * cfg.h))
+    for lo in range(0, len(verts), step):
+        chains = verts[lo:lo + step]
+        levels = hosts._pair_levels(chains[:, :-1], chains[:, 1:], cfg.d)
+        for slot, slot_levels in zip(counts, levels.T):
+            slot += np.bincount(slot_levels, minlength=cfg.d + 1)
+    per_slot = [{str(lv): c for lv, c in enumerate(slot) if c} for slot in counts.tolist()]
     result = {
         "n_samples": args.n_samples,
         "d": cfg.d,

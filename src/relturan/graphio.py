@@ -6,8 +6,8 @@ Blocked-host format: first line "d m seed", then for each nonempty block
 pair a line "x y" followed by m hex-encoded rows of the m x m matrix.
 All writers emit in sorted order so round-trips are byte-identical.
 
-The two bulk formats are written as fixed-width byte records in one
-uint8 array, with no Python string per line:
+The two bulk formats are written as fixed-width byte records in uint8
+arrays, with no Python string per line:
 
 - a cube edge line is a record of 2d + 2 bytes: u's label, " ", v's label
   and "\n", where a label is d bytes "0"/"1", most significant bit first;
@@ -15,18 +15,36 @@ uint8 array, with no Python string per line:
   lowercase hex digits and "\n".  The "x y" line before each block's m
   rows is the one line of varying width.
 
-A file is decoded as whole numpy arrays when it is ASCII, its header line
-ends in "\n" and holds no other line break, and its lines are laid out
-exactly as these records: the first m edge lines of a cube file; every
-line of a blocked-host file, which then ends in "\n", with each "x y" line
-two runs of decimal digits around one space.  Every other file goes
-through the per-line readers, the only code that raises ``FormatError``,
-so what a file means and how it fails do not depend on the path taken.
+A file is decoded as numpy arrays when it is ASCII, its header line ends
+in "\n" and holds no other line break, and its lines are laid out exactly
+as these records: the first m edge lines of a cube file; every line of a
+blocked-host file, which then ends in "\n", with each "x y" line two runs
+of decimal digits around one space.  Every other file goes through the
+per-line readers, the only code that raises ``FormatError``, so what a
+file means and how it fails do not depend on the path taken.
+
+Memory besides the graph itself, where a slab is ``_SLAB_BYTES`` (1 MiB)
+and the temporaries made from one slab take a few times its size:
+
+- cube writer: one slab, the records and unpacked neighbour masks of a run
+  of whole vertices (one vertex's, if larger), 16 bytes per vertex to find
+  the runs, and the label table of 2^d (d + 1) bytes;
+- blocked writer: one slab, the cells and the records of a run of blocks,
+  each at most ``_SLAB_BYTES`` (one block's, if larger);
+- cube reader (``read_hypercube``): one slab plus 8 bytes per edge (16 when
+  d > 15), the sorted keys of both orientations of every edge; a file that
+  leaves a doubt is read whole as text, as ``loads_hypercube`` reads it;
+- ``loads_hypercube``: the text, its ASCII bytes and what the reader takes;
+- blocked reader: the whole file as text and several arrays of its size.
 """
 
 from __future__ import annotations
 
+import io
 import math
+import os
+import stat
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -80,59 +98,82 @@ def loads_ordered(text: str) -> OrderedGraph:
         raise FormatError(1, str(exc)) from None
 
 
-#: bytes per slab of the cube decoder's layout check, so that no temporary
-#: is as large as the file
+#: bytes per slab: the bulk writers make and write their records, and the cube
+#: reader reads and decodes them, this many bytes at a time, so that no
+#: temporary grows with the file; the tile sampler and ``tile-sample``'s level
+#: count take their rows in slabs of this size too
 _SLAB_BYTES = 1 << 20
 
 
 def _label_fields(d: int) -> np.ndarray:
     """(2^d,) V{d + 1} table: entry v is v's bitstring label in ASCII "0"/"1"
     and one more byte, left 0."""
-    big_endian = np.arange(1 << d, dtype=">u4").view(np.uint8).reshape(-1, 4)
+    v = np.arange(1 << d, dtype=np.uint32)
     fields = np.zeros((1 << d, d + 1), np.uint8)
-    np.bitwise_or(np.unpackbits(big_endian, axis=1)[:, 32 - d:], ord("0"), out=fields[:, :d])
+    for i in range(d):
+        np.bitwise_and(v >> (d - 1 - i), 1, out=fields[:, i], casting="unsafe")
+    fields[:, :d] |= ord("0")
     return fields.view(f"V{d + 1}").ravel()
 
 
-def _encode_hypercube(g: HypercubeGraph) -> np.ndarray:
-    """The cube-graph file as a uint8 array: the header, then one record of
-    2d + 2 bytes per edge."""
-    d = g.d
+def _cube_records(forward_masks, lo: int, counts: np.ndarray, fields: np.ndarray,
+                  d: int) -> np.ndarray:
+    """The records of 2d + 2 bytes of the forward edges of the vertices from
+    ``lo`` on whose masks ``forward_masks`` holds and whose edge ``counts``
+    are given, as one uint8 array."""
     # the forward neighbours v > u of u are the set bits of fwd[u] >> (u + 1):
     # lay those masks end to end as little-endian bytes and unpack them once
-    forward = [mask >> u >> 1 for u, mask in enumerate(g.forward_masks)]
+    forward = [mask >> u >> 1 for u, mask in enumerate(forward_masks, lo)]
     sizes = [(f.bit_length() + 7) // 8 for f in forward]
     packed = b"".join([f.to_bytes(size, "little") for f, size in zip(forward, sizes)])
     bits = np.flatnonzero(np.unpackbits(np.frombuffer(packed, np.uint8), bitorder="little"))
-    counts = [f.bit_count() for f in forward]
-    us = np.repeat(np.arange(len(forward)), counts)
+    us = np.repeat(np.arange(lo, lo + len(forward)), counts)
     # bit b of the unpacked masks, in u's mask that starts at bit offsets[u],
     # is v = b - offsets[u] + u + 1
     offsets = np.cumsum([0, *sizes[:-1]]) * 8
-    vs = bits - np.repeat(offsets - np.arange(len(forward)) - 1, counts)
-    head = f"{d} {len(bits)}\n".encode()
-    out = np.empty(len(head) + len(bits) * (2 * d + 2), np.uint8)
-    out[:len(head)] = np.frombuffer(head, np.uint8)
+    vs = bits - np.repeat(offsets - np.arange(lo, lo + len(forward)) - 1, counts)
+    out = np.empty(len(bits) * (2 * d + 2), np.uint8)
     # a record is two (d + 1)-byte fields, u's label and " ", then v's label
     # and "\n": each label is gathered as one opaque V{d + 1} value, then the
     # byte after it is set
-    fields = _label_fields(d)
-    records = out[len(head):].view(fields.dtype).reshape(-1, 2)
+    records = out.view(fields.dtype).reshape(-1, 2)
     records[:, 0] = fields[us]
     records[:, 1] = fields[vs]
-    lines = out[len(head):].reshape(-1, 2 * d + 2)
+    lines = out.reshape(-1, 2 * d + 2)
     lines[:, d] = ord(" ")
     lines[:, -1] = ord("\n")
     return out
 
 
+def _encode_hypercube(g: HypercubeGraph) -> Iterator[np.ndarray]:
+    """The cube-graph file as uint8 slabs: the header, then the records of
+    2d + 2 bytes of runs of whole vertices, each run's records, unpacked
+    masks and per-vertex arrays about ``_SLAB_BYTES`` and at least one vertex."""
+    n, d, fwd = g.n, g.d, g.forward_masks
+    counts = np.fromiter((mask.bit_count() for mask in fwd), np.int64, n)  # only v > u
+    yield np.frombuffer(f"{d} {counts.sum()}\n".encode(), np.uint8)
+    # a vertex costs its records, its forward mask unpacked to a byte per bit
+    # and about 64 bytes of per-vertex lists and arrays
+    spans = np.fromiter((mask.bit_length() for mask in fwd), np.int64, n) - np.arange(n)
+    ends = np.cumsum(counts * (2 * d + 2) + np.maximum(spans, 0) + 64)
+    del spans
+    fields = _label_fields(d)
+    lo = 0
+    while lo < n:
+        # the longest run of whole vertices from lo that fits a slab, at least one
+        hi = int(np.searchsorted(ends, (ends[lo - 1] if lo else 0) + _SLAB_BYTES, "right"))
+        hi = max(hi, lo + 1)
+        yield _cube_records(fwd[lo:hi], lo, counts[lo:hi], fields, d)
+        lo = hi
+
+
 def dumps_hypercube(g: HypercubeGraph) -> str:
-    return str(_encode_hypercube(g), "ascii")
+    return str(b"".join(_encode_hypercube(g)), "ascii")
 
 
-def _cube_layout_ok(buf: bytes, start: int, m: int, d: int) -> bool:
-    """Whether the m records of 2d + 2 bytes from ``buf[start]`` on are each
-    two labels of "0"/"1" bytes around " " and ending in "\n"."""
+def _cube_layout_ok(slab: np.ndarray, d: int) -> bool:
+    """Whether the uint8 ``slab`` of whole records of 2d + 2 bytes holds, in
+    each, two labels of "0"/"1" bytes around " " and ending in "\\n"."""
     width = 2 * d + 2
     # on a label column b | 1 == ord("1") holds for exactly the bytes "0" and
     # "1"; the separator and line-end columns are masked with 0 and must match
@@ -143,64 +184,72 @@ def _cube_layout_ok(buf: bytes, start: int, m: int, d: int) -> bool:
     layout[d] = ord(" ")
     layout[-1] = ord("\n")
     # the layout repeats every lcm(width, 8) bytes: check whole periods as
-    # uint64 words, a slab at a time, and the records after them as bytes
+    # uint64 words and the records after them as bytes
     period = math.lcm(width, 8)
-    whole = m * width // period
-    words = np.frombuffer(buf, np.uint64, whole * period // 8, start).reshape(whole, period // 8)
-    mask_words = np.tile(mask, period // width).view(np.uint64)
-    layout_words = np.tile(layout, period // width).view(np.uint64)
-    slab = max(1, _SLAB_BYTES // period)
-    if not all(((words[i:i + slab] | mask_words) == layout_words).all()
-               for i in range(0, whole, slab)):
+    whole = len(slab) // period * period
+    words = slab[:whole].view(np.uint64).reshape(-1, period // 8)
+    if not ((words | np.tile(mask, period // width).view(np.uint64))
+            == np.tile(layout, period // width).view(np.uint64)).all():
         return False
-    rest = np.frombuffer(buf, np.uint8, m * width - whole * period, start + whole * period)
-    return bool(((rest.reshape(-1, width) | mask) == layout).all())
+    return bool(((slab[whole:].reshape(-1, width) | mask) == layout).all())
 
 
-def loads_hypercube(text: str) -> HypercubeGraph:
-    """Decode a cube-graph file.
+def _read_cube(fh, size: int) -> HypercubeGraph | None:
+    """Decode the cube-graph file of ``size`` bytes that the binary stream
+    ``fh`` holds, a slab at a time, or return None if any byte leaves a doubt.
 
-    When the file is ASCII, its header line ends in "\\n" and holds no other
-    line break, and the first m edge lines are each a record of 2d + 2 bytes,
-    "u v\\n" with u and v d-byte "0"/"1" labels, they are decoded as one byte
-    array.  Any other file goes to the per-line reader, which alone raises
-    ``FormatError``, so what a file means and how it fails do not depend on
-    the path taken.
+    The header line must end in "\\n" and hold no other line break, and the
+    first m edge lines must each be a record of 2d + 2 bytes, "u v\\n" with
+    u and v d-byte "0"/"1" labels and u != v; the file must be ASCII, so that
+    read as text it holds the same lines.  Each slab of records is checked
+    and decoded into one key array that holds both orientations of every
+    edge, u << d | v and v << d | u, in int32 when 2d < 31.
     """
-    start = text.find("\n") + 1  # of the first edge line; 0 if there is none
-    head = text[:start - 1] if start else text
+    # a canonical header is at most 2 + 1 + 13 + 1 bytes; a longer line leaves a doubt
+    line = fh.readline(64)
+    if not (line.endswith(b"\n") and line.isascii()):
+        return None
+    head = line[:-1].decode("ascii")
     try:
         d, m = (int(t) for t in head.split())
     except ValueError:
-        return _loads_hypercube_lines(text)
+        return None
     width = 2 * d + 2  # two labels, a space and a newline
-    if not (start and text.isascii() and head.splitlines() == [head]
-            and 1 <= d <= _MAX_CUBE_D and 0 <= m * width <= len(text) - start):
-        return _loads_hypercube_lines(text)
-    buf = text.encode("ascii")
-    if not _cube_layout_ok(buf, start, m, d):
-        return _loads_hypercube_lines(text)
-    rows = np.frombuffer(buf, np.uint8, m * width, start).reshape(m, width)
-    u = np.zeros(m, np.int32)
-    v = np.zeros(m, np.int32)
-    for i in range(d):
-        u <<= 1
-        u += rows[:, i]
-        v <<= 1
-        v += rows[:, d + 1 + i]
-    # each label byte is ord("0") plus its bit
-    u -= ord("0") * ((1 << d) - 1)
-    v -= ord("0") * ((1 << d) - 1)
-    del rows, buf  # the encoded file, before the keys are made
-    if (u == v).any():  # the per-line reader names the first one
-        return _loads_hypercube_lines(text)
+    if not (head.splitlines() == [head] and 1 <= d <= _MAX_CUBE_D
+            and 0 <= m * width <= size - len(line)):
+        return None
     n = 1 << d
-    # both orientations of every edge as sorted keys u << d | v: each vertex's
-    # neighbours are one run, found by searchsorted.  Below 2^31 they sort as int32
     key_type = np.int32 if 2 * d < 31 else np.int64
-    u, v = u.astype(key_type, copy=False), v.astype(key_type, copy=False)
-    keys = np.concatenate([u << d | v, v << d | u])
-    del u, v
+    keys = np.empty(2 * m, key_type)
+    per_slab = max(1, _SLAB_BYTES // width)  # records
+    slab = np.empty(min(per_slab, m) * width, np.uint8)
+    for lo in range(0, m, per_slab):
+        hi = min(lo + per_slab, m)
+        part = slab[:(hi - lo) * width]
+        if fh.readinto(part) != len(part) or not _cube_layout_ok(part, d):
+            return None
+        rows = part.reshape(-1, width)
+        u = np.zeros(hi - lo, key_type)
+        v = np.zeros(hi - lo, key_type)
+        for i in range(d):
+            u <<= 1
+            u += rows[:, i]
+            v <<= 1
+            v += rows[:, d + 1 + i]
+        # each label byte is ord("0") plus its bit
+        u -= ord("0") * (n - 1)
+        v -= ord("0") * (n - 1)
+        if (u == v).any():  # the per-line reader names the first one
+            return None
+        np.left_shift(u, d, out=keys[lo:hi])
+        keys[lo:hi] |= v
+        np.left_shift(v, d, out=keys[m + lo:m + hi])
+        keys[m + lo:m + hi] |= u
+    # the lines after the m edge lines are read by no path, but must decode as text
+    while chunk := fh.read(_SLAB_BYTES):
+        if not chunk.isascii():
+            return None
+    # sorted, each vertex's neighbours are one run of keys, found by searchsorted
     keys.sort()
     bounds = np.searchsorted(keys, np.arange(n + 1, dtype=key_type) << d)
     fwd = [0] * n
@@ -215,6 +264,24 @@ def loads_hypercube(text: str) -> HypercubeGraph:
         fwd[x] = a >> x << x
         bwd[x] = a & ((1 << x) - 1)
     return HypercubeGraph._from_masks(n, tuple(fwd), tuple(bwd))
+
+
+def loads_hypercube(text: str) -> HypercubeGraph:
+    """Decode a cube-graph file.
+
+    When the file is ASCII, its header line ends in "\\n" and holds no other
+    line break, and the first m edge lines are each a record of 2d + 2 bytes,
+    "u v\\n" with u and v d-byte "0"/"1" labels, they are decoded as byte
+    arrays, a slab at a time.  Any other file goes to the per-line reader,
+    which alone raises ``FormatError``, so what a file means and how it fails
+    do not depend on the path taken.
+    """
+    if text.isascii():
+        data = text.encode("ascii")
+        g = _read_cube(io.BytesIO(data), len(data))
+        if g is not None:
+            return g
+    return _loads_hypercube_lines(text)
 
 
 def _loads_hypercube_lines(text: str) -> HypercubeGraph:
@@ -262,11 +329,9 @@ def _decimal_fields(a: np.ndarray) -> np.ndarray:
     return digits
 
 
-def _encode_blocked(g: BlockedGraph) -> np.ndarray:
-    """The blocked-host file as a uint8 array: the header, then per
-    nonempty block its "x y" line and m records of ceil(m/4) + 1 bytes."""
-    m = g.m
-    pairs, mats = g.nonempty()
+def _blocked_records(pairs: np.ndarray, mats: np.ndarray, m: int) -> np.ndarray:
+    """Each block's "x y" line and m records of ceil(m/4) + 1 bytes, laid end
+    to end as one uint8 array."""
     # a row is the little-endian bit integer of its columns (column j is bit
     # j) in ceil(m/4) hex digits: reverse each row's bytes for big-endian
     # hex, then drop the leading digit, always 0, that the bytes have beyond
@@ -285,12 +350,26 @@ def _encode_blocked(g: BlockedGraph) -> np.ndarray:
     rows = lines[:, 2 * field_width:].reshape(len(pairs), m, width + 1)
     rows[:, :, :-1] = digits.reshape(len(pairs), m, hex_width)[:, :, hex_width - width:]
     rows[:, :, -1] = ord("\n")
-    head = np.frombuffer(f"{g.d} {m} {g.seed}\n".encode(), np.uint8)
-    return np.concatenate((head, lines[lines != 0]))
+    return lines[lines != 0]
+
+
+def _encode_blocked(g: BlockedGraph) -> Iterator[np.ndarray]:
+    """The blocked-host file as uint8 slabs: the header, then per run of
+    block pairs the lines of its nonempty blocks, each run's cells and
+    records about ``_SLAB_BYTES`` and at least one pair."""
+    m = g.m
+    yield np.frombuffer(f"{g.d} {m} {g.seed}\n".encode(), np.uint8)
+    # a block's cells, or its rows and its "x y" line of at most 2d + 2 bytes
+    per_slab = max(1, _SLAB_BYTES // max(m * m, m * ((m + 3) // 4 + 1) + 2 * g.d + 2))
+    for lo in range(0, len(g.pairs), per_slab):
+        mats = g.mats[lo:lo + per_slab]
+        keep = mats.any(axis=(1, 2))
+        if keep.any():
+            yield _blocked_records(g.pairs[lo:lo + per_slab][keep], mats[keep], m)
 
 
 def dumps_blocked(g: BlockedGraph) -> str:
-    return str(_encode_blocked(g), "ascii")
+    return str(b"".join(_encode_blocked(g)), "ascii")
 
 
 #: hex digit value of each byte; 16 for bytes that are not lowercase hex digits
@@ -417,7 +496,7 @@ def _loads_blocked_lines(text: str) -> BlockedGraph:
 
 def write_blocked(path, g: BlockedGraph) -> None:
     with open(path, "wb") as fh:
-        fh.write(_encode_blocked(g))
+        fh.writelines(_encode_blocked(g))
 
 
 def read_blocked(path) -> BlockedGraph:
@@ -437,9 +516,18 @@ def read_ordered(path) -> OrderedGraph:
 
 def write_hypercube(path, g: HypercubeGraph) -> None:
     with open(path, "wb") as fh:
-        fh.write(_encode_hypercube(g))
+        fh.writelines(_encode_hypercube(g))
 
 
 def read_hypercube(path) -> HypercubeGraph:
-    with open(path) as fh:
-        return loads_hypercube(fh.read())
+    """Decode the cube-graph file at ``path`` a slab at a time; a file that
+    leaves a doubt, or a stream such as a pipe, is read whole as text, as
+    ``open(path).read()`` reads it, and goes to ``loads_hypercube``."""
+    with open(path, "rb") as fh:
+        info = os.fstat(fh.fileno())
+        if stat.S_ISREG(info.st_mode):
+            g = _read_cube(fh, info.st_size)
+            if g is not None:
+                return g
+            fh.seek(0)
+        return loads_hypercube(io.TextIOWrapper(fh).read())

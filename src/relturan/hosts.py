@@ -353,7 +353,7 @@ def _complete_masks(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 def complete_ordered(n: int) -> OrderedGraph:
     if n < 1:
         raise ValueError("need n >= 1")
-    if n > DEFAULT_VERTEX_BUDGET or n > 4096:
+    if n > 4096:
         raise BudgetError(f"complete graph on {n} vertices refused")
     return OrderedGraph._from_masks(n, *_complete_masks(n))
 
@@ -361,7 +361,6 @@ def complete_ordered(n: int) -> OrderedGraph:
 def complete_hypercube(d: int) -> HypercubeGraph:
     if d < 1:
         raise ValueError("need d >= 1")
-    n = 1 << d
-    if n > DEFAULT_VERTEX_BUDGET or d > 13:
+    if d > 13:
         raise BudgetError(f"complete cube graph at d={d} refused")
-    return HypercubeGraph._from_masks(n, *_complete_masks(n))
+    return HypercubeGraph._from_masks(1 << d, *_complete_masks(1 << d))

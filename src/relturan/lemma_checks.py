@@ -126,7 +126,9 @@ def check_locally_balanced(
         threshold[length] = high - below[length]
     dtype = np.uint8 if hi < 256 else np.uint16
     modulus = int(np.iinfo(dtype).max) + 1
-    block = max(1, (1 << 18) // (n + 1))  # rows whose residues stay in cache
+    # rows whose residues stay in cache; the sampler draws this many rows at a
+    # time too, n / 2 raw words a row, about 1 MiB in all
+    block = max(1, (1 << 18) // (n + 1))
     cells_per_row = sum(n + 1 - length for length in range(m, hi + 1))
 
     def batch_violations(bits: np.ndarray) -> tuple[int, int]:
@@ -168,11 +170,10 @@ def check_locally_balanced(
     else:
         violating = bad_cells = 0
         samples = n_samples
-        chunk = max(1, (1 << 22) // n)
         remaining = n_samples
         carry = np.empty(0, dtype=np.uint8)
         while remaining:
-            b = min(chunk, remaining)
+            b = min(block, remaining)
             bits, carry = _uniform_bits(rng, b * n, carry)
             v, bc = batch_violations(bits.reshape(b, n))
             violating, bad_cells = violating + v, bad_cells + bc

@@ -13,6 +13,18 @@ and its work per level depends on w and not on d.
 
 Window convention: the start a is uniform on the integers [0, L - w), the
 half-open variant; the level positions used are (a, a + w].
+
+The batch sampler draws, in this order, n window starts a, the n x w
+ranking reals, n shared prefixes z and then, for each of the h slots, n
+suffix blocks.  The ranking reals come a slab of rows (``_SLAB_BYTES``) at
+a time: row after row they are the same stream one (n, w) draw takes, and
+each slab is reduced to its h levels at once.  The other draws stay
+full-length, n values each: the stream gives all n starts before the
+first ranking real, and each slot's blocks for all n chains before the
+next slot's, so drawing them a slab of chains at a time would reorder the
+stream, and no chain is whole before the last draw.  A batch thus holds the
+chains, the starts, the prefixes and a few slot-long temporaries, about
+n (9h + 48) bytes, besides one slab and its temporaries.
 """
 
 from __future__ import annotations
@@ -24,6 +36,7 @@ from fractions import Fraction
 import numpy as np
 
 from .core import OrderedGraph, tau
+from .graphio import _SLAB_BYTES
 from .hosts import philox_rng
 
 DEFAULT_REPORT_BUDGET = 1 << 22  # max number of y-classes in a report
@@ -68,25 +81,28 @@ def _sample_batch(
     if d > 62:
         raise ValueError("vectorised sampler supports d <= 62")
     a = rng.integers(0, L - w, size=n)
-    # uniform h-subset of the w window offsets, via ranking random reals
-    keys = rng.random((n, w))
-    offsets = np.sort(np.argpartition(keys, h - 1, axis=1)[:, :h], axis=1) + 1
-    positions = a[:, None] + offsets  # 1-based positions in [L]
-    level_table = np.asarray((0,) + cfg.levels, dtype=np.int64)
-    levels = level_table[positions]
+    # uniform h-subset of the w window offsets, via ranking random reals drawn
+    # a slab of rows at a time, in the order one (n, w) draw takes them
+    level_table = np.asarray((0,) + cfg.levels, dtype=np.uint8)
+    levels = np.empty((n, h), dtype=np.uint8)
+    step = max(1, _SLAB_BYTES // (8 * w))
+    for lo in range(0, n, step):
+        keys = rng.random((min(step, n - lo), w))
+        offsets = np.sort(np.argpartition(keys, h - 1, axis=1)[:, :h], axis=1) + 1
+        positions = a[lo:lo + step, None] + offsets  # 1-based positions in [L]
+        levels[lo:lo + step] = level_table[positions]
 
     z = rng.integers(0, 1 << d, size=n, dtype=np.uint64)  # shared prefix blocks
     verts = np.empty((n, h), dtype=np.uint64)
-    sep = np.zeros(n, dtype=np.uint64)
-    full = np.uint64((1 << d) - 1)
+    one = np.uint64(1)
     for t in range(h):
-        lt = levels[:, t]
-        s = (d - lt).astype(np.uint64)  # suffix width; bit index of the split bit
-        pref_mask = (full >> (s + np.uint64(1))) << (s + np.uint64(1))
+        split = one << (d - levels[:, t]).astype(np.uint64)  # the split bit, d - level
         wt = rng.integers(0, 1 << d, size=n, dtype=np.uint64)
-        suf_mask = (np.uint64(1) << s) - np.uint64(1)
-        verts[:, t] = (z & pref_mask) | sep | (wt & suf_mask)
-        sep = sep | (np.uint64(1) << s)
+        wt &= split - one  # its suffix below the split bit
+        verts[:, t] = z & ~(split | split - one) | wt
+        # the levels ascend, so each split bit lies above the later ones and
+        # stays in z's prefix from here on
+        z |= split
     return verts, a, levels
 
 

@@ -1,6 +1,8 @@
 import csv
 import json
+import os
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -218,6 +220,29 @@ class TestAnalyzeRichness:
             main(["analyze-richness", "--host", str(host_file), "--alpha", alpha])
         assert exc.value.code == 2
         assert "must be in [0, 1]" in capsys.readouterr().err
+
+    @pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd")
+    @pytest.mark.parametrize("argv, host", [
+        (["analyze-richness", "--alpha", "0.5"], lambda path: graphio.write_blocked(
+            path, generate_host(4, 2, seed=0))),
+        (["analyze-richness", "--alpha", "0.5"], lambda path: write_hypercube(
+            path, complete_hypercube(3))),
+        (["embed-hk", "--k", "2"], lambda path: write_hypercube(path, complete_hypercube(3))),
+    ], ids=["analyze-richness-blocked", "analyze-richness-cube", "embed-hk"])
+    def test_a_pipe_reads_as_the_file(self, argv, host, tmp_path, capsys):
+        # a pipe cannot be opened twice, to sniff its header and then to read it
+        host_file = tmp_path / "host.txt"
+        host(host_file)
+        assert main([*argv, "--host", str(host_file)]) == 0
+        want = capsys.readouterr().out
+        read_end, write_end = os.pipe()
+        with os.fdopen(write_end, "wb") as fh:  # a few hundred bytes: within the pipe's buffer
+            fh.write(host_file.read_bytes())
+        try:
+            assert main([*argv, "--host", f"/dev/fd/{read_end}"]) == 0
+        finally:
+            os.close(read_end)
+        assert capsys.readouterr().out == want
 
     def test_alpha_one_is_accepted_on_blocked_host(self, tmp_path, capsys):
         host_file = tmp_path / "host.rg"
@@ -563,6 +588,15 @@ class TestTileCommands:
         for t, slot in enumerate(out["per_slot_split_levels"]):
             expected = Counter(delta_int(int(a), int(b), 7) for a, b in verts[:, t:t + 2])
             assert slot == {str(k): v for k, v in sorted(expected.items())}
+
+    def test_sample_split_levels_counted_over_slabs(self, p3_file, capsys, monkeypatch):
+        argv = ["tile-sample", "--pattern", p3_file, "--d", "7", "--levels", "1,2,3,4,5,6,7",
+                "--w", "4", "--n-samples", "3001", "--seed", "2"]
+        assert main(argv) == 0
+        whole = capsys.readouterr().out
+        monkeypatch.setattr(graphio, "_SLAB_BYTES", 100)  # 4 chains of 3 vertices a slab
+        assert main(argv) == 0
+        assert capsys.readouterr().out == whole
 
     def test_sample_split_levels_at_d_62(self, p3_file, capsys):
         # pairs that split at a low level xor to above 2^53, beyond the

@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,10 +18,14 @@ from relturan.graphio import (
     loads_blocked,
     loads_hypercube,
     loads_ordered,
+    read_hypercube,
     read_ordered,
+    write_blocked,
+    write_hypercube,
     write_ordered,
 )
 from relturan.hosts import BlockedGraph, complete_hypercube, generate_host
+from relturan.tiling import TilingConfig, sample_many
 
 
 # ---------------------------------------------------------------- references
@@ -128,6 +133,43 @@ def ordered_graphs(draw, max_n=8):
     return OrderedGraph(n, edges)
 
 
+#: sha256 of the per-line writer's bytes on the complete cube of each d
+COMPLETE_CUBE_DIGESTS = list(enumerate([
+    "bbc71dbbc0ee6439cf77b46a975bb8f08043049552f169c19900d273af5a4c8f",
+    "3db9f19026f01ffaaf8517f1421454eaada4d69dbaf216623338edd74819a48d",
+    "5c9e29091455814887a767c5a7b5a8a07e9ea47ab967fbc4fc0322e44f3d5290",
+    "063b048d9bb6afe7aa4ee64aa2f56b968b9db26187d52cb1315a56c302a5e571",
+    "6b0e69aa29d7088868a3037e60ca8d90ea99d3bfa60e23030bf2fadd783fdab9",
+    "0c9444d07af034463c10c0697b0d2851794080db166038b630f6064a9f054d4b",
+    "3bb734f6b825e6227202d5875b24f98c268425b57aec21378c54ef77fe359337",
+    "73e6c4cb615ea34ca4285acd0824e5677de5318769970567fd7979df15e3ad5b",
+    "7be05bd32889459ecc1a9eef9fce1c4bc3bf041ef6457a81e2f3c006393f84af",
+    "de999097f879f1dfa4bb41af6d169d9024ae840f37e45ee8a9d365e5ba141d9d",
+    "5f59bcd07b0741fcb131d8ba692009b85aa30c81b906ba9a76ea525ecc7b8996",
+], 1))
+#: (d, draws, seed, sha256) of seeded random cube graphs and edgeless ones
+SEEDED_CUBE_DIGESTS = [
+    (1, 3, 0, "bbc71dbbc0ee6439cf77b46a975bb8f08043049552f169c19900d273af5a4c8f"),
+    (3, 10, 1, "f3517ff9cc7c0f4468ab697a0b438ad67e173eb4f330d33bd1f9aa3b8ef4d464"),
+    (5, 200, 2, "333ec9ecaa33ad388a48e6cc4d82c611ea7d297656f37d0886f6fe3c27655ea7"),
+    (11, 20000, 7, "7e5a8cc04bb21f9cc710ebe1f6d2ec5054855c754c4fec0f211f9ba456dfe24e"),
+    (13, 50000, 3, "170ebaa6daec66fbe00bebf894d9007c9eddc95541f5bf8bc155d02260d9c96b"),
+    (1, 0, 0, "f4a8ae8e74ddfb896a256de4e3099911dcaa6a9302591713898069b0bcd6e3d7"),
+    (8, 0, 0, "f20d961db0814769179475eefc5d1075b03dab5a12ff4a53e5f1676def9f89f7"),
+]
+#: (m, d, sha256) of the per-pair writer's bytes on generate_host(m, d, 0)
+BLOCKED_DIGESTS = [
+    (1, 2, "2492d48191f5305efc78de76695d9bbd3a236e93972fcee2f926e04f3ffe05f0"),
+    (5, 3, "2f3f1f606b45fc0564fc211e09d10434f26f309876d5a56eb688f03875ad25f7"),
+    (8, 8, "3a23978644be91856d78655f103d42f9506043c1f581a97fa2459771a982f068"),
+    (9, 3, "afc6dca1b90b45a0409dda5da8979b198483f0d7acf3b69b2c94b45d0ddbb20a"),
+    (63, 2, "cf574d2621b7046fe529cd69816ad782fa935dc203f79b9dbb2726840aa87f2f"),
+    (64, 2, "5f77402e64315774e46e4f76c6627a1574756b93b56a1de62706e4f4c29f767a"),
+    (70, 1, "1ad5c69b807e86827a589837c16ffe18be5fc3b7630ac86dd9e1331341f12c96"),
+    (256, 4, "c044e34d29ebf8a58d68dc0d71f3bd159cd659facab2c85ef047b035c642494d"),
+]
+
+
 class TestOrderedFormat:
     def test_known_bytes(self):
         g = OrderedGraph(3, [(1, 2), (0, 1)])
@@ -208,32 +250,12 @@ class TestHypercubeFormat:
 
     # the per-line writer's bytes on every complete cube the CI and the
     # benchmark write, on seeded random cube graphs and on edgeless ones
-    @pytest.mark.parametrize("d, digest", enumerate([
-        "bbc71dbbc0ee6439cf77b46a975bb8f08043049552f169c19900d273af5a4c8f",
-        "3db9f19026f01ffaaf8517f1421454eaada4d69dbaf216623338edd74819a48d",
-        "5c9e29091455814887a767c5a7b5a8a07e9ea47ab967fbc4fc0322e44f3d5290",
-        "063b048d9bb6afe7aa4ee64aa2f56b968b9db26187d52cb1315a56c302a5e571",
-        "6b0e69aa29d7088868a3037e60ca8d90ea99d3bfa60e23030bf2fadd783fdab9",
-        "0c9444d07af034463c10c0697b0d2851794080db166038b630f6064a9f054d4b",
-        "3bb734f6b825e6227202d5875b24f98c268425b57aec21378c54ef77fe359337",
-        "73e6c4cb615ea34ca4285acd0824e5677de5318769970567fd7979df15e3ad5b",
-        "7be05bd32889459ecc1a9eef9fce1c4bc3bf041ef6457a81e2f3c006393f84af",
-        "de999097f879f1dfa4bb41af6d169d9024ae840f37e45ee8a9d365e5ba141d9d",
-        "5f59bcd07b0741fcb131d8ba692009b85aa30c81b906ba9a76ea525ecc7b8996",
-    ], 1))
+    @pytest.mark.parametrize("d, digest", COMPLETE_CUBE_DIGESTS)
     def test_pinned_bytes_of_complete_cubes(self, d, digest):
         text = dumps_hypercube(complete_hypercube(d))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
-    @pytest.mark.parametrize("d, draws, seed, digest", [
-        (1, 3, 0, "bbc71dbbc0ee6439cf77b46a975bb8f08043049552f169c19900d273af5a4c8f"),
-        (3, 10, 1, "f3517ff9cc7c0f4468ab697a0b438ad67e173eb4f330d33bd1f9aa3b8ef4d464"),
-        (5, 200, 2, "333ec9ecaa33ad388a48e6cc4d82c611ea7d297656f37d0886f6fe3c27655ea7"),
-        (11, 20000, 7, "7e5a8cc04bb21f9cc710ebe1f6d2ec5054855c754c4fec0f211f9ba456dfe24e"),
-        (13, 50000, 3, "170ebaa6daec66fbe00bebf894d9007c9eddc95541f5bf8bc155d02260d9c96b"),
-        (1, 0, 0, "f4a8ae8e74ddfb896a256de4e3099911dcaa6a9302591713898069b0bcd6e3d7"),
-        (8, 0, 0, "f20d961db0814769179475eefc5d1075b03dab5a12ff4a53e5f1676def9f89f7"),
-    ])
+    @pytest.mark.parametrize("d, draws, seed, digest", SEEDED_CUBE_DIGESTS)
     def test_pinned_bytes_of_seeded_cubes(self, d, draws, seed, digest):
         text = dumps_hypercube(seeded_sparse_cube(d, draws, seed))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
@@ -305,16 +327,7 @@ class TestBlockedFormat:
 
     # the per-pair writer's bytes, at odd and even row widths, across the
     # 64-bit column boundary and at the two sizes the benchmark writes
-    @pytest.mark.parametrize("m, d, digest", [
-        (1, 2, "2492d48191f5305efc78de76695d9bbd3a236e93972fcee2f926e04f3ffe05f0"),
-        (5, 3, "2f3f1f606b45fc0564fc211e09d10434f26f309876d5a56eb688f03875ad25f7"),
-        (8, 8, "3a23978644be91856d78655f103d42f9506043c1f581a97fa2459771a982f068"),
-        (9, 3, "afc6dca1b90b45a0409dda5da8979b198483f0d7acf3b69b2c94b45d0ddbb20a"),
-        (63, 2, "cf574d2621b7046fe529cd69816ad782fa935dc203f79b9dbb2726840aa87f2f"),
-        (64, 2, "5f77402e64315774e46e4f76c6627a1574756b93b56a1de62706e4f4c29f767a"),
-        (70, 1, "1ad5c69b807e86827a589837c16ffe18be5fc3b7630ac86dd9e1331341f12c96"),
-        (256, 4, "c044e34d29ebf8a58d68dc0d71f3bd159cd659facab2c85ef047b035c642494d"),
-    ])
+    @pytest.mark.parametrize("m, d, digest", BLOCKED_DIGESTS)
     def test_pinned_bytes(self, m, d, digest):
         text = dumps_blocked(generate_host(m, d, 0))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
@@ -537,3 +550,160 @@ class TestArrayPaths:
                           data.draw(st.sampled_from(MUTATION_CHARS)))
         loads, loads_lines = _codec(kind)
         assert _outcome(loads, mutated) == _outcome(loads_lines, mutated)
+
+
+# ---------------------------------------------------------------- slabs
+# The bulk writers and the cube reader work a slab of about _SLAB_BYTES at a
+# time. Smaller slabs put slab boundaries inside the small files below.
+
+
+def _sha256(data) -> str:
+    return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
+
+
+def _slab_bytes(kind, unit):
+    """A slab of one unit (a record, or a block), three, or an odd byte count
+    of seven units and three bytes."""
+    return {"1-unit": unit, "3-units": 3 * unit, "odd": 7 * unit + 3}[kind]
+
+
+SLAB_KINDS = ["1-unit", "3-units", "odd"]
+
+
+def _traced_peak(f) -> int:
+    """The peak bytes tracemalloc traces while ``f`` runs, counted from the
+    memory in use when it starts."""
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _read_outcome(read, path):
+    """What ``read(path)`` returns, or the type and message of what it raises."""
+    try:
+        return read(path)
+    except ValueError as exc:  # FormatError and UnicodeDecodeError
+        return type(exc), str(exc)
+
+
+def _read_as_text(path):
+    """The reference for ``read_hypercube``: the whole file read as text."""
+    with open(path) as fh:
+        return loads_hypercube(fh.read())
+
+
+class TestSlabs:
+    def test_cube_writer_keeps_the_pinned_bytes(self, monkeypatch):
+        # the pinned files up to d = 10, each at most 11.5 MB
+        graphs = [(lambda d=d: complete_hypercube(d), digest)
+                  for d, digest in COMPLETE_CUBE_DIGESTS if d <= 10]
+        graphs += [(lambda case=case: seeded_sparse_cube(*case), digest)
+                   for *case, digest in SEEDED_CUBE_DIGESTS if case[0] <= 10]
+        for graph, digest in graphs:
+            g = graph()
+            # a slab takes whole vertices, so a record's or a few records'
+            # worth holds one; 509 and 4093 bytes hold runs of several
+            for slab_bytes in [_slab_bytes(kind, 2 * g.d + 2) for kind in SLAB_KINDS] + [509, 4093]:
+                monkeypatch.setattr(graphio, "_SLAB_BYTES", slab_bytes)
+                assert _sha256(dumps_hypercube(g)) == digest, (g.d, slab_bytes)
+
+    def test_blocked_writer_keeps_the_pinned_bytes(self, monkeypatch, tmp_path):
+        for m, d, digest in BLOCKED_DIGESTS:
+            g = generate_host(m, d, 0)
+            block = max(m * m, m * ((m + 3) // 4 + 1) + 2 * d + 2)
+            for kind in SLAB_KINDS:
+                monkeypatch.setattr(graphio, "_SLAB_BYTES", _slab_bytes(kind, block))
+                write_blocked(tmp_path / "g.rg", g)
+                assert _sha256((tmp_path / "g.rg").read_bytes()) == digest, (m, d, kind)
+
+    @pytest.mark.parametrize("kind", SLAB_KINDS)
+    def test_cube_reader_decodes_across_slabs(self, kind, monkeypatch, tmp_path):
+        graphs = [complete_hypercube(d) for d in (1, 2, 4, 5)]
+        graphs += [seeded_sparse_cube(*case) for case in [(9, 400, 2024), (11, 300, 7), (8, 0, 0)]]
+        path = tmp_path / "g.hg"
+        for g in graphs:
+            write_hypercube(path, g)
+            monkeypatch.setattr(graphio, "_SLAB_BYTES", _slab_bytes(kind, 2 * g.d + 2))
+            # a doubt would end in the per-line reader
+            monkeypatch.setattr(graphio, "_loads_hypercube_lines", None)
+            assert read_hypercube(path) == g
+            assert loads_hypercube(path.read_text()) == g
+            monkeypatch.undo()
+            assert _sha256(path.read_bytes()) == _sha256(dumps_hypercube(g))
+
+    @pytest.mark.parametrize("record", [3, 4, 5, 27])  # the second slab, and the last record
+    @pytest.mark.parametrize("bad", [
+        ("self-loop", lambda line: line[:4] + line[:3] + "\n"),
+        ("digit-2", lambda line: "2" + line[1:]),
+        ("bang-separator", lambda line: line[:3] + "!" + line[4:]),
+        ("tab-separator", lambda line: line[:3] + "\t" + line[4:]),
+        ("short-label", lambda line: line[1:]),
+        ("no-newline", lambda line: line[:-1]),
+    ], ids=lambda bad: bad[0])
+    def test_bad_record_fails_as_the_line_reader(self, record, bad, monkeypatch, tmp_path):
+        # the complete d = 3 cube: 28 records of 8 bytes, 3 to a slab
+        lines = dumps_hypercube(complete_hypercube(3)).splitlines(keepends=True)
+        lines[1 + record] = bad[1](lines[1 + record])
+        text = "".join(lines)
+        path = tmp_path / "g.hg"
+        path.write_text(text)
+        monkeypatch.setattr(graphio, "_SLAB_BYTES", 3 * 8)
+        want = _outcome(graphio._loads_hypercube_lines, text)
+        assert _outcome(read_hypercube, path) == _outcome(loads_hypercube, text) == want
+
+    CUBE_BYTES = CUBE_TEXT.encode()
+
+    @pytest.mark.parametrize("name, data", [
+        ("crlf", CUBE_BYTES.replace(b"\n", b"\r\n")),
+        ("cr", CUBE_BYTES.replace(b"\n", b"\r")),
+        ("crlf-header", CUBE_BYTES.replace(b"\n", b"\r\n", 1)),
+        ("crlf-last-record", CUBE_BYTES[:-1] + b"\r\n"),
+        ("cr-after-the-records", CUBE_BYTES + b"\r\rnot an edge\r"),
+        ("utf8-after-the-records", CUBE_BYTES + "é\u2028\n".encode()),
+        ("utf8-in-a-record", CUBE_BYTES.replace(b"001 111", "001 1\u06611".encode())),
+        ("not-utf8-after-the-records", CUBE_BYTES + b"\xff\n"),
+        ("not-utf8-in-a-record", CUBE_BYTES.replace(b"001 111", b"001 1\xff1")),
+        ("bom", b"\xef\xbb\xbf" + CUBE_BYTES),
+        ("nul-after-the-records", CUBE_BYTES + b"\0"),
+        ("long-header", b"3" + b" " * 100 + CUBE_BYTES[1:]),
+        ("short", CUBE_BYTES[:-3]),
+        ("header-only", b"3 3\n"),
+        ("no-header-newline", b"3 0"),
+        ("empty", b""),
+    ])
+    @pytest.mark.parametrize("kind", SLAB_KINDS)
+    def test_reads_as_text_mode_does(self, name, data, kind, monkeypatch, tmp_path):
+        path = tmp_path / "g.hg"
+        path.write_bytes(data)
+        monkeypatch.setattr(graphio, "_SLAB_BYTES", _slab_bytes(kind, 8))
+        assert _read_outcome(read_hypercube, path) == _read_outcome(_read_as_text, path)
+
+
+class TestBoundedMemory:
+    # tracemalloc peaks over the input, measured with numpy 2.4 on CPython
+    # 3.11, each with a margin of about a quarter; a whole-file array of the
+    # cube file alone is 11.5 MB
+
+    def test_cube_writer(self, tmp_path):
+        g = complete_hypercube(10)
+        peak = _traced_peak(lambda: write_hypercube(tmp_path / "g.hg", g))
+        assert peak < 3.2 * 2**20  # measured 2.51 MiB
+
+    def test_cube_reader(self, tmp_path):
+        path = tmp_path / "g.hg"
+        write_hypercube(path, complete_hypercube(10))
+        peak = _traced_peak(lambda: read_hypercube(path))
+        assert peak < 8.2 * 2**20  # measured 6.56 MiB: 4 MiB of it the keys
+
+    def test_blocked_writer(self, tmp_path):
+        g = generate_host(256, 4, 0)  # its mats are 7.5 MiB
+        peak = _traced_peak(lambda: write_blocked(tmp_path / "g.rg", g))
+        assert peak < 2.7 * 2**20  # measured 2.14 MiB
+
+    def test_tile_sampler(self):
+        cfg = TilingConfig(12, tuple(range(1, 13)), 6, 3)
+        peak = _traced_peak(lambda: sample_many(cfg, 100_000, 3))
+        assert peak < 10 * 2**20  # measured 8.02 MiB: 2.3 MiB of it the chains

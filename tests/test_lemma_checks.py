@@ -150,12 +150,15 @@ class TestLocallyBalanced:
         # raw words whose 32-bit halves, low first, carry these bits on top
         halves = bits.astype(np.uint64).ravel() << 31
         words = halves[0::2] | halves[1::2] << 32
+        drawn = 0  # a row is a chunk of its own: hand the words out as a stream
 
         class Fixed:
             class bit_generator:
                 @staticmethod
                 def random_raw(count):
-                    return words[:count]
+                    nonlocal drawn
+                    drawn += count
+                    return words[drawn - count:drawn]
 
         monkeypatch.setattr(lemma_checks, "philox_rng", lambda seed: Fixed())
         rep = check_locally_balanced(n, eps, 2, seed=0)
@@ -172,9 +175,9 @@ class TestLocallyBalanced:
             assert np.array_equal(bits, ref.integers(0, 2, size=count, dtype=np.int64))
 
     def test_odd_chunk_boundary_keeps_the_integers_stream(self):
-        # n = 9: a chunk is 466,033 rows, so its 4,194,297 bits end mid-word
+        # n = 11: a chunk is 21,845 rows, so its 240,295 bits end mid-word
         # and the next chunk starts with the high half the last word left
-        n, eps, n_samples, seed = 9, 0.3, 466_040, 11
+        n, eps, n_samples, seed = 11, 0.3, 43_700, 11
         rep = check_locally_balanced(n, eps, n_samples, seed)
         bits = _drawn_bits(n, n_samples, seed)
         m, hi = _window_lengths(n)

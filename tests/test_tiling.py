@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 from relturan.core import OrderedGraph, tau
 from relturan.hosts import complete_ordered, philox_rng
 from relturan.patterns import build_hk, monotone_p3
+from relturan import tiling
 from relturan.tiling import TilingConfig, sample_many, tiling_guarantee_report
 from tiling_oracle import (
     exact_edge_probability,
     exact_pair_probability,
+    one_draw_sample_batch,
     oracle_guarantee_report,
     sample_embedding,
 )
@@ -62,6 +64,17 @@ class TestSampler:
         cfg = full_cfg(6, 4, 4)
         verts = sample_many(cfg, 500, seed=2)
         assert (np.diff(verts.astype(np.int64), axis=1) > 0).all()
+
+    # a slab of one row of ranking reals, three, or an odd byte count
+    @pytest.mark.parametrize("rows, extra", [(1, 0), (3, 0), (7, 3)])
+    def test_slabs_keep_the_one_draw_stream(self, rows, extra, monkeypatch):
+        cases = [(full_cfg(12, 6, 3), 1000, 3), (full_cfg(62, 6, 6), 300, 1),
+                 (TilingConfig(60, tuple(range(1, 61, 2)), 7, 4), 501, 9), (full_cfg(5, 4, 1), 101, 2)]
+        for cfg, n, seed in cases:
+            monkeypatch.setattr(tiling, "_SLAB_BYTES", rows * 8 * cfg.w + extra)
+            got = tiling._sample_batch(cfg, n, philox_rng(seed))
+            want = one_draw_sample_batch(cfg, n, philox_rng(seed))
+            assert all(np.array_equal(x, y) for x, y in zip(got, want))
 
     def test_block_reassembly(self):
         # prefix above the split level is shared by consecutive vertices,

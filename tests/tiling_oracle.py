@@ -5,7 +5,8 @@ These are the straightforward rational-arithmetic definitions that
 one (i, j) slot landing on one pair (x, y), its sum over pattern edges,
 and a guarantee report that evaluates every (level, y) cell.  They serve
 the tests as the oracle for small d, together with the single-draw sampler
-whose ``check`` spells out the sampler's invariants.
+whose ``check`` spells out the sampler's invariants, and the batch sampler
+as it drew all its ranking reals at once.
 """
 
 from __future__ import annotations
@@ -37,6 +38,30 @@ class EmbeddingSample:
             assert vi < vj and delta_int(vi, vj, cfg.d) == l
         top = self.levels[-1]
         assert (self.vertices[-1] >> (cfg.d - top)) & 1 == 0
+
+
+def one_draw_sample_batch(
+    cfg: TilingConfig, n: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_sample_batch`` as it drew its ranking reals: all n rows in one draw,
+    with masks built from each chain's suffix widths."""
+    d, L, w, h = cfg.d, cfg.L, cfg.w, cfg.h
+    a = rng.integers(0, L - w, size=n)
+    keys = rng.random((n, w))
+    offsets = np.sort(np.argpartition(keys, h - 1, axis=1)[:, :h], axis=1) + 1
+    levels = np.asarray((0,) + cfg.levels, dtype=np.int64)[a[:, None] + offsets]
+    z = rng.integers(0, 1 << d, size=n, dtype=np.uint64)
+    verts = np.empty((n, h), dtype=np.uint64)
+    sep = np.zeros(n, dtype=np.uint64)
+    full = np.uint64((1 << d) - 1)
+    for t in range(h):
+        s = (d - levels[:, t]).astype(np.uint64)
+        pref_mask = (full >> (s + np.uint64(1))) << (s + np.uint64(1))
+        wt = rng.integers(0, 1 << d, size=n, dtype=np.uint64)
+        suf_mask = (np.uint64(1) << s) - np.uint64(1)
+        verts[:, t] = (z & pref_mask) | sep | (wt & suf_mask)
+        sep = sep | (np.uint64(1) << s)
+    return verts, a, levels
 
 
 def sample_embedding(cfg: TilingConfig, rng: np.random.Generator) -> EmbeddingSample:
