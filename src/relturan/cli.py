@@ -262,12 +262,9 @@ def cmd_tile_sample(args) -> int:
         "h": cfg.h,
         "per_slot_split_levels": per_slot,
     }
-    _write_csv(
-        args,
-        "chains.csv",
-        [f"v{t + 1}" for t in range(cfg.h)],
-        verts[:10000].tolist(),
-    )
+    if args.out_dir:  # the first 10000 chains, built only to be written
+        _write_csv(args, "chains.csv", [f"v{t + 1}" for t in range(cfg.h)],
+                   verts[:10000].tolist())
     _emit(result, args, {"pattern": args.pattern})
     return 0
 

@@ -9,11 +9,30 @@ differ.  ``tau`` counts the pairs at each level.  ``level_block`` is the one
 level geometry: the aligned block of the vertices at a given level from v.
 A cube graph, ``HypercubeGraph``, is an ``OrderedGraph`` on 2^d vertices
 that adds the per-level statistics and no stored state.
+
+Both bulk sources of graphs, a blocked host's block matrices and a cube
+file's records, reach the masks through one array constructor,
+``OrderedGraph._from_keys``, which packs the sorted pair keys u * n + v a
+slab of ``_SLAB_BYTES`` at a time.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
+
+import numpy as np
+
+#: bytes per slab: the array constructor packs, the bulk writers make and
+#: write their records, and the cube reader reads and decodes them, this many
+#: bytes at a time, so that no temporary grows with the graph or the file;
+#: the tile sampler and ``tile-sample``'s level count take their rows in
+#: slabs of this size too
+_SLAB_BYTES = 1 << 20
+
+
+def _key_type(n: int) -> type:
+    """The integer dtype of the pair keys u * n + v of n vertices: int32 when it holds n * n."""
+    return np.int32 if n * n < 1 << 31 else np.int64
 
 
 def delta_int(u: int, v: int, d: int) -> int:
@@ -101,6 +120,49 @@ class OrderedGraph:
         g = cls.__new__(cls)
         g.n, g._fwd, g._bwd = n, fwd, bwd
         return g
+
+    @classmethod
+    def _from_keys(cls, n: int, keys: np.ndarray) -> OrderedGraph:
+        """The graph whose edges are the pairs that ``keys`` holds, sorted in place.
+
+        ``keys`` holds u * n + v for both orientations of every edge u != v
+        of 0..n-1, repeats allowed, in ``_key_type(n)`` or a wider dtype.
+        Each non-empty row is set as dense booleans, a run of rows about
+        ``_SLAB_BYTES`` (at least one row) at a time, each as wide as the
+        run's highest neighbour, and packed into the vertex's neighbourhood:
+        its bits above the vertex are the forward mask, those below the
+        backward mask.
+        """
+        keys.sort()
+        # sorted, each vertex's neighbours are one run of keys; the probe is
+        # in keys.dtype, so that searchsorted makes no wider copy of keys
+        bounds = np.searchsorted(keys, np.arange(n + 1, dtype=keys.dtype) * n)
+        rows = np.flatnonzero(np.diff(bounds))
+        counts = bounds[rows + 1] - bounds[rows]
+        # a row costs at most n dense bytes and 16 bytes per key
+        ends = np.cumsum(n + 16 * counts)
+        fwd = [0] * n
+        bwd = [0] * n
+        lo = 0
+        while lo < len(rows):
+            hi = int(np.searchsorted(ends, (ends[lo - 1] if lo else 0) + _SLAB_BYTES, "right"))
+            hi = max(hi, lo + 1)
+            slab = rows[lo:hi]
+            # the rows reach the slab's highest neighbour, a run's last key
+            width = int((keys[bounds[slab + 1] - 1] - slab * n).max()) + 1
+            # the key x * n + c of the slab's row i is its cell i * width + c
+            shift = (slab * n - np.arange(hi - lo) * width).astype(keys.dtype)
+            cells = keys[bounds[slab[0]]:bounds[slab[-1] + 1]] - np.repeat(shift, counts[lo:hi])
+            dense = np.zeros((hi - lo) * width, bool)
+            dense[cells] = True
+            raw = np.packbits(dense.reshape(-1, width), axis=1, bitorder="little").tobytes()
+            size = len(raw) // (hi - lo)
+            for start, x in zip(range(0, len(raw), size), slab.tolist()):
+                a = int.from_bytes(raw[start:start + size], "little")
+                fwd[x] = a >> x << x
+                bwd[x] = a & ((1 << x) - 1)
+            lo = hi
+        return cls._from_masks(n, tuple(fwd), tuple(bwd))
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:

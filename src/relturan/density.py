@@ -361,7 +361,7 @@ def rho_local_search(
     _check_pattern(pattern)
     rng = random.Random(seed)
     pattern_edges = pattern.sorted_edges()
-    copy_through, first_copy_through = through_edge_search(pattern, host.n)
+    copy_through, least_copy_through = through_edge_search(pattern, host.n)
 
     # the kept edges: fwd[u] holds u's kept neighbours v > u, bwd[v] those u < v
     fwd, bwd = [0] * host.n, [0] * host.n
@@ -397,7 +397,7 @@ def rho_local_search(
         flip(e)
         removed = []
         # the kept edges less e are pattern-free, so every copy passes through e
-        while len(removed) < 2 and (images := first_copy_through(fwd, bwd, *e)) is not None:
+        while len(removed) < 2 and (images := least_copy_through(fwd, bwd, *e)) is not None:
             # delete one edge of the found copy, cheapest = any edge other
             # than the fresh one (prefer the last in canonical order)
             copy_edges = [(images[u], images[v]) for u, v in pattern_edges]

@@ -32,8 +32,10 @@ and the temporaries made from one slab take a few times its size:
 - blocked writer: one slab, the cells and the records of a run of blocks,
   each at most ``_SLAB_BYTES`` (one block's, if larger);
 - cube reader (``read_hypercube``): one slab plus 8 bytes per edge (16 when
-  d > 15), the sorted keys of both orientations of every edge; a file that
-  leaves a doubt is read whole as text, as ``loads_hypercube`` reads it;
+  d > 15), the keys of both orientations of every edge, which
+  ``OrderedGraph._from_keys`` sorts and packs in slabs of its own, with up
+  to 40 bytes per vertex of run bounds and mask lists; a file that leaves a
+  doubt is read whole as text, as ``loads_hypercube`` reads it;
 - ``loads_hypercube``: the text, its ASCII bytes and what the reader takes;
 - blocked reader: the whole file as text and several arrays of its size.
 """
@@ -48,7 +50,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .core import HypercubeGraph, OrderedGraph
+from .core import _SLAB_BYTES, HypercubeGraph, OrderedGraph, _key_type
 from .hosts import DEFAULT_VERTEX_BUDGET, BlockedGraph
 
 
@@ -92,17 +94,7 @@ def loads_ordered(text: str) -> OrderedGraph:
         if not 0 <= u < v < n:
             raise FormatError(i + 1, f"edge ({u}, {v}) violates 0 <= u < v < {n}")
         edges.append((u, v))
-    try:
-        return OrderedGraph(n, edges)
-    except ValueError as exc:
-        raise FormatError(1, str(exc)) from None
-
-
-#: bytes per slab: the bulk writers make and write their records, and the cube
-#: reader reads and decodes them, this many bytes at a time, so that no
-#: temporary grows with the file; the tile sampler and ``tile-sample``'s level
-#: count take their rows in slabs of this size too
-_SLAB_BYTES = 1 << 20
+    return OrderedGraph(n, edges)
 
 
 def _label_fields(d: int) -> np.ndarray:
@@ -203,7 +195,8 @@ def _read_cube(fh, size: int) -> HypercubeGraph | None:
     u and v d-byte "0"/"1" labels and u != v; the file must be ASCII, so that
     read as text it holds the same lines.  Each slab of records is checked
     and decoded into one key array that holds both orientations of every
-    edge, u << d | v and v << d | u, in int32 when 2d < 31.
+    edge, u << d | v and v << d | u, in ``_key_type(2^d)``, int32 when
+    2d < 31, and ``_from_keys`` packs the keys into the masks.
     """
     # a canonical header is at most 2 + 1 + 13 + 1 bytes; a longer line leaves a doubt
     line = fh.readline(64)
@@ -219,8 +212,7 @@ def _read_cube(fh, size: int) -> HypercubeGraph | None:
             and 0 <= m * width <= size - len(line)):
         return None
     n = 1 << d
-    key_type = np.int32 if 2 * d < 31 else np.int64
-    keys = np.empty(2 * m, key_type)
+    keys = np.empty(2 * m, _key_type(n))
     per_slab = max(1, _SLAB_BYTES // width)  # records
     slab = np.empty(min(per_slab, m) * width, np.uint8)
     for lo in range(0, m, per_slab):
@@ -229,8 +221,8 @@ def _read_cube(fh, size: int) -> HypercubeGraph | None:
         if fh.readinto(part) != len(part) or not _cube_layout_ok(part, d):
             return None
         rows = part.reshape(-1, width)
-        u = np.zeros(hi - lo, key_type)
-        v = np.zeros(hi - lo, key_type)
+        u = np.zeros(hi - lo, keys.dtype)
+        v = np.zeros(hi - lo, keys.dtype)
         for i in range(d):
             u <<= 1
             u += rows[:, i]
@@ -249,21 +241,7 @@ def _read_cube(fh, size: int) -> HypercubeGraph | None:
     while chunk := fh.read(_SLAB_BYTES):
         if not chunk.isascii():
             return None
-    # sorted, each vertex's neighbours are one run of keys, found by searchsorted
-    keys.sort()
-    bounds = np.searchsorted(keys, np.arange(n + 1, dtype=key_type) << d)
-    fwd = [0] * n
-    bwd = [0] * n
-    mark = np.zeros(n, bool)
-    for x in np.flatnonzero(np.diff(bounds)).tolist():
-        nbrs = keys[bounds[x]:bounds[x + 1]] & (n - 1)
-        mark[nbrs] = True
-        a = int.from_bytes(np.packbits(mark[:nbrs[-1] + 1], bitorder="little").tobytes(), "little")
-        mark[nbrs] = False
-        # x's run holds all its neighbours: those above x, then those below
-        fwd[x] = a >> x << x
-        bwd[x] = a & ((1 << x) - 1)
-    return HypercubeGraph._from_masks(n, tuple(fwd), tuple(bwd))
+    return HypercubeGraph._from_keys(n, keys)
 
 
 def loads_hypercube(text: str) -> HypercubeGraph:

@@ -5,6 +5,9 @@ blocks (x, y), x < y; entry (i, j) says whether (x, i)(y, j) is an edge.  The
 matrices are stacked in one (P, m, m) array beside a (P, 2) array of pairs.
 Each cross-block pair is present independently with probability
 2^(level - d) where level = delta(x, y).  There are no intra-block edges.
+``BlockedGraph.to_ordered`` flattens a host to the keys of its edges and
+hands them to ``OrderedGraph._from_keys``, the one constructor that packs
+edge arrays into masks.
 
 Randomness comes from a counter-based generator (Philox4x64-10) keyed by
 (seed, block-pair index), so the output is independent of generation order.
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HypercubeGraph, OrderedGraph, delta_int
+from .core import HypercubeGraph, OrderedGraph, _key_type, delta_int
 
 #: refuse hosts with more vertices than this
 DEFAULT_VERTEX_BUDGET = 1 << 21
@@ -105,32 +108,6 @@ def _pair_levels(x: np.ndarray, y: np.ndarray, d: int) -> np.ndarray:
     return d + 1 - np.where(high, np.frexp(high)[1] + 32, np.frexp(xor)[1])
 
 
-def _bit_rows(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[int, ...]:
-    """For each r < n, the int whose bit c is set for every pair (r, c) of
-    ``rows`` and ``cols``: distinct pairs of integers below n."""
-    if not len(rows):
-        return (0,) * n
-    key_type = np.int32 if n * n <= 1 << 31 else np.int64
-    rows, cols = np.divmod(np.sort(rows.astype(key_type) * n + cols), n)
-    # each nonempty row's bytes, up to the one of its highest bit, are laid
-    # end to end; a pair's byte is then nondecreasing in the sorted order, so
-    # the bits of one byte are a run, and as they are distinct their sum is
-    # their OR
-    first = np.flatnonzero(np.diff(rows, prepend=-1))  # of each nonempty row
-    ends = np.append(first[1:], len(rows))
-    sizes = cols[ends - 1] // 8 + 1
-    starts = np.cumsum(sizes) - sizes
-    byte = np.repeat(starts, ends - first) + (cols >> 3)
-    run = np.flatnonzero(np.diff(byte, prepend=-1))
-    packed = np.zeros(int(starts[-1] + sizes[-1]), np.uint8)
-    packed[byte[run]] = np.add.reduceat((1 << (cols & 7)).astype(np.uint8), run)
-    raw = packed.tobytes()
-    masks = [0] * n
-    for r, start, size in zip(rows[first].tolist(), starts.tolist(), sizes.tolist()):
-        masks[r] = int.from_bytes(raw[start:start + size], "little")
-    return tuple(masks)
-
-
 class BlockedGraph:
     """A graph on {0,1}^d x [m] with block structure, ordered lexicographically.
 
@@ -202,12 +179,13 @@ class BlockedGraph:
         """Flatten to vertex labels x * m + i (lexicographic order preserved)."""
         if self.n > DEFAULT_VERTEX_BUDGET:
             raise BudgetError(f"{self.n} vertices exceeds budget {DEFAULT_VERTEX_BUDGET}")
-        m = self.m
+        n, m = self.n, self.m
         b, cell = np.divmod(np.flatnonzero(self.mats), m * m)
         i, j = np.divmod(cell, m)
         us = self.pairs[b, 0] * m + i
-        vs = self.pairs[b, 1] * m + j  # > us, as x < y
-        return OrderedGraph._from_masks(self.n, _bit_rows(self.n, us, vs), _bit_rows(self.n, vs, us))
+        vs = self.pairs[b, 1] * m + j
+        keys = np.concatenate((us * n + vs, vs * n + us)).astype(_key_type(n))
+        return OrderedGraph._from_keys(n, keys)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BlockedGraph) or (self.d, self.m) != (other.d, other.m):

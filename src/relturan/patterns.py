@@ -10,8 +10,8 @@ operations.  It reads the host as forward bitmasks, one per
 vertex: an OrderedGraph's ``forward_masks``, or the plain lists the local
 search edits in place.  ``through_edge_search`` compiles, once per pattern,
 the masks that pin a pattern edge onto one host edge and feeds them to the
-kernel, behind two entries: whether some copy passes through a host edge,
-and the least such copy, which ``first_copy_through`` returns.
+kernel, behind two searches: whether some copy passes through a host edge,
+and the least such copy.
 """
 
 from __future__ import annotations
@@ -37,22 +37,17 @@ def validate_witness(pattern: OrderedGraph, host: OrderedGraph, images: Sequence
     )
 
 
-def ordered_copies(
-    pattern: OrderedGraph, fwd: Sequence[int], allowed: Optional[Sequence[int]] = None
-) -> Iterator[tuple[int, ...]]:
+def ordered_copies(pattern: OrderedGraph, fwd: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """Every ordered copy of ``pattern`` in the host ``fwd``, in lexicographic order.
 
     Pattern vertices are placed in increasing order; the image of vertex i
     must exceed the image of i-1, leave room for the vertices after it, and
     lie in the forward neighbourhood of every placed backward neighbour of i.
-    With ``allowed``, the image of vertex i must also lie in the bitmask
-    ``allowed[i]``.  The host is given by its forward bitmasks: it has
-    len(fwd) vertices, and fwd[u] holds u's neighbours v > u.
+    The host is given by its forward bitmasks: it has len(fwd) vertices, and
+    fwd[u] holds u's neighbours v > u.
     """
     k, full = pattern.n, (1 << len(fwd)) - 1
     limit = [full >> (k - i - 1) for i in range(k)]  # leave room for the vertices after i
-    if allowed is not None:
-        limit = [room & mask for room, mask in zip(limit, allowed, strict=True)]
     return _walk(_predecessors(pattern), fwd, limit)
 
 
@@ -94,38 +89,29 @@ def _predecessors(pattern: OrderedGraph) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def first_copy_through(
-    pattern: OrderedGraph, fwd: Sequence[int], bwd: Sequence[int], u: int, v: int
-) -> Optional[tuple[int, ...]]:
-    """The lexicographically least ordered copy with (u, v) as an image edge.
-
-    For each pattern edge (a, b) the kernel runs with a pinned to u and b
-    to v: vertices before a lie below u, vertices between a and b below v,
-    and every pattern edge into a pinned vertex confines its source to the
-    host's backward neighbourhood of that vertex's image.  The least of
-    these first copies is the answer.  When the host less the edge (u, v)
-    is pattern-free, every copy passes through (u, v), so this equals
-    ``contains_ordered`` at a fraction of its cost.  The host is given by
-    its forward and backward bitmasks ``fwd`` and ``bwd``; ValueError
-    unless 0 <= u < v < len(fwd).
-    """
-    if not 0 <= u < v < len(fwd):
-        raise ValueError(f"need 0 <= u < v < {len(fwd)}, got u={u}, v={v}")
-    return through_edge_search(pattern, len(fwd))[1](fwd, bwd, u, v)
-
-
 def through_edge_search(
     pattern: OrderedGraph, n: int
 ) -> tuple[Callable[..., bool], Callable[..., Optional[tuple[int, ...]]]]:
     """Two searches for copies through a host edge, on n-vertex hosts: ``(exists, least)``.
 
-    ``least(fwd, bwd, u, v)`` is ``first_copy_through(pattern, fwd, bwd, u, v)``;
-    ``exists(fwd, bwd, u, v)`` is whether it is not None, and stops at the
-    first template whose walk yields a copy.  Which mask bounds each
-    vertex's image depends only on the pattern, so it is compiled here,
-    once, into a template per pattern edge that picks each vertex's mask
-    from those a call builds; both searches share the templates.  Neither
-    checks its arguments.
+    The host is given by its forward and backward bitmasks ``fwd`` and
+    ``bwd``.  ``least(fwd, bwd, u, v)`` is the lexicographically least
+    ordered copy with (u, v) as an image edge, or None: for each pattern
+    edge (a, b) the kernel runs with a pinned to u and b to v, vertices
+    before a below u, vertices between a and b below v, and every pattern
+    edge into a pinned vertex confining its source to the host's backward
+    neighbourhood of that vertex's image; the least of these first copies
+    is the answer.  When the host less the edge (u, v) is pattern-free,
+    every copy passes through (u, v), so it equals ``contains_ordered`` at
+    a fraction of its cost.  ValueError unless 0 <= u < v < n.
+    ``exists(fwd, bwd, u, v)`` is whether ``least`` is not None, and stops
+    at the first template whose walk yields a copy; it runs once per host
+    edge in the local search's greedy pass and checks nothing.
+
+    Which mask bounds each vertex's image depends only on the pattern, so it
+    is compiled here, once, into a template per pattern edge that picks each
+    vertex's mask from those a call builds; both searches share the
+    templates.  Neither checks ``fwd`` or ``bwd``.
     """
     k, preds = pattern.n, _predecessors(pattern)
     room = [((1 << n) - 1) >> (k - i - 1) for i in range(k)]
@@ -155,6 +141,8 @@ def through_edge_search(
         return False
 
     def least(fwd: Sequence[int], bwd: Sequence[int], u: int, v: int) -> Optional[tuple[int, ...]]:
+        if not 0 <= u < v < n:
+            raise ValueError(f"need 0 <= u < v < {n}, got u={u}, v={v}")
         best = None
         for limit in limits(bwd, u, v):
             images = next(_walk(preds, fwd, limit), None)

@@ -35,8 +35,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import OrderedGraph, tau
-from .graphio import _SLAB_BYTES
+from .core import _SLAB_BYTES, OrderedGraph, tau
 from .hosts import philox_rng
 
 DEFAULT_REPORT_BUDGET = 1 << 22  # max number of y-classes in a report
@@ -64,13 +63,6 @@ class TilingConfig:
     @property
     def L(self) -> int:
         return len(self.levels)
-
-    def position_of(self, level: int) -> int:
-        """1-based index of a level inside the level set, or 0 if absent."""
-        try:
-            return self.levels.index(level) + 1
-        except ValueError:
-            return 0
 
 
 def _sample_batch(

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 from collections import Counter
@@ -461,6 +462,27 @@ class TestReport:
             ratio = float(line.split(",")[6])
             assert ratio >= 0.25  # constructor guarantee
 
+    @pytest.mark.parametrize("experiment", ["quarter-density", "local-density"])
+    def test_rows_count_what_the_density_functions_keep(self, experiment, tmp_path, capsys):
+        # the grid the CI step runs: m = 4, d = 2 and 3, seed 0, 10 local rounds
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps(
+            {"experiment": experiment, "m": 4, "d_values": [2, 3], "seeds": [0]}
+        ))
+        budget = ["--budget", "10"] if experiment == "local-density" else []
+        assert main(["report", "--grid", str(grid), *budget, "--out-dir", str(tmp_path)]) == 0
+        with open(tmp_path / "report.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(row["d"], row["status"]) for row in rows] == [("2", "ok"), ("3", "ok")]
+        for row in rows:
+            host = generate_host(4, int(row["d"]), 0).to_ordered()
+            if experiment == "quarter-density":
+                kept = density.quarter_free_subgraph(host).num_edges()
+            else:
+                kept = density.rho_local_search(monotone_p3(), host, budget=10, seed=0)
+                kept = kept.best_edge_count
+            assert (int(row["total_edges"]), int(row["kept_edges"])) == (host.num_edges(), kept)
+
     def test_empty_grid_header_only(self, tmp_path, capsys):
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps({"experiment": "quarter-density", "d_values": []}))
@@ -597,6 +619,17 @@ class TestTileCommands:
         monkeypatch.setattr(graphio, "_SLAB_BYTES", 100)  # 4 chains of 3 vertices a slab
         assert main(argv) == 0
         assert capsys.readouterr().out == whole
+
+    def test_sample_writes_the_pinned_chains(self, p3_file, tmp_path):
+        # the first 10000 of 12000 chains, as tile-sample wrote them when it
+        # built the rows on every run, out-dir or not
+        assert main(["tile-sample", "--pattern", p3_file, "--d", "7",
+                     "--levels", "1,2,3,4,5,6,7", "--w", "4", "--n-samples", "12000",
+                     "--seed", "2", "--out-dir", str(tmp_path)]) == 0
+        data = (tmp_path / "chains.csv").read_bytes()
+        assert data.startswith(b"v1,v2,v3\r\n5,36,49\r\n") and data.count(b"\n") == 10001
+        assert hashlib.sha256(data).hexdigest() == (
+            "73feaf0c143db44730de0e43ec5cfd0677aeb737bafc49dea8f65aec2a5d058a")
 
     def test_sample_split_levels_at_d_62(self, p3_file, capsys):
         # pairs that split at a low level xor to above 2^53, beyond the

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relturan import graphio
+from relturan import core, graphio
 from relturan.core import HypercubeGraph, OrderedGraph, delta_int, level_block, tau
 from relturan.graphio import dumps_hypercube, loads_hypercube
 from relturan.hosts import _pair_levels, complete_hypercube
@@ -150,6 +150,58 @@ class TestOrderedGraph:
         assert OrderedGraph(n + 1, edges) != g
         if ref:
             assert OrderedGraph(n, sorted(ref)[1:]) != g
+
+
+@st.composite
+def key_cases(draw):
+    """(n, edges): pairs of 0..n-1, either way round and with repeats, drawn
+    often from the pairs (u, n - 1), so that some rows hold only n - 1."""
+    n = draw(st.integers(0, 40))
+    if n < 2:
+        return n, []
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    last = st.integers(0, n - 2).map(lambda u: (u, n - 1))
+    edges = draw(st.lists(pair | last, max_size=60))
+    return n, [(v, u) if draw(st.booleans()) else (u, v) for u, v in edges]
+
+
+def pair_keys(n, edges, dtype):
+    """The keys u * n + v of both orientations of every edge, unsorted."""
+    return np.array([key for u, v in edges for key in (u * n + v, v * n + u)], dtype)
+
+
+class TestFromKeys:
+    # a slab of 1 or n bytes holds one row, one of 3n + 5 a few: slab
+    # boundaries then fall between the rows of one graph
+    @given(key_cases(), st.sampled_from([np.int32, np.int64]), st.data())
+    @settings(max_examples=300)
+    def test_equals_the_edge_list_constructor(self, case, dtype, data):
+        n, edges = case
+        slab = data.draw(st.sampled_from([1, n, 3 * n + 5, core._SLAB_BYTES]))
+        want = OrderedGraph(n, edges)
+        with mock.patch.object(core, "_SLAB_BYTES", slab):
+            g = OrderedGraph._from_keys(n, pair_keys(n, edges, dtype))
+        assert g == want
+        assert g.forward_masks == want.forward_masks and g.backward_masks == want.backward_masks
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 64])
+    @pytest.mark.parametrize("slab", [1, "n", "3n+5"])
+    def test_rows_whose_only_neighbour_is_the_last_vertex(self, n, slab, monkeypatch):
+        # the even vertices' one neighbour is the last cell of a row as wide as n
+        monkeypatch.setattr(core, "_SLAB_BYTES", {1: 1, "n": n, "3n+5": 3 * n + 5}[slab])
+        edges = [(u, n - 1) for u in range(0, n - 1, 2)] * 2
+        g = OrderedGraph._from_keys(n, pair_keys(n, edges, np.int32))
+        assert g.sorted_edges() == sorted(set(edges))
+        assert g.backward_masks[n - 1] == sum(1 << u for u in range(0, n - 1, 2))
+
+    def test_edgeless(self):
+        for n in (0, 1, 5):
+            g = OrderedGraph._from_keys(n, np.zeros(0, np.int64))
+            assert g == OrderedGraph(n, []) and g.backward_masks == (0,) * n
+
+    def test_a_cube_graph_is_built_as_its_own_class(self):
+        g = HypercubeGraph._from_keys(8, pair_keys(8, [(0, 7), (2, 3)], np.int32))
+        assert type(g) is HypercubeGraph and g == HypercubeGraph(3, [(0, 7), (2, 3)])
 
 
 @st.composite

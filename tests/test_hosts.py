@@ -281,6 +281,21 @@ class TestGeneration:
         og, want = host.to_ordered(), self.edge_list_route(host)
         assert og.forward_masks == want.forward_masks and og.backward_masks == want.backward_masks
 
+    @pytest.mark.parametrize("m, d, edges, digest", [
+        (8, 5, 5168, "54a90e71ea9f5ab2cf442a0561f5c6707403fd7d0a4fa0c8115a0068074b666c"),
+        (8, 6, 12263, "d6b15795f333892b6832c505c56e49b01ae7c099f52f2dbb6ecf344bab7a6923"),
+        (16, 3, 2940, "7302cbfcbb306e4a7ac5939fad76c7ddeb19d39546d1697a09f8d85df0185152"),
+        (2, 11, 45123, "427a4689f6ddbf99d18ef7b8c665080395851923709c34210dd15745246b6591"),
+    ])
+    def test_to_ordered_keeps_the_pinned_masks(self, m, d, edges, digest):
+        # the hosts of the P3 benchmark's sizes and the 2.1M-pair host; the
+        # digests are those of the masks the per-row byte packer built
+        og = generate_host(m, d, 0).to_ordered()
+        h = hashlib.sha256()
+        for mask in og.forward_masks + og.backward_masks:
+            h.update(mask.to_bytes((og.n + 7) // 8, "little"))
+        assert og.num_edges() == edges and h.hexdigest() == digest
+
     def test_to_ordered_of_a_sparse_host_on_two_million_vertices(self):
         # 2^21 vertices, four edges: the masks cost what their bits need
         mat = np.zeros((256, 256), dtype=bool)

@@ -12,7 +12,6 @@ from relturan.patterns import (
     contains_ordered,
     embed_into_hk,
     find_monotone_p3,
-    first_copy_through,
     has_monotone_p3,
     interval_chromatic,
     monotone_p3,
@@ -39,12 +38,13 @@ def all_ordered_graphs(n):
         yield OrderedGraph(n, [p for i, p in enumerate(pairs) if (mask >> i) & 1])
 
 
-def copies_in(pat, host, allowed=None):
-    return list(ordered_copies(pat, host.forward_masks, allowed))
+def copies_in(pat, host):
+    return list(ordered_copies(pat, host.forward_masks))
 
 
 def through(pat, host, u, v):
-    return first_copy_through(pat, host.forward_masks, host.backward_masks, u, v)
+    """The least search of ``through_edge_search``: the least copy through (u, v)."""
+    return through_edge_search(pat, host.n)[1](host.forward_masks, host.backward_masks, u, v)
 
 
 class TestOrderedCopies:
@@ -72,22 +72,6 @@ class TestOrderedCopies:
         assert found == next(ordered_copies(pat, host.forward_masks), None)
         if found is not None:
             assert validate_witness(pat, host, found)
-
-
-class TestAllowedMasks:
-    @given(ordered_graphs(max_n=4), ordered_graphs(max_n=7))
-    @settings(max_examples=80)
-    def test_all_ones_is_the_plain_kernel(self, pat, host):
-        ones = [(1 << host.n) - 1] * pat.n
-        assert copies_in(pat, host, ones) == copies_in(pat, host)
-
-    @given(ordered_graphs(max_n=4), ordered_graphs(max_n=7), st.data())
-    @settings(max_examples=120)
-    def test_masks_filter_the_copies(self, pat, host, data):
-        allowed = [data.draw(st.integers(0, (1 << host.n) - 1)) for _ in range(pat.n)]
-        want = [c for c in copies_in(pat, host)
-                if all(allowed[i] >> c[i] & 1 for i in range(pat.n))]
-        assert copies_in(pat, host, allowed) == want
 
 
 class TestFirstCopyThrough:

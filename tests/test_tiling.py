@@ -35,12 +35,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             TilingConfig(4, (1, 2, 3), 2, 3)  # h > w
 
-    def test_position_of(self):
-        cfg = TilingConfig(5, (2, 4, 5), 2, 1)
-        assert cfg.position_of(4) == 2
-        assert cfg.position_of(3) == 0
-        assert cfg.L == 3
-
 
 class TestSampler:
     @given(st.integers(0, 10**6))

@@ -21,6 +21,11 @@ from relturan.core import OrderedGraph, delta_int, tau
 from relturan.tiling import GuaranteeReport, LevelGuarantee, TilingConfig, _sample_batch
 
 
+def position_of(cfg: TilingConfig, level: int) -> int:
+    """1-based index of a level inside the level set, or 0 if absent."""
+    return cfg.levels.index(level) + 1 if level in cfg.levels else 0
+
+
 @dataclass(frozen=True)
 class EmbeddingSample:
     """One draw: window start, chosen levels, and the vertex chain."""
@@ -32,7 +37,7 @@ class EmbeddingSample:
     def check(self, cfg: TilingConfig) -> None:
         assert 0 <= self.a < cfg.L - cfg.w
         for l in self.levels:
-            pos = cfg.position_of(l)
+            pos = position_of(cfg, l)
             assert self.a < pos <= self.a + cfg.w
         for vi, vj, l in zip(self.vertices, self.vertices[1:], self.levels):
             assert vi < vj and delta_int(vi, vj, cfg.d) == l
@@ -85,7 +90,7 @@ def exact_pair_probability(cfg: TilingConfig, i: int, j: int, x: int, y: int) ->
     if not 0 <= x < y < (1 << d):
         raise ValueError("need 0 <= x < y < 2^d")
     split = delta_int(x, y, d)
-    kappa = cfg.position_of(split)
+    kappa = position_of(cfg, split)
     if kappa == 0:
         return Fraction(0)
 
