@@ -20,7 +20,9 @@ operations.  The table takes about copies x e/8 bytes; one that would pass
 its set pattern-free and adds one edge at a time, so every new copy passes
 through that edge; it searches only those, with one kernel search compiled
 per solve, on forward and backward bitmask lists it edits in place.  Its
-greedy pass asks only whether such a copy exists.  A round begins level
+greedy pass asks only whether such a copy exists: one candidate edge at a
+time until one is refused, then for the rest of that row in one search,
+whose answers hold until the pass next adds an edge.  A round begins level
 with the best set, so one that deletes a second edge has lost and stops
 there.  Its quarter start is checked to have no increasing 2-edge path,
 which every copy of a pattern it is used for contains.
@@ -355,13 +357,15 @@ def rho_local_search(
     Containment is tested only through the edge just added, by a through-edge
     search compiled once per solve.  The greedy pass walks the host's
     forward masks less the kept ones in canonical order and asks only
-    whether some copy passes through the new edge; the rounds take the
-    least such copy, whose edges choose the victim.
+    whether some copy passes through the new edge, edge by edge until a
+    refusal and then for the rest of the row at once (``refused``), until
+    its next addition; the rounds take the least such copy, whose edges
+    choose the victim.
     """
     _check_pattern(pattern)
     rng = random.Random(seed)
     pattern_edges = pattern.sorted_edges()
-    copy_through, least_copy_through = through_edge_search(pattern, host.n)
+    copy_through, least_copy_through, refused_in_row = through_edge_search(pattern, host.n)
 
     # the kept edges: fwd[u] holds u's kept neighbours v > u, bwd[v] those u < v
     fwd, bwd = [0] * host.n, [0] * host.n
@@ -378,14 +382,29 @@ def rho_local_search(
     # ``absent``: the host's edges less the kept ones, sorted as the greedy pass
     # appends them and ``bisect`` keeps them, so rng.choice picks as from a
     # fresh filter. The pass adds only the edge in hand, so its candidates,
-    # the host's edges outside the start, are read off the masks once
+    # the host's edges outside the start, are read off the masks once, a row
+    # at a time. After a refusal ``refused`` holds the answers for the rest of
+    # the row, good until the next edge is added
     absent = []
-    for u, v in mask_edges([mask & ~kept for mask, kept in zip(host.forward_masks, fwd)]):
-        fwd[u] ^= 1 << v
-        bwd[v] ^= 1 << u
-        if copy_through(fwd, bwd, u, v):
-            fwd[u] ^= 1 << v
-            bwd[v] ^= 1 << u
+    for u, row in enumerate([mask & ~kept for mask, kept in zip(host.forward_masks, fwd)]):
+        refused = None
+        while row:
+            low = row & -row
+            row ^= low
+            v = low.bit_length() - 1
+            if refused is None:
+                fwd[u] ^= low
+                bwd[v] ^= 1 << u
+                if not copy_through(fwd, bwd, u, v):
+                    continue
+                fwd[u] ^= low
+                bwd[v] ^= 1 << u
+                refused = refused_in_row(fwd, bwd, u, row) if row else 0
+            elif not refused & low:
+                fwd[u] ^= low
+                bwd[v] ^= 1 << u
+                refused = None
+                continue
             absent.append((u, v))
 
     best = fwd.copy()  # read as edges once, at the end

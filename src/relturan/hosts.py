@@ -5,9 +5,10 @@ blocks (x, y), x < y; entry (i, j) says whether (x, i)(y, j) is an edge.  The
 matrices are stacked in one (P, m, m) array beside a (P, 2) array of pairs.
 Each cross-block pair is present independently with probability
 2^(level - d) where level = delta(x, y).  There are no intra-block edges.
-``BlockedGraph.to_ordered`` flattens a host to the keys of its edges and
-hands them to ``OrderedGraph._from_keys``, the one constructor that packs
-edge arrays into masks.
+``BlockedGraph.to_ordered`` flattens a host to the keys of its edges, a
+run of blocks at a time into one preallocated key array, and hands them to
+``OrderedGraph._from_keys``, the one constructor that packs edge arrays
+into masks.
 
 Randomness comes from a counter-based generator (Philox4x64-10) keyed by
 (seed, block-pair index), so the output is independent of generation order.
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HypercubeGraph, OrderedGraph, _key_type, delta_int
+from .core import _SLAB_BYTES, HypercubeGraph, OrderedGraph, _key_type, delta_int
 
 #: refuse hosts with more vertices than this
 DEFAULT_VERTEX_BUDGET = 1 << 21
@@ -176,15 +177,30 @@ class BlockedGraph:
         return sum(self.level_counts())
 
     def to_ordered(self) -> OrderedGraph:
-        """Flatten to vertex labels x * m + i (lexicographic order preserved)."""
+        """Flatten to vertex labels x * m + i (lexicographic order preserved).
+
+        The keys of the edges, forward ones then backward ones, are written
+        into one ``_key_type(n)`` array a run of blocks at a time: a run has
+        at most ``_SLAB_BYTES / 8`` cells, or is one larger block, so each
+        int64 temporary holds at most ``_SLAB_BYTES`` (one block's 8 m^2
+        bytes, if more), not 8 bytes per host edge.
+        """
         if self.n > DEFAULT_VERTEX_BUDGET:
             raise BudgetError(f"{self.n} vertices exceeds budget {DEFAULT_VERTEX_BUDGET}")
         n, m = self.n, self.m
-        b, cell = np.divmod(np.flatnonzero(self.mats), m * m)
-        i, j = np.divmod(cell, m)
-        us = self.pairs[b, 0] * m + i
-        vs = self.pairs[b, 1] * m + j
-        keys = np.concatenate((us * n + vs, vs * n + us)).astype(_key_type(n))
+        edges = np.count_nonzero(self.mats)
+        keys = np.empty(2 * edges, _key_type(n))
+        per_slab = max(1, _SLAB_BYTES // (8 * m * m))  # blocks
+        at = 0
+        for lo in range(0, len(self.pairs), per_slab):
+            hi = lo + per_slab
+            b, cell = np.divmod(np.flatnonzero(self.mats[lo:hi]), m * m)
+            i, j = np.divmod(cell, m)
+            us = self.pairs[lo:hi, 0][b] * m + i
+            vs = self.pairs[lo:hi, 1][b] * m + j
+            keys[at : at + len(us)] = us * n + vs
+            keys[edges + at : edges + at + len(us)] = vs * n + us
+            at += len(us)
         return OrderedGraph._from_keys(n, keys)
 
     def __eq__(self, other: object) -> bool:

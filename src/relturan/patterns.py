@@ -8,10 +8,13 @@ to right, each among the host vertices above the previous image and in the
 forward neighbourhoods of its placed backward neighbours, all as bitmask
 operations.  It reads the host as forward bitmasks, one per
 vertex: an OrderedGraph's ``forward_masks``, or the plain lists the local
-search edits in place.  ``through_edge_search`` compiles, once per pattern,
-the masks that pin a pattern edge onto one host edge and feeds them to the
-kernel, behind two searches: whether some copy passes through a host edge,
-and the least such copy.
+search edits in place.  After each copy it may resume at a shallower
+depth, skipping the later copies that repeat the images up to there.
+``through_edge_search`` compiles, once per pattern, the masks that pin a
+pattern edge onto host edges and feeds them to the kernel, behind three
+searches: whether some copy passes through a host edge, the least such
+copy, and which of a row of candidate edges (u, v) would each close a copy,
+one resumed walk per pattern edge.
 """
 
 from __future__ import annotations
@@ -52,13 +55,25 @@ def ordered_copies(pattern: OrderedGraph, fwd: Sequence[int]) -> Iterator[tuple[
 
 
 def _walk(
-    preds: Sequence[Sequence[int]], fwd: Sequence[int], limit: Sequence[int]
+    preds: Sequence[Sequence[int]],
+    fwd: Sequence[int],
+    limit: Sequence[int],
+    resume: Optional[int] = None,
 ) -> Iterator[tuple[int, ...]]:
-    """The kernel of ``ordered_copies``; limit[i] bounds vertex i's image before preds[i]."""
+    """The kernel of ``ordered_copies``; limit[i] bounds vertex i's image before preds[i].
+
+    After each copy the walk goes on at depth ``resume`` (default k - 1): it
+    tries the next image of vertex ``resume`` under the same images of the
+    vertices before it, so every later copy that repeats images[:resume + 1]
+    is skipped.  limit[i] is read each time the walk enters depth i, so a
+    caller may shrink ``limit`` (a list) between copies.
+    """
     k = len(limit)
     if k == 0:
         yield ()
         return
+    if resume is None:
+        resume = k - 1
     images = [0] * k
     pending = [0] * k  # untried candidates at each depth
     pending[0] = limit[0]
@@ -73,6 +88,7 @@ def _walk(
         images[i] = low.bit_length() - 1
         if i == k - 1:
             yield tuple(images)
+            i = resume
             continue
         i += 1
         mask = limit[i] & ~((low << 1) - 1)
@@ -91,8 +107,10 @@ def _predecessors(pattern: OrderedGraph) -> tuple[tuple[int, ...], ...]:
 
 def through_edge_search(
     pattern: OrderedGraph, n: int
-) -> tuple[Callable[..., bool], Callable[..., Optional[tuple[int, ...]]]]:
-    """Two searches for copies through a host edge, on n-vertex hosts: ``(exists, least)``.
+) -> tuple[
+    Callable[..., bool], Callable[..., Optional[tuple[int, ...]]], Callable[..., int]
+]:
+    """Three searches for copies through host edges, on n-vertex hosts: ``(exists, least, refused)``.
 
     The host is given by its forward and backward bitmasks ``fwd`` and
     ``bwd``.  ``least(fwd, bwd, u, v)`` is the lexicographically least
@@ -105,32 +123,63 @@ def through_edge_search(
     every copy passes through (u, v), so it equals ``contains_ordered`` at
     a fraction of its cost.  ValueError unless 0 <= u < v < n.
     ``exists(fwd, bwd, u, v)`` is whether ``least`` is not None, and stops
-    at the first template whose walk yields a copy; it runs once per host
-    edge in the local search's greedy pass and checks nothing.
+    at the first template whose walk yields a copy.
+
+    ``refused(fwd, bwd, u, cands)`` answers a whole row at once.  The host
+    must be pattern-free, and ``cands`` is a mask of vertices v > u with
+    (u, v) not a host edge; the answer is the mask of those v for which the
+    host plus (u, v) holds a copy, which then passes through (u, v).  For
+    each pattern edge (a, b) one walk pins a to u and lets b range over the
+    candidates not yet refused, with a dropped from b's predecessors: b's
+    image is a candidate, so it is a forward neighbour of u once its edge
+    is added.  Every other forward neighbour of a reads fwd[u], which holds
+    no candidate, so a copy uses exactly one candidate edge.  The bounds
+    that ``least`` takes from v are taken from the candidates: below the
+    highest one, and in the union of their backward neighbourhoods.  The
+    walk resumes at depth b after each copy (``_walk``'s ``resume``), and
+    the copy's image of b leaves limit[b], so each refused v costs one copy.
+
+    The local search's greedy pass asks ``exists`` one candidate edge at a
+    time until one is refused, then asks ``refused`` once for the rest of
+    that vertex's row: a refusal leaves the host unchanged, so the answers
+    hold until the pass next adds an edge, after which it asks one at a
+    time again.  Its rounds take ``least``, whose edges choose the victim.
 
     Which mask bounds each vertex's image depends only on the pattern, so it
     is compiled here, once, into a template per pattern edge that picks each
-    vertex's mask from those a call builds; both searches share the
-    templates.  Neither checks ``fwd`` or ``bwd``.
+    vertex's mask from those a call builds; the three searches share the
+    templates.  They take the pattern edges with the fewest vertices after b
+    first, where a walk has the fewest unpinned vertices to place after the
+    pinned ones; ``exists`` stops at the first copy and ``refused`` skips
+    the candidates already refused, so that order saves walks.  None of
+    them checks ``fwd`` or ``bwd``.
     """
     k, preds = pattern.n, _predecessors(pattern)
     room = [((1 << n) - 1) >> (k - i - 1) for i in range(k)]
-    # codes into a call's masks: below u (0), and in bwd[u] (+1) for a's
-    # predecessors, in bwd[v] (+2) for b's; u (4); below v (5), in bwd[v] (+1)
-    # for b's predecessors; v (7); 8 + i for vertex i's room, after b
+    # codes into a call's masks, for b's image v: below u (0), and in bwd[u]
+    # (+1) for a's predecessors, in bwd[v] (+2) for b's; u (4); below v (5),
+    # in bwd[v] (+1) for b's predecessors; v (7); 8 + i for vertex i's room,
+    # after b. ``refused`` reads bwd[v] as the union over its candidates, v as
+    # the highest one for "below v" and all of them for "v", and u unchecked;
+    # it also drops a from b's predecessors, since a candidate's edge from u
+    # is not in fwd[u]
     templates = []
-    for a, b in pattern.sorted_edges():
+    for a, b in sorted(pattern.sorted_edges(), key=lambda e: -e[1]):
         codes = [(i in preds[a]) + 2 * (i in preds[b]) for i in range(a)]
         codes += [4] + [5 + (i in preds[b]) for i in range(a + 1, b)] + [7]
-        templates.append(itemgetter(*codes, *range(8 + b + 1, 8 + k)))
+        row_preds = [*preds[:b], tuple(i for i in preds[b] if i != a), *preds[b + 1:]]
+        templates.append((b, itemgetter(*codes, *range(8 + b + 1, 8 + k)), row_preds))
+
+    def masks(bwd: Sequence[int], u: int, below: int, back: int, at_u: int, at_b: int) -> list[int]:
+        below_u, back_u = (1 << u) - 1, bwd[u]
+        return [below_u, below_u & back_u, below_u & back, below_u & back_u & back,
+                at_u, below, below & back, at_b, *room]
 
     def limits(bwd: Sequence[int], u: int, v: int) -> Iterator[tuple[int, ...]]:
         """Each template's image bounds for the edge (u, v), skipping those with an empty one."""
-        below_u, below_v, back_u, back_v = (1 << u) - 1, (1 << v) - 1, bwd[u], bwd[v]
-        masks = [below_u, below_u & back_u, below_u & back_v, below_u & back_u & back_v,
-                 1 << u & back_v, below_v, below_v & back_v, 1 << v, *room]
-        for template in templates:
-            limit = template(masks)
+        edge = masks(bwd, u, (1 << v) - 1, bwd[v], 1 << u & bwd[v], 1 << v)
+        for _, template, _ in templates:
+            limit = template(edge)
             if all(limit):
                 yield limit
 
@@ -150,7 +199,29 @@ def through_edge_search(
                 best = images
         return best
 
-    return exists, least
+    def refused(fwd: Sequence[int], bwd: Sequence[int], u: int, cands: int) -> int:
+        back, rest = 0, cands
+        while rest:
+            low = rest & -rest
+            back |= bwd[low.bit_length() - 1]
+            rest ^= low
+        # below the highest candidate
+        below = ((1 << cands.bit_length()) - 1) >> 1
+        row = masks(bwd, u, below, back, 1 << u, cands)
+        found = 0
+        for b, template, row_preds in templates:
+            limit = list(template(row))
+            limit[b] &= ~found
+            if not all(limit):
+                continue
+            for images in _walk(row_preds, fwd, limit, resume=b):
+                found |= 1 << images[b]
+                limit[b] ^= 1 << images[b]
+                if not limit[b]:
+                    break
+        return found
+
+    return exists, least, refused
 
 
 def contains_ordered(pattern: OrderedGraph, host: OrderedGraph) -> Optional[tuple[int, ...]]:

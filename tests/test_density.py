@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relturan.core import OrderedGraph
-from relturan import density
+from relturan import density, patterns
 from relturan.density import (
     _closes_copy,
     _copy_table,
@@ -408,6 +408,58 @@ class TestAnchoredLocalSearch:
     def test_matches_on_a_dense_host(self, pattern, host, budget, seed):
         assert _fields(rho_local_search(pattern, host, budget, seed)) == _fields(
             rho_local_search_whole_graph(pattern, host, budget, seed))
+
+    # H_2 has no increasing 2-edge path, so it starts empty; monotone P4 is
+    # started empty here by handing both searches an empty quarter start.
+    # Most rows then accept edges, and each acceptance voids a row's answers
+    @pytest.mark.parametrize("pattern", [build_hk(2), monotone_p3(4)], ids=["H2", "P4"])
+    @pytest.mark.parametrize("budget, seed", [(0, 0), (25, 4)])
+    def test_matches_from_an_empty_start(self, pattern, budget, seed, monkeypatch):
+        import local_search_oracle
+
+        def empty(host):
+            return OrderedGraph(host.n, [])
+
+        monkeypatch.setattr(density, "quarter_free_subgraph", empty)
+        monkeypatch.setattr(local_search_oracle, "quarter_free_subgraph", empty)
+        host = generate_host(4, 3, 1).to_ordered()
+        assert _fields(rho_local_search(pattern, host, budget, seed)) == _fields(
+            rho_local_search_whole_graph(pattern, host, budget, seed))
+
+    # in these a row's refusal is followed by an acceptance (u, v') after
+    # which a later (u, w) closes a copy through both: the row's answers must
+    # be dropped when an edge is added
+    @pytest.mark.parametrize("pattern, host", [
+        (OrderedGraph(4, [(0, 1), (1, 2), (1, 3)]), OrderedGraph(7, [
+            (0, 1), (0, 6), (1, 2), (1, 3), (1, 6), (2, 3), (2, 4), (2, 5), (3, 4), (3, 5),
+            (3, 6), (4, 5), (4, 6), (5, 6)])),
+        (OrderedGraph(4, [(0, 2), (0, 3), (1, 2), (1, 3)]), OrderedGraph(9, [
+            (0, 1), (0, 2), (0, 3), (0, 6), (0, 8), (1, 2), (1, 4), (1, 5), (1, 7), (1, 8),
+            (2, 3), (2, 5), (2, 7), (3, 4), (3, 5), (3, 6), (3, 7), (3, 8), (4, 7), (4, 8),
+            (5, 6), (5, 7), (6, 7)])),
+    ], ids=["broom", "K22"])
+    def test_matches_when_an_acceptance_follows_a_refusal(self, pattern, host):
+        for budget in (0, 20):
+            assert _fields(rho_local_search(pattern, host, budget, 0)) == _fields(
+                rho_local_search_whole_graph(pattern, host, budget, 0))
+
+    def test_greedy_pass_walks_per_row_not_per_edge(self, monkeypatch):
+        # the quarter start on this host is already maximal: the greedy pass
+        # refuses all 1,444 candidate edges, one kernel walk each or more if
+        # asked one at a time; by rows it makes at most 2 e(F) walks per vertex
+        walks = 0
+        walk = patterns._walk
+
+        def counted(*args, **kwargs):
+            nonlocal walks
+            walks += 1
+            return walk(*args, **kwargs)
+
+        monkeypatch.setattr(patterns, "_walk", counted)
+        host = generate_host(16, 3, 0).to_ordered()
+        res = rho_local_search(P3, host, budget=0)
+        assert res.best_edge_count == quarter_free_subgraph(host).num_edges()
+        assert walks <= 2 * host.n * P3.num_edges()
 
     def test_pinned_certificate(self):
         res = rho_local_search(P3, generate_host(16, 3, 0).to_ordered(), budget=300)

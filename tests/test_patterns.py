@@ -8,6 +8,8 @@ from relturan.core import HypercubeGraph, OrderedGraph
 from relturan.hosts import generate_host
 from relturan.patterns import (
     MonotonePathError,
+    _predecessors,
+    _walk,
     build_hk,
     contains_ordered,
     embed_into_hk,
@@ -121,7 +123,7 @@ class TestThroughEdgeExistence:
     @settings(max_examples=200)
     def test_exists_iff_a_least_copy(self, pat, host, data):
         # a kept state is any subset of the host's edges, probed at every pair
-        exists, least = through_edge_search(pat, host.n)
+        exists, least, _ = through_edge_search(pat, host.n)
         edges = sorted(host.edges)
         kept = OrderedGraph(host.n, data.draw(st.lists(st.sampled_from(edges), unique=True))
                             if edges else [])
@@ -134,9 +136,97 @@ class TestThroughEdgeExistence:
         host = generate_host(4, 3, 1).to_ordered()
         fwd, bwd = list(host.forward_masks), list(host.backward_masks)
         for pat in (monotone_p3(), build_hk(2), monotone_p3(4)):
-            exists, least = through_edge_search(pat, host.n)
+            exists, least, _ = through_edge_search(pat, host.n)
             for u, v in combinations(range(host.n), 2):
                 assert exists(fwd, bwd, u, v) == (least(fwd, bwd, u, v) is not None)
+
+
+def patterns_up_to_5():
+    return st.sampled_from([monotone_p3(), build_hk(2), monotone_p3(4), monotone_p3(5)]) | (
+        ordered_graphs(min_n=2, max_n=5).filter(lambda g: g.num_edges() > 0))
+
+
+class TestRefusedRow:
+    """``refused`` against ``exists`` asked once per candidate edge."""
+
+    @staticmethod
+    def free_masks(pat, n, edges):
+        """Forward and backward masks of a pattern-free set: ``edges`` kept greedily in order."""
+        fwd, bwd = [0] * n, [0] * n
+        for u, v in edges:
+            fwd[u] ^= 1 << v
+            if next(ordered_copies(pat, fwd), None) is None:
+                bwd[v] ^= 1 << u
+            else:
+                fwd[u] ^= 1 << v
+        return fwd, bwd
+
+    @staticmethod
+    def refused_by_exists(exists, fwd, bwd, u, cands):
+        """The candidates v for which ``exists`` finds a copy once (u, v) is added."""
+        found = 0
+        for v in range(u + 1, len(fwd)):
+            if cands >> v & 1:
+                fwd[u] ^= 1 << v
+                bwd[v] ^= 1 << u
+                found |= exists(fwd, bwd, u, v) << v
+                fwd[u] ^= 1 << v
+                bwd[v] ^= 1 << u
+        return found
+
+    @given(patterns_up_to_5(), st.integers(2, 10), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_exists_per_candidate(self, pat, n, data):
+        pairs = list(combinations(range(n), 2))
+        order = data.draw(st.permutations(pairs))
+        fwd, bwd = self.free_masks(pat, n, order[: data.draw(st.integers(0, len(pairs)))])
+        exists, _, refused = through_edge_search(pat, n)
+        u = data.draw(st.integers(0, n - 2))
+        free = ((1 << n) - 1) >> (u + 1) << (u + 1) & ~fwd[u]
+        cands = data.draw(st.integers(0, (1 << n) - 1)) & free
+        want = self.refused_by_exists(exists, fwd, bwd, u, cands)
+        before = (fwd.copy(), bwd.copy())
+        assert refused(fwd, bwd, u, cands) == want
+        assert (fwd, bwd) == before
+
+    def test_every_row_of_a_blocked_host(self):
+        # a pattern-free set kept from every third edge of a 32-vertex blocked
+        # host, and every row of the host edges outside it at once
+        host = generate_host(4, 3, 1).to_ordered()
+        for pat in (monotone_p3(), build_hk(2), monotone_p3(4)):
+            fwd, bwd = self.free_masks(pat, host.n, host.sorted_edges()[::3])
+            exists, _, refused = through_edge_search(pat, host.n)
+            for u in range(host.n):
+                cands = host.forward_masks[u] & ~fwd[u]
+                assert refused(fwd, bwd, u, cands) == self.refused_by_exists(
+                    exists, fwd, bwd, u, cands)
+
+    def test_pinned_hand_case(self):
+        # kept (2, 3) alone: of (1, 2), (1, 3), (1, 4) only (1, 2) closes a P3,
+        # as the path's first edge, and (3, 4) closes one as its second
+        fwd, bwd = [0, 0, 0b1000, 0, 0], [0, 0, 0, 0b100, 0]
+        _, _, refused = through_edge_search(monotone_p3(), 5)
+        assert refused(fwd, bwd, 1, 0b11100) == 0b00100
+        assert refused(fwd, bwd, 0, 0b10110) == 0b00100
+        assert refused(fwd, bwd, 3, 0b10000) == 0b10000
+        assert refused(fwd, bwd, 1, 0) == 0
+
+
+class TestWalkResume:
+    @given(ordered_graphs(min_n=1, max_n=4), ordered_graphs(max_n=8), st.data())
+    @settings(max_examples=200)
+    def test_resume_skips_copies_that_repeat_the_prefix(self, pat, host, data):
+        k = pat.n
+        j = data.draw(st.integers(0, k - 1))
+        full = (1 << host.n) - 1
+        limit = [full >> (k - i - 1) for i in range(k)]
+        resumed = list(_walk(_predecessors(pat), host.forward_masks, limit, resume=j))
+        want, seen = [], set()
+        for images in ordered_copies(pat, host.forward_masks):
+            if images[: j + 1] not in seen:
+                seen.add(images[: j + 1])
+                want.append(images)
+        assert resumed == want
 
 
 class TestContainment:
