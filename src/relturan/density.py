@@ -7,19 +7,21 @@ G' of G that avoid an ordered copy of the pattern F.  Three routes:
   hosts, hard cap on e(G)); the reference oracle.
 * ``rho_exact``: branch-and-bound over edges; the bound is kept + undecided
   less a greedy packing of copies that share no undecided edge.  One
-  iterative search routine runs both its passes: the optimum, then the
-  lexicographically least certificate.
+  search loop runs both its passes: the optimum, then the lexicographically
+  least certificate.
 * ``rho_local_search``: seeded hill climbing, lower bounds only.
 
 All three find copies with the one ordered-copy kernel.  The oracle tests
 whole-graph ``patterns.contains_ordered``.  The exact search enumerates the
 copies once per solve, each as an int mask over the host's edge indices,
-and runs its include test and packing bound on that table with bitwise
-operations.  The table takes about copies x e/8 bytes; one that would pass
-2^31 bytes is refused with ``hosts.BudgetError``.  The local search keeps
-its set pattern-free and adds one edge at a time, so every new copy passes
-through that edge; it searches only those, with one kernel search compiled
-per solve, on forward and backward bitmask lists it edits in place.  Its
+and runs its include test and packing walk on that table with bitwise
+operations, the walk over live-copy lists inherited down the search.  The
+table takes about copies x e/8 bytes, and the lists at most one slab of
+pointers (or one table's) beyond it; a table that would pass 2^31 bytes is
+refused with ``hosts.BudgetError``.  The local search keeps its set
+pattern-free and adds one edge at a time, so every new copy passes through
+that edge; it searches only those, with one kernel search compiled per
+solve, on forward and backward bitmask lists it edits in place.  Its
 greedy pass asks only whether such a copy exists: one candidate edge at a
 time until one is refused, then for the rest of that row in one search,
 whose answers hold until the pass next adds an edge.  A round begins level
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .core import OrderedGraph, mask_edges
+from .core import _SLAB_BYTES, OrderedGraph, mask_edges
 from .hosts import BudgetError
 from .patterns import contains_ordered, has_monotone_p3, ordered_copies, through_edge_search
 
@@ -118,11 +120,17 @@ def _copy_table(
     the masks of the copies that use edges[i].  The table takes about
     copies x e/8 bytes, and each copy is charged an upper bound on its mask
     and list slots while the table is built: past ``_MAX_TABLE_BYTES`` it
-    raises ``BudgetError`` instead of exhausting memory.
+    raises ``BudgetError`` instead of exhausting memory.  The search's live
+    lists point into it, and hold at most ``_live_cap`` pointers in all:
+    one slab's worth (``_SLAB_BYTES``), or one table's if that is more.
     """
-    index: list[dict[int, int]] = [{} for _ in range(host.n)]  # index[u][v]: (u, v)'s index
-    for i, (u, v) in enumerate(edges):
-        index[u][v] = i
+    # ``edges`` is sorted, so (u, v) is edge offset[u] + |fwd[u] below v|,
+    # that is the end of u's run of edges less the |fwd[u] >> v| from v up
+    rows = []  # (offset[u + 1], fwd[u])
+    end = 0
+    for mask in host.forward_masks:
+        end += mask.bit_count()
+        rows.append((end, mask))
     pattern_edges = pattern.sorted_edges()
     # a mask's int object holds at most len(edges) bits in 30-bit digits;
     # each copy also fills one slot of ``copies`` and one of ``through`` per edge
@@ -130,14 +138,17 @@ def _copy_table(
     max_copies = _MAX_TABLE_BYTES // copy_bytes
     copies: list[int] = []
     through: list[list[int]] = [[] for _ in edges]
-    for images in ordered_copies(pattern, host.forward_masks):
-        if len(copies) == max_copies:
+    for count, images in enumerate(ordered_copies(pattern, host.forward_masks)):
+        if count == max_copies:
             raise BudgetError(
                 f"more than {max_copies} copies of the pattern exceed {_MAX_TABLE_BYTES} bytes"
             )
-        bits = [index[images[a]][images[b]] for a, b in pattern_edges]
+        bits = []
         mask = 0
-        for i in bits:
+        for a, b in pattern_edges:
+            stop, row = rows[images[a]]
+            i = stop - (row >> images[b]).bit_count()
+            bits.append(i)
             mask |= 1 << i
         copies.append(mask)
         for i in bits:
@@ -145,45 +156,9 @@ def _copy_table(
     return copies, through
 
 
-def _closes_copy(through: list[int], kept: int) -> bool:
-    """Whether one of the copies in ``through`` lies inside the edge mask ``kept``.
-
-    Given the copies through an edge e and a ``kept`` holding e, this is
-    exactly whether ``kept`` contains the pattern when ``kept`` less e is
-    pattern-free: every copy inside ``kept`` then passes through e.
-    """
-    return any(not c & ~kept for c in through)
-
-
-def packing_bound(copies: list[int], kept: int, dead: int, size: int, floor: int = -1) -> int:
-    """Upper bound on e(S) over pattern-free S with kept <= S, S missing ``dead``.
-
-    ``copies`` are edge masks in lexicographic order, ``kept`` (pattern-free)
-    and ``dead`` (excluded) are disjoint edge masks, and ``size`` is the
-    number of edges outside ``dead``.  Copies that miss ``dead`` are packed
-    greedily, in order, while their undecided edges (those outside ``kept``)
-    stay pairwise disjoint: a packed copy's undecided edges join ``dead``
-    for the rest of the walk.  No copy lies inside ``kept``, so S misses one
-    undecided edge of each packed copy, a different one per copy:
-    e(S) <= size - packing.  The packing stops once the bound is down to
-    ``floor``.
-    """
-    need = size - floor
-    if need <= 0:
-        return size
-    packed = 0
-    for c in copies:
-        if not c & dead:
-            dead |= c & ~kept
-            packed += 1
-            if packed == need:
-                break
-    return size - packed
-
-
-# how a search node at depth i left for its child: fresh node, order[i] kept,
-# order[i] dropped
-_ENTER, _INCLUDED, _EXCLUDED = 0, 1, 2
+def _live_cap(copies: list[int]) -> int:
+    """Entries the search's live lists may hold in all: one table's, or one slab of pointers."""
+    return max(len(copies), _SLAB_BYTES // 8)
 
 
 def _search(
@@ -197,13 +172,31 @@ def _search(
     """Include-first DFS over the edge indices ``order`` for pattern-free sets above ``threshold``.
 
     Node i decides edge order[i]; the include branch runs only while the kept
-    set stays pattern-free.  A node is pruned when kept + undecided, or the
-    packing bound, is at most the threshold.  The packing bound is at least
-    |kept|, so it is tried only where |kept| <= threshold.  Each leaf reached
-    is a new best and becomes the threshold; with ``first_leaf`` the search
-    stops there.  The DFS keeps an explicit stack: its depth, up to e(host),
-    is not limited by Python's recursion limit.  ``kept`` and ``dead`` (the
-    excluded edges) are int masks over edge indices.
+    set stays pattern-free, that is while no copy through order[i] lies in
+    the kept set with it.  A node is pruned when kept + undecided is at most
+    the threshold, or when the packing bound is: copies that miss ``dead``
+    (the excluded edges) are packed greedily, in table order, while their
+    undecided edges stay pairwise disjoint, and each packed copy costs the
+    best set below the node one edge, so the node is pruned once ``need`` =
+    kept + undecided - threshold copies are packed.  The bound is at least
+    |kept|, so it is tried only where |kept| <= threshold, and only where the
+    node's live list holds at least ``need`` copies.
+
+    A node's live list is a superset, in table order, of the copies that
+    miss its ``dead``; the walk skips the rest.  The root's is the table.  A
+    walk that fails to prune may collect the copies that miss ``dead`` as it
+    goes, and the node's subtree, whose ``dead`` only grows, inherits them.
+    ``killed`` sums the copies through each excluded edge, so it grows by at
+    least the copies that die.  A walk collects only once ``killed`` has
+    grown by a quarter of the length of its list since the list was made
+    (rebuilding at every change piles near-copies onto a deep path: P3 on
+    K_50 at budget 3000 took 2.4 s that way, against 1.4 s), and only while
+    the lists held on the path stay within ``_live_cap`` entries.
+    Each leaf reached is a new best and becomes the threshold; with
+    ``first_leaf`` the search stops there.  The DFS is one loop over the
+    depth i, with ``included`` recording the branch of each node on the
+    path, so its depth, up to e(host), is not limited by Python's recursion
+    limit.  ``kept`` and ``dead`` are int masks over edge indices.
 
     Returns (the last leaf's kept mask or None, nodes, budget exhausted).
     """
@@ -212,50 +205,94 @@ def _search(
     k = 0  # edges in kept
     best = None
     nodes = 0
-    step = [_ENTER] * (total + 1)
+    included = [False] * total  # whether the path runs through node i's include branch
+    weight = [len(t) for t in through]
+    killed = 0  # the weight of ``dead``
+    # the live lists on the path, innermost last: each list, the ``killed`` it
+    # was made at and the depth of the node that made it (the table's is -1)
+    lists, made, maker = [copies], [0], [-1]
+    held, cap = 0, _live_cap(copies)  # entries in lists[1:]
     i = 0
-    while i >= 0:
-        if step[i] == _ENTER:
-            nodes += 1
-            if node_budget is not None and nodes > node_budget:
-                return best, nodes, True
-            room = k + total - i
-            if room <= threshold or (
-                k <= threshold and packing_bound(copies, kept, dead, room, threshold) <= threshold
-            ):
-                i -= 1
-                continue
-            if i == total:
-                threshold, best = k, kept
-                if first_leaf:
-                    break
-                i -= 1
-                continue
+    while True:  # enter node i
+        nodes += 1
+        if node_budget is not None and nodes > node_budget:
+            return best, nodes, True
+        need = k + total - i - threshold
+        if need > 0:
+            cands = lists[-1]
+            if k <= threshold and len(cands) >= need:
+                free, undecided = dead, ~kept
+                if killed - made[-1] <= len(cands) >> 2 or held + len(cands) > cap:
+                    for c in cands:
+                        if not c & free:
+                            free |= c & undecided
+                            need -= 1
+                            if not need:
+                                break
+                else:
+                    fresh = []
+                    for c in cands:
+                        if not c & dead:
+                            fresh.append(c)
+                            if not c & free:
+                                free |= c & undecided
+                                need -= 1
+                                if not need:
+                                    break
+                    if need:
+                        lists.append(fresh)
+                        made.append(killed)
+                        maker.append(i)
+                        held += len(fresh)
+            if need:
+                if i == total:
+                    threshold, best = k, kept
+                    if first_leaf:
+                        return best, nodes, False
+                else:
+                    e = order[i]
+                    bar = ~(kept | 1 << e)
+                    for c in through[e]:
+                        if not c & bar:
+                            dead |= 1 << e
+                            killed += weight[e]
+                            break
+                    else:
+                        kept |= 1 << e
+                        k += 1
+                        included[i] = True
+                    i += 1
+                    continue
+        # back up to the deepest node whose exclude branch is still to come
+        i -= 1
+        while i >= 0 and not included[i]:
             e = order[i]
-            if not _closes_copy(through[e], kept | 1 << e):
-                kept |= 1 << e
-                k += 1
-                step[i] = _INCLUDED
-                i += 1
-                step[i] = _ENTER
-                continue
-        elif step[i] == _INCLUDED:
-            kept ^= 1 << order[i]
-            k -= 1
-        else:  # both branches done
-            dead ^= 1 << order[i]
+            dead ^= 1 << e
+            killed -= weight[e]
+            if maker[-1] == i:
+                held -= len(lists.pop())
+                made.pop()
+                maker.pop()
             i -= 1
-            continue
-        dead |= 1 << order[i]
-        step[i] = _EXCLUDED
+        if i < 0:
+            return best, nodes, False
+        e = order[i]
+        kept ^= 1 << e
+        k -= 1
+        dead |= 1 << e
+        killed += weight[e]
+        included[i] = False
         i += 1
-        step[i] = _ENTER
-    return best, nodes, False
 
 
 def _edges_of(mask: int, edges: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     """The edges at the set bits of ``mask``, in the order of ``edges``."""
-    return tuple(e for i, e in enumerate(edges) if mask >> i & 1)
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(edges[low.bit_length() - 1])
+        mask ^= low
+    return tuple(out)
 
 
 def rho_exact(
@@ -268,20 +305,22 @@ def rho_exact(
 
     The pattern's copies in the host are enumerated once, into the table of
     ``_copy_table`` (``BudgetError`` if it would pass ``_MAX_TABLE_BYTES``).
-    Both passes run ``_search`` on it; its bound is kept + undecided less a
-    greedy packing of copies disjoint in their undecided edges.  The first
-    pass branches on edges in descending order of the number of pattern
-    copies through them (fail-first) and raises the threshold with each
-    better leaf.  The result is optimal unless ``node_budget`` first-pass
-    nodes run out, in which case ``exact`` is False and the best subgraph
-    found so far is returned: the empty one, which is always pattern-free,
-    if no leaf and no usable warm start came first.  When the first pass
-    completes, the second branches in canonical edge order with threshold
-    optimum - 1 and stops at its first leaf, which is the lexicographically
-    least optimum.  ``nodes_explored`` counts the nodes of both passes; the
-    budget applies to the first.  A warm start must be a subset of the
-    host's edges (ValueError otherwise); it is used only if it is
-    pattern-free.
+    Both passes run ``_search`` on it, one loop with the include test and
+    the packing walk inline; its bound is kept + undecided less a greedy
+    packing of copies disjoint in their undecided edges, walked over the
+    live-copy lists each node inherits and skipped where they are too short
+    to prune.  The first pass branches on edges in descending order of the
+    number of pattern copies through them (fail-first) and raises the
+    threshold with each better leaf.  The result is optimal unless
+    ``node_budget`` first-pass nodes run out, in which case ``exact`` is
+    False and the best subgraph found so far is returned: the empty one,
+    which is always pattern-free, if no leaf and no usable warm start came
+    first.  When the first pass completes, the second branches in canonical
+    edge order with threshold optimum - 1 and stops at its first leaf, which
+    is the lexicographically least optimum.  ``nodes_explored`` counts the
+    nodes of both passes; the budget applies to the first.  A warm start
+    must be a subset of the host's edges (ValueError otherwise); it is used
+    only if it is pattern-free.
     """
     _check_pattern(pattern)
     edges = host.sorted_edges()

@@ -134,10 +134,14 @@ class TestSolve:
                      "--mode", "exact", "--budget", "3000"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["exact"] is False and out["total"] == 1225
-        # the value of the search that walked the kernel at every node
-        assert out["best_edges"] == 348
+        # the values of the search that walked the kernel at every node; the
+        # node count and certificate digest are those of the search that
+        # walked the whole copy table at every bounding node
+        assert out["best_edges"] == 348 and out["nodes_explored"] == 3001
         cert = [tuple(e) for e in out["certificate"]]
         assert len(cert) == out["best_edges"] > 0
+        assert hashlib.sha256(repr(tuple(cert)).encode()).hexdigest() == (
+            "b9f1420fa392eff42b4c1b36909332154d1fc0e77952e0b06ca080f86af3142e")
         assert set(cert) <= complete_ordered(50).edges
         assert contains_ordered(monotone_p3(), OrderedGraph(50, cert)) is None
 

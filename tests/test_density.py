@@ -1,5 +1,6 @@
 import hashlib
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -10,9 +11,7 @@ from hypothesis import strategies as st
 from relturan.core import OrderedGraph
 from relturan import density, patterns
 from relturan.density import (
-    _closes_copy,
     _copy_table,
-    packing_bound,
     quarter_free_subgraph,
     rho_exact,
     rho_exhaustive,
@@ -28,14 +27,16 @@ from relturan.patterns import (
 )
 from local_search_oracle import rho_local_search_whole_graph
 from packing_oracle import packing_bound as walk_packing_bound
+from search_oracle import _closes_copy, packing_bound, rho_exact_reference
 
 
 @st.composite
-def ordered_graphs(draw, max_n=6, max_edges=12):
-    n = draw(st.integers(1, max_n))
+def ordered_graphs(draw, max_n=6, max_edges=12, min_n=1, min_edges=0):
+    n = draw(st.integers(min_n, max_n))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = (
-        draw(st.lists(st.sampled_from(pairs), unique=True, max_size=max_edges))
+        draw(st.lists(st.sampled_from(pairs), unique=True,
+                      min_size=min(min_edges, len(pairs)), max_size=max_edges))
         if pairs
         else []
     )
@@ -226,7 +227,7 @@ class TestPackingBound:
 
 
 class TestCopyTable:
-    """The table's include test and packing bound against the kernel."""
+    """The reference search's include test and packing bound on the table, against the kernel."""
 
     @given(st.sampled_from(ORACLE_PATTERNS), ordered_graphs(max_n=9, max_edges=30),
            st.randoms(use_true_random=False), st.data())
@@ -282,6 +283,88 @@ class TestCopyTable:
             rho_exact(P3, complete_ordered(8))
         # a host with fewer copies still fits
         assert rho_exact(P3, complete_ordered(4)).best_edge_count == 4
+
+
+def _outcome(res):
+    return res.certificate, res.nodes_explored, res.exact
+
+
+def _plain_walk(monkeypatch):
+    monkeypatch.setattr(density, "_live_cap", lambda copies: 0)
+
+
+def _peak_live_entries(run):
+    """``run()``, and the most entries ``density._search``'s live lists held at once.
+
+    A line tracer reads the search's locals: the lists on its stack past the
+    table, and the one a walk is collecting, each counted once.
+    """
+    peak = 0
+
+    def lines(frame, event, arg):
+        nonlocal peak
+        local = frame.f_locals
+        held = {id(lst): len(lst) for lst in local.get("lists", [])[1:]}
+        if local.get("fresh") is not None:
+            held[id(local["fresh"])] = len(local["fresh"])
+        peak = max(peak, sum(held.values()))
+        return lines
+
+    sys.settrace(lambda frame, event, arg: lines if frame.f_code is density._search.__code__
+                 else None)
+    try:
+        result = run()
+    finally:
+        sys.settrace(None)
+    return result, peak
+
+
+class TestSearchOracle:
+    """The one-loop search against the reference search of ``search_oracle``."""
+
+    @pytest.mark.parametrize("plain", [False, True], ids=["live-lists", "plain-walk"])
+    # hypothesis draws mostly small hosts, so dense ones are drawn as well
+    @given(st.sampled_from(ORACLE_PATTERNS),
+           st.one_of(ordered_graphs(max_n=9, max_edges=30),
+                     ordered_graphs(max_n=9, max_edges=30, min_n=7, min_edges=18)),
+           st.one_of(st.none(), st.just(1), st.integers(0, 400)),
+           st.randoms(use_true_random=False), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference(self, plain, pattern, host, budget, rnd, warm):
+        # the warm start may contain a copy, and is then unused
+        ws = tuple(e for e in host.sorted_edges() if rnd.random() < 0.5) if warm else None
+        with pytest.MonkeyPatch.context() as mp:
+            if plain:
+                _plain_walk(mp)
+            res = rho_exact(pattern, host, budget, ws)
+        assert _outcome(res) == _outcome(rho_exact_reference(pattern, host, budget, ws))
+
+    @pytest.mark.parametrize("plain", [False, True], ids=["live-lists", "plain-walk"])
+    @pytest.mark.parametrize("pattern, host, budget", [
+        (P3, generate_host(2, 3, 0).to_ordered(), None),
+        (build_hk(2), generate_host(2, 3, 0).to_ordered(), None),
+        (OrderedGraph(4, [(0, 2), (1, 3), (2, 3)]), generate_host(2, 4, 0).to_ordered(), 3000),
+        (P3, complete_ordered(20), 500),
+    ], ids=["P3-host16", "H2-host16", "021323-host32", "P3-K20"])
+    def test_matches_reference_on_larger_hosts(self, plain, pattern, host, budget, monkeypatch):
+        if plain:
+            _plain_walk(monkeypatch)
+        assert _outcome(rho_exact(pattern, host, budget)) == _outcome(
+            rho_exact_reference(pattern, host, budget))
+
+    @pytest.mark.parametrize("host, budget", [
+        (generate_host(2, 3, 0).to_ordered(), None),
+        (complete_ordered(12), 300),
+    ], ids=["host16", "K12"])
+    def test_live_lists_stay_within_the_cap(self, host, budget, monkeypatch):
+        res, peak = _peak_live_entries(lambda: rho_exact(P3, host, budget))
+        table = len(_copy_table(P3, host, host.sorted_edges())[0])
+        assert peak > table  # past the least cap the search allows
+        cap = (table + peak) // 2
+        monkeypatch.setattr(density, "_live_cap", lambda copies: cap)
+        capped, capped_peak = _peak_live_entries(lambda: rho_exact(P3, host, budget))
+        assert 0 < capped_peak <= cap
+        assert _outcome(capped) == _outcome(res)
 
 
 class TestQuarterConstructor:
