@@ -22,12 +22,13 @@ refused with ``hosts.BudgetError``.  The local search keeps its set
 pattern-free and adds one edge at a time, so every new copy passes through
 that edge; it searches only those, with one kernel search compiled per
 solve, on forward and backward bitmask lists it edits in place.  Its
-greedy pass asks only whether such a copy exists: one candidate edge at a
-time until one is refused, then for the rest of that row in one search,
-whose answers hold until the pass next adds an edge.  A round begins level
-with the best set, so one that deletes a second edge has lost and stops
-there.  Its quarter start is checked to have no increasing 2-edge path,
-which every copy of a pattern it is used for contains.
+greedy pass asks only whether adding an edge would close a copy, without
+adding it: one candidate edge at a time until one is refused, then for the
+rest of that row in one search, whose answers hold until the pass next adds
+an edge.  A round begins level with the best set, so one that deletes a
+second edge has lost and stops there.  Its quarter start is checked to have
+no increasing 2-edge path, which every copy of a pattern it is used for
+contains.
 
 Plus the derandomized two-label constructor that keeps at least a quarter of
 the edges of any host while avoiding every increasing 2-edge path, built in
@@ -365,16 +366,20 @@ def quarter_free_subgraph(host: OrderedGraph) -> OrderedGraph:
 
     The kept forward masks are fwd[u] less the sources for each SOURCE u,
     and their transpose is bwd[v] & sources for each SINK v: O(n) mask
-    operations in all, with no edge list.
+    operations in all, with no edge list, each vertex's label read from a
+    list of flags kept beside the sources mask.
     """
     fwd, bwd = host.forward_masks, host.backward_masks
     sources = 0
+    is_source = []  # each vertex's label, as it is fixed
     for v in range(host.n):
-        if fwd[v].bit_count() >= 2 * (bwd[v] & sources).bit_count():
+        source = fwd[v].bit_count() >= 2 * (bwd[v] & sources).bit_count()
+        if source:
             sources |= 1 << v
+        is_source.append(source)
     sinks = ~sources
-    kept_fwd = tuple(mask & sinks if sources >> u & 1 else 0 for u, mask in enumerate(fwd))
-    kept_bwd = tuple(0 if sources >> v & 1 else mask & sources for v, mask in enumerate(bwd))
+    kept_fwd = tuple(mask & sinks if source else 0 for source, mask in zip(is_source, fwd))
+    kept_bwd = tuple(0 if source else mask & sources for source, mask in zip(is_source, bwd))
     return OrderedGraph._from_masks(host.n, kept_fwd, kept_bwd)
 
 
@@ -396,15 +401,15 @@ def rho_local_search(
     Containment is tested only through the edge just added, by a through-edge
     search compiled once per solve.  The greedy pass walks the host's
     forward masks less the kept ones in canonical order and asks only
-    whether some copy passes through the new edge, edge by edge until a
-    refusal and then for the rest of the row at once (``refused``), until
-    its next addition; the rounds take the least such copy, whose edges
-    choose the victim.
+    whether adding an edge would close a copy (``refused``), edge by edge
+    until a refusal and then for the rest of the row at once, until its
+    next addition; the rounds take the least copy through the new edge,
+    whose edges choose the victim.
     """
     _check_pattern(pattern)
     rng = random.Random(seed)
     pattern_edges = pattern.sorted_edges()
-    copy_through, least_copy_through, refused_in_row = through_edge_search(pattern, host.n)
+    least_copy_through, refused_in_row = through_edge_search(pattern, host.n)
 
     # the kept edges: fwd[u] holds u's kept neighbours v > u, bwd[v] those u < v
     fwd, bwd = [0] * host.n, [0] * host.n
@@ -432,12 +437,10 @@ def rho_local_search(
             row ^= low
             v = low.bit_length() - 1
             if refused is None:
-                fwd[u] ^= low
-                bwd[v] ^= 1 << u
-                if not copy_through(fwd, bwd, u, v):
+                if not refused_in_row(fwd, bwd, u, low):
+                    fwd[u] ^= low
+                    bwd[v] ^= 1 << u
                     continue
-                fwd[u] ^= low
-                bwd[v] ^= 1 << u
                 refused = refused_in_row(fwd, bwd, u, row) if row else 0
             elif not refused & low:
                 fwd[u] ^= low

@@ -230,20 +230,21 @@ def generate_host(m: int, d: int, seed: int) -> BlockedGraph:
     levels = _pair_levels(xs, ys, d)
     mats = np.ones((n_pairs, words), dtype=bool)  # level d: probability 1
     drawn = np.flatnonzero(levels < d)
-    # random() < 2^-k on a word w iff w >> (64 - k) == 0, here k = d - level
+    # random() < 2^-k on a word w iff w >> (64 - k) == 0, that is iff
+    # w < 2^(64 - k), here k = d - level >= 1
     if words <= _KERNEL_MAX_WORDS:
         step = _BATCH_WORDS // words
         for s in range(0, len(drawn), step):
             rows = drawn[s : s + step]
-            shifts = (levels[rows] + (64 - d)).astype(np.uint64)[:, None]
-            mats[rows] = _philox_words(key, rows, words) >> shifts == 0
+            bounds = np.left_shift(np.uint64(1), (levels[rows] + (64 - d)).astype(np.uint64))
+            mats[rows] = _philox_words(key, rows, words) < bounds[:, None]
     else:
         bitgen = np.random.Philox(key=np.array([key, 0], dtype=np.uint64))
         state = bitgen.state  # counter 0; setting it also resets the output buffer
         for idx, level in zip(drawn.tolist(), levels[drawn].tolist()):
             state["state"]["key"][1] = idx
             bitgen.state = state
-            mats[idx] = bitgen.random_raw(words) >> (64 - d + level) == 0
+            np.less(bitgen.random_raw(words), np.uint64(1 << (64 - d + level)), out=mats[idx])
     return BlockedGraph(d, m, seed, np.column_stack((xs, ys)), mats)
 
 

@@ -3,7 +3,10 @@
 Each check evaluates one inequality at explicit parameter values and
 returns a report with both sides and the margin.  Binomial arithmetic is
 exact (big integers / rationals); only the balanced-strings check is
-statistical, since its statement is a proportion over 2^n strings.
+statistical, since its statement is a proportion over 2^n strings.  Its
+scan holds window sums as exact small-integer residues: a filter on the
+first length of each group of eight flags the strings that may violate,
+and only those are scanned at every length.
 """
 
 from __future__ import annotations
@@ -18,6 +21,9 @@ import numpy as np
 from .hosts import philox_rng
 
 Number = Union[int, float, Fraction]
+
+#: window lengths per group of the balanced-strings filter
+_GROUP = 8
 
 
 @dataclass(frozen=True)
@@ -118,12 +124,25 @@ def check_locally_balanced(
     # those >= high[L].  The scan keeps each sum s as its residue s - below[L]
     # mod 2^k, with 2^k > hi: one-to-one on [0, L], it sends the below[L]
     # smallest sums to the top, so s violates iff its residue >= threshold[L].
-    below, threshold = {}, {}
+    below, high, threshold = {}, {}, {}
     for length in range(m, hi + 1):
         viol = np.abs(np.arange(length + 1) - length / 2) >= eps * length
         below[length] = int(np.count_nonzero(viol[:length // 2 + 1]))
-        high = length + 1 - int(np.count_nonzero(viol[(length + 1) // 2:]))
-        threshold[length] = high - below[length]
+        high[length] = length + 1 - int(np.count_nonzero(viol[(length + 1) // 2:]))
+        threshold[length] = high[length] - below[length]
+    # The lengths come in groups of _GROUP from a first length L1.  A window
+    # of length L holds the window of length L1 at the same start, so its sum
+    # lies in [s1, s1 + L - L1] for that window's sum s1: some window of the
+    # group violates only if s1 < cut, the group's largest below[L], or
+    # s1 >= top, its least high[L] - (L - L1).  As a residue s1 - cut mod 2^k
+    # that is one compare against top - cut, as above (every s1, if top <= cut,
+    # as a residue is never negative)
+    groups = []
+    for first in range(m, hi + 1, _GROUP):
+        lengths = range(first, min(first + _GROUP, hi + 1))
+        cut = max(below[length] for length in lengths)
+        top = min(high[length] - (length - first) for length in lengths)
+        groups.append((first, cut, max(top - cut, 0)))
     dtype = np.uint8 if hi < 256 else np.uint16
     modulus = int(np.iinfo(dtype).max) + 1
     # rows whose residues stay in cache; the sampler draws this many rows at a
@@ -131,27 +150,52 @@ def check_locally_balanced(
     block = max(1, (1 << 18) // (n + 1))
     cells_per_row = sum(n + 1 - length for length in range(m, hi + 1))
 
-    def batch_violations(bits: np.ndarray) -> tuple[int, int]:
-        bad = np.zeros(bits.shape[0], dtype=bool)
+    def scan(rows: np.ndarray, resid: np.ndarray, offset: int) -> tuple[int, int]:
+        """Violating rows and windows over every checked length, one add a length.
+
+        ``resid`` holds the length-m window sums less ``offset`` mod 2^k and
+        is scanned in place, each length's sums from the last one's.
+        """
+        bad = np.zeros(rows.shape[0], dtype=bool)
         bad_cells = 0
+        for length in range(m, hi + 1):
+            sums = resid[:, :n + 1 - length]
+            if length > m:
+                sums += rows[:, length - 1:]
+            if below[length] != offset:
+                sums -= (below[length] - offset) % modulus
+                offset = below[length]
+            hit = sums.max(axis=1) >= threshold[length]
+            if hit.any():
+                bad |= hit
+                bad_cells += int(np.count_nonzero(sums >= threshold[length]))
+        return int(np.count_nonzero(bad)), bad_cells
+
+    def batch_violations(bits: np.ndarray) -> tuple[int, int]:
+        violating = bad_cells = 0
         for start in range(0, bits.shape[0], block):
             rows = bits[start:start + block].astype(dtype)
             prefix = np.zeros((rows.shape[0], n + 1), dtype=dtype)
             np.cumsum(rows, axis=1, dtype=dtype, out=prefix[:, 1:])  # exact mod 2^k
             resid = prefix[:, m:] - prefix[:, :-m]
-            offset = 0  # resid holds s - offset mod 2^k
-            for length in range(m, hi + 1):
-                sums = resid[:, :n + 1 - length]
-                if length > m:
-                    sums += rows[:, length - 1:]
-                if below[length] != offset:
-                    sums -= (below[length] - offset) % modulus
-                    offset = below[length]
-                hit = sums.max(axis=1) >= threshold[length]
-                if hit.any():
-                    bad[start:start + block] |= hit
-                    bad_cells += int(np.count_nonzero(sums >= threshold[length]))
-        return int(np.count_nonzero(bad)), bad_cells
+            # flag the rows some group may find violating, until all are
+            # flagged; only those are scanned, the first group's residues
+            # (in resid) going on to the scan
+            flagged = np.zeros(rows.shape[0], dtype=bool)
+            for first, cut, above in groups:
+                sums = resid if first == m else prefix[:, first:] - prefix[:, :-first]
+                sums -= cut
+                flagged |= sums.max(axis=1) >= above
+                if flagged.all():
+                    break
+            if not flagged.all():
+                keep = np.flatnonzero(flagged)
+                if not len(keep):
+                    continue
+                rows, resid = rows[keep], resid[keep]
+            v, cells = scan(rows, resid, groups[0][1])
+            violating, bad_cells = violating + v, bad_cells + cells
+        return violating, bad_cells
 
     if exhaustive:
         if n > 22:

@@ -11,10 +11,11 @@ vertex: an OrderedGraph's ``forward_masks``, or the plain lists the local
 search edits in place.  After each copy it may resume at a shallower
 depth, skipping the later copies that repeat the images up to there.
 ``through_edge_search`` compiles, once per pattern, the masks that pin a
-pattern edge onto host edges and feeds them to the kernel, behind three
-searches: whether some copy passes through a host edge, the least such
-copy, and which of a row of candidate edges (u, v) would each close a copy,
-one resumed walk per pattern edge.
+pattern edge onto host edges and feeds them to the kernel, behind two
+searches: the least copy through a host edge, and which of a row of
+candidate edges (u, v) would each close a copy, one walk per pattern edge
+that refuses a candidate per copy, or a mask of them per placement when the
+pinned vertex is the pattern's last.
 """
 
 from __future__ import annotations
@@ -107,10 +108,8 @@ def _predecessors(pattern: OrderedGraph) -> tuple[tuple[int, ...], ...]:
 
 def through_edge_search(
     pattern: OrderedGraph, n: int
-) -> tuple[
-    Callable[..., bool], Callable[..., Optional[tuple[int, ...]]], Callable[..., int]
-]:
-    """Three searches for copies through host edges, on n-vertex hosts: ``(exists, least, refused)``.
+) -> tuple[Callable[..., Optional[tuple[int, ...]]], Callable[..., int]]:
+    """Two searches for copies through host edges, on n-vertex hosts: ``(least, refused)``.
 
     The host is given by its forward and backward bitmasks ``fwd`` and
     ``bwd``.  ``least(fwd, bwd, u, v)`` is the lexicographically least
@@ -122,37 +121,38 @@ def through_edge_search(
     is the answer.  When the host less the edge (u, v) is pattern-free,
     every copy passes through (u, v), so it equals ``contains_ordered`` at
     a fraction of its cost.  ValueError unless 0 <= u < v < n.
-    ``exists(fwd, bwd, u, v)`` is whether ``least`` is not None, and stops
-    at the first template whose walk yields a copy.
 
-    ``refused(fwd, bwd, u, cands)`` answers a whole row at once.  The host
-    must be pattern-free, and ``cands`` is a mask of vertices v > u with
-    (u, v) not a host edge; the answer is the mask of those v for which the
-    host plus (u, v) holds a copy, which then passes through (u, v).  For
-    each pattern edge (a, b) one walk pins a to u and lets b range over the
-    candidates not yet refused, with a dropped from b's predecessors: b's
-    image is a candidate, so it is a forward neighbour of u once its edge
-    is added.  Every other forward neighbour of a reads fwd[u], which holds
-    no candidate, so a copy uses exactly one candidate edge.  The bounds
-    that ``least`` takes from v are taken from the candidates: below the
-    highest one, and in the union of their backward neighbourhoods.  The
+    ``refused(fwd, bwd, u, cands)`` answers whether edges would close a
+    copy, a whole row at once.  The host must be pattern-free, and
+    ``cands`` is a mask of vertices v > u with (u, v) not a host edge; the
+    answer is the mask of those v for which the host plus (u, v) holds a
+    copy, which then passes through (u, v).  For each pattern edge (a, b)
+    one walk pins a to u and lets b range over the candidates not yet
+    refused, with a dropped from b's predecessors: b's image is a
+    candidate, so it is a forward neighbour of u once its edge is added.
+    Every other forward neighbour of a reads fwd[u], which holds no
+    candidate, so a copy uses exactly one candidate edge.  The bounds that
+    ``least`` takes from v are taken from the candidates: below the highest
+    one, and in the union of their backward neighbourhoods.  When b is the
+    pattern's last vertex the walk places only vertices 0..b-1, and each
+    placement refuses at once every candidate above the image of b - 1 in
+    the forward neighbourhoods of b's other predecessors; otherwise the
     walk resumes at depth b after each copy (``_walk``'s ``resume``), and
     the copy's image of b leaves limit[b], so each refused v costs one copy.
 
-    The local search's greedy pass asks ``exists`` one candidate edge at a
-    time until one is refused, then asks ``refused`` once for the rest of
-    that vertex's row: a refusal leaves the host unchanged, so the answers
-    hold until the pass next adds an edge, after which it asks one at a
-    time again.  Its rounds take ``least``, whose edges choose the victim.
+    The local search's greedy pass asks ``refused`` for one candidate edge
+    at a time until one is refused, then once for the rest of that
+    vertex's row: a refusal leaves the host unchanged, so the answers hold
+    until the pass next adds an edge, after which it asks one at a time
+    again.  Its rounds take ``least``, whose edges choose the victim.
 
     Which mask bounds each vertex's image depends only on the pattern, so it
     is compiled here, once, into a template per pattern edge that picks each
-    vertex's mask from those a call builds; the three searches share the
+    vertex's mask from those a call builds; the two searches share the
     templates.  They take the pattern edges with the fewest vertices after b
     first, where a walk has the fewest unpinned vertices to place after the
-    pinned ones; ``exists`` stops at the first copy and ``refused`` skips
-    the candidates already refused, so that order saves walks.  None of
-    them checks ``fwd`` or ``bwd``.
+    pinned ones; ``refused`` skips the candidates already refused, so that
+    order saves walks.  Neither checks ``fwd`` or ``bwd``.
     """
     k, preds = pattern.n, _predecessors(pattern)
     room = [((1 << n) - 1) >> (k - i - 1) for i in range(k)]
@@ -175,25 +175,15 @@ def through_edge_search(
         return [below_u, below_u & back_u, below_u & back, below_u & back_u & back,
                 at_u, below, below & back, at_b, *room]
 
-    def limits(bwd: Sequence[int], u: int, v: int) -> Iterator[tuple[int, ...]]:
-        """Each template's image bounds for the edge (u, v), skipping those with an empty one."""
-        edge = masks(bwd, u, (1 << v) - 1, bwd[v], 1 << u & bwd[v], 1 << v)
-        for _, template, _ in templates:
-            limit = template(edge)
-            if all(limit):
-                yield limit
-
-    def exists(fwd: Sequence[int], bwd: Sequence[int], u: int, v: int) -> bool:
-        for limit in limits(bwd, u, v):
-            if next(_walk(preds, fwd, limit), None) is not None:
-                return True
-        return False
-
     def least(fwd: Sequence[int], bwd: Sequence[int], u: int, v: int) -> Optional[tuple[int, ...]]:
         if not 0 <= u < v < n:
             raise ValueError(f"need 0 <= u < v < {n}, got u={u}, v={v}")
+        edge = masks(bwd, u, (1 << v) - 1, bwd[v], 1 << u & bwd[v], 1 << v)
         best = None
-        for limit in limits(bwd, u, v):
+        for _, template, _ in templates:
+            limit = template(edge)
+            if not all(limit):
+                continue
             images = next(_walk(preds, fwd, limit), None)
             if images is not None and (best is None or images < best):
                 best = images
@@ -214,6 +204,18 @@ def through_edge_search(
             limit[b] &= ~found
             if not all(limit):
                 continue
+            if b == k - 1:  # one placement of 0..b-1 refuses a mask of candidates
+                last, into = limit[b], row_preds[b]
+                for images in _walk(row_preds[:b], fwd, limit[:b]):
+                    hit = last & ~((2 << images[b - 1]) - 1)
+                    for j in into:
+                        hit &= fwd[images[j]]
+                    if hit:
+                        found |= hit
+                        last ^= hit
+                        if not last:
+                            break
+                continue
             for images in _walk(row_preds, fwd, limit, resume=b):
                 found |= 1 << images[b]
                 limit[b] ^= 1 << images[b]
@@ -221,7 +223,7 @@ def through_edge_search(
                     break
         return found
 
-    return exists, least, refused
+    return least, refused
 
 
 def contains_ordered(pattern: OrderedGraph, host: OrderedGraph) -> Optional[tuple[int, ...]]:

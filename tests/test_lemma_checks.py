@@ -122,6 +122,7 @@ class TestLocallyBalanced:
         (64, 0.125, 400, 4),  # ties at L divisible by 8
         (96, 0.5, 300, 5),  # only the all-0 and all-1 windows violate
         (128, 0.15, 300, 7),
+        (512, 0.3, 20, 9),  # one violating window, of length 45 in the lengths 39..46
         (1024, 0.1, 60, 1),  # most strings violate
         (1024, 0.3, 60, 2**64 - 1),
         (1 << 15, 0.25, 3, 8),  # few long strings

@@ -46,7 +46,7 @@ def copies_in(pat, host):
 
 def through(pat, host, u, v):
     """The least search of ``through_edge_search``: the least copy through (u, v)."""
-    return through_edge_search(pat, host.n)[1](host.forward_masks, host.backward_masks, u, v)
+    return through_edge_search(pat, host.n)[0](host.forward_masks, host.backward_masks, u, v)
 
 
 class TestOrderedCopies:
@@ -116,38 +116,26 @@ class TestFirstCopyThrough:
         assert through(monotone_p3(), OrderedGraph(4, [(0, 1), (2, 3)]), 1, 2) is None
 
 
-class TestThroughEdgeExistence:
-    @given(st.sampled_from([monotone_p3(), build_hk(2), monotone_p3(4)])
-           | ordered_graphs(min_n=2, max_n=5).filter(lambda g: g.num_edges() > 0),
-           ordered_graphs(min_n=2, max_n=9), st.data())
-    @settings(max_examples=200)
-    def test_exists_iff_a_least_copy(self, pat, host, data):
-        # a kept state is any subset of the host's edges, probed at every pair
-        exists, least, _ = through_edge_search(pat, host.n)
-        edges = sorted(host.edges)
-        kept = OrderedGraph(host.n, data.draw(st.lists(st.sampled_from(edges), unique=True))
-                            if edges else [])
-        fwd, bwd = list(kept.forward_masks), list(kept.backward_masks)
-        for u, v in combinations(range(host.n), 2):
-            assert exists(fwd, bwd, u, v) == (least(fwd, bwd, u, v) is not None)
-
-    def test_exists_on_a_blocked_host(self):
-        # every pair of a 32-vertex blocked host, edge or not
-        host = generate_host(4, 3, 1).to_ordered()
-        fwd, bwd = list(host.forward_masks), list(host.backward_masks)
-        for pat in (monotone_p3(), build_hk(2), monotone_p3(4)):
-            exists, least, _ = through_edge_search(pat, host.n)
-            for u, v in combinations(range(host.n), 2):
-                assert exists(fwd, bwd, u, v) == (least(fwd, bwd, u, v) is not None)
+# patterns whose last vertex has two or more predecessors, so ``refused``
+# refuses a mask of candidates per placement that is bounded by the forward
+# neighbourhoods of the placed ones: the ordered triangle, H_2, a 5-vertex
+# pattern and K_4, whose last vertex has three
+LAST_VERTEX_JOINS = [
+    OrderedGraph(3, [(0, 1), (0, 2), (1, 2)]),
+    build_hk(2),
+    OrderedGraph(5, [(0, 1), (0, 2), (0, 4), (1, 2), (1, 3), (2, 3), (2, 4)]),
+    OrderedGraph(4, combinations(range(4), 2)),
+]
 
 
 def patterns_up_to_5():
-    return st.sampled_from([monotone_p3(), build_hk(2), monotone_p3(4), monotone_p3(5)]) | (
+    return st.sampled_from(
+        [monotone_p3(), monotone_p3(4), monotone_p3(5), *LAST_VERTEX_JOINS]) | (
         ordered_graphs(min_n=2, max_n=5).filter(lambda g: g.num_edges() > 0))
 
 
 class TestRefusedRow:
-    """``refused`` against ``exists`` asked once per candidate edge."""
+    """``refused`` against the whole-graph kernel asked once per candidate edge."""
 
     @staticmethod
     def free_masks(pat, n, edges):
@@ -162,29 +150,27 @@ class TestRefusedRow:
         return fwd, bwd
 
     @staticmethod
-    def refused_by_exists(exists, fwd, bwd, u, cands):
-        """The candidates v for which ``exists`` finds a copy once (u, v) is added."""
+    def refused_by_kernel(pat, fwd, u, cands):
+        """The candidates v for which the kept set plus (u, v) holds a copy anywhere."""
         found = 0
         for v in range(u + 1, len(fwd)):
             if cands >> v & 1:
-                fwd[u] ^= 1 << v
-                bwd[v] ^= 1 << u
-                found |= exists(fwd, bwd, u, v) << v
-                fwd[u] ^= 1 << v
-                bwd[v] ^= 1 << u
+                plus = fwd.copy()
+                plus[u] |= 1 << v
+                found |= (next(ordered_copies(pat, plus), None) is not None) << v
         return found
 
     @given(patterns_up_to_5(), st.integers(2, 10), st.data())
     @settings(max_examples=300, deadline=None)
-    def test_equals_exists_per_candidate(self, pat, n, data):
+    def test_equals_whole_graph_kernel_per_candidate(self, pat, n, data):
         pairs = list(combinations(range(n), 2))
         order = data.draw(st.permutations(pairs))
         fwd, bwd = self.free_masks(pat, n, order[: data.draw(st.integers(0, len(pairs)))])
-        exists, _, refused = through_edge_search(pat, n)
+        _, refused = through_edge_search(pat, n)
         u = data.draw(st.integers(0, n - 2))
         free = ((1 << n) - 1) >> (u + 1) << (u + 1) & ~fwd[u]
         cands = data.draw(st.integers(0, (1 << n) - 1)) & free
-        want = self.refused_by_exists(exists, fwd, bwd, u, cands)
+        want = self.refused_by_kernel(pat, fwd, u, cands)
         before = (fwd.copy(), bwd.copy())
         assert refused(fwd, bwd, u, cands) == want
         assert (fwd, bwd) == before
@@ -193,23 +179,29 @@ class TestRefusedRow:
         # a pattern-free set kept from every third edge of a 32-vertex blocked
         # host, and every row of the host edges outside it at once
         host = generate_host(4, 3, 1).to_ordered()
-        for pat in (monotone_p3(), build_hk(2), monotone_p3(4)):
+        for pat in (monotone_p3(), monotone_p3(4), *LAST_VERTEX_JOINS):
             fwd, bwd = self.free_masks(pat, host.n, host.sorted_edges()[::3])
-            exists, _, refused = through_edge_search(pat, host.n)
+            _, refused = through_edge_search(pat, host.n)
             for u in range(host.n):
                 cands = host.forward_masks[u] & ~fwd[u]
-                assert refused(fwd, bwd, u, cands) == self.refused_by_exists(
-                    exists, fwd, bwd, u, cands)
+                assert refused(fwd, bwd, u, cands) == self.refused_by_kernel(pat, fwd, u, cands)
 
     def test_pinned_hand_case(self):
         # kept (2, 3) alone: of (1, 2), (1, 3), (1, 4) only (1, 2) closes a P3,
         # as the path's first edge, and (3, 4) closes one as its second
         fwd, bwd = [0, 0, 0b1000, 0, 0], [0, 0, 0, 0b100, 0]
-        _, _, refused = through_edge_search(monotone_p3(), 5)
+        _, refused = through_edge_search(monotone_p3(), 5)
         assert refused(fwd, bwd, 1, 0b11100) == 0b00100
         assert refused(fwd, bwd, 0, 0b10110) == 0b00100
         assert refused(fwd, bwd, 3, 0b10000) == 0b10000
         assert refused(fwd, bwd, 1, 0) == 0
+
+    def test_pinned_last_vertex_with_three_predecessors(self):
+        # kept 01, 02, 12, 13, 23, 14: (0, 3) closes the K_4 on 0..3, while
+        # (0, 4) would need 24 too, although 4 follows 1 as 3 does
+        kept = OrderedGraph(5, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (1, 4)])
+        _, refused = through_edge_search(OrderedGraph(4, combinations(range(4), 2)), 5)
+        assert refused(list(kept.forward_masks), list(kept.backward_masks), 0, 0b11000) == 0b01000
 
 
 class TestWalkResume:
