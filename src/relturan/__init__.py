@@ -2,6 +2,13 @@
 
 Public surface re-exported here; submodules stay importable directly for
 the long tail of helpers.
+
+Results come back as immutable records, ``typing.NamedTuple`` classes: read
+their fields by name, turn one into a dict with ``_asdict()``, copy one with
+changed fields with ``_replace()``.  ``TilingConfig`` and ``Thresholds``
+check their values on construction; ``_replace`` and ``_make`` skip those
+checks.  A record is a tuple, so it also compares equal to a plain tuple of
+the same values.
 """
 
 from .core import (

@@ -3,7 +3,8 @@
 Subcommands cover host generation, pattern classification, density
 solving, richness analysis, staircase embedding, the windowed sampler and
 its exact verifier, the auxiliary-inequality checks, and grid reports.
-Structured results go to stdout as JSON; ``--out-dir`` additionally writes
+Structured results go to stdout as JSON, a result record as an object of
+its fields; ``--out-dir`` additionally writes
 the result, any CSV plot data, and a run manifest recording everything
 needed to reproduce the run.
 
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import functools
 import hashlib
 import inspect
@@ -52,8 +52,8 @@ def _jsonify(obj):
         except OverflowError:  # exact binomials outgrow a double; num/den stay exact
             approx = None
         return {"num": str(obj.numerator), "den": str(obj.denominator), "float": approx}
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return _jsonify(dataclasses.asdict(obj))
+    if isinstance(obj, tuple) and hasattr(obj, "_asdict"):  # a result record (NamedTuple)
+        return _jsonify(obj._asdict())
     if isinstance(obj, dict):
         return {str(k): _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -224,7 +224,7 @@ def cmd_embed_hk(args) -> int:
         if isinstance(res, richness.StageFailure):
             trace_record["extraction"] = {"failed_stage": res.stage, "detail": res.detail}
         else:
-            trace_record["extraction"] = dataclasses.asdict(res.trace)
+            trace_record["extraction"] = res.trace._asdict()
             trace_record["certified_eta"] = res.certified_eta
             trace_record["certified_rich_count"] = res.certified_rich_count
         trace_record["stripped_edges_per_level"] = list(stats.removed_per_level[1:])
@@ -339,6 +339,7 @@ def _check_identity_range(n_max: int = 60) -> lemma_checks.LemmaCheckReport:
         rhs=1,
         margin=int(ok) - 1,
         passed=ok,
+        extra={},
     )
 
 

@@ -30,6 +30,8 @@ second edge has lost and stops there.  Its quarter start is checked to have
 no increasing 2-edge path, which every copy of a pattern it is used for
 contains.
 
+Each route returns a ``DensityResult``, a NamedTuple record.
+
 Plus the derandomized two-label constructor that keeps at least a quarter of
 the edges of any host while avoiding every increasing 2-edge path, built in
 O(n) mask operations.
@@ -39,9 +41,8 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, insort
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .core import _SLAB_BYTES, OrderedGraph, mask_edges
 from .hosts import BudgetError
@@ -52,8 +53,7 @@ EXHAUSTIVE_EDGE_CAP = 20
 _MAX_TABLE_BYTES = 1 << 31
 
 
-@dataclass(frozen=True)
-class DensityResult:
+class DensityResult(NamedTuple):
     total_edges: int
     certificate: tuple[tuple[int, int], ...]  # sorted edge list of the best subgraph
     exact: bool

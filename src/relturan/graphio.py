@@ -300,8 +300,9 @@ def _decimal_fields(a: np.ndarray) -> np.ndarray:
     fields of the widest one's length along a new last axis, with 0 bytes
     in place of leading zeros."""
     size = len(str(a.max())) if a.size else 1
-    power = 10 ** np.arange(size - 1, -1, -1, dtype=np.int64)
-    a = a[..., None]
+    # int32 holds every block index: a BlockedGraph has d <= 31
+    power = 10 ** np.arange(size - 1, -1, -1, dtype=np.int32)
+    a = a.astype(np.int32)[..., None]
     digits = (a // power % 10).astype(np.uint8) + ord("0")
     digits[(a < power) & (power > 1)] = 0
     return digits
@@ -311,10 +312,15 @@ def _blocked_records(pairs: np.ndarray, mats: np.ndarray, m: int) -> np.ndarray:
     """Each block's "x y" line and m records of ceil(m/4) + 1 bytes, laid end
     to end as one uint8 array."""
     # a row is the little-endian bit integer of its columns (column j is bit
-    # j) in ceil(m/4) hex digits: reverse each row's bytes for big-endian
-    # hex, then drop the leading digit, always 0, that the bytes have beyond
-    # ceil(m/4) when that is odd
-    packed = np.packbits(mats, axis=2, bitorder="little")[:, :, ::-1]
+    # j) in ceil(m/4) hex digits: pad the rows to whole bytes and pack them
+    # all in one flat call, reverse each row's bytes for big-endian hex, then
+    # drop the leading digit, always 0, that the bytes have beyond ceil(m/4)
+    # when that is odd
+    if m % 8:
+        padded = np.zeros((len(mats), m, (m + 7) // 8 * 8), bool)
+        padded[:, :, :m] = mats
+        mats = padded
+    packed = np.packbits(mats.reshape(-1), bitorder="little").reshape(len(mats), m, -1)[:, :, ::-1]
     hex_width, width = 2 * packed.shape[2], (m + 3) // 4
     digits = np.frombuffer(packed.tobytes().hex().encode("ascii"), np.uint8)
     # one row per block: its "x y\n" line as two fields padded with 0 bytes,
@@ -421,7 +427,9 @@ def loads_blocked(text: str) -> BlockedGraph:
     packed = nibbles[:, 0::2] | nibbles[:, 1::2] << 4
     if m % 8 and (packed[:, -1] >> m % 8).any():  # bits beyond column m - 1
         return _loads_blocked_lines(text)
-    bits = np.unpackbits(packed, axis=1, count=m, bitorder="little").view(bool)
+    # unpacked in one flat call, then each row cut to its m columns
+    bits = np.unpackbits(packed.reshape(-1), bitorder="little").view(bool)
+    bits = np.ascontiguousarray(bits.reshape(len(packed), -1)[:, :m])
     return BlockedGraph(d, m, seed, pairs, bits.reshape(-1, m, m))
 
 

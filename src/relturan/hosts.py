@@ -23,7 +23,7 @@ Pairs of at most ``_KERNEL_MAX_WORDS`` words are drawn in batches by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -248,17 +248,15 @@ def generate_host(m: int, d: int, seed: int) -> BlockedGraph:
     return BlockedGraph(d, m, seed, np.column_stack((xs, ys)), mats)
 
 
-@dataclass(frozen=True)
-class LevelCheck:
+class LevelCheck(NamedTuple):
     level: int
-    count: int
+    count: int  # shadows tuple.count
     expected: float  # 2^(d-1) m^2
     relative_error: float  # signed
     ok: bool
 
 
-@dataclass(frozen=True)
-class PairCheck:
+class PairCheck(NamedTuple):
     x: int
     y: int
     p_size: int
@@ -268,8 +266,7 @@ class PairCheck:
     ok: bool
 
 
-@dataclass(frozen=True)
-class HostReport:
+class HostReport(NamedTuple):
     """Statistical verification of the two defining host properties."""
 
     d: int

@@ -1,20 +1,20 @@
 """Concrete numerical verification of the three auxiliary inequalities.
 
 Each check evaluates one inequality at explicit parameter values and
-returns a report with both sides and the margin.  Binomial arithmetic is
-exact (big integers / rationals); only the balanced-strings check is
-statistical, since its statement is a proportion over 2^n strings.  Its
-scan holds window sums as exact small-integer residues: a filter on the
-first length of each group of eight flags the strings that may violate,
-and only those are scanned at every length.
+returns a report, a NamedTuple record, with both sides and the margin.
+Binomial arithmetic is exact (big integers / rationals); only the
+balanced-strings check is statistical, since its statement is a
+proportion over 2^n strings.  Its scan holds window sums as exact
+small-integer residues: a filter on the first length of each group of
+eight flags the strings that may violate, and only those are scanned at
+every length.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -26,16 +26,15 @@ Number = Union[int, float, Fraction]
 _GROUP = 8
 
 
-@dataclass(frozen=True)
-class LemmaCheckReport:
+class LemmaCheckReport(NamedTuple):
     lemma: str
     params: dict
     lhs: Number
     rhs: Number
     margin: Number  # lhs - rhs; the inequality asserts margin >= 0
     passed: bool
+    extra: dict  # check-specific detail; each report has its own dict
     samples: Optional[int] = None
-    extra: dict = field(default_factory=dict)
 
 
 def check_binomial_fraction(

@@ -10,16 +10,17 @@ embeds the staircase pattern H_k.
 The literal proportion constants make extraction impossible at any
 tractable dimension, so all stage thresholds live in a Thresholds object:
 ``Thresholds.paper(eps)`` carries the literal values, ``Thresholds.desk()``
-a permissive preset for machine-scale runs.  Every postcondition is stated
-relative to whichever thresholds actually ran.
+a permissive preset for machine-scale runs.  Thresholds and the pipeline's
+results are NamedTuple records; ``Thresholds`` checks its values on
+construction.  Every postcondition is stated relative to whichever
+thresholds actually ran.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .core import HypercubeGraph, delta_int, level_block, tau
 
@@ -59,8 +60,7 @@ def _require(condition: bool, message: str) -> None:
         raise PostconditionError(message)
 
 
-@dataclass(frozen=True)
-class StripStats:
+class StripStats(NamedTuple):
     top_level: tuple[int, ...]  # per-vertex top forward level, 0 if none
     removed_per_level: tuple[int, ...]  # index 0 unused
 
@@ -100,16 +100,7 @@ def strip_top_forward(g: HypercubeGraph) -> tuple[HypercubeGraph, StripStats]:
     return stripped, StripStats(tuple(top), tuple(removed))
 
 
-@dataclass(frozen=True)
-class Thresholds:
-    """Stage thresholds for the interval-extraction pipeline.
-
-    Values are the lower bounds each stage must meet; ``paper`` uses the
-    literal constants as functions of eps, ``desk`` a permissive preset for
-    dimensions a machine can hold.  All value thresholds must be positive so
-    that selected vertices genuinely have backward edges.
-    """
-
+class _ThresholdFields(NamedTuple):
     rich_alpha: float  # threshold defining the working level set
     y1_value: float  # mean-f cutoff for the first vertex pool
     y1_prop: float  # required size of that pool, fraction of |V|
@@ -119,9 +110,25 @@ class Thresholds:
     x_prop: float  # required adjacency fraction for the chosen left vertex
     final_prop: float  # popularity cutoff for the surviving level set
 
-    def __post_init__(self) -> None:
+
+class Thresholds(_ThresholdFields):
+    """Stage thresholds for the interval-extraction pipeline.
+
+    Values are the lower bounds each stage must meet; ``paper`` uses the
+    literal constants as functions of eps, ``desk`` a permissive preset for
+    dimensions a machine can hold.  All value thresholds must be positive so
+    that selected vertices genuinely have backward edges: checked on
+    construction, though ``_replace`` and ``_make`` build the tuple directly
+    and skip the check.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "Thresholds":
+        self = super().__new__(cls, *args, **kwargs)
         if self.f_value <= 0 or self.y1_value <= 0:
             raise ValueError("value thresholds must be positive")
+        return self
 
     @classmethod
     def paper(cls, eps: float) -> "Thresholds":
@@ -152,14 +159,13 @@ class Thresholds:
             final_prop=0.0,
         )
 
-@dataclass(frozen=True)
-class StageFailure:
+
+class StageFailure(NamedTuple):
     stage: str  # name of the first stage whose threshold failed
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class ExtractionTrace:
+class ExtractionTrace(NamedTuple):
     """Every intermediate set of the pipeline, for audit."""
 
     working_levels: tuple[int, ...]
@@ -172,8 +178,7 @@ class ExtractionTrace:
     surviving_levels: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ExtractionResult:
+class ExtractionResult(NamedTuple):
     x: int  # vertex in the left half of the parent interval I, original coordinates
     subgraph: HypercubeGraph  # on {0,1}^(d - pivot), relabelled
     rhs_base: int  # original coordinate of the smallest member of I's right half

@@ -11,6 +11,9 @@ at the at most 2w - 2 level positions within w - 1 of the split's
 position, so the report counts these classes of y in integer arithmetic,
 and its work per level depends on w and not on d.
 
+The configuration and the report are NamedTuple records;
+``TilingConfig`` checks its values on construction.
+
 Window convention: the start a is uniform on the integers [0, L - w), the
 half-open variant; the level positions used are (a, a + w].
 
@@ -30,8 +33,8 @@ n (9h + 48) bytes, besides one slab and its temporaries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,16 +44,24 @@ from .hosts import philox_rng
 DEFAULT_REPORT_BUDGET = 1 << 22  # max number of y-classes in a report
 
 
-@dataclass(frozen=True)
-class TilingConfig:
-    """Ambient dimension, working level set, window width, chain length."""
-
+class _TilingFields(NamedTuple):
     d: int
     levels: tuple[int, ...]  # ascending subset of [1, d]
     w: int
     h: int
 
-    def __post_init__(self) -> None:
+
+class TilingConfig(_TilingFields):
+    """Ambient dimension, working level set, window width, chain length.
+
+    Checked on construction; ``_replace`` and ``_make`` build the tuple
+    directly and skip the checks.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "TilingConfig":
+        self = super().__new__(cls, *args, **kwargs)
         if any(not 1 <= l <= self.d for l in self.levels):
             raise ValueError("levels must lie in [1, d]")
         if list(self.levels) != sorted(set(self.levels)):
@@ -59,6 +70,7 @@ class TilingConfig:
             raise ValueError("need 1 <= h <= w")
         if self.w >= len(self.levels):
             raise ValueError("window must be shorter than the level set")
+        return self
 
     @property
     def L(self) -> int:
@@ -104,8 +116,7 @@ def sample_many(cfg: TilingConfig, n: int, seed: int) -> np.ndarray:
     return verts
 
 
-@dataclass(frozen=True)
-class LevelGuarantee:
+class LevelGuarantee(NamedTuple):
     level: int
     threshold: Fraction
     passing_pairs: int
@@ -116,8 +127,7 @@ class LevelGuarantee:
         return Fraction(self.passing_pairs, self.total_pairs)
 
 
-@dataclass(frozen=True)
-class GuaranteeReport:
+class GuaranteeReport(NamedTuple):
     epsilon: float
     per_level: tuple[LevelGuarantee, ...]
     passing_levels: int  # levels whose pair pass-fraction reaches 1 - epsilon

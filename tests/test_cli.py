@@ -3,13 +3,14 @@ import hashlib
 import json
 import os
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from relturan import __version__, density, graphio, lemma_checks, richness, tiling
-from relturan.cli import build_parser, main
+from relturan import __version__, density, graphio, hosts, lemma_checks, richness, tiling
+from relturan.cli import _jsonify, build_parser, main
 from relturan.core import HypercubeGraph, OrderedGraph, delta_int
 from relturan.graphio import read_blocked, write_hypercube, write_ordered
 from relturan.hosts import complete_hypercube, complete_ordered, generate_host
@@ -715,3 +716,55 @@ class TestParserReuse:
             assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
         assert main(["classify", "--pattern", p3_file]) == 0
         assert json.loads(capsys.readouterr().out)["has_monotone_p3"] is True
+
+
+def _assert_records_as_objects(value, js):
+    """Every record in ``value``, nested ones included, came out of ``_jsonify``
+    as an object keyed by its field names, not as an array."""
+    if hasattr(value, "_fields"):
+        assert type(js) is dict and list(js) == list(value._fields), (type(value).__name__, js)
+        for name, field in zip(value._fields, value):
+            _assert_records_as_objects(field, js[name])
+    elif isinstance(value, (list, tuple)):
+        assert type(js) is list and len(js) == len(value)
+        for item, item_js in zip(value, js):
+            _assert_records_as_objects(item, item_js)
+
+
+class TestRecordsAsJson:
+    """Result records are NamedTuples; the JSON they give is an object per record."""
+
+    @staticmethod
+    def one_of_each():
+        host_report = hosts.verify_host(generate_host(2, 3, 0), 0.5, 4, 0)
+        cfg = tiling.TilingConfig(6, (1, 2, 3, 4, 5, 6), 4, 3)
+        guarantee = tiling.tiling_guarantee_report(monotone_p3(), cfg, 0.5)
+        g = complete_hypercube(5)
+        _, strip_stats = richness.strip_top_forward(g)
+        extraction = richness.extract_rich_interval(g, richness.Thresholds.desk())
+        assert host_report.level_checks and host_report.pair_checks and guarantee.per_level
+        return [
+            density.rho_exhaustive(monotone_p3(), complete_ordered(4)),
+            host_report, host_report.level_checks[0], host_report.pair_checks[0],
+            lemma_checks.check_binomial_fraction(Fraction(1, 2), Fraction(1, 5), 2,
+                                                 Fraction(1, 8), 100),
+            cfg, guarantee, guarantee.per_level[0],
+            strip_stats, richness.Thresholds.desk(), richness.StageFailure("y1", "|Y1| = 0"),
+            extraction, extraction.trace,
+        ]
+
+    def test_every_record_type_is_covered(self):
+        defined = {
+            cls for module in (density, hosts, lemma_checks, richness, tiling)
+            for name, cls in vars(module).items()
+            if isinstance(cls, type) and issubclass(cls, tuple) and not name.startswith("_")
+            and cls.__module__ == module.__name__
+        }
+        assert {type(rec) for rec in self.one_of_each()} == defined and len(defined) == 13
+
+    def test_each_record_is_an_object_of_its_fields(self):
+        # nested records too: HostReport's checks, GuaranteeReport.per_level
+        # and ExtractionResult.trace
+        for rec in self.one_of_each():
+            _assert_records_as_objects(rec, _jsonify(rec))
+            assert not hasattr(rec, "__dict__")  # immutable: no attributes beside the fields

@@ -1,11 +1,15 @@
-import dataclasses
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relturan import richness
 from relturan.core import HypercubeGraph, delta_int, tau
 from relturan.hosts import complete_hypercube
 from relturan.patterns import build_hk, validate_witness
@@ -141,6 +145,30 @@ class TestThresholds:
     def test_rejects_zero_value_threshold(self):
         with pytest.raises(ValueError):
             Thresholds(0.1, 0.0, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1)
+        for name, value in (("y1_value", -0.1), ("f_value", 0.0), ("f_value", -1e-12)):
+            fields = {**Thresholds.desk()._asdict(), name: value}
+            with pytest.raises(ValueError, match="value thresholds must be positive"):
+                Thresholds(**fields)
+            with pytest.raises(ValueError, match="value thresholds must be positive"):
+                Thresholds(*fields.values())
+
+    def test_check_holds_under_optimize(self):
+        # an explicit raise, not an assert: python -O refuses the same inputs
+        code = (
+            "import sys\n"
+            "from relturan.richness import Thresholds\n"
+            "print(sys.flags.optimize)\n"
+            "for name in ('y1_value', 'f_value'):\n"
+            "    try:\n"
+            "        Thresholds(**{**Thresholds.desk()._asdict(), name: 0.0})\n"
+            "    except ValueError:\n"
+            "        print('refused')\n"
+        )
+        src = str(Path(richness.__file__).resolve().parents[1])
+        run = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split() == ["1", "refused", "refused"]
 
     def test_paper_rejects_bad_eps(self):
         with pytest.raises(ValueError):
@@ -205,7 +233,7 @@ class TestExtraction:
         # an explicit check, not an assert: it holds under python -O too
         g = complete_hypercube(5)
         res = extract_rich_interval(g, Thresholds.desk())
-        inflated = dataclasses.replace(res, certified_rich_count=g.d + 1)
+        inflated = res._replace(certified_rich_count=g.d + 1)
         with pytest.raises(PostconditionError):
             _replay_postconditions(g, inflated)
 

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,20 +24,49 @@ from tiling_oracle import (
 )
 
 
+#: (d, levels, w, h) that ``TilingConfig`` refuses, with its message
+INVALID_CONFIGS = [
+    ((4, (0, 1, 2), 1, 1), r"levels must lie in \[1, d\]"),
+    ((4, (1, 5), 1, 1), r"levels must lie in \[1, d\]"),
+    ((4, (2, 1, 3), 1, 1), "levels must be strictly ascending"),
+    ((4, (1, 1, 3), 1, 1), "levels must be strictly ascending"),
+    ((4, (1, 2, 3), 2, 0), "need 1 <= h <= w"),
+    ((4, (1, 2, 3), 2, 3), "need 1 <= h <= w"),  # h > w
+    ((4, (1, 2, 3), 3, 2), "window must be shorter than the level set"),  # w not < L
+]
+
+
 def full_cfg(d, w, h):
     return TilingConfig(d, tuple(range(1, d + 1)), w, h)
 
 
 class TestConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            TilingConfig(4, (1, 2, 3), 3, 2)  # w not < L
-        with pytest.raises(ValueError):
-            TilingConfig(4, (2, 1, 3), 1, 1)  # not ascending
-        with pytest.raises(ValueError):
-            TilingConfig(4, (1, 5), 1, 1)  # level out of range
-        with pytest.raises(ValueError):
-            TilingConfig(4, (1, 2, 3), 2, 3)  # h > w
+        for args, message in INVALID_CONFIGS:
+            with pytest.raises(ValueError, match=message):
+                TilingConfig(*args)
+            with pytest.raises(ValueError, match=message):
+                TilingConfig(**dict(zip(TilingConfig._fields, args)))
+
+    def test_checks_hold_under_optimize(self):
+        # explicit raises, not asserts: python -O refuses the same inputs
+        code = (
+            "import sys\n"
+            "from relturan.tiling import TilingConfig\n"
+            "print(sys.flags.optimize)\n"
+            f"for args in {[args for args, _ in INVALID_CONFIGS]!r}:\n"
+            "    try:\n"
+            "        TilingConfig(*args)\n"
+            "    except ValueError:\n"
+            "        print('refused')\n"
+            "    else:\n"
+            "        print('accepted', args)\n"
+        )
+        src = str(Path(tiling.__file__).resolve().parents[1])
+        run = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split("\n")[:-1] == ["1"] + ["refused"] * len(INVALID_CONFIGS)
 
 
 class TestSampler:
