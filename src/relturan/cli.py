@@ -27,14 +27,11 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
 from . import __version__, density, graphio, hosts, lemma_checks, patterns, richness, tiling
 from .core import tau
 
-
-class CheckFailure(Exception):
-    """A verification-style subcommand found a failing check (exit 1)."""
+#: the flags whose files the manifest records a digest of, where a subcommand has one
+_INPUT_FLAGS = ("pattern", "host", "grid")
 
 
 def _digest(path: str) -> str:
@@ -61,7 +58,7 @@ def _jsonify(obj):
     return obj
 
 
-def _emit(result: dict, args, inputs: dict[str, str]) -> None:
+def _emit(result, args) -> None:
     payload = json.dumps(_jsonify(result), indent=2, sort_keys=True)
     if args.out_dir:
         # made before printing, so a run whose out-dir fails prints no result
@@ -76,7 +73,8 @@ def _emit(result: dict, args, inputs: dict[str, str]) -> None:
                        if k not in ("command", "func") and v is not None},
             "seed": getattr(args, "seed", None),
             "version": __version__,
-            "input_digests": {name: _digest(p) for name, p in inputs.items()},
+            "input_digests": {name: _digest(getattr(args, name))
+                              for name in _INPUT_FLAGS if hasattr(args, name)},
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         }
         (out / "manifest.json").write_text(
@@ -98,25 +96,27 @@ def _write_csv(args, name: str, header: list[str], rows: list[list]) -> Optional
 
 
 # ---------------------------------------------------------------- commands
+#
+# Each command returns (result, failure): the result to print, or None when
+# a check failed before there was one, and the message of a failed check, or
+# None.  ``main`` prints the result and turns a failure into exit 1.
 
 
-def cmd_gen_host(args) -> int:
+def cmd_gen_host(args):
     host = hosts.generate_host(args.m, args.d, args.seed)
     graphio.write_blocked(args.out, host)
     counts = host.level_counts()
-    result = {
+    return {
         "d": args.d,
         "m": args.m,
         "seed": args.seed,
         "edges": sum(counts),
         "level_counts": counts[1:],
         "out": args.out,
-    }
-    _emit(result, args, {})
-    return 0
+    }, None
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args):
     pat = graphio.read_ordered(args.pattern)
     has_p3 = patterns.has_monotone_p3(pat)
     chi = patterns.interval_chromatic(pat)
@@ -124,19 +124,17 @@ def cmd_classify(args) -> int:
         pi = patterns.pi_ordered(pat)
     except ValueError:
         pi = None
-    result = {
+    return {
         "has_monotone_p3": has_p3,
         "chi_interval": chi,
         "pi": pi,
         # rho_<(F) = 0 iff F has no monotone P3; an edgeless F gets no class
         "classification": ("AT_LEAST_QUARTER" if has_p3 else "ZERO") if pat.num_edges() else None,
         "hk_embedding": patterns.embed_into_hk(pat) if pat.num_edges() and not has_p3 else None,
-    }
-    _emit(result, args, {"pattern": args.pattern})
-    return 0
+    }, None
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(args):
     if args.mode == "exhaustive" and args.budget is not None:
         raise ValueError("--budget bounds the exact and local searches; exhaustive mode takes none")
     pat = graphio.read_ordered(args.pattern)
@@ -148,37 +146,24 @@ def cmd_solve(args) -> int:
     else:
         budget = 2000 if args.budget is None else args.budget
         res = density.rho_local_search(pat, host, budget=budget, seed=args.seed)
-    result = {
+    return {
         "best_edges": res.best_edge_count,
         "total": res.total_edges,
         "ratio": res.ratio,
         "exact": res.exact,
         "nodes_explored": res.nodes_explored,
         "certificate": [list(e) for e in res.certificate],
-    }
-    _emit(result, args, {"pattern": args.pattern, "host": args.host})
-    return 0
+    }, None
 
 
-def cmd_analyze_richness(args) -> int:
-    # the header line tells the formats apart; the reader then reads the file,
-    # and fails on one that is not text as reading it whole as text does
-    with open(args.host, errors="replace") as fh:
-        if fh.seekable():
-            head, text = fh.readline(), None
-        else:  # a pipe can be read only once: whole, as text
-            fh.reconfigure(errors="strict")
-            head = text = fh.read()
-    first = head.partition("\n")[0].splitlines()
-    if first and len(first[0].split()) == 3:  # blocked host: "d m seed"
-        host = graphio.read_blocked(args.host) if text is None else graphio.loads_blocked(text)
-        d, m = host.d, host.m
-    else:
-        host = graphio.read_hypercube(args.host) if text is None else graphio.loads_hypercube(text)
-        d, m = host.d, 1
+def cmd_analyze_richness(args):
+    host = graphio.read_host(args.host)
+    d, m = host.d, host.m if isinstance(host, hosts.BlockedGraph) else 1
     counts = host.level_counts()
     rich = richness.rich_levels(counts, d, args.alpha, m)
-    result = {
+    _write_csv(args, "levels.csv", ["level", "count", "capacity", "rich"],
+               [[lv, counts[lv], tau(lv, d) * m * m, int(lv in rich)] for lv in range(1, d + 1)])
+    return {
         "d": d,
         "m": m,
         "alpha": args.alpha,
@@ -186,25 +171,14 @@ def cmd_analyze_richness(args) -> int:
         "rich_levels": rich,
         "rich_count": len(rich),
         "average_richness": richness.average_richness(counts, d, m),
-    }
-    _write_csv(
-        args,
-        "levels.csv",
-        ["level", "count", "capacity", "rich"],
-        [
-            [lv, counts[lv], tau(lv, d) * m * m, int(lv in rich)]
-            for lv in range(1, d + 1)
-        ],
-    )
-    _emit(result, args, {"host": args.host})
-    return 0
+    }, None
 
 
 #: ``embed-hk --preset paper`` without ``--epsilon``
 PAPER_EPSILON = 0.1
 
 
-def cmd_embed_hk(args) -> int:
+def cmd_embed_hk(args):
     if args.preset == "paper":
         thresholds = richness.Thresholds.paper(
             PAPER_EPSILON if args.epsilon is None else args.epsilon)
@@ -218,7 +192,7 @@ def cmd_embed_hk(args) -> int:
     witness = richness.embed_hk_extracted(g, args.k, res, thresholds)
     ok = witness is not None
     if ok and not patterns.validate_witness(patterns.build_hk(args.k), g, witness):
-        raise CheckFailure(f"embedding {list(witness)} is not an ordered copy of H_{args.k}")
+        return None, f"embedding {list(witness)} is not an ordered copy of H_{args.k}"
     if args.trace:  # the audit record is built only when it is written
         trace_record: dict = {"k": args.k, "preset": args.preset}
         if isinstance(res, richness.StageFailure):
@@ -230,10 +204,8 @@ def cmd_embed_hk(args) -> int:
         trace_record["stripped_edges_per_level"] = list(stats.removed_per_level[1:])
         trace_record["witness"] = witness
         Path(args.trace).write_text(json.dumps(_jsonify(trace_record), indent=2) + "\n")
-    _emit({"embedded": ok, "k": args.k, "witness": witness}, args, {"host": args.host})
-    if not ok:
-        raise CheckFailure(f"no H_{args.k} embedding found under the {args.preset} preset")
-    return 0
+    failure = None if ok else f"no H_{args.k} embedding found under the {args.preset} preset"
+    return {"embedded": ok, "k": args.k, "witness": witness}, failure
 
 
 def _tiling_config(args, h: int) -> tiling.TilingConfig:
@@ -241,67 +213,41 @@ def _tiling_config(args, h: int) -> tiling.TilingConfig:
     return tiling.TilingConfig(args.d, levels, args.w, h)
 
 
-def cmd_tile_sample(args) -> int:
+def cmd_tile_sample(args):
     pat = graphio.read_ordered(args.pattern)
     cfg = _tiling_config(args, pat.n)
     verts = tiling.sample_many(cfg, args.n_samples, args.seed)
-    # the split level of every chain's consecutive pairs, counted per slot,
-    # over slabs of chains
-    counts = np.zeros((cfg.h - 1, cfg.d + 1), np.int64)
-    step = max(1, graphio._SLAB_BYTES // (8 * cfg.h))
-    for lo in range(0, len(verts), step):
-        chains = verts[lo:lo + step]
-        levels = hosts._pair_levels(chains[:, :-1], chains[:, 1:], cfg.d)
-        for slot, slot_levels in zip(counts, levels.T):
-            slot += np.bincount(slot_levels, minlength=cfg.d + 1)
-    per_slot = [{str(lv): c for lv, c in enumerate(slot) if c} for slot in counts.tolist()]
-    result = {
+    per_slot = [{str(lv): c for lv, c in enumerate(slot) if c}
+                for slot in tiling.split_level_counts(cfg, verts).tolist()]
+    if args.out_dir:  # the first 10000 chains, built only to be written
+        _write_csv(args, "chains.csv", [f"v{t + 1}" for t in range(cfg.h)],
+                   verts[:10000].tolist())
+    return {
         "n_samples": args.n_samples,
         "d": cfg.d,
         "w": cfg.w,
         "h": cfg.h,
         "per_slot_split_levels": per_slot,
-    }
-    if args.out_dir:  # the first 10000 chains, built only to be written
-        _write_csv(args, "chains.csv", [f"v{t + 1}" for t in range(cfg.h)],
-                   verts[:10000].tolist())
-    _emit(result, args, {"pattern": args.pattern})
-    return 0
+    }, None
 
 
-def cmd_tile_verify(args) -> int:
+def cmd_tile_verify(args):
     pat = graphio.read_ordered(args.pattern)
     cfg = _tiling_config(args, pat.n)
     budget = tiling.DEFAULT_REPORT_BUDGET if args.budget is None else args.budget
     report = tiling.tiling_guarantee_report(pat, cfg, args.epsilon, budget=budget)
-    per_level = [
-        {
-            "level": lg.level,
-            "threshold": float(lg.threshold),
-            "passing_pairs": lg.passing_pairs,
-            "total_pairs": lg.total_pairs,
-            "pass_fraction": float(lg.pass_fraction),
-        }
-        for lg in report.per_level
-    ]
+    per_level = [{**lg._asdict(), "threshold": float(lg.threshold),
+                  "pass_fraction": float(lg.pass_fraction)} for lg in report.per_level]
     ok = report.level_fraction >= 1 - Fraction(args.epsilon)
-    result = {
+    _write_csv(args, "levels.csv", ["level", "threshold", "pass_fraction"],
+               [[r["level"], r["threshold"], r["pass_fraction"]] for r in per_level])
+    return {
         "epsilon": args.epsilon,
         "per_level": per_level,
         "passing_levels": report.passing_levels,
         "level_fraction": report.level_fraction,
         "ok": ok,
-    }
-    _write_csv(
-        args,
-        "levels.csv",
-        ["level", "threshold", "pass_fraction"],
-        [[r["level"], r["threshold"], r["pass_fraction"]] for r in per_level],
-    )
-    _emit(result, args, {"pattern": args.pattern})
-    if not ok:
-        raise CheckFailure("too few levels meet the near-uniform bound")
-    return 0
+    }, None if ok else "too few levels meet the near-uniform bound"
 
 
 def _is_number(value) -> bool:
@@ -324,26 +270,7 @@ _PARAM_TYPES = {
 }
 
 
-def _check_identity_range(n_max: int = 60) -> lemma_checks.LemmaCheckReport:
-    """The A3 identity for every n <= n_max and x + y + 1 <= n."""
-    ok = all(
-        lemma_checks.vandermonde_identity_holds(n, x, y)
-        for n in range(1, n_max + 1)
-        for x in range(n)
-        for y in range(n - x)
-    )
-    return lemma_checks.LemmaCheckReport(
-        lemma="binomial-average-identity",
-        params={"n_max": n_max},
-        lhs=int(ok),
-        rhs=1,
-        margin=int(ok) - 1,
-        passed=ok,
-        extra={},
-    )
-
-
-def cmd_appendix_check(args) -> int:
+def cmd_appendix_check(args):
     params = json.loads(args.params)
     if not isinstance(params, dict):
         raise ValueError("params must be a JSON object")
@@ -354,7 +281,7 @@ def cmd_appendix_check(args) -> int:
     elif "f" in params:
         check = lemma_checks.check_binomial_average
     else:
-        check = _check_identity_range
+        check = lemma_checks.check_binomial_identity
     try:
         inspect.signature(check).bind(**params)
     except TypeError as exc:  # a parameter the check does not take, or a missing one
@@ -364,10 +291,7 @@ def cmd_appendix_check(args) -> int:
         if not ok(value):
             raise ValueError(f"param {key} must be {kind}, got {json.dumps(value)}")
     report = check(**params)
-    _emit(report, args, {})
-    if not report.passed:
-        raise CheckFailure(f"lemma check {report.lemma} failed")
-    return 0
+    return report, None if report.passed else f"lemma check {report.lemma} failed"
 
 
 def _grid_ints(spec: dict, key: str, default: list) -> list[int]:
@@ -378,7 +302,7 @@ def _grid_ints(spec: dict, key: str, default: list) -> list[int]:
     return values
 
 
-def cmd_report(args) -> int:
+def cmd_report(args):
     with open(args.grid) as fh:
         spec = json.load(fh)
     # check the whole grid before any row runs
@@ -430,9 +354,7 @@ def cmd_report(args) -> int:
         w = csv.writer(sys.stdout)
         w.writerow(header)
         w.writerows(rows)
-    result = {"experiment": experiment, "rows": len(rows), "csv": path}
-    _emit(result, args, {"grid": args.grid})
-    return 0
+    return {"experiment": experiment, "rows": len(rows), "csv": path}, None
 
 
 # ------------------------------------------------------------------ parser
@@ -445,32 +367,24 @@ def _seed(text: str) -> int:
     return seed
 
 
-def _unit_fraction(text: str) -> float:
-    value = float(text)
-    if not 0 <= value <= 1:
-        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text}")
-    return value
+def _bounded(name: str, convert, holds, bounds: str):
+    """An argparse type that converts its text with ``convert`` and refuses a
+    value that ``holds`` rejects; argparse names it ``name`` in the message
+    for a text that ``convert`` cannot read."""
+    def parse(text: str):
+        value = convert(text)
+        if not holds(value):
+            raise argparse.ArgumentTypeError(f"must be {bounds}, got {text}")
+        return value
+    parse.__name__ = name
+    return parse
 
 
-def _open_unit_fraction(text: str) -> float:
-    value = float(text)
-    if not 0 < value < 1:
-        raise argparse.ArgumentTypeError(f"must be in (0, 1), got {text}")
-    return value
-
-
-def _positive_unit_fraction(text: str) -> float:
-    value = float(text)
-    if not 0 < value <= 1:
-        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {text}")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
-    return value
+_unit_fraction = _bounded("_unit_fraction", float, lambda v: 0 <= v <= 1, "in [0, 1]")
+_open_unit_fraction = _bounded("_open_unit_fraction", float, lambda v: 0 < v < 1, "in (0, 1)")
+_positive_unit_fraction = _bounded("_positive_unit_fraction", float, lambda v: 0 < v <= 1,
+                                   "in (0, 1]")
+_positive_int = _bounded("_positive_int", int, lambda v: v >= 1, "at least 1")
 
 
 @functools.cache
@@ -550,15 +464,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    """Run one subcommand: print its result, then exit 1 if a check failed.
+
+    A usage error (bad flags, malformed input, a file-system error on a
+    path given) prints nothing on stdout and exits 2.
+    """
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except CheckFailure as exc:
-        print(f"check failed: {exc}", file=sys.stderr)
-        return 1
+        result, failure = args.func(args)
+        if result is not None:
+            _emit(result, args)
     except (OSError, ValueError) as exc:  # FormatError and JSONDecodeError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if failure is not None:
+        print(f"check failed: {failure}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

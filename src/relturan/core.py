@@ -5,8 +5,9 @@ expansion, most significant bit first, is the string x_1 x_2 ... x_d, so the
 lexicographic order on strings is the integer order.  Everything downstream
 (hosts, richness, tiling) is phrased in terms of the level of a pair,
 ``delta_int(u, v, d)``: the first index, 1-based, at which the two strings
-differ.  ``tau`` counts the pairs at each level.  ``level_block`` is the one
-level geometry: the aligned block of the vertices at a given level from v.
+differ; ``pair_levels`` is its array form.  ``tau`` counts the pairs at
+each level.  ``level_block`` is the one level geometry: the aligned block
+of the vertices at a given level from v.
 A cube graph, ``HypercubeGraph``, is an ``OrderedGraph`` on 2^d vertices
 that adds the per-level statistics and no stored state.
 
@@ -25,7 +26,7 @@ import numpy as np
 #: bytes per slab: the array constructor packs, the bulk writers make and
 #: write their records, and the cube reader reads and decodes them, this many
 #: bytes at a time, so that no temporary grows with the graph or the file;
-#: the tile sampler and ``tile-sample``'s level count take their rows in
+#: the tile sampler and ``tiling.split_level_counts`` take their rows in
 #: slabs of this size too
 _SLAB_BYTES = 1 << 20
 
@@ -41,6 +42,17 @@ def delta_int(u: int, v: int, d: int) -> int:
     if xor == 0:
         raise ValueError("delta is undefined for equal strings")
     return d - (xor.bit_length() - 1)
+
+
+def pair_levels(x: np.ndarray, y: np.ndarray, d: int) -> np.ndarray:
+    """``delta_int`` over arrays of pairs of vertices of {0,1}^d, d <= 63."""
+    xor = np.bitwise_xor(x, y)
+    if not xor.all():
+        raise ValueError("delta is undefined for equal strings")
+    # frexp's exponent of a positive integer below 2^53 is its bit length; a
+    # larger one's bit length is 32 more than that of its top bits
+    high = xor >> 32
+    return d + 1 - np.where(high, np.frexp(high)[1] + 32, np.frexp(xor)[1])
 
 
 def level_block(v: int, level: int, d: int) -> int:

@@ -38,6 +38,9 @@ and the temporaries made from one slab take a few times its size:
   doubt is read whole as text, as ``loads_hypercube`` reads it;
 - ``loads_hypercube``: the text, its ASCII bytes and what the reader takes;
 - blocked reader: the whole file as text and several arrays of its size.
+
+``read_host`` tells the two host formats apart by their header lines and
+hands the file to the matching reader.
 """
 
 from __future__ import annotations
@@ -517,3 +520,24 @@ def read_hypercube(path) -> HypercubeGraph:
                 return g
             fh.seek(0)
         return loads_hypercube(io.TextIOWrapper(fh).read())
+
+
+def read_host(path) -> BlockedGraph | HypercubeGraph:
+    """The host at ``path``: a blocked host when its header line holds three
+    fields ("d m seed"), a cube graph otherwise.
+
+    The header is read on its own and the file then read again by its
+    format's reader, save from a stream such as a pipe, which can be read
+    only once: that is read whole, as text, and decoded from the text.  A
+    file that is not text fails as reading it whole as text does.
+    """
+    with open(path, errors="replace") as fh:
+        if fh.seekable():
+            head, text = fh.readline(), None
+        else:
+            fh.reconfigure(errors="strict")
+            head = text = fh.read()
+    first = head.partition("\n")[0].splitlines()
+    if first and len(first[0].split()) == 3:
+        return read_blocked(path) if text is None else loads_blocked(text)
+    return read_hypercube(path) if text is None else loads_hypercube(text)

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import _SLAB_BYTES, HypercubeGraph, OrderedGraph, _key_type, delta_int
+from .core import _SLAB_BYTES, HypercubeGraph, OrderedGraph, _key_type, delta_int, pair_levels
 
 #: refuse hosts with more vertices than this
 DEFAULT_VERTEX_BUDGET = 1 << 21
@@ -98,17 +98,6 @@ def philox_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
 
 
-def _pair_levels(x: np.ndarray, y: np.ndarray, d: int) -> np.ndarray:
-    """``delta_int`` over arrays of pairs of vertices of {0,1}^d, d <= 63."""
-    xor = np.bitwise_xor(x, y)
-    if not xor.all():
-        raise ValueError("delta is undefined for equal strings")
-    # frexp's exponent of a positive integer below 2^53 is its bit length; a
-    # larger one's bit length is 32 more than that of its top bits
-    high = xor >> 32
-    return d + 1 - np.where(high, np.frexp(high)[1] + 32, np.frexp(xor)[1])
-
-
 class BlockedGraph:
     """A graph on {0,1}^d x [m] with block structure, ordered lexicographically.
 
@@ -169,7 +158,7 @@ class BlockedGraph:
         """Edge count per level 1..d (index 0 unused)."""
         edges = np.count_nonzero(self.mats, axis=(1, 2))
         # float weights are exact: a host has fewer than 2^53 edges
-        levels = _pair_levels(self.pairs[:, 0], self.pairs[:, 1], self.d)
+        levels = pair_levels(self.pairs[:, 0], self.pairs[:, 1], self.d)
         counts = np.bincount(levels, weights=edges, minlength=self.d + 1)
         return counts.astype(np.int64).tolist()
 
@@ -227,7 +216,7 @@ def generate_host(m: int, d: int, seed: int) -> BlockedGraph:
         raise BudgetError(f"{n_pairs} block pairs of {words} cells exceed {_MAX_HOST_BYTES} bytes")
     key = np.array(seed, dtype=np.uint64)
     xs, ys = np.triu_indices(1 << d, k=1)  # pair-index order
-    levels = _pair_levels(xs, ys, d)
+    levels = pair_levels(xs, ys, d)
     mats = np.ones((n_pairs, words), dtype=bool)  # level d: probability 1
     drawn = np.flatnonzero(levels < d)
     # random() < 2^-k on a word w iff w >> (64 - k) == 0, that is iff

@@ -144,8 +144,8 @@ def check_locally_balanced(
         groups.append((first, cut, max(top - cut, 0)))
     dtype = np.uint8 if hi < 256 else np.uint16
     modulus = int(np.iinfo(dtype).max) + 1
-    # rows whose residues stay in cache; the sampler draws this many rows at a
-    # time too, n / 2 raw words a row, about 1 MiB in all
+    # rows whose residues stay in cache: the strings are enumerated, or drawn
+    # at n / 2 raw words a row, this many at a time, about 1 MiB in all
     block = max(1, (1 << 18) // (n + 1))
     cells_per_row = sum(n + 1 - length for length in range(m, hi + 1))
 
@@ -170,60 +170,42 @@ def check_locally_balanced(
                 bad_cells += int(np.count_nonzero(sums >= threshold[length]))
         return int(np.count_nonzero(bad)), bad_cells
 
-    def batch_violations(bits: np.ndarray) -> tuple[int, int]:
-        violating = bad_cells = 0
-        for start in range(0, bits.shape[0], block):
-            rows = bits[start:start + block].astype(dtype)
-            prefix = np.zeros((rows.shape[0], n + 1), dtype=dtype)
-            np.cumsum(rows, axis=1, dtype=dtype, out=prefix[:, 1:])  # exact mod 2^k
-            resid = prefix[:, m:] - prefix[:, :-m]
-            # flag the rows some group may find violating, until all are
-            # flagged; only those are scanned, the first group's residues
-            # (in resid) going on to the scan
-            flagged = np.zeros(rows.shape[0], dtype=bool)
-            for first, cut, above in groups:
-                sums = resid if first == m else prefix[:, first:] - prefix[:, :-first]
-                sums -= cut
-                flagged |= sums.max(axis=1) >= above
-                if flagged.all():
-                    break
-            if not flagged.all():
-                keep = np.flatnonzero(flagged)
-                if not len(keep):
-                    continue
-                rows, resid = rows[keep], resid[keep]
-            v, cells = scan(rows, resid, groups[0][1])
-            violating, bad_cells = violating + v, bad_cells + cells
-        return violating, bad_cells
-
-    if exhaustive:
-        if n > 22:
-            raise ValueError("exhaustive mode supports n <= 22")
-        total = 1 << n
-        violating = bad_cells = 0
-        chunk = 1 << 14
-        for start in range(0, total, chunk):
-            vals = np.arange(start, min(start + chunk, total), dtype=np.int64)
-            bits = (vals[:, None] >> np.arange(n - 1, -1, -1)) & 1
-            v, bc = batch_violations(bits)
-            violating, bad_cells = violating + v, bad_cells + bc
-        frac = violating / total
-        ci = (frac, frac)
-        samples = total
-    else:
-        violating = bad_cells = 0
-        samples = n_samples
-        remaining = n_samples
-        carry = np.empty(0, dtype=np.uint8)
-        while remaining:
-            b = min(block, remaining)
-            bits, carry = _uniform_bits(rng, b * n, carry)
-            v, bc = batch_violations(bits.reshape(b, n))
-            violating, bad_cells = violating + v, bad_cells + bc
-            remaining -= b
-        frac = violating / n_samples
-        half = 1.96 * math.sqrt(max(frac * (1 - frac), 1e-12) / n_samples)
-        ci = (max(0.0, frac - half), min(1.0, frac + half))
+    if exhaustive and n > 22:
+        raise ValueError("exhaustive mode supports n <= 22")
+    samples = 1 << n if exhaustive else n_samples
+    violating = bad_cells = 0
+    carry = np.empty(0, dtype=np.uint8)
+    for start in range(0, samples, block):
+        count = min(block, samples - start)
+        if exhaustive:  # every string in integer order, most significant bit first
+            vals = np.arange(start, start + count, dtype=np.int64)
+            rows = ((vals[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(dtype)
+        else:
+            bits, carry = _uniform_bits(rng, count * n, carry)
+            rows = bits.reshape(count, n).astype(dtype)
+        prefix = np.zeros((count, n + 1), dtype=dtype)
+        np.cumsum(rows, axis=1, dtype=dtype, out=prefix[:, 1:])  # exact mod 2^k
+        resid = prefix[:, m:] - prefix[:, :-m]
+        # flag the rows some group may find violating, until all are
+        # flagged; only those are scanned, the first group's residues
+        # (in resid) going on to the scan
+        flagged = np.zeros(count, dtype=bool)
+        for first, cut, above in groups:
+            sums = resid if first == m else prefix[:, first:] - prefix[:, :-first]
+            sums -= cut
+            flagged |= sums.max(axis=1) >= above
+            if flagged.all():
+                break
+        if not flagged.all():
+            keep = np.flatnonzero(flagged)
+            if not len(keep):
+                continue
+            rows, resid = rows[keep], resid[keep]
+        v, cells = scan(rows, resid, groups[0][1])
+        violating, bad_cells = violating + v, bad_cells + cells
+    frac = violating / samples
+    half = 0.0 if exhaustive else 1.96 * math.sqrt(max(frac * (1 - frac), 1e-12) / samples)
+    ci = (max(0.0, frac - half), min(1.0, frac + half))
 
     return LemmaCheckReport(
         lemma="locally-balanced",
@@ -246,6 +228,25 @@ def vandermonde_identity_holds(n: int, x: int, y: int) -> bool:
     """Full-range identity: sum_t C(t-1, x) C(n-t, y) == C(n, x+y+1)."""
     lhs = sum(math.comb(t - 1, x) * math.comb(n - t, y) for t in range(1, n + 1))
     return lhs == math.comb(n, x + y + 1)
+
+
+def check_binomial_identity(n_max: int = 60) -> LemmaCheckReport:
+    """The full-range identity for every n <= n_max and x + y + 1 <= n."""
+    ok = all(
+        vandermonde_identity_holds(n, x, y)
+        for n in range(1, n_max + 1)
+        for x in range(n)
+        for y in range(n - x)
+    )
+    return LemmaCheckReport(
+        lemma="binomial-average-identity",
+        params={"n_max": n_max},
+        lhs=int(ok),
+        rhs=1,
+        margin=int(ok) - 1,
+        passed=ok,
+        extra={},
+    )
 
 
 def check_binomial_average(

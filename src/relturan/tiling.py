@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import _SLAB_BYTES, OrderedGraph, tau
+from .core import _SLAB_BYTES, OrderedGraph, pair_levels, tau
 from .hosts import philox_rng
 
 DEFAULT_REPORT_BUDGET = 1 << 22  # max number of y-classes in a report
@@ -114,6 +114,20 @@ def sample_many(cfg: TilingConfig, n: int, seed: int) -> np.ndarray:
     """n sampled vertex chains as an [n, h] integer array."""
     verts, _, _ = _sample_batch(cfg, n, philox_rng(seed))
     return verts
+
+
+def split_level_counts(cfg: TilingConfig, verts: np.ndarray) -> np.ndarray:
+    """The (h - 1, d + 1) int64 table whose row t counts the chains of
+    ``verts`` by the split level of their slot-t pair (v_t, v_t+1), taken a
+    slab of chains (``_SLAB_BYTES``) at a time; column 0 is always 0."""
+    counts = np.zeros((cfg.h - 1, cfg.d + 1), np.int64)
+    step = max(1, _SLAB_BYTES // (8 * cfg.h))
+    for lo in range(0, len(verts), step):
+        chains = verts[lo:lo + step]
+        levels = pair_levels(chains[:, :-1], chains[:, 1:], cfg.d)
+        for slot, slot_levels in zip(counts, levels.T):
+            slot += np.bincount(slot_levels, minlength=cfg.d + 1)
+    return counts
 
 
 class LevelGuarantee(NamedTuple):

@@ -1,3 +1,5 @@
+import argparse
+import ast
 import csv
 import hashlib
 import json
@@ -9,12 +11,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from relturan import __version__, density, graphio, hosts, lemma_checks, richness, tiling
+from relturan import __version__, cli, density, graphio, hosts, lemma_checks, richness, tiling
 from relturan.cli import _jsonify, build_parser, main
 from relturan.core import HypercubeGraph, OrderedGraph, delta_int
 from relturan.graphio import read_blocked, write_hypercube, write_ordered
 from relturan.hosts import complete_hypercube, complete_ordered, generate_host
 from relturan.patterns import build_hk, contains_ordered, monotone_p3
+
+#: every subcommand of the CLI
+SUBCOMMANDS = ["gen-host", "classify", "solve", "analyze-richness", "embed-hk", "tile-sample",
+               "tile-verify", "appendix-check", "report"]
 
 
 @pytest.fixture
@@ -451,6 +457,88 @@ class TestManifest:
         result = json.loads((out_dir / "result.json").read_text())
         assert result == json.loads(capsys.readouterr().out)
 
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_input_digests_are_the_input_flags(self, command, p3_file, k4_file, tmp_path, capsys):
+        # each --pattern, --host and --grid file the subcommand reads, and no other
+        blocked, cube, grid = tmp_path / "host.rg", tmp_path / "cube.hg", tmp_path / "grid.json"
+        graphio.write_blocked(blocked, generate_host(4, 2, seed=0))
+        write_hypercube(cube, complete_hypercube(4))
+        grid.write_text('{"m": 2, "d_values": [2]}')
+        tile = ["--pattern", p3_file, "--d", "6", "--levels", "1,2,3,4,5,6", "--w", "4"]
+        argv, inputs = {
+            "gen-host": (["--d", "2", "--m", "2", "--out", str(tmp_path / "g.rg")], {}),
+            "classify": (["--pattern", p3_file], {"pattern": p3_file}),
+            "solve": (["--pattern", p3_file, "--host", k4_file],
+                      {"pattern": p3_file, "host": k4_file}),
+            "analyze-richness": (["--host", str(blocked), "--alpha", "0.5"], {"host": blocked}),
+            "embed-hk": (["--host", str(cube), "--k", "2"], {"host": cube}),
+            "tile-sample": ([*tile, "--n-samples", "10"], {"pattern": p3_file}),
+            "tile-verify": ([*tile, "--epsilon", "0.5"], {"pattern": p3_file}),
+            "appendix-check": (["--lemma", "a3", "--params", '{"n_max": 5}'], {}),
+            "report": (["--grid", str(grid)], {"grid": grid}),
+        }[command]
+        out_dir = tmp_path / "run"
+        assert main([command, *argv, "--out-dir", str(out_dir)]) == 0
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["input_digests"] == {
+            name: hashlib.sha256(Path(path).read_bytes()).hexdigest()
+            for name, path in inputs.items()}
+
+
+class TestThinShell:
+    """``cli`` prints what the commands return and does no numerical work of its own."""
+
+    tree = ast.parse(Path(cli.__file__).read_text())
+
+    def top_level(self):
+        """Each top-level function of cli.py with the nodes inside it."""
+        for node in self.tree.body:
+            if isinstance(node, ast.FunctionDef):
+                yield node.name, list(ast.walk(node))
+
+    def test_every_subcommand_is_covered(self):
+        parser = build_parser()
+        subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert set(subparsers.choices) == set(SUBCOMMANDS)
+
+    def test_main_alone_emits_and_sets_exit_codes(self):
+        emitters, exits = set(), set()
+        for name, nodes in self.top_level():
+            for node in nodes:
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_emit":
+                    emitters.add(name)
+                if isinstance(node, ast.Return) and type(getattr(node.value, "value", None)) is int:
+                    exits.add(name)  # an exit code
+                if name.startswith("cmd_") and isinstance(node, ast.Return):
+                    # (result, failure): a failed check is a message, not an exit code
+                    assert isinstance(node.value, ast.Tuple) and len(node.value.elts) == 2, name
+        assert emitters == {"main"} and exits == {"main"}
+        # no exit besides main's return value and the script entry point
+        calls = [node for node in ast.walk(self.tree) if isinstance(node, ast.Call)]
+        assert [ast.unparse(c) for c in calls if "exit" in ast.unparse(c.func)] == ["sys.exit(main())"]
+        assert not any(isinstance(node, ast.Raise) and "Exit" in ast.unparse(node)
+                       for node in ast.walk(self.tree))
+
+    def test_no_numpy_and_no_private_names_of_other_modules(self):
+        modules = set()
+        for node in ast.walk(self.tree):
+            if isinstance(node, ast.Import):
+                assert not any(alias.name.split(".")[0] == "numpy" for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                assert node.level or node.module.split(".")[0] != "numpy"
+                if node.level:  # a relturan module: its names, or the modules themselves
+                    names = [alias.name for alias in node.names]
+                    assert not [n for n in names if n.startswith("_") and not n.startswith("__")]
+                    if node.module is None:
+                        modules.update(alias.asname or alias.name for alias in node.names)
+        assert {"graphio", "hosts", "tiling", "lemma_checks"} <= modules
+        private = sorted(
+            ast.unparse(node) for node in ast.walk(self.tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in modules and node.attr.startswith("_")
+            and not node.attr.startswith("__"))
+        assert private == []
+
 
 class TestReport:
     def test_quarter_grid(self, tmp_path, capsys):
@@ -621,7 +709,7 @@ class TestTileCommands:
                 "--w", "4", "--n-samples", "3001", "--seed", "2"]
         assert main(argv) == 0
         whole = capsys.readouterr().out
-        monkeypatch.setattr(graphio, "_SLAB_BYTES", 100)  # 4 chains of 3 vertices a slab
+        monkeypatch.setattr(tiling, "_SLAB_BYTES", 100)  # 4 chains of 3 vertices a slab
         assert main(argv) == 0
         assert capsys.readouterr().out == whole
 

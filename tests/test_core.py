@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relturan import core, graphio
-from relturan.core import HypercubeGraph, OrderedGraph, delta_int, level_block, tau
+from relturan.core import HypercubeGraph, OrderedGraph, delta_int, level_block, pair_levels, tau
 from relturan.graphio import dumps_hypercube, loads_hypercube
-from relturan.hosts import _pair_levels, complete_hypercube
+from relturan.hosts import complete_hypercube
 from relturan.richness import ExtractionResult, Thresholds, extract_rich_interval, strip_top_forward
 
 
@@ -53,11 +53,11 @@ class TestDelta:
 
     @given(st.lists(bit_pairs(), min_size=1, max_size=20))
     def test_int_variant_agrees(self, pairs):
-        # the hosts' array form of delta_int, on block pairs of one dimension
+        # core's array form of delta_int, on block pairs of one dimension
         d = max(pair[2] for pair in pairs)
         x = np.array([pair[0] for pair in pairs], dtype=np.int64)
         y = np.array([pair[1] for pair in pairs], dtype=np.int64)
-        assert _pair_levels(x, y, d).tolist() == [delta_int(a, b, d) for a, b in zip(x.tolist(), y.tolist())]
+        assert pair_levels(x, y, d).tolist() == [delta_int(a, b, d) for a, b in zip(x.tolist(), y.tolist())]
 
     @given(st.integers(1, 63), st.data())
     def test_int_variant_is_exact_beyond_2_53(self, d, data):
@@ -69,7 +69,7 @@ class TestDelta:
                                    min_size=1, max_size=20))
         x = np.array([a for a, _ in pairs], dtype=np.int64)
         y = np.array([b for _, b in pairs], dtype=np.int64)
-        assert _pair_levels(x, y, d).tolist() == [delta_int(a, b, d) for a, b in pairs]
+        assert pair_levels(x, y, d).tolist() == [delta_int(a, b, d) for a, b in pairs]
 
     @given(st.integers(2, 8), st.data())
     def test_ultrametric(self, d, data):

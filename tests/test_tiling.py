@@ -83,6 +83,33 @@ class TestSampler:
         for _ in range(300):
             sample_embedding(cfg, rng).check(cfg)
 
+    def test_check_refuses_corrupted_draws_under_optimize(self):
+        # python -O drops asserts that pytest does not rewrite, as in
+        # tiling_oracle: the checks must still refuse each broken invariant
+        code = (
+            "import sys\n"
+            "from dataclasses import replace\n"
+            "from relturan.tiling import TilingConfig\n"
+            "from tiling_oracle import EmbeddingSample\n"
+            "print(sys.flags.optimize)\n"
+            "cfg = TilingConfig(4, (1, 2, 3, 4), 2, 2)\n"
+            "good = EmbeddingSample(0, (1, 2), (0, 8))\n"
+            "good.check(cfg)\n"
+            "for bad in [dict(a=2), dict(levels=(1, 3)), dict(vertices=(0, 4)),\n"
+            "            dict(vertices=(8, 0)), dict(vertices=(0, 12))]:\n"
+            "    try:\n"
+            "        replace(good, **bad).check(cfg)\n"
+            "    except AssertionError:\n"
+            "        print('refused')\n"
+            "    else:\n"
+            "        print('accepted', bad)\n"
+        )
+        paths = [str(Path(tiling.__file__).resolve().parents[1]), str(Path(__file__).parent)]
+        run = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)})
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split("\n")[:-1] == ["1"] + ["refused"] * 5
+
     def test_batch_deterministic(self):
         cfg = full_cfg(6, 3, 2)
         assert np.array_equal(sample_many(cfg, 100, seed=9), sample_many(cfg, 100, seed=9))

@@ -35,14 +35,21 @@ class EmbeddingSample:
     vertices: tuple[int, ...]  # v_1 < ... < v_h, integer-coded
 
     def check(self, cfg: TilingConfig) -> None:
-        assert 0 <= self.a < cfg.L - cfg.w
+        """Raise ``AssertionError`` unless the draw keeps the sampler's
+        invariants: window membership, split levels and the top bit.  The
+        raises are explicit, as pytest rewrites no assert outside test
+        modules and ``python -O`` drops them."""
+        if not 0 <= self.a < cfg.L - cfg.w:
+            raise AssertionError(f"window start {self.a} outside [0, {cfg.L - cfg.w})")
         for l in self.levels:
-            pos = position_of(cfg, l)
-            assert self.a < pos <= self.a + cfg.w
+            if not self.a < position_of(cfg, l) <= self.a + cfg.w:
+                raise AssertionError(f"level {l} outside the window from {self.a}")
         for vi, vj, l in zip(self.vertices, self.vertices[1:], self.levels):
-            assert vi < vj and delta_int(vi, vj, cfg.d) == l
+            if not (vi < vj and delta_int(vi, vj, cfg.d) == l):
+                raise AssertionError(f"pair ({vi}, {vj}) does not split at level {l}")
         top = self.levels[-1]
-        assert (self.vertices[-1] >> (cfg.d - top)) & 1 == 0
+        if (self.vertices[-1] >> (cfg.d - top)) & 1:
+            raise AssertionError(f"vertex {self.vertices[-1]} has bit 1 at level {top}")
 
 
 def one_draw_sample_batch(
