@@ -34,7 +34,14 @@ from .core import tau
 _INPUT_FLAGS = ("pattern", "host", "grid")
 
 
-def _digest(path: str) -> str:
+def _digest(path: str) -> Optional[str]:
+    """The SHA-256 of the file at ``path``; None unless it is a regular file.
+
+    A pipe has been drained by the command that read it, so its bytes can no
+    longer be digested.
+    """
+    if not Path(path).is_file():
+        return None
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 16), b""):

@@ -5,10 +5,10 @@ G' of G that avoid an ordered copy of the pattern F.  Three routes:
 
 * ``rho_exhaustive``: pruned enumeration of all F-free edge subsets (small
   hosts, hard cap on e(G)); the reference oracle.
-* ``rho_exact``: branch-and-bound over edges; the bound is kept + undecided
-  less a greedy packing of copies that share no undecided edge.  One
-  search loop runs both its passes: the optimum, then the lexicographically
-  least certificate.
+* ``rho_exact``: branch-and-bound over edges, started from a greedy maximal
+  pattern-free set; the bound is kept + undecided less a greedy packing of
+  copies that share no undecided edge.  One search loop runs both its
+  passes: the optimum, then the lexicographically least certificate.
 * ``rho_local_search``: seeded hill climbing, lower bounds only.
 
 All three find copies with the one ordered-copy kernel.  The oracle tests
@@ -191,13 +191,20 @@ def _search(
     least the copies that die.  A walk collects only once ``killed`` has
     grown by a quarter of the length of its list since the list was made
     (rebuilding at every change piles near-copies onto a deep path: P3 on
-    K_50 at budget 3000 took 2.4 s that way, against 1.4 s), and only while
-    the lists held on the path stay within ``_live_cap`` entries.
+    K_50 at budget 3000 from threshold 0 took 2.4 s that way, against
+    1.4 s), and only while the lists held on the path stay within
+    ``_live_cap`` entries.
     Each leaf reached is a new best and becomes the threshold; with
-    ``first_leaf`` the search stops there.  The DFS is one loop over the
-    depth i, with ``included`` recording the branch of each node on the
-    path, so its depth, up to e(host), is not limited by Python's recursion
-    limit.  ``kept`` and ``dead`` are int masks over edge indices.
+    ``first_leaf`` the search stops there.  ``rho_exact`` starts its first
+    pass at the size of its greedy seed, so a leaf there is a set larger
+    than the seed, and a search that returns None leaves the seed standing.
+    The higher threshold makes more nodes walk the packing, so a node costs
+    more: {02, 13, 23} on ``generate_host(2, 4, 0)`` at budget 60,000 takes
+    2-2.5 times as long as from threshold 0, and P3 on K_50 at budget
+    3000 about 3 times.  The DFS is one loop over the depth i, with
+    ``included`` recording the branch of each node on the path, so its
+    depth, up to e(host), is not limited by Python's recursion limit.
+    ``kept`` and ``dead`` are int masks over edge indices.
 
     Returns (the last leaf's kept mask or None, nodes, budget exhausted).
     """
@@ -286,6 +293,25 @@ def _search(
         i += 1
 
 
+def _greedy_free(through: list[list[int]], kept: int) -> int:
+    """A maximal pattern-free edge mask holding the pattern-free edge mask ``kept``.
+
+    The edges are tried in ascending order of the copies through them, ties
+    by index, and each is kept unless a copy through it would then lie in the
+    kept set.  Every copy inside the result passes through the last of its
+    edges to be kept, so the result is pattern-free; an edge left out closes
+    a copy with edges kept before it, so the result is maximal.
+    """
+    for i in sorted(range(len(through)), key=lambda i: (len(through[i]), i)):
+        bar = ~(kept | 1 << i)
+        for c in through[i]:
+            if not c & bar:
+                break
+        else:
+            kept |= 1 << i
+    return kept
+
+
 def _edges_of(mask: int, edges: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     """The edges at the set bits of ``mask``, in the order of ``edges``."""
     out = []
@@ -302,26 +328,29 @@ def rho_exact(
     node_budget: Optional[int] = None,
     warm_start: Optional[tuple[tuple[int, int], ...]] = None,
 ) -> DensityResult:
-    """Branch-and-bound over include/exclude edge decisions, in two passes.
+    """Branch-and-bound over include/exclude edge decisions, from a greedy seed, in two passes.
 
     The pattern's copies in the host are enumerated once, into the table of
     ``_copy_table`` (``BudgetError`` if it would pass ``_MAX_TABLE_BYTES``).
-    Both passes run ``_search`` on it, one loop with the include test and
-    the packing walk inline; its bound is kept + undecided less a greedy
-    packing of copies disjoint in their undecided edges, walked over the
-    live-copy lists each node inherits and skipped where they are too short
-    to prune.  The first pass branches on edges in descending order of the
-    number of pattern copies through them (fail-first) and raises the
+    From it ``_greedy_free`` grows a maximal pattern-free seed, trying the
+    edges with the fewest copies through them first; a warm start is where
+    it starts.  Both passes run ``_search`` on the table, one loop with the
+    include test and the packing walk inline; its bound is kept + undecided
+    less a greedy packing of copies disjoint in their undecided edges,
+    walked over the live-copy lists each node inherits and skipped where
+    they are too short to prune.  The first pass branches on edges in
+    descending order of the number of pattern copies through them
+    (fail-first), starts at the seed's size as its threshold and raises the
     threshold with each better leaf.  The result is optimal unless
     ``node_budget`` first-pass nodes run out, in which case ``exact`` is
-    False and the best subgraph found so far is returned: the empty one,
-    which is always pattern-free, if no leaf and no usable warm start came
-    first.  When the first pass completes, the second branches in canonical
-    edge order with threshold optimum - 1 and stops at its first leaf, which
-    is the lexicographically least optimum.  ``nodes_explored`` counts the
-    nodes of both passes; the budget applies to the first.  A warm start
-    must be a subset of the host's edges (ValueError otherwise); it is used
-    only if it is pattern-free.
+    False and the best subgraph found so far is returned: the last leaf,
+    or the seed if no leaf came first.  When the first pass completes, the
+    second branches in canonical edge order with threshold optimum - 1 and
+    stops at its first leaf, which is the lexicographically least optimum,
+    whatever the seed.  ``nodes_explored`` counts the nodes of both passes;
+    the budget applies to the first.  A warm start must be a subset of the
+    host's edges (ValueError otherwise); it is used only if it is
+    pattern-free.
     """
     _check_pattern(pattern)
     edges = host.sorted_edges()
@@ -329,22 +358,23 @@ def rho_exact(
     copies, through = _copy_table(pattern, host, edges)
     order = sorted(range(total), key=lambda i: (-len(through[i]), i))
 
-    best_cert: tuple[tuple[int, int], ...] = ()
+    start = 0
     if warm_start is not None:
         ws = sorted({(u, v) if u < v else (v, u) for u, v in warm_start})
         foreign = [e for e in ws if not host.has_edge(*e)]
         if foreign:
             raise ValueError(f"edges not in graph: {foreign[:3]}")
-        if contains_ordered(pattern, OrderedGraph(host.n, ws)) is None:
-            best_cert = tuple(ws)
-    found, nodes, exhausted = _search(copies, through, order, len(best_cert), node_budget)
+        start = sum(1 << bisect_left(edges, e) for e in ws)
+        if not all(c & ~start for c in copies):  # a copy lies inside: unused
+            start = 0
+    best = _greedy_free(through, start)
+    found, nodes, exhausted = _search(copies, through, order, best.bit_count(), node_budget)
     if found is not None:
-        best_cert = _edges_of(found, edges)
+        best = found
     if not exhausted:
-        least, more, _ = _search(copies, through, range(total), len(best_cert) - 1, first_leaf=True)
-        best_cert = _edges_of(least, edges)
+        best, more, _ = _search(copies, through, range(total), best.bit_count() - 1, first_leaf=True)
         nodes += more
-    return DensityResult(total, best_cert, not exhausted, nodes)
+    return DensityResult(total, _edges_of(best, edges), not exhausted, nodes)
 
 
 def quarter_free_subgraph(host: OrderedGraph) -> OrderedGraph:

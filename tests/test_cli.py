@@ -123,14 +123,16 @@ class TestSolve:
                      "--mode", "local", "--budget", "1"]) == 0
         assert json.loads(capsys.readouterr().out)["nodes_explored"] == 1
 
-    def test_budget_before_first_leaf_reports_empty_subgraph(self, p3_file, tmp_path, capsys):
+    def test_budget_before_first_leaf_reports_the_greedy_seed(self, p3_file, tmp_path, capsys):
+        # the search starts from a greedy maximal P3-free set, here {0, 1} -> {2, 3, 4}
         k5 = tmp_path / "k5.og"
         write_ordered(k5, complete_ordered(5))
         assert main(["solve", "--pattern", p3_file, "--host", str(k5),
                      "--mode", "exact", "--budget", "2"]) == 0
         out = json.loads(capsys.readouterr().out)
-        assert out["best_edges"] == 0 and out["exact"] is False
-        assert out["ratio"]["float"] == 0
+        assert out["best_edges"] == 6 and out["exact"] is False
+        assert out["certificate"] == [[u, v] for u in (0, 1) for v in (2, 3, 4)]
+        assert out["ratio"]["float"] == 0.6
 
     def test_deep_search_within_budget(self, p3_file, tmp_path, capsys):
         # K_50 has 1,225 edges, so the search runs far deeper than Python's
@@ -141,14 +143,14 @@ class TestSolve:
                      "--mode", "exact", "--budget", "3000"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["exact"] is False and out["total"] == 1225
-        # the values of the search that walked the kernel at every node; the
-        # node count and certificate digest are those of the search that
-        # walked the whole copy table at every bounding node
-        assert out["best_edges"] == 348 and out["nodes_explored"] == 3001
+        # the greedy seed is already an optimum, 25 x 25 edges, and the
+        # search does not prove it within the budget; from threshold 0 it
+        # reached 348 edges
+        assert out["best_edges"] == 625 and out["nodes_explored"] == 3001
         cert = [tuple(e) for e in out["certificate"]]
         assert len(cert) == out["best_edges"] > 0
         assert hashlib.sha256(repr(tuple(cert)).encode()).hexdigest() == (
-            "b9f1420fa392eff42b4c1b36909332154d1fc0e77952e0b06ca080f86af3142e")
+            "fed39a10ae8dc07fb88032f1a042c75bd507018fac90b369718156d64fd61e9b")
         assert set(cert) <= complete_ordered(50).edges
         assert contains_ordered(monotone_p3(), OrderedGraph(50, cert)) is None
 
@@ -484,6 +486,24 @@ class TestManifest:
             name: hashlib.sha256(Path(path).read_bytes()).hexdigest()
             for name, path in inputs.items()}
 
+    @pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd")
+    def test_a_pipe_input_has_no_digest(self, tmp_path, capsys):
+        # the command drains the pipe, so a digest taken after it would be
+        # that of no bytes, e3b0c442...
+        host_file = tmp_path / "host.rg"
+        graphio.write_blocked(host_file, generate_host(4, 2, seed=0))
+        read_end, write_end = os.pipe()
+        with os.fdopen(write_end, "wb") as fh:  # a few hundred bytes: within the pipe's buffer
+            fh.write(host_file.read_bytes())
+        out_dir = tmp_path / "run"
+        try:
+            assert main(["analyze-richness", "--alpha", "0.5", "--host", f"/dev/fd/{read_end}",
+                         "--out-dir", str(out_dir)]) == 0
+        finally:
+            os.close(read_end)
+        assert json.loads((out_dir / "manifest.json").read_text())["input_digests"] == {
+            "host": None}
+
 
 class TestThinShell:
     """``cli`` prints what the commands return and does no numerical work of its own."""
@@ -787,14 +807,17 @@ class TestParserReuse:
         assert json.loads(capsys.readouterr().out)["seed"] == 0
         assert read_blocked(path) == generate_host(2, 2, 0)
 
-    def test_budget_does_not_carry_over(self, p3_file, k4_file, capsys):
+    def test_budget_does_not_carry_over(self, p3_file, tmp_path, capsys):
         # exhaustive mode is a usage error with any --budget, so it fails if
-        # the exact call's budget were still set
-        argv = ["solve", "--pattern", p3_file, "--host", k4_file, "--mode"]
+        # the exact call's budget were still set. K_4 is solved exactly within
+        # one node, K_5 is not
+        k5 = tmp_path / "k5.og"
+        write_ordered(k5, complete_ordered(5))
+        argv = ["solve", "--pattern", p3_file, "--host", str(k5), "--mode"]
         assert main([*argv, "exact", "--budget", "1"]) == 0
         assert json.loads(capsys.readouterr().out)["exact"] is False
         assert main([*argv, "exhaustive"]) == 0
-        assert json.loads(capsys.readouterr().out)["best_edges"] == 4
+        assert json.loads(capsys.readouterr().out)["best_edges"] == 6
 
     def test_usage_error_still_exits_2(self, p3_file, capsys):
         for _ in range(2):

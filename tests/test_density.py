@@ -12,6 +12,8 @@ from relturan.core import OrderedGraph
 from relturan import density, patterns
 from relturan.density import (
     _copy_table,
+    _edges_of,
+    _greedy_free,
     quarter_free_subgraph,
     rho_exact,
     rho_exhaustive,
@@ -27,7 +29,7 @@ from relturan.patterns import (
 )
 from local_search_oracle import rho_local_search_whole_graph
 from packing_oracle import packing_bound as walk_packing_bound
-from search_oracle import _closes_copy, packing_bound, rho_exact_reference
+from search_oracle import _closes_copy, greedy_free_reference, packing_bound, rho_exact_reference
 
 
 @st.composite
@@ -152,9 +154,10 @@ class TestExact:
         assert res.exact
 
     def test_node_budget_degrades_gracefully(self):
-        res = rho_exact(P3, complete_ordered(6), node_budget=3)
+        # K_6 finishes within 3 nodes; K_7 does not
+        res = rho_exact(P3, complete_ordered(7), node_budget=3)
         assert not res.exact
-        sub = OrderedGraph(6, res.certificate)
+        sub = OrderedGraph(7, res.certificate)
         assert contains_ordered(P3, sub) is None
 
     def test_warm_start_is_used(self):
@@ -162,12 +165,14 @@ class TestExact:
         res = rho_exact(P3, complete_ordered(4), node_budget=1, warm_start=ws)
         assert res.best_edge_count >= 4
 
-    def test_budget_before_first_leaf_returns_empty_subgraph(self):
-        # the empty subgraph is pattern-free, so the bound is never below 0
-        res = rho_exact(P3, complete_ordered(5), node_budget=2)
+    def test_budget_before_first_leaf_returns_the_greedy_seed(self):
+        # the greedy seed is pattern-free, so the bound is never below it
+        host = complete_ordered(5)
+        res = rho_exact(P3, host, node_budget=2)
         assert not res.exact
-        assert res.best_edge_count == 0 and res.certificate == ()
-        assert res.ratio == 0
+        _, through = _copy_table(P3, host, host.sorted_edges())
+        assert res.certificate == greedy_free_reference(P3, host, through)
+        assert res.best_edge_count == 6 and res.ratio == Fraction(3, 5)
 
     def test_warm_start_outside_host_refused(self):
         host = OrderedGraph(4, [(0, 1), (2, 3)])
@@ -181,13 +186,42 @@ class TestExact:
         messy = tuple((v, u) for u, v in canon) + canon[:3]
         for budget in (None, 1, 10):
             assert rho_exact(P3, host, budget, messy) == rho_exact(P3, host, budget, canon)
-        # a one-node budget ends before the first leaf: only the warm start is found
+        # a one-node budget ends before the first leaf: only the seed is found.
+        # The warm start is maximal, so the greedy seed grown from it is the
+        # warm start; grown from no edges it is an optimum, {0, 1, 2} -> {3, 4, 5}
         res = rho_exact(P3, host, node_budget=1, warm_start=messy)
         assert (res.best_edge_count, res.certificate, res.exact) == (8, canon, False)
-        assert rho_exact(P3, host, node_budget=1).best_edge_count == 0
+        res = rho_exact(P3, host, node_budget=1)
+        assert res.certificate == tuple((u, v) for u in (0, 1, 2) for v in (3, 4, 5))
         for foreign in ((0, 9), (-1, 2)):
             with pytest.raises(ValueError, match="not in graph"):
                 rho_exact(P3, complete_ordered(4), warm_start=(foreign, (0, 2)))
+
+
+class TestGreedySeed:
+    """The greedy maximal pattern-free set the exact search starts from."""
+
+    @given(st.sampled_from(ORACLE_PATTERNS), ordered_graphs(max_n=7, max_edges=14),
+           st.randoms(use_true_random=False), st.integers(1, 5))
+    @settings(max_examples=150, deadline=None)
+    def test_free_maximal_and_at_most_the_optimum(self, pattern, host, rnd, budget):
+        edges = host.sorted_edges()
+        copies, through = _copy_table(pattern, host, edges)
+        # a warm start: a random subset pruned to a pattern-free one
+        warm = 0
+        for i in range(len(edges)):
+            if rnd.random() < 0.5 and all(c & ~(warm | 1 << i) for c in copies):
+                warm |= 1 << i
+        ws = _edges_of(warm, edges)
+        seed = _edges_of(_greedy_free(through, warm), edges)
+        assert contains_ordered(pattern, OrderedGraph(host.n, seed)) is None
+        for e in set(edges) - set(seed):
+            assert contains_ordered(pattern, OrderedGraph(host.n, [*seed, e])) is not None
+        assert set(ws) <= set(seed)
+        assert seed == greedy_free_reference(pattern, host, through, ws)
+        assert len(seed) <= rho_exhaustive(pattern, host).best_edge_count
+        # a budget that runs out keeps at least the seed
+        assert rho_exact(pattern, host, budget, ws).best_edge_count >= len(seed)
 
 
 class TestPackingBound:
@@ -210,18 +244,21 @@ class TestPackingBound:
 
     def test_prunes_complete_hosts(self):
         # both passes together; the bound kept + undecided alone took 6,672
-        # (P3) and about 53k (H_2) nodes in the first
-        assert rho_exact(P3, complete_ordered(8)).nodes_explored == 280
-        assert rho_exact(build_hk(2), complete_ordered(8)).nodes_explored == 319
+        # (P3) and about 53k (H_2) nodes in the first, and the packing bound
+        # from threshold 0 took 280 and 319 nodes in both
+        assert rho_exact(P3, complete_ordered(8)).nodes_explored == 44
+        assert rho_exact(build_hk(2), complete_ordered(8)).nodes_explored == 92
 
     def test_floor_stops_the_packing(self):
         host = complete_ordered(6)  # 15 edges
         assert root_bound(P3, host, floor=13) == 13
         assert root_bound(P3, host) < 13
 
-    @pytest.mark.parametrize("pattern, best, nodes", [(P3, 22, 1863), (build_hk(2), 30, 1500)])
+    @pytest.mark.parametrize("pattern, best, nodes", [(P3, 22, 1400), (build_hk(2), 30, 1254)],
+                             ids=["P3", "H2"])
     def test_search_tree_pinned_on_a_blocked_host(self, pattern, best, nodes):
-        # the values of the search that walked the kernel at every node
+        # the optima are those of the search that walked the kernel at every
+        # node, from threshold 0 in 1,863 (P3) and 1,500 (H_2) nodes
         res = rho_exact(pattern, generate_host(2, 3, 0).to_ordered())
         assert (res.best_edge_count, res.nodes_explored, res.exact) == (best, nodes, True)
 
@@ -562,10 +599,11 @@ def test_exact_outputs_pinned_on_small_instances():
         host = OrderedGraph(9, rng.sample(pairs, 14))
         instances += [(P3, host), (h2, host)]
     results = [rho_exact(pattern, host) for pattern, host in instances]
+    # 1,826 nodes in all from threshold 0, 426 from the greedy seed
     assert [(r.best_edge_count, r.nodes_explored) for r in results] == [
-        (12, 150), (15, 198), (16, 280), (9, 85), (12, 66), (8, 78), (12, 42), (10, 64),
-        (12, 82), (9, 78), (12, 68), (10, 82), (12, 106), (8, 60), (12, 64), (9, 83),
-        (12, 86), (8, 95), (11, 59),
+        (12, 32), (15, 44), (16, 44), (9, 17), (12, 16), (8, 22), (12, 16), (10, 16),
+        (12, 16), (9, 16), (12, 17), (10, 18), (12, 17), (8, 19), (12, 16), (9, 43),
+        (12, 17), (8, 24), (11, 16),
     ]
     assert all(r.exact for r in results)
     digest = hashlib.sha256(repr([r.certificate for r in results]).encode()).hexdigest()
