@@ -14,7 +14,9 @@ that adds the per-level statistics and no stored state.
 Both bulk sources of graphs, a blocked host's block matrices and a cube
 file's records, reach the masks through one array constructor,
 ``OrderedGraph._from_keys``, which packs the sorted pair keys u * n + v a
-slab of ``_SLAB_BYTES`` at a time.
+slab of ``_SLAB_BYTES`` at a time.  The way back, ``mask_arrays``, reads
+forward masks out as edge arrays a slab at a time; ``mask_edges`` reads them
+a bit at a time, which is faster on small graphs.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ import numpy as np
 #: bytes per slab: the array constructor packs, the bulk writers make and
 #: write their records, and the cube reader reads and decodes them, this many
 #: bytes at a time, so that no temporary grows with the graph or the file;
-#: the tile sampler and ``tiling.split_level_counts`` take their rows in
-#: slabs of this size too
+#: the tile sampler, ``tiling.split_level_counts`` and ``mask_arrays`` take
+#: their rows in slabs of this size too
 _SLAB_BYTES = 1 << 20
 
 
@@ -82,6 +84,30 @@ def mask_edges(fwd: Sequence[int]) -> list[tuple[int, int]]:
             out.append((u, low.bit_length() - 1))
             mask ^= low
     return out
+
+
+def mask_arrays(fwd: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The edges of the forward bitmasks ``fwd`` as int64 arrays ``(us, vs)``, in lexicographic order.
+
+    The same edges as ``mask_edges``, read a run of rows about
+    ``_SLAB_BYTES`` of mask bytes long (at least one row) at a time; only
+    the non-zero bytes are unpacked, so a sparse row costs its set bytes,
+    not its width.  Each call pays numpy's fixed costs: on K_9
+    ``mask_edges`` takes about 4 us and this about 14 us (2-vCPU VM).  The
+    masks must be non-negative and hold only vertices below len(fwd).
+    """
+    width = (len(fwd) + 7) // 8  # bytes per row
+    step = max(1, _SLAB_BYTES // max(width, 1))
+    us, vs = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    for lo in range(0, len(fwd), step):
+        raw = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in fwd[lo:lo + step]), np.uint8)
+        at = np.flatnonzero(raw)
+        # each set byte's bits, lowest first, so the cells come out in order
+        which, bit = np.nonzero(np.unpackbits(raw[at, None], axis=1, bitorder="little"))
+        cell = at[which]
+        us.append(cell // width + lo)
+        vs.append(cell % width * 8 + bit)
+    return np.concatenate(us, dtype=np.int64), np.concatenate(vs, dtype=np.int64)
 
 
 def _edge_masks(

@@ -25,10 +25,13 @@ solve, on forward and backward bitmask lists it edits in place.  Its
 greedy pass asks only whether adding an edge would close a copy, without
 adding it: one candidate edge at a time until one is refused, then for the
 rest of that row in one search, whose answers hold until the pass next adds
-an edge.  A round begins level with the best set, so one that deletes a
-second edge has lost and stops there.  Its quarter start is checked to have
-no increasing 2-edge path, which every copy of a pattern it is used for
-contains.
+an edge, so it masks the refused candidates off and adds the lowest one
+left.  The edges it draws from, the host's less the kept ones, are then
+read off the masks in one numpy pass (``core.mask_arrays``) as the sorted
+keys u * n + v, and its certificate is read back the same way.  A round
+begins level with the best set, so one that deletes a second edge has lost
+and stops there.  Its quarter start is checked to have no increasing
+2-edge path, which every copy of a pattern it is used for contains.
 
 Each route returns a ``DensityResult``, a NamedTuple record.
 
@@ -44,7 +47,7 @@ from bisect import bisect_left, insort
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .core import _SLAB_BYTES, OrderedGraph, mask_edges
+from .core import _SLAB_BYTES, OrderedGraph, mask_arrays
 from .hosts import BudgetError
 from .patterns import contains_ordered, has_monotone_p3, ordered_copies, through_edge_search
 
@@ -432,9 +435,15 @@ def rho_local_search(
     search compiled once per solve.  The greedy pass walks the host's
     forward masks less the kept ones in canonical order and asks only
     whether adding an edge would close a copy (``refused``), edge by edge
-    until a refusal and then for the rest of the row at once, until its
-    next addition; the rounds take the least copy through the new edge,
-    whose edges choose the victim.
+    until a refusal and then for the rest of the row at once; it skips the
+    refused candidates by mask and adds the lowest one left, or ends the
+    row, and asks edge by edge again.  The edges left out are then read in
+    one numpy pass into a sorted list of keys u * n + v: a round draws one
+    with ``rng.choice``, which picks the same index of the same order as
+    from a list of pairs, so the seeded stream is unchanged, and
+    ``bisect`` keeps the list sorted.  The rounds take the least copy
+    through the new edge, whose edges choose the victim.  The certificate
+    is read off the best forward masks by ``core.mask_arrays``.
     """
     _check_pattern(pattern)
     rng = random.Random(seed)
@@ -453,38 +462,37 @@ def rho_local_search(
         fwd[u] ^= 1 << v
         bwd[v] ^= 1 << u
 
-    # ``absent``: the host's edges less the kept ones, sorted as the greedy pass
-    # appends them and ``bisect`` keeps them, so rng.choice picks as from a
-    # fresh filter. The pass adds only the edge in hand, so its candidates,
-    # the host's edges outside the start, are read off the masks once, a row
-    # at a time. After a refusal ``refused`` holds the answers for the rest of
-    # the row, good until the next edge is added
-    absent = []
+    # the pass adds only the edge in hand, so its candidates, the host's edges
+    # outside the start, are read off the masks once, a row at a time. After a
+    # refusal one question answers for the rest of the row, good until the
+    # next edge is added: the refused candidates are masked off and the
+    # lowest one left is added at once
     for u, row in enumerate([mask & ~kept for mask, kept in zip(host.forward_masks, fwd)]):
-        refused = None
         while row:
             low = row & -row
             row ^= low
-            v = low.bit_length() - 1
-            if refused is None:
-                if not refused_in_row(fwd, bwd, u, low):
-                    fwd[u] ^= low
-                    bwd[v] ^= 1 << u
-                    continue
-                refused = refused_in_row(fwd, bwd, u, row) if row else 0
-            elif not refused & low:
-                fwd[u] ^= low
-                bwd[v] ^= 1 << u
-                refused = None
-                continue
-            absent.append((u, v))
+            if refused_in_row(fwd, bwd, u, low):
+                if row:
+                    row &= ~refused_in_row(fwd, bwd, u, row)
+                if not row:
+                    break
+                low = row & -row
+                row ^= low
+            fwd[u] |= low
+            bwd[low.bit_length() - 1] |= 1 << u
 
+    # ``absent``: the host's edges less the kept ones as sorted keys u * n + v,
+    # which ``bisect`` keeps sorted, so rng.choice picks as from a fresh filter
+    n = host.n
+    us, vs = mask_arrays([mask & ~kept for mask, kept in zip(host.forward_masks, fwd)])
+    absent = (us * n + vs).tolist()
     best = fwd.copy()  # read as edges once, at the end
     nodes = 0  # rounds begun
     for nodes in range(1, budget + 1):
         if not absent:
             break
-        e = rng.choice(absent)
+        key = rng.choice(absent)
+        e = divmod(key, n)
         flip(e)
         removed = []
         # the kept edges less e are pattern-free, so every copy passes through e
@@ -499,10 +507,12 @@ def rho_local_search(
             for r in (e, *removed):
                 flip(r)
             continue
-        del absent[bisect_left(absent, e)]
+        del absent[bisect_left(absent, key)]
         if removed:  # as many edges as before: the move stands
-            insort(absent, removed[0])
+            u, v = removed[0]
+            insort(absent, u * n + v)
         else:  # one edge more
             best = fwd.copy()
 
-    return DensityResult(host.num_edges(), tuple(mask_edges(best)), False, nodes)
+    us, vs = mask_arrays(best)
+    return DensityResult(host.num_edges(), tuple(zip(us.tolist(), vs.tolist())), False, nodes)

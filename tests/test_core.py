@@ -204,6 +204,38 @@ class TestFromKeys:
         assert type(g) is HypercubeGraph and g == HypercubeGraph(3, [(0, 7), (2, 3)])
 
 
+class TestMaskArrays:
+    # a slab of 1 byte holds one row, one of 3 * width + 1 bytes three: slab
+    # boundaries then fall between the rows of one graph
+    @given(st.integers(1, 40), st.data())
+    @settings(max_examples=300)
+    def test_equals_mask_edges(self, n, data):
+        # each row empty or any subset of the vertices above it
+        fwd = [data.draw(st.just(0) | st.integers(0, (1 << (n - u - 1)) - 1)) << (u + 1)
+               for u in range(n)]
+        slab = data.draw(st.sampled_from([1, 3 * ((n + 7) // 8) + 1, core._SLAB_BYTES]))
+        with mock.patch.object(core, "_SLAB_BYTES", slab):
+            us, vs = core.mask_arrays(fwd)
+        assert us.dtype == vs.dtype == np.int64
+        assert list(zip(us.tolist(), vs.tolist())) == core.mask_edges(fwd)
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 9, 40])
+    def test_all_zero(self, n):
+        us, vs = core.mask_arrays([0] * n)
+        assert us.dtype == vs.dtype == np.int64 and len(us) == len(vs) == 0
+
+    def test_sparse_rows_over_several_slabs(self):
+        # 3,000 rows of 375 bytes pass one slab; one or two edges a row, one
+        # of them to the last vertex
+        n = 3000
+        assert n * ((n + 7) // 8) > core._SLAB_BYTES
+        bits = random.Random(0)
+        fwd = [sum(1 << v for v in {bits.randrange(u + 1, n), n - 1}) if u < n - 1 else 0
+               for u in range(n)]
+        us, vs = core.mask_arrays(fwd)
+        assert list(zip(us.tolist(), vs.tolist())) == core.mask_edges(fwd)
+
+
 @st.composite
 def cube_graphs(draw, max_d=6):
     d = draw(st.integers(1, max_d))
