@@ -110,9 +110,7 @@ def _write_csv(args, name: str, header: list[str], rows: list[list]) -> Optional
 
 
 def cmd_gen_host(args):
-    host = hosts.generate_host(args.m, args.d, args.seed)
-    graphio.write_blocked(args.out, host)
-    counts = host.level_counts()
+    counts = graphio.write_generated(args.out, args.m, args.d, args.seed)
     return {
         "d": args.d,
         "m": args.m,

@@ -169,37 +169,49 @@ class OrderedGraph:
         ``_SLAB_BYTES`` (at least one row) at a time, each as wide as the
         run's highest neighbour, and packed into the vertex's neighbourhood:
         its bits above the vertex are the forward mask, those below the
-        backward mask.
+        backward mask.  A run's rows are read off its own keys, so the
+        n-entry mask lists are the only work done per vertex.
         """
         keys.sort()
-        # sorted, each vertex's neighbours are one run of keys; the probe is
-        # in keys.dtype, so that searchsorted makes no wider copy of keys
-        bounds = np.searchsorted(keys, np.arange(n + 1, dtype=keys.dtype) * n)
-        rows = np.flatnonzero(np.diff(bounds))
-        counts = bounds[rows + 1] - bounds[rows]
-        # a row costs at most n dense bytes and 16 bytes per key
-        ends = np.cumsum(n + 16 * counts)
         fwd = [0] * n
         bwd = [0] * n
-        lo = 0
-        while lo < len(rows):
-            hi = int(np.searchsorted(ends, (ends[lo - 1] if lo else 0) + _SLAB_BYTES, "right"))
-            hi = max(hi, lo + 1)
-            slab = rows[lo:hi]
+        # sorted, each vertex's neighbours are one run of keys. A slab is the
+        # keys of the rows from the next key's on, at most _SLAB_BYTES / n of
+        # them, cut back to whole rows at _SLAB_BYTES / 16 keys (to one row,
+        # if that is longer); its row ids are its keys // n
+        rows_per_slab, keys_per_slab = max(1, _SLAB_BYTES // max(n, 1)), _SLAB_BYTES // 16
+
+        def row_start(x: int) -> int:
+            # the probe is in keys.dtype, so that searchsorted makes no wider copy of keys
+            return int(np.searchsorted(keys, keys.dtype.type(x * n)))
+
+        at = 0
+        while at < len(keys):
+            first = int(keys[at]) // n
+            hi = row_start(min(first + rows_per_slab, n))
+            if hi - at > keys_per_slab:
+                hi = max(row_start(int(keys[at + keys_per_slab]) // n), row_start(first + 1))
+            part = keys[at:hi]
+            at = hi
+            row_of = part // n
+            # each row's first key, and its end
+            starts = np.flatnonzero(np.concatenate(([True], row_of[1:] != row_of[:-1])))
+            stops = np.append(starts[1:], len(part))
+            slab = row_of[starts]
+            counts = stops - starts
             # the rows reach the slab's highest neighbour, a run's last key
-            width = int((keys[bounds[slab + 1] - 1] - slab * n).max()) + 1
+            width = int((part[stops - 1] - slab * n).max()) + 1
             # the key x * n + c of the slab's row i is its cell i * width + c
-            shift = (slab * n - np.arange(hi - lo) * width).astype(keys.dtype)
-            cells = keys[bounds[slab[0]]:bounds[slab[-1] + 1]] - np.repeat(shift, counts[lo:hi])
-            dense = np.zeros((hi - lo) * width, bool)
+            shift = slab * n - (np.arange(len(slab)) * width).astype(keys.dtype)
+            cells = part - np.repeat(shift, counts)
+            dense = np.zeros(len(slab) * width, bool)
             dense[cells] = True
             raw = np.packbits(dense.reshape(-1, width), axis=1, bitorder="little").tobytes()
-            size = len(raw) // (hi - lo)
+            size = len(raw) // len(slab)
             for start, x in zip(range(0, len(raw), size), slab.tolist()):
                 a = int.from_bytes(raw[start:start + size], "little")
                 fwd[x] = a >> x << x
                 bwd[x] = a & ((1 << x) - 1)
-            lo = hi
         return cls._from_masks(n, tuple(fwd), tuple(bwd))
 
     @property

@@ -15,13 +15,14 @@ arrays, with no Python string per line:
   lowercase hex digits and "\n".  The "x y" line before each block's m
   rows is the one line of varying width.
 
-A file is decoded as numpy arrays when it is ASCII, its header line ends
-in "\n" and holds no other line break, and its lines are laid out exactly
-as these records: the first m edge lines of a cube file; every line of a
-blocked-host file, which then ends in "\n", with each "x y" line two runs
-of decimal digits around one space.  Every other file goes through the
-per-line readers, the only code that raises ``FormatError``, so what a
-file means and how it fails do not depend on the path taken.
+A file is decoded as numpy arrays, a slab at a time, when it is ASCII,
+its header line ends in "\n" and holds no other line break, and its lines
+are laid out exactly as these records: the first m edge lines of a cube
+file; every line of a blocked-host file, which then ends in "\n", with
+each "x y" line two runs of 1-18 decimal digits around one space, and no
+block pair listed twice.  Every other file goes through the per-line
+readers, the only code that raises ``FormatError``, so what a file means
+and how it fails do not depend on the path taken.
 
 Memory besides the graph itself, where a slab is ``_SLAB_BYTES`` (1 MiB)
 and the temporaries made from one slab take a few times its size:
@@ -29,15 +30,22 @@ and the temporaries made from one slab take a few times its size:
 - cube writer: one slab, the records and unpacked neighbour masks of a run
   of whole vertices (one vertex's, if larger), 16 bytes per vertex to find
   the runs, and the label table of 2^d (d + 1) bytes;
-- blocked writer: one slab, the cells and the records of a run of blocks,
-  each at most ``_SLAB_BYTES`` (one block's, if larger);
+- blocked writer: one slab, the cells and the records of a run of block
+  pairs, ``_SLAB_BYTES / _block_bytes(d, m)`` of them (at least one);
+- ``write_generated`` (``gen-host``): no host at all, only one such run of
+  block pairs drawn into a reused buffer, about 64 bytes per pair of the
+  run for its indices and levels, and 8 bytes per block;
 - cube reader (``read_hypercube``): one slab plus 8 bytes per edge (16 when
   d > 15), the keys of both orientations of every edge, which
-  ``OrderedGraph._from_keys`` sorts and packs in slabs of its own, with up
-  to 40 bytes per vertex of run bounds and mask lists; a file that leaves a
-  doubt is read whole as text, as ``loads_hypercube`` reads it;
-- ``loads_hypercube``: the text, its ASCII bytes and what the reader takes;
-- blocked reader: the whole file as text and several arrays of its size.
+  ``OrderedGraph._from_keys`` sorts and packs in slabs of its own, and 32
+  bytes per vertex of mask lists and tuples; a file that leaves a doubt is
+  read whole as text, as ``loads_hypercube`` reads it;
+- blocked reader (``read_blocked``): one slab of whole blocks, as many as
+  the writer's run, and 8 bytes per listed block pair, the keys that catch
+  a pair listed twice; a file that leaves a doubt is read whole as text,
+  as ``loads_blocked`` reads it;
+- ``loads_hypercube`` and ``loads_blocked``: the text, its ASCII bytes and
+  what the reader takes.
 
 ``read_host`` tells the two host formats apart by their header lines and
 hands the file to the matching reader.
@@ -54,7 +62,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from .core import _SLAB_BYTES, HypercubeGraph, OrderedGraph, _key_type
-from .hosts import DEFAULT_VERTEX_BUDGET, BlockedGraph
+from .hosts import DEFAULT_VERTEX_BUDGET, BlockedGraph, host_runs
 
 
 class FormatError(ValueError):
@@ -340,19 +348,32 @@ def _blocked_records(pairs: np.ndarray, mats: np.ndarray, m: int) -> np.ndarray:
     return lines[lines != 0]
 
 
-def _encode_blocked(g: BlockedGraph) -> Iterator[np.ndarray]:
-    """The blocked-host file as uint8 slabs: the header, then per run of
-    block pairs the lines of its nonempty blocks, each run's cells and
-    records about ``_SLAB_BYTES`` and at least one pair."""
-    m = g.m
-    yield np.frombuffer(f"{g.d} {m} {g.seed}\n".encode(), np.uint8)
-    # a block's cells, or its rows and its "x y" line of at most 2d + 2 bytes
-    per_slab = max(1, _SLAB_BYTES // max(m * m, m * ((m + 3) // 4 + 1) + 2 * g.d + 2))
-    for lo in range(0, len(g.pairs), per_slab):
-        mats = g.mats[lo:lo + per_slab]
+def _block_bytes(d: int, m: int) -> int:
+    """What a block pair costs the blocked codecs' slabs: the largest of its
+    m^2 cells, its lines (m rows of ceil(m/4) + 1 bytes and an "x y" line of
+    at most 2d + 2) and 16 bytes for each of their m + 1 line ends, which the
+    reader finds and measures as int64."""
+    return max(m * m, m * ((m + 3) // 4 + 1) + 2 * d + 2, 16 * (m + 1))
+
+
+def _encode_runs(d: int, m: int, seed: int, runs) -> Iterator[np.ndarray]:
+    """The blocked-host file as uint8 slabs: the header, then for each
+    ``(pairs, cells)`` of ``runs`` the lines of its nonempty blocks."""
+    yield np.frombuffer(f"{d} {m} {seed}\n".encode(), np.uint8)
+    for pairs, mats in runs:
         keep = mats.any(axis=(1, 2))
-        if keep.any():
-            yield _blocked_records(g.pairs[lo:lo + per_slab][keep], mats[keep], m)
+        if keep.all():  # no copy of the cells
+            yield _blocked_records(pairs, mats, m)
+        elif keep.any():
+            yield _blocked_records(pairs[keep], mats[keep], m)
+
+
+def _encode_blocked(g: BlockedGraph) -> Iterator[np.ndarray]:
+    """The blocked-host file as uint8 slabs, a run of block pairs at a time,
+    each run's cells and records about ``_SLAB_BYTES`` and at least one pair."""
+    step = max(1, _SLAB_BYTES // _block_bytes(g.d, g.m))
+    return _encode_runs(g.d, g.m, g.seed, ((g.pairs[lo:lo + step], g.mats[lo:lo + step])
+                                           for lo in range(0, len(g.pairs), step)))
 
 
 def dumps_blocked(g: BlockedGraph) -> str:
@@ -380,48 +401,28 @@ def _pair_array(chars: np.ndarray, count: int) -> np.ndarray | None:
     return np.fromstring(chars.tobytes(), dtype=np.int64, sep=" ").reshape(-1, 2)
 
 
-def loads_blocked(text: str) -> BlockedGraph:
-    """Decode a blocked-host file.
-
-    When the file is ASCII and ends in "\\n", its header line holds no other
-    line break, every block-pair line is "x y" in decimal, every pair is in
-    range and listed once, and every row line is a record of ceil(m/4) + 1
-    bytes, lowercase hex digits and "\\n", with no bit beyond column m - 1,
-    the file is decoded as whole arrays.  Any other file goes to the
-    per-line reader, which alone raises ``FormatError``.
-    """
-    start = text.find("\n") + 1  # of the first block-pair line; 0 if there is none
-    head = text[:start - 1] if start else text
-    try:
-        d, m, seed = (int(t) for t in head.split())
-    except ValueError:
-        return _loads_blocked_lines(text)
-    if not (start and text.isascii() and head.splitlines() == [head] and text.endswith("\n")
-            and 1 <= d <= _MAX_CUBE_D and 1 <= m and m << d <= DEFAULT_VERTEX_BUDGET):
-        return _loads_blocked_lines(text)
-    buf = np.frombuffer(text.encode("ascii"), np.uint8)
-    ends = np.flatnonzero(buf == ord("\n"))
+def _decode_blocks(body: np.ndarray, ends: np.ndarray, d: int, m: int,
+                   pairs: np.ndarray, mats: np.ndarray) -> bool:
+    """Decode the whole blocks that the uint8 ``body`` holds, whose line ends
+    are ``ends``, into ``pairs`` and ``mats``, or return False if any pair
+    line, pair or row leaves a doubt."""
     stride, width = m + 1, (m + 3) // 4  # lines per block; hex digits per row
-    if len(ends) == 1 or (len(ends) - 1) % stride:
-        return _loads_blocked_lines(text)
-    lengths = np.diff(ends).reshape(-1, stride)  # every line after the header, its "\n" included
-    n_pairs = len(lengths)
+    lengths = np.diff(ends, prepend=-1).reshape(-1, stride)  # each line, its "\n" included
+    count = len(lengths)
     if (lengths[:, 1:] != width + 1).any():
-        return _loads_blocked_lines(text)
+        return False
     # a block is its pair line and m row records, laid end to end
-    spans = np.column_stack((lengths[:, 0], np.full(n_pairs, m * (width + 1)))).ravel()
-    is_pair = np.repeat(np.tile([True, False], n_pairs), spans)
-    body = buf[start:]
-    pairs = _pair_array(body[is_pair], n_pairs)
-    if pairs is None:
-        return _loads_blocked_lines(text)
-    x, y = pairs.T
-    keys = np.sort(x << d | y)  # a pair listed twice is two equal neighbours
-    if not ((0 <= x) & (x < y) & (y < 1 << d)).all() or (keys[1:] == keys[:-1]).any():
-        return _loads_blocked_lines(text)
+    spans = np.column_stack((lengths[:, 0], np.full(count, m * (width + 1)))).ravel()
+    is_pair = np.repeat(np.tile([True, False], count), spans)
+    got = _pair_array(body[is_pair], count)
+    if got is None:
+        return False
+    x, y = got.T
+    if not ((0 <= x) & (x < y) & (y < 1 << d)).all():
+        return False
     nibbles = _NIBBLE[body[~is_pair].reshape(-1, width + 1)[:, :width]]
     if (nibbles > 15).any():
-        return _loads_blocked_lines(text)
+        return False
     # a row is the big-endian hex of its little-endian column bits: reverse
     # the nibbles, pad them to whole bytes and pair them, low nibble first
     nibbles = nibbles[:, ::-1]
@@ -429,11 +430,93 @@ def loads_blocked(text: str) -> BlockedGraph:
         nibbles = np.pad(nibbles, ((0, 0), (0, 1)))
     packed = nibbles[:, 0::2] | nibbles[:, 1::2] << 4
     if m % 8 and (packed[:, -1] >> m % 8).any():  # bits beyond column m - 1
-        return _loads_blocked_lines(text)
+        return False
     # unpacked in one flat call, then each row cut to its m columns
     bits = np.unpackbits(packed.reshape(-1), bitorder="little").view(bool)
-    bits = np.ascontiguousarray(bits.reshape(len(packed), -1)[:, :m])
-    return BlockedGraph(d, m, seed, pairs, bits.reshape(-1, m, m))
+    mats.reshape(-1, m)[:] = bits.reshape(len(packed), -1)[:, :m]
+    pairs[:] = got
+    return True
+
+
+def _read_blocked(fh) -> BlockedGraph | None:
+    """Decode the blocked-host file that the binary stream ``fh`` holds, a
+    slab of whole blocks at a time, or return None if any byte leaves a doubt.
+
+    The file must be ASCII and end in "\\n", its header line must hold no
+    other line break, every block-pair line must be "x y", two runs of 1-18
+    decimal digits around one space, every pair in range and listed once,
+    and every row line a record of ceil(m/4) + 1 bytes, lowercase hex digits
+    and "\\n", with no bit beyond column m - 1.  A first pass checks the
+    bytes and counts the lines, so that the pairs and cells are allocated
+    once, at their size; the second decodes each slab into them.
+    """
+    # a canonical header is at most 2 + 1 + 7 + 1 + 20 + 1 bytes; a longer line leaves a doubt
+    line = fh.readline(64)
+    if not (line.endswith(b"\n") and line.isascii()):
+        return None
+    head = line[:-1].decode("ascii")
+    try:
+        d, m, seed = (int(t) for t in head.split())
+    except ValueError:
+        return None
+    if not (head.splitlines() == [head] and 1 <= d <= _MAX_CUBE_D and 1 <= m
+            and m << d <= DEFAULT_VERTEX_BUDGET):
+        return None
+    lines, last = 0, line
+    while chunk := fh.read(_SLAB_BYTES):
+        if not chunk.isascii():
+            return None
+        lines, last = lines + chunk.count(b"\n"), chunk[-1:]
+    stride, width = m + 1, (m + 3) // 4  # lines per block; hex digits per row
+    if not last.endswith(b"\n") or lines % stride:
+        return None
+    n_pairs = lines // stride
+    pairs = np.empty((n_pairs, 2), np.int64)
+    mats = np.empty((n_pairs, m, m), bool)
+    # a slab is at most as many blocks as the writer's, read from a buffer
+    # that holds as many whose pair lines have the canonical 2d + 2 bytes at
+    # most, and at least one of any that decodes, whose pair line is at most 38
+    per_slab = max(1, _SLAB_BYTES // _block_bytes(d, m))  # blocks
+    buf = np.empty(per_slab * (m * (width + 1) + 2 * d + 2) + 38, np.uint8)
+    fh.seek(len(line))
+    at = held = 0  # blocks decoded; bytes carried over to the next slab
+    while at < n_pairs:
+        data = buf[:held + fh.readinto(buf[held:])]
+        ends = np.flatnonzero(data == ord("\n"))[:per_slab * stride]
+        count = len(ends) // stride
+        if not count:  # a block longer than any that decodes
+            return None
+        end = ends[count * stride - 1] + 1
+        if not _decode_blocks(data[:end], ends[:count * stride], d, m,
+                              pairs[at:at + count], mats[at:at + count]):
+            return None
+        at += count
+        held = len(data) - end
+        buf[:held] = data[end:]
+    # a pair listed twice, in one slab or two, is two equal neighbours once sorted
+    keys = pairs[:, 0] << d
+    keys |= pairs[:, 1]
+    if (keys[1:] <= keys[:-1]).any():
+        keys.sort()
+        if (keys[1:] == keys[:-1]).any():
+            return None
+    del keys
+    return BlockedGraph(d, m, seed, pairs, mats)
+
+
+def loads_blocked(text: str) -> BlockedGraph:
+    """Decode a blocked-host file.
+
+    An ASCII file is decoded a slab at a time, as ``read_blocked`` decodes a
+    file.  Any file that leaves a doubt goes to the per-line reader, which
+    alone raises ``FormatError``, so what a file means and how it fails do
+    not depend on the path taken.
+    """
+    if text.isascii():
+        g = _read_blocked(io.BytesIO(text.encode("ascii")))
+        if g is not None:
+            return g
+    return _loads_blocked_lines(text)
 
 
 def _loads_blocked_lines(text: str) -> BlockedGraph:
@@ -488,9 +571,37 @@ def write_blocked(path, g: BlockedGraph) -> None:
         fh.writelines(_encode_blocked(g))
 
 
+def write_generated(path, m: int, d: int, seed: int) -> list[int]:
+    """Write the file ``write_blocked(path, generate_host(m, d, seed))`` writes
+    and return the host's ``level_counts()``, holding one run of block pairs,
+    about ``_SLAB_BYTES`` of cells and records, at a time.
+
+    A size ``generate_host`` refuses is refused before the file is opened.
+    """
+    runs = host_runs(m, d, seed, _SLAB_BYTES // _block_bytes(d, m))
+    counts = np.zeros(d + 1)  # float sums are exact: a host has fewer than 2^53 edges
+
+    def counted():
+        for pairs, levels, mats in runs:
+            counts[:] += np.bincount(levels, np.count_nonzero(mats, axis=(1, 2)), d + 1)
+            yield pairs, mats
+
+    with open(path, "wb") as fh:
+        fh.writelines(_encode_runs(d, m, seed, counted()))
+    return counts.astype(np.int64).tolist()
+
+
 def read_blocked(path) -> BlockedGraph:
-    with open(path) as fh:
-        return loads_blocked(fh.read())
+    """Decode the blocked-host file at ``path`` a slab at a time; a file that
+    leaves a doubt, or a stream such as a pipe, is read whole as text, as
+    ``open(path).read()`` reads it, and goes to ``loads_blocked``."""
+    with open(path, "rb") as fh:
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            g = _read_blocked(fh)
+            if g is not None:
+                return g
+            fh.seek(0)
+        return loads_blocked(io.TextIOWrapper(fh).read())
 
 
 def write_ordered(path, g: OrderedGraph) -> None:

@@ -18,6 +18,13 @@ bits are 0, which is exactly ``random() < 2^(level - d)`` on that word.
 Pairs of at most ``_KERNEL_MAX_WORDS`` words are drawn in batches by
 ``_philox_words``, a numpy Philox4x64-10; larger pairs take numpy's own
 ``Philox.random_raw``, whose per-pair set-up cost their length repays.
+
+Drawing goes by runs of consecutive pair indices (``host_runs``): a run's
+pairs, levels and index arrays are made from its first index, the pairs
+of its rows of the triangle x < y cut to the run, so no int64 array of
+one entry per block pair is built.  ``generate_host`` draws each run into
+its preallocated cells; ``graphio.write_generated`` (``gen-host``) encodes
+and writes each run as it is drawn and never holds the host.
 """
 
 from __future__ import annotations
@@ -33,7 +40,10 @@ from .core import _SLAB_BYTES, HypercubeGraph, OrderedGraph, _key_type, delta_in
 DEFAULT_VERTEX_BUDGET = 1 << 21
 #: refuse hosts whose P m^2 cells plus ``_PAIR_BYTES`` per pair exceed this
 _MAX_HOST_BYTES = 1 << 31
-#: bytes per block pair of the pair, level and index arrays generation builds
+#: bytes per block pair besides its cells: a host holds 24 (its pair and
+#: its key) and its constructor a few more; generation draws runs of
+#: ``_SLAB_BYTES / _PAIR_BYTES`` pairs, whose index and level arrays take
+#: about this much a pair
 _PAIR_BYTES = 64
 #: pairs of at most this many words go to ``_philox_words`` (about 45 ns a
 #: word); larger ones to ``Philox.random_raw`` (about 5 ns a word plus 7 us
@@ -119,7 +129,8 @@ class BlockedGraph:
         pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
         mats = np.asarray(mats, dtype=bool).reshape(-1, m, m)
         # one sortable int64 per pair: x and y are below 2^d
-        keys = pairs[:, 0] << d | pairs[:, 1]
+        keys = pairs[:, 0] << d
+        keys |= pairs[:, 1]
         if (keys[1:] <= keys[:-1]).any():
             order = np.argsort(keys, kind="stable")
             pairs, mats, keys = pairs[order], mats[order], keys[order]
@@ -141,8 +152,11 @@ class BlockedGraph:
         return self.m << self.d
 
     def nonempty(self) -> tuple[np.ndarray, np.ndarray]:
-        """``pairs`` and ``mats`` restricted to blocks with at least one edge."""
+        """``pairs`` and ``mats`` restricted to blocks with at least one edge;
+        the arrays themselves, not copies, when every block has one."""
         keep = self.mats.any(axis=(1, 2))
+        if keep.all():
+            return self.pairs, self.mats
         return self.pairs[keep], self.mats[keep]
 
     def block_matrix(self, x: int, y: int) -> np.ndarray:
@@ -202,8 +216,9 @@ class BlockedGraph:
         return f"BlockedGraph(d={self.d}, m={self.m}, seed={self.seed})"
 
 
-def generate_host(m: int, d: int, seed: int) -> BlockedGraph:
-    """Sample the blocked host: cross-block pair probability 2^(delta(x,y) - d)."""
+def _check_host(m: int, d: int, seed: int) -> int:
+    """The block-pair count P of the host ``generate_host(m, d, seed)`` draws,
+    or the ``ValueError`` or ``BudgetError`` that refuses it."""
     _check_seed(seed)
     if m < 1 or d < 1:
         raise ValueError("need m >= 1 and d >= 1")
@@ -214,27 +229,70 @@ def generate_host(m: int, d: int, seed: int) -> BlockedGraph:
     n_pairs, words = (1 << d) * ((1 << d) - 1) // 2, m * m
     if n_pairs * (words + _PAIR_BYTES) > _MAX_HOST_BYTES:
         raise BudgetError(f"{n_pairs} block pairs of {words} cells exceed {_MAX_HOST_BYTES} bytes")
-    key = np.array(seed, dtype=np.uint64)
-    xs, ys = np.triu_indices(1 << d, k=1)  # pair-index order
-    levels = pair_levels(xs, ys, d)
-    mats = np.ones((n_pairs, words), dtype=bool)  # level d: probability 1
-    drawn = np.flatnonzero(levels < d)
-    # random() < 2^-k on a word w iff w >> (64 - k) == 0, that is iff
-    # w < 2^(64 - k), here k = d - level >= 1
-    if words <= _KERNEL_MAX_WORDS:
-        step = _BATCH_WORDS // words
-        for s in range(0, len(drawn), step):
-            rows = drawn[s : s + step]
-            bounds = np.left_shift(np.uint64(1), (levels[rows] + (64 - d)).astype(np.uint64))
-            mats[rows] = _philox_words(key, rows, words) < bounds[:, None]
-    else:
+    return n_pairs
+
+
+def host_runs(m: int, d: int, seed: int, per_run: int, mats: np.ndarray | None = None):
+    """The host ``generate_host(m, d, seed)`` as runs of ``per_run`` (at least
+    one) consecutive block pairs in pair-index order, each a tuple ``(pairs,
+    levels, cells)``: the run's (k, 2) int64 pairs, their levels and their
+    (k, m, m) boolean cells.
+
+    The size is checked at the call and the cells drawn as the runs are
+    taken: into ``mats``, a (P, m, m) boolean array, when it is given, and
+    else into one buffer of ``per_run`` blocks that every run reuses.
+    """
+    return _draw_runs(m, d, seed, _check_host(m, d, seed), max(1, per_run), mats)
+
+
+def _draw_runs(m, d, seed, n_pairs, per_run, mats):
+    key, words, n_blocks = np.array(seed, dtype=np.uint64), m * m, 1 << d
+    buf = np.empty((min(per_run, n_pairs), m, m), bool) if mats is None else None
+    # the pair index of each block x's first pair, (x, x + 1)
+    first = np.concatenate(([0], np.cumsum(np.arange(n_blocks - 1, 0, -1))))
+    if words > _KERNEL_MAX_WORDS:
         bitgen = np.random.Philox(key=np.array([key, 0], dtype=np.uint64))
         state = bitgen.state  # counter 0; setting it also resets the output buffer
-        for idx, level in zip(drawn.tolist(), levels[drawn].tolist()):
-            state["state"]["key"][1] = idx
-            bitgen.state = state
-            np.less(bitgen.random_raw(words), np.uint64(1 << (64 - d + level)), out=mats[idx])
-    return BlockedGraph(d, m, seed, np.column_stack((xs, ys)), mats)
+    for lo in range(0, n_pairs, per_run):
+        k = min(per_run, n_pairs - lo)
+        # the pairs of the run's rows x0..x1 of the triangle x < y, in
+        # pair-index order, cut to the run's: at most 2^(d + 1) more
+        x0, x1 = np.searchsorted(first, [lo, lo + k - 1], "right") - 1
+        xs, ys = np.triu_indices(x1 - x0 + 1, x0 + 1, n_blocks)
+        start = lo - first[x0]
+        xs, ys = xs[start:start + k] + x0, ys[start:start + k]
+        levels = pair_levels(xs, ys, d)
+        cells = buf[:k] if mats is None else mats[lo:lo + k]
+        flat = cells.reshape(k, words)
+        flat[levels == d] = True  # level d: probability 1
+        drawn = np.flatnonzero(levels < d)
+        # random() < 2^-k on a word w iff w >> (64 - k) == 0, that is iff
+        # w < 2^(64 - k), here k = d - level >= 1; a pair's words are keyed
+        # by its index, so a run boundary does not change them
+        if words <= _KERNEL_MAX_WORDS:
+            step = _BATCH_WORDS // words
+            for s in range(0, len(drawn), step):
+                rows = drawn[s : s + step]
+                bounds = np.left_shift(np.uint64(1), (levels[rows] + (64 - d)).astype(np.uint64))
+                flat[rows] = _philox_words(key, lo + rows, words) < bounds[:, None]
+        else:
+            for row, level in zip(drawn.tolist(), levels[drawn].tolist()):
+                state["state"]["key"][1] = lo + row
+                bitgen.state = state
+                np.less(bitgen.random_raw(words), np.uint64(1 << (64 - d + level)), out=flat[row])
+        yield np.column_stack((xs, ys)), levels, cells
+
+
+def generate_host(m: int, d: int, seed: int) -> BlockedGraph:
+    """Sample the blocked host: cross-block pair probability 2^(delta(x,y) - d)."""
+    n_pairs = _check_host(m, d, seed)
+    pairs = np.empty((n_pairs, 2), np.int64)
+    mats = np.empty((n_pairs, m, m), bool)
+    lo = 0
+    for run, _, _ in _draw_runs(m, d, seed, n_pairs, max(1, _SLAB_BYTES // _PAIR_BYTES), mats):
+        pairs[lo:lo + len(run)] = run
+        lo += len(run)
+    return BlockedGraph(d, m, seed, pairs, mats)
 
 
 class LevelCheck(NamedTuple):

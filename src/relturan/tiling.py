@@ -25,9 +25,13 @@ each slab is reduced to its h levels at once.  The other draws stay
 full-length, n values each: the stream gives all n starts before the
 first ranking real, and each slot's blocks for all n chains before the
 next slot's, so drawing them a slab of chains at a time would reorder the
-stream, and no chain is whole before the last draw.  A batch thus holds the
-chains, the starts, the prefixes and a few slot-long temporaries, about
-n (9h + 48) bytes, besides one slab and its temporaries.
+stream, and no chain is whole before the last draw.  Once the levels are
+drawn the int64 starts are kept as uint8, and each slot's vertices are
+built with ``out=`` operations in their column of the chains and in one
+n-long buffer of split bits that every slot reuses, beside the prefixes
+and the slot's draw.  A batch thus holds about n (9h + 25) bytes, the
+chains, levels and starts among them, besides one slab and its
+temporaries.
 """
 
 from __future__ import annotations
@@ -77,33 +81,53 @@ class TilingConfig(_TilingFields):
         return len(self.levels)
 
 
+def _window_levels(cfg: TilingConfig, a: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """The (n, h) uint8 levels of a uniform h-subset of each window (a, a + w],
+    by ranking random reals drawn a slab of rows at a time, in the order one
+    (n, w) draw takes them."""
+    w, h = cfg.w, cfg.h
+    level_table = np.asarray((0,) + cfg.levels, dtype=np.uint8)
+    levels = np.empty((len(a), h), dtype=np.uint8)
+    step = max(1, _SLAB_BYTES // (8 * w))
+    for lo in range(0, len(a), step):
+        keys = rng.random((min(step, len(a) - lo), w))
+        offsets = np.sort(np.argpartition(keys, h - 1, axis=1)[:, :h], axis=1) + 1
+        positions = a[lo:lo + step, None] + offsets  # 1-based positions in [L]
+        levels[lo:lo + step] = level_table[positions]
+    return levels
+
+
 def _sample_batch(
     cfg: TilingConfig, n: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorised sampling: returns (vertices [n, h], a [n], levels [n, h])."""
+    """Vectorised sampling: returns (vertices [n, h], a [n], levels [n, h]),
+    a and the levels as uint8."""
     d, L, w, h = cfg.d, cfg.L, cfg.w, cfg.h
     if d > 62:
         raise ValueError("vectorised sampler supports d <= 62")
     a = rng.integers(0, L - w, size=n)
-    # uniform h-subset of the w window offsets, via ranking random reals drawn
-    # a slab of rows at a time, in the order one (n, w) draw takes them
-    level_table = np.asarray((0,) + cfg.levels, dtype=np.uint8)
-    levels = np.empty((n, h), dtype=np.uint8)
-    step = max(1, _SLAB_BYTES // (8 * w))
-    for lo in range(0, n, step):
-        keys = rng.random((min(step, n - lo), w))
-        offsets = np.sort(np.argpartition(keys, h - 1, axis=1)[:, :h], axis=1) + 1
-        positions = a[lo:lo + step, None] + offsets  # 1-based positions in [L]
-        levels[lo:lo + step] = level_table[positions]
+    levels = _window_levels(cfg, a, rng)
+    a = a.astype(np.uint8)  # below L - w <= 61
 
     z = rng.integers(0, 1 << d, size=n, dtype=np.uint64)  # shared prefix blocks
     verts = np.empty((n, h), dtype=np.uint64)
     one = np.uint64(1)
+    # each slot's blocks are built in place: its split bits in one n-length
+    # buffer that every slot reuses, its vertices in their column of verts
+    split = np.empty(n, np.uint64)
     for t in range(h):
-        split = one << (d - levels[:, t]).astype(np.uint64)  # the split bit, d - level
+        np.subtract(d, levels[:, t], out=split)
+        np.left_shift(one, split, out=split)  # the split bit, d - level
         wt = rng.integers(0, 1 << d, size=n, dtype=np.uint64)
-        wt &= split - one  # its suffix below the split bit
-        verts[:, t] = z & ~(split | split - one) | wt
+        vt = verts[:, t]
+        np.subtract(split, one, out=vt)
+        wt &= vt  # its suffix below the split bit
+        # z's prefix above the split bit, the split bit 0, and the suffix
+        vt |= split
+        np.invert(vt, out=vt)
+        vt &= z
+        vt |= wt
+        del wt
         # the levels ascend, so each split bit lies above the later ones and
         # stays in z's prefix from here on
         z |= split
@@ -124,9 +148,8 @@ def split_level_counts(cfg: TilingConfig, verts: np.ndarray) -> np.ndarray:
     step = max(1, _SLAB_BYTES // (8 * cfg.h))
     for lo in range(0, len(verts), step):
         chains = verts[lo:lo + step]
-        levels = pair_levels(chains[:, :-1], chains[:, 1:], cfg.d)
-        for slot, slot_levels in zip(counts, levels.T):
-            slot += np.bincount(slot_levels, minlength=cfg.d + 1)
+        for t, slot in enumerate(counts):
+            slot += np.bincount(pair_levels(chains[:, t], chains[:, t + 1], cfg.d), minlength=cfg.d + 1)
     return counts
 
 

@@ -4,6 +4,7 @@ Each test prints a single PASS line with its headline numbers so a plain
 ``pytest -s tests/test_acceptance.py`` doubles as a report.
 """
 
+import functools
 import math
 import random
 import time
@@ -18,7 +19,13 @@ from relturan.density import (
     rho_exhaustive,
     rho_local_search,
 )
-from relturan.hosts import complete_hypercube, complete_ordered, generate_host, verify_host
+from relturan.hosts import (
+    BlockedGraph,
+    complete_hypercube,
+    complete_ordered,
+    generate_host,
+    verify_host,
+)
 from relturan.lemma_checks import (
     check_binomial_fraction,
     check_locally_balanced,
@@ -122,20 +129,78 @@ def test_criterion_4_staircase_embedding_exhaustive():
           f"embed with valid witnesses in {elapsed:.1f}s")
 
 
+#: the chance, at most, that test_criterion_5_host_statistics fails on a
+#: correctly drawn host
+HOST_FALSE_FAILURE_RATE = 1e-6
+
+
+@functools.cache
+def _binomial_tail(cells: int, k: int, cut: int) -> float:
+    """P(Binomial(cells, 2^-k) > cut), summed exactly and then rounded."""
+    if k == 0 or cut >= cells:  # every cell is an edge, or no count exceeds cut
+        return 0.0
+    tail = sum(math.comb(cells, j) * ((1 << k) - 1) ** (cells - j) for j in range(cut + 1, cells + 1))
+    return float(Fraction(tail, 1 << (k * cells)))
+
+
+def _poisson_binomial_cut(chances: list[float], rate: float) -> int:
+    """The least t such that more than t of independent events with these
+    chances happen with chance at most ``rate``."""
+    dist = [1.0]  # dist[f]: the chance that f of the events so far happen
+    for p in chances:
+        dist = [a * (1 - p) + b * p for a, b in zip(dist + [0.0], [0.0] + dist)]
+    t = 0
+    while sum(dist[t + 1:]) > rate:
+        t += 1
+    return t
+
+
+def allowed_subset_failures(report, rate: float) -> int:
+    """A count of failing subset checks that a correct host exceeds with
+    chance at most ``rate``.
+
+    On a correct host each cell is an independent Bernoulli(2^(level - d)), so
+    a check's P x Q count is Binomial(|P| |Q|, 2^(level - d)) and fails when it
+    exceeds the check's bound.  Checks on distinct block pairs read disjoint
+    cells: the r-th checks on the sampled pairs are independent, and their
+    failure count has the exact Poisson-binomial law.  A pair sampled again
+    makes one more such round, and a union bound over the R rounds, at rate
+    / R each, covers the checks that share cells.
+    """
+    d = report.d
+    rounds, seen = [], {}
+    for c in report.pair_checks:
+        r = seen[c.x, c.y] = seen.get((c.x, c.y), -1) + 1
+        if r == len(rounds):
+            rounds.append([])
+        cut = math.floor(c.bound)  # a count is an integer
+        rounds[r].append(_binomial_tail(c.p_size * c.q_size, d - delta_int(c.x, c.y, d), cut))
+    return sum(_poisson_binomial_cut(chances, rate / len(rounds)) for chances in rounds)
+
+
 def test_criterion_5_host_statistics():
-    # the subset bound at threshold size ceil(m^(2/3)) sits within ~1.5
-    # standard deviations, so the fixed seeds are ones where all sampled
-    # checks pass; typical seeds fail a few of the 100
+    # the subset bound at threshold size ceil(m^(2/3)) sits within about 1.5
+    # standard deviations at level 1, where about 6% of checks fail on a
+    # correct host; the test bounds the number of failing checks so that a
+    # correct host fails it with chance at most HOST_FALSE_FAILURE_RATE
     t0 = time.time()
     host = generate_host(256, 4, seed=1)
     report = verify_host(host, epsilon=0.1, sample_budget=100, seed=2)
     assert report.levels_ok, [c for c in report.level_checks if not c.ok]
-    assert report.pairs_ok, [c for c in report.pair_checks if not c.ok]
+    failing = [c for c in report.pair_checks if not c.ok]
+    allowed = allowed_subset_failures(report, HOST_FALSE_FAILURE_RATE)
+    assert len(failing) <= allowed, failing
+    # the bound has teeth: a host about twice as dense at level 1 exceeds it
+    denser = BlockedGraph(4, 256, 1, host.pairs, host.mats | generate_host(256, 4, seed=3).mats)
+    dense_report = verify_host(denser, epsilon=0.1, sample_budget=100, seed=2)
+    assert sum(not c.ok for c in dense_report.pair_checks) > allowed_subset_failures(
+        dense_report, HOST_FALSE_FAILURE_RATE)
     elapsed = time.time() - t0
     assert elapsed < 60
     worst = max(abs(c.relative_error) for c in report.level_checks)
     print(f"\n[PASS] criterion 5: all 4 levels within 10% (worst {worst:.3f}), "
-          f"100/100 subset checks in {elapsed:.1f}s")
+          f"{len(failing)}/100 subset checks fail, at most {allowed} allowed "
+          f"(false-failure rate <= {HOST_FALSE_FAILURE_RATE:g}), in {elapsed:.1f}s")
 
 
 def test_criterion_6_tiling_exactness():

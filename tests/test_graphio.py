@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import json
 import tracemalloc
 
 import numpy as np
@@ -18,6 +19,7 @@ from relturan.graphio import (
     loads_blocked,
     loads_hypercube,
     loads_ordered,
+    read_blocked,
     read_hypercube,
     read_ordered,
     write_blocked,
@@ -682,6 +684,74 @@ class TestSlabs:
         assert _read_outcome(read_hypercube, path) == _read_outcome(_read_as_text, path)
 
 
+    @pytest.mark.parametrize("kind", SLAB_KINDS)
+    def test_gen_host_writes_the_pinned_bytes_in_runs(self, kind, monkeypatch, tmp_path, capsys):
+        # gen-host draws, encodes and writes runs of 1, 3 and 7 block pairs;
+        # m <= 12 draws from the numpy kernel, m >= 13 from Philox.random_raw
+        path = tmp_path / "g.rg"
+        cases = [(m, d, 0, digest) for m, d, digest in BLOCKED_DIGESTS if m << d <= 1024]
+        cases += [(m, d, seed, None) for m, d, seed in [(1, 4, 3), (13, 2, 1), (3, 5, 2**64 - 1)]]
+        for m, d, seed, digest in cases:
+            g = generate_host(m, d, seed)
+            write_blocked(path, g)
+            want = _sha256(path.read_bytes())
+            assert digest in (None, want)
+            monkeypatch.setattr(graphio, "_SLAB_BYTES", _slab_bytes(kind, graphio._block_bytes(d, m)))
+            argv = ["gen-host", "--m", str(m), "--d", str(d), "--seed", str(seed), "--out", str(path)]
+            assert main(argv) == 0
+            monkeypatch.undo()
+            assert _sha256(path.read_bytes()) == want, (m, d, seed)
+            out = json.loads(capsys.readouterr().out)
+            assert out["level_counts"] == g.level_counts()[1:] and out["edges"] == g.num_edges()
+
+    @pytest.mark.parametrize("kind", SLAB_KINDS)
+    def test_blocked_reader_decodes_across_slabs(self, kind, monkeypatch, tmp_path):
+        graphs = [generate_host(m, d, 0) for m, d, _ in BLOCKED_DIGESTS if m << d <= 1024]
+        sparse = generate_host(3, 5, 1)
+        graphs += [BlockedGraph(5, 3, 1, sparse.pairs[1::3], sparse.mats[1::3]),
+                   BlockedGraph(4, 2, 9, [], [])]
+        path = tmp_path / "g.rg"
+        for g in graphs:
+            write_blocked(path, g)
+            text = path.read_text()
+            # the blocks in reverse order decode too, and are sorted back
+            lines = text.splitlines(keepends=True)
+            blocks = ["".join(lines[i:i + g.m + 1]) for i in range(1, len(lines), g.m + 1)]
+            reverse = lines[0] + "".join(reversed(blocks))
+            monkeypatch.setattr(graphio, "_SLAB_BYTES", _slab_bytes(kind, graphio._block_bytes(g.d, g.m)))
+            # a doubt would end in the per-line reader
+            monkeypatch.setattr(graphio, "_loads_blocked_lines", None)
+            for got in (read_blocked(path), loads_blocked(text), loads_blocked(reverse)):
+                assert got == g and got.seed == g.seed and got.pairs.shape[0] == len(blocks)
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("bad", [
+        ("non-hex-row", lambda lines, at: {at(4) + 2: "zz\n"}),
+        ("bits-beyond-m", lambda lines, at: {at(4) + 5: "ff\n"}),
+        ("pair-out-of-range", lambda lines, at: {at(4): "0 99\n"}),
+        ("pair-not-increasing", lambda lines, at: {at(3): "6 6\n"}),
+        ("pair-of-the-first-run-again", lambda lines, at: {at(4): lines[at(1)]}),
+        ("pair-of-the-second-run-again", lambda lines, at: {at(5): lines[at(3)]}),
+        ("last-block-truncated", lambda lines, at: {len(lines) - 1: ""}),
+        # accepted: a short row, and a pair line longer than any that decodes as arrays
+        ("short-row", lambda lines, at: {at(5) + 1: "1\n"}),
+        ("long-pair-line", lambda lines, at: {at(4): "0" * 40 + lines[at(4)]}),
+    ], ids=lambda bad: bad[0])
+    def test_bad_block_fails_as_the_line_reader(self, bad, monkeypatch, tmp_path):
+        # generate_host(5, 3, 0): 28 blocks of a pair line and five 2-digit
+        # rows, 3 to a slab, so that blocks 3, 4 and 5 are the second run
+        lines = dumps_blocked(generate_host(5, 3, 0)).splitlines(keepends=True)
+        for at, line in bad[1](lines, lambda block: 1 + 6 * block).items():
+            lines[at] = line
+        text = "".join(lines)
+        path = tmp_path / "g.rg"
+        path.write_text(text)
+        monkeypatch.setattr(graphio, "_SLAB_BYTES", 3 * graphio._block_bytes(3, 5))
+        want = _outcome(graphio._loads_blocked_lines, text)
+        assert isinstance(want, tuple) == (bad[0] not in ("short-row", "long-pair-line"))
+        assert _outcome(read_blocked, path) == _outcome(loads_blocked, text) == want
+
+
 class TestBoundedMemory:
     # tracemalloc peaks over the input, measured with numpy 2.4 on CPython
     # 3.11, each with a margin of about a quarter; a whole-file array of the
@@ -703,7 +773,22 @@ class TestBoundedMemory:
         peak = _traced_peak(lambda: write_blocked(tmp_path / "g.rg", g))
         assert peak < 2.7 * 2**20  # measured 2.14 MiB
 
+    @pytest.mark.parametrize("m, d, bound", [
+        (256, 4, 3.6),  # measured 2.83 MiB; the host's cells alone are 7.5 MiB
+        (2, 11, 2.8),  # measured 2.22 MiB; the host's cells alone are 8 MiB
+    ])
+    def test_gen_host(self, m, d, bound, tmp_path, capsys):
+        argv = ["gen-host", "--m", str(m), "--d", str(d), "--seed", "0", "--out", str(tmp_path / "g.rg")]
+        peak = _traced_peak(lambda: main(argv))
+        assert peak < bound * 2**20
+
+    def test_blocked_reader(self, tmp_path):
+        path = tmp_path / "g.rg"
+        write_blocked(path, generate_host(256, 4, 0))  # a 2.1 MB file
+        peak = _traced_peak(lambda: read_blocked(path))
+        assert peak < 11.8 * 2**20  # measured 9.46 MiB: 7.5 MiB of it the host's cells
+
     def test_tile_sampler(self):
         cfg = TilingConfig(12, tuple(range(1, 13)), 6, 3)
         peak = _traced_peak(lambda: sample_many(cfg, 100_000, 3))
-        assert peak < 10 * 2**20  # measured 8.02 MiB: 2.3 MiB of it the chains
+        assert peak < 6.2 * 2**20  # measured 4.96 MiB: 2.3 MiB of it the chains
