@@ -19,12 +19,14 @@ Pairs of at most ``_KERNEL_MAX_WORDS`` words are drawn in batches by
 ``_philox_words``, a numpy Philox4x64-10; larger pairs take numpy's own
 ``Philox.random_raw``, whose per-pair set-up cost their length repays.
 
-Drawing goes by runs of consecutive pair indices (``host_runs``): a run's
+Drawing goes by runs of consecutive pair indices (``host_runs``), each
+about ``_SLAB_BYTES`` of cells drawn into one reused buffer: a run's
 pairs, levels and index arrays are made from its first index, the pairs
 of its rows of the triangle x < y cut to the run, so no int64 array of
-one entry per block pair is built.  ``generate_host`` draws each run into
-its preallocated cells; ``graphio.write_generated`` (``gen-host``) encodes
-and writes each run as it is drawn and never holds the host.
+one entry per block pair is built.  ``generate_host`` copies each run
+into its preallocated pairs and cells; ``graphio.write_generated``
+(``gen-host``) encodes and writes each run as it is drawn and never holds
+the host.
 """
 
 from __future__ import annotations
@@ -41,9 +43,8 @@ DEFAULT_VERTEX_BUDGET = 1 << 21
 #: refuse hosts whose P m^2 cells plus ``_PAIR_BYTES`` per pair exceed this
 _MAX_HOST_BYTES = 1 << 31
 #: bytes per block pair besides its cells: a host holds 24 (its pair and
-#: its key) and its constructor a few more; generation draws runs of
-#: ``_SLAB_BYTES / _PAIR_BYTES`` pairs, whose index and level arrays take
-#: about this much a pair
+#: its key) and its constructor a few more, and a run of pairs being drawn
+#: about this much a pair for its index and level arrays
 _PAIR_BYTES = 64
 #: pairs of at most this many words go to ``_philox_words`` (about 45 ns a
 #: word); larger ones to ``Philox.random_raw`` (about 5 ns a word plus 7 us
@@ -232,22 +233,20 @@ def _check_host(m: int, d: int, seed: int) -> int:
     return n_pairs
 
 
-def host_runs(m: int, d: int, seed: int, per_run: int, mats: np.ndarray | None = None):
+def host_runs(m: int, d: int, seed: int, per_run: int):
     """The host ``generate_host(m, d, seed)`` as runs of ``per_run`` (at least
     one) consecutive block pairs in pair-index order, each a tuple ``(pairs,
     levels, cells)``: the run's (k, 2) int64 pairs, their levels and their
-    (k, m, m) boolean cells.
+    (k, m, m) boolean cells, drawn into one buffer that every run reuses.
 
-    The size is checked at the call and the cells drawn as the runs are
-    taken: into ``mats``, a (P, m, m) boolean array, when it is given, and
-    else into one buffer of ``per_run`` blocks that every run reuses.
+    The size is checked at the call, the cells drawn as the runs are taken.
     """
-    return _draw_runs(m, d, seed, _check_host(m, d, seed), max(1, per_run), mats)
+    return _draw_runs(m, d, seed, _check_host(m, d, seed), max(1, per_run))
 
 
-def _draw_runs(m, d, seed, n_pairs, per_run, mats):
+def _draw_runs(m, d, seed, n_pairs, per_run):
     key, words, n_blocks = np.array(seed, dtype=np.uint64), m * m, 1 << d
-    buf = np.empty((min(per_run, n_pairs), m, m), bool) if mats is None else None
+    buf = np.empty((min(per_run, n_pairs), words), bool)
     # the pair index of each block x's first pair, (x, x + 1)
     first = np.concatenate(([0], np.cumsum(np.arange(n_blocks - 1, 0, -1))))
     if words > _KERNEL_MAX_WORDS:
@@ -262,9 +261,8 @@ def _draw_runs(m, d, seed, n_pairs, per_run, mats):
         start = lo - first[x0]
         xs, ys = xs[start:start + k] + x0, ys[start:start + k]
         levels = pair_levels(xs, ys, d)
-        cells = buf[:k] if mats is None else mats[lo:lo + k]
-        flat = cells.reshape(k, words)
-        flat[levels == d] = True  # level d: probability 1
+        cells = buf[:k]
+        cells[levels == d] = True  # level d: probability 1
         drawn = np.flatnonzero(levels < d)
         # random() < 2^-k on a word w iff w >> (64 - k) == 0, that is iff
         # w < 2^(64 - k), here k = d - level >= 1; a pair's words are keyed
@@ -274,13 +272,13 @@ def _draw_runs(m, d, seed, n_pairs, per_run, mats):
             for s in range(0, len(drawn), step):
                 rows = drawn[s : s + step]
                 bounds = np.left_shift(np.uint64(1), (levels[rows] + (64 - d)).astype(np.uint64))
-                flat[rows] = _philox_words(key, lo + rows, words) < bounds[:, None]
+                cells[rows] = _philox_words(key, lo + rows, words) < bounds[:, None]
         else:
             for row, level in zip(drawn.tolist(), levels[drawn].tolist()):
                 state["state"]["key"][1] = lo + row
                 bitgen.state = state
-                np.less(bitgen.random_raw(words), np.uint64(1 << (64 - d + level)), out=flat[row])
-        yield np.column_stack((xs, ys)), levels, cells
+                np.less(bitgen.random_raw(words), np.uint64(1 << (64 - d + level)), out=cells[row])
+        yield np.column_stack((xs, ys)), levels, cells.reshape(k, m, m)
 
 
 def generate_host(m: int, d: int, seed: int) -> BlockedGraph:
@@ -289,8 +287,9 @@ def generate_host(m: int, d: int, seed: int) -> BlockedGraph:
     pairs = np.empty((n_pairs, 2), np.int64)
     mats = np.empty((n_pairs, m, m), bool)
     lo = 0
-    for run, _, _ in _draw_runs(m, d, seed, n_pairs, max(1, _SLAB_BYTES // _PAIR_BYTES), mats):
+    for run, _, cells in _draw_runs(m, d, seed, n_pairs, max(1, _SLAB_BYTES // (m * m + _PAIR_BYTES))):
         pairs[lo:lo + len(run)] = run
+        mats[lo:lo + len(run)] = cells
         lo += len(run)
     return BlockedGraph(d, m, seed, pairs, mats)
 
