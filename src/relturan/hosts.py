@@ -253,15 +253,15 @@ def _draw_runs(m, d, seed, n_pairs, per_run):
         bitgen = np.random.Philox(key=np.array([key, 0], dtype=np.uint64))
         state = bitgen.state  # counter 0; setting it also resets the output buffer
     for lo in range(0, n_pairs, per_run):
-        k = min(per_run, n_pairs - lo)
+        count = min(per_run, n_pairs - lo)
         # the pairs of the run's rows x0..x1 of the triangle x < y, in
         # pair-index order, cut to the run's: at most 2^(d + 1) more
-        x0, x1 = np.searchsorted(first, [lo, lo + k - 1], "right") - 1
+        x0, x1 = np.searchsorted(first, [lo, lo + count - 1], "right") - 1
         xs, ys = np.triu_indices(x1 - x0 + 1, x0 + 1, n_blocks)
         start = lo - first[x0]
-        xs, ys = xs[start:start + k] + x0, ys[start:start + k]
+        xs, ys = xs[start:start + count] + x0, ys[start:start + count]
         levels = pair_levels(xs, ys, d)
-        cells = buf[:k]
+        cells = buf[:count]
         cells[levels == d] = True  # level d: probability 1
         drawn = np.flatnonzero(levels < d)
         # random() < 2^-k on a word w iff w >> (64 - k) == 0, that is iff
@@ -278,7 +278,7 @@ def _draw_runs(m, d, seed, n_pairs, per_run):
                 state["state"]["key"][1] = lo + row
                 bitgen.state = state
                 np.less(bitgen.random_raw(words), np.uint64(1 << (64 - d + level)), out=cells[row])
-        yield np.column_stack((xs, ys)), levels, cells.reshape(k, m, m)
+        yield np.column_stack((xs, ys)), levels, cells.reshape(count, m, m)
 
 
 def generate_host(m: int, d: int, seed: int) -> BlockedGraph:

@@ -615,9 +615,8 @@ class TestSlabs:
     def test_blocked_writer_keeps_the_pinned_bytes(self, monkeypatch, tmp_path):
         for m, d, digest in BLOCKED_DIGESTS:
             g = generate_host(m, d, 0)
-            block = max(m * m, m * ((m + 3) // 4 + 1) + 2 * d + 2)
             for kind in SLAB_KINDS:
-                monkeypatch.setattr(graphio, "_SLAB_BYTES", _slab_bytes(kind, block))
+                monkeypatch.setattr(graphio, "_SLAB_BYTES", _slab_bytes(kind, graphio._block_bytes(d, m)))
                 write_blocked(tmp_path / "g.rg", g)
                 assert _sha256((tmp_path / "g.rg").read_bytes()) == digest, (m, d, kind)
 
