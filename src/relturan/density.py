@@ -23,12 +23,14 @@ pattern-free and adds one edge at a time, so every new copy passes through
 that edge; it searches only those, with one kernel search compiled per
 solve, on forward and backward bitmask lists it edits in place.  Its
 greedy pass asks only whether adding an edge would close a copy, without
-adding it: one candidate edge at a time until one is refused, then for the
-rest of that row in one search, whose answers hold until the pass next adds
-an edge, so it masks the refused candidates off and adds the lowest one
-left.  The edges it draws from, the host's less the kept ones, are then
-read off the masks in one numpy pass (``core.mask_arrays``) as the sorted
-keys u * n + v, and its certificate is read back the same way.  A round
+adding it, for the rest of a row in one search, whose answers hold until
+the pass next adds an edge, so it masks the refused candidates off and adds
+the lowest one left.  A row opens with that search unless the row before
+it added an edge; after an addition the pass asks one candidate edge at a
+time until one is refused.  The edges it draws from, the host's less the
+kept ones, are then read off the masks in one numpy pass
+(``core.mask_arrays``) as the sorted keys u * n + v, and its certificate
+is read back the same way.  A round
 begins level with the best set, so one that deletes a second edge has lost
 and stops there.  Its quarter start is checked to have no increasing
 2-edge path, which every copy of a pattern it is used for contains.
@@ -434,10 +436,13 @@ def rho_local_search(
     Containment is tested only through the edge just added, by a through-edge
     search compiled once per solve.  The greedy pass walks the host's
     forward masks less the kept ones in canonical order and asks only
-    whether adding an edge would close a copy (``refused``), edge by edge
-    until a refusal and then for the rest of the row at once; it skips the
-    refused candidates by mask and adds the lowest one left, or ends the
-    row, and asks edge by edge again.  The edges left out are then read in
+    whether adding an edge would close a copy (``refused``), for the rest
+    of the row at once; it skips the refused candidates by mask and adds
+    the lowest one left, or ends the row.  A row opens with that question
+    unless the row before it added an edge, and after an addition the pass
+    asks edge by edge until a refusal: a row whose candidates are all
+    refused costs one question, and a row that adds edges asks only about
+    the candidates it reaches.  The edges left out are then read in
     one numpy pass into a sorted list of keys u * n + v: a round draws one
     with ``rng.choice``, which picks the same index of the same order as
     from a list of pairs, so the seeded stream is unchanged, and
@@ -463,23 +468,30 @@ def rho_local_search(
         bwd[v] ^= 1 << u
 
     # the pass adds only the edge in hand, so its candidates, the host's edges
-    # outside the start, are read off the masks once, a row at a time. After a
-    # refusal one question answers for the rest of the row, good until the
-    # next edge is added: the refused candidates are masked off and the
-    # lowest one left is added at once
+    # outside the start, are read off the masks once, a row at a time. One
+    # question answers for the rest of a row, good until the next edge is
+    # added: the refused candidates are masked off and the lowest one left is
+    # added at once. A row opens with that question unless the row before it
+    # added an edge, and after an addition the pass asks edge by edge until
+    # a refusal
+    whole = True  # whether the next question is about the rest of the row
     for u, row in enumerate([mask & ~kept for mask, kept in zip(host.forward_masks, fwd)]):
+        added = False
         while row:
-            low = row & -row
-            row ^= low
-            if refused_in_row(fwd, bwd, u, low):
-                if row:
-                    row &= ~refused_in_row(fwd, bwd, u, row)
+            if whole:
+                row &= ~refused_in_row(fwd, bwd, u, row)
                 if not row:
                     break
-                low = row & -row
-                row ^= low
+            low = row & -row
+            row ^= low
+            if not whole and refused_in_row(fwd, bwd, u, low):
+                whole = True
+                continue
             fwd[u] |= low
             bwd[low.bit_length() - 1] |= 1 << u
+            whole = False
+            added = True
+        whole = not added
 
     # ``absent``: the host's edges less the kept ones as sorted keys u * n + v,
     # which ``bisect`` keeps sorted, so rng.choice picks as from a fresh filter

@@ -58,6 +58,7 @@ import math
 import os
 import stat
 from collections.abc import Iterator
+from itertools import compress
 
 import numpy as np
 
@@ -108,65 +109,76 @@ def loads_ordered(text: str) -> OrderedGraph:
     return OrderedGraph(n, edges)
 
 
-def _label_fields(d: int) -> np.ndarray:
-    """(2^d,) V{d + 1} table: entry v is v's bitstring label in ASCII "0"/"1"
-    and one more byte, left 0."""
-    v = np.arange(1 << d, dtype=np.uint32)
-    fields = np.zeros((1 << d, d + 1), np.uint8)
-    for i in range(d):
-        np.bitwise_and(v >> (d - 1 - i), 1, out=fields[:, i], casting="unsafe")
-    fields[:, :d] |= ord("0")
-    return fields.view(f"V{d + 1}").ravel()
+def _label_chunks(d: int) -> list[tuple[int, int, np.ndarray]]:
+    """A d-bit label cut into runs of at most 16 bits of about equal length,
+    most significant first: for each, its first byte in the label, the shift
+    of its bits in a vertex int, and its 2^w strings of w bytes "0"/"1" as a
+    table of V{w} values, 2^w w bytes (1 MiB at most)."""
+    parts = -(-d // 16)
+    chunks, at = [], 0
+    for left in range(parts, 0, -1):
+        w = (d - at) // left
+        bits = np.unpackbits(np.arange(1 << w, dtype=">u2").view(np.uint8).reshape(-1, 2), axis=1)
+        table = np.ascontiguousarray(bits[:, 16 - w:] + ord("0")).view(f"V{w}").ravel()
+        chunks.append((at, d - at - w, table))
+        at += w
+    return chunks
 
 
-def _cube_records(forward_masks, lo: int, counts: np.ndarray, fields: np.ndarray,
-                  d: int) -> np.ndarray:
-    """The records of 2d + 2 bytes of the forward edges of the vertices from
-    ``lo`` on whose masks ``forward_masks`` holds and whose edge ``counts``
-    are given, as one uint8 array."""
+def _cube_records(masks: list[int], verts: np.ndarray, counts: np.ndarray, d: int,
+                  chunks: list[tuple[int, int, np.ndarray]]) -> np.ndarray:
+    """The records of 2d + 2 bytes of the forward edges of the vertices
+    ``verts``, in increasing order, whose forward ``masks`` and edge
+    ``counts`` are given, as one uint8 array; ``chunks`` as
+    ``_label_chunks(d)``."""
     # the forward neighbours v > u of u are the set bits of fwd[u] >> (u + 1):
     # lay those masks end to end as little-endian bytes and unpack them once
-    forward = [mask >> u >> 1 for u, mask in enumerate(forward_masks, lo)]
+    forward = [mask >> u >> 1 for u, mask in zip(verts.tolist(), masks)]
     sizes = [(f.bit_length() + 7) // 8 for f in forward]
     packed = b"".join([f.to_bytes(size, "little") for f, size in zip(forward, sizes)])
     bits = np.flatnonzero(np.unpackbits(np.frombuffer(packed, np.uint8), bitorder="little"))
-    us = np.repeat(np.arange(lo, lo + len(forward)), counts)
+    us = np.repeat(verts, counts)
     # bit b of the unpacked masks, in u's mask that starts at bit offsets[u],
     # is v = b - offsets[u] + u + 1
     offsets = np.cumsum([0, *sizes[:-1]]) * 8
-    vs = bits - np.repeat(offsets - np.arange(lo, lo + len(forward)) - 1, counts)
-    out = np.empty(len(bits) * (2 * d + 2), np.uint8)
-    # a record is two (d + 1)-byte fields, u's label and " ", then v's label
-    # and "\n": each label is gathered as one opaque V{d + 1} value, then the
-    # byte after it is set
-    records = out.view(fields.dtype).reshape(-1, 2)
-    records[:, 0] = fields[us]
-    records[:, 1] = fields[vs]
-    lines = out.reshape(-1, 2 * d + 2)
+    vs = bits - np.repeat(offsets - verts - 1, counts)
+    # a record is u's label, " ", v's label and "\n"; each run of a label's
+    # bytes is gathered from its table as one opaque value into a strided
+    # view of the records
+    width = 2 * d + 2
+    lines = np.empty((len(bits), width), np.uint8)
+    for x, start in ((us, 0), (vs, d + 1)):
+        for at, shift, table in chunks:
+            run = np.ndarray(len(x), table.dtype, lines, start + at, (width,))
+            run[...] = np.take(table, x >> shift if shift else x, mode="wrap")
     lines[:, d] = ord(" ")
     lines[:, -1] = ord("\n")
-    return out
+    return lines.ravel()
 
 
 def _encode_hypercube(g: HypercubeGraph) -> Iterator[np.ndarray]:
     """The cube-graph file as uint8 slabs: the header, then the records of
-    2d + 2 bytes of runs of whole vertices, each run's records, unpacked
-    masks and per-vertex arrays about ``_SLAB_BYTES`` and at least one vertex."""
+    2d + 2 bytes of runs of whole vertices with forward edges, each run's
+    records, unpacked masks and per-vertex arrays about ``_SLAB_BYTES`` and
+    at least one vertex."""
     n, d, fwd = g.n, g.d, g.forward_masks
-    counts = np.fromiter((mask.bit_count() for mask in fwd), np.int64, n)  # only v > u
+    # the vertices with forward edges (v > u), their masks and edge counts
+    verts = np.fromiter(compress(range(n), fwd), np.int64)
+    masks = list(compress(fwd, fwd))
+    counts = np.fromiter(map(int.bit_count, masks), np.int64, len(masks))
     yield np.frombuffer(f"{d} {counts.sum()}\n".encode(), np.uint8)
     # a vertex costs its records, its forward mask unpacked to a byte per bit
     # and about 64 bytes of per-vertex lists and arrays
-    spans = np.fromiter((mask.bit_length() for mask in fwd), np.int64, n) - np.arange(n)
-    ends = np.cumsum(counts * (2 * d + 2) + np.maximum(spans, 0) + 64)
+    spans = np.fromiter(map(int.bit_length, masks), np.int64, len(masks)) - verts
+    ends = np.cumsum(counts * (2 * d + 2) + spans + 64)
     del spans
-    fields = _label_fields(d)
+    chunks = _label_chunks(d)
     lo = 0
-    while lo < n:
+    while lo < len(masks):
         # the longest run of whole vertices from lo that fits a slab, at least one
         hi = int(np.searchsorted(ends, (ends[lo - 1] if lo else 0) + _SLAB_BYTES, "right"))
         hi = max(hi, lo + 1)
-        yield _cube_records(fwd[lo:hi], lo, counts[lo:hi], fields, d)
+        yield _cube_records(masks[lo:hi], verts[lo:hi], counts[lo:hi], d, chunks)
         lo = hi
 
 

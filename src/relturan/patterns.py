@@ -15,7 +15,7 @@ pattern edge onto host edges and feeds them to the kernel, behind two
 searches: the least copy through a host edge, and which of a row of
 candidate edges (u, v) would each close a copy, one walk per pattern edge
 that refuses a candidate per copy, or a mask of them per placement when the
-pinned vertex is the pattern's last.
+pinned vertex is the pattern's last or has one vertex after it.
 """
 
 from __future__ import annotations
@@ -135,20 +135,28 @@ def through_edge_search(
     ``least`` takes from v are taken from the candidates: below the highest
     one, and in the union of their backward neighbourhoods, which is built
     only when some template reads it (none of P3's does).  When b is the
-    pattern's last vertex the walk places only vertices 0..b-1, and each
-    placement refuses at once every candidate above the image of b - 1 in
-    the forward neighbourhoods of b's other predecessors; otherwise the
-    walk resumes at depth b after each copy (``_walk``'s ``resume``), and
-    the copy's image of b leaves limit[b], so each refused v costs one copy.
+    pattern's last vertex, or is followed by one vertex t alone, the walk
+    places only vertices 0..b-1, and each placement refuses at once every
+    candidate c above the image of b - 1 in the forward neighbourhoods of
+    b's other predecessors for which t, if there is one, has an image
+    above c in the forward neighbourhoods of its placed predecessors: in
+    fwd[c] too when t is joined to b, one test per candidate, and else
+    below the highest such image, one mask operation.  Otherwise the walk
+    resumes at depth b after each copy (``_walk``'s ``resume``), and the
+    copy's image of b leaves limit[b], so each refused v costs one copy.
 
-    The local search's greedy pass asks ``refused`` for one candidate edge
-    at a time until one is refused, then once for the rest of that
-    vertex's row: a refusal leaves the host unchanged, so the answers hold
-    until the pass next adds an edge.  It adds the lowest candidate not
-    refused, after which it asks one at a time again.  Asking for the
-    whole row first made the H_2 and P4 solves at budget 10 on
-    ``generate_host(16, 3, 0)`` 3.7-7.5 times slower.  Its rounds take
-    ``least``, whose edges choose the victim.
+    The local search's greedy pass asks ``refused`` about the rest of a
+    row at once: a refusal leaves the host unchanged, so the answers hold
+    until the pass next adds an edge, and it adds the lowest candidate not
+    refused without asking again.  A row opens with that question unless
+    the row before it added an edge; after an addition the pass asks one
+    candidate at a time until one is refused.  So a row whose candidates
+    are all refused, as all are on P3's maximal quarter start on
+    ``generate_host(16, 3, 0)``, costs one question, while rows that add
+    edges, as most of P4's and H_2's do, ask edge by edge: asking about
+    the whole row before every addition made those solves at budget 10
+    there 3.7-7.5 times slower.  Its rounds take ``least``, whose edges
+    choose the victim.
 
     Which mask bounds each vertex's image depends only on the pattern, so it
     is compiled here, once, into a template per pattern edge that picks each
@@ -210,12 +218,29 @@ def through_edge_search(
             limit[b] &= ~found
             if not all(limit):
                 continue
-            if b == k - 1:  # one placement of 0..b-1 refuses a mask of candidates
+            if b >= k - 2:  # one placement of 0..b-1 refuses a mask of candidates
                 last, into = limit[b], row_preds[b]
+                # the tail vertex t = k - 1 after b, when there is one: its
+                # predecessors placed before b, and whether b is one of them
+                tail, joined = b < k - 1, b in preds[-1]
+                t_into = [j for j in preds[-1] if j < b]
                 for images in _walk(row_preds[:b], fwd, limit[:b]):
                     hit = last & ~((2 << images[b - 1]) - 1)
                     for j in into:
                         hit &= fwd[images[j]]
+                    if hit and tail:  # keep the c with an image of t above c
+                        reach = limit[-1]
+                        for j in t_into:
+                            reach &= fwd[images[j]]
+                        if joined:  # in fwd[c], which lies above c
+                            rest, hit = hit, 0
+                            while rest:
+                                low = rest & -rest
+                                rest ^= low
+                                if reach & fwd[low.bit_length() - 1]:
+                                    hit |= low
+                        else:  # below the highest image t may take
+                            hit &= ((1 << reach.bit_length()) - 1) >> 1
                     if hit:
                         found |= hit
                         last ^= hit

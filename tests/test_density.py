@@ -510,7 +510,9 @@ class TestAnchoredLocalSearch:
         assert _fields(rho_local_search(pattern, host, budget, seed)) == _fields(
             rho_local_search_whole_graph(pattern, host, budget, seed))
 
-    @pytest.mark.parametrize("pattern", [P3, build_hk(2), monotone_p3(4)])
+    # P5 and {01, 02} add edges in rows after rows that added none
+    @pytest.mark.parametrize("pattern", [P3, build_hk(2), monotone_p3(4), monotone_p3(5),
+                                         OrderedGraph(3, [(0, 1), (0, 2)])])
     def test_matches_on_a_blocked_host(self, pattern):
         host = generate_host(4, 3, 1).to_ordered()  # 32 vertices
         assert _fields(rho_local_search(pattern, host, 40, 3)) == _fields(
@@ -581,6 +583,31 @@ class TestAnchoredLocalSearch:
         assert res.best_edge_count == quarter_free_subgraph(host).num_edges()
         assert walks <= 2 * host.n * P3.num_edges()
 
+    def test_greedy_pass_asks_once_per_row_while_it_refuses(self, monkeypatch):
+        # the quarter start is maximal here, so no row adds an edge and each
+        # row with candidates is answered by the one whole-row question it
+        # opens with (one to spare); a row opened edge by edge takes two
+        questions = 0
+        compile_search = density.through_edge_search
+
+        def counted(pattern, n):
+            least, refused = compile_search(pattern, n)
+
+            def refused_counted(*args):
+                nonlocal questions
+                questions += 1
+                return refused(*args)
+
+            return least, refused_counted
+
+        monkeypatch.setattr(density, "through_edge_search", counted)
+        host = generate_host(16, 3, 0).to_ordered()
+        start = quarter_free_subgraph(host)
+        rows = sum(1 for mask, kept in zip(host.forward_masks, start.forward_masks) if mask & ~kept)
+        res = rho_local_search(P3, host, budget=0)
+        assert res.best_edge_count == start.num_edges()
+        assert questions <= rows + 1
+
     def test_pinned_certificate(self):
         res = rho_local_search(P3, generate_host(16, 3, 0).to_ordered(), budget=300)
         assert (res.best_edge_count, res.total_edges, res.nodes_explored) == (1496, 2940, 300)
@@ -608,3 +635,4 @@ def test_exact_outputs_pinned_on_small_instances():
     assert all(r.exact for r in results)
     digest = hashlib.sha256(repr([r.certificate for r in results]).encode()).hexdigest()
     assert digest == "5023d71e1269d82e964452ec99babb75dc15e2d37993ebea2ba24972f3c6c13d"
+

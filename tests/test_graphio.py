@@ -262,6 +262,12 @@ class TestHypercubeFormat:
         text = dumps_hypercube(seeded_sparse_cube(d, draws, seed))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    # labels past 16 bits are gathered in two runs of bits, 8 + 9 and 10 + 11
+    @pytest.mark.parametrize("d", [17, 21])
+    def test_long_labels_match_reference(self, d):
+        g = seeded_sparse_cube(d, 40, d)
+        assert dumps_hypercube(g) == ref_encode_cube(d, set(g.sorted_edges()))
+
     def test_canonical_file_takes_the_array_path(self, monkeypatch):
         g = seeded_sparse_cube(7, 500, 1)
         text = dumps_hypercube(g)
@@ -760,6 +766,13 @@ class TestBoundedMemory:
         g = complete_hypercube(10)
         peak = _traced_peak(lambda: write_hypercube(tmp_path / "g.hg", g))
         assert peak < 3.2 * 2**20  # measured 2.51 MiB
+
+    def test_cube_writer_on_two_edges_of_a_large_cube(self):
+        # the vertices without forward edges are skipped, and no label table
+        # grows with the cube: 2^21 x 22 bytes were 46 MiB of it
+        g = HypercubeGraph(21, [(0, 1), (5, 1 << 20)])
+        peak = _traced_peak(lambda: dumps_hypercube(g))
+        assert peak < 1.7 * 2**20  # measured 1.30 MiB: 1 MiB of it 5's mask, a byte per bit
 
     def test_cube_reader(self, tmp_path):
         path = tmp_path / "g.hg"

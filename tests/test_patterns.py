@@ -128,9 +128,20 @@ LAST_VERTEX_JOINS = [
 ]
 
 
+# patterns with a template whose pinned vertex b is followed by one vertex t
+# alone, so ``refused`` refuses a mask of candidates per placement of 0..b-1
+# by testing t's mask: in each candidate's forward neighbourhood when t is
+# joined to b (P3, P4 and the ordered triangle, above), below the highest
+# image t may take when it is not (these two)
+TAIL_APART = [
+    OrderedGraph(3, [(0, 1), (0, 2)]),
+    OrderedGraph(4, [(0, 2), (1, 2), (1, 3)]),
+]
+
+
 def patterns_up_to_5():
     return st.sampled_from(
-        [monotone_p3(), monotone_p3(4), monotone_p3(5), *LAST_VERTEX_JOINS]) | (
+        [monotone_p3(), monotone_p3(4), monotone_p3(5), *LAST_VERTEX_JOINS, *TAIL_APART]) | (
         ordered_graphs(min_n=2, max_n=5).filter(lambda g: g.num_edges() > 0))
 
 
@@ -179,7 +190,7 @@ class TestRefusedRow:
         # a pattern-free set kept from every third edge of a 32-vertex blocked
         # host, and every row of the host edges outside it at once
         host = generate_host(4, 3, 1).to_ordered()
-        for pat in (monotone_p3(), monotone_p3(4), *LAST_VERTEX_JOINS):
+        for pat in (monotone_p3(), monotone_p3(4), *LAST_VERTEX_JOINS, *TAIL_APART):
             fwd, bwd = self.free_masks(pat, host.n, host.sorted_edges()[::3])
             _, refused = through_edge_search(pat, host.n)
             for u in range(host.n):
@@ -195,6 +206,22 @@ class TestRefusedRow:
         assert refused(fwd, bwd, 0, 0b10110) == 0b00100
         assert refused(fwd, bwd, 3, 0b10000) == 0b10000
         assert refused(fwd, bwd, 1, 0) == 0
+
+    def test_pinned_tail_joined_to_b(self):
+        # the ordered triangle with kept 03, 13, 24, from 0: (0, 1) closes the
+        # triangle on 0, 1, 3 with the tail 3 in fwd[1]; (0, 2) would need the
+        # candidate (0, 4) too, and (0, 4) closes none
+        fwd, bwd = [0b01000, 0b01000, 0b10000, 0, 0], [0, 0, 0, 0b00011, 0b00100]
+        _, refused = through_edge_search(OrderedGraph(3, [(0, 1), (0, 2), (1, 2)]), 5)
+        assert refused(fwd, bwd, 0, 0b10110) == 0b00010
+
+    def test_pinned_tail_apart_from_b(self):
+        # {02, 12, 13} with kept 13, 15, from 0: only (0, 3) closes a copy, on
+        # 0, 1, 3, 5, with the tail 5 above 3 in fwd[1]; (0, 5) has no room
+        # above it, and 2 and 4 are not in fwd[1]
+        fwd, bwd = [0, 0b101000, 0, 0, 0, 0], [0, 0, 0, 0b10, 0, 0b10]
+        _, refused = through_edge_search(OrderedGraph(4, [(0, 2), (1, 2), (1, 3)]), 6)
+        assert refused(fwd, bwd, 0, 0b111100) == 0b001000
 
     def test_pinned_last_vertex_with_three_predecessors(self):
         # kept 01, 02, 12, 13, 23, 14: (0, 3) closes the K_4 on 0..3, while
