@@ -28,8 +28,9 @@ Memory besides the graph itself, where a slab is ``_SLAB_BYTES`` (1 MiB)
 and the temporaries made from one slab take a few times its size:
 
 - cube writer: one slab, the records and unpacked neighbour masks of a run
-  of whole vertices (one vertex's, if larger), 16 bytes per vertex to find
-  the runs, and the label table of 2^d (d + 1) bytes;
+  of whole vertices with forward edges (one vertex's, if larger), about 40
+  bytes per such vertex to find the runs (none for the others), and label
+  tables of 2^w w bytes for runs of w <= 16 label bits (1 MiB at most);
 - blocked writer: one slab, the cells and the records of a run of block
   pairs, ``_SLAB_BYTES / _block_bytes(d, m)`` of them (at least one);
 - ``write_generated`` (``gen-host``): no host at all, only one such run of
@@ -144,7 +145,7 @@ def _cube_records(masks: list[int], verts: np.ndarray, counts: np.ndarray, d: in
     vs = bits - np.repeat(offsets - verts - 1, counts)
     # a record is u's label, " ", v's label and "\n"; each run of a label's
     # bytes is gathered from its table as one opaque value into a strided
-    # view of the records
+    # view of the records, "wrap" keeping the run's low bits of x >> shift
     width = 2 * d + 2
     lines = np.empty((len(bits), width), np.uint8)
     for x, start in ((us, 0), (vs, d + 1)):
