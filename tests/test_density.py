@@ -510,7 +510,8 @@ class TestAnchoredLocalSearch:
         assert _fields(rho_local_search(pattern, host, budget, seed)) == _fields(
             rho_local_search_whole_graph(pattern, host, budget, seed))
 
-    # P5 and {01, 02} add edges in rows after rows that added none
+    # H_2, P5 and {01, 02} have rows that open with a whole-row question and
+    # then add edges
     @pytest.mark.parametrize("pattern", [P3, build_hk(2), monotone_p3(4), monotone_p3(5),
                                          OrderedGraph(3, [(0, 1), (0, 2)])])
     def test_matches_on_a_blocked_host(self, pattern):
