@@ -260,10 +260,21 @@ def _is_number(value) -> bool:
     return type(value) is int or type(value) is float and math.isfinite(value)
 
 
+def _is_fraction(value) -> bool:
+    """A finite JSON number, or a string ``Fraction`` reads ("1/0" it does not)."""
+    if type(value) is not str:
+        return _is_number(value)
+    try:
+        Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        return False
+    return True
+
+
 #: each check parameter's description and JSON type test; the exact checks read
 #: alpha, eps, eta and f with Fraction, so a string such as "1/3" serves there,
 #: but a2 compares its eps with floats
-_FRACTION = ("a number or a fraction string", lambda v: _is_number(v) or type(v) is str)
+_FRACTION = ("a number or a fraction string", _is_fraction)
 _PARAM_TYPES = {
     **dict.fromkeys(("k", "n", "x", "y", "n_samples", "seed", "n_max"),
                     ("an integer", lambda v: type(v) is int)),

@@ -43,13 +43,19 @@ and the temporaries made from one slab take a few times its size:
   read whole as text, as ``loads_hypercube`` reads it;
 - blocked reader (``read_blocked``): one slab of whole blocks, as many as
   the writer's run, and 8 bytes per listed block pair, the keys that catch
-  a pair listed twice; a file that leaves a doubt is read whole as text,
-  as ``loads_blocked`` reads it;
+  a pair listed twice; a file that leaves a doubt, among them one whose
+  bytes cannot hold the blocks its line count declares (found before any
+  cell is allocated), is read whole as text, as ``loads_blocked`` reads it;
 - ``loads_hypercube`` and ``loads_blocked``: the text, its ASCII bytes and
-  what the reader takes.
+  what the reader takes;
+- the per-line cube reader: the text's lines and a tuple per edge line,
+  then the masks ``HypercubeGraph`` builds from them (32 bytes per vertex);
+  a file it refuses costs its lines alone, whatever its d.
 
-``read_host`` tells the two host formats apart by their header lines and
-hands the file to the matching reader.
+The formats share one header reader per path, ``_fast_header`` for the
+array readers and ``_header`` for the per-line ones; the host formats share
+one file dispatch (``_read_file``) and one text dispatch (``_loads_text``).
+``read_host`` tells them apart by their header lines.
 """
 
 from __future__ import annotations
@@ -64,7 +70,7 @@ from itertools import compress
 import numpy as np
 
 from .core import _SLAB_BYTES, HypercubeGraph, OrderedGraph, _key_type
-from .hosts import DEFAULT_VERTEX_BUDGET, BlockedGraph, host_runs
+from .hosts import DEFAULT_VERTEX_BUDGET, BlockedGraph, host_runs, nonempty_blocks
 
 
 class FormatError(ValueError):
@@ -86,14 +92,44 @@ def dumps_ordered(g: OrderedGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def loads_ordered(text: str) -> OrderedGraph:
-    lines = text.splitlines()
+def _fast_header(fh, fields: int) -> tuple[int, list[int]] | None:
+    """The length and the ints of the header line of the binary stream ``fh``,
+    read from at most 64 bytes, or None unless the line is ASCII, ends in
+    "\\n", holds no other line break and holds exactly ``fields`` ints.
+
+    A canonical header is at most 2 + 1 + 7 + 1 + 20 + 1 bytes; a longer line
+    leaves a doubt."""
+    line = fh.readline(64)
+    if not (line.endswith(b"\n") and line.isascii()):
+        return None
+    head = line[:-1].decode("ascii")
+    parts = head.split()
+    if len(parts) != fields or head.splitlines() != [head]:
+        return None
+    try:
+        return len(line), [int(t) for t in parts]
+    except ValueError:
+        return None
+
+
+def _header(lines: list[str], names: str) -> list[int]:
+    """The ints of the header line ``lines[0]``, one per field of ``names``
+    ("d m", say); ``FormatError`` at line 1 when there is no line, or when it
+    holds another number of fields or one that is not an int."""
     if not lines:
         raise FormatError(1, "empty file")
-    try:
-        n, m = (int(t) for t in lines[0].split())
-    except ValueError:
-        raise FormatError(1, f"expected 'n m', got {lines[0]!r}") from None
+    parts = lines[0].split()
+    if len(parts) == len(names.split()):
+        try:
+            return [int(t) for t in parts]
+        except ValueError:
+            pass
+    raise FormatError(1, f"expected '{names}', got {lines[0]!r}")
+
+
+def loads_ordered(text: str) -> OrderedGraph:
+    lines = text.splitlines()
+    n, m = _header(lines, "n m")
     if not 0 <= n <= DEFAULT_VERTEX_BUDGET or m < 0:
         raise FormatError(1, f"need 0 <= n <= {DEFAULT_VERTEX_BUDGET} and m >= 0, got {lines[0]!r}")
     edges = []
@@ -210,9 +246,9 @@ def _cube_layout_ok(slab: np.ndarray, d: int) -> bool:
     return bool(((slab[whole:].reshape(-1, width) | mask) == layout).all())
 
 
-def _read_cube(fh, size: int) -> HypercubeGraph | None:
-    """Decode the cube-graph file of ``size`` bytes that the binary stream
-    ``fh`` holds, a slab at a time, or return None if any byte leaves a doubt.
+def _read_cube(fh) -> HypercubeGraph | None:
+    """Decode the cube-graph file that the seekable binary stream ``fh``
+    holds, a slab at a time, or return None if any byte leaves a doubt.
 
     The header line must end in "\\n" and hold no other line break, and the
     first m edge lines must each be a record of 2d + 2 bytes, "u v\\n" with
@@ -222,19 +258,13 @@ def _read_cube(fh, size: int) -> HypercubeGraph | None:
     edge, u << d | v and v << d | u, in ``_key_type(2^d)``, int32 when
     2d < 31, and ``_from_keys`` packs the keys into the masks.
     """
-    # a canonical header is at most 2 + 1 + 13 + 1 bytes; a longer line leaves a doubt
-    line = fh.readline(64)
-    if not (line.endswith(b"\n") and line.isascii()):
+    if (head := _fast_header(fh, 2)) is None:
         return None
-    head = line[:-1].decode("ascii")
-    try:
-        d, m = (int(t) for t in head.split())
-    except ValueError:
-        return None
+    start, (d, m) = head
     width = 2 * d + 2  # two labels, a space and a newline
-    if not (head.splitlines() == [head] and 1 <= d <= _MAX_CUBE_D
-            and 0 <= m * width <= size - len(line)):
+    if not (1 <= d <= _MAX_CUBE_D and 0 <= m * width <= fh.seek(0, os.SEEK_END) - start):
         return None
+    fh.seek(start)
     n = 1 << d
     keys = np.empty(2 * m, _key_type(n))
     per_slab = max(1, _SLAB_BYTES // width)  # records
@@ -245,16 +275,14 @@ def _read_cube(fh, size: int) -> HypercubeGraph | None:
         if fh.readinto(part) != len(part) or not _cube_layout_ok(part, d):
             return None
         rows = part.reshape(-1, width)
-        u = np.zeros(hi - lo, keys.dtype)
-        v = np.zeros(hi - lo, keys.dtype)
+        labels = np.zeros((2, hi - lo), keys.dtype)
         for i in range(d):
-            u <<= 1
-            u += rows[:, i]
-            v <<= 1
-            v += rows[:, d + 1 + i]
+            labels <<= 1
+            labels[0] += rows[:, i]
+            labels[1] += rows[:, d + 1 + i]
         # each label byte is ord("0") plus its bit
-        u -= ord("0") * (n - 1)
-        v -= ord("0") * (n - 1)
+        labels -= ord("0") * (n - 1)
+        u, v = labels
         if (u == v).any():  # the per-line reader names the first one
             return None
         np.left_shift(u, d, out=keys[lo:hi])
@@ -268,55 +296,27 @@ def _read_cube(fh, size: int) -> HypercubeGraph | None:
     return HypercubeGraph._from_keys(n, keys)
 
 
-def loads_hypercube(text: str) -> HypercubeGraph:
-    """Decode a cube-graph file.
-
-    When the file is ASCII, its header line ends in "\\n" and holds no other
-    line break, and the first m edge lines are each a record of 2d + 2 bytes,
-    "u v\\n" with u and v d-byte "0"/"1" labels, they are decoded as byte
-    arrays, a slab at a time.  Any other file goes to the per-line reader,
-    which alone raises ``FormatError``, so what a file means and how it fails
-    do not depend on the path taken.
-    """
-    if text.isascii():
-        data = text.encode("ascii")
-        g = _read_cube(io.BytesIO(data), len(data))
-        if g is not None:
-            return g
-    return _loads_hypercube_lines(text)
-
-
 def _loads_hypercube_lines(text: str) -> HypercubeGraph:
     """The per-line cube-graph reader: any spacing ``str.split`` takes and any
     line break ``str.splitlines`` takes; the only source of ``FormatError``."""
     lines = text.splitlines()
-    if not lines:
-        raise FormatError(1, "empty file")
-    try:
-        d, m = (int(t) for t in lines[0].split())
-    except ValueError:
-        raise FormatError(1, f"expected 'd m', got {lines[0]!r}") from None
+    d, m = _header(lines, "d m")
     if not 1 <= d <= _MAX_CUBE_D:
         raise FormatError(1, f"need 1 <= d <= {_MAX_CUBE_D}, got {d}")
     if m < 0:  # lines[1:m + 1] would drop lines from the end
         raise FormatError(1, f"need m >= 0, got {m}")
-    # one lookup checks a label's length and alphabet and gives its vertex
-    vertex = {format(v, f"0{d}b"): v for v in range(1 << d)}.get
-    fwd = [0] * (1 << d)
-    bwd = [0] * (1 << d)
+    edges = []
     for line_no, line in enumerate(lines[1:m + 1], 2):
         parts = line.split()
-        if len(parts) != 2 or (u := vertex(parts[0])) is None or (v := vertex(parts[1])) is None:
+        if len(parts) != 2 or not all(len(p) == d and not p.strip("01") for p in parts):
             raise FormatError(line_no, f"expected two length-{d} bitstrings, got {line!r}")
+        u, v = int(parts[0], 2), int(parts[1], 2)
         if u == v:
             raise FormatError(line_no, "self-loop")
-        if u > v:
-            u, v = v, u
-        fwd[u] |= 1 << v
-        bwd[v] |= 1 << u
+        edges.append((u, v))
     if len(lines) <= m:
         raise FormatError(len(lines) + 1, f"expected {m} edge lines, file ends early")
-    return HypercubeGraph._from_masks(1 << d, tuple(fwd), tuple(bwd))
+    return HypercubeGraph(d, edges)
 
 
 def _decimal_fields(a: np.ndarray) -> np.ndarray:
@@ -374,11 +374,9 @@ def _encode_runs(d: int, m: int, seed: int, runs) -> Iterator[np.ndarray]:
     ``(pairs, cells)`` of ``runs`` the lines of its nonempty blocks."""
     yield np.frombuffer(f"{d} {m} {seed}\n".encode(), np.uint8)
     for pairs, mats in runs:
-        keep = mats.any(axis=(1, 2))
-        if keep.all():  # no copy of the cells
+        pairs, mats = nonempty_blocks(pairs, mats)
+        if len(pairs):  # _blocked_records takes one block at least
             yield _blocked_records(pairs, mats, m)
-        elif keep.any():
-            yield _blocked_records(pairs[keep], mats[keep], m)
 
 
 def _encode_blocked(g: BlockedGraph) -> Iterator[np.ndarray]:
@@ -461,29 +459,25 @@ def _read_blocked(fh) -> BlockedGraph | None:
     and every row line a record of ceil(m/4) + 1 bytes, lowercase hex digits
     and "\\n", with no bit beyond column m - 1.  A first pass checks the
     bytes and counts the lines, so that the pairs and cells are allocated
-    once, at their size; the second decodes each slab into them.
+    once, at their size, and only when the bytes can hold that many blocks;
+    the second decodes each slab into them.
     """
-    # a canonical header is at most 2 + 1 + 7 + 1 + 20 + 1 bytes; a longer line leaves a doubt
-    line = fh.readline(64)
-    if not (line.endswith(b"\n") and line.isascii()):
+    if (head := _fast_header(fh, 3)) is None:
         return None
-    head = line[:-1].decode("ascii")
-    try:
-        d, m, seed = (int(t) for t in head.split())
-    except ValueError:
+    start, (d, m, seed) = head
+    if not (1 <= d <= _MAX_CUBE_D and 1 <= m and m << d <= DEFAULT_VERTEX_BUDGET):
         return None
-    if not (head.splitlines() == [head] and 1 <= d <= _MAX_CUBE_D and 1 <= m
-            and m << d <= DEFAULT_VERTEX_BUDGET):
-        return None
-    lines, last = 0, line
+    lines, last = 0, b"\n"
     while chunk := fh.read(_SLAB_BYTES):
         if not chunk.isascii():
             return None
         lines, last = lines + chunk.count(b"\n"), chunk[-1:]
     stride, width = m + 1, (m + 3) // 4  # lines per block; hex digits per row
-    if not last.endswith(b"\n") or lines % stride:
-        return None
     n_pairs = lines // stride
+    # before the cells are allocated: a block is m rows of width + 1 bytes and
+    # a pair line of 4 bytes at least
+    if last != b"\n" or lines % stride or fh.tell() - start < n_pairs * (m * (width + 1) + 4):
+        return None
     pairs = np.empty((n_pairs, 2), np.int64)
     mats = np.empty((n_pairs, m, m), bool)
     # a slab is at most as many blocks as the writer's, read from a buffer
@@ -491,7 +485,7 @@ def _read_blocked(fh) -> BlockedGraph | None:
     # most, and at least one of any that decodes, whose pair line is at most 38
     per_slab = max(1, _SLAB_BYTES // _block_bytes(d, m))  # blocks
     buf = np.empty(per_slab * (m * (width + 1) + 2 * d + 2) + 38, np.uint8)
-    fh.seek(len(line))
+    fh.seek(start)
     at = held = 0  # blocks decoded; bytes carried over to the next slab
     while at < n_pairs:
         data = buf[:held + fh.readinto(buf[held:])]
@@ -506,42 +500,17 @@ def _read_blocked(fh) -> BlockedGraph | None:
         at += count
         held = len(data) - end
         buf[:held] = data[end:]
-    # a pair listed twice, in one slab or two, is two equal neighbours once sorted
-    keys = pairs[:, 0] << d
-    keys |= pairs[:, 1]
-    if (keys[1:] <= keys[:-1]).any():
-        keys.sort()
-        if (keys[1:] == keys[:-1]).any():
-            return None
-    del keys
-    return BlockedGraph(d, m, seed, pairs, mats)
-
-
-def loads_blocked(text: str) -> BlockedGraph:
-    """Decode a blocked-host file.
-
-    An ASCII file is decoded a slab at a time, as ``read_blocked`` decodes a
-    file.  Any file that leaves a doubt goes to the per-line reader, which
-    alone raises ``FormatError``, so what a file means and how it fails do
-    not depend on the path taken.
-    """
-    if text.isascii():
-        g = _read_blocked(io.BytesIO(text.encode("ascii")))
-        if g is not None:
-            return g
-    return _loads_blocked_lines(text)
+    # a pair listed twice, in one slab or two, is two equal neighbours among
+    # the sorted pair keys of the graph
+    g = BlockedGraph(d, m, seed, pairs, mats)
+    return None if (g._keys[1:] == g._keys[:-1]).any() else g
 
 
 def _loads_blocked_lines(text: str) -> BlockedGraph:
     """The per-line blocked-host reader: any row ``int(row, 16)`` takes; the
     only source of ``FormatError``."""
     lines = text.splitlines()
-    if not lines:
-        raise FormatError(1, "empty file")
-    try:
-        d, m, seed = (int(t) for t in lines[0].split())
-    except ValueError:
-        raise FormatError(1, f"expected 'd m seed', got {lines[0]!r}") from None
+    d, m, seed = _header(lines, "d m seed")
     if not 1 <= d <= _MAX_CUBE_D or m < 1:  # before m << d, a 2^d-bit integer
         raise FormatError(1, f"need 1 <= d <= {_MAX_CUBE_D} and m >= 1")
     if m << d > DEFAULT_VERTEX_BUDGET:
@@ -604,19 +573,6 @@ def write_generated(path, m: int, d: int, seed: int) -> list[int]:
     return counts.astype(np.int64).tolist()
 
 
-def read_blocked(path) -> BlockedGraph:
-    """Decode the blocked-host file at ``path`` a slab at a time; a file that
-    leaves a doubt, or a stream such as a pipe, is read whole as text, as
-    ``open(path).read()`` reads it, and goes to ``loads_blocked``."""
-    with open(path, "rb") as fh:
-        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-            g = _read_blocked(fh)
-            if g is not None:
-                return g
-            fh.seek(0)
-        return loads_blocked(io.TextIOWrapper(fh).read())
-
-
 def write_ordered(path, g: OrderedGraph) -> None:
     with open(path, "w") as fh:
         fh.write(dumps_ordered(g))
@@ -632,18 +588,46 @@ def write_hypercube(path, g: HypercubeGraph) -> None:
         fh.writelines(_encode_hypercube(g))
 
 
-def read_hypercube(path) -> HypercubeGraph:
-    """Decode the cube-graph file at ``path`` a slab at a time; a file that
-    leaves a doubt, or a stream such as a pipe, is read whole as text, as
-    ``open(path).read()`` reads it, and goes to ``loads_hypercube``."""
+def _read_file(path, fast, loads):
+    """Decode the regular file at ``path`` with the array reader ``fast``; a
+    file it returns None for, or a stream such as a pipe, is read whole as
+    text, as ``open(path).read()`` reads it, and goes to ``loads``."""
     with open(path, "rb") as fh:
-        info = os.fstat(fh.fileno())
-        if stat.S_ISREG(info.st_mode):
-            g = _read_cube(fh, info.st_size)
-            if g is not None:
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            if (g := fast(fh)) is not None:
                 return g
             fh.seek(0)
-        return loads_hypercube(io.TextIOWrapper(fh).read())
+        return loads(io.TextIOWrapper(fh).read())
+
+
+def _loads_text(text: str, fast, loads_lines):
+    """Decode ``text`` with the array reader ``fast`` on its bytes when it is
+    ASCII; text it returns None for, or other text, goes to the per-line
+    reader ``loads_lines``, which alone raises ``FormatError``, so what a
+    file means and how it fails do not depend on the path taken."""
+    if text.isascii() and (g := fast(io.BytesIO(text.encode("ascii")))) is not None:
+        return g
+    return loads_lines(text)
+
+
+def read_hypercube(path) -> HypercubeGraph:
+    """The cube graph in the file at ``path``, read as ``_read_file`` reads."""
+    return _read_file(path, _read_cube, loads_hypercube)
+
+
+def loads_hypercube(text: str) -> HypercubeGraph:
+    """The cube graph in ``text``, read as ``_loads_text`` reads."""
+    return _loads_text(text, _read_cube, _loads_hypercube_lines)
+
+
+def read_blocked(path) -> BlockedGraph:
+    """The blocked host in the file at ``path``, read as ``_read_file`` reads."""
+    return _read_file(path, _read_blocked, loads_blocked)
+
+
+def loads_blocked(text: str) -> BlockedGraph:
+    """The blocked host in ``text``, read as ``_loads_text`` reads."""
+    return _loads_text(text, _read_blocked, _loads_blocked_lines)
 
 
 def read_host(path) -> BlockedGraph | HypercubeGraph:

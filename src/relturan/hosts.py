@@ -109,6 +109,15 @@ def philox_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
 
 
+def nonempty_blocks(pairs: np.ndarray, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Block ``pairs`` and their cells ``mats`` restricted to blocks with at
+    least one edge; the arrays themselves, not copies, when every block has one."""
+    keep = mats.any(axis=(1, 2))
+    if keep.all():
+        return pairs, mats
+    return pairs[keep], mats[keep]
+
+
 class BlockedGraph:
     """A graph on {0,1}^d x [m] with block structure, ordered lexicographically.
 
@@ -151,14 +160,6 @@ class BlockedGraph:
     @property
     def n(self) -> int:
         return self.m << self.d
-
-    def nonempty(self) -> tuple[np.ndarray, np.ndarray]:
-        """``pairs`` and ``mats`` restricted to blocks with at least one edge;
-        the arrays themselves, not copies, when every block has one."""
-        keep = self.mats.any(axis=(1, 2))
-        if keep.all():
-            return self.pairs, self.mats
-        return self.pairs[keep], self.mats[keep]
 
     def block_matrix(self, x: int, y: int) -> np.ndarray:
         if not 0 <= x < y < self.n_blocks:
@@ -210,7 +211,7 @@ class BlockedGraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BlockedGraph) or (self.d, self.m) != (other.d, other.m):
             return False
-        (p, a), (q, b) = self.nonempty(), other.nonempty()
+        (p, a), (q, b) = (nonempty_blocks(g.pairs, g.mats) for g in (self, other))
         return np.array_equal(p, q) and np.array_equal(a, b)
 
     def __repr__(self) -> str:

@@ -402,9 +402,15 @@ class TestAppendixCheck:
          "param alpha must be a number or a fraction string, got Infinity"),
         ("a2", {"n": 64, "eps": float("nan"), "n_samples": 5, "seed": 1},
          "param eps must be a number, got NaN"),
+        # Fraction("1/0") raises ZeroDivisionError, which is no usage error
+        ("a1", {"alpha": "1/2", "eps": 0.1, "k": 2, "eta": "1/0", "n": 10},
+         'param eta must be a number or a fraction string, got "1/0"'),
+        ("a3", {"f": [0.5, "1/0"], "n": 2, "x": 0, "y": 0, "alpha": 0.5, "eps": 0.1, "eta": 0.1},
+         'param f must be a list of numbers or fraction strings, got [0.5, "1/0"]'),
     ], ids=["a1-list", "a2-unknown-key", "a2-missing-key", "a3-string-int", "a3-bool-int",
             "a2-string-eps", "a2-string-exhaustive", "a1-list-alpha", "a1-bool-eps",
-            "a3-int-f", "a3-nested-f", "a1-infinite-alpha", "a2-nan-eps"])
+            "a3-int-f", "a3-nested-f", "a1-infinite-alpha", "a2-nan-eps",
+            "a1-zero-denominator-eta", "a3-zero-denominator-f"])
     def test_bad_params_are_usage_errors(self, lemma, params, message, capsys):
         assert main(["appendix-check", "--lemma", lemma, "--params", json.dumps(params)]) == 2
         out, err = capsys.readouterr()

@@ -1,7 +1,9 @@
 import functools
 import hashlib
 import json
+import os
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -560,6 +562,69 @@ class TestArrayPaths:
         assert _outcome(loads, mutated) == _outcome(loads_lines, mutated)
 
 
+# ---------------------------------------------------------------- headers
+# Header lines the malformed tables above lack. Every path reads the header
+# its own way (the array readers from at most 64 bytes, read_host by its
+# field count), and each must reach the per-line reader's outcome.
+
+ORDERED_TEXT = "3 2\n0 1\n1 2\n"
+
+# (format, what is wrong, file text, line number the FormatError names, or
+# None where the per-line reader accepts the file)
+HEADERS = [
+    ("ordered", "one-field-too-many", "3 2 0" + ORDERED_TEXT[3:], 1),
+    ("ordered", "one-field-too-few", "3" + ORDERED_TEXT[3:], 1),
+    # int() reads any Unicode decimal digit, the array paths only ASCII
+    ("ordered", "unicode-digit", "٣" + ORDERED_TEXT[1:], None),
+    ("ordered", "vt-between-fields", ORDERED_TEXT.replace(" ", "\x0b", 1), 1),
+    ("ordered", "fs-before-newline", ORDERED_TEXT.replace("\n", "\x1c\n", 1), 2),
+    ("cube", "one-field-too-many", "3 3 0" + CUBE_TEXT[3:], 1),
+    ("cube", "one-field-too-few", "3" + CUBE_TEXT[3:], 1),
+    ("cube", "unicode-digit", "٣" + CUBE_TEXT[1:], None),
+    ("cube", "vt-between-fields", CUBE_TEXT.replace(" ", "\x0b", 1), 1),
+    # "\x1c" is blank to str.split, so the header alone reads as "3 3"
+    ("cube", "fs-before-newline", CUBE_TEXT.replace("\n", "\x1c\n", 1), 2),
+    ("blocked", "one-field-too-many", "2 5 7 0" + BLOCKED_TEXT[5:], 1),
+    ("blocked", "one-field-too-few", "2 5" + BLOCKED_TEXT[5:], 1),
+    ("blocked", "unicode-digit", "2 ٥" + BLOCKED_TEXT[3:], None),
+    ("blocked", "vt-between-fields", BLOCKED_TEXT.replace(" ", "\x0b", 1), 1),
+    ("blocked", "fs-before-newline", BLOCKED_TEXT.replace("\n", "\x1c\n", 1), 2),
+]
+HOST_HEADERS = [case for case in HEADERS if case[0] != "ordered"]
+READ = {"blocked": read_blocked, "cube": read_hypercube, "ordered": read_ordered}
+LINE_READERS = {"blocked": graphio._loads_blocked_lines, "cube": graphio._loads_hypercube_lines,
+                "ordered": loads_ordered}
+
+
+class TestHeaders:
+    @pytest.mark.parametrize("kind, name, text, line_no", HEADERS,
+                             ids=[f"{kind}-{name}" for kind, name, _, _ in HEADERS])
+    def test_every_path_gives_the_line_readers_outcome(self, kind, name, text, line_no, tmp_path):
+        want = _outcome(LINE_READERS[kind], text)
+        assert (want[0] if isinstance(want, tuple) else None) == line_no
+        path = tmp_path / "graph.txt"
+        path.write_bytes(text.encode())
+        assert _outcome(LOADS[kind], text) == want
+        assert _outcome(READ[kind], path) == want
+
+    @pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd")
+    @pytest.mark.parametrize("kind, name, text, line_no", HOST_HEADERS,
+                             ids=[f"{kind}-{name}" for kind, name, _, _ in HOST_HEADERS])
+    def test_read_host_on_a_pipe(self, kind, name, text, line_no):
+        # read_host takes a first line of three fields for a blocked host and
+        # any other for a cube graph, whatever the file's own format
+        first = text.splitlines()[0]
+        picked = "blocked" if len(first.split()) == 3 else "cube"
+        read_end, write_end = os.pipe()
+        with os.fdopen(write_end, "wb") as fh:  # within the pipe's buffer
+            fh.write(text.encode())
+        try:
+            got = _outcome(graphio.read_host, f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
+        assert got == _outcome(LINE_READERS[picked], text)
+
+
 # ---------------------------------------------------------------- slabs
 # The bulk writers and the cube reader work a slab of about _SLAB_BYTES at a
 # time. Smaller slabs put slab boundaries inside the small files below.
@@ -799,6 +864,28 @@ class TestBoundedMemory:
         write_blocked(path, generate_host(256, 4, 0))  # a 2.1 MB file
         peak = _traced_peak(lambda: read_blocked(path))
         assert peak < 11.8 * 2**20  # measured 9.46 MiB: 7.5 MiB of it the host's cells
+
+    def test_blocked_header_larger_than_the_file(self, tmp_path):
+        # one block of 2^20 rows declared in a 1 MiB file of empty lines: the
+        # array path once allocated the header's 1 TiB of cells before it
+        # found the rows missing
+        text = "1 1048576 0\n0 1\n" + "\n" * (1 << 20)
+        path = tmp_path / "g.rg"
+        path.write_text(text)
+        for read, source in ((read_blocked, path), (loads_blocked, text)):
+            got = []
+            peak = _traced_peak(lambda: got.append(_outcome(read, source)))
+            assert got == [(3, "line 3: expected hex row, got ''")]
+            # measured 17.06 MiB, the per-line reader's lines most of it
+            assert peak < 21.5 * 2**20
+
+    def test_cube_reader_rejects_a_large_cube_without_its_labels(self):
+        # the per-line reader once built all 2^21 labels before the first edge
+        # line, 295 MiB traced to reject 10 bytes
+        got = []
+        peak = _traced_peak(lambda: got.append(_outcome(loads_hypercube, "21 1\n0 1\n")))
+        assert got == [(2, "line 2: expected two length-21 bitstrings, got '0 1'")]
+        assert peak < 2**20  # measured 0.01 MiB
 
     def test_tile_sampler(self):
         cfg = TilingConfig(12, tuple(range(1, 13)), 6, 3)
