@@ -2,14 +2,16 @@
 
 Subcommands cover host generation, pattern classification, density
 solving, richness analysis, staircase embedding, the windowed sampler and
-its exact verifier, the auxiliary-inequality checks, and grid reports.
+its exact verifier, the auxiliary-inequality checks, and grid reports of
+three experiments: quarter-density, local-density and host-stats.
 Structured results go to stdout as JSON, a result record as an object of
 its fields; ``--out-dir`` additionally writes
 the result, any CSV plot data, and a run manifest recording everything
 needed to reproduce the run.
 
 Exit codes: 0 success, 1 a verification or embedding check failed,
-2 usage error (bad flags, malformed input files).
+2 usage error (bad flags, malformed input files, a size past a memory
+budget).
 """
 
 from __future__ import annotations
@@ -260,11 +262,21 @@ def _is_number(value) -> bool:
     return type(value) is int or type(value) is float and math.isfinite(value)
 
 
+#: the largest exponent, in size, of a fraction string: Python's own limit on
+#: the digits of an int read from a string. ``Fraction`` builds 10^exponent,
+#: which for "1e10000000" takes seconds
+_MAX_FRACTION_EXPONENT = 4300
+
+
 def _is_fraction(value) -> bool:
-    """A finite JSON number, or a string ``Fraction`` reads ("1/0" it does not)."""
+    """A finite JSON number, or a string ``Fraction`` reads ("1/0" it does not)
+    with an exponent of at most ``_MAX_FRACTION_EXPONENT`` in size."""
     if type(value) is not str:
         return _is_number(value)
     try:
+        _, e, exponent = value.lower().partition("e")
+        if e and abs(int(exponent)) > _MAX_FRACTION_EXPONENT:
+            return False
         Fraction(value)
     except (ValueError, ZeroDivisionError):
         return False
@@ -318,53 +330,76 @@ def _grid_ints(spec: dict, key: str, default: list) -> list[int]:
     return values
 
 
+#: each report experiment's CSV columns between status and runtime_s, and
+#: their values in a row whose host ``generate_host`` refuses
+_REPORT_COLUMNS = {
+    "quarter-density": (["total_edges", "kept_edges", "ratio"], [0, 0, "nan"]),
+    "local-density": (["total_edges", "kept_edges", "ratio"], [0, 0, "nan"]),
+    "host-stats": (["levels_ok", "pairs_ok", "pair_checks", "worst_excess"], [False, 0, 0, "nan"]),
+}
+
+
+def _report_values(experiment: str, m: int, d: int, seed: int, budget, epsilon) -> list:
+    """One report row's values between status and runtime_s."""
+    host = hosts.generate_host(m, d, seed)
+    if experiment == "host-stats":
+        rep = hosts.verify_host(host, epsilon, 50 if budget is None else budget, seed)
+        return [rep.levels_ok, sum(c.ok for c in rep.pair_checks), len(rep.pair_checks),
+                f"{rep.worst_pair_excess:.6f}"]
+    host = host.to_ordered()
+    if experiment == "quarter-density":
+        kept = density.quarter_free_subgraph(host).num_edges()
+    else:
+        rounds = 500 if budget is None else budget
+        kept = density.rho_local_search(patterns.monotone_p3(), host, rounds, seed).best_edge_count
+    total = host.num_edges()
+    return [total, kept, f"{kept / total if total else 1.0:.6f}"]
+
+
 def cmd_report(args):
+    """Run the grid's experiment on ``generate_host(m, d, seed)`` for every d,
+    m and seed, one CSV row each:
+
+    - ``quarter-density``: the edges the quarter constructor keeps;
+    - ``local-density``: the edges the P3 local search keeps in ``--budget``
+      rounds (default 500);
+    - ``host-stats``: ``verify_host`` with the grid's ``epsilon`` (default
+      0.1) and ``--budget`` sampled pair checks (default 50), and how many
+      of them hold.
+    """
     with open(args.grid) as fh:
         spec = json.load(fh)
     # check the whole grid before any row runs
     if not isinstance(spec, dict):
         raise ValueError("grid must be a JSON object")
     experiment = spec.get("experiment", "quarter-density")
-    if experiment not in ("quarter-density", "local-density"):
+    if experiment not in _REPORT_COLUMNS:
         raise ValueError(f"unknown experiment {experiment!r}")
     if experiment == "quarter-density" and args.budget is not None:
-        raise ValueError("--budget sets the local-density rounds; quarter-density takes none")
+        raise ValueError("--budget sets the local-density rounds and the host-stats pair checks; "
+                         "quarter-density takes none")
     d_values = _grid_ints(spec, "d_values", [])
     m_values = _grid_ints(spec, "m_values", [spec.get("m", 8)])
     seeds = _grid_ints(spec, "seeds", [args.seed])
     for seed in seeds:
         if not 0 <= seed < 1 << 64:  # the rule of --seed
             raise ValueError(f"grid seeds must be non-negative and below 2^64, got {seed}")
+    epsilon = spec.get("epsilon", 0.1)
+    if not (_is_number(epsilon) and epsilon > 0):
+        raise ValueError(f"grid epsilon must be a positive number, got {json.dumps(epsilon)}")
+    columns, refused = _REPORT_COLUMNS[experiment]
     rows = []
     for d in d_values:
         for m in m_values:
             for seed in seeds:
                 t0 = time.perf_counter()
                 try:
-                    host = hosts.generate_host(m, d, seed).to_ordered()
-                    if experiment == "quarter-density":
-                        sub = density.quarter_free_subgraph(host)
-                        kept = sub.num_edges()
-                    else:
-                        res = density.rho_local_search(
-                            patterns.monotone_p3(),
-                            host,
-                            budget=500 if args.budget is None else args.budget,
-                            seed=seed,
-                        )
-                        kept = res.best_edge_count
-                    total = host.num_edges()
-                    ratio = kept / total if total else 1.0
+                    values = _report_values(experiment, m, d, seed, args.budget, epsilon)
                     status = "ok"
-                except (hosts.BudgetError, ValueError) as exc:
-                    kept = total = 0
-                    ratio = float("nan")
-                    status = f"infeasible: {exc}"
-                rows.append(
-                    [d, m, seed, status, total, kept, f"{ratio:.6f}",
-                     f"{time.perf_counter() - t0:.3f}"]
-                )
-    header = ["d", "m", "seed", "status", "total_edges", "kept_edges", "ratio", "runtime_s"]
+                except ValueError as exc:  # BudgetError among them
+                    values, status = refused, f"infeasible: {exc}"
+                rows.append([d, m, seed, status, *values, f"{time.perf_counter() - t0:.3f}"])
+    header = ["d", "m", "seed", "status", *columns, "runtime_s"]
     path = _write_csv(args, "report.csv", header, rows)
     if path is None:  # no out-dir: print the CSV itself
         w = csv.writer(sys.stdout)
@@ -472,8 +507,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--params", required=True, help="JSON object of check parameters")
     options(sp, cmd_appendix_check)
 
-    sp = sub.add_parser("report", help="run a parameter grid and emit a CSV table")
-    sp.add_argument("--grid", required=True, help="JSON grid specification file")
+    sp = sub.add_parser("report", help="run a parameter grid of quarter-density, local-density "
+                                       "or host-stats and emit a CSV table")
+    sp.add_argument("--grid", required=True,
+                    help='JSON grid: "experiment", "d_values", "m" or "m_values", "seeds", '
+                         'and "epsilon" for host-stats')
     options(sp, cmd_report, seed=True, budget=_positive_int)
 
     return p

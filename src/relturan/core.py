@@ -21,7 +21,7 @@ a bit at a time, which is faster on small graphs.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -31,6 +31,13 @@ import numpy as np
 #: the tile sampler, ``tiling.split_level_counts`` and ``mask_arrays`` take
 #: their rows in slabs of this size too
 _SLAB_BYTES = 1 << 20
+#: refuse to build data that could pass this many bytes: a graph's bitmasks
+#: (``_check_mask_bytes``) or a batch of tile chains (``tiling.sample_many``)
+_MAX_BUILD_BYTES = 1 << 31
+
+
+class BudgetError(ValueError):
+    """A size the package refuses before it allocates, where it would exhaust memory."""
 
 
 def _key_type(n: int) -> type:
@@ -110,11 +117,41 @@ def mask_arrays(fwd: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(us, dtype=np.int64), np.concatenate(vs, dtype=np.int64)
 
 
+def _check_mask_bytes(n: int, sorted_keys: Callable[[], np.ndarray]) -> None:
+    """Refuse (``BudgetError``) masks of a graph on 0..n-1 that could pass
+    ``_MAX_BUILD_BYTES``.
+
+    ``sorted_keys()`` holds the keys u * n + v of both orientations of every
+    edge, sorted, so each row's last key is the vertex's farthest neighbour
+    f: its forward and backward masks are each at most f + 1 bits long, as
+    Python ints, and the sum of 2 (f + 1) bits over the rows bounds both.
+    It is read a slab at a time, a row cut by a slab boundary counting in
+    its last slab, and only when n^2 / 4 bytes, that bound for any graph on
+    n vertices, pass the cap: at the default cap, for n above 92,681.
+    """
+    if n * n // 4 <= _MAX_BUILD_BYTES:
+        return
+    keys, bits, last_row, last_bits = sorted_keys(), 0, -1, 0
+    for lo in range(0, len(keys), _SLAB_BYTES // 8):
+        part = keys[lo:lo + _SLAB_BYTES // 8]
+        rows = part // n
+        ends = np.append(rows[1:] != rows[:-1], True)
+        row_bits = 2 * (part[ends] - rows[ends] * n + 1).astype(np.int64)
+        bits += int(row_bits.sum()) - (last_bits if rows[0] == last_row else 0)
+        last_row, last_bits = int(rows[-1]), int(row_bits[-1])
+    if bits // 8 > _MAX_BUILD_BYTES:
+        raise BudgetError(f"bitmasks of up to {bits // 8} bytes exceed {_MAX_BUILD_BYTES}")
+
+
 def _edge_masks(
     n: int, edges: Iterable[tuple[int, int]], span: str
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The forward and backward masks of ``edges`` on 0..n-1; ``span`` names
     the vertex range in the out-of-range message."""
+    edges = list(edges)
+    # a pair outside 0..n-1 is left to the range check below
+    _check_mask_bytes(n, lambda: np.sort(np.array(
+        [k for u, v in edges if 0 <= u < n and 0 <= v < n for k in (u * n + v, v * n + u)], np.int64)))
     fwd = [0] * n
     bwd = [0] * n
     for u, v in edges:
@@ -173,6 +210,7 @@ class OrderedGraph:
         n-entry mask lists are the only work done per vertex.
         """
         keys.sort()
+        _check_mask_bytes(n, lambda: keys)
         fwd = [0] * n
         bwd = [0] * n
         # sorted, each vertex's neighbours are one run of keys. A slab is the

@@ -18,7 +18,7 @@ and runs its include test and packing walk on that table with bitwise
 operations, the walk over live-copy lists inherited down the search.  The
 table takes about copies x e/8 bytes, and the lists at most one slab of
 pointers (or one table's) beyond it; a table that would pass 2^31 bytes is
-refused with ``hosts.BudgetError``.  The local search keeps its set
+refused with ``core.BudgetError``.  The local search keeps its set
 pattern-free and adds one edge at a time, so every new copy passes through
 that edge; it searches only those, with one kernel search compiled per
 solve, on forward and backward bitmask lists it edits in place.  Its
@@ -49,8 +49,7 @@ from bisect import bisect_left, insort
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .core import _SLAB_BYTES, OrderedGraph, mask_arrays
-from .hosts import BudgetError
+from .core import _SLAB_BYTES, BudgetError, OrderedGraph, mask_arrays
 from .patterns import contains_ordered, has_monotone_p3, ordered_copies, through_edge_search
 
 EXHAUSTIVE_EDGE_CAP = 20

@@ -70,7 +70,7 @@ from itertools import compress
 import numpy as np
 
 from .core import _SLAB_BYTES, HypercubeGraph, OrderedGraph, _key_type
-from .hosts import DEFAULT_VERTEX_BUDGET, BlockedGraph, host_runs, nonempty_blocks
+from .hosts import DEFAULT_VERTEX_BUDGET, BlockedGraph, block_level_counts, host_runs, nonempty_blocks
 
 
 class FormatError(ValueError):
@@ -561,16 +561,16 @@ def write_generated(path, m: int, d: int, seed: int) -> list[int]:
     A size ``generate_host`` refuses is refused before the file is opened.
     """
     runs = host_runs(m, d, seed, _SLAB_BYTES // _block_bytes(d, m))
-    counts = np.zeros(d + 1)  # float sums are exact: a host has fewer than 2^53 edges
+    counts = np.zeros(d + 1, np.int64)
 
     def counted():
         for pairs, levels, mats in runs:
-            counts[:] += np.bincount(levels, np.count_nonzero(mats, axis=(1, 2)), d + 1)
+            counts[:] += block_level_counts(levels, mats, d)
             yield pairs, mats
 
     with open(path, "wb") as fh:
         fh.writelines(_encode_runs(d, m, seed, counted()))
-    return counts.astype(np.int64).tolist()
+    return counts.tolist()
 
 
 def write_ordered(path, g: OrderedGraph) -> None:

@@ -36,7 +36,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import _SLAB_BYTES, HypercubeGraph, OrderedGraph, _key_type, delta_int, pair_levels
+from .core import (_SLAB_BYTES, BudgetError, HypercubeGraph, OrderedGraph, _key_type, delta_int,
+                   pair_levels)
 
 #: refuse hosts with more vertices than this
 DEFAULT_VERTEX_BUDGET = 1 << 21
@@ -60,10 +61,6 @@ _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _LO32 = np.uint64(0xFFFFFFFF)
 _S32 = np.uint64(32)
-
-
-class BudgetError(ValueError):
-    pass
 
 
 def _mulhilo(a: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -107,6 +104,14 @@ def philox_rng(seed: int) -> np.random.Generator:
     """The Philox4x64-10 ``Generator`` keyed [seed, 0] of every stream outside host generation."""
     _check_seed(seed)
     return np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+
+
+def block_level_counts(levels: np.ndarray, mats: np.ndarray, d: int) -> np.ndarray:
+    """The int64 edge count per level 0..d (index 0 unused) of the blocks
+    ``mats`` whose pairs lie at ``levels``."""
+    # float weights are exact: a host has fewer than 2^53 edges
+    counts = np.bincount(levels, weights=np.count_nonzero(mats, axis=(1, 2)), minlength=d + 1)
+    return counts.astype(np.int64)
 
 
 def nonempty_blocks(pairs: np.ndarray, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -172,11 +177,8 @@ class BlockedGraph:
 
     def level_counts(self) -> list[int]:
         """Edge count per level 1..d (index 0 unused)."""
-        edges = np.count_nonzero(self.mats, axis=(1, 2))
-        # float weights are exact: a host has fewer than 2^53 edges
         levels = pair_levels(self.pairs[:, 0], self.pairs[:, 1], self.d)
-        counts = np.bincount(levels, weights=edges, minlength=self.d + 1)
-        return counts.astype(np.int64).tolist()
+        return block_level_counts(levels, self.mats, self.d).tolist()
 
     def num_edges(self) -> int:
         return sum(self.level_counts())

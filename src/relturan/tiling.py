@@ -42,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import _SLAB_BYTES, OrderedGraph, pair_levels, tau
+from .core import _MAX_BUILD_BYTES, _SLAB_BYTES, BudgetError, OrderedGraph, pair_levels, tau
 from .hosts import philox_rng
 
 DEFAULT_REPORT_BUDGET = 1 << 22  # max number of y-classes in a report
@@ -135,7 +135,13 @@ def _sample_batch(
 
 
 def sample_many(cfg: TilingConfig, n: int, seed: int) -> np.ndarray:
-    """n sampled vertex chains as an [n, h] integer array."""
+    """n sampled vertex chains as an [n, h] integer array.
+
+    A batch whose n (9h + 25) bytes pass ``_MAX_BUILD_BYTES`` is refused
+    (``BudgetError``) before anything is drawn.
+    """
+    if (size := n * (9 * cfg.h + 25)) > _MAX_BUILD_BYTES:
+        raise BudgetError(f"{n} chains of {cfg.h} vertices need {size} bytes, over {_MAX_BUILD_BYTES}")
     verts, _, _ = _sample_batch(cfg, n, philox_rng(seed))
     return verts
 

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import os
+import time
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -407,14 +408,30 @@ class TestAppendixCheck:
          'param eta must be a number or a fraction string, got "1/0"'),
         ("a3", {"f": [0.5, "1/0"], "n": 2, "x": 0, "y": 0, "alpha": 0.5, "eps": 0.1, "eta": 0.1},
          'param f must be a list of numbers or fraction strings, got [0.5, "1/0"]'),
+        # Fraction("1e1000000") builds 10^1000000, about 0.6 s, and
+        # "1e10000000" took 13 s: an exponent past 4300 in size is refused
+        ("a1", {"alpha": "1/2", "eps": 0.1, "k": 2, "eta": "1e1000000", "n": 10},
+         'param eta must be a number or a fraction string, got "1e1000000"'),
+        ("a3", {"f": [0.5, "1e-1000000"], "n": 2, "x": 0, "y": 0, "alpha": 0.5, "eps": 0.1,
+                "eta": 0.1},
+         'param f must be a list of numbers or fraction strings, got [0.5, "1e-1000000"]'),
     ], ids=["a1-list", "a2-unknown-key", "a2-missing-key", "a3-string-int", "a3-bool-int",
             "a2-string-eps", "a2-string-exhaustive", "a1-list-alpha", "a1-bool-eps",
             "a3-int-f", "a3-nested-f", "a1-infinite-alpha", "a2-nan-eps",
-            "a1-zero-denominator-eta", "a3-zero-denominator-f"])
+            "a1-zero-denominator-eta", "a3-zero-denominator-f", "a1-huge-exponent-eta",
+            "a3-huge-exponent-f"])
     def test_bad_params_are_usage_errors(self, lemma, params, message, capsys):
+        start = time.perf_counter()
         assert main(["appendix-check", "--lemma", lemma, "--params", json.dumps(params)]) == 2
+        assert time.perf_counter() - start < 0.5  # each is refused in milliseconds
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and message in err
+
+    def test_fraction_exponents_up_to_the_int_digit_limit_are_read(self):
+        for text in ("1e-3", "1/3", "0.25", "1E4300", "2.5e-4300", "1e+0_1"):
+            assert cli._is_fraction(text), text
+        for text in ("1e4301", "1e-4301", "1e", "1e1.5", "e5"):
+            assert not cli._is_fraction(text), text
 
     def test_fraction_strings_and_numbers_are_accepted(self, capsys):
         params = {"f": [0.5, "1/2", 1, 0, "0.5"], "n": 5, "x": 1, "y": 1,
@@ -602,6 +619,48 @@ class TestReport:
                 kept = kept.best_edge_count
             assert (int(row["total_edges"]), int(row["kept_edges"])) == (host.num_edges(), kept)
 
+    @pytest.mark.parametrize("spec, budget, epsilon, checks", [
+        ({"m": 8, "d_values": [2, 3], "seeds": [0, 1], "epsilon": 0.3}, ["--budget", "5"], 0.3, 5),
+        ({"m": 6, "d_values": [3], "seeds": [2]}, [], 0.1, 50),  # the defaults
+    ])
+    def test_host_stats_rows_are_verify_hosts_fields(self, spec, budget, epsilon, checks,
+                                                     tmp_path, capsys):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"experiment": "host-stats", **spec}))
+        assert main(["report", "--grid", str(grid), *budget, "--out-dir", str(tmp_path)]) == 0
+        with open(tmp_path / "report.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert list(rows[0]) == ["d", "m", "seed", "status", "levels_ok", "pairs_ok",
+                                 "pair_checks", "worst_excess", "runtime_s"]
+        assert len(rows) == len(spec["d_values"]) * len(spec["seeds"])
+        for row in rows:
+            m, d, seed = (int(row[key]) for key in ("m", "d", "seed"))
+            rep = hosts.verify_host(generate_host(m, d, seed), epsilon, checks, seed)
+            assert row["status"] == "ok"
+            assert (row["levels_ok"], row["pairs_ok"], row["pair_checks"], row["worst_excess"]) == (
+                str(rep.levels_ok), str(sum(c.ok for c in rep.pair_checks)), str(checks),
+                f"{rep.worst_pair_excess:.6f}")
+
+    def test_host_stats_refused_sizes_are_infeasible_rows(self, tmp_path, capsys):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"experiment": "host-stats", "d_values": [-1, 2], "m": 2}))
+        assert main(["report", "--grid", str(grid)]) == 0
+        rows = list(csv.reader(capsys.readouterr().out.splitlines()[1:]))
+        assert rows[0][3].startswith("infeasible: ") and rows[0][4:8] == ["False", "0", "0", "nan"]
+        assert rows[1][3] == "ok" and rows[1][6] == "50"
+
+    @pytest.mark.parametrize("epsilon, shown", [
+        (0, "0"), (-0.5, "-0.5"), (True, "true"), ("0.1", '"0.1"'), (None, "null"),
+        (float("nan"), "NaN"), (float("inf"), "Infinity"),
+    ])
+    def test_bad_epsilon_is_usage_error_before_any_row(self, epsilon, shown, tmp_path, capsys):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"experiment": "host-stats", "m": 2, "d_values": [2],
+                                    "epsilon": epsilon}))
+        assert main(["report", "--grid", str(grid)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: grid epsilon must be a positive number, got {shown}\n"
+
     def test_empty_grid_header_only(self, tmp_path, capsys):
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps({"experiment": "quarter-density", "d_values": []}))
@@ -692,6 +751,15 @@ class TestTileCommands:
                    "--epsilon", "0.9", "--out-dir", str(out_dir)])
         assert rc in (0, 1)
         assert (out_dir / "levels.csv").exists()
+
+    def test_sample_past_the_memory_cap_is_usage_error(self, p3_file, monkeypatch, capsys):
+        # --n-samples 1000000000 asked numpy for 7.45 GiB and exited 1; with
+        # the cap lowered, 101 chains of 3 vertices (5,252 bytes) stand in for it
+        monkeypatch.setattr(tiling, "_MAX_BUILD_BYTES", 5200)
+        assert main(["tile-sample", "--pattern", p3_file, "--d", "6", "--levels", "1,2,3,4,5,6",
+                     "--w", "4", "--n-samples", "101"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: 101 chains of 3 vertices need 5252 bytes")
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--epsilon", "inf", "must be in (0, 1)"),

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relturan import core, graphio
-from relturan.core import HypercubeGraph, OrderedGraph, delta_int, level_block, pair_levels, tau
+from relturan.core import (BudgetError, HypercubeGraph, OrderedGraph, delta_int, level_block,
+                           pair_levels, tau)
 from relturan.graphio import dumps_hypercube, loads_hypercube
 from relturan.hosts import complete_hypercube
 from relturan.richness import ExtractionResult, Thresholds, extract_rich_interval, strip_top_forward
@@ -219,6 +220,66 @@ class TestFromKeys:
     def test_a_cube_graph_is_built_as_its_own_class(self):
         g = HypercubeGraph._from_keys(8, pair_keys(8, [(0, 7), (2, 3)], np.int32))
         assert type(g) is HypercubeGraph and g == HypercubeGraph(3, [(0, 7), (2, 3)])
+
+
+def far_edges(n, count):
+    """The edges (u, n - 1 - u) for u < count: each reaches across the graph."""
+    return [(u, n - 1 - u) for u in range(count)]
+
+
+class TestMaskBudget:
+    # the cap lowered to 1000 bytes: far_edges(1024, 64) may need 16,400
+    # bytes of masks (twice 65,600 bits), the edge (0, 1) none
+    CAP = 1000
+
+    @pytest.fixture(autouse=True)
+    def lowered_cap(self, monkeypatch):
+        monkeypatch.setattr(core, "_MAX_BUILD_BYTES", self.CAP)
+
+    @pytest.mark.parametrize("build", [
+        lambda edges: OrderedGraph(1024, edges),
+        lambda edges: HypercubeGraph(10, edges),
+        lambda edges: OrderedGraph._from_keys(1024, pair_keys(1024, edges, np.int32)),
+        lambda edges: HypercubeGraph._from_keys(1024, pair_keys(1024, edges, np.int64)),
+    ], ids=["ordered", "cube", "ordered-keys", "cube-keys"])
+    def test_far_edges_are_refused_and_near_ones_built(self, build):
+        with pytest.raises(BudgetError, match="bitmasks of up to 16400 bytes exceed 1000"):
+            build(far_edges(1024, 64))
+        assert build([(0, 1)]).sorted_edges() == [(0, 1)]
+
+    def test_no_key_is_read_where_every_graph_fits(self):
+        # 63^2 / 4 bytes are within the cap, so even the complete graph fits;
+        # 64^2 / 4 are not
+        read = mock.Mock(side_effect=AssertionError("keys read"))
+        core._check_mask_bytes(63, read)
+        with pytest.raises(AssertionError, match="keys read"):
+            core._check_mask_bytes(64, read)
+
+    def test_an_out_of_range_edge_is_named_as_before(self):
+        with pytest.raises(ValueError, match=r"edge \(0, 5000\) out of range for n=1024"):
+            OrderedGraph(1024, [(0, 5000)])
+
+    # a slab of 8 bytes holds one key, one of 24 three: rows are then cut by
+    # slab boundaries
+    @given(key_cases(), st.sampled_from([8, 24, core._SLAB_BYTES]), st.data())
+    @settings(max_examples=200)
+    def test_refused_exactly_when_the_mask_bound_passes_the_cap(self, case, slab, data):
+        n, edges = case
+        want = OrderedGraph(n, edges)
+        far = {}  # each vertex's farthest neighbour
+        for u, v in edges:
+            far[u], far[v] = max(far.get(u, 0), v), max(far.get(v, 0), u)
+        size = sum(2 * (f + 1) for f in far.values()) // 8
+        cap = data.draw(st.integers(0, max(size, n * n // 4 - 1)))
+        with mock.patch.object(core, "_SLAB_BYTES", slab), \
+                mock.patch.object(core, "_MAX_BUILD_BYTES", cap):
+            for build in (lambda: OrderedGraph(n, edges),
+                          lambda: OrderedGraph._from_keys(n, pair_keys(n, edges, np.int64))):
+                if n * n // 4 > cap and size > cap:
+                    with pytest.raises(BudgetError, match=f"bitmasks of up to {size} bytes"):
+                        build()
+                else:
+                    assert build() == want
 
 
 class TestMaskArrays:

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relturan import graphio
+from relturan import core, graphio
 from relturan.cli import main
-from relturan.core import HypercubeGraph, OrderedGraph
+from relturan.core import BudgetError, HypercubeGraph, OrderedGraph
 from relturan.graphio import (
     FormatError,
     dumps_blocked,
@@ -886,6 +886,39 @@ class TestBoundedMemory:
         peak = _traced_peak(lambda: got.append(_outcome(loads_hypercube, "21 1\n0 1\n")))
         assert got == [(2, "line 2: expected two length-21 bitstrings, got '0 1'")]
         assert peak < 2**20  # measured 0.01 MiB
+
+    # edges (u, 1023 - u) for u < 64, whose masks may need 16,400 bytes, with
+    # the cap lowered to 1000 bytes: at the cap of 2^31 bytes, such a file of
+    # 2^15 edges on 2^21 vertices asked for about 16 GiB and exited 1
+    FAR_EDGES = [(u, 1023 - u) for u in range(64)]
+
+    @pytest.mark.parametrize("name, line, fast", [
+        ("far.og", "{} {}\n", None),
+        ("far.hg", "{:010b} {:010b}\n", True),  # records the array reader decodes
+        ("spaced.hg", "{:010b}  {:010b}\n", False),  # two blanks: the per-line reader's
+    ])
+    def test_far_reaching_edges_are_refused(self, name, line, fast, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(core, "_MAX_BUILD_BYTES", 1000)
+        path = tmp_path / name
+        header = "1024 64\n" if fast is None else "10 64\n"
+        path.write_text(header + "".join(line.format(*e) for e in self.FAR_EDGES))
+        if fast is None:
+            read, commands = read_ordered, [["classify", "--pattern"]]
+        else:
+            read, commands = read_hypercube, [["analyze-richness", "--alpha", "0.5", "--host"],
+                                              ["embed-hk", "--k", "2", "--host"]]
+            with open(path, "rb") as fh:
+                if fast:
+                    with pytest.raises(BudgetError):
+                        graphio._read_cube(fh)
+                else:
+                    assert graphio._read_cube(fh) is None
+        with pytest.raises(BudgetError, match="bitmasks of up to 16400 bytes exceed 1000"):
+            read(path)
+        for command in commands:
+            assert main([*command, str(path)]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: bitmasks of up to 16400 bytes")
 
     def test_tile_sampler(self):
         cfg = TilingConfig(12, tuple(range(1, 13)), 6, 3)

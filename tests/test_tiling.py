@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relturan.core import OrderedGraph, tau
+from relturan.core import BudgetError, OrderedGraph, tau
 from relturan.hosts import complete_ordered, philox_rng
 from relturan.patterns import build_hk, monotone_p3
 from relturan import tiling
@@ -109,6 +109,15 @@ class TestSampler:
                              env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)})
         assert run.returncode == 0, run.stderr
         assert run.stdout.split("\n")[:-1] == ["1"] + ["refused"] * 5
+
+    def test_a_batch_past_the_cap_is_refused_before_any_draw(self, monkeypatch):
+        # a batch takes n (9h + 25) bytes: 100 chains of 3 vertices 5,200
+        monkeypatch.setattr(tiling, "_MAX_BUILD_BYTES", 5200)
+        cfg = full_cfg(6, 4, 3)
+        assert sample_many(cfg, 100, 0).shape == (100, 3)
+        monkeypatch.setattr(tiling, "_sample_batch", None)  # a draw would fail on it
+        with pytest.raises(BudgetError, match="101 chains of 3 vertices need 5252 bytes, over 5200"):
+            sample_many(cfg, 101, 0)
 
     def test_batch_deterministic(self):
         cfg = full_cfg(6, 3, 2)
