@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import __version__, density, graphio, hosts, lemma_checks, patterns, richness, tiling
-from .core import tau
+from .core import BudgetError, tau
 
 #: the flags whose files the manifest records a digest of, where a subcommand has one
 _INPUT_FLAGS = ("pattern", "host", "grid")
@@ -51,13 +51,30 @@ def _digest(path: str) -> Optional[str]:
     return h.hexdigest()
 
 
+#: the most decimal digits an exact fraction's numerator or denominator is
+#: written with: past Python's own limit of 4,300 the limit is lifted while
+#: they are written, and str() of an int is quadratic (0.2 s for 108,659
+#: digits, 1.9 s for 325,980 on Python 3.11, a 2-vCPU VM)
+_MAX_FRACTION_DIGITS = 100_000
+
+
 def _jsonify(obj):
     if isinstance(obj, Fraction):
         try:
             approx = float(obj)
         except OverflowError:  # exact binomials outgrow a double; num/den stay exact
             approx = None
-        return {"num": str(obj.numerator), "den": str(obj.denominator), "float": approx}
+        # at least the digits of the longer part, as log10(2) < 0.30103
+        bits = max(obj.numerator.bit_length(), obj.denominator.bit_length())
+        if (digits := bits * 30103 // 100000 + 1) > _MAX_FRACTION_DIGITS:
+            raise BudgetError(f"an exact fraction of up to {digits} digits exceeds "
+                              f"{_MAX_FRACTION_DIGITS}")
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(0)
+            return {"num": str(obj.numerator), "den": str(obj.denominator), "float": approx}
+        finally:  # main may run in-process, so the limit is restored
+            sys.set_int_max_str_digits(limit)
     if isinstance(obj, tuple) and hasattr(obj, "_asdict"):  # a result record (NamedTuple)
         return _jsonify(obj._asdict())
     if isinstance(obj, dict):
@@ -142,13 +159,9 @@ def cmd_classify(args):
 
 
 def cmd_solve(args):
-    if args.mode == "exhaustive" and args.budget is not None:
-        raise ValueError("--budget bounds the exact and local searches; exhaustive mode takes none")
     pat = graphio.read_ordered(args.pattern)
     host = graphio.read_ordered(args.host)
-    if args.mode == "exhaustive":
-        res = density.rho_exhaustive(pat, host)
-    elif args.mode == "exact":
+    if args.mode == "exact":
         res = density.rho_exact(pat, host, node_budget=args.budget)
     else:
         budget = 2000 if args.budget is None else args.budget
@@ -330,6 +343,8 @@ def _grid_ints(spec: dict, key: str, default: list) -> list[int]:
     return values
 
 
+#: the keys every report grid may hold; a host-stats grid may hold "epsilon" too
+_GRID_KEYS = ("experiment", "d_values", "m", "m_values", "seeds")
 #: each report experiment's CSV columns between status and runtime_s, and
 #: their values in a row whose host ``generate_host`` refuses
 _REPORT_COLUMNS = {
@@ -375,6 +390,10 @@ def cmd_report(args):
     experiment = spec.get("experiment", "quarter-density")
     if experiment not in _REPORT_COLUMNS:
         raise ValueError(f"unknown experiment {experiment!r}")
+    keys = (*_GRID_KEYS, "epsilon") if experiment == "host-stats" else _GRID_KEYS
+    if unknown := [key for key in spec if key not in keys]:
+        raise ValueError(f"{experiment} grids take no key {unknown[0]!r}; "
+                         f"their keys are {', '.join(keys)}")
     if experiment == "quarter-density" and args.budget is not None:
         raise ValueError("--budget sets the local-density rounds and the host-stats pair checks; "
                          "quarter-density takes none")
@@ -468,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("solve", help="largest pattern-free subgraph of a host")
     sp.add_argument("--pattern", required=True)
     sp.add_argument("--host", required=True)
-    sp.add_argument("--mode", choices=("exact", "exhaustive", "local"), default="exact")
+    sp.add_argument("--mode", choices=("exact", "local"), default="exact")
     options(sp, cmd_solve, seed=True, budget=_positive_int)
 
     sp = sub.add_parser("analyze-richness", help="per-level edge richness of a host")

@@ -32,7 +32,9 @@ import numpy as np
 #: their rows in slabs of this size too
 _SLAB_BYTES = 1 << 20
 #: refuse to build data that could pass this many bytes: a graph's bitmasks
-#: (``_check_mask_bytes``) or a batch of tile chains (``tiling.sample_many``)
+#: (``_check_mask_bytes``), a blocked host's cells (``hosts.generate_host``),
+#: an exact search's copy table (``density._copy_table``) or a batch of tile
+#: chains (``tiling.sample_many``)
 _MAX_BUILD_BYTES = 1 << 31
 
 

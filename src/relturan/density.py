@@ -49,12 +49,10 @@ from bisect import bisect_left, insort
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .core import _SLAB_BYTES, BudgetError, OrderedGraph, mask_arrays
+from .core import _MAX_BUILD_BYTES, _SLAB_BYTES, BudgetError, OrderedGraph, mask_arrays
 from .patterns import contains_ordered, has_monotone_p3, ordered_copies, through_edge_search
 
 EXHAUSTIVE_EDGE_CAP = 20
-#: refuse copy tables past this many bytes, the cap ``generate_host`` uses
-_MAX_TABLE_BYTES = 1 << 31
 
 
 class DensityResult(NamedTuple):
@@ -124,7 +122,7 @@ def _copy_table(
     The copies come in the kernel's lexicographic order; ``through[i]`` lists
     the masks of the copies that use edges[i].  The table takes about
     copies x e/8 bytes, and each copy is charged an upper bound on its mask
-    and list slots while the table is built: past ``_MAX_TABLE_BYTES`` it
+    and list slots while the table is built: past ``_MAX_BUILD_BYTES`` it
     raises ``BudgetError`` instead of exhausting memory.  The search's live
     lists point into it, and hold at most ``_live_cap`` pointers in all:
     one slab's worth (``_SLAB_BYTES``), or one table's if that is more.
@@ -140,13 +138,13 @@ def _copy_table(
     # a mask's int object holds at most len(edges) bits in 30-bit digits;
     # each copy also fills one slot of ``copies`` and one of ``through`` per edge
     copy_bytes = 28 + 4 * (len(edges) // 30 + 1) + 8 * (1 + len(pattern_edges))
-    max_copies = _MAX_TABLE_BYTES // copy_bytes
+    max_copies = _MAX_BUILD_BYTES // copy_bytes
     copies: list[int] = []
     through: list[list[int]] = [[] for _ in edges]
     for count, images in enumerate(ordered_copies(pattern, host.forward_masks)):
         if count == max_copies:
             raise BudgetError(
-                f"more than {max_copies} copies of the pattern exceed {_MAX_TABLE_BYTES} bytes"
+                f"more than {max_copies} copies of the pattern exceed {_MAX_BUILD_BYTES} bytes"
             )
         bits = []
         mask = 0
@@ -297,8 +295,8 @@ def _search(
         i += 1
 
 
-def _greedy_free(through: list[list[int]], kept: int) -> int:
-    """A maximal pattern-free edge mask holding the pattern-free edge mask ``kept``.
+def _greedy_free(through: list[list[int]]) -> int:
+    """A maximal pattern-free edge mask, grown from no edges.
 
     The edges are tried in ascending order of the copies through them, ties
     by index, and each is kept unless a copy through it would then lie in the
@@ -306,6 +304,7 @@ def _greedy_free(through: list[list[int]], kept: int) -> int:
     edges to be kept, so the result is pattern-free; an edge left out closes
     a copy with edges kept before it, so the result is maximal.
     """
+    kept = 0
     for i in sorted(range(len(through)), key=lambda i: (len(through[i]), i)):
         bar = ~(kept | 1 << i)
         for c in through[i]:
@@ -330,16 +329,15 @@ def rho_exact(
     pattern: OrderedGraph,
     host: OrderedGraph,
     node_budget: Optional[int] = None,
-    warm_start: Optional[tuple[tuple[int, int], ...]] = None,
 ) -> DensityResult:
     """Branch-and-bound over include/exclude edge decisions, from a greedy seed, in two passes.
 
     The pattern's copies in the host are enumerated once, into the table of
-    ``_copy_table`` (``BudgetError`` if it would pass ``_MAX_TABLE_BYTES``).
-    From it ``_greedy_free`` grows a maximal pattern-free seed, trying the
-    edges with the fewest copies through them first; a warm start is where
-    it starts.  Both passes run ``_search`` on the table, one loop with the
-    include test and the packing walk inline; its bound is kept + undecided
+    ``_copy_table`` (``BudgetError`` if it would pass ``_MAX_BUILD_BYTES``).
+    From it ``_greedy_free`` grows a maximal pattern-free seed from no edges,
+    trying the edges with the fewest copies through them first.  Both
+    passes run ``_search`` on the table, one loop with the include test
+    and the packing walk inline; its bound is kept + undecided
     less a greedy packing of copies disjoint in their undecided edges,
     walked over the live-copy lists each node inherits and skipped where
     they are too short to prune.  The first pass branches on edges in
@@ -352,26 +350,14 @@ def rho_exact(
     second branches in canonical edge order with threshold optimum - 1 and
     stops at its first leaf, which is the lexicographically least optimum,
     whatever the seed.  ``nodes_explored`` counts the nodes of both passes;
-    the budget applies to the first.  A warm start must be a subset of the
-    host's edges (ValueError otherwise); it is used only if it is
-    pattern-free.
+    the budget applies to the first.
     """
     _check_pattern(pattern)
     edges = host.sorted_edges()
     total = len(edges)
     copies, through = _copy_table(pattern, host, edges)
     order = sorted(range(total), key=lambda i: (-len(through[i]), i))
-
-    start = 0
-    if warm_start is not None:
-        ws = sorted({(u, v) if u < v else (v, u) for u, v in warm_start})
-        foreign = [e for e in ws if not host.has_edge(*e)]
-        if foreign:
-            raise ValueError(f"edges not in graph: {foreign[:3]}")
-        start = sum(1 << bisect_left(edges, e) for e in ws)
-        if not all(c & ~start for c in copies):  # a copy lies inside: unused
-            start = 0
-    best = _greedy_free(through, start)
+    best = _greedy_free(through)
     found, nodes, exhausted = _search(copies, through, order, best.bit_count(), node_budget)
     if found is not None:
         best = found

@@ -55,7 +55,8 @@ and the temporaries made from one slab take a few times its size:
 The formats share one header reader per path, ``_fast_header`` for the
 array readers and ``_header`` for the per-line ones; the host formats share
 one file dispatch (``_read_file``) and one text dispatch (``_loads_text``).
-``read_host`` tells them apart by their header lines.
+``read_host`` goes through the same file dispatch, opening the file once,
+and tells the formats apart by their header lines.
 """
 
 from __future__ import annotations
@@ -630,22 +631,24 @@ def loads_blocked(text: str) -> BlockedGraph:
     return _loads_text(text, _read_blocked, _loads_blocked_lines)
 
 
-def read_host(path) -> BlockedGraph | HypercubeGraph:
-    """The host at ``path``: a blocked host when its header line holds three
-    fields ("d m seed"), a cube graph otherwise.
+def _read_host_fast(fh) -> BlockedGraph | HypercubeGraph | None:
+    """The array reader of whichever host format the header of ``fh`` holds:
+    each returns None unless the header has exactly its own field count."""
+    if (g := _read_blocked(fh)) is not None:
+        return g
+    fh.seek(0)
+    return _read_cube(fh)
 
-    The header is read on its own and the file then read again by its
-    format's reader, save from a stream such as a pipe, which can be read
-    only once: that is read whole, as text, and decoded from the text.  A
-    file that is not text fails as reading it whole as text does.
-    """
-    with open(path, errors="replace") as fh:
-        if fh.seekable():
-            head, text = fh.readline(), None
-        else:
-            fh.reconfigure(errors="strict")
-            head = text = fh.read()
-    first = head.partition("\n")[0].splitlines()
-    if first and len(first[0].split()) == 3:
-        return read_blocked(path) if text is None else loads_blocked(text)
-    return read_hypercube(path) if text is None else loads_hypercube(text)
+
+def _loads_host(text: str) -> BlockedGraph | HypercubeGraph:
+    """A blocked host when the first line of ``text`` holds three fields
+    ("d m seed"), a cube graph otherwise."""
+    first = text.partition("\n")[0].splitlines()
+    return (loads_blocked if first and len(first[0].split()) == 3 else loads_hypercube)(text)
+
+
+def read_host(path) -> BlockedGraph | HypercubeGraph:
+    """The host at ``path``, read as ``_read_file`` reads, with the array
+    readers of both formats tried in turn and the text told apart by its
+    header line (``_loads_host``)."""
+    return _read_file(path, _read_host_fast, _loads_host)

@@ -36,13 +36,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (_SLAB_BYTES, BudgetError, HypercubeGraph, OrderedGraph, _key_type, delta_int,
-                   pair_levels)
+from .core import (_MAX_BUILD_BYTES, _SLAB_BYTES, BudgetError, HypercubeGraph, OrderedGraph,
+                   _key_type, delta_int, pair_levels)
 
 #: refuse hosts with more vertices than this
 DEFAULT_VERTEX_BUDGET = 1 << 21
-#: refuse hosts whose P m^2 cells plus ``_PAIR_BYTES`` per pair exceed this
-_MAX_HOST_BYTES = 1 << 31
 #: bytes per block pair besides its cells: a host holds 24 (its pair and
 #: its key) and its constructor a few more, and a run of pairs being drawn
 #: about this much a pair for its index and level arrays
@@ -231,8 +229,8 @@ def _check_host(m: int, d: int, seed: int) -> int:
     if (m << d) > DEFAULT_VERTEX_BUDGET:
         raise BudgetError(f"{m << d} vertices exceeds budget {DEFAULT_VERTEX_BUDGET}")
     n_pairs, words = (1 << d) * ((1 << d) - 1) // 2, m * m
-    if n_pairs * (words + _PAIR_BYTES) > _MAX_HOST_BYTES:
-        raise BudgetError(f"{n_pairs} block pairs of {words} cells exceed {_MAX_HOST_BYTES} bytes")
+    if n_pairs * (words + _PAIR_BYTES) > _MAX_BUILD_BYTES:
+        raise BudgetError(f"{n_pairs} block pairs of {words} cells exceed {_MAX_BUILD_BYTES} bytes")
     return n_pairs
 
 

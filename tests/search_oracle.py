@@ -131,25 +131,19 @@ def greedy_free_reference(
     pattern: OrderedGraph,
     host: OrderedGraph,
     through: list[list[int]],
-    warm_start: Optional[tuple[tuple[int, int], ...]] = None,
 ) -> tuple[tuple[int, int], ...]:
     """``density._greedy_free``'s seed, grown with the whole-graph kernel.
 
-    It starts from the warm start when that is pattern-free, else from no
-    edges, and tries the host's edges in ascending order of ``len(through[i])``,
-    ties by index, keeping each one whose addition leaves the growing graph
-    free of ``pattern`` by ``contains_ordered``.  Returns the sorted edges.
+    It starts from no edges and tries the host's edges in ascending order of
+    ``len(through[i])``, ties by index, keeping each one whose addition leaves
+    the growing graph free of ``pattern`` by ``contains_ordered``.  Returns
+    the sorted edges.
     """
     edges = host.sorted_edges()
-    kept: set[tuple[int, int]] = set()
-    if warm_start is not None:
-        ws = {(u, v) if u < v else (v, u) for u, v in warm_start}
-        if contains_ordered(pattern, OrderedGraph(host.n, ws)) is None:
-            kept = ws
+    kept: list[tuple[int, int]] = []
     for i in sorted(range(len(edges)), key=lambda i: (len(through[i]), i)):
-        if edges[i] not in kept and contains_ordered(
-                pattern, OrderedGraph(host.n, [*kept, edges[i]])) is None:
-            kept.add(edges[i])
+        if contains_ordered(pattern, OrderedGraph(host.n, [*kept, edges[i]])) is None:
+            kept.append(edges[i])
     return tuple(sorted(kept))
 
 
@@ -157,7 +151,6 @@ def rho_exact_reference(
     pattern: OrderedGraph,
     host: OrderedGraph,
     node_budget: Optional[int] = None,
-    warm_start: Optional[tuple[tuple[int, int], ...]] = None,
 ) -> DensityResult:
     """``density.rho_exact``'s two passes, run on the reference ``_search``
     from the reference seed."""
@@ -166,7 +159,7 @@ def rho_exact_reference(
     copies, through = _copy_table(pattern, host, edges)
     order = sorted(range(total), key=lambda i: (-len(through[i]), i))
 
-    best_cert = greedy_free_reference(pattern, host, through, warm_start)
+    best_cert = greedy_free_reference(pattern, host, through)
     found, nodes, exhausted = _search(copies, through, order, len(best_cert), node_budget)
     if found is not None:
         best_cert = tuple(e for i, e in enumerate(edges) if found >> i & 1)

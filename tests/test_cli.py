@@ -3,7 +3,9 @@ import ast
 import csv
 import hashlib
 import json
+import math
 import os
+import sys
 import time
 from collections import Counter
 from fractions import Fraction
@@ -81,22 +83,21 @@ class TestClassify:
 
 class TestSolve:
     def test_p3_on_k4(self, p3_file, k4_file, capsys):
-        assert main(["solve", "--pattern", p3_file, "--host", k4_file,
-                     "--mode", "exhaustive"]) == 0
+        assert main(["solve", "--pattern", p3_file, "--host", k4_file]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["best_edges"] == 4 and out["total"] == 6
 
     def test_modes_agree(self, p3_file, k4_file, capsys):
-        results = []
-        for mode in ("exhaustive", "exact"):
-            assert main(["solve", "--pattern", p3_file, "--host", k4_file,
-                         "--mode", mode]) == 0
-            results.append(json.loads(capsys.readouterr().out)["best_edges"])
-        assert results[0] == results[1]
+        # the exact mode gives the exhaustive oracle's optimum and least certificate
+        ref = density.rho_exhaustive(monotone_p3(), complete_ordered(4))
+        assert main(["solve", "--pattern", p3_file, "--host", k4_file, "--mode", "exact"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert (out["best_edges"], out["exact"]) == (ref.best_edge_count, True)
+        assert out["certificate"] == [list(e) for e in ref.certificate]
 
     def test_copy_table_past_its_cap_is_usage_error(self, p3_file, k4_file, capsys, monkeypatch):
         # K_4 has 4 copies of P3, each charged some 50 bytes
-        monkeypatch.setattr(density, "_MAX_TABLE_BYTES", 100)
+        monkeypatch.setattr(density, "_MAX_BUILD_BYTES", 100)
         assert main(["solve", "--pattern", p3_file, "--host", k4_file, "--mode", "exact"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and "exceed 100 bytes" in err
@@ -113,11 +114,15 @@ class TestSolve:
         assert "error:" in err and "must be at least 1" in err
 
     def test_budget_in_exhaustive_mode_is_usage_error(self, p3_file, k4_file, capsys):
-        # the exhaustive oracle has no budget; the flag used to be ignored
-        assert main(["solve", "--pattern", p3_file, "--host", k4_file,
-                     "--mode", "exhaustive", "--budget", "1"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and "error: --budget" in captured.err
+        # exhaustive mode gave the exact mode's answer on hosts of at most 20
+        # edges, and refused --budget; it is no longer a mode
+        for budget in ([], ["--budget", "1"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["solve", "--pattern", p3_file, "--host", k4_file,
+                      "--mode", "exhaustive", *budget])
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and "invalid choice: 'exhaustive'" in captured.err
 
     def test_local_budget_counts_rounds(self, p3_file, k4_file, capsys):
         assert main(["solve", "--pattern", p3_file, "--host", k4_file,
@@ -370,6 +375,32 @@ class TestAppendixCheck:
             assert out[key]["den"] == str(exact.denominator)
         assert out["rhs"]["float"] is None
         assert out["params"]["alpha"]["float"] == 0.5
+
+    def test_fractions_past_the_int_digit_limit_are_written_whole(self, capsys):
+        # lhs is C(25000, 20000), 5,431 digits: Python's limit of 4,300 made
+        # the valid check exit 2 after computing it
+        params = {"alpha": "1/2", "eps": 0.1, "k": 20000, "eta": "1/4", "n": 100000}
+        limit = sys.get_int_max_str_digits()
+        assert main(["appendix-check", "--lemma", "a1", "--params", json.dumps(params)]) == 0
+        assert sys.get_int_max_str_digits() == limit  # restored after writing
+        out = json.loads(capsys.readouterr().out)
+        sys.set_int_max_str_digits(0)
+        try:
+            want = str(math.comb(25000, 20000))
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert (out["lhs"]["num"], out["lhs"]["den"]) == (want, "1")
+
+    def test_fraction_past_the_digit_cap_is_usage_error(self, capsys, monkeypatch):
+        # lhs is C(1250, 1000), 271 digits, over a cap lowered to 200
+        monkeypatch.setattr(cli, "_MAX_FRACTION_DIGITS", 200)
+        params = {"alpha": "1/2", "eps": 0.1, "k": 1000, "eta": "1/4", "n": 5000}
+        limit = sys.get_int_max_str_digits()
+        assert main(["appendix-check", "--lemma", "a1", "--params", json.dumps(params)]) == 2
+        assert sys.get_int_max_str_digits() == limit
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: an exact fraction of up to ")
+        assert err.rstrip().endswith("digits exceeds 200")
 
     def test_identity_mode(self, capsys):
         params = json.dumps({"n_max": 20})
@@ -699,6 +730,15 @@ class TestReport:
         # 1.5 used to draw the host of seed 1 under a row that said 1.5
         ({"d_values": [2], "m": 2, "seeds": [1.5]}, "grid seeds must be a list of integers"),
         ([{"d_values": [2]}], "grid must be a JSON object"),
+        # a key a grid does not take used to be ignored: the typo "d_value"
+        # printed the header alone and "seed" ran seed 0, both exiting 0
+        ({"experiment": "host-stats", "m": 8, "d_value": [3]},
+         "host-stats grids take no key 'd_value'"),
+        ({"experiment": "quarter-density", "m": 4, "d_values": [2], "seed": [1]},
+         "quarter-density grids take no key 'seed'"),
+        ({"m": 2, "d_values": [2], "epsilon": 0.1}, "quarter-density grids take no key 'epsilon'"),
+        ({"experiment": "local-density", "m": 2, "d_values": [2], "epsilon": 0.1},
+         "local-density grids take no key 'epsilon'"),
     ])
     def test_bad_grid_is_usage_error_before_any_row(self, tmp_path, capsys, spec, message):
         grid = tmp_path / "grid.json"
@@ -881,17 +921,17 @@ class TestParserReuse:
         assert json.loads(capsys.readouterr().out)["seed"] == 0
         assert read_blocked(path) == generate_host(2, 2, 0)
 
-    def test_budget_does_not_carry_over(self, p3_file, tmp_path, capsys):
-        # exhaustive mode is a usage error with any --budget, so it fails if
-        # the exact call's budget were still set. K_4 is solved exactly within
-        # one node, K_5 is not
-        k5 = tmp_path / "k5.og"
-        write_ordered(k5, complete_ordered(5))
-        argv = ["solve", "--pattern", p3_file, "--host", str(k5), "--mode"]
-        assert main([*argv, "exact", "--budget", "1"]) == 0
-        assert json.loads(capsys.readouterr().out)["exact"] is False
-        assert main([*argv, "exhaustive"]) == 0
-        assert json.loads(capsys.readouterr().out)["best_edges"] == 6
+    def test_budget_does_not_carry_over(self, tmp_path, capsys):
+        # a quarter-density grid is a usage error with any --budget, so it
+        # fails if the local-density call's budget were still set
+        grid = tmp_path / "grid.json"
+        argv = ["report", "--grid", str(grid)]
+        grid.write_text(json.dumps({"experiment": "local-density", "m": 2, "d_values": [2]}))
+        assert main([*argv, "--budget", "1"]) == 0
+        assert capsys.readouterr().out.splitlines()[1].split(",")[3] == "ok"
+        grid.write_text(json.dumps({"experiment": "quarter-density", "m": 2, "d_values": [2]}))
+        assert main(argv) == 0
+        assert capsys.readouterr().out.splitlines()[1].split(",")[3] == "ok"
 
     def test_usage_error_still_exits_2(self, p3_file, capsys):
         for _ in range(2):

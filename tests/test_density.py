@@ -123,30 +123,30 @@ class TestExact:
                 assert b.exact
                 assert a.certificate == b.certificate
 
-    @given(
-        st.sampled_from(ORACLE_PATTERNS),
-        ordered_graphs(max_n=7, max_edges=14),
-        st.randoms(use_true_random=False),
-    )
+    @given(st.sampled_from(ORACLE_PATTERNS), ordered_graphs(max_n=7, max_edges=14))
     @settings(max_examples=150, deadline=None)
-    def test_matches_exhaustive_with_random_warm_start(self, pat, host, rnd):
-        # the warm start may contain a copy, and is then unused
-        warm = tuple(e for e in host.sorted_edges() if rnd.random() < 0.5)
+    def test_matches_exhaustive_on_drawn_hosts(self, pat, host):
         ref = rho_exhaustive(pat, host)
-        for ws in (None, warm):
-            res = rho_exact(pat, host, warm_start=ws)
-            assert (res.best_edge_count, res.certificate, res.exact) == (
-                ref.best_edge_count, ref.certificate, ref.exact)
+        res = rho_exact(pat, host)
+        assert (res.certificate, res.exact) == (ref.certificate, ref.exact)
 
-    def test_optimal_warm_start_does_not_hide_least_certificate(self):
-        # B = {0,1,2} -> {3,4} is an optimum of P3 on K_5 but not the least
-        # one; the certificate pass must still find A = {0,1} -> {2,3,4}
-        warm = tuple((u, v) for u in (0, 1, 2) for v in (3, 4))
-        least = tuple((u, v) for u in (0, 1) for v in (2, 3, 4))
-        res = rho_exact(P3, complete_ordered(5), warm_start=warm)
-        assert res.exact
-        assert res.best_edge_count == 6
-        assert res.certificate == least
+    def test_certificate_pass_returns_the_least_optimum(self):
+        # the fail-first pass ends on an optimum that is not the least one;
+        # the certificate pass in canonical edge order must still find it
+        host = OrderedGraph(8, [(0, 1), (0, 2), (0, 3), (0, 7), (1, 3), (1, 6), (1, 7),
+                                (2, 4), (2, 5), (2, 6), (2, 7), (3, 5), (3, 6), (4, 7)])
+        edges = host.sorted_edges()
+        copies, through = _copy_table(P3, host, edges)
+        order = sorted(range(len(edges)), key=lambda i: (-len(through[i]), i))
+        seed = _greedy_free(through)
+        found, _, exhausted = density._search(copies, through, order, seed.bit_count())
+        first = _edges_of(seed if found is None else found, edges)
+        least = ((0, 3), (0, 7), (1, 3), (1, 6), (1, 7), (2, 4), (2, 5), (2, 6), (2, 7))
+        assert not exhausted
+        assert first == ((0, 3), (0, 7), (1, 3), (1, 6), (1, 7), (2, 5), (2, 6), (2, 7), (4, 7))
+        res = rho_exact(P3, host)
+        assert (res.certificate, res.exact) == (least, True)
+        assert rho_exhaustive(P3, host).certificate == least
 
     def test_k7_value(self):
         res = rho_exact(P3, complete_ordered(7))
@@ -160,11 +160,6 @@ class TestExact:
         sub = OrderedGraph(7, res.certificate)
         assert contains_ordered(P3, sub) is None
 
-    def test_warm_start_is_used(self):
-        ws = ((0, 2), (0, 3), (1, 2), (1, 3))
-        res = rho_exact(P3, complete_ordered(4), node_budget=1, warm_start=ws)
-        assert res.best_edge_count >= 4
-
     def test_budget_before_first_leaf_returns_the_greedy_seed(self):
         # the greedy seed is pattern-free, so the bound is never below it
         host = complete_ordered(5)
@@ -174,54 +169,24 @@ class TestExact:
         assert res.certificate == greedy_free_reference(P3, host, through)
         assert res.best_edge_count == 6 and res.ratio == Fraction(3, 5)
 
-    def test_warm_start_outside_host_refused(self):
-        host = OrderedGraph(4, [(0, 1), (2, 3)])
-        with pytest.raises(ValueError):
-            rho_exact(P3, host, warm_start=((0, 3), (1, 2), (0, 2)))
-
-    def test_warm_start_pairs_are_canonicalised_and_checked(self):
-        host = complete_ordered(6)
-        # {0, 1} -> {2, ..., 5}: P3-free with 8 edges, one short of the optimum
-        canon = tuple((u, v) for u in (0, 1) for v in range(2, 6))
-        messy = tuple((v, u) for u, v in canon) + canon[:3]
-        for budget in (None, 1, 10):
-            assert rho_exact(P3, host, budget, messy) == rho_exact(P3, host, budget, canon)
-        # a one-node budget ends before the first leaf: only the seed is found.
-        # The warm start is maximal, so the greedy seed grown from it is the
-        # warm start; grown from no edges it is an optimum, {0, 1, 2} -> {3, 4, 5}
-        res = rho_exact(P3, host, node_budget=1, warm_start=messy)
-        assert (res.best_edge_count, res.certificate, res.exact) == (8, canon, False)
-        res = rho_exact(P3, host, node_budget=1)
-        assert res.certificate == tuple((u, v) for u in (0, 1, 2) for v in (3, 4, 5))
-        for foreign in ((0, 9), (-1, 2)):
-            with pytest.raises(ValueError, match="not in graph"):
-                rho_exact(P3, complete_ordered(4), warm_start=(foreign, (0, 2)))
-
 
 class TestGreedySeed:
     """The greedy maximal pattern-free set the exact search starts from."""
 
     @given(st.sampled_from(ORACLE_PATTERNS), ordered_graphs(max_n=7, max_edges=14),
-           st.randoms(use_true_random=False), st.integers(1, 5))
+           st.integers(1, 5))
     @settings(max_examples=150, deadline=None)
-    def test_free_maximal_and_at_most_the_optimum(self, pattern, host, rnd, budget):
+    def test_free_maximal_and_at_most_the_optimum(self, pattern, host, budget):
         edges = host.sorted_edges()
-        copies, through = _copy_table(pattern, host, edges)
-        # a warm start: a random subset pruned to a pattern-free one
-        warm = 0
-        for i in range(len(edges)):
-            if rnd.random() < 0.5 and all(c & ~(warm | 1 << i) for c in copies):
-                warm |= 1 << i
-        ws = _edges_of(warm, edges)
-        seed = _edges_of(_greedy_free(through, warm), edges)
+        _, through = _copy_table(pattern, host, edges)
+        seed = _edges_of(_greedy_free(through), edges)
         assert contains_ordered(pattern, OrderedGraph(host.n, seed)) is None
         for e in set(edges) - set(seed):
             assert contains_ordered(pattern, OrderedGraph(host.n, [*seed, e])) is not None
-        assert set(ws) <= set(seed)
-        assert seed == greedy_free_reference(pattern, host, through, ws)
+        assert seed == greedy_free_reference(pattern, host, through)
         assert len(seed) <= rho_exhaustive(pattern, host).best_edge_count
         # a budget that runs out keeps at least the seed
-        assert rho_exact(pattern, host, budget, ws).best_edge_count >= len(seed)
+        assert rho_exact(pattern, host, budget).best_edge_count >= len(seed)
 
 
 class TestPackingBound:
@@ -315,7 +280,7 @@ class TestCopyTable:
 
     def test_memory_guard(self, monkeypatch):
         # K_8 has 56 copies of P3 over 28 edges, each charged some 50 bytes
-        monkeypatch.setattr(density, "_MAX_TABLE_BYTES", 1000)
+        monkeypatch.setattr(density, "_MAX_BUILD_BYTES", 1000)
         with pytest.raises(BudgetError, match="exceed 1000 bytes"):
             rho_exact(P3, complete_ordered(8))
         # a host with fewer copies still fits
@@ -364,17 +329,14 @@ class TestSearchOracle:
     @given(st.sampled_from(ORACLE_PATTERNS),
            st.one_of(ordered_graphs(max_n=9, max_edges=30),
                      ordered_graphs(max_n=9, max_edges=30, min_n=7, min_edges=18)),
-           st.one_of(st.none(), st.just(1), st.integers(0, 400)),
-           st.randoms(use_true_random=False), st.booleans())
+           st.one_of(st.none(), st.just(1), st.integers(0, 400)))
     @settings(max_examples=150, deadline=None)
-    def test_matches_reference(self, plain, pattern, host, budget, rnd, warm):
-        # the warm start may contain a copy, and is then unused
-        ws = tuple(e for e in host.sorted_edges() if rnd.random() < 0.5) if warm else None
+    def test_matches_reference(self, plain, pattern, host, budget):
         with pytest.MonkeyPatch.context() as mp:
             if plain:
                 _plain_walk(mp)
-            res = rho_exact(pattern, host, budget, ws)
-        assert _outcome(res) == _outcome(rho_exact_reference(pattern, host, budget, ws))
+            res = rho_exact(pattern, host, budget)
+        assert _outcome(res) == _outcome(rho_exact_reference(pattern, host, budget))
 
     @pytest.mark.parametrize("plain", [False, True], ids=["live-lists", "plain-walk"])
     @pytest.mark.parametrize("pattern, host, budget", [

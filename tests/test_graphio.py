@@ -625,6 +625,44 @@ class TestHeaders:
         assert got == _outcome(LINE_READERS[picked], text)
 
 
+# canonical host files, the header table's host rows and the non-canonical
+# files the per-line readers accept: (kind, name, file bytes)
+HOST_FILES = [
+    ("cube", "canonical", CUBE_TEXT.encode()),
+    ("blocked", "canonical", BLOCKED_TEXT.encode()),
+    *[(kind, name, text.encode()) for kind, name, text, _ in HOST_HEADERS],
+    *[(kind, name, text.encode()) for name, kind, text in ACCEPTED_NONCANONICAL],
+    ("cube", "not-utf-8", b"3 3\n000 011\n\xff\n"),
+    ("blocked", "not-utf-8", b"2 5 \xff\n0 1\n"),
+]
+
+
+@pytest.mark.parametrize("kind, name, data", HOST_FILES,
+                         ids=[f"{kind}-{name}" for kind, name, _ in HOST_FILES])
+def test_read_host_opens_a_file_once(kind, name, data, tmp_path, monkeypatch):
+    # read_host picks the format by the header's field count, as on a pipe,
+    # and reads the file through one open, whichever path decodes it
+    path = tmp_path / "host.txt"
+    path.write_bytes(data)
+    opened = []
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(graphio, "open", counting_open, raising=False)
+    try:
+        text = data.decode()
+    except UnicodeDecodeError:
+        with pytest.raises(UnicodeDecodeError):
+            graphio.read_host(path)
+    else:
+        first = text.partition("\n")[0].splitlines()[0]
+        picked = "blocked" if len(first.split()) == 3 else "cube"
+        assert _outcome(graphio.read_host, path) == _outcome(LINE_READERS[picked], text)
+    assert opened == [path]
+
+
 # ---------------------------------------------------------------- slabs
 # The bulk writers and the cube reader work a slab of about _SLAB_BYTES at a
 # time. Smaller slabs put slab boundaries inside the small files below.
