@@ -13,10 +13,12 @@ that adds the per-level statistics and no stored state.
 
 Both bulk sources of graphs, a blocked host's block matrices and a cube
 file's records, reach the masks through one array constructor,
-``OrderedGraph._from_keys``, which packs the sorted pair keys u * n + v a
-slab of ``_SLAB_BYTES`` at a time.  The way back, ``mask_arrays``, reads
-forward masks out as edge arrays a slab at a time; ``mask_edges`` reads them
-a bit at a time, which is faster on small graphs.
+``OrderedGraph._from_keys``, whose ``_key_masks`` packs the sorted pair keys
+u * n + v a slab of ``_SLAB_BYTES`` at a time; an edge list on more vertices
+than the cheap mask bound admits takes the same packer.  The way back,
+``mask_arrays``, reads forward masks out as edge arrays a slab at a time,
+unpacking only their set bytes (``_set_bits``, which the cube writer shares);
+``mask_edges`` reads them a bit at a time, which is faster on small graphs.
 """
 
 from __future__ import annotations
@@ -109,14 +111,23 @@ def mask_arrays(fwd: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     step = max(1, _SLAB_BYTES // max(width, 1))
     us, vs = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
     for lo in range(0, len(fwd), step):
-        raw = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in fwd[lo:lo + step]), np.uint8)
-        at = np.flatnonzero(raw)
-        # each set byte's bits, lowest first, so the cells come out in order
-        which, bit = np.nonzero(np.unpackbits(raw[at, None], axis=1, bitorder="little"))
-        cell = at[which]
-        us.append(cell // width + lo)
-        vs.append(cell % width * 8 + bit)
+        bits = _set_bits(b"".join(m.to_bytes(width, "little") for m in fwd[lo:lo + step]))
+        us.append(bits // (8 * width) + lo)
+        vs.append(bits % (8 * width))
     return np.concatenate(us, dtype=np.int64), np.concatenate(vs, dtype=np.int64)
+
+
+def _set_bits(data: bytes) -> np.ndarray:
+    """The positions of the set bits of ``data`` read as one little-endian
+    integer, in increasing order, as int64; only its non-zero bytes are
+    unpacked, so a sparse run of bytes costs its set bytes, not its length."""
+    raw = np.frombuffer(data, np.uint8)
+    at = np.flatnonzero(raw)
+    # the set bytes' bits, lowest first, so the positions come out in order
+    bits = np.flatnonzero(np.unpackbits(raw[at], bitorder="little"))
+    if len(at) == len(raw):  # no byte skipped, as in dense rows: no int64 temporaries
+        return bits
+    return at[bits >> 3] * 8 + (bits & 7)
 
 
 def _check_mask_bytes(n: int, sorted_keys: Callable[[], np.ndarray]) -> None:
@@ -149,11 +160,19 @@ def _edge_masks(
     n: int, edges: Iterable[tuple[int, int]], span: str
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The forward and backward masks of ``edges`` on 0..n-1; ``span`` names
-    the vertex range in the out-of-range message."""
+    the vertex range in the out-of-range message.
+
+    Each edge sets its bit in two masks, which costs a copy of each mask: a
+    mask of many bits grown one edge at a time costs its width per edge.
+    So past the cheap bound of ``_check_mask_bytes``, where the masks may
+    be that wide, ``_key_masks`` packs the edges' keys, each row once.
+    """
     edges = list(edges)
-    # a pair outside 0..n-1 is left to the range check below
-    _check_mask_bytes(n, lambda: np.sort(np.array(
-        [k for u, v in edges if 0 <= u < n and 0 <= v < n for k in (u * n + v, v * n + u)], np.int64)))
+    masks = None
+    if n * n // 4 > _MAX_BUILD_BYTES:
+        # a pair outside 0..n-1 is left to the range check below
+        masks = _key_masks(n, np.array(
+            [k for u, v in edges if 0 <= u < n and 0 <= v < n for k in (u * n + v, v * n + u)], np.int64))
     fwd = [0] * n
     bwd = [0] * n
     for u, v in edges:
@@ -161,10 +180,68 @@ def _edge_masks(
             raise ValueError(f"self-loop at {u}")
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u}, {v}) out of range for {span}")
-        if u > v:
-            u, v = v, u
-        fwd[u] |= 1 << v
-        bwd[v] |= 1 << u
+        if masks is None:
+            if u > v:
+                u, v = v, u
+            fwd[u] |= 1 << v
+            bwd[v] |= 1 << u
+    return (tuple(fwd), tuple(bwd)) if masks is None else masks
+
+
+def _key_masks(n: int, keys: np.ndarray) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The forward and backward masks of the graph on 0..n-1 whose edges are
+    the pairs of ``keys``, as ``OrderedGraph._from_keys`` takes them, sorted
+    in place; ``BudgetError`` where ``_check_mask_bytes`` refuses them.
+
+    Each non-empty row is set as dense booleans up to its highest
+    neighbour, in whole bytes, and packed into the vertex's neighbourhood:
+    its bits above the vertex are the forward mask, those below the
+    backward mask.  The rows go a run at a time, laid end to end: whole
+    rows of at most ``_SLAB_BYTES / 16`` keys and ``_SLAB_BYTES`` cells (at
+    least one row).  A run's rows are read off its own keys, so the n-entry
+    mask lists are the only work done per vertex.
+    """
+    keys.sort()
+    _check_mask_bytes(n, lambda: keys)
+    fwd = [0] * n
+    bwd = [0] * n
+    keys_per_slab = _SLAB_BYTES // 16
+
+    def row_start(x: int) -> int:
+        # the probe is in keys.dtype, so that searchsorted makes no wider copy of keys
+        return int(np.searchsorted(keys, keys.dtype.type(x * n)))
+
+    at = 0
+    while at < len(keys):
+        # sorted, each vertex's neighbours are one run of keys: take the rows
+        # from the next key's on, cut back to whole rows at keys_per_slab keys
+        # (to one row, if that is longer)
+        hi = at + keys_per_slab
+        if hi < len(keys):
+            hi = max(row_start(int(keys[hi]) // n), row_start(int(keys[at]) // n + 1))
+        part = keys[at:hi]
+        row_of = part // n
+        # each row's first key, and its end
+        starts = np.flatnonzero(np.concatenate(([True], row_of[1:] != row_of[:-1])))
+        stops = np.append(starts[1:], len(part))
+        slab = row_of[starts]
+        # each row's bytes reach its highest neighbour, its last key; cut back
+        # to the rows whose cells fit a slab
+        ends = np.cumsum((part[stops - 1] - slab * n) // 8 + 1)
+        rows = max(1, int(np.count_nonzero(ends <= _SLAB_BYTES // 8)))
+        slab, ends, begins = slab[:rows], ends[:rows], np.append(0, ends[:rows - 1])
+        part = part[:stops[rows - 1]]
+        at += len(part)
+        # the key x * n + c of the row that starts at byte b is its cell 8 b + c
+        shift = (slab * n - 8 * begins).astype(keys.dtype)
+        dense = np.zeros(8 * int(ends[-1]), bool)
+        dense[part - np.repeat(shift, stops[:rows] - starts[:rows])] = True
+        raw = np.packbits(dense, bitorder="little").tobytes()
+        for b0, b1, x in zip(begins.tolist(), ends.tolist(), slab.tolist()):
+            a = int.from_bytes(raw[b0:b1], "little")
+            # a mask of x low bits would cost x bits on a row of fewer
+            fwd[x] = a >> x << x
+            bwd[x] = a ^ fwd[x]
     return tuple(fwd), tuple(bwd)
 
 
@@ -203,56 +280,10 @@ class OrderedGraph:
         """The graph whose edges are the pairs that ``keys`` holds, sorted in place.
 
         ``keys`` holds u * n + v for both orientations of every edge u != v
-        of 0..n-1, repeats allowed, in ``_key_type(n)`` or a wider dtype.
-        Each non-empty row is set as dense booleans, a run of rows about
-        ``_SLAB_BYTES`` (at least one row) at a time, each as wide as the
-        run's highest neighbour, and packed into the vertex's neighbourhood:
-        its bits above the vertex are the forward mask, those below the
-        backward mask.  A run's rows are read off its own keys, so the
-        n-entry mask lists are the only work done per vertex.
+        of 0..n-1, repeats allowed, in ``_key_type(n)`` or a wider dtype;
+        ``_key_masks`` packs them into the masks.
         """
-        keys.sort()
-        _check_mask_bytes(n, lambda: keys)
-        fwd = [0] * n
-        bwd = [0] * n
-        # sorted, each vertex's neighbours are one run of keys. A slab is the
-        # keys of the rows from the next key's on, at most _SLAB_BYTES / n of
-        # them, cut back to whole rows at _SLAB_BYTES / 16 keys (to one row,
-        # if that is longer); its row ids are its keys // n
-        rows_per_slab, keys_per_slab = max(1, _SLAB_BYTES // max(n, 1)), _SLAB_BYTES // 16
-
-        def row_start(x: int) -> int:
-            # the probe is in keys.dtype, so that searchsorted makes no wider copy of keys
-            return int(np.searchsorted(keys, keys.dtype.type(x * n)))
-
-        at = 0
-        while at < len(keys):
-            first = int(keys[at]) // n
-            hi = row_start(min(first + rows_per_slab, n))
-            if hi - at > keys_per_slab:
-                hi = max(row_start(int(keys[at + keys_per_slab]) // n), row_start(first + 1))
-            part = keys[at:hi]
-            at = hi
-            row_of = part // n
-            # each row's first key, and its end
-            starts = np.flatnonzero(np.concatenate(([True], row_of[1:] != row_of[:-1])))
-            stops = np.append(starts[1:], len(part))
-            slab = row_of[starts]
-            counts = stops - starts
-            # the rows reach the slab's highest neighbour, a run's last key
-            width = int((part[stops - 1] - slab * n).max()) + 1
-            # the key x * n + c of the slab's row i is its cell i * width + c
-            shift = slab * n - (np.arange(len(slab)) * width).astype(keys.dtype)
-            cells = part - np.repeat(shift, counts)
-            dense = np.zeros(len(slab) * width, bool)
-            dense[cells] = True
-            raw = np.packbits(dense.reshape(-1, width), axis=1, bitorder="little").tobytes()
-            size = len(raw) // len(slab)
-            for start, x in zip(range(0, len(raw), size), slab.tolist()):
-                a = int.from_bytes(raw[start:start + size], "little")
-                fwd[x] = a >> x << x
-                bwd[x] = a & ((1 << x) - 1)
-        return cls._from_masks(n, tuple(fwd), tuple(bwd))
+        return cls._from_masks(n, *_key_masks(n, keys))
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:

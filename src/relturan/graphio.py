@@ -25,9 +25,11 @@ readers, the only code that raises ``FormatError``, so what a file means
 and how it fails do not depend on the path taken.
 
 Memory besides the graph itself, where a slab is ``_SLAB_BYTES`` (1 MiB)
-and the temporaries made from one slab take a few times its size:
+and the temporaries made from one slab take a few times its size.  A
+blocked host holds its nonempty block pairs alone, m^2 cells and 24 bytes
+each, so its costs below are per nonempty block pair:
 
-- cube writer: one slab, the records and unpacked neighbour masks of a run
+- cube writer: one slab, the records and neighbour-mask bytes of a run
   of whole vertices with forward edges (one vertex's, if larger), about 40
   bytes per such vertex to find the runs (none for the others), and label
   tables of 2^w w bytes for runs of w <= 16 label bits (1 MiB at most);
@@ -35,17 +37,20 @@ and the temporaries made from one slab take a few times its size:
   pairs, ``_SLAB_BYTES / _block_bytes(d, m)`` of them (at least one);
 - ``write_generated`` (``gen-host``): no host at all, only one such run of
   block pairs drawn into a reused buffer, about 64 bytes per pair of the
-  run for its indices and levels, and 8 bytes per block;
+  run for its indices and levels, a copy of the run's nonempty blocks, and
+  8 bytes per block;
 - cube reader (``read_hypercube``): one slab plus 8 bytes per edge (16 when
   d > 15), the keys of both orientations of every edge, which
   ``OrderedGraph._from_keys`` sorts and packs in slabs of its own, and 32
   bytes per vertex of mask lists and tuples; a file that leaves a doubt is
   read whole as text, as ``loads_hypercube`` reads it;
 - blocked reader (``read_blocked``): one slab of whole blocks, as many as
-  the writer's run, and 8 bytes per listed block pair, the keys that catch
-  a pair listed twice; a file that leaves a doubt, among them one whose
-  bytes cannot hold the blocks its line count declares (found before any
-  cell is allocated), is read whole as text, as ``loads_blocked`` reads it;
+  the writer's run, and 16 bytes per listed block pair, the keys that catch
+  a pair listed twice, and the cells of any listed block without an edge
+  (no writer lists one) until the graph drops it; a file that leaves a
+  doubt, among them one whose bytes cannot hold the blocks its line count
+  declares (found before any cell is allocated), is read whole as text, as
+  ``loads_blocked`` reads it;
 - ``loads_hypercube`` and ``loads_blocked``: the text, its ASCII bytes and
   what the reader takes;
 - the per-line cube reader: the text's lines and a tuple per edge line,
@@ -70,8 +75,8 @@ from itertools import compress
 
 import numpy as np
 
-from .core import _SLAB_BYTES, HypercubeGraph, OrderedGraph, _key_type
-from .hosts import DEFAULT_VERTEX_BUDGET, BlockedGraph, block_level_counts, host_runs, nonempty_blocks
+from .core import _SLAB_BYTES, HypercubeGraph, OrderedGraph, _key_type, _set_bits
+from .hosts import DEFAULT_VERTEX_BUDGET, BlockedGraph, block_level_counts, host_runs
 
 
 class FormatError(ValueError):
@@ -170,14 +175,13 @@ def _cube_records(masks: list[int], verts: np.ndarray, counts: np.ndarray, d: in
     ``counts`` are given, as one uint8 array; ``chunks`` as
     ``_label_chunks(d)``."""
     # the forward neighbours v > u of u are the set bits of fwd[u] >> (u + 1):
-    # lay those masks end to end as little-endian bytes and unpack them once
+    # lay those masks end to end as little-endian bytes and read their set bits once
     forward = [mask >> u >> 1 for u, mask in zip(verts.tolist(), masks)]
     sizes = [(f.bit_length() + 7) // 8 for f in forward]
-    packed = b"".join([f.to_bytes(size, "little") for f, size in zip(forward, sizes)])
-    bits = np.flatnonzero(np.unpackbits(np.frombuffer(packed, np.uint8), bitorder="little"))
+    bits = _set_bits(b"".join([f.to_bytes(size, "little") for f, size in zip(forward, sizes)]))
     us = np.repeat(verts, counts)
-    # bit b of the unpacked masks, in u's mask that starts at bit offsets[u],
-    # is v = b - offsets[u] + u + 1
+    # bit b of the masks laid end to end, in u's mask that starts at bit
+    # offsets[u], is v = b - offsets[u] + u + 1
     offsets = np.cumsum([0, *sizes[:-1]]) * 8
     vs = bits - np.repeat(offsets - verts - 1, counts)
     # a record is u's label, " ", v's label and "\n"; each run of a label's
@@ -197,15 +201,16 @@ def _cube_records(masks: list[int], verts: np.ndarray, counts: np.ndarray, d: in
 def _encode_hypercube(g: HypercubeGraph) -> Iterator[np.ndarray]:
     """The cube-graph file as uint8 slabs: the header, then the records of
     2d + 2 bytes of runs of whole vertices with forward edges, each run's
-    records, unpacked masks and per-vertex arrays about ``_SLAB_BYTES`` and
-    at least one vertex."""
+    records, mask bytes and per-vertex arrays about ``_SLAB_BYTES`` and at
+    least one vertex."""
     n, d, fwd = g.n, g.d, g.forward_masks
     # the vertices with forward edges (v > u), their masks and edge counts
     verts = np.fromiter(compress(range(n), fwd), np.int64)
     masks = list(compress(fwd, fwd))
     counts = np.fromiter(map(int.bit_count, masks), np.int64, len(masks))
     yield np.frombuffer(f"{d} {counts.sum()}\n".encode(), np.uint8)
-    # a vertex costs its records, its forward mask unpacked to a byte per bit
+    # a vertex costs its records, up to a byte per bit of its forward mask
+    # (its bytes, and an int64 index and 8 unpacked bytes per non-zero one)
     # and about 64 bytes of per-vertex lists and arrays
     spans = np.fromiter(map(int.bit_length, masks), np.int64, len(masks)) - verts
     ends = np.cumsum(counts * (2 * d + 2) + spans + 64)
@@ -372,10 +377,9 @@ def _block_bytes(d: int, m: int) -> int:
 
 def _encode_runs(d: int, m: int, seed: int, runs) -> Iterator[np.ndarray]:
     """The blocked-host file as uint8 slabs: the header, then for each
-    ``(pairs, cells)`` of ``runs`` the lines of its nonempty blocks."""
+    ``(pairs, cells)`` of ``runs``, blocks that each have an edge, their lines."""
     yield np.frombuffer(f"{d} {m} {seed}\n".encode(), np.uint8)
     for pairs, mats in runs:
-        pairs, mats = nonempty_blocks(pairs, mats)
         if len(pairs):  # _blocked_records takes one block at least
             yield _blocked_records(pairs, mats, m)
 
@@ -502,9 +506,9 @@ def _read_blocked(fh) -> BlockedGraph | None:
         held = len(data) - end
         buf[:held] = data[end:]
     # a pair listed twice, in one slab or two, is two equal neighbours among
-    # the sorted pair keys of the graph
-    g = BlockedGraph(d, m, seed, pairs, mats)
-    return None if (g._keys[1:] == g._keys[:-1]).any() else g
+    # the sorted pair keys, an all-zero block included, which the graph drops
+    keys = np.sort(pairs[:, 0] << d | pairs[:, 1])
+    return None if (keys[1:] == keys[:-1]).any() else BlockedGraph(d, m, seed, pairs, mats)
 
 
 def _loads_blocked_lines(text: str) -> BlockedGraph:

@@ -1,14 +1,15 @@
 """Seeded construction of the blocked random host family and complete hosts.
 
 The host on {0,1}^d x [m] keeps an m x m boolean matrix per ordered pair of
-blocks (x, y), x < y; entry (i, j) says whether (x, i)(y, j) is an edge.  The
-matrices are stacked in one (P, m, m) array beside a (P, 2) array of pairs.
-Each cross-block pair is present independently with probability
-2^(level - d) where level = delta(x, y).  There are no intra-block edges.
-``BlockedGraph.to_ordered`` flattens a host to the keys of its edges, a
-run of blocks at a time into one preallocated key array, and hands them to
-``OrderedGraph._from_keys``, the one constructor that packs edge arrays
-into masks.
+blocks (x, y), x < y, that has at least one edge; entry (i, j) says whether
+(x, i)(y, j) is an edge.  The matrices of its K nonempty block pairs are
+stacked in one (K, m, m) array beside a (K, 2) array of pairs; a pair not
+listed has no edges.  Each cross-block pair is present independently with
+probability 2^(level - d) where level = delta(x, y).  There are no
+intra-block edges.  ``BlockedGraph.to_ordered`` flattens a host to the keys
+of its edges, a run of blocks at a time into one preallocated key array,
+and hands them to ``OrderedGraph._from_keys``, the one constructor that
+packs edge arrays into masks.
 
 Randomness comes from a counter-based generator (Philox4x64-10) keyed by
 (seed, block-pair index), so the output is independent of generation order.
@@ -23,10 +24,11 @@ Drawing goes by runs of consecutive pair indices (``host_runs``), each
 about ``_SLAB_BYTES`` of cells drawn into one reused buffer: a run's
 pairs, levels and index arrays are made from its first index, the pairs
 of its rows of the triangle x < y cut to the run, so no int64 array of
-one entry per block pair is built.  ``generate_host`` copies each run
-into its preallocated pairs and cells; ``graphio.write_generated``
-(``gen-host``) encodes and writes each run as it is drawn and never holds
-the host.
+one entry per block pair is built.  A run yields copies of its nonempty
+blocks alone.  ``generate_host`` joins those copies, so a host costs its
+nonempty block pairs, not all 2^(d-1)(2^d - 1) of them;
+``graphio.write_generated`` (``gen-host``) encodes and writes each run as
+it is drawn and never holds the host.
 """
 
 from __future__ import annotations
@@ -41,9 +43,10 @@ from .core import (_MAX_BUILD_BYTES, _SLAB_BYTES, BudgetError, HypercubeGraph, O
 
 #: refuse hosts with more vertices than this
 DEFAULT_VERTEX_BUDGET = 1 << 21
-#: bytes per block pair besides its cells: a host holds 24 (its pair and
-#: its key) and its constructor a few more, and a run of pairs being drawn
-#: about this much a pair for its index and level arrays
+#: bytes per block pair besides its cells: a run of pairs being drawn about
+#: this much a pair for its index and level arrays, and a host 24 per
+#: nonempty pair (its pair and its key) and its constructor a few more; the
+#: size cap holds a host whose every pair has an edge
 _PAIR_BYTES = 64
 #: pairs of at most this many words go to ``_philox_words`` (about 45 ns a
 #: word); larger ones to ``Philox.random_raw`` (about 5 ns a word plus 7 us
@@ -112,22 +115,14 @@ def block_level_counts(levels: np.ndarray, mats: np.ndarray, d: int) -> np.ndarr
     return counts.astype(np.int64)
 
 
-def nonempty_blocks(pairs: np.ndarray, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Block ``pairs`` and their cells ``mats`` restricted to blocks with at
-    least one edge; the arrays themselves, not copies, when every block has one."""
-    keep = mats.any(axis=(1, 2))
-    if keep.all():
-        return pairs, mats
-    return pairs[keep], mats[keep]
-
-
 class BlockedGraph:
     """A graph on {0,1}^d x [m] with block structure, ordered lexicographically.
 
-    ``pairs`` is a (P, 2) array of block pairs x < y in lexicographic order
-    and ``mats`` the matching (P, m, m) boolean array; row i, column j of
+    ``pairs`` is a (K, 2) array of block pairs x < y in lexicographic order
+    and ``mats`` the matching (K, m, m) boolean array; row i, column j of
     ``mats[b]`` is the pair ((x, i), (y, j)) for (x, y) = ``pairs[b]``.
-    Pairs not listed have no edges.  Vertex (x, i) precedes (y, j) iff
+    The constructor drops the blocks given without an edge, so the listed
+    pairs are exactly those with an edge.  Vertex (x, i) precedes (y, j) iff
     x < y or x == y and i < j.
     """
 
@@ -141,6 +136,9 @@ class BlockedGraph:
         self.seed = seed
         pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
         mats = np.asarray(mats, dtype=bool).reshape(-1, m, m)
+        keep = mats.any(axis=(1, 2))
+        if not keep.all():
+            pairs, mats = pairs[keep], mats[keep]
         # one sortable int64 per pair: x and y are below 2^d
         keys = pairs[:, 0] << d
         keys |= pairs[:, 1]
@@ -211,8 +209,7 @@ class BlockedGraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BlockedGraph) or (self.d, self.m) != (other.d, other.m):
             return False
-        (p, a), (q, b) = (nonempty_blocks(g.pairs, g.mats) for g in (self, other))
-        return np.array_equal(p, q) and np.array_equal(a, b)
+        return np.array_equal(self.pairs, other.pairs) and np.array_equal(self.mats, other.mats)
 
     def __repr__(self) -> str:
         return f"BlockedGraph(d={self.d}, m={self.m}, seed={self.seed})"
@@ -237,8 +234,9 @@ def _check_host(m: int, d: int, seed: int) -> int:
 def host_runs(m: int, d: int, seed: int, per_run: int):
     """The host ``generate_host(m, d, seed)`` as runs of ``per_run`` (at least
     one) consecutive block pairs in pair-index order, each a tuple ``(pairs,
-    levels, cells)``: the run's (k, 2) int64 pairs, their levels and their
-    (k, m, m) boolean cells, drawn into one buffer that every run reuses.
+    levels, cells)`` of the run's k nonempty block pairs: their (k, 2) int64
+    pairs, their levels and their (k, m, m) boolean cells, copied out of one
+    buffer that every run is drawn into.
 
     The size is checked at the call, the cells drawn as the runs are taken.
     """
@@ -279,20 +277,15 @@ def _draw_runs(m, d, seed, n_pairs, per_run):
                 state["state"]["key"][1] = lo + row
                 bitgen.state = state
                 np.less(bitgen.random_raw(words), np.uint64(1 << (64 - d + level)), out=cells[row])
-        yield np.column_stack((xs, ys)), levels, cells.reshape(count, m, m)
+        keep = np.flatnonzero(cells.any(axis=1))
+        yield np.column_stack((xs[keep], ys[keep])), levels[keep], cells[keep].reshape(-1, m, m)
 
 
 def generate_host(m: int, d: int, seed: int) -> BlockedGraph:
     """Sample the blocked host: cross-block pair probability 2^(delta(x,y) - d)."""
     n_pairs = _check_host(m, d, seed)
-    pairs = np.empty((n_pairs, 2), np.int64)
-    mats = np.empty((n_pairs, m, m), bool)
-    lo = 0
-    for run, _, cells in _draw_runs(m, d, seed, n_pairs, max(1, _SLAB_BYTES // (m * m + _PAIR_BYTES))):
-        pairs[lo:lo + len(run)] = run
-        mats[lo:lo + len(run)] = cells
-        lo += len(run)
-    return BlockedGraph(d, m, seed, pairs, mats)
+    pairs, _, mats = zip(*_draw_runs(m, d, seed, n_pairs, max(1, _SLAB_BYTES // (m * m + _PAIR_BYTES))))
+    return BlockedGraph(d, m, seed, np.concatenate(pairs), np.concatenate(mats))
 
 
 class LevelCheck(NamedTuple):

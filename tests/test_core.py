@@ -202,20 +202,24 @@ class TestFromKeys:
 
     def test_probes_only_the_rows_of_its_keys(self, monkeypatch):
         # the two-edge graph on 2^21 vertices: each slab probes a row start or
-        # two, not all n + 1 of them
+        # two, not all n + 1 of them. A slab of 16 bytes holds one key, so
+        # that every slab but the last probes; one of 1 MiB holds all four
+        # keys and needs no probe
         n, edges = 1 << 21, [(0, 1), (5, 1 << 20)]
-        probes = []
         searchsorted = np.searchsorted
+        for slab, want in ((16, {1}), (core._SLAB_BYTES, set())):
+            probes = []
 
-        def counted(a, v, *args, **kwargs):
-            probes.append(np.size(v))
-            return searchsorted(a, v, *args, **kwargs)
+            def counted(a, v, *args, **kwargs):
+                probes.append(np.size(v))
+                return searchsorted(a, v, *args, **kwargs)
 
-        monkeypatch.setattr(np, "searchsorted", counted)
-        g = OrderedGraph._from_keys(n, pair_keys(n, edges, np.int64))
-        monkeypatch.undo()
-        assert probes and set(probes) == {1} and len(probes) <= 3 * 4
-        assert g.sorted_edges() == edges and g.backward_masks[1 << 20] == 1 << 5
+            monkeypatch.setattr(core, "_SLAB_BYTES", slab)
+            monkeypatch.setattr(np, "searchsorted", counted)
+            g = OrderedGraph._from_keys(n, pair_keys(n, edges, np.int64))
+            monkeypatch.undo()
+            assert set(probes) == want and len(probes) <= 3 * 4
+            assert g.sorted_edges() == edges and g.backward_masks[1 << 20] == 1 << 5
 
     def test_a_cube_graph_is_built_as_its_own_class(self):
         g = HypercubeGraph._from_keys(8, pair_keys(8, [(0, 7), (2, 3)], np.int32))

@@ -21,6 +21,7 @@ from relturan.hosts import (
 )
 from relturan.patterns import build_hk, contains_ordered
 from relturan.tiling import TilingConfig, sample_many
+from test_graphio import ref_encode_blocked
 
 
 def thin_every_other(host: BlockedGraph) -> BlockedGraph:
@@ -74,9 +75,10 @@ class TestStreams:
     def test_matches_per_pair_philox(self, m, d, seed):
         host = generate_host(m, d, seed)
         ref = reference_host_blocks(m, d, seed)
-        assert list(host.blocks) == list(ref)
+        # the host lists exactly the pairs with an edge; the others read as zero
+        assert list(host.blocks) == [key for key, mat in ref.items() if mat.any()]
         for key, mat in ref.items():
-            assert np.array_equal(host.blocks[key], mat), key
+            assert np.array_equal(host.block_matrix(*key), mat), key
 
     # sha256 of dumps_blocked output, fixed before generation reused one Philox
     @pytest.mark.parametrize("m, d, seed, digest", [
@@ -182,6 +184,25 @@ class TestLevelCounts:
 
 
 class TestGeneration:
+    # m <= 12 draws from _philox_words, m >= 13 from Philox.random_raw
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 14), st.integers(1, 4), st.integers(0, 2**64 - 1), st.integers(1, 7))
+    def test_lists_exactly_the_nonempty_blocks(self, m, d, seed, per_run):
+        host = generate_host(m, d, seed)
+        runs = list(hosts.host_runs(m, d, seed, per_run))
+        # each run yields its blocks with an edge, and their levels, alone
+        for pairs, levels, cells in runs:
+            assert cells.shape[1:] == (m, m) and cells.any(axis=(1, 2)).all()
+            assert levels.tolist() == [delta_int(x, y, d) for x, y in pairs.tolist()]
+        assert np.array_equal(host.pairs, np.concatenate([run[0] for run in runs]))
+        assert np.array_equal(host.mats, np.concatenate([run[2] for run in runs]))
+        # the reference draws every pair: the host lists its nonempty ones and
+        # equals the graph built from all of them, the empty ones interleaved
+        ref = reference_host_blocks(m, d, seed)
+        assert list(host.blocks) == [key for key, mat in ref.items() if mat.any()]
+        assert host == BlockedGraph(d, m, seed, list(ref), list(ref.values()))
+        assert dumps_blocked(host) == ref_encode_blocked(d, m, seed, ref)
+
     def test_deterministic(self):
         assert generate_host(6, 3, seed=5) == generate_host(6, 3, seed=5)
 
