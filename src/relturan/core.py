@@ -9,7 +9,10 @@ differ; ``pair_levels`` is its array form.  ``tau`` counts the pairs at
 each level.  ``level_block`` is the one level geometry: the aligned block
 of the vertices at a given level from v.
 A cube graph, ``HypercubeGraph``, is an ``OrderedGraph`` on 2^d vertices
-that adds the per-level statistics and no stored state.
+that adds the per-level statistics and no stored state: one level-degree
+table, ``level_degrees``, over the vertices with a backward edge, whose
+row sums are ``level_counts`` and whose reductions are the richness
+extraction's stages.
 
 Both bulk sources of graphs, a blocked host's block matrices and a cube
 file's records, reach the masks through one array constructor,
@@ -23,7 +26,9 @@ unpacking only their set bytes (``_set_bits``, which the cube writer shares);
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from itertools import compress, repeat
+from operator import and_, rshift
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -73,7 +78,7 @@ def level_block(v: int, level: int, d: int) -> int:
 
     The block is the 2^(d-level) consecutive vertices that agree with v before
     ``level`` and differ from it there.  It lies before v iff bit d - level of
-    v is 1.
+    v is 1.  An int64 array of vertices gives the array of their blocks.
     """
     width = d - level
     return ((v >> width) ^ 1) << width
@@ -130,13 +135,13 @@ def _set_bits(data: bytes) -> np.ndarray:
     return at[bits >> 3] * 8 + (bits & 7)
 
 
-def _check_mask_bytes(n: int, sorted_keys: Callable[[], np.ndarray]) -> None:
+def _check_mask_bytes(n: int, keys: np.ndarray) -> None:
     """Refuse (``BudgetError``) masks of a graph on 0..n-1 that could pass
     ``_MAX_BUILD_BYTES``.
 
-    ``sorted_keys()`` holds the keys u * n + v of both orientations of every
-    edge, sorted, so each row's last key is the vertex's farthest neighbour
-    f: its forward and backward masks are each at most f + 1 bits long, as
+    ``keys`` holds the keys u * n + v of both orientations of every edge,
+    sorted, so each row's last key is the vertex's farthest neighbour f:
+    its forward and backward masks are each at most f + 1 bits long, as
     Python ints, and the sum of 2 (f + 1) bits over the rows bounds both.
     It is read a slab at a time, a row cut by a slab boundary counting in
     its last slab, and only when n^2 / 4 bytes, that bound for any graph on
@@ -144,7 +149,7 @@ def _check_mask_bytes(n: int, sorted_keys: Callable[[], np.ndarray]) -> None:
     """
     if n * n // 4 <= _MAX_BUILD_BYTES:
         return
-    keys, bits, last_row, last_bits = sorted_keys(), 0, -1, 0
+    bits, last_row, last_bits = 0, -1, 0
     for lo in range(0, len(keys), _SLAB_BYTES // 8):
         part = keys[lo:lo + _SLAB_BYTES // 8]
         rows = part // n
@@ -202,7 +207,7 @@ def _key_masks(n: int, keys: np.ndarray) -> tuple[tuple[int, ...], tuple[int, ..
     mask lists are the only work done per vertex.
     """
     keys.sort()
-    _check_mask_bytes(n, lambda: keys)
+    _check_mask_bytes(n, keys)
     fwd = [0] * n
     bwd = [0] * n
     keys_per_slab = _SLAB_BYTES // 16
@@ -348,26 +353,33 @@ class HypercubeGraph(OrderedGraph):
     def d(self) -> int:
         return self.n.bit_length() - 1
 
-    def backward_degrees(self, level: int) -> list[int]:
-        """Every vertex's number of backward level-``level`` neighbours, indexed by vertex."""
-        d = self.d
-        if not 1 <= level <= d:
-            raise ValueError(f"level {level} out of range [1, {d}]")
-        size = 1 << (d - level)
-        block = (1 << size) - 1
-        degrees = [0] * self.n
-        # the vertices whose bit d - level is 1 come in runs of ``size``; a run
-        # shares one level block, the run just before it
-        for start in range(size, self.n, 2 * size):
-            lo = level_block(start, level, d)
-            degrees[start : start + size] = [
-                ((mask >> lo) & block).bit_count() for mask in self._bwd[start : start + size]
-            ]
-        return degrees
+    def level_degrees(self) -> tuple[np.ndarray, np.ndarray]:
+        """The level-degree table: ``(vertices, table)``.
+
+        ``vertices`` are the vertices with a backward neighbour, ascending,
+        as int64; ``table`` is the ``(d + 1, len(vertices))`` int64 array
+        whose cell ``[level, i]`` is the number of backward neighbours of
+        ``vertices[i]`` at ``level``, row 0 all zero.  A vertex has such
+        neighbours only where bit d - level of it is 1, in the block
+        ``level_block`` gives: each such cell is one shift, mask and
+        popcount of its backward mask, and a row is filled at once.
+        """
+        d, bwd = self.d, self._bwd
+        vertices = np.fromiter(compress(range(self.n), bwd), np.int64)
+        masks = list(compress(bwd, bwd))
+        table = np.zeros((d + 1, len(vertices)), np.int64)
+        for level in range(1, d + 1):
+            width = d - level
+            behind = (vertices >> width & 1).astype(bool)
+            lo = level_block(vertices[behind], level, d).tolist()
+            # (mask >> lo) & block, with no Python frame per cell
+            cells = map(and_, map(rshift, compress(masks, behind), lo), repeat((1 << (1 << width)) - 1))
+            table[level, behind] = np.fromiter(map(int.bit_count, cells), np.int64, len(lo))
+        return vertices, table
 
     def level_counts(self) -> list[int]:
-        """e_level for level = 1..d (index 0 unused)."""
-        return [0] + [sum(self.backward_degrees(level)) for level in range(1, self.d + 1)]
+        """e_level for level = 1..d (index 0 is 0): the level-degree table's row sums."""
+        return self.level_degrees()[1].sum(axis=1).tolist()
 
     def to_ordered(self) -> OrderedGraph:
         """The same graph as a plain OrderedGraph, sharing this one's masks."""

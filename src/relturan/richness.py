@@ -5,15 +5,17 @@ full-cube capacity.  The extraction step finds a fundamental interval I, a
 vertex x in the left half, and a subgraph of the right half whose every
 edge has its larger endpoint adjacent to x, while retaining many rich
 levels.  Iterating it (after stripping each vertex's top forward level)
-embeds the staircase pattern H_k.
+embeds the staircase pattern H_k.  Every level statistic it reads, the
+working levels' counts and each vertex's backward level degrees, comes
+from one table, ``HypercubeGraph.level_degrees``.
 
 The literal proportion constants make extraction impossible at any
 tractable dimension, so all stage thresholds live in a Thresholds object:
 ``Thresholds.paper(eps)`` carries the literal values, ``Thresholds.desk()``
 a permissive preset for machine-scale runs.  Thresholds and the pipeline's
 results are NamedTuple records; ``Thresholds`` checks its values on
-construction.  Every postcondition is stated relative to whichever
-thresholds actually ran.
+construction, and the extraction checks them again.  Every postcondition
+is stated relative to whichever thresholds actually ran.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import NamedTuple, Optional, Union
+
+import numpy as np
 
 from .core import HypercubeGraph, delta_int, level_block, tau
 
@@ -111,6 +115,11 @@ class _ThresholdFields(NamedTuple):
     final_prop: float  # popularity cutoff for the surviving level set
 
 
+def _check_values(thresholds: _ThresholdFields) -> None:
+    if thresholds.f_value <= 0 or thresholds.y1_value <= 0:
+        raise ValueError("value thresholds must be positive")
+
+
 class Thresholds(_ThresholdFields):
     """Stage thresholds for the interval-extraction pipeline.
 
@@ -118,16 +127,15 @@ class Thresholds(_ThresholdFields):
     literal constants as functions of eps, ``desk`` a permissive preset for
     dimensions a machine can hold.  All value thresholds must be positive so
     that selected vertices genuinely have backward edges: checked on
-    construction, though ``_replace`` and ``_make`` build the tuple directly
-    and skip the check.
+    construction and again by ``extract_rich_interval``, since ``_replace``
+    and ``_make`` build the tuple directly and skip the constructor.
     """
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs) -> "Thresholds":
         self = super().__new__(cls, *args, **kwargs)
-        if self.f_value <= 0 or self.y1_value <= 0:
-            raise ValueError("value thresholds must be positive")
+        _check_values(self)
         return self
 
     @classmethod
@@ -193,51 +201,55 @@ def extract_rich_interval(
 ) -> Union[ExtractionResult, StageFailure]:
     """Run the extraction pipeline; failure names the first failing stage.
 
-    Stages: working level set -> Y1 (vertices with large mean backward
-    density f) -> per-vertex level sets split into low/high halves -> pivot
-    level maximising low-half membership -> interval with the densest Y2
-    share -> left-half vertex x with most Y2 neighbours -> Y3 = its
-    neighbours -> surviving levels popular among high halves -> relabelled
-    subgraph of the right half.  Ties always break towards the smallest
-    index so reruns are reproducible.
+    Every stage reads ``g.level_degrees()``, the table of backward level
+    degrees of the vertices with a backward edge, through
+    f = degree / 2^(d - level): working levels (the table's alpha-rich row
+    sums) -> Y1 (vertices whose mean f over the working levels is large) ->
+    each vertex's level set (the working levels where its f is large) split
+    into low and high halves, a boolean row per level -> pivot level in
+    most low halves -> interval of the pivot level holding most of Y2 (the
+    vertices with the pivot in their low half) -> left-half vertex x with
+    most neighbours there -> Y3 = those neighbours -> surviving levels in
+    many high halves of Y3 -> relabelled subgraph of the right half.  Ties
+    always break towards the smallest index so reruns are reproducible.
+    A vertex with no backward edge has mean f 0, so it can be left out of
+    Y1 only because ``y1_value`` is positive: thresholds whose value
+    thresholds are not, as ``_replace`` can make, raise ``ValueError``.
     """
+    _check_values(thresholds)
     d, n = g.d, g.n
-    back = [[]] + [g.backward_degrees(level) for level in range(1, d + 1)]
-    working = rich_levels([sum(row) for row in back], d, thresholds.rich_alpha)
+    vertices, table = g.level_degrees()
+    working = rich_levels(table.sum(axis=1).tolist(), d, thresholds.rich_alpha)
     if len(working) < 2:
         return StageFailure("working-levels", f"only {len(working)} levels qualify")
 
-    # f(level, y) = backward level-degree / 2^(d - level), exact via integers
-    def f(level: int, y: int) -> float:
-        return back[level][y] / (1 << (d - level))
-
-    y1 = [
-        y
-        for y in range(n)
-        if sum(f(level, y) for level in working) / len(working) >= thresholds.y1_value
-    ]
+    # a row of f per working level; every f is k / 2^j <= 1, so each one,
+    # and a sum of at most d of them, is exact in floats in any order
+    levels = np.array(working)
+    f = table[levels] / (1 << (d - levels))[:, None]
+    in_y1 = f.sum(axis=0) / len(working) >= thresholds.y1_value
+    y1, f = vertices[in_y1], f[:, in_y1]
     if len(y1) < max(1, thresholds.y1_prop * n):
         return StageFailure("y1", f"|Y1| = {len(y1)}")
 
-    level_sets = {
-        y: [level for level in working if f(level, y) >= thresholds.f_value] for y in y1
-    }
-    # the high half is the largest ceil(|L_y|/2) levels, the low half the rest
-    low_half = {y: ls[: len(ls) // 2] for y, ls in level_sets.items()}
-    high_half = {y: ls[len(ls) // 2 :] for y, ls in level_sets.items()}
+    # a column per vertex of Y1: its level set, whose high half is its
+    # largest ceil(|L_y|/2) levels and the low half the rest
+    member = f >= thresholds.f_value
+    rank = member.cumsum(axis=0)
+    low = member & (rank <= rank[-1] // 2)
+    high = member & ~low
 
-    popularity = {level: sum(level in low_half[y] for y in y1) for level in working}
-    pivot = max(working, key=lambda level: (popularity[level], -level))
-    if popularity[pivot] < max(1, thresholds.lstar_prop * len(y1)):
-        return StageFailure("pivot-level", f"best popularity {popularity[pivot]}")
+    popularity = low.sum(axis=1)
+    at = int(popularity.argmax())  # the least of the most popular levels
+    pivot, best = working[at], int(popularity[at])
+    if best < max(1, thresholds.lstar_prop * len(y1)):
+        return StageFailure("pivot-level", f"best popularity {best}")
 
-    y2 = [y for y in y1 if pivot in low_half[y]]
+    y2 = y1[low[at]]
     width = d - pivot
-    interval_members: dict[int, list[int]] = {}
-    for y in y2:
-        interval_members.setdefault(y >> width, []).append(y)
-    j_idx = max(interval_members, key=lambda i: (len(interval_members[i]), -i))
-    inside = interval_members[j_idx]
+    intervals, members = np.unique(y2 >> width, return_counts=True)
+    j_idx = int(intervals[members.argmax()])  # the least of the fullest intervals
+    inside = y2[y2 >> width == j_idx].tolist()
     if len(inside) < max(1, thresholds.y2_prop * (1 << width)):
         return StageFailure("interval", f"|Y2 ∩ J| = {len(inside)}")
     # members of Y2 have positive backward degree at the pivot level, so the
@@ -254,12 +266,10 @@ def extract_rich_interval(
     y3 = [y for y in inside if g.has_edge(x, y)]
     y3_mask = sum(1 << y for y in y3)
 
-    popular_count = {level: sum(level in high_half[y] for y in y3) for level in working}
-    surviving = [
-        level
-        for level in working
-        if popular_count[level] >= max(1, thresholds.final_prop * len(y3))
-    ]
+    # how many high halves of Y3 hold each working level
+    popular = high[:, np.searchsorted(y1, y3)].sum(axis=1)
+    kept = popular >= max(1, thresholds.final_prop * len(y3))
+    surviving, counts = levels[kept].tolist(), popular[kept].tolist()
     if len(surviving) < max(1, thresholds.final_prop * len(working)):
         return StageFailure("surviving-levels", f"{len(surviving)} levels survive")
     _require(all(level > pivot for level in surviving), "a surviving level is not above the pivot")
@@ -283,10 +293,8 @@ def extract_rich_interval(
     # subgraph is the worst such guarantee over surviving levels (scaled a
     # hair down so float rounding cannot overshoot the integer counts)
     certified_eta = min(
-        popular_count[level]
-        * math.ceil(thresholds.f_value * (1 << (d - level)))
-        / tau(level - pivot, width)
-        for level in surviving
+        count * math.ceil(thresholds.f_value * (1 << (d - level))) / tau(level - pivot, width)
+        for level, count in zip(surviving, counts)
     )
     certified_eta = min(certified_eta, 1.0) * (1 - 1e-9)
     result = ExtractionResult(
@@ -298,9 +306,9 @@ def extract_rich_interval(
         certified_rich_count=len(surviving),
         trace=ExtractionTrace(
             working_levels=tuple(working),
-            y1=tuple(y1),
+            y1=tuple(y1.tolist()),
             pivot_level=pivot,
-            y2=tuple(y2),
+            y2=tuple(y2.tolist()),
             interval_index=j_idx,
             x=x,
             y3=tuple(y3),

@@ -254,10 +254,16 @@ class TestMaskBudget:
     def test_no_key_is_read_where_every_graph_fits(self):
         # 63^2 / 4 bytes are within the cap, so even the complete graph fits;
         # 64^2 / 4 are not
-        read = mock.Mock(side_effect=AssertionError("keys read"))
-        core._check_mask_bytes(63, read)
+        class Unreadable:
+            def __len__(self):
+                raise AssertionError("keys read")
+
+            def __getitem__(self, index):
+                raise AssertionError("keys read")
+
+        core._check_mask_bytes(63, Unreadable())
         with pytest.raises(AssertionError, match="keys read"):
-            core._check_mask_bytes(64, read)
+            core._check_mask_bytes(64, Unreadable())
 
     def test_an_out_of_range_edge_is_named_as_before(self):
         with pytest.raises(ValueError, match=r"edge \(0, 5000\) out of range for n=1024"):
@@ -341,21 +347,21 @@ class TestLevelGeometry:
                 assert (lo < v) == ((v >> (d - level)) & 1 == 1)
 
     @given(cube_graphs())
-    def test_backward_degrees_and_level_counts(self, g):
+    def test_level_degrees_and_level_counts(self, g):
+        # brute force: every backward neighbour u of v counts at delta_int(u, v)
         d = g.d
-        degrees = [[0] * g.n for _ in range(d + 1)]
-        counts = [0] * (d + 1)
+        degrees = [[0] * (d + 1) for _ in range(g.n)]
         for u, v in g.sorted_edges():
-            degrees[delta_int(u, v, d)][v] += 1
-            counts[delta_int(u, v, d)] += 1
-        for level in range(1, d + 1):
-            assert g.backward_degrees(level) == degrees[level]
-        assert g.level_counts() == counts
-
-    @pytest.mark.parametrize("level", [-1, 0, 4])
-    def test_backward_degrees_rejects_level_out_of_range(self, level):
-        with pytest.raises(ValueError, match="out of range"):
-            HypercubeGraph(3).backward_degrees(level)
+            degrees[v][delta_int(u, v, d)] += 1
+        behind = [v for v in range(g.n) if any(degrees[v])]
+        vertices, table = g.level_degrees()
+        assert vertices.dtype == table.dtype == np.int64
+        assert vertices.tolist() == behind
+        assert table.shape == (d + 1, len(behind))
+        assert table.T.tolist() == [degrees[v] for v in behind]
+        counts = g.level_counts()
+        assert counts == [sum(degrees[v][level] for v in behind) for level in range(d + 1)]
+        assert all(type(c) is int for c in counts)
 
 
 class TestHypercubeGraph:

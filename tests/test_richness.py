@@ -26,6 +26,8 @@ from relturan.richness import (
     rich_levels,
     strip_top_forward,
 )
+from richness_oracle import extract_rich_interval as extract_reference
+from richness_oracle import level_counts as level_counts_reference
 
 
 def random_cube_graph(rng, d, keep=0.8):
@@ -255,6 +257,73 @@ class TestExtraction:
         b = extract_rich_interval(g, Thresholds.desk())
         assert isinstance(a, ExtractionResult)
         assert a.trace == b.trace
+
+    @pytest.mark.parametrize("field", ["y1_value", "f_value"])
+    def test_refuses_value_thresholds_that_skipped_the_check(self, field):
+        # _replace builds the tuple without the constructor's check; the
+        # table leaves out vertices with no backward edge, which is exact
+        # only for positive value thresholds
+        with pytest.raises(ValueError, match="value thresholds must be positive"):
+            extract_rich_interval(complete_hypercube(3), Thresholds.desk()._replace(**{field: 0.0}))
+
+
+PRESETS = [Thresholds.desk(), Thresholds.paper(0.2), Thresholds.paper(0.5), Thresholds.paper(0.9)]
+# the desk preset with one stage tightened past what a cube graph meets
+TIGHTENED = [
+    Thresholds(**{**Thresholds.desk()._asdict(), field: value})
+    for field, value in (("y1_prop", 1.0), ("lstar_prop", 1.0), ("y2_prop", 1.0), ("x_prop", 2.0),
+                         ("final_prop", 1.0))
+]
+HAND_BUILT = [complete_hypercube(d) for d in (2, 3, 4, 5)] + [
+    HypercubeGraph(3, [(0, 4)]),
+    HypercubeGraph(3, [(0, 1), (2, 3)]),
+    HypercubeGraph(4, [(0, 8)]),
+    HypercubeGraph(2, [(0, 3), (1, 2), (0, 1)]),
+    HypercubeGraph(3, [(0, 7), (1, 3), (2, 3), (4, 6), (0, 1)]),
+    HypercubeGraph(3, [(0, 7), (1, 3), (2, 3), (5, 7)]),  # levels 1 and 2 tie for the pivot
+    HypercubeGraph(2),
+]
+
+
+def same_as_reference(g, thresholds):
+    """The outcome's stage ("ok" for a result), once every field equals the reference's."""
+    got, want = extract_rich_interval(g, thresholds), extract_reference(g, thresholds)
+    assert type(got) is type(want)
+    assert got == want  # field by field: the subgraph by its masks, certified_eta exactly
+    if isinstance(got, StageFailure):
+        return got.stage
+    # the trace reaches --trace as JSON: Python ints only
+    for value in (got.x, got.rhs_base, got.pivot_level, got.certified_rich_count, *got.trace):
+        assert all(type(v) is int for v in (value if isinstance(value, tuple) else (value,)))
+    return "ok"
+
+
+@st.composite
+def drawn_cube_graphs(draw, max_d=7):
+    d = draw(st.integers(1, max_d))
+    n = 1 << d
+    keep = draw(st.floats(0, 1))
+    bits = random.Random(draw(st.integers(0, 2**64 - 1)))
+    g = HypercubeGraph(d, [(u, v) for u in range(n) for v in range(u + 1, n) if bits.random() < keep])
+    return strip_top_forward(g)[0] if draw(st.booleans()) else g
+
+
+class TestAgainstListReference:
+    """The level-degree table against the per-vertex lists it replaced."""
+
+    @given(drawn_cube_graphs(), st.sampled_from(PRESETS))
+    @settings(max_examples=150, deadline=None)
+    def test_drawn_graphs(self, g, thresholds):
+        assert g.level_counts() == level_counts_reference(g)
+        same_as_reference(g, thresholds)
+
+    def test_hand_built_graphs_reach_every_stage(self):
+        stages = set()
+        for g in HAND_BUILT:
+            assert g.level_counts() == level_counts_reference(g)
+            for h in (g, strip_top_forward(g)[0]):
+                stages.update(same_as_reference(h, t) for t in PRESETS + TIGHTENED)
+        assert stages == {"ok", "working-levels", "y1", "pivot-level", "interval", "x", "surviving-levels"}
 
 
 class TestEmbedHkRich:
