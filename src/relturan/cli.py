@@ -207,7 +207,7 @@ def cmd_embed_hk(args):
     else:
         thresholds = richness.Thresholds.desk()
     g = graphio.read_hypercube(args.host)
-    stripped, stats = richness.strip_top_forward(g)
+    stripped, removed = richness.strip_top_forward(g)
     res = richness.extract_rich_interval(stripped, thresholds)
     witness = richness.embed_hk_extracted(g, args.k, res, thresholds)
     ok = witness is not None
@@ -221,7 +221,7 @@ def cmd_embed_hk(args):
             trace_record["extraction"] = res.trace._asdict()
             trace_record["certified_eta"] = res.certified_eta
             trace_record["certified_rich_count"] = res.certified_rich_count
-        trace_record["stripped_edges_per_level"] = list(stats.removed_per_level[1:])
+        trace_record["stripped_edges_per_level"] = list(removed[1:])
         trace_record["witness"] = witness
         Path(args.trace).write_text(json.dumps(_jsonify(trace_record), indent=2) + "\n")
     failure = None if ok else f"no H_{args.k} embedding found under the {args.preset} preset"
@@ -398,7 +398,11 @@ def cmd_report(args):
         raise ValueError("--budget sets the local-density rounds and the host-stats pair checks; "
                          "quarter-density takes none")
     d_values = _grid_ints(spec, "d_values", [])
-    m_values = _grid_ints(spec, "m_values", [spec.get("m", 8)])
+    if "m" in spec and "m_values" in spec:
+        raise ValueError("a grid takes m or m_values, not both")
+    if type(m := spec.get("m", 8)) is not int:
+        raise ValueError(f"grid m must be an integer, got {m!r}")
+    m_values = _grid_ints(spec, "m_values", [m])
     seeds = _grid_ints(spec, "seeds", [args.seed])
     for seed in seeds:
         if not 0 <= seed < 1 << 64:  # the rule of --seed

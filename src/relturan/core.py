@@ -26,6 +26,7 @@ unpacking only their set bytes (``_set_bits``, which the cube writer shares);
 
 from __future__ import annotations
 
+from array import array
 from itertools import compress, repeat
 from operator import and_, rshift
 from typing import Iterable, Sequence
@@ -170,27 +171,28 @@ def _edge_masks(
     Each edge sets its bit in two masks, which costs a copy of each mask: a
     mask of many bits grown one edge at a time costs its width per edge.
     So past the cheap bound of ``_check_mask_bytes``, where the masks may
-    be that wide, ``_key_masks`` packs the edges' keys, each row once.
+    be that wide, the edges' keys go into an 8-byte array and
+    ``_key_masks`` packs them, each row once.
     """
-    edges = list(edges)
-    masks = None
-    if n * n // 4 > _MAX_BUILD_BYTES:
-        # a pair outside 0..n-1 is left to the range check below
-        masks = _key_masks(n, np.array(
-            [k for u, v in edges if 0 <= u < n and 0 <= v < n for k in (u * n + v, v * n + u)], np.int64))
-    fwd = [0] * n
-    bwd = [0] * n
+    wide = n * n // 4 > _MAX_BUILD_BYTES
+    keys = array("q")
+    fwd, bwd = ([], []) if wide else ([0] * n, [0] * n)
     for u, v in edges:
         if u == v:
             raise ValueError(f"self-loop at {u}")
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u}, {v}) out of range for {span}")
-        if masks is None:
+        if wide:
+            keys.extend((u * n + v, v * n + u))
+        else:
             if u > v:
                 u, v = v, u
             fwd[u] |= 1 << v
             bwd[v] |= 1 << u
-    return (tuple(fwd), tuple(bwd)) if masks is None else masks
+    if wide:
+        return _key_masks(n, np.frombuffer(keys, np.int64))
+    fwd = tuple(fwd)  # each list goes as its tuple is made
+    return fwd, tuple(bwd)
 
 
 def _key_masks(n: int, keys: np.ndarray) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -247,7 +249,8 @@ def _key_masks(n: int, keys: np.ndarray) -> tuple[tuple[int, ...], tuple[int, ..
             # a mask of x low bits would cost x bits on a row of fewer
             fwd[x] = a >> x << x
             bwd[x] = a ^ fwd[x]
-    return tuple(fwd), tuple(bwd)
+    fwd = tuple(fwd)  # each list goes as its tuple is made
+    return fwd, tuple(bwd)
 
 
 class OrderedGraph:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import compress
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
@@ -64,44 +65,43 @@ def _require(condition: bool, message: str) -> None:
         raise PostconditionError(message)
 
 
-class StripStats(NamedTuple):
-    top_level: tuple[int, ...]  # per-vertex top forward level, 0 if none
-    removed_per_level: tuple[int, ...]  # index 0 unused
-
-
-def strip_top_forward(g: HypercubeGraph) -> tuple[HypercubeGraph, StripStats]:
+def strip_top_forward(g: HypercubeGraph) -> tuple[HypercubeGraph, tuple[int, ...]]:
     """Remove each vertex's forward edges at its own highest forward level.
 
-    Removal decisions are computed on the input's forward masks and applied
-    simultaneously: x's victims leave fwd[x], and x leaves each victim's bwd.
-    The number removed at level l is at most (#vertices with top level l)
-    times 2^(d-l), i.e. at most twice p_l tau_l; checked on every run
-    (PostconditionError otherwise).
+    Returns the stripped graph and the number of edges removed at each
+    level (index 0 unused).  Removal decisions are computed on the input's
+    forward masks and applied simultaneously: x's victims leave fwd[x], and
+    x leaves each victim's bwd.  Only the vertices with forward edges are
+    walked; their stripped forward masks are kept as edits, and the forward
+    tuple is built once from them and the input's.  The backward masks are
+    edited in one list copy, made a tuple before the forward tuple is
+    built, so that no list is held beside both tuples.  The number removed
+    at level l is at most (#vertices with top level l) times 2^(d-l), i.e.
+    at most twice p_l tau_l; checked on every run (PostconditionError
+    otherwise).
     """
     d, n = g.d, g.n
-    top = [0] * n
-    fwd, bwd = list(g.forward_masks), list(g.backward_masks)
-    removed = [0] * (d + 1)
-    for x, forward in enumerate(g.forward_masks):
-        if not forward:
-            continue
+    fwd, bwd = g.forward_masks, list(g.backward_masks)
+    edits, tops, removed = {}, [0] * (d + 1), [0] * (d + 1)
+    for x, forward in zip(compress(range(n), fwd), compress(fwd, fwd)):
         # forward level blocks lie nearer x the higher their level, so the
         # least forward neighbour is at the top level, and the top level's
         # neighbours are the forward neighbours before its block ends
-        level = top[x] = delta_int(x, (forward & -forward).bit_length() - 1, d)
+        level = delta_int(x, (forward & -forward).bit_length() - 1, d)
         end = level_block(x, level, d) + (1 << (d - level))
         victims = forward & ((1 << end) - 1)
+        tops[level] += 1
         removed[level] += victims.bit_count()
-        fwd[x] ^= victims
+        edits[x] = forward ^ victims
         while victims:
             low = victims & -victims
             bwd[low.bit_length() - 1] ^= 1 << x
             victims ^= low
     for level in range(1, d + 1):
-        bound = top.count(level) << (d - level)
+        bound = tops[level] << (d - level)
         _require(removed[level] <= bound, f"removed {removed[level]} level-{level} edges, bound {bound}")
-    stripped = HypercubeGraph._from_masks(n, tuple(fwd), tuple(bwd))
-    return stripped, StripStats(tuple(top), tuple(removed))
+    bwd = tuple(bwd)
+    return HypercubeGraph._from_masks(n, tuple(map(edits.get, range(n), fwd)), bwd), tuple(removed)
 
 
 class _ThresholdFields(NamedTuple):
@@ -343,11 +343,8 @@ def embed_hk_rich(
     forward neighbour y, which precedes everything in the right half.
     Returns None as soon as any stage fails.
     """
-    if thresholds is None:
-        thresholds = Thresholds.desk()
-    res = None
-    if k > 1:
-        res = extract_rich_interval(strip_top_forward(g)[0], thresholds)
+    thresholds = Thresholds.desk() if thresholds is None else thresholds
+    res = extract_rich_interval(strip_top_forward(g)[0], thresholds) if k > 1 else None
     return embed_hk_extracted(g, k, res, thresholds)
 
 
@@ -378,8 +375,6 @@ def embed_hk_extracted(
     x = res.x
     forward = g.forward(x)
     y = (forward & -forward).bit_length() - 1  # at x's top forward level
-    if not forward or delta_int(x, y, g.d) <= res.pivot_level:
+    if not forward or delta_int(x, y, g.d) <= res.pivot_level or not x < y < lifted[0]:
         return None  # cannot happen when extraction succeeded; defensive
-    if not (x < y < lifted[0]):
-        return None
     return (x, y) + lifted

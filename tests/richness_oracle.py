@@ -1,4 +1,4 @@
-"""Per-vertex list reference for the level-degree table and the extraction.
+"""Per-vertex list references for the strip, the level-degree table and the extraction.
 
 ``HypercubeGraph.level_degrees`` computes every backward level degree of
 the vertices with a backward edge as one table, and ``extract_rich_interval``
@@ -6,7 +6,10 @@ runs its stages as reductions over that table.  This is the package as it
 stood before the table: one list of all 2^d vertices' degrees per level,
 an ``f`` closure, and dicts for the level sets, their halves, popularity
 and interval membership.  Both must give the same level counts and the same
-result or ``StageFailure``, field by field.
+result or ``StageFailure``, field by field.  ``strip_top_forward`` is the
+strip as it stood before it walked only the vertices with forward edges:
+both mask tables copied to lists, every vertex visited and its top level
+kept, the oracle for the strip's output and the measure of its time.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import math
 from typing import Union
 
-from relturan.core import HypercubeGraph, level_block, tau
+from relturan.core import HypercubeGraph, delta_int, level_block, tau
 from relturan.richness import (
     ExtractionResult,
     ExtractionTrace,
@@ -24,6 +27,32 @@ from relturan.richness import (
     _require,
     rich_levels,
 )
+
+
+def strip_top_forward(g: HypercubeGraph) -> tuple[HypercubeGraph, tuple[int, ...]]:
+    """Remove each vertex's forward edges at its own highest forward level,
+    and count the removed edges per level (index 0 unused); the removals
+    are bounded per level by d scans of the per-vertex top levels."""
+    d, n = g.d, g.n
+    top = [0] * n
+    fwd, bwd = list(g.forward_masks), list(g.backward_masks)
+    removed = [0] * (d + 1)
+    for x, forward in enumerate(g.forward_masks):
+        if not forward:
+            continue
+        level = top[x] = delta_int(x, (forward & -forward).bit_length() - 1, d)
+        end = level_block(x, level, d) + (1 << (d - level))
+        victims = forward & ((1 << end) - 1)
+        removed[level] += victims.bit_count()
+        fwd[x] ^= victims
+        while victims:
+            low = victims & -victims
+            bwd[low.bit_length() - 1] ^= 1 << x
+            victims ^= low
+    for level in range(1, d + 1):
+        bound = top.count(level) << (d - level)
+        _require(removed[level] <= bound, f"removed {removed[level]} level-{level} edges, bound {bound}")
+    return HypercubeGraph._from_masks(n, tuple(fwd), tuple(bwd)), tuple(removed)
 
 
 def backward_degrees(g: HypercubeGraph, level: int) -> list[int]:

@@ -723,7 +723,7 @@ class TestReport:
         ({"d_values": ["x"]}, "grid d_values must be a list of integers"),
         ({"d_values": [True], "m": 2}, "grid d_values must be a list of integers"),
         ({"d_values": 2}, "grid d_values must be a list of integers"),
-        ({"d_values": [2], "m": 2.0}, "grid m_values must be a list of integers"),
+        ({"d_values": [2], "m": 2.0}, "grid m must be an integer"),
         ({"d_values": [2], "m_values": [None]}, "grid m_values must be a list of integers"),
         ({"d_values": [2], "m": 2, "seeds": [2**64]}, "grid seeds must be non-negative and below 2^64"),
         ({"d_values": [2], "m": 2, "seeds": [0, -1]}, "grid seeds must be non-negative and below 2^64"),
@@ -739,6 +739,9 @@ class TestReport:
         ({"m": 2, "d_values": [2], "epsilon": 0.1}, "quarter-density grids take no key 'epsilon'"),
         ({"experiment": "local-density", "m": 2, "d_values": [2], "epsilon": 0.1},
          "local-density grids take no key 'epsilon'"),
+        # both keys used to run m_values and drop m without a word
+        ({"experiment": "quarter-density", "m": 4, "m_values": [2], "d_values": [2], "seeds": [0]},
+         "a grid takes m or m_values, not both"),
     ])
     def test_bad_grid_is_usage_error_before_any_row(self, tmp_path, capsys, spec, message):
         grid = tmp_path / "grid.json"
@@ -965,7 +968,6 @@ class TestRecordsAsJson:
         cfg = tiling.TilingConfig(6, (1, 2, 3, 4, 5, 6), 4, 3)
         guarantee = tiling.tiling_guarantee_report(monotone_p3(), cfg, 0.5)
         g = complete_hypercube(5)
-        _, strip_stats = richness.strip_top_forward(g)
         extraction = richness.extract_rich_interval(g, richness.Thresholds.desk())
         assert host_report.level_checks and host_report.pair_checks and guarantee.per_level
         return [
@@ -974,7 +976,7 @@ class TestRecordsAsJson:
             lemma_checks.check_binomial_fraction(Fraction(1, 2), Fraction(1, 5), 2,
                                                  Fraction(1, 8), 100),
             cfg, guarantee, guarantee.per_level[0],
-            strip_stats, richness.Thresholds.desk(), richness.StageFailure("y1", "|Y1| = 0"),
+            richness.Thresholds.desk(), richness.StageFailure("y1", "|Y1| = 0"),
             extraction, extraction.trace,
         ]
 
@@ -985,7 +987,7 @@ class TestRecordsAsJson:
             if isinstance(cls, type) and issubclass(cls, tuple) and not name.startswith("_")
             and cls.__module__ == module.__name__
         }
-        assert {type(rec) for rec in self.one_of_each()} == defined and len(defined) == 13
+        assert {type(rec) for rec in self.one_of_each()} == defined and len(defined) == 12
 
     def test_each_record_is_an_object_of_its_fields(self):
         # nested records too: HostReport's checks, GuaranteeReport.per_level

@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import time
+import timeit
 import tracemalloc
 from pathlib import Path
 
@@ -30,7 +31,9 @@ from relturan.graphio import (
     write_ordered,
 )
 from relturan.hosts import BlockedGraph, complete_hypercube, generate_host
+from relturan.richness import strip_top_forward
 from relturan.tiling import TilingConfig, sample_many
+from richness_oracle import strip_top_forward as strip_reference
 
 
 # ---------------------------------------------------------------- references
@@ -1012,6 +1015,47 @@ class TestBoundedMemory:
             assert main([*command, str(path)]) == 2
             out, err = capsys.readouterr()
             assert out == "" and err.startswith("error: bitmasks of up to 16400 bytes")
+
+    # the star from 0 to 1..131,073 on 2^21 vertices: each of its two mask
+    # tables is 16 MiB as a tuple or a list of 2^21 entries
+    @pytest.fixture(scope="class")
+    def star_file(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("star") / "star.hg"
+        write_hypercube(path, HypercubeGraph(21, [(0, v) for v in range(1, 131_074)]))
+        return path
+
+    def test_cube_reader_on_a_large_star(self, star_file):
+        peak = _traced_peak(lambda: read_hypercube(star_file))
+        # measured 51.2 MiB: both mask lists and the forward tuple, held as
+        # each list becomes its tuple; 67.2 MiB when the lists were held
+        # until both tuples were made. The margin is 7%: the traced bytes
+        # are the same on every run
+        assert peak < 55 * 2**20
+
+    def test_cube_constructor_on_a_large_cube(self):
+        peak = _traced_peak(lambda: HypercubeGraph(21, [(0, 1)]))
+        # measured 48.0 MiB, as in the reader, with a margin of 4%; 64.0 MiB
+        # when the edge list's masks were also allocated, unused, beside the
+        # packed ones
+        assert peak < 50 * 2**20
+
+    def test_strip_of_a_large_star(self, star_file):
+        g = read_hypercube(star_file)
+        got = []
+        peak = _traced_peak(lambda: got.append(strip_top_forward(g)))
+        # measured 32.1 MiB, the stripped graph's two mask tuples; 96.0 MiB
+        # when both tables were copied to lists and the top level of every
+        # vertex kept
+        assert peak < 40 * 2**20
+        start = time.perf_counter()
+        want = strip_reference(g)
+        reference = time.perf_counter() - start
+        assert got[0] == want and got[0][0].backward_masks == want[0].backward_masks
+        # the strip that visits every vertex took 0.54-0.82 s, this one the
+        # best of three runs 0.16-0.24 s, 0.20-0.31 of it (2-vCPU VM): it
+        # must take at most half as long
+        seconds = min(timeit.repeat(lambda: strip_top_forward(g), number=1, repeat=3))
+        assert seconds < reference / 2
 
     def test_tile_sampler(self):
         cfg = TilingConfig(12, tuple(range(1, 13)), 6, 3)

@@ -28,6 +28,7 @@ from relturan.richness import (
 )
 from richness_oracle import extract_rich_interval as extract_reference
 from richness_oracle import level_counts as level_counts_reference
+from richness_oracle import strip_top_forward as strip_reference
 
 
 def random_cube_graph(rng, d, keep=0.8):
@@ -92,31 +93,38 @@ class TestAverageRichness:
 class TestStrip:
     def test_complete_cube_removes_top_levels(self):
         g = complete_hypercube(3)
-        stripped, stats = strip_top_forward(g)
+        stripped, removed = strip_top_forward(g)
         # every vertex except the largest has forward neighbours; its top
         # level block disappears
-        assert stats.top_level[-1] == 0
         for x in range(g.n - 1):
-            top = stats.top_level[x]
-            assert top >= 1
+            top = max(delta_int(x, y, 3) for y in range(x + 1, g.n))
             assert not any(stripped.has_edge(x, y) for y in range(x + 1, g.n) if delta_int(x, y, 3) == top)
-        assert sum(stats.removed_per_level) == g.num_edges() - stripped.num_edges()
+        assert removed[0] == 0
+        assert sum(removed) == g.num_edges() - stripped.num_edges()
 
     @given(st.integers(1, 6), st.floats(0, 1), st.randoms(use_true_random=False))
     def test_top_level_and_victims_match_bruteforce(self, d, keep, rng):
         g = random_cube_graph(rng, d, keep)
-        stripped, stats = strip_top_forward(g)
-        removed = set()
+        stripped, removed = strip_top_forward(g)
         removed_per_level = [0] * (d + 1)
         for x in range(g.n):
             forward = [y for y in range(x + 1, g.n) if g.has_edge(x, y)]
             top = max((delta_int(x, y, d) for y in forward), default=0)
-            assert stats.top_level[x] == top
-            victims = {(x, y) for y in forward if delta_int(x, y, d) == top}
-            removed |= victims
+            # x's victims, read off the stripped graph, are its forward
+            # neighbours at its top level
+            victims = [y for y in forward if not stripped.has_edge(x, y)]
+            assert victims == [y for y in forward if delta_int(x, y, d) == top]
             removed_per_level[top] += len(victims)
-        assert set(stripped.sorted_edges()) == set(g.sorted_edges()) - removed
-        assert list(stats.removed_per_level) == removed_per_level
+        assert set(stripped.sorted_edges()) <= set(g.sorted_edges())
+        assert list(removed) == removed_per_level
+
+    @given(st.integers(1, 6), st.floats(0, 1), st.randoms(use_true_random=False))
+    def test_matches_the_list_reference(self, d, keep, rng):
+        g = random_cube_graph(rng, d, keep)
+        stripped, removed = strip_top_forward(g)
+        want, want_removed = strip_reference(g)
+        assert stripped == want and stripped.backward_masks == want.backward_masks
+        assert removed == want_removed
 
     def test_adjacency_stays_symmetric(self):
         rng = random.Random(3)
@@ -128,9 +136,9 @@ class TestStrip:
 
     def test_edgeless_is_noop(self):
         g = HypercubeGraph(2)
-        stripped, stats = strip_top_forward(g)
+        stripped, removed = strip_top_forward(g)
         assert stripped.num_edges() == 0
-        assert stats.top_level == (0, 0, 0, 0)
+        assert removed == (0, 0, 0)
 
 
 class TestThresholds:
