@@ -360,9 +360,12 @@ class HypercubeGraph(OrderedGraph):
         """The level-degree table: ``(vertices, table)``.
 
         ``vertices`` are the vertices with a backward neighbour, ascending,
-        as int64; ``table`` is the ``(d + 1, len(vertices))`` int64 array
+        as int64; ``table`` is the ``(d + 1, len(vertices))`` int32 array
         whose cell ``[level, i]`` is the number of backward neighbours of
-        ``vertices[i]`` at ``level``, row 0 all zero.  A vertex has such
+        ``vertices[i]`` at ``level``, row 0 all zero.  A cell is at most the
+        block size 2^(d - level) <= 2^(d - 1), which int32 holds for every d
+        whose 2^d masks fit in memory (d <= 32), and numpy sums int32 rows
+        in int64, so row sums stay exact.  A vertex has such
         neighbours only where bit d - level of it is 1, in the block
         ``level_block`` gives: each such cell is one shift, mask and
         popcount of its backward mask, and a row is filled at once.
@@ -370,14 +373,14 @@ class HypercubeGraph(OrderedGraph):
         d, bwd = self.d, self._bwd
         vertices = np.fromiter(compress(range(self.n), bwd), np.int64)
         masks = list(compress(bwd, bwd))
-        table = np.zeros((d + 1, len(vertices)), np.int64)
+        table = np.zeros((d + 1, len(vertices)), np.int32)
         for level in range(1, d + 1):
             width = d - level
             behind = (vertices >> width & 1).astype(bool)
             lo = level_block(vertices[behind], level, d).tolist()
             # (mask >> lo) & block, with no Python frame per cell
             cells = map(and_, map(rshift, compress(masks, behind), lo), repeat((1 << (1 << width)) - 1))
-            table[level, behind] = np.fromiter(map(int.bit_count, cells), np.int64, len(lo))
+            table[level, behind] = np.fromiter(map(int.bit_count, cells), np.int32, len(lo))
         return vertices, table
 
     def level_counts(self) -> list[int]:

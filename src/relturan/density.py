@@ -20,20 +20,21 @@ table takes about copies x e/8 bytes, and the lists at most one slab of
 pointers (or one table's) beyond it; a table that would pass 2^31 bytes is
 refused with ``core.BudgetError``.  The local search keeps its set
 pattern-free and adds one edge at a time, so every new copy passes through
-that edge; it searches only those, with one kernel search compiled per
-solve, on forward and backward bitmask lists it edits in place.  Its
+that edge; it searches only those, with the pattern's through-edge searches
+(generated from source once per pattern, or interpreted past their size
+bound), on forward and backward bitmask lists it edits in place.  Its
 greedy pass asks only whether adding an edge would close a copy, without
 adding it, for the rest of a row in one search, whose answers hold until
 the pass next adds an edge, so it masks the refused candidates off and adds
-the lowest one left.  A row opens with that search unless the row before
-it added an edge; after an addition the pass asks one candidate edge at a
-time until one is refused.  The edges it draws from, the host's less the
-kept ones, are then read off the masks in one numpy pass
-(``core.mask_arrays``) as the sorted keys u * n + v, and its certificate
-is read back the same way.  A round
-begins level with the best set, so one that deletes a second edge has lost
-and stops there.  Its quarter start is checked to have no increasing
-2-edge path, which every copy of a pattern it is used for contains.
+the lowest one left.  A row opens with that search unless the row before it
+added an edge; after an addition the pass asks one candidate edge at a time
+until one is refused.  The edges it draws from, the host's less the kept
+ones, are then read off the masks in one numpy pass (``core.mask_arrays``)
+as the sorted keys u * n + v, and its certificate is read back the same
+way.  A round begins level with the best set, so one that deletes a second
+edge has lost and stops there.  Its quarter start is checked to have no
+increasing 2-edge path, which every copy of a pattern it is used for
+contains.
 
 Each route returns a ``DensityResult``, a NamedTuple record.
 
@@ -418,22 +419,22 @@ def rho_local_search(
     the created copy, keeping the move only if it does not lose edges.  A
     round starts with as many edges as the best set, so its second deletion
     loses it whatever comes next: it stops and is reverted there.
-    Containment is tested only through the edge just added, by a through-edge
-    search compiled once per solve.  The greedy pass walks the host's
-    forward masks less the kept ones in canonical order and asks only
-    whether adding an edge would close a copy (``refused``), for the rest
-    of the row at once; it skips the refused candidates by mask and adds
-    the lowest one left, or ends the row.  A row opens with that question
-    unless the row before it added an edge, and after an addition the pass
-    asks edge by edge until a refusal: a row whose candidates are all
-    refused costs one question, and a row that adds edges asks only about
-    the candidates it reaches.  The edges left out are then read in
-    one numpy pass into a sorted list of keys u * n + v: a round draws one
-    with ``rng.choice``, which picks the same index of the same order as
-    from a list of pairs, so the seeded stream is unchanged, and
-    ``bisect`` keeps the list sorted.  The rounds take the least copy
-    through the new edge, whose edges choose the victim.  The certificate
-    is read off the best forward masks by ``core.mask_arrays``.
+    Containment is tested only through the edge just added, by the
+    pattern's through-edge searches, generated once per pattern.  The
+    greedy pass walks the host's forward masks less the kept ones in
+    canonical order and asks only whether adding an edge would close a copy
+    (``refused``), for the rest of the row at once; it skips the refused
+    candidates by mask and adds the lowest one left, or ends the row.  A
+    row opens with that question unless the row before it added an edge,
+    and after an addition the pass asks edge by edge until a refusal: a row
+    whose candidates are all refused costs one question, and a row that
+    adds edges asks only about the candidates it reaches.  The edges left
+    out are then read in one numpy pass into a sorted list of keys
+    u * n + v: a round draws one with ``rng.choice``, which picks the same
+    index of the same order as from a list of pairs, so the seeded stream is
+    unchanged, and ``bisect`` keeps the list sorted.  The rounds take the
+    least copy through the new edge, whose edges choose the victim.  The
+    certificate is read off the best forward masks by ``core.mask_arrays``.
     """
     _check_pattern(pattern)
     rng = random.Random(seed)

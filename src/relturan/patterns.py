@@ -10,12 +10,17 @@ operations.  It reads the host as forward bitmasks, one per
 vertex: an OrderedGraph's ``forward_masks``, or the plain lists the local
 search edits in place.  After each copy it may resume at a shallower
 depth, skipping the later copies that repeat the images up to there.
-``through_edge_search`` compiles, once per pattern, the masks that pin a
-pattern edge onto host edges and feeds them to the kernel, behind two
-searches: the least copy through a host edge, and which of a row of
-candidate edges (u, v) would each close a copy, one walk per pattern edge
-that refuses a candidate per copy, or a mask of them per placement when the
-pinned vertex is the pattern's last or has one vertex after it.
+``through_edge_search`` works out, once per pattern, the masks that pin a
+pattern edge onto host edges, behind two searches: the least copy through
+a host edge, and which of a row of candidate edges (u, v) would each close
+a copy, one walk per pattern edge that refuses a candidate per copy, or a
+mask of them per placement when the pinned vertex is the pattern's last or
+has one vertex after it.  Both are generated from those templates as
+Python source, once per pattern, and compiled: straight-line loops over
+int locals that make the kernel's walks with the pinned masks folded in.
+The source holds only names and the integer literals of the pattern's
+vertices.  A pattern whose source would pass a size bound, or nest more
+loops than CPython compiles, feeds the templates to the kernel instead.
 """
 
 from __future__ import annotations
@@ -158,28 +163,58 @@ def through_edge_search(
     there 3.7-7.5 times slower.  Its rounds take ``least``, whose edges
     choose the victim.
 
-    Which mask bounds each vertex's image depends only on the pattern, so it
-    is compiled here, once, into a template per pattern edge that picks each
-    vertex's mask from those a call builds; the two searches share the
-    templates.  They take the pattern edges with the fewest vertices after b
-    first, where a walk has the fewest unpinned vertices to place after the
-    pinned ones; ``refused`` skips the candidates already refused, so that
-    order saves walks.  Neither checks ``fwd`` or ``bwd``.
+    Which mask bounds each vertex's image depends only on the pattern
+    (``_templates``), so both searches are generated from it as Python
+    source, compiled once per pattern and cached (``_search_source``,
+    ``_generated_searches``); a call on another n only binds the room
+    masks.  The source is straight-line code over int locals, one block
+    per template: its limit masks, the placements of its unpinned
+    vertices in the kernel's order, and its refusal test.  So a call
+    builds no mask list and runs no generator.  A pattern whose source would pass
+    ``_MAX_SOURCE`` characters or ``_MAX_LOOPS`` nested loops keeps
+    ``_interpreted_searches``, the same templates fed to ``_walk``, which
+    the tests take as the reference.  Neither path checks ``fwd`` or ``bwd``.
     """
-    k, preds = pattern.n, _predecessors(pattern)
-    room = [((1 << n) - 1) >> (k - i - 1) for i in range(k)]
-    # codes into a call's masks, for b's image v: below u (0), and in bwd[u]
-    # (+1) for a's predecessors, in bwd[v] (+2) for b's; u (4); below v (5),
-    # in bwd[v] (+1) for b's predecessors; v (7); 8 + i for vertex i's room,
-    # after b. ``refused`` reads bwd[v] as the union over its candidates, v as
-    # the highest one for "below v" and all of them for "v", and u unchecked;
-    # it also drops a from b's predecessors, since a candidate's edge from u
-    # is not in fwd[u]
+    searches = _generated_searches(pattern)
+    return _interpreted_searches(pattern, n) if searches is None else searches(n)
+
+
+def _templates(pattern: OrderedGraph) -> list[tuple[int, int, tuple[int, ...]]]:
+    """Each pattern edge (a, b) with the codes of the masks that bound vertices 0..b.
+
+    The codes, for b's image v: below u (0), and in bwd[u] (+1) for a's
+    predecessors, in bwd[v] (+2) for b's; u (4); below v (5), in bwd[v]
+    (+1) for b's predecessors; v (7).  A vertex after b is bounded by its
+    room alone.  The edges with the fewest vertices after b come first:
+    there a walk has the fewest unpinned vertices to place after the
+    pinned ones, and ``refused`` skips the candidates already refused, so
+    that order saves walks.
+    """
+    preds = _predecessors(pattern)
     templates = []
-    reads_back = False  # whether a template reads bwd[v] (codes 2, 3 and 6)
     for a, b in sorted(pattern.sorted_edges(), key=lambda e: -e[1]):
         codes = [(i in preds[a]) + 2 * (i in preds[b]) for i in range(a)]
         codes += [4] + [5 + (i in preds[b]) for i in range(a + 1, b)] + [7]
+        templates.append((a, b, tuple(codes)))
+    return templates
+
+
+def _interpreted_searches(
+    pattern: OrderedGraph, n: int
+) -> tuple[Callable[..., Optional[tuple[int, ...]]], Callable[..., int]]:
+    """``through_edge_search``'s two searches as its templates fed to ``_walk``.
+
+    A call builds the masks the codes name, then each template picks its
+    vertices' masks from them (8 + i for vertex i's room).  ``refused``
+    reads bwd[v] as the union over its candidates, v as the highest one for
+    "below v" and all of them for "v", and u unchecked; it also drops a
+    from b's predecessors, since a candidate's edge from u is not in fwd[u].
+    """
+    k, preds = pattern.n, _predecessors(pattern)
+    room = [((1 << n) - 1) >> (k - i - 1) for i in range(k)]
+    templates = []
+    reads_back = False  # whether a template reads bwd[v] (codes 2, 3 and 6)
+    for a, b, codes in _templates(pattern):
         reads_back = reads_back or not {2, 3, 6}.isdisjoint(codes)
         row_preds = [*preds[:b], tuple(i for i in preds[b] if i != a), *preds[b + 1:]]
         templates.append((b, itemgetter(*codes, *range(8 + b + 1, 8 + k)), row_preds))
@@ -255,6 +290,245 @@ def through_edge_search(
         return found
 
     return least, refused
+
+
+# a pattern whose generated searches would pass this many characters keeps
+# the interpreted ones. Generating and compiling takes about 0.25 ms per KB
+# on a 2-vCPU VM, once per pattern: 1.0 ms for H_2's 3.5 KB, 6 ms for H_4's
+# 27 KB; K_6's 35 KB is past the bound
+_MAX_SOURCE = 1 << 15
+# CPython compiles at most 20 statically nested blocks, here loops
+_MAX_LOOPS = 20
+# the int locals that a template code's mask is the AND of, in both
+# searches: ``bu`` the vertices below u, ``back_u`` bwd[u], and ``below``
+# and ``back`` those below b's image and its backward neighbours
+_CODE_PARTS = {0: ("bu",), 1: ("bu", "back_u"), 2: ("bu", "back"), 3: ("bu", "back_u", "back"),
+               5: ("below",), 6: ("below", "back")}
+
+
+@lru_cache(maxsize=64)
+def _generated_searches(pattern: OrderedGraph) -> Optional[Callable[[int], tuple]]:
+    """``searches(n) -> (least, refused)`` compiled from ``_search_source``, or None
+    past its bounds."""
+    source = _search_source(pattern)
+    if source is None:
+        return None
+    namespace: dict = {}
+    exec(compile(source, "<through-edge searches>", "exec", dont_inherit=True), namespace)
+    return namespace["searches"]
+
+
+def _search_source(pattern: OrderedGraph) -> Optional[str]:
+    """The source of ``through_edge_search``'s searches for ``pattern``, or None.
+
+    It holds names and the integer literals of the pattern's vertices, no
+    other text.  ``searches(n)`` binds the room masks r<i> and defines
+    ``least`` and ``refused``.  In each, a template is a guard on its
+    limit masks, computed once per call as int locals l<i>, then the
+    placements of its unpinned vertices i in the kernel's order (m<i> the
+    untried candidates, y<i> = 1 << x<i> the one placed), then a leaf:
+    ``least``'s keeps the copy if it is the least so far, and
+    ``refused``'s is the template's refusal test.  The pinned images u
+    and v are not placed: their forward masks fu, fv and the bounds au, av
+    above them fold into the limits, and the masks that bound their
+    predecessors, within bwd[u] and bwd[v], already imply the edges into
+    them, which the kernel tests again.  A vertex whose image no later mask
+    reads is placed once, at its least candidate (``walk``).  A leaf ends
+    loops by zeroing their masks: ``least``'s all of them at the
+    template's first copy, ``refused``'s those after b to resume at b, or
+    all once no candidate is left.  None when the source would pass
+    ``_MAX_SOURCE`` characters or ``_MAX_LOOPS`` nested loops.
+    """
+    k, preds = pattern.n, _predecessors(pattern)
+    templates = _templates(pattern)
+    lines: list[str] = []
+    used: set[str] = set()  # the per-call masks the search being emitted reads
+    rooms: set[int] = set()  # the vertices whose room masks either search reads
+    deepest = 0
+
+    def emit(depth: int, *texts: str) -> None:
+        lines.extend("    " * depth + text for text in texts)
+
+    def zero(depth: int, loops: Sequence[int]) -> None:
+        if loops:
+            emit(depth, " = ".join(f"m{i}" for i in loops) + " = 0")
+
+    def guard(depth, b, codes, pinned, walk_preds, free, checked):
+        """Emit the template's guard over ``checked`` and the limits of
+        ``free``; the depth inside it and each free vertex's limit name.
+        A limit that is one name another limit ANDs in goes unchecked."""
+        parts = {}
+        for i in free:
+            parts[i] = [*_CODE_PARTS[codes[i]]] if i < b else [f"r{i}"]
+            if i > b:
+                rooms.add(i)
+            if i - 1 in pinned:  # above the pinned image
+                parts[i].append("a" + pinned[i - 1])
+            parts[i] += ["f" + pinned[j] for j in walk_preds[i] if j in pinned]
+            used.update(parts[i])
+        limit = {i: p[0] if len(p) == 1 else f"l{i}" for i, p in parts.items()}
+        implied = {name for p in parts.values() if len(p) > 1 for name in p}
+        conds = list(checked)
+        for i, p in parts.items():
+            cond = f"(l{i} := {' & '.join(p)})" if len(p) > 1 else p[0]
+            if cond not in conds and cond not in implied:
+                conds.append(cond)
+        if conds:
+            emit(depth, f"if {' and '.join(conds)}:")
+            depth += 1
+        return depth, limit
+
+    def walk(depth, order, pinned, limit, walk_preds, enum, named, leaf):
+        """Emit the placements of ``order`` less ``pinned``, then ``leaf``.
+
+        A vertex loops over its candidates when a later vertex's mask reads
+        its image, or ``enum`` holds it; any other takes only its least
+        one, since a larger one would only raise the next vertex's lower
+        bound, so it can place no copy and refuse no candidate that the
+        least one cannot.  That test is an ``if``, or none when the guard
+        has checked the vertex's limit and nothing placed bounds it.  The
+        image x<i> is named when read or ``named`` holds it, and y<i> also
+        when the next vertex, placed or the leaf's b, is not pinned."""
+        nonlocal deepest
+        free = [i for i in order if i not in pinned]
+        read = {j for i in free for j in walk_preds[i] if j not in pinned}
+        loops = [i for i in free if i in read or i in enum]
+        for i in free:
+            terms = [limit[i], *([f"-(y{i - 1} << 1)"] if i - 1 in free else []),
+                     *(f"fwd[x{j}]" for j in walk_preds[i] if j not in pinned)]
+            named_i = i in read or i in named
+            if i in loops:
+                emit(depth, f"m{i} = {' & '.join(terms)}", f"while m{i}:")
+                depth += 1
+                emit(depth, f"y{i} = m{i} & -m{i}", f"m{i} ^= y{i}")
+            else:
+                mask = limit[i]
+                if len(terms) > 1:
+                    mask = f"m{i}"
+                    emit(depth, f"if m{i} := {' & '.join(terms)}:")
+                    depth += 1
+                if named_i or i + 1 < k and i + 1 not in pinned:
+                    emit(depth, f"y{i} = {mask} & -{mask}")
+            if named_i:
+                emit(depth, f"x{i} = y{i}.bit_length() - 1")
+        deepest = max(deepest, len(loops))
+        leaf(depth, loops)
+
+    def search(head: list[str], prologue: dict[str, list[str]], tail: str, body) -> None:
+        """Emit one search: ``head``, the ``prologue`` lines whose names the
+        templates read, the templates (``body()``), then ``tail``."""
+        at = len(lines)
+        used.clear()
+        body()
+        templates_text = lines[at:]
+        del lines[at:]
+        emit(1, *head)
+        for name, assign in prologue.items():
+            if name in used:
+                emit(2, *assign)
+        lines.extend(templates_text)
+        emit(2, tail)
+
+    def least_templates() -> None:
+        for t, (a, b, codes) in enumerate(templates):
+            pinned = {a: "u", b: "v"}
+            free = [i for i in range(k) if i not in pinned]
+            depth, limit = guard(2, b, codes, pinned, preds, free, ())
+
+            def leaf(depth: int, loops: list[int]) -> None:
+                images = ", ".join(pinned.get(i, f"x{i}") for i in range(k))
+                if t == 0:  # no copy before it
+                    emit(depth, f"best = ({images})")
+                else:
+                    emit(depth, f"if (c := ({images})) < best:", "    best = c")
+                zero(depth, loops)
+
+            walk(depth, range(k), pinned, limit, preds, (), free, leaf)
+
+    def refused_templates() -> None:
+        for t, (a, b, codes) in enumerate(templates):
+            pinned = {a: "u"}
+            left = "cands & ~found" if t else "cands"  # the candidates not yet refused
+            row_preds = [*preds[:b], tuple(i for i in preds[b] if i != a), *preds[b + 1:]]
+            into = row_preds[b]
+            if b < k - 2:  # resume at b after each copy
+                emit(2, f"lb = {left}")
+                free = [i for i in range(k) if i not in (a, b)]
+                depth, limit = guard(2, b, codes, pinned, row_preds, free, ["lb"])
+                limit[b] = "lb & au" if b - 1 == a else "lb"
+                if b - 1 == a:
+                    used.add("au")
+
+                def leaf(depth: int, loops: list[int]) -> None:
+                    emit(depth, f"found |= y{b}", f"lb ^= y{b}")
+                    zero(depth, [i for i in loops if i > b])
+                    emit(depth, "if not lb:")
+                    zero(depth + 1, [i for i in loops if i <= b])
+
+                walk(depth, range(k), pinned, limit, row_preds, [b], (), leaf)
+                continue
+            # one placement of 0..b-1 refuses a mask of candidates: those
+            # for which the tail vertex t = k - 1, if any, has an image above
+            emit(2, f"last = {left}")
+            free = [i for i in range(b) if i != a]
+            depth, limit = guard(2, b, codes, pinned, row_preds, free, ["last"])
+            tail = b < k - 1
+            t_into = [j for j in preds[-1] if j < b] if tail else []
+            if b - 1 == a:
+                used.add("au")
+            if a in t_into:
+                used.add("fu")
+            if tail:
+                rooms.add(k - 1)
+
+            def leaf(depth: int, loops: list[int]) -> None:
+                nonlocal deepest
+                above = "au" if b - 1 == a else f"-(y{b - 1} << 1)"
+                emit(depth, "hit = " + " & ".join(["last", above, *(f"fwd[x{j}]" for j in into)]))
+                if tail:
+                    reach = [f"r{k - 1}", *("fu" if j == a else f"fwd[x{j}]" for j in t_into)]
+                    emit(depth, "if hit:", f"    reach = {' & '.join(reach)}")
+                    if b in preds[-1]:  # t in fwd[c], which lies above c
+                        emit(depth + 1, "rest = hit", "hit = 0", "while rest:",
+                             "    low = rest & -rest", "    rest ^= low",
+                             "    if reach & fwd[low.bit_length() - 1]:", "        hit |= low")
+                        deepest = max(deepest, len(loops) + 1)
+                    else:  # below the highest image t may take
+                        emit(depth + 1, "hit &= ((1 << reach.bit_length()) - 1) >> 1")
+                emit(depth, "if hit:", "    found |= hit", "    last ^= hit")
+                if loops:
+                    emit(depth + 1, "if not last:")
+                    zero(depth + 2, loops)
+
+            read = [j for j in (*into, *t_into) if j != a]
+            walk(depth, range(b), pinned, limit, row_preds, read, read, leaf)
+
+    emit(0, "def searches(n):")
+    search(
+        ["def least(fwd, bwd, u, v):",
+         "    if not 0 <= u < v < n:",
+         '        raise ValueError(f"need 0 <= u < v < {n}, got u={u}, v={v}")',
+         "    back = bwd[v]",
+         "    if not back >> u & 1:",
+         "        return None",
+         "    best = (n,)  # above every copy"],
+        {"bu": ["bu = (1 << u) - 1"], "back_u": ["back_u = bwd[u]"],
+         "below": ["below = (1 << v) - 1"], "fu": ["fu = fwd[u]"], "fv": ["fv = fwd[v]"],
+         "au": ["au = -(2 << u)"], "av": ["av = -(2 << v)"]},
+        "return best if best[0] < n else None", least_templates)
+    search(
+        ["def refused(fwd, bwd, u, cands):", "    found = 0"],
+        {"bu": ["bu = (1 << u) - 1"], "back_u": ["back_u = bwd[u]"],
+         "below": ["below = ((1 << cands.bit_length()) - 1) >> 1"],
+         "back": ["back = 0", "rest = cands", "while rest:", "    low = rest & -rest",
+                  "    back |= bwd[low.bit_length() - 1]", "    rest ^= low"],
+         "fu": ["fu = fwd[u]"], "au": ["au = -(2 << u)"]},
+        "return found", refused_templates)
+    emit(1, "return least, refused")
+    lines[1:1] = ["    full = (1 << n) - 1"] * bool(rooms) + [
+        f"    r{i} = full >> {k - i - 1}" for i in sorted(rooms)]
+    source = "\n".join(lines) + "\n"
+    return None if len(source) > _MAX_SOURCE or deepest > _MAX_LOOPS else source
 
 
 def contains_ordered(pattern: OrderedGraph, host: OrderedGraph) -> Optional[tuple[int, ...]]:

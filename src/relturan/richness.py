@@ -235,7 +235,7 @@ def extract_rich_interval(
     # a column per vertex of Y1: its level set, whose high half is its
     # largest ceil(|L_y|/2) levels and the low half the rest
     member = f >= thresholds.f_value
-    rank = member.cumsum(axis=0)
+    rank = member.cumsum(axis=0, dtype=np.int8)  # a rank counts at most d levels
     low = member & (rank <= rank[-1] // 2)
     high = member & ~low
 

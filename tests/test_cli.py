@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from relturan import __version__, cli, density, graphio, hosts, lemma_checks, richness, tiling
+from relturan import (__version__, cli, density, graphio, hosts, lemma_checks, patterns,
+                      richness, tiling)
 from relturan.cli import _jsonify, build_parser, main
 from relturan.core import HypercubeGraph, OrderedGraph, delta_int
 from relturan.graphio import read_blocked, write_hypercube, write_ordered
@@ -128,6 +129,34 @@ class TestSolve:
         assert main(["solve", "--pattern", p3_file, "--host", k4_file,
                      "--mode", "local", "--budget", "1"]) == 0
         assert json.loads(capsys.readouterr().out)["nodes_explored"] == 1
+
+    def test_local_mode_prints_the_same_json_interpreted(self, tmp_path, capsys, monkeypatch):
+        # P4's searches are generated from source; the interpreted ones print
+        # the same bytes
+        write_ordered(tmp_path / "p4.og", monotone_p3(4))
+        write_ordered(tmp_path / "host.og", generate_host(4, 3, 1).to_ordered())
+        argv = ["solve", "--pattern", str(tmp_path / "p4.og"), "--host", str(tmp_path / "host.og"),
+                "--mode", "local", "--budget", "50"]
+        assert main(argv) == 0
+        generated = capsys.readouterr().out
+        monkeypatch.setattr(patterns, "_generated_searches", lambda pattern: None)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == generated
+
+    def test_local_mode_past_the_source_bound(self, tmp_path, capsys):
+        # K_6's generated source would pass the size bound, so its searches
+        # stay interpreted; the JSON is pinned to what they printed before
+        # any search was generated (36 of K_10's 45 edges)
+        k6 = OrderedGraph(6, [(u, v) for u in range(6) for v in range(u + 1, 6)])
+        assert patterns._search_source(k6) is None
+        write_ordered(tmp_path / "k6.og", k6)
+        write_ordered(tmp_path / "k10.og", complete_ordered(10))
+        assert main(["solve", "--pattern", str(tmp_path / "k6.og"), "--host",
+                     str(tmp_path / "k10.og"), "--mode", "local", "--budget", "40"]) == 0
+        out = capsys.readouterr().out
+        assert json.loads(out)["best_edges"] == 36
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "c7f105426e3ac4241f895489659bf6e2efb8f9fff865f7054eeff8e4a376ff64")
 
     def test_budget_before_first_leaf_reports_the_greedy_seed(self, p3_file, tmp_path, capsys):
         # the search starts from a greedy maximal P3-free set, here {0, 1} -> {2, 3, 4}

@@ -355,7 +355,7 @@ class TestLevelGeometry:
             degrees[v][delta_int(u, v, d)] += 1
         behind = [v for v in range(g.n) if any(degrees[v])]
         vertices, table = g.level_degrees()
-        assert vertices.dtype == table.dtype == np.int64
+        assert (vertices.dtype, table.dtype) == (np.int64, np.int32)
         assert vertices.tolist() == behind
         assert table.shape == (d + 1, len(behind))
         assert table.T.tolist() == [degrees[v] for v in behind]

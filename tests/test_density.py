@@ -481,6 +481,18 @@ class TestAnchoredLocalSearch:
         assert _fields(rho_local_search(pattern, host, 40, 3)) == _fields(
             rho_local_search_whole_graph(pattern, host, 40, 3))
 
+    # the CI tripwire hosts with 32 and 128 vertices, and their patterns
+    @pytest.mark.parametrize("pattern", [
+        P3, monotone_p3(4), build_hk(2), OrderedGraph(3, [(0, 1), (0, 2)]),
+        OrderedGraph(4, [(0, 2), (1, 3), (2, 3)]),
+    ], ids=["P3", "P4", "H2", "cherry", "reach"])
+    @pytest.mark.parametrize("m, d", [(2, 4), (16, 3)], ids=["host32", "host128"])
+    def test_generated_searches_give_the_interpreted_result(self, pattern, m, d, monkeypatch):
+        host = generate_host(m, d, 0).to_ordered()
+        generated = rho_local_search(pattern, host, 30, 0)
+        monkeypatch.setattr(patterns, "_generated_searches", lambda pattern: None)
+        assert generated == rho_local_search(pattern, host, 30, 0)
+
     # on dense hosts the whole-graph search repairs many losing rounds through
     # three or more deletions; the anchored one stops them at the second
     @pytest.mark.parametrize("pattern", [P3, build_hk(2), monotone_p3(4)])
@@ -531,7 +543,10 @@ class TestAnchoredLocalSearch:
     def test_greedy_pass_walks_per_row_not_per_edge(self, monkeypatch):
         # the quarter start on this host is already maximal: the greedy pass
         # refuses all 1,444 candidate edges, one kernel walk each or more if
-        # asked one at a time; by rows it makes at most 2 e(F) walks per vertex
+        # asked one at a time; by rows it makes at most 2 e(F) walks per vertex.
+        # The walks are counted on the interpreted searches, the generated
+        # ones having no ``_walk`` to count
+        monkeypatch.setattr(patterns, "_generated_searches", lambda pattern: None)
         walks = 0
         walk = patterns._walk
 

@@ -1,14 +1,22 @@
+import ast
+import subprocess
+import sys
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relturan import patterns
 from relturan.core import HypercubeGraph, OrderedGraph
 from relturan.hosts import generate_host
 from relturan.patterns import (
+    _MAX_LOOPS,
     MonotonePathError,
+    _generated_searches,
+    _interpreted_searches,
     _predecessors,
+    _search_source,
     _walk,
     build_hk,
     contains_ordered,
@@ -229,6 +237,132 @@ class TestRefusedRow:
         kept = OrderedGraph(5, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (1, 4)])
         _, refused = through_edge_search(OrderedGraph(4, combinations(range(4), 2)), 5)
         assert refused(list(kept.forward_masks), list(kept.backward_masks), 0, 0b11000) == 0b01000
+
+
+# patterns for the generated searches: a tail vertex joined to b (P4),
+# apart from b ({02, 12, 13}), isolated vertices (1 and 3 of {02, 24}; 0 and
+# 4 of {12, 13, 23}), b at k - 1 (H_2's 03), at k - 2 (P4's 12) and lower
+# (P5's 01, 12; H_2's 01), and K_5, whose 10 templates read every mask
+GENERATED = [
+    monotone_p3(), monotone_p3(4), monotone_p3(5), build_hk(2), *TAIL_APART,
+    *LAST_VERTEX_JOINS, OrderedGraph(5, [(0, 2), (2, 4)]),
+    OrderedGraph(5, [(1, 2), (1, 3), (2, 3)]), OrderedGraph(7, [(0, 6), (2, 3), (3, 5)]),
+    OrderedGraph(5, combinations(range(5), 2)),
+]
+
+
+def generated_patterns():
+    return st.sampled_from(GENERATED) | ordered_graphs(min_n=2, max_n=7).filter(
+        lambda g: g.num_edges() > 0 and _generated_searches(g) is not None)
+
+
+@st.composite
+def hosts_up_to_24(draw, pattern):
+    """Forward and backward masks on n <= 24 vertices: an arbitrary edge set,
+    or a pattern-free one kept greedily from the pairs in a drawn order."""
+    n = draw(st.integers(2, 24))
+    pairs = list(combinations(range(n), 2))
+    if draw(st.booleans()):
+        mask = draw(st.integers(0, (1 << len(pairs)) - 1))
+        g = OrderedGraph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+        return n, list(g.forward_masks), list(g.backward_masks)
+    order = draw(st.permutations(pairs))
+    return n, *TestRefusedRow.free_masks(pattern, n, order[: draw(st.integers(0, len(pairs)))])
+
+
+class TestGeneratedSearches:
+    """The searches generated from source against the interpreted ones."""
+
+    def test_every_listed_pattern_is_generated(self):
+        assert all(_generated_searches(pat) is not None for pat in GENERATED)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_equal_to_the_interpreted_searches(self, data):
+        pat = data.draw(generated_patterns())
+        n, fwd, bwd = data.draw(hosts_up_to_24(pat))
+        least, refused = _generated_searches(pat)(n)
+        least_ref, refused_ref = _interpreted_searches(pat, n)
+        for u, v in combinations(range(n), 2):
+            assert least(fwd, bwd, u, v) == least_ref(fwd, bwd, u, v)
+        for u in range(n):
+            # candidates: non-edges (u, v) with v > u
+            free = ((1 << n) - 1) >> (u + 1) << (u + 1) & ~fwd[u]
+            cands = data.draw(st.integers(0, (1 << n) - 1)) & free
+            assert refused(fwd, bwd, u, cands) == refused_ref(fwd, bwd, u, cands)
+            assert refused(fwd, bwd, u, free) == refused_ref(fwd, bwd, u, free)
+
+    def test_least_refuses_an_edge_out_of_range_alike(self):
+        least, _ = _generated_searches(monotone_p3())(5)
+        least_ref, _ = _interpreted_searches(monotone_p3(), 5)
+        for u, v in [(2, 1), (1, 1), (2, 5), (-1, 2)]:
+            with pytest.raises(ValueError) as got:
+                least([0] * 5, [0] * 5, u, v)
+            with pytest.raises(ValueError) as want:
+                least_ref([0] * 5, [0] * 5, u, v)
+            assert str(got.value) == str(want.value)
+
+    def test_a_second_call_reuses_the_compiled_code(self):
+        # an equal pattern built anew hits the cache, whatever the host size
+        def p4():
+            return OrderedGraph(4, [(0, 1), (1, 2), (2, 3)])
+
+        first = through_edge_search(p4(), 10)
+        hits = _generated_searches.cache_info().hits
+        second = through_edge_search(p4(), 20)
+        assert _generated_searches.cache_info().hits == hits + 1
+        assert [f.__code__ for f in first] == [f.__code__ for f in second]
+        assert first[0].__code__.co_filename == "<through-edge searches>"
+
+    def test_past_the_size_bound_keeps_the_interpreted_searches(self, monkeypatch):
+        k6 = OrderedGraph(6, combinations(range(6), 2))
+        assert _search_source(k6) is None
+        least, refused = through_edge_search(k6, 8)
+        least_ref, refused_ref = _interpreted_searches(k6, 8)
+        assert (least.__code__, refused.__code__) == (least_ref.__code__, refused_ref.__code__)
+        # with no size bound its source compiles and agrees, here on K_8 less
+        # two edges, which holds copies of K_6 through some of its edges
+        monkeypatch.setattr(patterns, "_MAX_SOURCE", 1 << 30)
+        namespace = {}
+        exec(compile(_search_source(k6), "<K_6>", "exec"), namespace)
+        least, refused = namespace["searches"](8)
+        host = OrderedGraph(8, [e for e in combinations(range(8), 2) if e not in {(0, 1), (2, 5)}])
+        fwd, bwd = list(host.forward_masks), list(host.backward_masks)
+        least_ref, refused_ref = _interpreted_searches(k6, 8)
+        copies = [least(fwd, bwd, u, v) for u, v in combinations(range(8), 2)]
+        assert copies == [least_ref(fwd, bwd, u, v) for u, v in combinations(range(8), 2)]
+        assert any(copies)
+        for u in range(8):
+            free = 0xFF >> (u + 1) << (u + 1) & ~fwd[u]
+            assert refused(fwd, bwd, u, free) == refused_ref(fwd, bwd, u, free)
+
+    def test_past_the_loop_bound_keeps_the_interpreted_searches(self, monkeypatch):
+        # P_k nests k - 2 loops; CPython compiles at most _MAX_LOOPS of them
+        monkeypatch.setattr(patterns, "_MAX_SOURCE", 1 << 30)
+        compile(_search_source(monotone_p3(_MAX_LOOPS + 2)), "<at the bound>", "exec")
+        past = monotone_p3(_MAX_LOOPS + 3)
+        assert _search_source(past) is None
+        monkeypatch.setattr(patterns, "_MAX_LOOPS", 1 << 30)
+        with pytest.raises(SyntaxError, match="too many statically nested blocks"):
+            compile(_search_source(past), "<past the bound>", "exec")
+
+    def test_source_holds_names_and_integers_alone(self):
+        # besides None, its one constant that is not an int is least's
+        # error message, an f-string of its names
+        tree = ast.parse(_search_source(OrderedGraph(5, combinations(range(5), 2))))
+        (message,) = [node for node in ast.walk(tree) if isinstance(node, ast.JoinedStr)]
+        assert ast.unparse(message) == "f'need 0 <= u < v < {n}, got u={u}, v={v}'"
+        inside = {id(node) for node in ast.walk(message)}
+        constants = [node.value for node in ast.walk(tree)
+                     if isinstance(node, ast.Constant) and id(node) not in inside]
+        assert constants and all(c is None or type(c) is int for c in constants)
+
+    def test_nothing_is_generated_at_import(self):
+        code = ("import relturan.cli, relturan.density, relturan.patterns as p; "
+                "print(p._generated_searches.cache_info().currsize)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True).stdout
+        assert out.strip() == "0"
 
 
 class TestWalkResume:
