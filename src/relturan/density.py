@@ -21,20 +21,17 @@ pointers (or one table's) beyond it; a table that would pass 2^31 bytes is
 refused with ``core.BudgetError``.  The local search keeps its set
 pattern-free and adds one edge at a time, so every new copy passes through
 that edge; it searches only those, with the pattern's through-edge searches
-(generated from source once per pattern, or interpreted past their size
-bound), on forward and backward bitmask lists it edits in place.  Its
-greedy pass asks only whether adding an edge would close a copy, without
-adding it, for the rest of a row in one search, whose answers hold until
-the pass next adds an edge, so it masks the refused candidates off and adds
-the lowest one left.  A row opens with that search unless the row before it
-added an edge; after an addition the pass asks one candidate edge at a time
-until one is refused.  The edges it draws from, the host's less the kept
-ones, are then read off the masks in one numpy pass (``core.mask_arrays``)
-as the sorted keys u * n + v, and its certificate is read back the same
-way.  A round begins level with the best set, so one that deletes a second
-edge has lost and stops there.  Its quarter start is checked to have no
-increasing 2-edge path, which every copy of a pattern it is used for
-contains.
+(generated from source once per pattern, or interpreted when that source
+passes its cap or does not compile), on forward and backward bitmask lists
+it edits in place.  Its greedy pass asks whether adding edges would close a
+copy, without adding them, a row at a time (``rho_local_search`` gives
+when it asks about one edge and when about the rest of a row).  The edges
+it draws from, the host's less the kept ones, are then read off the masks
+in one numpy pass (``core.mask_arrays``) as the sorted keys u * n + v, and
+its certificate is read back the same way.  A round begins level with the
+best set, so one that deletes a second edge has lost and stops there.  Its
+quarter start is checked to have no increasing 2-edge path, which every
+copy of a pattern it is used for contains.
 
 Each route returns a ``DensityResult``, a NamedTuple record.
 
@@ -423,12 +420,17 @@ def rho_local_search(
     pattern's through-edge searches, generated once per pattern.  The
     greedy pass walks the host's forward masks less the kept ones in
     canonical order and asks only whether adding an edge would close a copy
-    (``refused``), for the rest of the row at once; it skips the refused
-    candidates by mask and adds the lowest one left, or ends the row.  A
-    row opens with that question unless the row before it added an edge,
-    and after an addition the pass asks edge by edge until a refusal: a row
-    whose candidates are all refused costs one question, and a row that
-    adds edges asks only about the candidates it reaches.  The edges left
+    (``refused``), for the rest of the row at once: a refusal leaves the
+    kept set unchanged, so the answers hold until the pass next adds an
+    edge.  It skips the refused candidates by mask and adds the lowest one
+    left, or ends the row.  A row opens with that question unless the row
+    before it added an edge, and after an addition the pass asks edge by
+    edge until a refusal.  So a row whose candidates are all refused, as
+    all are on P3's maximal quarter start on ``generate_host(16, 3, 0)``,
+    costs one question, and a row that adds edges, as most of P4's and
+    H_2's do, asks only about the candidates it reaches: asking about the
+    whole row before every addition made those solves at budget 10 there
+    3.7-7.5 times slower.  The edges left
     out are then read in one numpy pass into a sorted list of keys
     u * n + v: a round draws one with ``rng.choice``, which picks the same
     index of the same order as from a list of pairs, so the seeded stream is
@@ -454,12 +456,8 @@ def rho_local_search(
         bwd[v] ^= 1 << u
 
     # the pass adds only the edge in hand, so its candidates, the host's edges
-    # outside the start, are read off the masks once, a row at a time. One
-    # question answers for the rest of a row, good until the next edge is
-    # added: the refused candidates are masked off and the lowest one left is
-    # added at once. A row opens with that question unless the row before it
-    # added an edge, and after an addition the pass asks edge by edge until
-    # a refusal
+    # outside the start, are read off the masks once, a row at a time; the
+    # docstring says when it asks about the rest of a row
     whole = True  # whether the next question is about the rest of the row
     for u, row in enumerate([mask & ~kept for mask, kept in zip(host.forward_masks, fwd)]):
         added = False

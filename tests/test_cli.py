@@ -143,12 +143,11 @@ class TestSolve:
         assert main(argv) == 0
         assert capsys.readouterr().out == generated
 
-    def test_local_mode_past_the_source_bound(self, tmp_path, capsys):
-        # K_6's generated source would pass the size bound, so its searches
-        # stay interpreted; the JSON is pinned to what they printed before
-        # any search was generated (36 of K_10's 45 edges)
+    def test_local_mode_k6_prints_the_interpreted_json(self, tmp_path, capsys):
+        # K_6's searches are generated from source; the JSON is pinned to
+        # what its interpreted searches printed before any search was
+        # generated (36 of K_10's 45 edges)
         k6 = OrderedGraph(6, [(u, v) for u in range(6) for v in range(u + 1, 6)])
-        assert patterns._search_source(k6) is None
         write_ordered(tmp_path / "k6.og", k6)
         write_ordered(tmp_path / "k10.og", complete_ordered(10))
         assert main(["solve", "--pattern", str(tmp_path / "k6.og"), "--host",
@@ -157,6 +156,32 @@ class TestSolve:
         assert json.loads(out)["best_edges"] == 36
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "c7f105426e3ac4241f895489659bf6e2efb8f9fff865f7054eeff8e4a376ff64")
+
+    def test_local_mode_past_the_source_cap(self, tmp_path, capsys):
+        # K_11's source would pass the cap, so its searches stay interpreted;
+        # the JSON is pinned to what they printed when the cap was 2^15
+        # (64 of K_12's 66 edges)
+        k11 = OrderedGraph(11, [(u, v) for u in range(11) for v in range(u + 1, 11)])
+        assert patterns._search_source(k11) is None
+        write_ordered(tmp_path / "k11.og", k11)
+        write_ordered(tmp_path / "k12.og", complete_ordered(12))
+        assert main(["solve", "--pattern", str(tmp_path / "k11.og"), "--host",
+                     str(tmp_path / "k12.og"), "--mode", "local", "--budget", "10"]) == 0
+        out = capsys.readouterr().out
+        assert json.loads(out)["best_edges"] == 64
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "33cc445e8a58d22a19b5e183983838138d11801f2b8762d00cbdbc004b46beb2")
+
+    def test_local_mode_on_a_600_vertex_star_pattern(self, tmp_path, capsys):
+        # generating the star's searches ran out of memory (exit 1); now
+        # generation stops at the cap and the interpreted searches run
+        star = OrderedGraph(600, [(0, i) for i in range(1, 600)])
+        write_ordered(tmp_path / "star.og", star)
+        write_ordered(tmp_path / "k8.og", complete_ordered(8))
+        assert main(["solve", "--pattern", str(tmp_path / "star.og"), "--host",
+                     str(tmp_path / "k8.og"), "--mode", "local", "--budget", "10"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["best_edges"] == 28 and out["total"] == 28
 
     def test_budget_before_first_leaf_reports_the_greedy_seed(self, p3_file, tmp_path, capsys):
         # the search starts from a greedy maximal P3-free set, here {0, 1} -> {2, 3, 4}
