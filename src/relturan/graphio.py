@@ -15,14 +15,19 @@ arrays, with no Python string per line:
   lowercase hex digits and "\n".  The "x y" line before each block's m
   rows is the one line of varying width.
 
-A file is decoded as numpy arrays, a slab at a time, when it is ASCII,
-its header line ends in "\n" and holds no other line break, and its lines
-are laid out exactly as these records: the first m edge lines of a cube
-file; every line of a blocked-host file, which then ends in "\n", with
-each "x y" line two runs of 1-18 decimal digits around one space, and no
-block pair listed twice.  Every other file goes through the per-line
-readers, the only code that raises ``FormatError``, so what a file means
-and how it fails do not depend on the path taken.
+Each host format has one reader, which decodes a file as numpy arrays, a
+slab at a time, and takes exactly the layout its writer writes: the
+header line "d m" or "d m seed", ASCII ints one space apart; for a cube
+file the next m edge records, after which nothing is read; for a
+blocked-host file every line, with each "x y" line two runs of 1-18
+decimal digits around one space, no block pair listed twice, and a final
+"\n".  Each slab is checked whole; only a slab that fails is searched
+for its first bad line, which the ``FormatError`` names (the line after
+the last, when the file ends early).  ``read_*`` read a regular file in
+place and any other (a pipe, say) into memory first, as ``loads_*`` take
+their text; ``read_host`` tells the formats apart by their header lines.
+Ordered graphs, written by hand as patterns, have one lenient per-line
+reader, ``loads_ordered``, which takes any spacing.
 
 Memory besides the graph itself, where a slab is ``_SLAB_BYTES`` (1 MiB)
 and the temporaries made from one slab take a few times its size.  A
@@ -39,29 +44,17 @@ each, so its costs below are per nonempty block pair:
   block pairs drawn into a reused buffer, about 64 bytes per pair of the
   run for its indices and levels, a copy of the run's nonempty blocks, and
   8 bytes per block;
-- cube reader (``read_hypercube``): one slab plus 8 bytes per edge (16 when
-  d > 15), the keys of both orientations of every edge, which
-  ``OrderedGraph._from_keys`` sorts and packs in slabs of its own, and 32
-  bytes per vertex of mask lists and tuples; a file that leaves a doubt is
-  read whole as text, as ``loads_hypercube`` reads it;
-- blocked reader (``read_blocked``): one slab of whole blocks, as many as
-  the writer's run, and 16 bytes per listed block pair, the keys that catch
-  a pair listed twice, and the cells of any listed block without an edge
-  (no writer lists one) until the graph drops it; a file that leaves a
-  doubt, among them one whose bytes cannot hold the blocks its line count
-  declares (found before any cell is allocated), is read whole as text, as
-  ``loads_blocked`` reads it;
-- ``loads_hypercube`` and ``loads_blocked``: the text, its ASCII bytes and
-  what the reader takes;
-- the per-line cube reader: the text's lines and a tuple per edge line,
-  then the masks ``HypercubeGraph`` builds from them (32 bytes per vertex);
-  a file it refuses costs its lines alone, whatever its d.
-
-The formats share one header reader per path, ``_fast_header`` for the
-array readers and ``_header`` for the per-line ones; the host formats share
-one file dispatch (``_read_file``) and one text dispatch (``_loads_text``).
-``read_host`` goes through the same file dispatch, opening the file once,
-and tells the formats apart by their header lines.
+- cube reader: one slab plus 8 bytes per edge (16 when d > 15), the keys
+  of both orientations of every edge, which ``OrderedGraph._from_keys``
+  sorts and packs in slabs of its own, and 32 bytes per vertex of mask
+  lists and tuples;
+- blocked reader: one slab of whole blocks, as many as the writer's run,
+  and 16 bytes per listed block pair, the keys that catch a pair listed
+  twice, and the cells of any listed block without an edge (no writer
+  lists one) until the graph drops it;
+- both readers size their keys, cells and buffers for no more records or
+  blocks than the file's bytes can hold, and ``loads_*`` and a pipe add
+  the file's bytes.
 """
 
 from __future__ import annotations
@@ -98,24 +91,23 @@ def dumps_ordered(g: OrderedGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _fast_header(fh, fields: int) -> tuple[int, list[int]] | None:
+def _fast_header(fh, names: str) -> tuple[int, list[int]]:
     """The length and the ints of the header line of the binary stream ``fh``,
-    read from at most 64 bytes, or None unless the line is ASCII, ends in
-    "\\n", holds no other line break and holds exactly ``fields`` ints.
+    one per field of ``names`` ("d m", say): ASCII digits one space apart,
+    ending in "\\n" within 64 bytes; ``FormatError`` at line 1 otherwise.
 
-    A canonical header is at most 2 + 1 + 7 + 1 + 20 + 1 bytes; a longer line
-    leaves a doubt."""
+    A canonical header is at most 2 + 1 + 7 + 1 + 20 + 1 bytes."""
     line = fh.readline(64)
-    if not (line.endswith(b"\n") and line.isascii()):
-        return None
-    head = line[:-1].decode("ascii")
-    parts = head.split()
-    if len(parts) != fields or head.splitlines() != [head]:
-        return None
-    try:
-        return len(line), [int(t) for t in parts]
-    except ValueError:
-        return None
+    head, newline, _ = line.partition(b"\n")
+    fields = head.split(b" ")
+    if newline and len(fields) == len(names.split()) and all(map(bytes.isdigit, fields)):
+        return len(line), [int(t) for t in fields]
+    raise FormatError(1, f"expected '{names}', got {_text(head)}")
+
+
+def _text(line: bytes) -> str:
+    """``line`` as a message shows it: the repr of its ASCII text."""
+    return repr(line.decode("ascii", "backslashreplace"))
 
 
 def _header(lines: list[str], names: str) -> list[int]:
@@ -229,18 +221,26 @@ def dumps_hypercube(g: HypercubeGraph) -> str:
     return str(b"".join(_encode_hypercube(g)), "ascii")
 
 
-def _cube_layout_ok(slab: np.ndarray, d: int) -> bool:
-    """Whether the uint8 ``slab`` of whole records of 2d + 2 bytes holds, in
-    each, two labels of "0"/"1" bytes around " " and ending in "\\n"."""
-    width = 2 * d + 2
+def _cube_layout(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The mask and the layout of a record of 2d + 2 bytes: ``record | mask ==
+    layout`` holds for exactly the records of two labels of "0"/"1" bytes
+    around " " and ending in "\\n"."""
     # on a label column b | 1 == ord("1") holds for exactly the bytes "0" and
     # "1"; the separator and line-end columns are masked with 0 and must match
     # exactly
-    mask = np.ones(width, np.uint8)
+    mask = np.ones(2 * d + 2, np.uint8)
     mask[[d, -1]] = 0
-    layout = np.full(width, ord("1"), np.uint8)
+    layout = np.full(2 * d + 2, ord("1"), np.uint8)
     layout[d] = ord(" ")
     layout[-1] = ord("\n")
+    return mask, layout
+
+
+def _cube_layout_ok(slab: np.ndarray, d: int) -> bool:
+    """Whether every record of the uint8 ``slab`` of whole records of 2d + 2
+    bytes is laid out as ``_cube_layout(d)`` says."""
+    width = 2 * d + 2
+    mask, layout = _cube_layout(d)
     # the layout repeats every lcm(width, 8) bytes: check whole periods as
     # uint64 words and the records after them as bytes
     period = math.lcm(width, 8)
@@ -252,34 +252,56 @@ def _cube_layout_ok(slab: np.ndarray, d: int) -> bool:
     return bool(((slab[whole:].reshape(-1, width) | mask) == layout).all())
 
 
-def _read_cube(fh) -> HypercubeGraph | None:
-    """Decode the cube-graph file that the seekable binary stream ``fh``
-    holds, a slab at a time, or return None if any byte leaves a doubt.
+def _cube_error(part: np.ndarray, d: int, m: int, line_no: int) -> FormatError:
+    """The error of the first bad line of the uint8 ``part``, edge lines of a
+    cube file of m edges from line ``line_no`` on: a record that is not laid
+    out as ``_cube_layout(d)`` says or is a self-loop, or a partial record at
+    the end; the file ends early, at the line after ``part``, if none is."""
+    width = 2 * d + 2
+    rows = part[:len(part) // width * width].reshape(-1, width)
+    mask, layout = _cube_layout(d)
+    laid_out = ((rows | mask) == layout).all(axis=1)
+    bad = np.flatnonzero(~laid_out | (rows[:, :d] == rows[:, d + 1:-1]).all(axis=1))
+    r = int(bad[0]) if len(bad) else len(rows)
+    if r < len(rows) and laid_out[r]:
+        return FormatError(line_no + r, "self-loop")
+    if r * width < len(part):
+        line, newline, _ = part[r * width:].tobytes().partition(b"\n")
+        ending = "" if newline else " and a line end"
+        return FormatError(line_no + r, f"expected two length-{d} bitstrings{ending}, got {_text(line)}")
+    return FormatError(line_no + r, f"expected {m} edge lines, file ends early")
 
-    The header line must end in "\\n" and hold no other line break, and the
-    first m edge lines must each be a record of 2d + 2 bytes, "u v\\n" with
-    u and v d-byte "0"/"1" labels and u != v; the file must be ASCII, so that
-    read as text it holds the same lines.  Each slab of records is checked
-    and decoded into one key array that holds both orientations of every
-    edge, u << d | v and v << d | u, in ``_key_type(2^d)``, int32 when
-    2d < 31, and ``_from_keys`` packs the keys into the masks.
+
+def _read_cube(fh) -> HypercubeGraph:
+    """Decode the cube-graph file that the seekable binary stream ``fh``
+    holds, a slab at a time.
+
+    The header line is "d m", and the next m lines must each be a record of
+    2d + 2 bytes, "u v\\n" with u and v d-byte "0"/"1" labels and u != v;
+    the bytes after them are not read.  Each slab of records is checked
+    whole and decoded into one key array that holds both orientations of
+    every edge, u << d | v and v << d | u, in ``_key_type(2^d)``, int32 when
+    2d < 31, and ``_from_keys`` packs the keys into the masks.  A slab that
+    fails a check, or that the file cannot fill, is searched for its first
+    bad line (``_cube_error``); the keys and the slab are sized for no more
+    records than the file's bytes hold.
     """
-    if (head := _fast_header(fh, 2)) is None:
-        return None
-    start, (d, m) = head
+    start, (d, m) = _fast_header(fh, "d m")
+    if not 1 <= d <= _MAX_CUBE_D:
+        raise FormatError(1, f"need 1 <= d <= {_MAX_CUBE_D}, got {d}")
     width = 2 * d + 2  # two labels, a space and a newline
-    if not (1 <= d <= _MAX_CUBE_D and 0 <= m * width <= fh.seek(0, os.SEEK_END) - start):
-        return None
+    size = fh.seek(0, os.SEEK_END) - start
     fh.seek(start)
+    fit = min(m, size // width)  # m unless the file ends early
     n = 1 << d
-    keys = np.empty(2 * m, _key_type(n))
+    keys = np.empty(2 * fit, _key_type(n))
     per_slab = max(1, _SLAB_BYTES // width)  # records
-    slab = np.empty(min(per_slab, m) * width, np.uint8)
+    slab = np.empty(min(per_slab * width, m * width, size), np.uint8)
     for lo in range(0, m, per_slab):
         hi = min(lo + per_slab, m)
-        part = slab[:(hi - lo) * width]
-        if fh.readinto(part) != len(part) or not _cube_layout_ok(part, d):
-            return None
+        part = slab[:fh.readinto(slab[:(hi - lo) * width])]
+        if len(part) < (hi - lo) * width or not _cube_layout_ok(part, d):
+            raise _cube_error(part, d, m, lo + 2)
         rows = part.reshape(-1, width)
         labels = np.zeros((2, hi - lo), keys.dtype)
         for i in range(d):
@@ -289,40 +311,13 @@ def _read_cube(fh) -> HypercubeGraph | None:
         # each label byte is ord("0") plus its bit
         labels -= ord("0") * (n - 1)
         u, v = labels
-        if (u == v).any():  # the per-line reader names the first one
-            return None
+        if (u == v).any():
+            raise _cube_error(part, d, m, lo + 2)
         np.left_shift(u, d, out=keys[lo:hi])
         keys[lo:hi] |= v
-        np.left_shift(v, d, out=keys[m + lo:m + hi])
-        keys[m + lo:m + hi] |= u
-    # the lines after the m edge lines are read by no path, but must decode as text
-    while chunk := fh.read(_SLAB_BYTES):
-        if not chunk.isascii():
-            return None
+        np.left_shift(v, d, out=keys[fit + lo:fit + hi])
+        keys[fit + lo:fit + hi] |= u
     return HypercubeGraph._from_keys(n, keys)
-
-
-def _loads_hypercube_lines(text: str) -> HypercubeGraph:
-    """The per-line cube-graph reader: any spacing ``str.split`` takes and any
-    line break ``str.splitlines`` takes; the only source of ``FormatError``."""
-    lines = text.splitlines()
-    d, m = _header(lines, "d m")
-    if not 1 <= d <= _MAX_CUBE_D:
-        raise FormatError(1, f"need 1 <= d <= {_MAX_CUBE_D}, got {d}")
-    if m < 0:  # lines[1:m + 1] would drop lines from the end
-        raise FormatError(1, f"need m >= 0, got {m}")
-    edges = []
-    for line_no, line in enumerate(lines[1:m + 1], 2):
-        parts = line.split()
-        if len(parts) != 2 or not all(len(p) == d and not p.strip("01") for p in parts):
-            raise FormatError(line_no, f"expected two length-{d} bitstrings, got {line!r}")
-        u, v = int(parts[0], 2), int(parts[1], 2)
-        if u == v:
-            raise FormatError(line_no, "self-loop")
-        edges.append((u, v))
-    if len(lines) <= m:
-        raise FormatError(len(lines) + 1, f"expected {m} edge lines, file ends early")
-    return HypercubeGraph(d, edges)
 
 
 def _decimal_fields(a: np.ndarray) -> np.ndarray:
@@ -420,8 +415,8 @@ def _pair_array(chars: np.ndarray, count: int) -> np.ndarray | None:
 def _decode_blocks(body: np.ndarray, ends: np.ndarray, d: int, m: int,
                    pairs: np.ndarray, mats: np.ndarray) -> bool:
     """Decode the whole blocks that the uint8 ``body`` holds, whose line ends
-    are ``ends``, into ``pairs`` and ``mats``, or return False if any pair
-    line, pair or row leaves a doubt."""
+    are ``ends``, into ``pairs`` and ``mats``, or return False if any line
+    is not laid out as ``_read_blocked`` says, a pair's repeats aside."""
     stride, width = m + 1, (m + 3) // 4  # lines per block; hex digits per row
     lengths = np.diff(ends, prepend=-1).reshape(-1, stride)  # each line, its "\n" included
     count = len(lengths)
@@ -454,103 +449,96 @@ def _decode_blocks(body: np.ndarray, ends: np.ndarray, d: int, m: int,
     return True
 
 
-def _read_blocked(fh) -> BlockedGraph | None:
-    """Decode the blocked-host file that the binary stream ``fh`` holds, a
-    slab of whole blocks at a time, or return None if any byte leaves a doubt.
+def _block_error(raw: bytes, d: int, m: int, pairs: np.ndarray, at: int) -> FormatError:
+    """The error of the first bad line of a blocked-host file whose first
+    ``at`` blocks are laid out as the writer lays them out and list
+    ``pairs[:at]``, and whose lines from block ``at`` on ``raw`` holds (all
+    of them, or up to a bad one): a pair listed before, a pair line that is
+    not "x y" in range, a row that is not ceil(m/4) lowercase hex digits
+    with no bit beyond column m - 1, or a line without its "\\n"; the file
+    ends early, at the line after ``raw``, if none is."""
+    stride, width = m + 1, (m + 3) // 4
+    line_no, error, keys, at_byte = 2 + at * stride, None, [], 0
+    while error is None and at_byte < len(raw):
+        end = raw.find(b"\n", at_byte)
+        line = raw[at_byte:end] if end >= 0 else raw[at_byte:]
+        if (line_no - 2) % stride == 0:
+            x, space, y = line.partition(b" ")
+            if not (space and all(1 <= len(t) <= 18 and t.isdigit() for t in (x, y))):
+                error = f"expected 'x y', got {_text(line)}"
+            elif not int(x) < int(y) < 1 << d:
+                error = f"block pair ({int(x)}, {int(y)}) out of range"
+            else:
+                keys.append(int(x) << d | int(y))
+        elif len(line) != width or line.strip(b"0123456789abcdef"):
+            error = f"expected hex row, got {_text(line)}"
+        elif int(line, 16) >> m:
+            error = f"row has bits beyond column {m - 1}"
+        if error is None and end < 0:
+            error = f"expected a line end after {_text(line)}"
+        if error is None:
+            line_no, at_byte = line_no + 1, end + 1
+    # a pair listed twice comes before any other bad line past its block
+    keys = np.concatenate((pairs[:at, 0] << d | pairs[:at, 1], np.array(keys, np.int64)))
+    repeats = np.setdiff1d(np.arange(len(keys)), np.unique(keys, return_index=True)[1])
+    if len(repeats):
+        x, y = divmod(int(keys[repeats[0]]), 1 << d)
+        return FormatError(2 + int(repeats[0]) * stride, f"duplicate block pair ({x}, {y})")
+    return FormatError(line_no, error or "block matrix truncated")
 
-    The file must be ASCII and end in "\\n", its header line must hold no
-    other line break, every block-pair line must be "x y", two runs of 1-18
-    decimal digits around one space, every pair in range and listed once,
-    and every row line a record of ceil(m/4) + 1 bytes, lowercase hex digits
-    and "\\n", with no bit beyond column m - 1.  A first pass checks the
-    bytes and counts the lines, so that the pairs and cells are allocated
-    once, at their size, and only when the bytes can hold that many blocks;
-    the second decodes each slab into them.
+
+def _read_blocked(fh) -> BlockedGraph:
+    """Decode the blocked-host file that the seekable binary stream ``fh``
+    holds, a slab of whole blocks at a time.
+
+    The header line is "d m seed", every block-pair line "x y", two runs of
+    1-18 decimal digits around one space, every pair in range and listed
+    once, and every row line a record of ceil(m/4) + 1 bytes, lowercase hex
+    digits and "\\n", with no bit beyond column m - 1; the file ends in
+    "\\n".  A first pass counts the lines, so that the pairs and cells are
+    allocated once, for no more blocks than the file's lines and bytes can
+    hold; the second checks each slab whole and decodes it into them.  A
+    slab that fails a check, or a pair listed twice, is searched for the
+    first bad line (``_block_error``).
     """
-    if (head := _fast_header(fh, 3)) is None:
-        return None
-    start, (d, m, seed) = head
-    if not (1 <= d <= _MAX_CUBE_D and 1 <= m and m << d <= DEFAULT_VERTEX_BUDGET):
-        return None
-    lines, last = 0, b"\n"
+    start, (d, m, seed) = _fast_header(fh, "d m seed")
+    if not 1 <= d <= _MAX_CUBE_D or m < 1:  # before m << d, a 2^d-bit integer
+        raise FormatError(1, f"need 1 <= d <= {_MAX_CUBE_D} and m >= 1")
+    if m << d > DEFAULT_VERTEX_BUDGET:
+        raise FormatError(1, f"{m << d} vertices exceeds budget {DEFAULT_VERTEX_BUDGET}")
+    lines = 0
     while chunk := fh.read(_SLAB_BYTES):
-        if not chunk.isascii():
-            return None
-        lines, last = lines + chunk.count(b"\n"), chunk[-1:]
+        lines += chunk.count(b"\n")
+    size = fh.tell() - start
     stride, width = m + 1, (m + 3) // 4  # lines per block; hex digits per row
-    n_pairs = lines // stride
-    # before the cells are allocated: a block is m rows of width + 1 bytes and
-    # a pair line of 4 bytes at least
-    if last != b"\n" or lines % stride or fh.tell() - start < n_pairs * (m * (width + 1) + 4):
-        return None
-    pairs = np.empty((n_pairs, 2), np.int64)
-    mats = np.empty((n_pairs, m, m), bool)
+    # a block is m rows of width + 1 bytes and a pair line of 4 bytes at least
+    fit = min(lines // stride, size // (m * (width + 1) + 4))
+    pairs = np.empty((fit, 2), np.int64)
+    mats = np.empty((fit, m, m), bool)
     # a slab is at most as many blocks as the writer's, read from a buffer
     # that holds as many whose pair lines have the canonical 2d + 2 bytes at
     # most, and at least one of any that decodes, whose pair line is at most 38
     per_slab = max(1, _SLAB_BYTES // _block_bytes(d, m))  # blocks
-    buf = np.empty(per_slab * (m * (width + 1) + 2 * d + 2) + 38, np.uint8)
+    buf = np.empty(min(per_slab * (m * (width + 1) + 2 * d + 2) + 38, size), np.uint8)
     fh.seek(start)
     at = held = 0  # blocks decoded; bytes carried over to the next slab
-    while at < n_pairs:
-        data = buf[:held + fh.readinto(buf[held:])]
+    while len(data := buf[:held + fh.readinto(buf[held:])]):
         ends = np.flatnonzero(data == ord("\n"))[:per_slab * stride]
         count = len(ends) // stride
-        if not count:  # a block longer than any that decodes
-            return None
-        end = ends[count * stride - 1] + 1
-        if not _decode_blocks(data[:end], ends[:count * stride], d, m,
-                              pairs[at:at + count], mats[at:at + count]):
-            return None
+        end = ends[count * stride - 1] + 1 if count else len(data)
+        # no whole block in a full buffer, or more blocks than fit, hold a bad line
+        if not count or at + count > fit or not _decode_blocks(
+                data[:end], ends[:count * stride], d, m, pairs[at:at + count], mats[at:at + count]):
+            raise _block_error(data[:end].tobytes(), d, m, pairs, at)
         at += count
         held = len(data) - end
         buf[:held] = data[end:]
     # a pair listed twice, in one slab or two, is two equal neighbours among
     # the sorted pair keys, an all-zero block included, which the graph drops
     keys = np.sort(pairs[:, 0] << d | pairs[:, 1])
-    return None if (keys[1:] == keys[:-1]).any() else BlockedGraph(d, m, seed, pairs, mats)
-
-
-def _loads_blocked_lines(text: str) -> BlockedGraph:
-    """The per-line blocked-host reader: any row ``int(row, 16)`` takes; the
-    only source of ``FormatError``."""
-    lines = text.splitlines()
-    d, m, seed = _header(lines, "d m seed")
-    if not 1 <= d <= _MAX_CUBE_D or m < 1:  # before m << d, a 2^d-bit integer
-        raise FormatError(1, f"need 1 <= d <= {_MAX_CUBE_D} and m >= 1")
-    if m << d > DEFAULT_VERTEX_BUDGET:
-        raise FormatError(1, f"{m << d} vertices exceeds budget {DEFAULT_VERTEX_BUDGET}")
-    pairs: dict[tuple[int, int], None] = {}  # insertion-ordered set
-    rows: list[int] = []  # every block's rows, in file order
-    i = 1
-    while i < len(lines):
-        try:
-            x, y = (int(t) for t in lines[i].split())
-        except ValueError:
-            raise FormatError(i + 1, f"expected 'x y', got {lines[i]!r}") from None
-        if not 0 <= x < y < (1 << d):
-            raise FormatError(i + 1, f"block pair ({x}, {y}) out of range")
-        if (x, y) in pairs:
-            raise FormatError(i + 1, f"duplicate block pair ({x}, {y})")
-        pairs[(x, y)] = None
-        for line_no, line in enumerate(lines[i + 1:i + m + 1], i + 2):
-            try:
-                row = int(line, 16)
-            except ValueError:
-                raise FormatError(line_no, f"expected hex row, got {line!r}") from None
-            if row >> m:
-                raise FormatError(line_no, f"row has bits beyond column {m - 1}")
-            rows.append(row)
-        i += m + 1
-        if i > len(lines):
-            raise FormatError(len(lines) + 1, "block matrix truncated")
-    row_bytes = (m + 7) // 8
-    packed = b"".join([row.to_bytes(row_bytes, "little") for row in rows])
-    bits = np.unpackbits(
-        np.frombuffer(packed, dtype=np.uint8).reshape(len(pairs), m, row_bytes),
-        axis=2, count=m, bitorder="little",
-    ).view(bool)
-    return BlockedGraph(d, m, seed, list(pairs), bits)
+    if (keys[1:] == keys[:-1]).any():
+        raise _block_error(b"", d, m, pairs, at)
+    return BlockedGraph(d, m, seed, pairs, mats)
 
 
 def write_blocked(path, g: BlockedGraph) -> None:
@@ -593,66 +581,39 @@ def write_hypercube(path, g: HypercubeGraph) -> None:
         fh.writelines(_encode_hypercube(g))
 
 
-def _read_file(path, fast, loads):
-    """Decode the regular file at ``path`` with the array reader ``fast``; a
-    file it returns None for, or a stream such as a pipe, is read whole as
-    text, as ``open(path).read()`` reads it, and goes to ``loads``."""
+def _read_file(path, read):
+    """``read`` on the binary stream of the file at ``path``, or on its bytes
+    read into memory when it is not a regular file (a pipe, say)."""
     with open(path, "rb") as fh:
         if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-            if (g := fast(fh)) is not None:
-                return g
-            fh.seek(0)
-        return loads(io.TextIOWrapper(fh).read())
-
-
-def _loads_text(text: str, fast, loads_lines):
-    """Decode ``text`` with the array reader ``fast`` on its bytes when it is
-    ASCII; text it returns None for, or other text, goes to the per-line
-    reader ``loads_lines``, which alone raises ``FormatError``, so what a
-    file means and how it fails do not depend on the path taken."""
-    if text.isascii() and (g := fast(io.BytesIO(text.encode("ascii")))) is not None:
-        return g
-    return loads_lines(text)
+            return read(fh)
+        data = fh.read()
+    return read(io.BytesIO(data))
 
 
 def read_hypercube(path) -> HypercubeGraph:
-    """The cube graph in the file at ``path``, read as ``_read_file`` reads."""
-    return _read_file(path, _read_cube, loads_hypercube)
+    return _read_file(path, _read_cube)
 
 
 def loads_hypercube(text: str) -> HypercubeGraph:
-    """The cube graph in ``text``, read as ``_loads_text`` reads."""
-    return _loads_text(text, _read_cube, _loads_hypercube_lines)
+    return _read_cube(io.BytesIO(text.encode()))
 
 
 def read_blocked(path) -> BlockedGraph:
-    """The blocked host in the file at ``path``, read as ``_read_file`` reads."""
-    return _read_file(path, _read_blocked, loads_blocked)
+    return _read_file(path, _read_blocked)
 
 
 def loads_blocked(text: str) -> BlockedGraph:
-    """The blocked host in ``text``, read as ``_loads_text`` reads."""
-    return _loads_text(text, _read_blocked, _loads_blocked_lines)
-
-
-def _read_host_fast(fh) -> BlockedGraph | HypercubeGraph | None:
-    """The array reader of whichever host format the header of ``fh`` holds:
-    each returns None unless the header has exactly its own field count."""
-    if (g := _read_blocked(fh)) is not None:
-        return g
-    fh.seek(0)
-    return _read_cube(fh)
-
-
-def _loads_host(text: str) -> BlockedGraph | HypercubeGraph:
-    """A blocked host when the first line of ``text`` holds three fields
-    ("d m seed"), a cube graph otherwise."""
-    first = text.partition("\n")[0].splitlines()
-    return (loads_blocked if first and len(first[0].split()) == 3 else loads_hypercube)(text)
+    return _read_blocked(io.BytesIO(text.encode()))
 
 
 def read_host(path) -> BlockedGraph | HypercubeGraph:
-    """The host at ``path``, read as ``_read_file`` reads, with the array
-    readers of both formats tried in turn and the text told apart by its
-    header line (``_loads_host``)."""
-    return _read_file(path, _read_host_fast, _loads_host)
+    """The host at ``path``: a blocked host when its header line holds three
+    fields ("d m seed"), a cube graph otherwise."""
+
+    def read(fh):
+        blocked = len(fh.readline(64).split()) == 3
+        fh.seek(0)
+        return (_read_blocked if blocked else _read_cube)(fh)
+
+    return _read_file(path, read)

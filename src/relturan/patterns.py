@@ -213,7 +213,9 @@ def _interpreted_searches(
     room = [((1 << n) - 1) >> (k - i - 1) for i in range(k)]
     templates = []
     reads_back = False  # whether a template reads bwd[v] (codes 2, 3 and 6)
-    for a, b, codes in _templates(pattern):
+    # a pattern with more vertices than the host has no copy: no templates,
+    # so that ``least`` answers None after its range check and ``refused`` 0
+    for a, b, codes in _templates(pattern) if k <= n else []:
         reads_back = reads_back or not {2, 3, 6}.isdisjoint(codes)
         row_preds = [*preds[:b], tuple(i for i in preds[b] if i != a), *preds[b + 1:]]
         templates.append((b, itemgetter(*codes, *range(8 + b + 1, 8 + k)), row_preds))

@@ -442,12 +442,17 @@ class TestMaskProducers:
     @given(cube_graphs())
     def test_decoders(self, g):
         text = dumps_hypercube(g)
-        # the per-line reader is not reached when the array path takes the file
-        with mock.patch.object(graphio, "_loads_hypercube_lines", side_effect=AssertionError):
+        # the one reader, called once; the edges written v u, last first,
+        # decode to the same graph
+        with mock.patch.object(graphio, "_read_cube", wraps=graphio._read_cube) as reader:
             decoded = loads_hypercube(text)
-        assert_is_the_edge_list_graph(decoded)
-        assert_is_the_edge_list_graph(graphio._loads_hypercube_lines(text))
-        assert decoded == g
+        assert reader.call_count == 1
+        header, *lines = text.splitlines(keepends=True)
+        flipped = "".join(f"{line[g.d + 1:-1]} {line[:g.d]}\n" for line in reversed(lines))
+        flipped = loads_hypercube(header + flipped)
+        for h in (decoded, flipped):
+            assert_is_the_edge_list_graph(h)
+            assert h == g
 
     @settings(deadline=None)
     @given(cube_graphs())

@@ -376,6 +376,22 @@ class TestGeneratedSearches:
             tracemalloc.stop()
         assert peak < 8 << 20
 
+    def test_a_pattern_larger_than_the_host_walks_nothing(self, monkeypatch):
+        # the star on 600 vertices keeps the interpreted searches; on K_8 no
+        # copy can exist, so neither search walks a template
+        star = OrderedGraph(600, [(0, i) for i in range(1, 600)])
+        host = OrderedGraph(8, combinations(range(8), 2))
+        fwd, bwd = list(host.forward_masks), list(host.backward_masks)
+        self.assert_interpreted(star, 8)
+        least, refused = through_edge_search(star, 8)
+        monkeypatch.setattr(patterns, "_walk", None)
+        assert all(least(fwd, bwd, u, v) is None for u, v in combinations(range(8), 2))
+        # every non-edge of the edgeless host as a candidate
+        assert all(refused([0] * 8, [0] * 8, u, 0xFF >> (u + 1) << (u + 1)) == 0 for u in range(8))
+        for u, v in [(3, 3), (5, 2), (0, 8)]:
+            with pytest.raises(ValueError, match="need 0 <= u < v < 8"):
+                least(fwd, bwd, u, v)
+
     def test_sources_are_pinned(self):
         # the sha256 of each source, as first generated: a change to the
         # generator that changes any of them must be deliberate
