@@ -48,7 +48,8 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 from .core import _MAX_BUILD_BYTES, _SLAB_BYTES, BudgetError, OrderedGraph, mask_arrays
-from .patterns import contains_ordered, has_monotone_p3, ordered_copies, through_edge_search
+from .patterns import (_generated_table, contains_ordered, has_monotone_p3, ordered_copies,
+                       through_edge_search)
 
 EXHAUSTIVE_EDGE_CAP = 20
 
@@ -124,26 +125,53 @@ def _copy_table(
     raises ``BudgetError`` instead of exhausting memory.  The search's live
     lists point into it, and hold at most ``_live_cap`` pointers in all:
     one slab's worth (``_SLAB_BYTES``), or one table's if that is more.
+
+    The table is built by code generated from the pattern as Python source
+    and compiled once per process, as its through-edge searches are
+    (``patterns._generated_table``): the kernel's walk as one loop per
+    pattern vertex, with each pattern edge's index taken once, where its
+    later end is placed.  Generating and compiling P3's and H_2's takes
+    about 0.3 and 0.4 ms (2-vCPU VM), and their tables on the bench's
+    exact-small hosts are built about twice as fast as from the kernel's
+    copies.  Under the searches' rule, a pattern whose source passes the
+    cap or does not compile gets ``_walked_table``, the kernel's copies
+    read one at a time, which the tests take as the reference.  Both
+    paths raise ``BudgetError`` at the same count: past ``max_copies``.
     """
-    # ``edges`` is sorted, so (u, v) is edge offset[u] + |fwd[u] below v|,
+    # a mask's int object holds at most len(edges) bits in 30-bit digits;
+    # each copy also fills one slot of ``copies`` and one of ``through`` per edge
+    copy_bytes = 28 + 4 * (len(edges) // 30 + 1) + 8 * (1 + pattern.num_edges())
+    max_copies = _MAX_BUILD_BYTES // copy_bytes
+    build = _generated_table(pattern)
+    if build is None:
+        table = _walked_table(pattern, host.forward_masks, max_copies)
+    else:
+        table = build(host.forward_masks, max_copies)
+    if table is None:
+        raise BudgetError(
+            f"more than {max_copies} copies of the pattern exceed {_MAX_BUILD_BYTES} bytes"
+        )
+    return table
+
+
+def _walked_table(
+    pattern: OrderedGraph, fwd: Sequence[int], max_copies: int
+) -> Optional[tuple[list[int], list[list[int]]]]:
+    """``_copy_table``'s table on the host ``fwd``, read off ``ordered_copies``,
+    or None once it passes ``max_copies`` copies."""
+    # the edges are sorted, so (u, v) is edge offset[u] + |fwd[u] below v|,
     # that is the end of u's run of edges less the |fwd[u] >> v| from v up
     rows = []  # (offset[u + 1], fwd[u])
     end = 0
-    for mask in host.forward_masks:
+    for mask in fwd:
         end += mask.bit_count()
         rows.append((end, mask))
     pattern_edges = pattern.sorted_edges()
-    # a mask's int object holds at most len(edges) bits in 30-bit digits;
-    # each copy also fills one slot of ``copies`` and one of ``through`` per edge
-    copy_bytes = 28 + 4 * (len(edges) // 30 + 1) + 8 * (1 + len(pattern_edges))
-    max_copies = _MAX_BUILD_BYTES // copy_bytes
     copies: list[int] = []
-    through: list[list[int]] = [[] for _ in edges]
-    for count, images in enumerate(ordered_copies(pattern, host.forward_masks)):
+    through: list[list[int]] = [[] for _ in range(end)]
+    for count, images in enumerate(ordered_copies(pattern, fwd)):
         if count == max_copies:
-            raise BudgetError(
-                f"more than {max_copies} copies of the pattern exceed {_MAX_BUILD_BYTES} bytes"
-            )
+            return None
         bits = []
         mask = 0
         for a, b in pattern_edges:
@@ -293,17 +321,18 @@ def _search(
         i += 1
 
 
-def _greedy_free(through: list[list[int]]) -> int:
+def _greedy_free(through: list[list[int]], weights: list[int]) -> int:
     """A maximal pattern-free edge mask, grown from no edges.
 
-    The edges are tried in ascending order of the copies through them, ties
-    by index, and each is kept unless a copy through it would then lie in the
-    kept set.  Every copy inside the result passes through the last of its
-    edges to be kept, so the result is pattern-free; an edge left out closes
-    a copy with edges kept before it, so the result is maximal.
+    The edges are tried in ascending order of ``weights``, the number of
+    copies through each, ties by index, and each is kept unless a copy
+    through it would then lie in the kept set.  Every copy inside the
+    result passes through the last of its edges to be kept, so the result
+    is pattern-free; an edge left out closes a copy with edges kept before
+    it, so the result is maximal.
     """
     kept = 0
-    for i in sorted(range(len(through)), key=lambda i: (len(through[i]), i)):
+    for i in sorted(range(len(through)), key=weights.__getitem__):
         bar = ~(kept | 1 << i)
         for c in through[i]:
             if not c & bar:
@@ -331,7 +360,10 @@ def rho_exact(
     """Branch-and-bound over include/exclude edge decisions, from a greedy seed, in two passes.
 
     The pattern's copies in the host are enumerated once, into the table of
-    ``_copy_table`` (``BudgetError`` if it would pass ``_MAX_BUILD_BYTES``).
+    ``_copy_table`` (``BudgetError`` if it would pass ``_MAX_BUILD_BYTES``),
+    by a third function generated from the pattern as source, beside its
+    through-edge searches and under the same rule: about 0.3 ms for P3
+    and 0.4 ms for H_2 to generate and compile, once per process.
     From it ``_greedy_free`` grows a maximal pattern-free seed from no edges,
     trying the edges with the fewest copies through them first.  Both
     passes run ``_search`` on the table, one loop with the include test
@@ -354,8 +386,10 @@ def rho_exact(
     edges = host.sorted_edges()
     total = len(edges)
     copies, through = _copy_table(pattern, host, edges)
-    order = sorted(range(total), key=lambda i: (-len(through[i]), i))
-    best = _greedy_free(through)
+    weights = [len(t) for t in through]
+    # both sorts are stable, reverse=True too, over an ascending range: ties go by index
+    order = sorted(range(total), key=weights.__getitem__, reverse=True)
+    best = _greedy_free(through, weights)
     found, nodes, exhausted = _search(copies, through, order, best.bit_count(), node_budget)
     if found is not None:
         best = found

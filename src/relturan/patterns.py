@@ -18,11 +18,16 @@ per pattern, and compiled: straight-line loops over int locals that make
 the kernel's walks with the pinned masks folded in, and that refuse a mask
 of candidates per placement when the pinned vertex is the pattern's last
 or has one vertex after it.  The source holds only names and the integer
-literals of the pattern's vertices.  One rule picks the path: generation
-stops as soon as the source passes a size cap, and a source that CPython
-will not compile (too many nested blocks or indentation levels) is
-dropped.  Such a pattern feeds the templates to the kernel instead, one
-resume walk per template, which the tests take as the reference.
+literals of the pattern's vertices.  A third function is generated the
+same way, once per pattern: ``_generated_table``, the exact search's copy
+table (``density._copy_table``), the kernel's unpinned walk as one loop
+per pattern vertex that takes each pattern edge's host edge index once,
+where the edge's later end is placed.  One rule picks the path for all
+three: generation stops as soon as the source passes a size cap, and a
+source that CPython will not compile (too many nested blocks or
+indentation levels) is dropped.  Such a pattern feeds the templates to
+the kernel instead, one resume walk per template, and builds its table
+from ``ordered_copies``; the tests take those as the reference.
 """
 
 from __future__ import annotations
@@ -264,10 +269,12 @@ def _interpreted_searches(
     return least, refused
 
 
-# _search_source gives up once the lines it emits pass this many characters,
-# and the pattern keeps the interpreted searches. Generating and compiling
-# takes about 0.3 ms per KB on a 2-vCPU VM, once per pattern: 1.0 ms for
-# H_2's 3.5 KB, about 70 ms for K_10's 235 KB; P_21's 281 KB is past the cap
+# _search_source and _table_source give up once the lines they emit pass
+# this many characters, and the pattern keeps the interpreted searches or
+# table. Generating and compiling takes about 0.3 ms per KB on a 2-vCPU VM,
+# once per pattern: 1.0 ms for H_2's 3.5 KB of searches, about 70 ms for
+# K_10's 235 KB; P_21's 281 KB is past the cap. The tables of P3 and H_2,
+# 1.1 and 1.5 KB, take about 0.3 and 0.4 ms
 _MAX_SOURCE = 1 << 18
 # the int locals that a template code's mask is the AND of, in both
 # searches: ``bu`` the vertices below u, ``back_u`` bwd[u], and ``below``
@@ -280,20 +287,39 @@ _CODE_PARTS = {0: ("bu",), 1: ("bu", "back_u"), 2: ("bu", "back"), 3: ("bu", "ba
 def _generated_searches(pattern: OrderedGraph) -> Optional[Callable[[int], tuple]]:
     """``searches(n) -> (least, refused)`` compiled from ``_search_source``, or None
     when there is no source or it does not compile."""
-    source = _search_source(pattern)
+    return _compiled(_search_source(pattern), "<through-edge searches>", "searches")
+
+
+def _compiled(source: Optional[str], filename: str, name: str) -> Optional[Callable]:
+    """The function ``name`` that ``source`` defines, or None when there is no
+    source or it does not compile."""
     if source is None:
         return None
     try:
-        code = compile(source, "<through-edge searches>", "exec", dont_inherit=True)
+        code = compile(source, filename, "exec", dont_inherit=True)
     except SyntaxError:  # over 20 nested blocks, or 100 indentation levels
         return None
     namespace: dict = {}
     exec(code, namespace)
-    return namespace["searches"]
+    return namespace[name]
 
 
 class _SourceTooLong(Exception):
-    """Raised inside ``_search_source`` once its lines pass ``_MAX_SOURCE`` characters."""
+    """Raised by ``_Lines.emit`` once the lines pass ``_MAX_SOURCE`` characters."""
+
+
+class _Lines(list):
+    """Lines of generated source that count their characters, newlines included."""
+
+    size = 0
+
+    def emit(self, depth: int, *texts: str) -> None:
+        """Append ``texts`` indented ``depth`` levels; ``_SourceTooLong`` past the cap."""
+        new = ["    " * depth + text for text in texts]
+        self.extend(new)
+        self.size += sum(map(len, new)) + len(new)
+        if self.size > _MAX_SOURCE:
+            raise _SourceTooLong
 
 
 def _search_source(pattern: OrderedGraph) -> Optional[str]:
@@ -321,18 +347,10 @@ def _search_source(pattern: OrderedGraph) -> Optional[str]:
     """
     k, preds = pattern.n, _predecessors(pattern)
     templates = _templates(pattern)
-    lines: list[str] = []
+    lines = _Lines()
+    emit = lines.emit
     used: set[str] = set()  # the per-call masks the search being emitted reads
     rooms: set[int] = set()  # the vertices whose room masks either search reads
-    size = 0  # the characters emitted, newlines included
-
-    def emit(depth: int, *texts: str) -> None:
-        nonlocal size
-        new = ["    " * depth + text for text in texts]
-        lines.extend(new)
-        size += sum(map(len, new)) + len(new)
-        if size > _MAX_SOURCE:
-            raise _SourceTooLong
 
     def zero(depth: int, loops: Sequence[int]) -> None:
         if loops:
@@ -511,6 +529,69 @@ def _search_source(pattern: OrderedGraph) -> Optional[str]:
         return None
     lines[1:1] = ["    full = (1 << n) - 1"] * bool(rooms) + [
         f"    r{i} = full >> {k - i - 1}" for i in sorted(rooms)]
+    return "\n".join(lines) + "\n"
+
+
+@lru_cache(maxsize=64)
+def _generated_table(pattern: OrderedGraph) -> Optional[Callable[..., Optional[tuple]]]:
+    """``table(fwd, max_copies)`` compiled from ``_table_source``, or None
+    when there is no source or it does not compile."""
+    return _compiled(_table_source(pattern), "<copy table>", "table")
+
+
+def _table_source(pattern: OrderedGraph) -> Optional[str]:
+    """The source of ``table(fwd, max_copies)``, the copy table of ``pattern``, or None.
+
+    ``table`` returns ``density._copy_table``'s ``(copies, through)`` on the
+    host ``fwd``, or None once it has found more than ``max_copies``
+    copies.  It makes the kernel's unpinned walk in lexicographic order,
+    one ``while`` loop per pattern vertex i over int locals: m<i> its
+    untried candidates (its room r<i>, above the image of i - 1, and in
+    f<j> = fwd[x<j>] for each predecessor j), y<i> = 1 << x<i> the one
+    placed.  Where b is placed, each pattern edge (a, b) gets the index of
+    its host edge once, e<t> = s<a> - (f<a> >> x<b>).bit_count() with
+    s<a> = stop[x<a>] the end of x<a>'s run of edges, and its bit is ORed
+    into that depth's partial mask c<b>.  So a leaf only appends its mask
+    to ``copies`` and to the through lists.  The count is tested after
+    each loop over the last vertex, which adds at most len(fwd) copies.  The source holds names and the integer
+    literals of the pattern's vertices, no other text; None as soon as
+    its lines pass ``_MAX_SOURCE`` characters, which a pattern on a few
+    hundred vertices does, whose loop nest is as deep as it has vertices.
+    """
+    k, preds = pattern.n, _predecessors(pattern)
+    sources = {a for into in preds for a in into}  # the vertices with an edge forward
+    lines = _Lines()
+    emit = lines.emit
+    try:
+        emit(0, "def table(fwd, max_copies):")
+        emit(1, "full = (1 << len(fwd)) - 1", *(f"r{i} = full >> {k - i - 1}" for i in range(k)),
+             "stop = []", "end = 0", "for f in fwd:", "    end += f.bit_count()",
+             "    stop.append(end)", "copies = []", "add = copies.append",
+             "through = [[] for _ in range(end)]")
+        mask = ""  # the partial mask of the vertices placed, once an edge is
+        t = 0  # the next edge's number
+        for i in range(k):
+            terms = [f"r{i}", *([f"-(y{i - 1} << 1)"] if i else []), *(f"f{j}" for j in preds[i])]
+            emit(i + 1, f"m{i} = {' & '.join(terms)}", f"while m{i}:",
+                 f"    y{i} = m{i} & -m{i}", f"    m{i} ^= y{i}")
+            depth = i + 2
+            if i in sources or preds[i]:
+                emit(depth, f"x{i} = y{i}.bit_length() - 1")
+            if i in sources:
+                emit(depth, f"f{i} = fwd[x{i}]", f"s{i} = stop[x{i}]")
+            into = range(t, t + len(preds[i]))
+            for e, a in zip(into, preds[i]):
+                emit(depth, f"e{e} = s{a} - (f{a} >> x{i}).bit_count()")
+            t += len(preds[i])
+            if into:
+                bits = [mask] if mask else []
+                mask = f"c{i}" if i < k - 1 else "c"
+                emit(depth, f"{mask} = {' | '.join(bits + [f'1 << e{e}' for e in into])}")
+        emit(k + 1, f"add({mask})", *(f"through[e{e}].append({mask})" for e in range(t)))
+        emit(k, "if len(copies) > max_copies:", "    return None")
+        emit(1, "return copies, through")
+    except _SourceTooLong:
+        return None
     return "\n".join(lines) + "\n"
 
 

@@ -138,7 +138,7 @@ class TestExact:
         edges = host.sorted_edges()
         copies, through = _copy_table(P3, host, edges)
         order = sorted(range(len(edges)), key=lambda i: (-len(through[i]), i))
-        seed = _greedy_free(through)
+        seed = _greedy_free(through, [len(t) for t in through])
         found, _, exhausted = density._search(copies, through, order, seed.bit_count())
         first = _edges_of(seed if found is None else found, edges)
         least = ((0, 3), (0, 7), (1, 3), (1, 6), (1, 7), (2, 4), (2, 5), (2, 6), (2, 7))
@@ -179,7 +179,7 @@ class TestGreedySeed:
     def test_free_maximal_and_at_most_the_optimum(self, pattern, host, budget):
         edges = host.sorted_edges()
         _, through = _copy_table(pattern, host, edges)
-        seed = _edges_of(_greedy_free(through), edges)
+        seed = _edges_of(_greedy_free(through, [len(t) for t in through]), edges)
         assert contains_ordered(pattern, OrderedGraph(host.n, seed)) is None
         for e in set(edges) - set(seed):
             assert contains_ordered(pattern, OrderedGraph(host.n, [*seed, e])) is not None

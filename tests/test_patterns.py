@@ -9,15 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relturan import patterns
-from relturan.core import HypercubeGraph, OrderedGraph
+from relturan import density, patterns
+from relturan.core import BudgetError, HypercubeGraph, OrderedGraph
 from relturan.hosts import generate_host
 from relturan.patterns import (
     MonotonePathError,
     _generated_searches,
+    _generated_table,
     _interpreted_searches,
     _predecessors,
     _search_source,
+    _table_source,
     _walk,
     build_hk,
     contains_ordered,
@@ -418,10 +420,128 @@ class TestGeneratedSearches:
 
     def test_nothing_is_generated_at_import(self):
         code = ("import relturan.cli, relturan.density, relturan.patterns as p; "
-                "print(p._generated_searches.cache_info().currsize)")
+                "print(p._generated_searches.cache_info().currsize, "
+                "p._generated_table.cache_info().currsize)")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True).stdout
-        assert out.strip() == "0"
+        assert out.split() == ["0", "0"]
+
+
+def walked_table(pattern, host):
+    """``density._copy_table`` with the generated table turned off: the kernel's copies."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(density, "_generated_table", lambda pattern: None)
+        return density._copy_table(pattern, host, host.sorted_edges())
+
+
+def generated_table(pattern, host):
+    """``density._copy_table``, asserted to take the generated path."""
+    assert _generated_table(pattern) is not None
+    return density._copy_table(pattern, host, host.sorted_edges())
+
+
+@st.composite
+def hosts_of_up_to_24(draw):
+    n = draw(st.integers(1, 24))
+    pairs = list(combinations(range(n), 2))
+    mask = draw(st.integers(0, (1 << len(pairs)) - 1))
+    return OrderedGraph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+
+
+class TestGeneratedTable:
+    """The copy table built by generated code against the kernel's copies."""
+
+    @given(st.sampled_from(GENERATED) | ordered_graphs(min_n=1, max_n=6).filter(
+        lambda g: g.num_edges() > 0), hosts_of_up_to_24())
+    @settings(max_examples=120, deadline=None)
+    def test_equal_to_the_walked_table(self, pat, host):
+        # the copies and every through list, each in the same order
+        assert generated_table(pat, host) == walked_table(pat, host)
+
+    def test_equal_on_a_large_table(self):
+        # P3 on the 128-vertex host: 45,017 copies through 2,940 edges
+        host = generate_host(16, 3, 0).to_ordered()
+        copies, through = generated_table(monotone_p3(), host)
+        assert len(copies) == 45_017
+        assert (copies, through) == walked_table(monotone_p3(), host)
+
+    @pytest.mark.parametrize("pat", [monotone_p3(), build_hk(2), OrderedGraph(3, [(0, 2)])])
+    def test_budget_error_at_the_same_count(self, pat, monkeypatch):
+        # the generated table tests its count after each loop over the last
+        # vertex, the walked one at each copy: both refuse exactly the
+        # budgets below the table's size, with the same message
+        host = OrderedGraph(9, [e for e in combinations(range(9), 2) if e not in {(1, 4), (2, 3)}])
+        edges = host.sorted_edges()
+        size = len(walked_table(pat, host)[0])
+        copy_bytes = 28 + 4 * (len(edges) // 30 + 1) + 8 * (1 + pat.num_edges())
+        for max_copies in [0, 1, size - 5, size - 1, size]:
+            monkeypatch.setattr(density, "_MAX_BUILD_BYTES", max_copies * copy_bytes + 1)
+            outcomes = []
+            for table in (generated_table, walked_table):
+                try:
+                    outcomes.append(table(pat, host))
+                except BudgetError as error:
+                    outcomes.append(str(error))
+            assert outcomes[0] == outcomes[1]
+            assert isinstance(outcomes[0], str) == (max_copies < size)
+
+    def test_a_second_call_reuses_the_compiled_code(self):
+        first = _generated_table(OrderedGraph(4, [(0, 1), (1, 2), (2, 3)]))
+        assert _generated_table(OrderedGraph(4, [(0, 1), (1, 2), (2, 3)])) is first
+        assert first.__code__.co_filename == "<copy table>"
+
+    def test_k11_is_generated_though_its_searches_are_not(self):
+        # K_11's table source is a twentieth of the cap; on K_13 less two
+        # edges it lists the 4 copies that miss both
+        k11 = OrderedGraph(11, combinations(range(11), 2))
+        assert _search_source(k11) is None and len(_table_source(k11)) == 12_759
+        missing = {(0, 1), (2, 5)}
+        host = OrderedGraph(13, [e for e in combinations(range(13), 2) if e not in missing])
+        copies, through = generated_table(k11, host)
+        assert len(copies) == 4
+        assert (copies, through) == walked_table(k11, host)
+
+    def test_past_the_loop_bound_keeps_the_walked_table(self):
+        # one ``while`` per pattern vertex, and CPython nests at most 20
+        with pytest.raises(SyntaxError, match="too many statically nested blocks"):
+            compile(_table_source(monotone_p3(21)), "<past the bound>", "exec")
+        assert _generated_table(monotone_p3(20)) is not None
+        assert _generated_table(monotone_p3(21)) is None
+        host = OrderedGraph(24, combinations(range(24), 2))
+        copies, _ = density._copy_table(monotone_p3(21), host, host.sorted_edges())
+        assert len(copies) == 2024  # C(24, 21)
+
+    def test_the_star_keeps_the_walked_table(self, monkeypatch):
+        # the star 0-i on 600 vertices would nest 600 loops: generation stops
+        # at the cap, and on K_8 the kernel finds no copy
+        star = OrderedGraph(600, [(0, i) for i in range(1, 600)])
+        tracemalloc.start()
+        try:
+            assert _table_source(star) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
+        assert _generated_table(star) is None
+        host = OrderedGraph(8, combinations(range(8), 2))
+        assert density._copy_table(star, host, host.sorted_edges()) == ([], [[]] * 28)
+
+    def test_source_is_pinned(self):
+        # the sha256 of each source, as first generated, apart from the
+        # searches' four: a change to either generator must be deliberate
+        want = {
+            monotone_p3(): "bdaac6b70d49e48d8470d1deb918b875edde7af9daeb5130e802ca3a93a90e16",
+            build_hk(2): "7c0048db7134d8d22c6a33efdc9223689f4223a6584fe7f84a9d87f71777fe70",
+            OrderedGraph(5, combinations(range(5), 2)):
+                "4c38b418c6b25705df9a20f00f8c7e834a3ac35754187ee69dfa3a7b3f4a9eae",
+        }
+        for pat, digest in want.items():
+            assert hashlib.sha256(_table_source(pat).encode()).hexdigest() == digest
+
+    def test_source_holds_names_and_integers_alone(self):
+        tree = ast.parse(_table_source(OrderedGraph(5, combinations(range(5), 2))))
+        constants = [node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)]
+        assert constants and all(c is None or type(c) is int for c in constants)
 
 
 class TestWalkResume:
