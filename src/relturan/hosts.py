@@ -17,8 +17,10 @@ Each pair's matrix is the first m^2 words of ``Philox(key=[seed, index])``
 in row-major order, and entry (i, j) is an edge iff its word's top d - level
 bits are 0, which is exactly ``random() < 2^(level - d)`` on that word.
 Pairs of at most ``_KERNEL_MAX_WORDS`` words are drawn in batches by
-``_philox_words``, a numpy Philox4x64-10; larger pairs take numpy's own
-``Philox.random_raw``, whose per-pair set-up cost their length repays.
+``_philox_below``, a numpy Philox4x64-10 that runs in place on a fixed set
+of arrays and writes each word's edge test straight into the run's cells;
+larger pairs take numpy's own ``Philox.random_raw``, whose per-pair set-up
+cost their length repays.
 
 Drawing goes by runs of consecutive pair indices (``host_runs``), each
 about ``_SLAB_BYTES`` of cells drawn into one reused buffer: a run's
@@ -48,51 +50,64 @@ DEFAULT_VERTEX_BUDGET = 1 << 21
 #: nonempty pair (its pair and its key) and its constructor a few more; the
 #: size cap holds a host whose every pair has an edge
 _PAIR_BYTES = 64
-#: pairs of at most this many words go to ``_philox_words`` (about 45 ns a
-#: word); larger ones to ``Philox.random_raw`` (about 5 ns a word plus 7 us
-#: of set-up a pair): at d = 8 the kernel was 1.2x faster at m = 12, level
-#: at m = 13 and 14, and 0.8x at m = 16
+#: pairs of at most this many words go to ``_philox_below`` (23-30 ns a
+#: word); larger ones to ``Philox.random_raw`` (3.6 ns a word plus 2.1 us a
+#: pair to set its key and draw). ``generate_host(m, 8, 999)`` took, kernel /
+#: random_raw in ms (2-vCPU VM, min of 5, interleaved): m = 9 73 / 116,
+#: m = 10 99 / 119, m = 11 117 / 121, m = 12 125 / 131, m = 13 174 / 132
 _KERNEL_MAX_WORDS = 160
-#: words per ``_philox_words`` call: enough to amortise numpy's per-call
-#: cost while the batch's arrays stay in cache
+#: words per ``_philox_below`` call: enough to amortise numpy's per-call
+#: cost while its eight arrays stay in cache; 2^16 and 2^17 were no faster
 _BATCH_WORDS = 1 << 15
 
 # Philox4x64-10 (Salmon et al., SC'11): round multipliers and key increments
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
-_LO32 = np.uint64(0xFFFFFFFF)
-_S32 = np.uint64(32)
+_MASK64 = (1 << 64) - 1
+# each multiplier and its 32-bit halves, and the split's mask and shift, as
+# 0-d arrays: ufuncs take those with less overhead than numpy scalars
+_M_HALVES = tuple(tuple(np.array(v, np.uint64) for v in (a, a & 0xFFFFFFFF, a >> 32)) for a in _PHILOX_M)
+_LO32, _S32 = np.array(0xFFFFFFFF, np.uint64), np.array(32, np.uint64)
 
 
-def _mulhilo(a: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low words of the 128-bit products a * x, from 32-bit halves."""
-    a_lo, a_hi = np.uint64(a & 0xFFFFFFFF), np.uint64(a >> 32)
-    x_lo, x_hi = x & _LO32, x >> _S32
-    t = x_lo * a_hi + (x_lo * a_lo >> _S32)
-    mid = x_hi * a_lo + (t & _LO32)
-    return x_hi * a_hi + (t >> _S32) + (mid >> _S32), x * np.uint64(a)
+def _philox_below(seed: int, idx, bounds: np.ndarray, out: np.ndarray) -> None:
+    """Row r of the (rows, n) bool array ``out`` becomes
+    ``np.random.Philox(key=[seed, idx[r]]).random_raw(n) < bounds[r]``.
 
-
-def _philox_words(seed, idx, n_words: int) -> np.ndarray:
-    """Row r is ``np.random.Philox(key=[seed, idx[r]]).random_raw(n_words)``.
-
-    numpy increments the counter before it generates a block of four words,
-    so block j = 1, 2, ... is Philox4x64-10 of the counter (j, 0, 0, 0).
+    numpy increments the counter before a block of four words, so block j =
+    1, 2, ... is Philox4x64-10 of (j, 0, 0, 0): rounds 1 and 2 then take
+    Python ints, and the rest runs in place on eight (blocks, rows) arrays.
     """
-    k0 = np.array(seed, dtype=np.uint64)
-    k1 = np.asarray(idx, dtype=np.uint64)[:, None]
-    j = np.arange(1, (n_words + 3) // 4 + 1, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        # round 1: counter words 1-3 are 0, so it depends only on j and idx
-        hi, lo = _mulhilo(_PHILOX_M[0], j)
-        c0, c1, c2, c3 = k0, np.uint64(0), hi ^ k1, lo
-        for _ in range(9):
-            k0 = k0 + np.uint64(_PHILOX_W[0])
-            k1 = k1 + np.uint64(_PHILOX_W[1])
-            hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
-            hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
-            c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    return np.stack((c0, c1, c2, c3), axis=-1).reshape(len(k1), -1)[:, :n_words]
+    n, k0, m0 = out.shape[1], int(np.uint64(seed)), _PHILOX_M[0]  # OverflowError outside uint64
+    js, k1, (hi0, lo0) = range(1, (n + 3) // 4 + 1), np.array(idx, dtype=np.uint64), divmod(m0 * k0, 1 << 64)
+    c0, c1, c2, c3, h, s, t, u = np.empty((8, len(js), len(k1)), np.uint64)
+    # round 1 leaves (k0, 0, hi(M0 j) ^ k1, lo(M0 j)), so round 2's M0 step
+    # is hi(M0 k0) ^ lo(M0 j) ^ k1 into h and lo(M0 k0) into c0
+    np.bitwise_xor(np.array([[m0 * j >> 64] for j in js], np.uint64), k1, out=c2)
+    k1 += np.uint64(_PHILOX_W[1])
+    np.bitwise_xor(np.array([[hi0 ^ m0 * j & _MASK64] for j in js], np.uint64), k1, out=h)
+    c0.fill(lo0)
+    c1.fill(0)
+    for r in range(1, 10):  # round r + 1, with the key bumped r times:
+        # h, c0 = hi(M0 c0) ^ c3 ^ k1, lo(M0 c0), then c3, c2 = hi(M1 c2) ^ c1 ^ k0, lo(M1 c2)
+        k = np.array(k0 + r * _PHILOX_W[0] & _MASK64, np.uint64)
+        steps = ((*_M_HALVES[0], c0, h, c3, k1), (*_M_HALVES[1], c2, c3, c1, k))
+        for a, a_lo, a_hi, x, hi, x1, x2 in steps[r == 1:]:  # round 2's M0 step is done
+            np.right_shift(np.multiply(np.bitwise_and(x, _LO32, out=s), a_lo, out=t), _S32, out=t)
+            s *= a_hi
+            s += t  # x_lo a_hi + (x_lo a_lo >> 32)
+            np.multiply(np.right_shift(x, _S32, out=hi), a_lo, out=t)
+            t += np.bitwise_and(s, _LO32, out=u)  # x_hi a_lo + the low half of s
+            hi *= a_hi
+            hi += np.right_shift(s, _S32, out=s)
+            hi += np.right_shift(t, _S32, out=t)
+            hi ^= x1
+            hi ^= x2
+            x *= a
+        c0, c1, c2, c3, h = c3, c2, h, c0, c1
+        k1 += np.uint64(_PHILOX_W[1])
+    for i, word in enumerate((c0, c1, c2, c3)):
+        np.less(word[: (n + 3 - i) // 4], bounds, out=out[:, i::4].T)
 
 
 def _check_seed(seed: int) -> None:
@@ -244,12 +259,12 @@ def host_runs(m: int, d: int, seed: int, per_run: int):
 
 
 def _draw_runs(m, d, seed, n_pairs, per_run):
-    key, words, n_blocks = np.array(seed, dtype=np.uint64), m * m, 1 << d
+    words, n_blocks = m * m, 1 << d
     buf = np.empty((min(per_run, n_pairs), words), bool)
     # the pair index of each block x's first pair, (x, x + 1)
     first = np.concatenate(([0], np.cumsum(np.arange(n_blocks - 1, 0, -1))))
     if words > _KERNEL_MAX_WORDS:
-        bitgen = np.random.Philox(key=np.array([key, 0], dtype=np.uint64))
+        bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
         state = bitgen.state  # counter 0; setting it also resets the output buffer
     for lo in range(0, n_pairs, per_run):
         count = min(per_run, n_pairs - lo)
@@ -261,22 +276,23 @@ def _draw_runs(m, d, seed, n_pairs, per_run):
         xs, ys = xs[start:start + count] + x0, ys[start:start + count]
         levels = pair_levels(xs, ys, d)
         cells = buf[:count]
-        cells[levels == d] = True  # level d: probability 1
-        drawn = np.flatnonzero(levels < d)
         # random() < 2^-k on a word w iff w >> (64 - k) == 0, that is iff
         # w < 2^(64 - k), here k = d - level >= 1; a pair's words are keyed
         # by its index, so a run boundary does not change them
         if words <= _KERNEL_MAX_WORDS:
-            step = _BATCH_WORDS // words
-            for s in range(0, len(drawn), step):
-                rows = drawn[s : s + step]
-                bounds = np.left_shift(np.uint64(1), (levels[rows] + (64 - d)).astype(np.uint64))
-                cells[rows] = _philox_words(key, lo + rows, words) < bounds[:, None]
+            # level d's rows are drawn too, against a moot bound (1 << 64),
+            # and set below: one pair in 2^d - 1
+            bounds = np.left_shift(np.uint64(1), (levels + (64 - d)).astype(np.uint64))
+            idx, step = np.arange(lo, lo + count, dtype=np.uint64), _BATCH_WORDS // words
+            for s in range(0, count, step):
+                _philox_below(seed, idx[s : s + step], bounds[s : s + step], cells[s : s + step])
         else:
+            drawn = np.flatnonzero(levels < d)
             for row, level in zip(drawn.tolist(), levels[drawn].tolist()):
                 state["state"]["key"][1] = lo + row
                 bitgen.state = state
                 np.less(bitgen.random_raw(words), np.uint64(1 << (64 - d + level)), out=cells[row])
+        cells[levels == d] = True  # level d: probability 1
         keep = np.flatnonzero(cells.any(axis=1))
         yield np.column_stack((xs[keep], ys[keep])), levels[keep], cells[keep].reshape(-1, m, m)
 
