@@ -12,18 +12,17 @@ G' of G that avoid an ordered copy of the pattern F.  Three routes:
 * ``rho_local_search``: seeded hill climbing, lower bounds only.
 
 All three find copies with the one ordered-copy kernel.  The oracle tests
-whole-graph ``patterns.contains_ordered``.  The exact search enumerates the
-copies once per solve, each as an int mask over the host's edge indices,
-and runs its include test and packing walk on that table with bitwise
-operations, the walk over live-copy lists inherited down the search.  The
-table takes about copies x e/8 bytes, and the lists at most one slab of
-pointers (or one table's) beyond it; a table that would pass 2^31 bytes is
-refused with ``core.BudgetError``.  The local search keeps its set
-pattern-free and adds one edge at a time, so every new copy passes through
-that edge; it searches only those, with the pattern's through-edge searches
-(generated from source once per pattern, or interpreted when that source
-passes its cap or does not compile), on forward and backward bitmask lists
-it edits in place.  Its greedy pass asks whether adding edges would close a
+whole-graph ``patterns.contains_ordered``.  The exact search lists the
+copies once per solve, each as an int mask over the host's edge indices
+(``patterns.copy_table``), and runs its include test and packing walk on
+that table with bitwise operations, the walk over live-copy lists
+inherited down the search.  The table takes about copies x e/8 bytes, and
+the lists at most one slab of pointers (or one table's) beyond it; a table
+that would pass 2^31 bytes is refused with ``core.BudgetError``.  The local
+search keeps its set pattern-free and adds one edge at a time, so every new
+copy passes through that edge; it searches only those, with the pattern's
+through-edge searches (``patterns.through_edge_search``), on forward and
+backward bitmask lists it edits in place.  Its greedy pass asks whether adding edges would close a
 copy, without adding them, a row at a time (``rho_local_search`` gives
 when it asks about one edge and when about the rest of a row).  The edges
 it draws from, the host's less the kept ones, are then read off the masks
@@ -47,9 +46,8 @@ from bisect import bisect_left, insort
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .core import _MAX_BUILD_BYTES, _SLAB_BYTES, BudgetError, OrderedGraph, mask_arrays
-from .patterns import (_generated_table, contains_ordered, has_monotone_p3, ordered_copies,
-                       through_edge_search)
+from .core import _MAX_BUILD_BYTES, _SLAB_BYTES, BudgetError, OrderedGraph, mask_arrays, mask_edges
+from .patterns import contains_ordered, copy_table, has_monotone_p3, through_edge_search
 
 EXHAUSTIVE_EDGE_CAP = 20
 
@@ -116,73 +114,25 @@ def rho_exhaustive(pattern: OrderedGraph, host: OrderedGraph) -> DensityResult:
 def _copy_table(
     pattern: OrderedGraph, host: OrderedGraph, edges: list[tuple[int, int]]
 ) -> tuple[list[int], list[list[int]]]:
-    """Every ordered copy of ``pattern`` in ``host`` as an int mask over indices into ``edges``.
+    """``patterns.copy_table`` on ``host``, whose sorted edges are ``edges``,
+    or ``BudgetError`` where it could pass ``_MAX_BUILD_BYTES``.
 
-    The copies come in the kernel's lexicographic order; ``through[i]`` lists
-    the masks of the copies that use edges[i].  The table takes about
-    copies x e/8 bytes, and each copy is charged an upper bound on its mask
-    and list slots while the table is built: past ``_MAX_BUILD_BYTES`` it
-    raises ``BudgetError`` instead of exhausting memory.  The search's live
+    The table takes about copies x e/8 bytes, and each copy is charged an
+    upper bound on its mask and list slots while the table is built: past
+    the cap it is refused instead of exhausting memory.  The search's live
     lists point into it, and hold at most ``_live_cap`` pointers in all:
     one slab's worth (``_SLAB_BYTES``), or one table's if that is more.
-
-    The table is built by code generated from the pattern as Python source
-    and compiled once per process, as its through-edge searches are
-    (``patterns._generated_table``): the kernel's walk as one loop per
-    pattern vertex, with each pattern edge's index taken once, where its
-    later end is placed.  Generating and compiling P3's and H_2's takes
-    about 0.3 and 0.4 ms (2-vCPU VM), and their tables on the bench's
-    exact-small hosts are built about twice as fast as from the kernel's
-    copies.  Under the searches' rule, a pattern whose source passes the
-    cap or does not compile gets ``_walked_table``, the kernel's copies
-    read one at a time, which the tests take as the reference.  Both
-    paths raise ``BudgetError`` at the same count: past ``max_copies``.
     """
     # a mask's int object holds at most len(edges) bits in 30-bit digits;
     # each copy also fills one slot of ``copies`` and one of ``through`` per edge
     copy_bytes = 28 + 4 * (len(edges) // 30 + 1) + 8 * (1 + pattern.num_edges())
     max_copies = _MAX_BUILD_BYTES // copy_bytes
-    build = _generated_table(pattern)
-    if build is None:
-        table = _walked_table(pattern, host.forward_masks, max_copies)
-    else:
-        table = build(host.forward_masks, max_copies)
+    table = copy_table(pattern, host.forward_masks, max_copies)
     if table is None:
         raise BudgetError(
             f"more than {max_copies} copies of the pattern exceed {_MAX_BUILD_BYTES} bytes"
         )
     return table
-
-
-def _walked_table(
-    pattern: OrderedGraph, fwd: Sequence[int], max_copies: int
-) -> Optional[tuple[list[int], list[list[int]]]]:
-    """``_copy_table``'s table on the host ``fwd``, read off ``ordered_copies``,
-    or None once it passes ``max_copies`` copies."""
-    # the edges are sorted, so (u, v) is edge offset[u] + |fwd[u] below v|,
-    # that is the end of u's run of edges less the |fwd[u] >> v| from v up
-    rows = []  # (offset[u + 1], fwd[u])
-    end = 0
-    for mask in fwd:
-        end += mask.bit_count()
-        rows.append((end, mask))
-    pattern_edges = pattern.sorted_edges()
-    copies: list[int] = []
-    through: list[list[int]] = [[] for _ in range(end)]
-    for count, images in enumerate(ordered_copies(pattern, fwd)):
-        if count == max_copies:
-            return None
-        bits = []
-        mask = 0
-        for a, b in pattern_edges:
-            stop, row = rows[images[a]]
-            i = stop - (row >> images[b]).bit_count()
-            bits.append(i)
-            mask |= 1 << i
-        copies.append(mask)
-        for i in bits:
-            through[i].append(mask)
-    return copies, through
 
 
 def _live_cap(copies: list[int]) -> int:
@@ -193,6 +143,7 @@ def _live_cap(copies: list[int]) -> int:
 def _search(
     copies: list[int],
     through: list[list[int]],
+    weights: list[int],
     order: Sequence[int],
     threshold: int,
     node_budget: Optional[int] = None,
@@ -215,13 +166,13 @@ def _search(
     miss its ``dead``; the walk skips the rest.  The root's is the table.  A
     walk that fails to prune may collect the copies that miss ``dead`` as it
     goes, and the node's subtree, whose ``dead`` only grows, inherits them.
-    ``killed`` sums the copies through each excluded edge, so it grows by at
-    least the copies that die.  A walk collects only once ``killed`` has
-    grown by a quarter of the length of its list since the list was made
-    (rebuilding at every change piles near-copies onto a deep path: P3 on
-    K_50 at budget 3000 from threshold 0 took 2.4 s that way, against
-    1.4 s), and only while the lists held on the path stay within
-    ``_live_cap`` entries.
+    ``killed`` sums ``weights``, the copies through each edge, over the
+    excluded edges, so it grows by at least the copies that die.  A walk
+    collects only once ``killed`` has grown by a quarter of the length of
+    its list since the list was made (rebuilding at every change piles
+    near-copies onto a deep path: P3 on K_50 at budget 3000 from threshold
+    0 took 2.4 s that way, against 1.4 s), and only while the lists held on
+    the path stay within ``_live_cap`` entries.
     Each leaf reached is a new best and becomes the threshold; with
     ``first_leaf`` the search stops there.  ``rho_exact`` starts its first
     pass at the size of its greedy seed, so a leaf there is a set larger
@@ -242,7 +193,6 @@ def _search(
     best = None
     nodes = 0
     included = [False] * total  # whether the path runs through node i's include branch
-    weight = [len(t) for t in through]
     killed = 0  # the weight of ``dead``
     # the live lists on the path, innermost last: each list, the ``killed`` it
     # was made at and the depth of the node that made it (the table's is -1)
@@ -291,7 +241,7 @@ def _search(
                     for c in through[e]:
                         if not c & bar:
                             dead |= 1 << e
-                            killed += weight[e]
+                            killed += weights[e]
                             break
                     else:
                         kept |= 1 << e
@@ -304,7 +254,7 @@ def _search(
         while i >= 0 and not included[i]:
             e = order[i]
             dead ^= 1 << e
-            killed -= weight[e]
+            killed -= weights[e]
             if maker[-1] == i:
                 held -= len(lists.pop())
                 made.pop()
@@ -316,7 +266,7 @@ def _search(
         kept ^= 1 << e
         k -= 1
         dead |= 1 << e
-        killed += weight[e]
+        killed += weights[e]
         included[i] = False
         i += 1
 
@@ -344,12 +294,7 @@ def _greedy_free(through: list[list[int]], weights: list[int]) -> int:
 
 def _edges_of(mask: int, edges: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     """The edges at the set bits of ``mask``, in the order of ``edges``."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(edges[low.bit_length() - 1])
-        mask ^= low
-    return tuple(out)
+    return tuple(edges[i] for _, i in mask_edges((mask,)))
 
 
 def rho_exact(
@@ -359,11 +304,8 @@ def rho_exact(
 ) -> DensityResult:
     """Branch-and-bound over include/exclude edge decisions, from a greedy seed, in two passes.
 
-    The pattern's copies in the host are enumerated once, into the table of
-    ``_copy_table`` (``BudgetError`` if it would pass ``_MAX_BUILD_BYTES``),
-    by a third function generated from the pattern as source, beside its
-    through-edge searches and under the same rule: about 0.3 ms for P3
-    and 0.4 ms for H_2 to generate and compile, once per process.
+    The pattern's copies in the host are listed once, into the table of
+    ``_copy_table`` (``BudgetError`` if it could pass ``_MAX_BUILD_BYTES``).
     From it ``_greedy_free`` grows a maximal pattern-free seed from no edges,
     trying the edges with the fewest copies through them first.  Both
     passes run ``_search`` on the table, one loop with the include test
@@ -390,11 +332,12 @@ def rho_exact(
     # both sorts are stable, reverse=True too, over an ascending range: ties go by index
     order = sorted(range(total), key=weights.__getitem__, reverse=True)
     best = _greedy_free(through, weights)
-    found, nodes, exhausted = _search(copies, through, order, best.bit_count(), node_budget)
+    found, nodes, exhausted = _search(copies, through, weights, order, best.bit_count(), node_budget)
     if found is not None:
         best = found
     if not exhausted:
-        best, more, _ = _search(copies, through, range(total), best.bit_count() - 1, first_leaf=True)
+        best, more, _ = _search(copies, through, weights, range(total), best.bit_count() - 1,
+                                first_leaf=True)
         nodes += more
     return DensityResult(total, _edges_of(best, edges), not exhausted, nodes)
 
@@ -451,7 +394,7 @@ def rho_local_search(
     round starts with as many edges as the best set, so its second deletion
     loses it whatever comes next: it stops and is reverted there.
     Containment is tested only through the edge just added, by the
-    pattern's through-edge searches, generated once per pattern.  The
+    pattern's through-edge searches.  The
     greedy pass walks the host's forward masks less the kept ones in
     canonical order and asks only whether adding an edge would close a copy
     (``refused``), for the rest of the row at once: a refusal leaves the

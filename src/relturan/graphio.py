@@ -68,7 +68,7 @@ from itertools import compress
 
 import numpy as np
 
-from .core import _SLAB_BYTES, HypercubeGraph, OrderedGraph, _key_type, _set_bits
+from .core import _SLAB_BYTES, HypercubeGraph, OrderedGraph, _key_type, _nonzero_indices, _set_bits
 from .hosts import DEFAULT_VERTEX_BUDGET, BlockedGraph, block_level_counts, host_runs
 
 
@@ -195,9 +195,9 @@ def _encode_hypercube(g: HypercubeGraph) -> Iterator[np.ndarray]:
     2d + 2 bytes of runs of whole vertices with forward edges, each run's
     records, mask bytes and per-vertex arrays about ``_SLAB_BYTES`` and at
     least one vertex."""
-    n, d, fwd = g.n, g.d, g.forward_masks
+    d, fwd = g.d, g.forward_masks
     # the vertices with forward edges (v > u), their masks and edge counts
-    verts = np.fromiter(compress(range(n), fwd), np.int64)
+    verts = _nonzero_indices(fwd)
     masks = list(compress(fwd, fwd))
     counts = np.fromiter(map(int.bit_count, masks), np.int64, len(masks))
     yield np.frombuffer(f"{d} {counts.sum()}\n".encode(), np.uint8)

@@ -18,12 +18,26 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
+from .core import BudgetError
 from .hosts import philox_rng
 
 Number = Union[int, float, Fraction]
 
 #: window lengths per group of the balanced-strings filter
 _GROUP = 8
+#: each check refuses, with BudgetError before it starts, an input past its
+#: bound (timed on a 2-vCPU VM). a1: C(n, k) or alpha^k past this many decimal
+#: digits, C(n, k) sized by the bound (e n / j)^j, j = min(k, n - k), which
+#: overstates it by 0.001% at n = 10^50 and 6% at n = 400,000; the CLI writes
+#: no longer number, and C(400000, 100000), 97,685 digits, takes 0.6 s
+_MAX_DIGITS = 100_000
+#: a2: more window sums than this, strings times windows a string; CI's 200
+#: strings of 2^16 bits are 1.6e9, in 0.6 s at most
+_MAX_WINDOW_SUMS = 1 << 31
+#: a3's identity: an n_max past this; it costs O(n_max^4), 2.6-2.9 s at 100
+_MAX_IDENTITY_N = 100
+#: a3's inequality: more premise windows than this, at about 5 us each
+_MAX_PREMISE_WINDOWS = 1 << 18
 
 
 class LemmaCheckReport(NamedTuple):
@@ -44,6 +58,12 @@ def check_binomial_fraction(
     alpha, eps, eta = Fraction(alpha), Fraction(eps), Fraction(eta)
     if not (0 < alpha <= 1 and eps > 0 and k >= 1 and 0 < eta < alpha and n >= k):
         raise ValueError("parameter constraints violated")
+    # C(n, k) = C(n, j) lies between (n / j)^j and (e n / j)^j, and n / j >= 2
+    j = min(k, n - k)
+    if j and (j > 4 * _MAX_DIGITS or j * (math.log10(n) - math.log10(j / math.e)) > _MAX_DIGITS):
+        raise BudgetError(f"C({n}, {k}) has more than {_MAX_DIGITS} digits")
+    if alpha.denominator > 1 and k > _MAX_DIGITS / math.log10(alpha.denominator):
+        raise BudgetError(f"alpha^{k} has more than {_MAX_DIGITS} digits")
     m = math.floor((alpha - eta) * n)
     lhs = Fraction(math.comb(m, k))
     rhs = (alpha**k - eps) * math.comb(n, k)
@@ -116,7 +136,13 @@ def check_locally_balanced(
     rng = philox_rng(seed)  # checks the seed even where exhaustive mode reads none
     if not exhaustive and n_samples < 1:
         raise ValueError(f"need n_samples >= 1, got {n_samples}")
+    if exhaustive and n > 22:
+        raise ValueError("exhaustive mode supports n <= 22")
+    samples = 1 << n if exhaustive else n_samples
     m, hi = _window_lengths(n)
+    cells_per_row = (hi - m + 1) * (2 * n + 2 - m - hi) // 2  # sum of n + 1 - L over [m, hi]
+    if samples * cells_per_row > _MAX_WINDOW_SUMS:
+        raise BudgetError(f"{samples} x {cells_per_row} window sums exceed {_MAX_WINDOW_SUMS}")
     # A window of length L with sum s violates iff |s - L/2| >= eps L.  The
     # float test is evaluated once per possible sum; as |s - L/2| is exact and
     # grows away from L/2, the violating sums are the below[L] smallest and
@@ -147,7 +173,6 @@ def check_locally_balanced(
     # rows whose residues stay in cache: the strings are enumerated, or drawn
     # at n / 2 raw words a row, this many at a time, about 1 MiB in all
     block = max(1, (1 << 18) // (n + 1))
-    cells_per_row = sum(n + 1 - length for length in range(m, hi + 1))
 
     def scan(rows: np.ndarray, resid: np.ndarray, offset: int) -> tuple[int, int]:
         """Violating rows and windows over every checked length, one add a length.
@@ -170,9 +195,6 @@ def check_locally_balanced(
                 bad_cells += int(np.count_nonzero(sums >= threshold[length]))
         return int(np.count_nonzero(bad)), bad_cells
 
-    if exhaustive and n > 22:
-        raise ValueError("exhaustive mode supports n <= 22")
-    samples = 1 << n if exhaustive else n_samples
     violating = bad_cells = 0
     carry = np.empty(0, dtype=np.uint8)
     for start in range(0, samples, block):
@@ -232,6 +254,8 @@ def vandermonde_identity_holds(n: int, x: int, y: int) -> bool:
 
 def check_binomial_identity(n_max: int = 60) -> LemmaCheckReport:
     """The full-range identity for every n <= n_max and x + y + 1 <= n."""
+    if n_max > _MAX_IDENTITY_N:
+        raise BudgetError(f"n_max {n_max} exceeds {_MAX_IDENTITY_N}")
     ok = all(
         vandermonde_identity_holds(n, x, y)
         for n in range(1, n_max + 1)
@@ -268,11 +292,15 @@ def check_binomial_average(
     if len(f) != n:
         raise ValueError("f must tabulate exactly n values")
     alpha, eps, eta = Fraction(alpha), Fraction(eps), Fraction(eta)
+    min_len = max(1, math.floor(eta * n))
+    starts = max(0, n - min_len + 1)  # of the shortest windows; one fewer of each longer length
+    if starts * (starts + 1) // 2 > _MAX_PREMISE_WINDOWS:
+        raise BudgetError(f"{starts * (starts + 1) // 2} premise windows exceed "
+                          f"{_MAX_PREMISE_WINDOWS}")
     table = [Fraction(v) for v in f]
     if any(not 0 <= v <= 1 for v in table):
         raise ValueError("f values must lie in [0, 1]")
 
-    min_len = max(1, math.floor(eta * n))
     prefix = [Fraction(0)]
     for v in table:
         prefix.append(prefix[-1] + v)

@@ -18,16 +18,16 @@ per pattern, and compiled: straight-line loops over int locals that make
 the kernel's walks with the pinned masks folded in, and that refuse a mask
 of candidates per placement when the pinned vertex is the pattern's last
 or has one vertex after it.  The source holds only names and the integer
-literals of the pattern's vertices.  A third function is generated the
-same way, once per pattern: ``_generated_table``, the exact search's copy
-table (``density._copy_table``), the kernel's unpinned walk as one loop
-per pattern vertex that takes each pattern edge's host edge index once,
-where the edge's later end is placed.  One rule picks the path for all
-three: generation stops as soon as the source passes a size cap, and a
-source that CPython will not compile (too many nested blocks or
-indentation levels) is dropped.  Such a pattern feeds the templates to
-the kernel instead, one resume walk per template, and builds its table
-from ``ordered_copies``; the tests take those as the reference.
+literals of the pattern's vertices.  ``copy_table`` lists every copy as
+an int mask over the host's edge indices, for the exact search; its
+builder is generated the same way, once per pattern: the kernel's
+unpinned walk as one loop per pattern vertex that takes each pattern
+edge's host edge index once, where the edge's later end is placed.  One
+rule picks the path for all three: generation stops as soon as the source
+passes a size cap, and a source that CPython will not compile (too many
+nested blocks or indentation levels) is dropped.  Such a pattern feeds the
+templates to the kernel instead, one resume walk per template, and reads
+its table off ``ordered_copies``; the tests take those as the reference.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Callable, Iterator, Optional, Sequence
 
-from .core import OrderedGraph
+from .core import OrderedGraph, mask_edges
 
 
 def validate_witness(pattern: OrderedGraph, host: OrderedGraph, images: Sequence[int]) -> bool:
@@ -116,6 +116,42 @@ def _predecessors(pattern: OrderedGraph) -> tuple[tuple[int, ...], ...]:
     return tuple(
         tuple(a for a in range(i) if pattern.backward(i) >> a & 1) for i in range(pattern.n)
     )
+
+
+def copy_table(
+    pattern: OrderedGraph, fwd: Sequence[int], max_copies: int
+) -> Optional[tuple[list[int], list[list[int]]]]:
+    """Every ordered copy of ``pattern`` in the host ``fwd`` as an int mask
+    over the indices of the host's edges in sorted order: ``(copies, through)``.
+
+    The copies come in the kernel's lexicographic order; ``through[i]``
+    lists the masks of the copies that use edge i.  None once there are
+    more than ``max_copies``.  The table is built by code generated from
+    the pattern as source and compiled once per pattern (``_table_source``,
+    ``_generated_table``).  Under the searches' rule, a pattern whose
+    source passes the cap or does not compile gets ``_walked_table``, the
+    kernel's copies read one at a time, which the tests take as the
+    reference.  Both paths give None at the same count.
+    """
+    build = _generated_table(pattern)
+    return _walked_table(pattern, fwd, max_copies) if build is None else build(fwd, max_copies)
+
+
+def _walked_table(
+    pattern: OrderedGraph, fwd: Sequence[int], max_copies: int
+) -> Optional[tuple[list[int], list[list[int]]]]:
+    """``copy_table`` read off ``ordered_copies``."""
+    index = {e: i for i, e in enumerate(mask_edges(fwd))}
+    copies: list[int] = []
+    through: list[list[int]] = [[] for _ in index]
+    for images in ordered_copies(pattern, fwd):
+        if len(copies) == max_copies:
+            return None
+        bits = [index[images[a], images[b]] for a, b in pattern.sorted_edges()]
+        copies.append(sum(1 << i for i in bits))
+        for i in bits:
+            through[i].append(copies[-1])
+    return copies, through
 
 
 def through_edge_search(
@@ -542,9 +578,9 @@ def _generated_table(pattern: OrderedGraph) -> Optional[Callable[..., Optional[t
 def _table_source(pattern: OrderedGraph) -> Optional[str]:
     """The source of ``table(fwd, max_copies)``, the copy table of ``pattern``, or None.
 
-    ``table`` returns ``density._copy_table``'s ``(copies, through)`` on the
-    host ``fwd``, or None once it has found more than ``max_copies``
-    copies.  It makes the kernel's unpinned walk in lexicographic order,
+    ``table`` returns ``copy_table``'s ``(copies, through)`` on the host
+    ``fwd``, or None once it has found more than ``max_copies`` copies.  It
+    makes the kernel's unpinned walk in lexicographic order,
     one ``while`` loop per pattern vertex i over int locals: m<i> its
     untried candidates (its room r<i>, above the image of i - 1, and in
     f<j> = fwd[x<j>] for each predecessor j), y<i> = 1 << x<i> the one
@@ -553,10 +589,11 @@ def _table_source(pattern: OrderedGraph) -> Optional[str]:
     s<a> = stop[x<a>] the end of x<a>'s run of edges, and its bit is ORed
     into that depth's partial mask c<b>.  So a leaf only appends its mask
     to ``copies`` and to the through lists.  The count is tested after
-    each loop over the last vertex, which adds at most len(fwd) copies.  The source holds names and the integer
-    literals of the pattern's vertices, no other text; None as soon as
-    its lines pass ``_MAX_SOURCE`` characters, which a pattern on a few
-    hundred vertices does, whose loop nest is as deep as it has vertices.
+    each loop over the last vertex, which adds at most len(fwd) copies.
+    The source holds names and the integer literals of the pattern's
+    vertices, no other text; None as soon as its lines pass ``_MAX_SOURCE``
+    characters, which a pattern on a few hundred vertices does, whose loop
+    nest is as deep as it has vertices.
     """
     k, preds = pattern.n, _predecessors(pattern)
     sources = {a for into in preds for a in into}  # the vertices with an edge forward

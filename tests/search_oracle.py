@@ -6,8 +6,9 @@ prune.  This is the search it replaced: ``_closes_copy`` answers the include
 test and ``packing_bound`` walks the whole copy table at every bounding
 node.  ``greedy_free_reference`` grows the search's greedy seed one kernel
 containment test at a time, without the copy table.  ``rho_exact_reference``
-is ``rho_exact`` on both, and the two must give the same certificate, node
-count and exactness.
+is ``rho_exact`` on both, over a table read off the kernel's copies
+(``copy_table_reference``), and the two must give the same certificate,
+node count and exactness.
 """
 
 from __future__ import annotations
@@ -15,8 +16,26 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from relturan.core import OrderedGraph
-from relturan.density import DensityResult, _copy_table
-from relturan.patterns import contains_ordered
+from relturan.density import DensityResult
+from relturan.patterns import contains_ordered, ordered_copies
+
+
+def copy_table_reference(
+    pattern: OrderedGraph, host: OrderedGraph
+) -> tuple[list[int], list[list[int]]]:
+    """``patterns.copy_table`` on ``host``, read off ``ordered_copies``: each
+    copy as the mask of its edges' indices in ``host.sorted_edges()``, and
+    for each edge the copies through it, both in the kernel's order."""
+    edges = host.sorted_edges()
+    index = {e: i for i, e in enumerate(edges)}
+    copies: list[int] = []
+    through: list[list[int]] = [[] for _ in edges]
+    for images in ordered_copies(pattern, host.forward_masks):
+        bits = [index[images[a], images[b]] for a, b in pattern.sorted_edges()]
+        copies.append(sum(1 << i for i in bits))
+        for i in bits:
+            through[i].append(copies[-1])
+    return copies, through
 
 
 def _closes_copy(through: list[int], kept: int) -> bool:
@@ -156,7 +175,7 @@ def rho_exact_reference(
     from the reference seed."""
     edges = host.sorted_edges()
     total = len(edges)
-    copies, through = _copy_table(pattern, host, edges)
+    copies, through = copy_table_reference(pattern, host)
     order = sorted(range(total), key=lambda i: (-len(through[i]), i))
 
     best_cert = greedy_free_reference(pattern, host, through)

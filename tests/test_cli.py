@@ -527,6 +527,23 @@ class TestAppendixCheck:
         )
         assert json.loads(capsys.readouterr().out)["passed"] is report.passed
 
+    @pytest.mark.parametrize("lemma, params, message", [
+        ("a1", {"alpha": 0.5, "eps": 0.1, "k": 100_000_000, "eta": 0.1, "n": 1_000_000_000},
+         "C(1000000000, 100000000) has more than 100000 digits"),
+        ("a2", {"n": 100_000_000, "eps": 0.1, "n_samples": 1, "seed": 0},
+         "1 x 33999827110 window sums exceed 2147483648"),
+        ("a3", {"n_max": 100_000}, "n_max 100000 exceeds 100"),
+        ("a3", {"f": [0.5] * 20_000, "n": 20_000, "x": 1, "y": 1, "alpha": 0.5, "eps": 0.1,
+                "eta": 0.001}, "199630171 premise windows exceed 262144"),
+    ], ids=["a1-binomial", "a2-window-sums", "a3-n-max", "a3-premise-windows"])
+    def test_sizes_past_the_bounds_are_usage_errors(self, lemma, params, message, capsys):
+        # each ran past 10 s before it was refused up front
+        start = time.perf_counter()
+        assert main(["appendix-check", "--lemma", lemma, "--params", json.dumps(params)]) == 2
+        assert time.perf_counter() - start < 0.5
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {message}\n"
+
     @pytest.mark.parametrize("extra", [{"n_samples": 0}, {"seed": -1}, {"seed": 2**64}])
     def test_a2_bad_samples_or_seed_is_usage_error(self, extra, capsys):
         params = json.dumps({"n": 1024, "eps": 0.3, "n_samples": 10, "seed": 1, **extra})

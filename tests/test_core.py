@@ -323,6 +323,18 @@ class TestMaskArrays:
         us, vs = core.mask_arrays(fwd)
         assert list(zip(us.tolist(), vs.tolist())) == core.mask_edges(fwd)
 
+    @pytest.mark.parametrize("n", [0, 1, 1 << 14, 3 * (1 << 14) + 5])
+    def test_nonzero_indices_over_several_chunks(self, n):
+        # a non-zero mask at each end of every chunk of 2^14 flags, and a
+        # few between; all-zero chunks in the middle
+        ends = {i for lo in range(0, n, 1 << 14) if lo != 1 << 14 for i in (lo, lo + (1 << 14) - 1)}
+        picked = sorted(i for i in {*ends, *random.Random(n).sample(range(n), min(n, 9))} if i < n)
+        masks = [0] * n
+        for i in picked:
+            masks[i] = 1 << i
+        found = core._nonzero_indices(tuple(masks))
+        assert found.dtype == np.int64 and found.tolist() == picked
+
 
 @st.composite
 def cube_graphs(draw, max_d=6):

@@ -138,8 +138,9 @@ class TestExact:
         edges = host.sorted_edges()
         copies, through = _copy_table(P3, host, edges)
         order = sorted(range(len(edges)), key=lambda i: (-len(through[i]), i))
-        seed = _greedy_free(through, [len(t) for t in through])
-        found, _, exhausted = density._search(copies, through, order, seed.bit_count())
+        weights = [len(t) for t in through]
+        seed = _greedy_free(through, weights)
+        found, _, exhausted = density._search(copies, through, weights, order, seed.bit_count())
         first = _edges_of(seed if found is None else found, edges)
         least = ((0, 3), (0, 7), (1, 3), (1, 6), (1, 7), (2, 4), (2, 5), (2, 6), (2, 7))
         assert not exhausted

@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 from relturan import lemma_checks
 from relturan.cli import _jsonify
 from relturan.hosts import philox_rng
+from relturan.core import BudgetError
 from relturan.lemma_checks import (
     _window_lengths,
     check_binomial_average,
     check_binomial_fraction,
+    check_binomial_identity,
     check_locally_balanced,
     vandermonde_identity_holds,
 )
@@ -276,3 +278,43 @@ class TestBinomialAverage:
         js = _jsonify(rep)
         assert js["lemma"] == "binomial-fraction"
         assert js["lhs"] == {"num": "666", "den": "1", "float": 666.0}
+
+
+class TestInputBounds:
+    """Each check admits its bound and refuses one step past it, before any work."""
+
+    def test_power_digits(self):
+        # 3^209,590 has 100,000 digits, 3^209,591 one more; C(k, k) = 1
+        k = 209_590
+        assert check_binomial_fraction("1/3", Fraction(1, 2), k, "1/4", k).extra["floor_arg"] < k
+        with pytest.raises(BudgetError, match="alpha\\^209591 has more than 100000 digits"):
+            check_binomial_fraction("1/3", Fraction(1, 2), k + 1, "1/4", k + 1)
+
+    def test_binomial_digits(self):
+        # the bound (e n / j)^j on C(n, j) at n = 10^50 is 99,963 digits at
+        # j = 2122, where C(n, j) has 99,961, and 100,009 at j = 2123
+        n = 10**50
+        assert not check_binomial_fraction(1, Fraction(1, 2), 2122, "1/2", n).passed
+        for k in (2123, n - 2123):
+            with pytest.raises(BudgetError, match=f"C\\({n}, {k}\\) has more than 100000 digits"):
+                check_binomial_fraction(1, Fraction(1, 2), k, "1/2", n)
+
+    def test_window_sums(self, monkeypatch):
+        # a 64-bit string has 47 + 46 + ... + 30 = 693 windows of lengths 18..35
+        monkeypatch.setattr(lemma_checks, "_MAX_WINDOW_SUMS", 693 * 10)
+        assert check_locally_balanced(64, 0.3, 10, seed=0).samples == 10
+        with pytest.raises(BudgetError, match="11 x 693 window sums exceed 6930"):
+            check_locally_balanced(64, 0.3, 11, seed=0)
+
+    def test_identity_n_max(self, monkeypatch):
+        monkeypatch.setattr(lemma_checks, "_MAX_IDENTITY_N", 5)
+        assert check_binomial_identity(5).passed
+        with pytest.raises(BudgetError, match="n_max 6 exceeds 5"):
+            check_binomial_identity(6)
+
+    def test_premise_windows(self, monkeypatch):
+        # 10 values and windows of length 2 and up: 9 + 8 + ... + 1 = 45
+        monkeypatch.setattr(lemma_checks, "_MAX_PREMISE_WINDOWS", 45)
+        assert check_binomial_average([0.5] * 10, 10, 0, 0, 0.5, 0.5, 0.2).extra["premise_ok"]
+        with pytest.raises(BudgetError, match="55 premise windows exceed 45"):
+            check_binomial_average([0.5] * 10, 10, 0, 0, 0.5, 0.5, 0.1)

@@ -23,6 +23,7 @@ from relturan.patterns import (
     _walk,
     build_hk,
     contains_ordered,
+    copy_table,
     embed_into_hk,
     find_monotone_p3,
     has_monotone_p3,
@@ -427,17 +428,17 @@ class TestGeneratedSearches:
         assert out.split() == ["0", "0"]
 
 
-def walked_table(pattern, host):
-    """``density._copy_table`` with the generated table turned off: the kernel's copies."""
+def walked_table(pattern, host, max_copies=1 << 62):
+    """``copy_table`` with the generated table turned off: the kernel's copies."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(density, "_generated_table", lambda pattern: None)
-        return density._copy_table(pattern, host, host.sorted_edges())
+        mp.setattr(patterns, "_generated_table", lambda pattern: None)
+        return copy_table(pattern, host.forward_masks, max_copies)
 
 
-def generated_table(pattern, host):
-    """``density._copy_table``, asserted to take the generated path."""
+def generated_table(pattern, host, max_copies=1 << 62):
+    """``copy_table``, asserted to take the generated path."""
     assert _generated_table(pattern) is not None
-    return density._copy_table(pattern, host, host.sorted_edges())
+    return copy_table(pattern, host.forward_masks, max_copies)
 
 
 @st.composite
@@ -468,22 +469,23 @@ class TestGeneratedTable:
     @pytest.mark.parametrize("pat", [monotone_p3(), build_hk(2), OrderedGraph(3, [(0, 2)])])
     def test_budget_error_at_the_same_count(self, pat, monkeypatch):
         # the generated table tests its count after each loop over the last
-        # vertex, the walked one at each copy: both refuse exactly the
-        # budgets below the table's size, with the same message
+        # vertex, the walked one at each copy: both give None for exactly the
+        # budgets below the table's size, which ``density._copy_table``
+        # raises as BudgetError at the byte cap that admits that many copies
         host = OrderedGraph(9, [e for e in combinations(range(9), 2) if e not in {(1, 4), (2, 3)}])
         edges = host.sorted_edges()
         size = len(walked_table(pat, host)[0])
         copy_bytes = 28 + 4 * (len(edges) // 30 + 1) + 8 * (1 + pat.num_edges())
         for max_copies in [0, 1, size - 5, size - 1, size]:
-            monkeypatch.setattr(density, "_MAX_BUILD_BYTES", max_copies * copy_bytes + 1)
-            outcomes = []
-            for table in (generated_table, walked_table):
-                try:
-                    outcomes.append(table(pat, host))
-                except BudgetError as error:
-                    outcomes.append(str(error))
+            outcomes = [table(pat, host, max_copies) for table in (generated_table, walked_table)]
             assert outcomes[0] == outcomes[1]
-            assert isinstance(outcomes[0], str) == (max_copies < size)
+            assert (outcomes[0] is None) == (max_copies < size)
+            monkeypatch.setattr(density, "_MAX_BUILD_BYTES", max_copies * copy_bytes + 1)
+            if max_copies < size:
+                with pytest.raises(BudgetError, match=f"more than {max_copies} copies "):
+                    density._copy_table(pat, host, edges)
+            else:
+                assert density._copy_table(pat, host, edges) == outcomes[0]
 
     def test_a_second_call_reuses_the_compiled_code(self):
         first = _generated_table(OrderedGraph(4, [(0, 1), (1, 2), (2, 3)]))
@@ -508,7 +510,7 @@ class TestGeneratedTable:
         assert _generated_table(monotone_p3(20)) is not None
         assert _generated_table(monotone_p3(21)) is None
         host = OrderedGraph(24, combinations(range(24), 2))
-        copies, _ = density._copy_table(monotone_p3(21), host, host.sorted_edges())
+        copies, _ = copy_table(monotone_p3(21), host.forward_masks, 2024)
         assert len(copies) == 2024  # C(24, 21)
 
     def test_the_star_keeps_the_walked_table(self, monkeypatch):
@@ -524,7 +526,7 @@ class TestGeneratedTable:
         assert peak < 8 << 20
         assert _generated_table(star) is None
         host = OrderedGraph(8, combinations(range(8), 2))
-        assert density._copy_table(star, host, host.sorted_edges()) == ([], [[]] * 28)
+        assert copy_table(star, host.forward_masks, 0) == ([], [[]] * 28)
 
     def test_source_is_pinned(self):
         # the sha256 of each source, as first generated, apart from the
