@@ -21,6 +21,7 @@ import csv
 import functools
 import hashlib
 import inspect
+import io
 import json
 import math
 import sys
@@ -84,15 +85,28 @@ def _jsonify(obj):
     return obj
 
 
+def _write_out(args, name: str, text: str) -> Optional[str]:
+    """Write ``text`` to the file ``name`` under ``--out-dir`` and return its
+    path; without ``--out-dir``, write nothing and return None."""
+    if not args.out_dir:
+        return None
+    path = Path(args.out_dir) / name
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, newline="")
+    return str(path)
+
+
+def _csv(header: list[str], rows: list[list]) -> str:
+    """The CSV table of ``header`` and ``rows``, lines ending in CRLF."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows([header, *rows])
+    return buf.getvalue()
+
+
 def _emit(result, args) -> None:
     payload = json.dumps(_jsonify(result), indent=2, sort_keys=True)
-    if args.out_dir:
-        # made before printing, so a run whose out-dir fails prints no result
-        out = Path(args.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-    print(payload)
-    if args.out_dir:
-        (out / "result.json").write_text(payload + "\n")
+    # written before printing, so a run whose out-dir fails prints no result
+    if _write_out(args, "result.json", payload + "\n"):
         manifest = {
             "command": args.command,
             "params": {k: v for k, v in vars(args).items()
@@ -103,29 +117,17 @@ def _emit(result, args) -> None:
                               for name in _INPUT_FLAGS if hasattr(args, name)},
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         }
-        (out / "manifest.json").write_text(
-            json.dumps(_jsonify(manifest), indent=2, sort_keys=True) + "\n"
-        )
-
-
-def _write_csv(args, name: str, header: list[str], rows: list[list]) -> Optional[str]:
-    if not args.out_dir:
-        return None
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / name
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
-    return str(path)
+        _write_out(args, "manifest.json",
+                   json.dumps(_jsonify(manifest), indent=2, sort_keys=True) + "\n")
+    print(payload)
 
 
 # ---------------------------------------------------------------- commands
 #
 # Each command returns (result, failure): the result to print, or None when
-# a check failed before there was one, and the message of a failed check, or
-# None.  ``main`` prints the result and turns a failure into exit 1.
+# a check failed before there was one or the command printed its own table,
+# and the message of a failed check, or None.  ``main`` prints the result and
+# turns a failure into exit 1.
 
 
 def cmd_gen_host(args):
@@ -162,8 +164,11 @@ def cmd_solve(args):
     pat = graphio.read_ordered(args.pattern)
     host = graphio.read_ordered(args.host)
     if args.mode == "exact":
+        if args.seed is not None:
+            raise ValueError("--seed seeds the local search; --mode exact reads none")
         res = density.rho_exact(pat, host, node_budget=args.budget)
     else:
+        args.seed = 0 if args.seed is None else args.seed  # the manifest records the seed run
         budget = 2000 if args.budget is None else args.budget
         res = density.rho_local_search(pat, host, budget=budget, seed=args.seed)
     return {
@@ -181,8 +186,8 @@ def cmd_analyze_richness(args):
     d, m = host.d, host.m if isinstance(host, hosts.BlockedGraph) else 1
     counts = host.level_counts()
     rich = richness.rich_levels(counts, d, args.alpha, m)
-    _write_csv(args, "levels.csv", ["level", "count", "capacity", "rich"],
-               [[lv, counts[lv], tau(lv, d) * m * m, int(lv in rich)] for lv in range(1, d + 1)])
+    _write_out(args, "levels.csv", _csv(["level", "count", "capacity", "rich"], [
+        [lv, counts[lv], tau(lv, d) * m * m, int(lv in rich)] for lv in range(1, d + 1)]))
     return {
         "d": d,
         "m": m,
@@ -194,18 +199,13 @@ def cmd_analyze_richness(args):
     }, None
 
 
-#: ``embed-hk --preset paper`` without ``--epsilon``
-PAPER_EPSILON = 0.1
-
-
 def cmd_embed_hk(args):
-    if args.preset == "paper":
-        thresholds = richness.Thresholds.paper(
-            PAPER_EPSILON if args.epsilon is None else args.epsilon)
-    elif args.epsilon is not None:
-        raise ValueError("--epsilon sets the paper preset's thresholds; pass --preset paper")
+    """Embed H_k under the paper's thresholds at ``--epsilon``, or under the
+    desk preset without it."""
+    if args.epsilon is None:
+        preset, thresholds = "desk", richness.Thresholds.desk()
     else:
-        thresholds = richness.Thresholds.desk()
+        preset, thresholds = "paper", richness.Thresholds.paper(args.epsilon)
     g = graphio.read_hypercube(args.host)
     stripped, removed = richness.strip_top_forward(g)
     res = richness.extract_rich_interval(stripped, thresholds)
@@ -213,8 +213,8 @@ def cmd_embed_hk(args):
     ok = witness is not None
     if ok and not patterns.validate_witness(patterns.build_hk(args.k), g, witness):
         return None, f"embedding {list(witness)} is not an ordered copy of H_{args.k}"
-    if args.trace:  # the audit record is built only when it is written
-        trace_record: dict = {"k": args.k, "preset": args.preset}
+    if args.out_dir:  # the audit record is built only when it is written
+        trace_record: dict = {"k": args.k, "preset": preset}
         if isinstance(res, richness.StageFailure):
             trace_record["extraction"] = {"failed_stage": res.stage, "detail": res.detail}
         else:
@@ -223,8 +223,8 @@ def cmd_embed_hk(args):
             trace_record["certified_rich_count"] = res.certified_rich_count
         trace_record["stripped_edges_per_level"] = list(removed[1:])
         trace_record["witness"] = witness
-        Path(args.trace).write_text(json.dumps(_jsonify(trace_record), indent=2) + "\n")
-    failure = None if ok else f"no H_{args.k} embedding found under the {args.preset} preset"
+        _write_out(args, "trace.json", json.dumps(_jsonify(trace_record), indent=2) + "\n")
+    failure = None if ok else f"no H_{args.k} embedding found under the {preset} preset"
     return {"embedded": ok, "k": args.k, "witness": witness}, failure
 
 
@@ -240,8 +240,8 @@ def cmd_tile_sample(args):
     per_slot = [{str(lv): c for lv, c in enumerate(slot) if c}
                 for slot in tiling.split_level_counts(cfg, verts).tolist()]
     if args.out_dir:  # the first 10000 chains, built only to be written
-        _write_csv(args, "chains.csv", [f"v{t + 1}" for t in range(cfg.h)],
-                   verts[:10000].tolist())
+        _write_out(args, "chains.csv", _csv([f"v{t + 1}" for t in range(cfg.h)],
+                                            verts[:10000].tolist()))
     return {
         "n_samples": args.n_samples,
         "d": cfg.d,
@@ -259,8 +259,8 @@ def cmd_tile_verify(args):
     per_level = [{**lg._asdict(), "threshold": float(lg.threshold),
                   "pass_fraction": float(lg.pass_fraction)} for lg in report.per_level]
     ok = report.level_fraction >= 1 - Fraction(args.epsilon)
-    _write_csv(args, "levels.csv", ["level", "threshold", "pass_fraction"],
-               [[r["level"], r["threshold"], r["pass_fraction"]] for r in per_level])
+    _write_out(args, "levels.csv", _csv(["level", "threshold", "pass_fraction"], [
+        [r["level"], r["threshold"], r["pass_fraction"]] for r in per_level]))
     return {
         "epsilon": args.epsilon,
         "per_level": per_level,
@@ -344,7 +344,7 @@ def _grid_ints(spec: dict, key: str, default: list) -> list[int]:
 
 
 #: the keys every report grid may hold; a host-stats grid may hold "epsilon" too
-_GRID_KEYS = ("experiment", "d_values", "m", "m_values", "seeds")
+_GRID_KEYS = ("experiment", "d_values", "m", "seeds")
 #: each report experiment's CSV columns between status and runtime_s, and
 #: their values in a row whose host ``generate_host`` refuses
 _REPORT_COLUMNS = {
@@ -398,12 +398,9 @@ def cmd_report(args):
         raise ValueError("--budget sets the local-density rounds and the host-stats pair checks; "
                          "quarter-density takes none")
     d_values = _grid_ints(spec, "d_values", [])
-    if "m" in spec and "m_values" in spec:
-        raise ValueError("a grid takes m or m_values, not both")
     if type(m := spec.get("m", 8)) is not int:
         raise ValueError(f"grid m must be an integer, got {m!r}")
-    m_values = _grid_ints(spec, "m_values", [m])
-    seeds = _grid_ints(spec, "seeds", [args.seed])
+    seeds = _grid_ints(spec, "seeds", [0])
     for seed in seeds:
         if not 0 <= seed < 1 << 64:  # the rule of --seed
             raise ValueError(f"grid seeds must be non-negative and below 2^64, got {seed}")
@@ -413,21 +410,18 @@ def cmd_report(args):
     columns, refused = _REPORT_COLUMNS[experiment]
     rows = []
     for d in d_values:
-        for m in m_values:
-            for seed in seeds:
-                t0 = time.perf_counter()
-                try:
-                    values = _report_values(experiment, m, d, seed, args.budget, epsilon)
-                    status = "ok"
-                except ValueError as exc:  # BudgetError among them
-                    values, status = refused, f"infeasible: {exc}"
-                rows.append([d, m, seed, status, *values, f"{time.perf_counter() - t0:.3f}"])
-    header = ["d", "m", "seed", "status", *columns, "runtime_s"]
-    path = _write_csv(args, "report.csv", header, rows)
-    if path is None:  # no out-dir: print the CSV itself
-        w = csv.writer(sys.stdout)
-        w.writerow(header)
-        w.writerows(rows)
+        for seed in seeds:
+            t0 = time.perf_counter()
+            try:
+                values = _report_values(experiment, m, d, seed, args.budget, epsilon)
+                status = "ok"
+            except ValueError as exc:  # BudgetError among them
+                values, status = refused, f"infeasible: {exc}"
+            rows.append([d, m, seed, status, *values, f"{time.perf_counter() - t0:.3f}"])
+    table = _csv(["d", "m", "seed", "status", *columns, "runtime_s"], rows)
+    if (path := _write_out(args, "report.csv", table)) is None:  # no out-dir: the CSV alone
+        sys.stdout.write(table)
+        return None, None
     return {"experiment": experiment, "rows": len(rows), "csv": path}, None
 
 
@@ -469,10 +463,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def options(sp, func, seed=False, budget=None):
-        """Register --seed and --budget only on subcommands that read them."""
-        if seed:
-            sp.add_argument("--seed", type=_seed, default=0)
+    def options(sp, func, budget=None):
+        """Register --budget only on subcommands that read it, as each
+        subcommand that reads --seed registers its own, then --out-dir."""
         if budget:
             sp.add_argument("--budget", type=budget, default=None)
         sp.add_argument("--out-dir", default=None)
@@ -482,7 +475,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--out", required=True)
-    options(sp, cmd_gen_host, seed=True)
+    sp.add_argument("--seed", type=_seed, default=0)
+    options(sp, cmd_gen_host)
 
     sp = sub.add_parser("classify", help="classify an ordered pattern")
     sp.add_argument("--pattern", required=True)
@@ -492,7 +486,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--pattern", required=True)
     sp.add_argument("--host", required=True)
     sp.add_argument("--mode", choices=("exact", "local"), default="exact")
-    options(sp, cmd_solve, seed=True, budget=_positive_int)
+    sp.add_argument("--seed", type=_seed, default=None, help="the local search's seed (default 0)")
+    options(sp, cmd_solve, budget=_positive_int)
 
     sp = sub.add_parser("analyze-richness", help="per-level edge richness of a host")
     sp.add_argument("--host", required=True)
@@ -503,10 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--host", required=True)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--epsilon", type=_positive_unit_fraction, default=None,
-                    help=f"the paper preset's eps (default {PAPER_EPSILON}); "
-                         "a usage error under --preset desk")
-    sp.add_argument("--preset", choices=("paper", "desk"), default="desk")
-    sp.add_argument("--trace", default=None, help="write the audit trace to this JSON file")
+                    help="run the paper's thresholds at this eps; without it, the desk preset")
     options(sp, cmd_embed_hk)
 
     sp = sub.add_parser("tile-sample", help="draw windowed embedding chains")
@@ -515,7 +507,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--levels", required=True, help="comma-separated ascending levels")
     sp.add_argument("--w", type=int, required=True)
     sp.add_argument("--n-samples", type=int, default=10000)
-    options(sp, cmd_tile_sample, seed=True)
+    sp.add_argument("--seed", type=_seed, default=0)
+    options(sp, cmd_tile_sample)
 
     sp = sub.add_parser("tile-verify", help="exact per-level near-uniformity table")
     sp.add_argument("--pattern", required=True)
@@ -533,9 +526,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("report", help="run a parameter grid of quarter-density, local-density "
                                        "or host-stats and emit a CSV table")
     sp.add_argument("--grid", required=True,
-                    help='JSON grid: "experiment", "d_values", "m" or "m_values", "seeds", '
+                    help='JSON grid: "experiment", "d_values", "m", "seeds", '
                          'and "epsilon" for host-stats')
-    options(sp, cmd_report, seed=True, budget=_positive_int)
+    options(sp, cmd_report, budget=_positive_int)
 
     return p
 

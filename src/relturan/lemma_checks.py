@@ -254,6 +254,8 @@ def vandermonde_identity_holds(n: int, x: int, y: int) -> bool:
 
 def check_binomial_identity(n_max: int = 60) -> LemmaCheckReport:
     """The full-range identity for every n <= n_max and x + y + 1 <= n."""
+    if n_max < 1:  # no (n, x, y) to check
+        raise ValueError(f"need n_max >= 1, got {n_max}")
     if n_max > _MAX_IDENTITY_N:
         raise BudgetError(f"n_max {n_max} exceeds {_MAX_IDENTITY_N}")
     ok = all(
@@ -287,8 +289,16 @@ def check_binomial_average(
     f is a table indexed 1..n with values in [0, 1].  The window premise
     (|mean_J f - alpha| <= eta on every window of length >= floor(eta n))
     is verified first; a premise failure is flagged but the inequality is
-    still evaluated.
+    still evaluated.  It needs n >= 1 and x, y >= 0 with x + y + 1 <= n:
+    past that, C(n, x + y + 1) and every term are 0, and nothing is checked.
     """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    for name, value in (("x", x), ("y", y)):
+        if value < 0:
+            raise ValueError(f"need {name} >= 0, got {value}")
+    if x + y + 1 > n:
+        raise ValueError(f"need x + y + 1 <= n, got x + y + 1 = {x + y + 1} > n = {n}")
     if len(f) != n:
         raise ValueError("f must tabulate exactly n values")
     alpha, eps, eta = Fraction(alpha), Fraction(eps), Fraction(eta)

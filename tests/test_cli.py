@@ -125,6 +125,28 @@ class TestSolve:
             captured = capsys.readouterr()
             assert captured.out == "" and "invalid choice: 'exhaustive'" in captured.err
 
+    @pytest.mark.parametrize("seed", ["0", "1"])
+    def test_seed_in_exact_mode_is_usage_error(self, p3_file, k4_file, capsys, seed):
+        # the exact search draws nothing; --seed used to be taken and not read
+        assert main(["solve", "--pattern", p3_file, "--host", k4_file, "--mode", "exact",
+                     "--seed", seed]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: --seed seeds the local search; --mode exact reads none\n"
+
+    def test_local_seed_defaults_to_0(self, p3_file, tmp_path, capsys):
+        k8 = tmp_path / "k8.og"
+        write_ordered(k8, complete_ordered(8))
+        argv = ["solve", "--pattern", p3_file, "--host", str(k8), "--mode", "local",
+                "--budget", "20"]
+        runs = []
+        for seed in ([], ["--seed", "0"], ["--seed", "5"]):
+            assert main([*argv, *seed]) == 0
+            runs.append(capsys.readouterr().out)
+        assert runs[0] == runs[1]
+        want = density.rho_local_search(monotone_p3(), complete_ordered(8), budget=20, seed=5)
+        assert json.loads(runs[2])["certificate"] == [list(e) for e in want.certificate]
+
     def test_local_budget_counts_rounds(self, p3_file, k4_file, capsys):
         assert main(["solve", "--pattern", p3_file, "--host", k4_file,
                      "--mode", "local", "--budget", "1"]) == 0
@@ -331,13 +353,27 @@ class TestEmbedHk:
     def test_success_with_trace(self, tmp_path, capsys):
         host_file = tmp_path / "cube.hg"
         write_hypercube(host_file, complete_hypercube(5))
-        trace_file = tmp_path / "trace.json"
         assert main(["embed-hk", "--host", str(host_file), "--k", "2",
-                     "--trace", str(trace_file)]) == 0
+                     "--out-dir", str(tmp_path / "run")]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["embedded"] is True
-        trace = json.loads(trace_file.read_text())
+        trace = json.loads((tmp_path / "run" / "trace.json").read_text())
         assert "extraction" in trace and trace["witness"] == out["witness"]
+
+    @pytest.mark.parametrize("d, k, epsilon, digest", [
+        (5, 2, [], "bc9624a3e009b2c2f65f17b49df67a183e20e8f01ceb455088c2c898a6ab3feb"),
+        (5, 2, ["--epsilon", "0.5"], "d8fed60b8dce93577d4f156b534eafc06ccda76603fabacbf6a7954bc053c247"),
+        (6, 3, ["--epsilon", "0.5"], "c63e010d3e3568c2c9eb6da031afc74a35b0901a14714ecb5c5f2a87e21549c2"),
+    ], ids=["desk", "paper-d5", "paper-d6"])
+    def test_trace_json_bytes_are_pinned(self, d, k, epsilon, digest, tmp_path, capsys):
+        # the bytes --trace FILE wrote for the same run, with --preset paper for --epsilon
+        host_file = tmp_path / "cube.hg"
+        write_hypercube(host_file, complete_hypercube(d))
+        assert main(["embed-hk", "--host", str(host_file), "--k", str(k), *epsilon,
+                     "--out-dir", str(tmp_path / "run")]) == 0
+        trace = (tmp_path / "run" / "trace.json").read_bytes()
+        assert hashlib.sha256(trace).hexdigest() == digest
+        assert json.loads(trace)["preset"] == ("paper" if epsilon else "desk")
 
     def test_failure_exits_1(self, tmp_path, capsys):
         host_file = tmp_path / "sparse.hg"
@@ -379,30 +415,33 @@ class TestEmbedHk:
         host_file = tmp_path / "cube.hg"
         write_hypercube(host_file, complete_hypercube(3))
         with pytest.raises(SystemExit) as exc:
-            main(["embed-hk", "--host", str(host_file), "--k", "2", "--preset", "paper",
-                  "--epsilon", value])
+            main(["embed-hk", "--host", str(host_file), "--k", "2", "--epsilon", value])
         assert exc.value.code == 2
         assert "must be in (0, 1]" in capsys.readouterr().err
 
-    def test_epsilon_under_desk_preset_is_usage_error(self, tmp_path, capsys):
-        host_file = tmp_path / "cube.hg"
-        write_hypercube(host_file, complete_hypercube(3))
-        for preset in ([], ["--preset", "desk"]):
-            assert main(["embed-hk", "--host", str(host_file), "--k", "2", *preset,
-                         "--epsilon", "0.5"]) == 2
+    def test_epsilon_runs_the_paper_preset(self, tmp_path, capsys):
+        # the stdout --preset paper --epsilon X printed, and the library's
+        # witness under Thresholds.paper(X); without --epsilon, the desk preset
+        runs = [
+            (5, 3, "0.5", 1, "05c2ff530611b79563eab0e1a60465ffedebdcc91cd051ecdd64bc20e2f218dd"),
+            (6, 3, "0.5", 0, "2594a7798f9a031378c68204a34d723b573b7a6f8032ca84108bc1ede20a6502"),
+            (6, 2, "1", 1, "6327fb1ace6981ad9d56b1872ef3733d3054baf91a7673061ab10415eeec22e3"),
+            (6, 2, "0.1", 0, "5b8d1fb80ac5d1d247a6c0203ecbfc238624edc47cd2a89e4491595538d1a9b3"),
+        ]
+        for d, k, epsilon, code, digest in runs:
+            host_file = tmp_path / f"cube{d}.hg"
+            write_hypercube(host_file, complete_hypercube(d))
+            argv = ["embed-hk", "--host", str(host_file), "--k", str(k)]
+            assert main([*argv, "--epsilon", epsilon]) == code
             captured = capsys.readouterr()
-            assert captured.out == "" and "error: --epsilon" in captured.err
-
-    def test_paper_preset_defaults_to_epsilon_0_1(self, tmp_path, capsys):
-        host_file = tmp_path / "cube.hg"
-        write_hypercube(host_file, complete_hypercube(5))
-        runs = []
-        for epsilon in ([], ["--epsilon", "0.1"], ["--epsilon", "1"]):
-            rc = main(["embed-hk", "--host", str(host_file), "--k", "2", "--preset", "paper",
-                       *epsilon])
-            runs.append((rc, capsys.readouterr().out))
-        assert runs[0] == runs[1] and runs[0][0] in (0, 1)
-        assert runs[2][0] in (0, 1)
+            assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+            assert code == 0 or "under the paper preset" in captured.err
+            paper = richness.Thresholds.paper(float(epsilon))
+            witness = richness.embed_hk_rich(complete_hypercube(d), k, paper)
+            assert json.loads(captured.out)["witness"] == (witness and list(witness))
+            main(argv)
+            desk = richness.embed_hk_rich(complete_hypercube(d), k, richness.Thresholds.desk())
+            assert json.loads(capsys.readouterr().out)["witness"] == (desk and list(desk))
 
 
 class TestAppendixCheck:
@@ -500,11 +539,24 @@ class TestAppendixCheck:
         ("a3", {"f": [0.5, "1e-1000000"], "n": 2, "x": 0, "y": 0, "alpha": 0.5, "eps": 0.1,
                 "eta": 0.1},
          'param f must be a list of numbers or fraction strings, got [0.5, "1e-1000000"]'),
+        # each of these checked nothing and passed (exit 0), or leaked math.comb's
+        # "k must be a non-negative integer"
+        ("a3", {"n_max": 0}, "need n_max >= 1, got 0"),
+        ("a3", {"n_max": -5}, "need n_max >= 1, got -5"),
+        ("a3", {"f": [], "n": 0, "x": 0, "y": 0, "alpha": 0.5, "eps": 0.1, "eta": 0.1},
+         "need n >= 1, got 0"),
+        ("a3", {"f": [0.5, 0.5], "n": 2, "x": 5, "y": 5, "alpha": 0.5, "eps": 0.1, "eta": 0.1},
+         "need x + y + 1 <= n, got x + y + 1 = 11 > n = 2"),
+        ("a3", {"f": [0.5, 0.5], "n": 2, "x": -1, "y": 0, "alpha": 0.5, "eps": 0.1, "eta": 0.1},
+         "need x >= 0, got -1"),
+        ("a3", {"f": [0.5] * 4, "n": 4, "x": 1, "y": -2, "alpha": 0.5, "eps": 0.1, "eta": 0.1},
+         "need y >= 0, got -2"),
     ], ids=["a1-list", "a2-unknown-key", "a2-missing-key", "a3-string-int", "a3-bool-int",
             "a2-string-eps", "a2-string-exhaustive", "a1-list-alpha", "a1-bool-eps",
             "a3-int-f", "a3-nested-f", "a1-infinite-alpha", "a2-nan-eps",
             "a1-zero-denominator-eta", "a3-zero-denominator-f", "a1-huge-exponent-eta",
-            "a3-huge-exponent-f"])
+            "a3-huge-exponent-f", "a3-n-max-0", "a3-n-max-negative", "a3-n-0", "a3-x-y-past-n",
+            "a3-negative-x", "a3-negative-y"])
     def test_bad_params_are_usage_errors(self, lemma, params, message, capsys):
         start = time.perf_counter()
         assert main(["appendix-check", "--lemma", lemma, "--params", json.dumps(params)]) == 2
@@ -564,7 +616,7 @@ class TestFileSystemErrors:
             "out-is-a-dir": ["gen-host", "--d", "2", "--m", "2", "--out", str(a_dir)],
             "pattern-is-a-dir": ["classify", "--pattern", str(a_dir)],
             "trace-under-a-file": ["embed-hk", "--host", str(cube), "--k", "1",
-                                   "--trace", str(a_file / "t.json")],
+                                   "--out-dir", str(a_file / "run")],
             "out-dir-is-a-file": ["classify", "--pattern", p3_file, "--out-dir", str(a_file)],
         }[case]
         assert main(argv) == 2
@@ -583,6 +635,23 @@ class TestManifest:
         assert "pattern" in manifest["input_digests"]
         result = json.loads((out_dir / "result.json").read_text())
         assert result == json.loads(capsys.readouterr().out)
+
+    @pytest.mark.parametrize("argv, seed", [
+        (["solve", "--mode", "exact"], None),
+        (["solve", "--mode", "local", "--budget", "3"], 0),
+        (["solve", "--mode", "local", "--budget", "3", "--seed", "9"], 9),
+        (["report"], None),
+    ], ids=["solve-exact", "solve-local", "solve-local-seed-9", "report"])
+    def test_seed_is_the_seed_the_run_read(self, argv, seed, p3_file, k4_file, tmp_path, capsys):
+        # a report's seeds are its grid's; an exact solve reads none
+        grid = tmp_path / "grid.json"
+        grid.write_text('{"m": 2, "d_values": [2], "seeds": [3]}')
+        inputs = ["--grid", str(grid)] if argv[0] == "report" else ["--pattern", p3_file,
+                                                                    "--host", k4_file]
+        assert main([*argv, *inputs, "--out-dir", str(tmp_path / "run")]) == 0
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert manifest["seed"] == seed
+        assert manifest["params"].get("seed") == seed
 
     @pytest.mark.parametrize("command", SUBCOMMANDS)
     def test_input_digests_are_the_input_flags(self, command, p3_file, k4_file, tmp_path, capsys):
@@ -763,6 +832,23 @@ class TestReport:
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: grid epsilon must be a positive number, got {shown}\n"
 
+    @pytest.mark.parametrize("experiment", ["quarter-density", "local-density", "host-stats"])
+    def test_stdout_is_the_csv_alone(self, experiment, tmp_path, capsys):
+        # the CSV used to be followed by the JSON result, so stdout parsed as neither
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"experiment": experiment, "m": 2, "d_values": [2, 3],
+                                    "seeds": [0, 1]}))
+        budget = [] if experiment == "quarter-density" else ["--budget", "3"]
+        assert main(["report", "--grid", str(grid), *budget]) == 0
+        printed = list(csv.reader(capsys.readouterr().out.splitlines()))
+        assert main(["report", "--grid", str(grid), *budget, "--out-dir", str(tmp_path)]) == 0
+        assert json.loads(capsys.readouterr().out)["rows"] == 4
+        with open(tmp_path / "report.csv", newline="") as fh:
+            written = list(csv.reader(fh))
+        # every column but runtime_s
+        assert [row[:-1] for row in printed] == [row[:-1] for row in written]
+        assert len(printed) == 5 and printed[0][-1] == "runtime_s"
+
     def test_empty_grid_header_only(self, tmp_path, capsys):
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps({"experiment": "quarter-density", "d_values": []}))
@@ -795,7 +881,8 @@ class TestReport:
         ({"d_values": [True], "m": 2}, "grid d_values must be a list of integers"),
         ({"d_values": 2}, "grid d_values must be a list of integers"),
         ({"d_values": [2], "m": 2.0}, "grid m must be an integer"),
-        ({"d_values": [2], "m_values": [None]}, "grid m_values must be a list of integers"),
+        # m is the one key for m; m_values, a list of them, is gone
+        ({"d_values": [2], "m_values": [2]}, "quarter-density grids take no key 'm_values'"),
         ({"d_values": [2], "m": 2, "seeds": [2**64]}, "grid seeds must be non-negative and below 2^64"),
         ({"d_values": [2], "m": 2, "seeds": [0, -1]}, "grid seeds must be non-negative and below 2^64"),
         # 1.5 used to draw the host of seed 1 under a row that said 1.5
@@ -810,9 +897,8 @@ class TestReport:
         ({"m": 2, "d_values": [2], "epsilon": 0.1}, "quarter-density grids take no key 'epsilon'"),
         ({"experiment": "local-density", "m": 2, "d_values": [2], "epsilon": 0.1},
          "local-density grids take no key 'epsilon'"),
-        # both keys used to run m_values and drop m without a word
-        ({"experiment": "quarter-density", "m": 4, "m_values": [2], "d_values": [2], "seeds": [0]},
-         "a grid takes m or m_values, not both"),
+        ({"experiment": "host-stats", "m": 4, "m_values": [2], "d_values": [2], "seeds": [0]},
+         "host-stats grids take no key 'm_values'"),
     ])
     def test_bad_grid_is_usage_error_before_any_row(self, tmp_path, capsys, spec, message):
         grid = tmp_path / "grid.json"
@@ -965,12 +1051,15 @@ class TestOptions:
             (["gen-host", "--d", "2", "--m", "2", "--out", "h.bg"], ["--budget"]),
             (["classify", "--pattern", "p.og"], ["--seed", "--budget"]),
             (["analyze-richness", "--host", "h.rg", "--alpha", "0.5"], ["--seed", "--budget"]),
-            (["embed-hk", "--host", "h.cg", "--k", "2"], ["--seed", "--budget"]),
+            # --preset is whether --epsilon is given, and --trace is --out-dir's trace.json
+            (["embed-hk", "--host", "h.cg", "--k", "2"],
+             ["--seed", "--budget", "--preset", "--trace"]),
             (["appendix-check", "--lemma", "a3", "--params", "{}"], ["--seed", "--budget"]),
             (["tile-sample", "--pattern", "p.og", "--d", "3", "--levels", "1,2,3", "--w", "1"],
              ["--budget"]),
             (["tile-verify", "--pattern", "p.og", "--d", "3", "--levels", "1,2,3", "--w", "1",
               "--epsilon", "0.5"], ["--seed"]),
+            (["report", "--grid", "g.json"], ["--seed"]),  # a grid's seeds are its "seeds"
         ]
         for flag in flags
     ], ids=lambda v: v if isinstance(v, str) else v[0])
@@ -979,6 +1068,74 @@ class TestOptions:
             main([*argv, flag, "1"])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+    #: every subcommand's flags: flag -> (type, default, choices, required); a
+    #: new option, or a new default or range, shows up here as a reviewed diff
+    OPTIONS = {
+        "gen-host": {
+            "--d": ("int", None, None, True), "--m": ("int", None, None, True),
+            "--out": (None, None, None, True), "--seed": ("_seed", 0, None, False),
+            "--out-dir": (None, None, None, False)},
+        "classify": {"--pattern": (None, None, None, True), "--out-dir": (None, None, None, False)},
+        "solve": {
+            "--pattern": (None, None, None, True), "--host": (None, None, None, True),
+            "--mode": (None, "exact", ("exact", "local"), False),
+            "--seed": ("_seed", None, None, False), "--budget": ("_positive_int", None, None, False),
+            "--out-dir": (None, None, None, False)},
+        "analyze-richness": {
+            "--host": (None, None, None, True), "--alpha": ("_unit_fraction", None, None, True),
+            "--out-dir": (None, None, None, False)},
+        "embed-hk": {
+            "--host": (None, None, None, True), "--k": ("int", None, None, True),
+            "--epsilon": ("_positive_unit_fraction", None, None, False),
+            "--out-dir": (None, None, None, False)},
+        "tile-sample": {
+            "--pattern": (None, None, None, True), "--d": ("int", None, None, True),
+            "--levels": (None, None, None, True), "--w": ("int", None, None, True),
+            "--n-samples": ("int", 10000, None, False), "--seed": ("_seed", 0, None, False),
+            "--out-dir": (None, None, None, False)},
+        "tile-verify": {
+            "--pattern": (None, None, None, True), "--d": ("int", None, None, True),
+            "--levels": (None, None, None, True), "--w": ("int", None, None, True),
+            "--epsilon": ("_open_unit_fraction", None, None, True),
+            "--budget": ("_positive_int", None, None, False), "--out-dir": (None, None, None, False)},
+        "appendix-check": {
+            "--lemma": (None, None, ("a1", "a2", "a3"), True), "--params": (None, None, None, True),
+            "--out-dir": (None, None, None, False)},
+        "report": {
+            "--grid": (None, None, None, True), "--budget": ("_positive_int", None, None, False),
+            "--out-dir": (None, None, None, False)},
+    }
+    #: each report experiment's grid keys
+    GRID_KEYS = {
+        "quarter-density": "experiment, d_values, m, seeds",
+        "local-density": "experiment, d_values, m, seeds",
+        "host-stats": "experiment, d_values, m, seeds, epsilon",
+    }
+
+    def test_every_flag_is_pinned(self):
+        parser = build_parser()
+        subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        got = {
+            command: {action.option_strings[0]: (getattr(action.type, "__name__", None),
+                                                 action.default, action.choices, action.required)
+                      for action in sub._actions if not isinstance(action, argparse._HelpAction)}
+            for command, sub in subparsers.choices.items()}
+        assert got == self.OPTIONS
+        assert sum(map(len, got.values())) == 40
+        # one spelling each: no flag has a second option string
+        assert all(len(action.option_strings) == 1 for sub in subparsers.choices.values()
+                   for action in sub._actions if not isinstance(action, argparse._HelpAction))
+
+    @pytest.mark.parametrize("experiment", list(GRID_KEYS))
+    def test_every_grid_key_is_pinned(self, experiment, tmp_path, capsys):
+        # a key the grid does not take is refused with the list of those it does
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"experiment": experiment, "bogus": 1}))
+        assert main(["report", "--grid", str(grid)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: {experiment} grids take no key 'bogus'; "
+                       f"their keys are {self.GRID_KEYS[experiment]}\n")
 
 
 class TestParserReuse:

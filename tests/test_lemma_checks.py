@@ -268,6 +268,18 @@ class TestBinomialAverage:
                                      Fraction(1, 2), Fraction(1, 5))
         assert not rep.passed
 
+    @pytest.mark.parametrize("n, x, y, message", [
+        (0, 0, 0, "need n >= 1, got 0"),
+        (3, -1, 0, "need x >= 0, got -1"),
+        (3, 0, -1, "need y >= 0, got -1"),
+        (3, 1, 2, "need x \\+ y \\+ 1 <= n, got x \\+ y \\+ 1 = 4 > n = 3"),
+    ])
+    def test_rejects_parameters_with_nothing_to_check(self, n, x, y, message):
+        # both sides were 0, or math.comb refused a negative k
+        with pytest.raises(ValueError, match=message):
+            check_binomial_average([Fraction(1, 2)] * n, n, x, y, Fraction(1, 2),
+                                   Fraction(1, 4), Fraction(1, 10))
+
     def test_rejects_out_of_range_values(self):
         with pytest.raises(ValueError):
             check_binomial_average([Fraction(2)] * 5, 5, 0, 0, 1, Fraction(1, 2),
@@ -305,6 +317,11 @@ class TestInputBounds:
         assert check_locally_balanced(64, 0.3, 10, seed=0).samples == 10
         with pytest.raises(BudgetError, match="11 x 693 window sums exceed 6930"):
             check_locally_balanced(64, 0.3, 11, seed=0)
+
+    @pytest.mark.parametrize("n_max", [0, -5])
+    def test_identity_without_an_n_is_refused(self, n_max):
+        with pytest.raises(ValueError, match=f"need n_max >= 1, got {n_max}"):
+            check_binomial_identity(n_max)
 
     def test_identity_n_max(self, monkeypatch):
         monkeypatch.setattr(lemma_checks, "_MAX_IDENTITY_N", 5)

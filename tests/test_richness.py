@@ -300,7 +300,7 @@ def same_as_reference(g, thresholds):
     assert got == want  # field by field: the subgraph by its masks, certified_eta exactly
     if isinstance(got, StageFailure):
         return got.stage
-    # the trace reaches --trace as JSON: Python ints only
+    # the trace reaches embed-hk's trace.json: Python ints only
     for value in (got.x, got.rhs_base, got.pivot_level, got.certified_rich_count, *got.trace):
         assert all(type(v) is int for v in (value if isinstance(value, tuple) else (value,)))
     return "ok"

@@ -282,6 +282,9 @@ ROWS = [
     _usage_error("a3-n-max", "appendix-check", "--lemma", "a3", "--params", '{"n_max": 100000}'),
     _usage_error("a3-premise-windows", "appendix-check", "--lemma", "a3", "--params", json.dumps(
         {"f": [0.5] * 20000, "n": 20000, "x": 1, "y": 1, "alpha": 0.5, "eps": 0.1, "eta": 0.001})),
+    # the exact search reads no seed, so it refuses one
+    _usage_error("solve-exact-seed", "solve", "--pattern", "p3.og", "--host", "host16.og", "--mode", "exact",
+                 "--seed", "1"),
     # vertex 0's masks are 2^21 bits wide in both star files
     Row("star.og loaded", ("-c", "import json, sys; from relturan import graphio; "
                                  "print(json.dumps({'edges': graphio.read_ordered(sys.argv[1]).num_edges()}))",
