@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import __version__, density, graphio, hosts, lemma_checks, patterns, richness, tiling
-from .core import BudgetError, tau
+from .core import MAX_DIGITS, BudgetError, tau
 
 #: the flags whose files the manifest records a digest of, where a subcommand has one
 _INPUT_FLAGS = ("pattern", "host", "grid")
@@ -52,13 +52,6 @@ def _digest(path: str) -> Optional[str]:
     return h.hexdigest()
 
 
-#: the most decimal digits an exact fraction's numerator or denominator is
-#: written with: past Python's own limit of 4,300 the limit is lifted while
-#: they are written, and str() of an int is quadratic (0.2 s for 108,659
-#: digits, 1.9 s for 325,980 on Python 3.11, a 2-vCPU VM)
-_MAX_FRACTION_DIGITS = 100_000
-
-
 def _jsonify(obj):
     if isinstance(obj, Fraction):
         try:
@@ -67,9 +60,8 @@ def _jsonify(obj):
             approx = None
         # at least the digits of the longer part, as log10(2) < 0.30103
         bits = max(obj.numerator.bit_length(), obj.denominator.bit_length())
-        if (digits := bits * 30103 // 100000 + 1) > _MAX_FRACTION_DIGITS:
-            raise BudgetError(f"an exact fraction of up to {digits} digits exceeds "
-                              f"{_MAX_FRACTION_DIGITS}")
+        if (digits := bits * 30103 // 100000 + 1) > MAX_DIGITS:
+            raise BudgetError(f"an exact fraction of up to {digits} digits exceeds {MAX_DIGITS}")
         limit = sys.get_int_max_str_digits()
         try:
             sys.set_int_max_str_digits(0)
@@ -275,20 +267,16 @@ def _is_number(value) -> bool:
     return type(value) is int or type(value) is float and math.isfinite(value)
 
 
-#: the largest exponent, in size, of a fraction string: Python's own limit on
-#: the digits of an int read from a string. ``Fraction`` builds 10^exponent,
-#: which for "1e10000000" takes seconds
-_MAX_FRACTION_EXPONENT = 4300
-
-
 def _is_fraction(value) -> bool:
     """A finite JSON number, or a string ``Fraction`` reads ("1/0" it does not)
-    with an exponent of at most ``_MAX_FRACTION_EXPONENT`` in size."""
+    with an exponent no larger in size than Python's own limit on the digits
+    of an int read from a string: ``Fraction`` builds 10^exponent, which for
+    "1e10000000" takes seconds."""
     if type(value) is not str:
         return _is_number(value)
     try:
         _, e, exponent = value.lower().partition("e")
-        if e and abs(int(exponent)) > _MAX_FRACTION_EXPONENT:
+        if e and abs(int(exponent)) > sys.int_info.default_max_str_digits:
             return False
         Fraction(value)
     except (ValueError, ZeroDivisionError):
@@ -506,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--levels", required=True, help="comma-separated ascending levels")
     sp.add_argument("--w", type=int, required=True)
-    sp.add_argument("--n-samples", type=int, default=10000)
+    sp.add_argument("--n-samples", type=_positive_int, default=10000)
     sp.add_argument("--seed", type=_seed, default=0)
     options(sp, cmd_tile_sample)
 

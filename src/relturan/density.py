@@ -46,7 +46,7 @@ from bisect import bisect_left, insort
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .core import _MAX_BUILD_BYTES, _SLAB_BYTES, BudgetError, OrderedGraph, mask_arrays, mask_edges
+from .core import _SLAB_BYTES, BudgetError, OrderedGraph, mask_arrays, mask_edges
 from .patterns import contains_ordered, copy_table, has_monotone_p3, through_edge_search
 
 EXHAUSTIVE_EDGE_CAP = 20
@@ -85,7 +85,7 @@ def rho_exhaustive(pattern: OrderedGraph, host: OrderedGraph) -> DensityResult:
     _check_pattern(pattern)
     edges = host.sorted_edges()
     if len(edges) > EXHAUSTIVE_EDGE_CAP:
-        raise ValueError(
+        raise BudgetError(
             f"host has {len(edges)} edges, exhaustive cap is {EXHAUSTIVE_EDGE_CAP}; "
             "use rho_exact"
         )
@@ -109,30 +109,6 @@ def rho_exhaustive(pattern: OrderedGraph, host: OrderedGraph) -> DensityResult:
 
     dfs(0)
     return DensityResult(len(edges), best, True, nodes)
-
-
-def _copy_table(
-    pattern: OrderedGraph, host: OrderedGraph, edges: list[tuple[int, int]]
-) -> tuple[list[int], list[list[int]]]:
-    """``patterns.copy_table`` on ``host``, whose sorted edges are ``edges``,
-    or ``BudgetError`` where it could pass ``_MAX_BUILD_BYTES``.
-
-    The table takes about copies x e/8 bytes, and each copy is charged an
-    upper bound on its mask and list slots while the table is built: past
-    the cap it is refused instead of exhausting memory.  The search's live
-    lists point into it, and hold at most ``_live_cap`` pointers in all:
-    one slab's worth (``_SLAB_BYTES``), or one table's if that is more.
-    """
-    # a mask's int object holds at most len(edges) bits in 30-bit digits;
-    # each copy also fills one slot of ``copies`` and one of ``through`` per edge
-    copy_bytes = 28 + 4 * (len(edges) // 30 + 1) + 8 * (1 + pattern.num_edges())
-    max_copies = _MAX_BUILD_BYTES // copy_bytes
-    table = copy_table(pattern, host.forward_masks, max_copies)
-    if table is None:
-        raise BudgetError(
-            f"more than {max_copies} copies of the pattern exceed {_MAX_BUILD_BYTES} bytes"
-        )
-    return table
 
 
 def _live_cap(copies: list[int]) -> int:
@@ -305,7 +281,7 @@ def rho_exact(
     """Branch-and-bound over include/exclude edge decisions, from a greedy seed, in two passes.
 
     The pattern's copies in the host are listed once, into the table of
-    ``_copy_table`` (``BudgetError`` if it could pass ``_MAX_BUILD_BYTES``).
+    ``patterns.copy_table`` (``BudgetError`` if it could pass 2^31 bytes).
     From it ``_greedy_free`` grows a maximal pattern-free seed from no edges,
     trying the edges with the fewest copies through them first.  Both
     passes run ``_search`` on the table, one loop with the include test
@@ -325,9 +301,8 @@ def rho_exact(
     the budget applies to the first.
     """
     _check_pattern(pattern)
-    edges = host.sorted_edges()
+    edges, copies, through = copy_table(pattern, host.forward_masks)
     total = len(edges)
-    copies, through = _copy_table(pattern, host, edges)
     weights = [len(t) for t in through]
     # both sorts are stable, reverse=True too, over an ascending range: ties go by index
     order = sorted(range(total), key=weights.__getitem__, reverse=True)

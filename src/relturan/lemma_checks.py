@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import BudgetError
+from .core import MAX_DIGITS, BudgetError
 from .hosts import philox_rng
 
 Number = Union[int, float, Fraction]
@@ -26,11 +26,9 @@ Number = Union[int, float, Fraction]
 #: window lengths per group of the balanced-strings filter
 _GROUP = 8
 #: each check refuses, with BudgetError before it starts, an input past its
-#: bound (timed on a 2-vCPU VM). a1: C(n, k) or alpha^k past this many decimal
-#: digits, C(n, k) sized by the bound (e n / j)^j, j = min(k, n - k), which
-#: overstates it by 0.001% at n = 10^50 and 6% at n = 400,000; the CLI writes
-#: no longer number, and C(400000, 100000), 97,685 digits, takes 0.6 s
-_MAX_DIGITS = 100_000
+#: bound (timed on a 2-vCPU VM). a1: C(n, k) or alpha^k past ``MAX_DIGITS``
+#: decimal digits, C(n, k) sized by the bound (e n / j)^j, j = min(k, n - k),
+#: which overstates it by 0.001% at n = 10^50 and 6% at n = 400,000.
 #: a2: more window sums than this, strings times windows a string; CI's 200
 #: strings of 2^16 bits are 1.6e9, in 0.6 s at most
 _MAX_WINDOW_SUMS = 1 << 31
@@ -60,10 +58,10 @@ def check_binomial_fraction(
         raise ValueError("parameter constraints violated")
     # C(n, k) = C(n, j) lies between (n / j)^j and (e n / j)^j, and n / j >= 2
     j = min(k, n - k)
-    if j and (j > 4 * _MAX_DIGITS or j * (math.log10(n) - math.log10(j / math.e)) > _MAX_DIGITS):
-        raise BudgetError(f"C({n}, {k}) has more than {_MAX_DIGITS} digits")
-    if alpha.denominator > 1 and k > _MAX_DIGITS / math.log10(alpha.denominator):
-        raise BudgetError(f"alpha^{k} has more than {_MAX_DIGITS} digits")
+    if j and (j > 4 * MAX_DIGITS or j * (math.log10(n) - math.log10(j / math.e)) > MAX_DIGITS):
+        raise BudgetError(f"C({n}, {k}) has more than {MAX_DIGITS} digits")
+    if alpha.denominator > 1 and k > MAX_DIGITS / math.log10(alpha.denominator):
+        raise BudgetError(f"alpha^{k} has more than {MAX_DIGITS} digits")
     m = math.floor((alpha - eta) * n)
     lhs = Fraction(math.comb(m, k))
     rhs = (alpha**k - eps) * math.comb(n, k)
@@ -137,7 +135,7 @@ def check_locally_balanced(
     if not exhaustive and n_samples < 1:
         raise ValueError(f"need n_samples >= 1, got {n_samples}")
     if exhaustive and n > 22:
-        raise ValueError("exhaustive mode supports n <= 22")
+        raise BudgetError("exhaustive mode supports n <= 22")
     samples = 1 << n if exhaustive else n_samples
     m, hi = _window_lengths(n)
     cells_per_row = (hi - m + 1) * (2 * n + 2 - m - hi) // 2  # sum of n + 1 - L over [m, hi]

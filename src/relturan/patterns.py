@@ -19,15 +19,16 @@ the kernel's walks with the pinned masks folded in, and that refuse a mask
 of candidates per placement when the pinned vertex is the pattern's last
 or has one vertex after it.  The source holds only names and the integer
 literals of the pattern's vertices.  ``copy_table`` lists every copy as
-an int mask over the host's edge indices, for the exact search; its
-builder is generated the same way, once per pattern: the kernel's
-unpinned walk as one loop per pattern vertex that takes each pattern
-edge's host edge index once, where the edge's later end is placed.  One
-rule picks the path for all three: generation stops as soon as the source
-passes a size cap, and a source that CPython will not compile (too many
-nested blocks or indentation levels) is dropped.  Such a pattern feeds the
-templates to the kernel instead, one resume walk per template, and reads
-its table off ``ordered_copies``; the tests take those as the reference.
+an int mask over the host's edge indices, for the exact search, and
+refuses a table that would pass the byte cap; its builder is generated
+the same way, once per pattern: the kernel's unpinned walk as one loop
+per pattern vertex that takes each pattern edge's host edge index once,
+where the edge's later end is placed.  One rule picks the path for all
+three: generation stops as soon as the source passes a size cap, and a
+source that CPython will not compile (too many nested blocks or
+indentation levels) is dropped.  Such a pattern feeds the templates to the
+kernel instead, one resume walk per template, and reads its table off
+``ordered_copies``; the tests take those as the reference.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Callable, Iterator, Optional, Sequence
 
-from .core import OrderedGraph, mask_edges
+from .core import _MAX_BUILD_BYTES, BudgetError, OrderedGraph, mask_edges
 
 
 def validate_witness(pattern: OrderedGraph, host: OrderedGraph, images: Sequence[int]) -> bool:
@@ -119,29 +120,41 @@ def _predecessors(pattern: OrderedGraph) -> tuple[tuple[int, ...], ...]:
 
 
 def copy_table(
-    pattern: OrderedGraph, fwd: Sequence[int], max_copies: int
-) -> Optional[tuple[list[int], list[list[int]]]]:
-    """Every ordered copy of ``pattern`` in the host ``fwd`` as an int mask
-    over the indices of the host's edges in sorted order: ``(copies, through)``.
+    pattern: OrderedGraph, fwd: Sequence[int]
+) -> tuple[list[tuple[int, int]], list[int], list[list[int]]]:
+    """The host ``fwd``'s sorted edges, and every ordered copy of ``pattern``
+    in it as an int mask over their indices: ``(edges, copies, through)``.
 
     The copies come in the kernel's lexicographic order; ``through[i]``
-    lists the masks of the copies that use edge i.  None once there are
-    more than ``max_copies``.  The table is built by code generated from
-    the pattern as source and compiled once per pattern (``_table_source``,
-    ``_generated_table``).  Under the searches' rule, a pattern whose
-    source passes the cap or does not compile gets ``_walked_table``, the
-    kernel's copies read one at a time, which the tests take as the
-    reference.  Both paths give None at the same count.
+    lists the masks of the copies that use edge i.  The table takes about
+    copies x e/8 bytes, and each copy is charged an upper bound on its mask
+    and list slots while the table is built: past ``_MAX_BUILD_BYTES`` it
+    is refused (``BudgetError``) instead of exhausting memory.  The table
+    is built by code generated from the pattern as source and compiled
+    once per pattern (``_table_source``, ``_generated_table``).  Under the
+    searches' rule, a pattern whose source passes the cap or does not
+    compile gets ``_walked_table``, the kernel's copies read one at a
+    time, which the tests take as the reference.  Both paths stop at the
+    same count.
     """
+    edges = mask_edges(fwd)
+    # a mask's int object holds at most len(edges) bits in 30-bit digits;
+    # each copy also fills one slot of ``copies`` and one of ``through`` per edge
+    copy_bytes = 28 + 4 * (len(edges) // 30 + 1) + 8 * (1 + pattern.num_edges())
+    max_copies = _MAX_BUILD_BYTES // copy_bytes
     build = _generated_table(pattern)
-    return _walked_table(pattern, fwd, max_copies) if build is None else build(fwd, max_copies)
+    table = _walked_table(pattern, fwd, edges, max_copies) if build is None else build(fwd, max_copies)
+    if table is None:
+        raise BudgetError(f"more than {max_copies} copies of the pattern exceed {_MAX_BUILD_BYTES} bytes")
+    return (edges, *table)
 
 
 def _walked_table(
-    pattern: OrderedGraph, fwd: Sequence[int], max_copies: int
+    pattern: OrderedGraph, fwd: Sequence[int], edges: list[tuple[int, int]], max_copies: int
 ) -> Optional[tuple[list[int], list[list[int]]]]:
-    """``copy_table`` read off ``ordered_copies``."""
-    index = {e: i for i, e in enumerate(mask_edges(fwd))}
+    """``copy_table``'s ``(copies, through)`` read off ``ordered_copies``,
+    over the sorted ``edges`` of ``fwd``; None past ``max_copies`` copies."""
+    index = {e: i for i, e in enumerate(edges)}
     copies: list[int] = []
     through: list[list[int]] = [[] for _ in index]
     for images in ordered_copies(pattern, fwd):
@@ -578,8 +591,8 @@ def _generated_table(pattern: OrderedGraph) -> Optional[Callable[..., Optional[t
 def _table_source(pattern: OrderedGraph) -> Optional[str]:
     """The source of ``table(fwd, max_copies)``, the copy table of ``pattern``, or None.
 
-    ``table`` returns ``copy_table``'s ``(copies, through)`` on the host
-    ``fwd``, or None once it has found more than ``max_copies`` copies.  It
+    ``table`` returns ``(copies, through)``, ``copy_table``'s table of the
+    host ``fwd``, or None once it has found more than ``max_copies`` copies.  It
     makes the kernel's unpinned walk in lexicographic order,
     one ``while`` loop per pattern vertex i over int locals: m<i> its
     untried candidates (its room r<i>, above the image of i - 1, and in

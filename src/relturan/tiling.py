@@ -277,7 +277,7 @@ def tiling_guarantee_report(
     widths = [sum(_class_span(cfg, kappa)[2:]) for kappa in range(1, L + 1)]  # class bits
     classes = sum(1 << k for k in widths)
     if classes > budget:
-        raise ValueError(f"{classes} y-classes exceed budget {budget}")
+        raise BudgetError(f"{classes} y-classes exceed budget {budget}")
     bound = _score_bound(pattern, w)
     if bound >= np.iinfo(np.int64).max:
         raise ValueError(f"class scores up to {bound} could overflow int64 (w = {w}, h = {h})")

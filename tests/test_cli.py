@@ -97,11 +97,11 @@ class TestSolve:
         assert out["certificate"] == [list(e) for e in ref.certificate]
 
     def test_copy_table_past_its_cap_is_usage_error(self, p3_file, k4_file, capsys, monkeypatch):
-        # K_4 has 4 copies of P3, each charged some 50 bytes
-        monkeypatch.setattr(density, "_MAX_BUILD_BYTES", 100)
+        # K_4 has 4 copies of P3, each charged 56 bytes
+        monkeypatch.setattr(patterns, "_MAX_BUILD_BYTES", 100)
         assert main(["solve", "--pattern", p3_file, "--host", k4_file, "--mode", "exact"]) == 2
         out, err = capsys.readouterr()
-        assert out == "" and err.startswith("error: ") and "exceed 100 bytes" in err
+        assert out == "" and err == "error: more than 1 copies of the pattern exceed 100 bytes\n"
 
     @pytest.mark.parametrize("mode", ["local", "exact"])
     @pytest.mark.parametrize("value", ["0", "-3"])
@@ -486,7 +486,7 @@ class TestAppendixCheck:
 
     def test_fraction_past_the_digit_cap_is_usage_error(self, capsys, monkeypatch):
         # lhs is C(1250, 1000), 271 digits, over a cap lowered to 200
-        monkeypatch.setattr(cli, "_MAX_FRACTION_DIGITS", 200)
+        monkeypatch.setattr(cli, "MAX_DIGITS", 200)
         params = {"alpha": "1/2", "eps": 0.1, "k": 1000, "eta": "1/4", "n": 5000}
         limit = sys.get_int_max_str_digits()
         assert main(["appendix-check", "--lemma", "a1", "--params", json.dumps(params)]) == 2
@@ -961,6 +961,18 @@ class TestTileCommands:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: 101 chains of 3 vertices need 5252 bytes")
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_sample_count_below_one_is_usage_error(self, p3_file, capsys, value):
+        # 0 printed empty split-level counts and exited 0; -1 exited 2 with
+        # numpy's "negative dimensions are not allowed"
+        with pytest.raises(SystemExit) as exc:
+            main(["tile-sample", "--pattern", p3_file, "--d", "6", "--levels", "1,2,3,4,5,6",
+                  "--w", "4", "--n-samples", value])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"argument --n-samples: must be at least 1, got {value}" in err
+
     @pytest.mark.parametrize("flag, value, message", [
         ("--epsilon", "inf", "must be in (0, 1)"),
         ("--epsilon", "1.0", "must be in (0, 1)"),
@@ -1092,7 +1104,7 @@ class TestOptions:
         "tile-sample": {
             "--pattern": (None, None, None, True), "--d": ("int", None, None, True),
             "--levels": (None, None, None, True), "--w": ("int", None, None, True),
-            "--n-samples": ("int", 10000, None, False), "--seed": ("_seed", 0, None, False),
+            "--n-samples": ("_positive_int", 10000, None, False), "--seed": ("_seed", 0, None, False),
             "--out-dir": (None, None, None, False)},
         "tile-verify": {
             "--pattern": (None, None, None, True), "--d": ("int", None, None, True),

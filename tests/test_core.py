@@ -1,6 +1,8 @@
+import ast
 import math
 import random
 from itertools import combinations
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -482,3 +484,18 @@ class TestMaskProducers:
         res = extract_rich_interval(strip_top_forward(g)[0], Thresholds.desk())
         assert isinstance(res, ExtractionResult)
         assert_is_the_edge_list_graph(res.subgraph)
+
+
+def test_no_assert_in_the_package():
+    # guarantees are explicit checks that survive ``python -O``, which strips
+    # every assert statement and folds ``__debug__`` to False; the -O run of
+    # the suite sees only the lines the tests execute, this sees every line
+    sources = sorted(Path(core.__file__).parent.glob("*.py"))
+    assert sources
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert) or isinstance(node, ast.Name) and node.id == "__debug__"
+    ]
+    assert found == []

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from relturan.core import OrderedGraph
 from relturan import density, patterns
 from relturan.density import (
-    _copy_table,
     _edges_of,
     _greedy_free,
     quarter_free_subgraph,
@@ -23,6 +22,7 @@ from relturan.hosts import BudgetError, complete_ordered, generate_host
 from relturan.patterns import (
     build_hk,
     contains_ordered,
+    copy_table,
     has_monotone_p3,
     monotone_p3,
     ordered_copies,
@@ -68,8 +68,7 @@ ORACLE_PATTERNS = [
 
 
 def root_bound(pattern, host, floor=-1):
-    edges = host.sorted_edges()
-    copies, _ = _copy_table(pattern, host, edges)
+    edges, copies, _ = copy_table(pattern, host.forward_masks)
     return packing_bound(copies, 0, 0, len(edges), floor)
 
 
@@ -103,7 +102,7 @@ class TestExhaustive:
         assert res.best_edge_count == 0 and res.ratio == Fraction(1)
 
     def test_edge_cap(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(BudgetError, match="^host has 21 edges, exhaustive cap is 20; use rho_exact$"):
             rho_exhaustive(P3, complete_ordered(7))
 
     def test_edgeless_pattern_refused(self):
@@ -135,8 +134,7 @@ class TestExact:
         # the certificate pass in canonical edge order must still find it
         host = OrderedGraph(8, [(0, 1), (0, 2), (0, 3), (0, 7), (1, 3), (1, 6), (1, 7),
                                 (2, 4), (2, 5), (2, 6), (2, 7), (3, 5), (3, 6), (4, 7)])
-        edges = host.sorted_edges()
-        copies, through = _copy_table(P3, host, edges)
+        edges, copies, through = copy_table(P3, host.forward_masks)
         order = sorted(range(len(edges)), key=lambda i: (-len(through[i]), i))
         weights = [len(t) for t in through]
         seed = _greedy_free(through, weights)
@@ -166,7 +164,7 @@ class TestExact:
         host = complete_ordered(5)
         res = rho_exact(P3, host, node_budget=2)
         assert not res.exact
-        _, through = _copy_table(P3, host, host.sorted_edges())
+        _, _, through = copy_table(P3, host.forward_masks)
         assert res.certificate == greedy_free_reference(P3, host, through)
         assert res.best_edge_count == 6 and res.ratio == Fraction(3, 5)
 
@@ -178,8 +176,7 @@ class TestGreedySeed:
            st.integers(1, 5))
     @settings(max_examples=150, deadline=None)
     def test_free_maximal_and_at_most_the_optimum(self, pattern, host, budget):
-        edges = host.sorted_edges()
-        _, through = _copy_table(pattern, host, edges)
+        edges, _, through = copy_table(pattern, host.forward_masks)
         seed = _edges_of(_greedy_free(through, [len(t) for t in through]), edges)
         assert contains_ordered(pattern, OrderedGraph(host.n, seed)) is None
         for e in set(edges) - set(seed):
@@ -238,8 +235,7 @@ class TestCopyTable:
     def test_matches_kernel_walk(self, pattern, host, rnd, data):
         # split the edges into a pattern-free kept part, undecided and excluded;
         # ``kept`` and ``live`` (kept + undecided) are lists of forward masks
-        edges = host.sorted_edges()
-        copies, through = _copy_table(pattern, host, edges)
+        edges, copies, through = copy_table(pattern, host.forward_masks)
         kept, live = [0] * host.n, [0] * host.n
 
         def has_copy(fwd):
@@ -271,8 +267,8 @@ class TestCopyTable:
 
     def test_table_lists_every_copy_by_edge(self):
         host = complete_ordered(5)
-        edges = host.sorted_edges()
-        copies, through = _copy_table(P3, host, edges)
+
+        edges, copies, through = copy_table(P3, host.forward_masks)
         index = {e: i for i, e in enumerate(edges)}
         expected = [1 << index[a, b] | 1 << index[b, c]
                     for a in range(5) for b in range(a + 1, 5) for c in range(b + 1, 5)]
@@ -281,7 +277,7 @@ class TestCopyTable:
 
     def test_memory_guard(self, monkeypatch):
         # K_8 has 56 copies of P3 over 28 edges, each charged some 50 bytes
-        monkeypatch.setattr(density, "_MAX_BUILD_BYTES", 1000)
+        monkeypatch.setattr(patterns, "_MAX_BUILD_BYTES", 1000)
         with pytest.raises(BudgetError, match="exceed 1000 bytes"):
             rho_exact(P3, complete_ordered(8))
         # a host with fewer copies still fits
@@ -358,7 +354,7 @@ class TestSearchOracle:
     ], ids=["host16", "K12"])
     def test_live_lists_stay_within_the_cap(self, host, budget, monkeypatch):
         res, peak = _peak_live_entries(lambda: rho_exact(P3, host, budget))
-        table = len(_copy_table(P3, host, host.sorted_edges())[0])
+        table = len(copy_table(P3, host.forward_masks)[1])
         assert peak > table  # past the least cap the search allows
         cap = (table + peak) // 2
         monkeypatch.setattr(density, "_live_cap", lambda copies: cap)

@@ -233,7 +233,7 @@ class TestLocallyBalanced:
         assert a.lhs == b.lhs
 
     def test_exhaustive_cap(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(BudgetError, match="^exhaustive mode supports n <= 22$"):
             check_locally_balanced(23, 0.1, 0, 0, exhaustive=True)
 
 

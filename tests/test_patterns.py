@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relturan import density, patterns
+from relturan import patterns
 from relturan.core import BudgetError, HypercubeGraph, OrderedGraph
 from relturan.hosts import generate_host
 from relturan.patterns import (
@@ -428,17 +428,18 @@ class TestGeneratedSearches:
         assert out.split() == ["0", "0"]
 
 
-def walked_table(pattern, host, max_copies=1 << 62):
-    """``copy_table`` with the generated table turned off: the kernel's copies."""
+def walked_table(pattern, host):
+    """``copy_table``'s ``(copies, through)`` with the generated table turned
+    off: the kernel's copies."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(patterns, "_generated_table", lambda pattern: None)
-        return copy_table(pattern, host.forward_masks, max_copies)
+        return copy_table(pattern, host.forward_masks)[1:]
 
 
-def generated_table(pattern, host, max_copies=1 << 62):
-    """``copy_table``, asserted to take the generated path."""
+def generated_table(pattern, host):
+    """``copy_table``'s ``(copies, through)``, asserted to take the generated path."""
     assert _generated_table(pattern) is not None
-    return copy_table(pattern, host.forward_masks, max_copies)
+    return copy_table(pattern, host.forward_masks)[1:]
 
 
 @st.composite
@@ -470,22 +471,27 @@ class TestGeneratedTable:
     def test_budget_error_at_the_same_count(self, pat, monkeypatch):
         # the generated table tests its count after each loop over the last
         # vertex, the walked one at each copy: both give None for exactly the
-        # budgets below the table's size, which ``density._copy_table``
-        # raises as BudgetError at the byte cap that admits that many copies
+        # budgets below the table's size, which ``copy_table`` raises as
+        # BudgetError at the byte cap that admits that many copies
         host = OrderedGraph(9, [e for e in combinations(range(9), 2) if e not in {(1, 4), (2, 3)}])
-        edges = host.sorted_edges()
+        fwd, edges = host.forward_masks, host.sorted_edges()
         size = len(walked_table(pat, host)[0])
         copy_bytes = 28 + 4 * (len(edges) // 30 + 1) + 8 * (1 + pat.num_edges())
         for max_copies in [0, 1, size - 5, size - 1, size]:
-            outcomes = [table(pat, host, max_copies) for table in (generated_table, walked_table)]
+            outcomes = [_generated_table(pat)(fwd, max_copies),
+                        patterns._walked_table(pat, fwd, edges, max_copies)]
             assert outcomes[0] == outcomes[1]
             assert (outcomes[0] is None) == (max_copies < size)
-            monkeypatch.setattr(density, "_MAX_BUILD_BYTES", max_copies * copy_bytes + 1)
-            if max_copies < size:
-                with pytest.raises(BudgetError, match=f"more than {max_copies} copies "):
-                    density._copy_table(pat, host, edges)
-            else:
-                assert density._copy_table(pat, host, edges) == outcomes[0]
+            cap = max_copies * copy_bytes + 1
+            monkeypatch.setattr(patterns, "_MAX_BUILD_BYTES", cap)
+            for table in (generated_table, walked_table):
+                if max_copies < size:
+                    with pytest.raises(BudgetError, match=f"^more than {max_copies} copies of the "
+                                                          f"pattern exceed {cap} bytes$"):
+                        table(pat, host)
+                else:
+                    assert table(pat, host) == outcomes[0]
+        assert copy_table(pat, fwd)[0] == edges
 
     def test_a_second_call_reuses_the_compiled_code(self):
         first = _generated_table(OrderedGraph(4, [(0, 1), (1, 2), (2, 3)]))
@@ -510,7 +516,7 @@ class TestGeneratedTable:
         assert _generated_table(monotone_p3(20)) is not None
         assert _generated_table(monotone_p3(21)) is None
         host = OrderedGraph(24, combinations(range(24), 2))
-        copies, _ = copy_table(monotone_p3(21), host.forward_masks, 2024)
+        _, copies, _ = copy_table(monotone_p3(21), host.forward_masks)
         assert len(copies) == 2024  # C(24, 21)
 
     def test_the_star_keeps_the_walked_table(self, monkeypatch):
@@ -526,7 +532,7 @@ class TestGeneratedTable:
         assert peak < 8 << 20
         assert _generated_table(star) is None
         host = OrderedGraph(8, combinations(range(8), 2))
-        assert copy_table(star, host.forward_masks, 0) == ([], [[]] * 28)
+        assert copy_table(star, host.forward_masks) == (host.sorted_edges(), [], [[]] * 28)
 
     def test_source_is_pinned(self):
         # the sha256 of each source, as first generated, apart from the

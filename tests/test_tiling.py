@@ -215,7 +215,7 @@ class TestGuaranteeReport:
         cfg = full_cfg(d=5, w=2, h=2)
         edge = OrderedGraph(2, [(0, 1)])
         tiling_guarantee_report(edge, cfg, 0.5, budget=13)
-        with pytest.raises(ValueError, match="13 y-classes exceed budget 12"):
+        with pytest.raises(BudgetError, match="^13 y-classes exceed budget 12$"):
             tiling_guarantee_report(edge, cfg, 0.5, budget=12)
 
     def test_large_d_within_default_budget(self):

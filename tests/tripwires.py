@@ -43,8 +43,8 @@ class Row(NamedTuple):
     """One tripwire: a command, the bounds it runs under and what it must give.
 
     The exit code is held to the CLI's contract: stderr never holds a
-    traceback, exit 2 ends it with an ``error:`` line, and it holds a
-    ``check failed:`` line exactly when the exit code is 1.
+    traceback, exit 2 ends it with an ``error:`` line (``ERROR_LINE``), and
+    it holds a ``check failed:`` line exactly when the exit code is 1.
     """
     name: str
     #: ``relturan.cli`` arguments, or ``("-c", source, *argv)`` for a snippet;
@@ -270,6 +270,10 @@ ROWS = [
     _usage_error("far-cube", "analyze-richness", "--host", "far.hg", "--alpha", "0.5"),
     _usage_error("many-chains", "tile-sample", "--pattern", "p3.og", "--d", "6", "--levels", "1,2,3,4,5,6",
                  "--w", "4", "--n-samples", "1000000000"),
+    _usage_error("no-samples", "tile-sample", "--pattern", "p3.og", "--d", "6", "--levels", "1,2,3,4,5,6",
+                 "--w", "4", "--n-samples", "0", stderr=r"(?s).*argument --n-samples: must be at least 1, got 0\n"),
+    _usage_error("negative-samples", "tile-sample", "--pattern", "p3.og", "--d", "6", "--levels", "1,2,3,4,5,6",
+                 "--w", "4", "--n-samples", "-1", stderr=r"(?s).*argument --n-samples: must be at least 1, got -1\n"),
     _usage_error("huge-exponent", "appendix-check", "--lemma", "a1", "--params",
                  json.dumps({**A1, "eta": "1e10000000"})),
     _usage_error("grid-key-typo", "report", "--grid", "typo.json"),
@@ -301,6 +305,11 @@ ROWS = [
 ]
 
 
+#: the last line of stderr on exit 2: the CLI's own ``error:`` line, or
+#: argparse's, which puts the program and subcommand before it
+ERROR_LINE = re.compile(r"(relturan( [a-z-]+)?: )?error: ")
+
+
 def _failure(row: Row, code: int, stdout: str, stderr: str, peak_mib: float, cwd: str) -> Optional[str]:
     """Why the row failed, or None."""
     lines = stderr.splitlines()
@@ -308,7 +317,7 @@ def _failure(row: Row, code: int, stdout: str, stderr: str, peak_mib: float, cwd
         return f"exit {code}, want {row.code}"
     if "Traceback" in stderr:
         return "a traceback on stderr"
-    if code == 2 and not (lines and lines[-1].startswith("error:")):
+    if code == 2 and not (lines and ERROR_LINE.match(lines[-1])):
         return "stderr does not end in an error: line"
     if any(line.startswith("check failed:") for line in lines) != (code == 1):
         return "a check failed: line without exit 1" if code != 1 else "exit 1 without a check failed: line"
