@@ -3,7 +3,7 @@
 Subcommands cover host generation, pattern classification, density
 solving, richness analysis, staircase embedding, the windowed sampler and
 its exact verifier, the auxiliary-inequality checks, and grid reports of
-three experiments: quarter-density, local-density and host-stats.
+the experiments that ``report --help`` lists.
 Structured results go to stdout as JSON, a result record as an object of
 its fields; ``--out-dir`` additionally writes
 the result, any CSV plot data, and a run manifest recording everything
@@ -161,8 +161,7 @@ def cmd_solve(args):
         res = density.rho_exact(pat, host, node_budget=args.budget)
     else:
         args.seed = 0 if args.seed is None else args.seed  # the manifest records the seed run
-        budget = 2000 if args.budget is None else args.budget
-        res = density.rho_local_search(pat, host, budget=budget, seed=args.seed)
+        res = density.rho_local_search(pat, host, budget=args.budget or 2000, seed=args.seed)
     return {
         "best_edges": res.best_edge_count,
         "total": res.total_edges,
@@ -246,8 +245,8 @@ def cmd_tile_sample(args):
 def cmd_tile_verify(args):
     pat = graphio.read_ordered(args.pattern)
     cfg = _tiling_config(args, pat.n)
-    budget = tiling.DEFAULT_REPORT_BUDGET if args.budget is None else args.budget
-    report = tiling.tiling_guarantee_report(pat, cfg, args.epsilon, budget=budget)
+    report = tiling.tiling_guarantee_report(pat, cfg, args.epsilon,
+                                            budget=args.budget or tiling.DEFAULT_REPORT_BUDGET)
     per_level = [{**lg._asdict(), "threshold": float(lg.threshold),
                   "pass_fraction": float(lg.pass_fraction)} for lg in report.per_level]
     ok = report.level_fraction >= 1 - Fraction(args.epsilon)
@@ -284,18 +283,23 @@ def _is_fraction(value) -> bool:
     return True
 
 
-#: each check parameter's description and JSON type test; the exact checks read
-#: alpha, eps, eta and f with Fraction, so a string such as "1/3" serves there,
-#: but a2 compares its eps with floats
-_FRACTION = ("a number or a fraction string", _is_fraction)
+#: each check parameter's description and JSON type test, by its annotation in
+#: the check's signature; a check reads a Number with Fraction, so a string such
+#: as "1/3" serves there, but a float it compares as a float
 _PARAM_TYPES = {
-    **dict.fromkeys(("k", "n", "x", "y", "n_samples", "seed", "n_max"),
-                    ("an integer", lambda v: type(v) is int)),
-    **dict.fromkeys(("alpha", "eps", "eta"), _FRACTION),
-    "f": ("a list of numbers or fraction strings",
-          lambda v: type(v) is list and all(map(_FRACTION[1], v))),
-    "exhaustive": ("true or false", lambda v: type(v) is bool),
-    "a2 eps": ("a number", _is_number),
+    "int": ("an integer", lambda v: type(v) is int),
+    "float": ("a number", _is_number),
+    "Number": ("a number or a fraction string", _is_fraction),
+    "Sequence[Number]": ("a list of numbers or fraction strings",
+                         lambda v: type(v) is list and all(map(_is_fraction, v))),
+    "bool": ("true or false", lambda v: type(v) is bool),
+}
+#: each lemma's check of params without and with an "f": a3 checks its
+#: identity, or its inequality on the table f
+_LEMMAS = {
+    "a1": (lemma_checks.check_binomial_fraction,) * 2,
+    "a2": (lemma_checks.check_locally_balanced,) * 2,
+    "a3": (lemma_checks.check_binomial_identity, lemma_checks.check_binomial_average),
 }
 
 
@@ -303,20 +307,13 @@ def cmd_appendix_check(args):
     params = json.loads(args.params)
     if not isinstance(params, dict):
         raise ValueError("params must be a JSON object")
-    if args.lemma == "a1":
-        check = lemma_checks.check_binomial_fraction
-    elif args.lemma == "a2":
-        check = lemma_checks.check_locally_balanced
-    elif "f" in params:
-        check = lemma_checks.check_binomial_average
-    else:
-        check = lemma_checks.check_binomial_identity
+    check = _LEMMAS[args.lemma]["f" in params]
     try:
-        inspect.signature(check).bind(**params)
+        bound = inspect.signature(check).bind(**params)
     except TypeError as exc:  # a parameter the check does not take, or a missing one
         raise ValueError(f"params of --lemma {args.lemma}: {exc}") from None
     for key, value in params.items():  # bound above, so every key is a known parameter
-        kind, ok = _PARAM_TYPES["a2 eps" if (args.lemma, key) == ("a2", "eps") else key]
+        kind, ok = _PARAM_TYPES[bound.signature.parameters[key].annotation]
         if not ok(value):
             raise ValueError(f"param {key} must be {kind}, got {json.dumps(value)}")
     report = check(**params)
@@ -331,107 +328,115 @@ def _grid_ints(spec: dict, key: str, default: list) -> list[int]:
     return values
 
 
-#: the keys every report grid may hold; a host-stats grid may hold "epsilon" too
-_GRID_KEYS = ("experiment", "d_values", "m", "seeds")
-#: each report experiment's CSV columns between status and runtime_s, and
-#: their values in a row whose host ``generate_host`` refuses
-_REPORT_COLUMNS = {
-    "quarter-density": (["total_edges", "kept_edges", "ratio"], [0, 0, "nan"]),
-    "local-density": (["total_edges", "kept_edges", "ratio"], [0, 0, "nan"]),
-    "host-stats": (["levels_ok", "pairs_ok", "pair_checks", "worst_excess"], [False, 0, 0, "nan"]),
-}
+#: the seeds --seed and a grid's "seeds" take: Philox keys are uint64
+_SEEDS = range(1 << 64)
 
 
-def _report_values(experiment: str, m: int, d: int, seed: int, budget, epsilon) -> list:
-    """One report row's values between status and runtime_s."""
-    host = hosts.generate_host(m, d, seed)
-    if experiment == "host-stats":
-        rep = hosts.verify_host(host, epsilon, 50 if budget is None else budget, seed)
-        return [rep.levels_ok, sum(c.ok for c in rep.pair_checks), len(rep.pair_checks),
-                f"{rep.worst_pair_excess:.6f}"]
-    host = host.to_ordered()
-    if experiment == "quarter-density":
-        kept = density.quarter_free_subgraph(host).num_edges()
-    else:
-        rounds = 500 if budget is None else budget
-        kept = density.rho_local_search(patterns.monotone_p3(), host, rounds, seed).best_edge_count
+def _density_row(host, kept: int) -> list:
     total = host.num_edges()
     return [total, kept, f"{kept / total if total else 1.0:.6f}"]
 
 
-def cmd_report(args):
-    """Run the grid's experiment on ``generate_host(m, d, seed)`` for every d,
-    m and seed, one CSV row each:
+def _quarter_density(m: int, d: int, seed: int, _) -> list:
+    host = hosts.generate_host(m, d, seed).to_ordered()
+    return _density_row(host, density.quarter_free_subgraph(host).num_edges())
 
-    - ``quarter-density``: the edges the quarter constructor keeps;
-    - ``local-density``: the edges the P3 local search keeps in ``--budget``
-      rounds (default 500);
-    - ``host-stats``: ``verify_host`` with the grid's ``epsilon`` (default
-      0.1) and ``--budget`` sampled pair checks (default 50), and how many
-      of them hold.
-    """
+
+def _local_density(m: int, d: int, seed: int, rounds: int) -> list:
+    host = hosts.generate_host(m, d, seed).to_ordered()
+    res = density.rho_local_search(patterns.monotone_p3(), host, rounds, seed)
+    return _density_row(host, res.best_edge_count)
+
+
+def _host_stats(m: int, d: int, seed: int, checks: int, epsilon: float) -> list:
+    rep = hosts.verify_host(hosts.generate_host(m, d, seed), epsilon, checks, seed)
+    return [rep.levels_ok, sum(c.ok for c in rep.pair_checks), len(rep.pair_checks),
+            f"{rep.worst_pair_excess:.6f}"]
+
+
+#: the keys every report grid may hold
+_GRID_KEYS = ("experiment", "d_values", "m", "seeds")
+_DENSITY_COLUMNS = {"total_edges": 0, "kept_edges": 0, "ratio": "nan"}
+#: each report experiment, a CSV row per d and seed of its grid: its columns
+#: between status and runtime_s, each with its value in a row whose host
+#: ``generate_host`` refuses; --budget's default (None refuses the flag) and
+#: what it counts; its grid keys past ``_GRID_KEYS``, each with its default,
+#: description and type test; and its row function, whose values are those of
+#: ``row(m, d, seed, budget, **keys)``
+_EXPERIMENTS = {
+    # the edges the quarter constructor keeps
+    "quarter-density": (_DENSITY_COLUMNS, None, "", {}, _quarter_density),
+    # the edges the P3 local search keeps in --budget rounds
+    "local-density": (_DENSITY_COLUMNS, 500, "rounds", {}, _local_density),
+    # verify_host with the grid's epsilon and --budget sampled pair checks, and how many hold
+    "host-stats": ({"levels_ok": False, "pairs_ok": 0, "pair_checks": 0, "worst_excess": "nan"},
+                   50, "pair checks",
+                   {"epsilon": (0.1, "a positive number", lambda v: _is_number(v) and v > 0)},
+                   _host_stats),
+}
+
+
+def cmd_report(args):
+    """Run the grid's experiment for every d and seed of the grid at its m,
+    one CSV row each, as ``_EXPERIMENTS`` gives it."""
     with open(args.grid) as fh:
         spec = json.load(fh)
     # check the whole grid before any row runs
     if not isinstance(spec, dict):
         raise ValueError("grid must be a JSON object")
-    experiment = spec.get("experiment", "quarter-density")
-    if experiment not in _REPORT_COLUMNS:
-        raise ValueError(f"unknown experiment {experiment!r}")
-    keys = (*_GRID_KEYS, "epsilon") if experiment == "host-stats" else _GRID_KEYS
+    name = spec.get("experiment", "quarter-density")
+    if name not in _EXPERIMENTS:
+        raise ValueError(f"unknown experiment {name!r}")
+    columns, default_budget, _, extra, row = _EXPERIMENTS[name]
+    keys = (*_GRID_KEYS, *extra)
     if unknown := [key for key in spec if key not in keys]:
-        raise ValueError(f"{experiment} grids take no key {unknown[0]!r}; "
+        raise ValueError(f"{name} grids take no key {unknown[0]!r}; "
                          f"their keys are {', '.join(keys)}")
-    if experiment == "quarter-density" and args.budget is not None:
-        raise ValueError("--budget sets the local-density rounds and the host-stats pair checks; "
-                         "quarter-density takes none")
+    if default_budget is None and args.budget is not None:
+        sets = " and the ".join(f"{other} {counts}" for other, (_, takes, counts, _, _)
+                                in _EXPERIMENTS.items() if takes)
+        raise ValueError(f"--budget sets the {sets}; {name} takes none")
     d_values = _grid_ints(spec, "d_values", [])
     if type(m := spec.get("m", 8)) is not int:
         raise ValueError(f"grid m must be an integer, got {m!r}")
     seeds = _grid_ints(spec, "seeds", [0])
-    for seed in seeds:
-        if not 0 <= seed < 1 << 64:  # the rule of --seed
-            raise ValueError(f"grid seeds must be non-negative and below 2^64, got {seed}")
-    epsilon = spec.get("epsilon", 0.1)
-    if not (_is_number(epsilon) and epsilon > 0):
-        raise ValueError(f"grid epsilon must be a positive number, got {json.dumps(epsilon)}")
-    columns, refused = _REPORT_COLUMNS[experiment]
+    if bad := [seed for seed in seeds if seed not in _SEEDS]:
+        raise ValueError(f"grid seeds must be non-negative and below 2^64, got {bad[0]}")
+    values = {key: spec.get(key, default) for key, (default, _, _) in extra.items()}
+    for key, (_, kind, ok) in extra.items():
+        if not ok(values[key]):
+            raise ValueError(f"grid {key} must be {kind}, got {json.dumps(values[key])}")
+    budget = args.budget or default_budget
     rows = []
     for d in d_values:
         for seed in seeds:
             t0 = time.perf_counter()
             try:
-                values = _report_values(experiment, m, d, seed, args.budget, epsilon)
-                status = "ok"
+                cells, status = row(m, d, seed, budget, **values), "ok"
             except ValueError as exc:  # BudgetError among them
-                values, status = refused, f"infeasible: {exc}"
-            rows.append([d, m, seed, status, *values, f"{time.perf_counter() - t0:.3f}"])
+                cells, status = columns.values(), f"infeasible: {exc}"
+            rows.append([d, m, seed, status, *cells, f"{time.perf_counter() - t0:.3f}"])
     table = _csv(["d", "m", "seed", "status", *columns, "runtime_s"], rows)
     if (path := _write_out(args, "report.csv", table)) is None:  # no out-dir: the CSV alone
         sys.stdout.write(table)
         return None, None
-    return {"experiment": experiment, "rows": len(rows), "csv": path}, None
+    return {"experiment": name, "rows": len(rows), "csv": path}, None
 
 
 # ------------------------------------------------------------------ parser
 
 
-def _seed(text: str) -> int:
-    seed = int(text)
-    if not 0 <= seed < 1 << 64:  # Philox keys are uint64
-        raise argparse.ArgumentTypeError(f"seed must be non-negative and below 2^64, got {seed}")
-    return seed
-
-
 def _bounded(name: str, convert, holds, bounds: str):
-    """An argparse type that converts its text with ``convert`` and refuses a
-    value that ``holds`` rejects; argparse names it ``name`` in the message
-    for a text that ``convert`` cannot read."""
+    """An argparse type named ``name`` that converts its text with ``convert``
+    and refuses, with one message, a text it cannot read or a value that
+    ``holds`` rejects."""
     def parse(text: str):
-        value = convert(text)
-        if not holds(value):
-            raise argparse.ArgumentTypeError(f"must be {bounds}, got {text}")
-        return value
+        try:
+            if holds(value := convert(text)):
+                return value
+        except ValueError:  # a text convert cannot read
+            pass
+        raise argparse.ArgumentTypeError(f"must be {bounds}, got {text}")
     parse.__name__ = name
     return parse
 
@@ -441,6 +446,7 @@ _open_unit_fraction = _bounded("_open_unit_fraction", float, lambda v: 0 < v < 1
 _positive_unit_fraction = _bounded("_positive_unit_fraction", float, lambda v: 0 < v <= 1,
                                    "in (0, 1]")
 _positive_int = _bounded("_positive_int", int, lambda v: v >= 1, "at least 1")
+_seed = _bounded("_seed", int, lambda v: v in _SEEDS, "non-negative and below 2^64")
 
 
 @functools.cache
@@ -507,15 +513,15 @@ def build_parser() -> argparse.ArgumentParser:
     options(sp, cmd_tile_verify, budget=_positive_int)
 
     sp = sub.add_parser("appendix-check", help="verify one auxiliary inequality")
-    sp.add_argument("--lemma", choices=("a1", "a2", "a3"), required=True)
+    sp.add_argument("--lemma", choices=tuple(_LEMMAS), required=True)
     sp.add_argument("--params", required=True, help="JSON object of check parameters")
     options(sp, cmd_appendix_check)
 
-    sp = sub.add_parser("report", help="run a parameter grid of quarter-density, local-density "
-                                       "or host-stats and emit a CSV table")
-    sp.add_argument("--grid", required=True,
-                    help='JSON grid: "experiment", "d_values", "m", "seeds", '
-                         'and "epsilon" for host-stats')
+    experiments = " or ".join(", ".join(_EXPERIMENTS).rsplit(", ", 1))  # "a, b or c"
+    sp = sub.add_parser("report", help=f"run a parameter grid of {experiments} and emit a CSV table")
+    keys = ", ".join(f'"{key}"' for key in _GRID_KEYS[1:]) + "".join(
+        f', and "{key}" for {name}' for name, (*_, extra, _) in _EXPERIMENTS.items() for key in extra)
+    sp.add_argument("--grid", required=True, help=f'JSON grid: "experiment" ({experiments}), {keys}')
     options(sp, cmd_report, budget=_positive_int)
 
     return p

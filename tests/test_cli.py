@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 import time
 from collections import Counter
@@ -379,6 +380,17 @@ class TestEmbedHk:
         host_file = tmp_path / "sparse.hg"
         write_hypercube(host_file, HypercubeGraph(3, [(0, 4)]))
         assert main(["embed-hk", "--host", str(host_file), "--k", "3"]) == 1
+
+    def test_failed_stage_is_traced(self, tmp_path, capsys):
+        # at eps = 1 no level of the d = 4 cube is rich enough to work on
+        host_file = tmp_path / "cube.hg"
+        write_hypercube(host_file, complete_hypercube(4))
+        assert main(["embed-hk", "--host", str(host_file), "--k", "2", "--epsilon", "1",
+                     "--out-dir", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == "check failed: no H_2 embedding found under the paper preset\n"
+        trace = json.loads((tmp_path / "run" / "trace.json").read_text())
+        assert trace["extraction"] == {"failed_stage": "working-levels", "detail": "only 0 levels qualify"}
+        assert trace["witness"] is None
 
     def test_invalid_witness_exits_1(self, tmp_path, capsys, monkeypatch):
         # the witness is re-validated by an explicit check, so this holds under -O
@@ -1000,6 +1012,13 @@ class TestTileCommands:
         assert main([*argv, "64"]) == 2
         assert "error: 65 y-classes exceed budget 64" in capsys.readouterr().err
 
+    def test_sample_past_d_62_is_usage_error(self, p3_file, capsys):
+        # a chain's vertices are int64 words
+        assert main(["tile-sample", "--pattern", p3_file, "--d", "63", "--levels", "1,2,3,4,5,6",
+                     "--w", "4"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: vectorised sampler supports d <= 62\n"
+
     def test_sample_split_levels_match_per_pair_count(self, p3_file, capsys):
         assert main(["tile-sample", "--pattern", p3_file, "--d", "7",
                      "--levels", "1,2,3,4,5,6,7", "--w", "4",
@@ -1138,6 +1157,29 @@ class TestOptions:
         # one spelling each: no flag has a second option string
         assert all(len(action.option_strings) == 1 for sub in subparsers.choices.values()
                    for action in sub._actions if not isinstance(action, argparse._HelpAction))
+
+    @pytest.mark.parametrize("argv, flag, message", [
+        (["report", "--grid", "g.json"], "--budget", "must be at least 1"),
+        (["analyze-richness", "--host", "h.rg"], "--alpha", "must be in [0, 1]"),
+        (["gen-host", "--d", "2", "--m", "2", "--out", "h.rg"], "--seed", "must be non-negative and below 2^64"),
+    ])
+    def test_text_a_type_cannot_read_is_refused_with_its_bounds(self, argv, flag, message, capsys):
+        # argparse used to name the type: "invalid _positive_int value: 'x'"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, flag, "x"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: argument {flag}: {message}, got x\n")
+
+    def test_readme_and_help_name_every_experiment(self, capsys, monkeypatch):
+        # a new experiment is documented where it is listed, or this fails
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("\n## Reports\n", 1)[1].split("\n## ", 1)[0]
+        assert sorted(re.findall(r"^- `([a-z0-9-]+)`:", section, re.M)) == sorted(cli._EXPERIMENTS)
+        monkeypatch.setenv("COLUMNS", "1000")  # argparse would wrap at a hyphen
+        with pytest.raises(SystemExit):
+            main(["report", "--help"])
+        listed = re.search(r'"experiment" \(([^)]*)\)', capsys.readouterr().out)[1]
+        assert re.split(", | or ", listed) == list(cli._EXPERIMENTS)
 
     @pytest.mark.parametrize("experiment", list(GRID_KEYS))
     def test_every_grid_key_is_pinned(self, experiment, tmp_path, capsys):

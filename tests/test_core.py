@@ -14,7 +14,8 @@ from relturan import core, graphio
 from relturan.core import (BudgetError, HypercubeGraph, OrderedGraph, delta_int, level_block,
                            pair_levels, tau)
 from relturan.graphio import dumps_hypercube, loads_hypercube
-from relturan.hosts import complete_hypercube
+from relturan.hosts import complete_hypercube, complete_ordered
+from relturan.patterns import build_hk
 from relturan.richness import ExtractionResult, Thresholds, extract_rich_interval, strip_top_forward
 
 
@@ -484,6 +485,18 @@ class TestMaskProducers:
         res = extract_rich_interval(strip_top_forward(g)[0], Thresholds.desk())
         assert isinstance(res, ExtractionResult)
         assert_is_the_edge_list_graph(res.subgraph)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: OrderedGraph(-1, []), "vertex count must be non-negative"),
+    (lambda: tau(0, 3), r"level 0 out of range \[1, 3\]"),
+    (lambda: build_hk(0), "k must be at least 1"),
+    (lambda: complete_ordered(0), "need n >= 1"),
+    (lambda: complete_hypercube(0), "need d >= 1"),
+], ids=["ordered-graph", "tau", "build-hk", "complete-ordered", "complete-hypercube"])
+def test_sizes_below_the_least_are_refused(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
 
 
 def test_no_assert_in_the_package():

@@ -171,6 +171,12 @@ class TestLevelCounts:
     def test_thinned(self):
         self._check(thin_every_other(generate_host(6, 3, seed=4)))
 
+    def test_block_matrix_refuses_a_pair_out_of_order(self):
+        host = generate_host(2, 2, seed=0)
+        assert host.block_matrix(1, 2).shape == (2, 2)
+        with pytest.raises(ValueError, match="^need 0 <= x < y < 4$"):
+            host.block_matrix(2, 1)
+
     def test_keys_out_of_pair_order(self):
         rng = np.random.default_rng(0)
         keys = [(6, 7), (0, 4), (2, 3), (0, 1), (1, 6), (3, 5)]

@@ -222,6 +222,10 @@ class TestLocallyBalanced:
         with pytest.raises(ValueError):
             check_locally_balanced(64, 0.3, n_samples, seed)
 
+    def test_rejects_n_below_4(self):
+        with pytest.raises(ValueError, match="^need n >= 4 and eps > 0$"):
+            check_locally_balanced(3, 0.3, 10, 1)
+
     def test_monte_carlo_report(self):
         rep = check_locally_balanced(256, eps=0.2, n_samples=500, seed=1)
         assert rep.samples == 500
@@ -278,6 +282,11 @@ class TestBinomialAverage:
         # both sides were 0, or math.comb refused a negative k
         with pytest.raises(ValueError, match=message):
             check_binomial_average([Fraction(1, 2)] * n, n, x, y, Fraction(1, 2),
+                                   Fraction(1, 4), Fraction(1, 10))
+
+    def test_rejects_a_table_of_another_length(self):
+        with pytest.raises(ValueError, match="^f must tabulate exactly n values$"):
+            check_binomial_average([Fraction(1, 2)] * 4, 5, 0, 0, Fraction(1, 2),
                                    Fraction(1, 4), Fraction(1, 10))
 
     def test_rejects_out_of_range_values(self):

@@ -289,7 +289,15 @@ ROWS = [
     # the exact search reads no seed, so it refuses one
     _usage_error("solve-exact-seed", "solve", "--pattern", "p3.og", "--host", "host16.og", "--mode", "exact",
                  "--seed", "1"),
-    # vertex 0's masks are 2^21 bits wide in both star files
+    # a flag's text that is no number is refused with the flag's bounds, not the name of its argparse type
+    _usage_error("budget-text", "report", "--grid", "local.json", "--budget", "x",
+                 stderr=r"(?s).*argument --budget: must be at least 1, got x\n"),
+    _usage_error("alpha-text", "analyze-richness", "--host", "crlf.hg", "--alpha", "y",
+                 stderr=r"(?s).*argument --alpha: must be in \[0, 1\], got y\n"),
+    _usage_error("seed-text", "gen-host", "--d", "2", "--m", "2", "--out", "never.rg", "--seed", "x",
+                 stderr=r"(?s).*argument --seed: must be non-negative and below 2\^64, got x\n"),
+    # star.og and star.hg: the star from vertex 0 to the top 2^17 of 2^21 vertices, so vertex 0's masks
+    # span all 2^21 bits; star.hg adds (0, 1), and every other edge lies on level 1
     Row("star.og loaded", ("-c", "import json, sys; from relturan import graphio; "
                                  "print(json.dumps({'edges': graphio.read_ordered(sys.argv[1]).num_edges()}))",
                            "star.og"), 2, limit=AS_LIMIT, pins={"edges": 131072}),
@@ -298,10 +306,14 @@ ROWS = [
     # the desk preset finds no H_2
     Row("star.hg embed-hk", ("embed-hk", "--host", "star.hg", "--k", "2"), 2.7, code=1, limit=AS_LIMIT,
         ceiling=216),
+    # large-star.hg: the star (0, v) for v = 1..131,073, so vertex 0's mask spans 131,074 bits and the
+    # edges fall on every level from 4 to 21, halving from level 5 up; each ceiling keeps the headroom
+    # of the star.hg row of the same command, 1.47 and 1.72 times the peak
     Row("large-star.hg analyze-richness", ("analyze-richness", "--host", "large-star.hg", "--alpha", "0.5"),
-        1.5, limit=AS_LIMIT),
+        1.5, limit=AS_LIMIT, ceiling=133,
+        pins={"level_counts": [0, 0, 0, 2] + [1 << (21 - level) for level in range(5, 22)]}),
     Row("large-star.hg embed-hk", ("embed-hk", "--host", "large-star.hg", "--k", "2"), 2.0, code=1,
-        limit=AS_LIMIT),
+        limit=AS_LIMIT, ceiling=276),
 ]
 
 
