@@ -6,10 +6,10 @@ modules and ``__version__``.
 
 Results come back as immutable records, ``typing.NamedTuple`` classes: read
 their fields by name, turn one into a dict with ``_asdict()``, copy one with
-changed fields with ``_replace()``.  ``TilingConfig`` and ``Thresholds``
-check their values on construction; ``_replace`` and ``_make`` skip those
-checks.  A record is a tuple, so it also compares equal to a plain tuple of
-the same values.
+changed fields with ``_replace()``.  A record holds values and checks none:
+the functions that read one check it, as ``tiling.sample_many`` checks its
+``TilingConfig``.  A record is a tuple, so it also compares equal to a plain
+tuple of the same values.
 """
 
 # bound here because the benchmark harness reads each module as ``relturan.<module>``

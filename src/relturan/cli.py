@@ -193,14 +193,11 @@ def cmd_analyze_richness(args):
 def cmd_embed_hk(args):
     """Embed H_k under the paper's thresholds at ``--epsilon``, or under the
     desk preset without it."""
-    if args.epsilon is None:
-        preset, thresholds = "desk", richness.Thresholds.desk()
-    else:
-        preset, thresholds = "paper", richness.Thresholds.paper(args.epsilon)
+    preset = "desk" if args.epsilon is None else "paper"
     g = graphio.read_hypercube(args.host)
     stripped, removed = richness.strip_top_forward(g)
-    res = richness.extract_rich_interval(stripped, thresholds)
-    witness = richness.embed_hk_extracted(g, args.k, res, thresholds)
+    res = richness.extract_rich_interval(stripped, args.epsilon)
+    witness = richness.embed_hk_extracted(g, args.k, res, args.epsilon)
     ok = witness is not None
     if ok and not patterns.validate_witness(patterns.build_hk(args.k), g, witness):
         return None, f"embedding {list(witness)} is not an ordered copy of H_{args.k}"
@@ -458,10 +455,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def options(sp, func, budget=None):
-        """Register --budget only on subcommands that read it, as each
-        subcommand that reads --seed registers its own, then --out-dir."""
+        """Register --budget, with ``budget`` its help, only on subcommands that
+        read it, as each subcommand that reads --seed registers its own, then
+        --out-dir."""
         if budget:
-            sp.add_argument("--budget", type=budget, default=None)
+            sp.add_argument("--budget", type=_positive_int, default=None, help=budget)
         sp.add_argument("--out-dir", default=None)
         sp.set_defaults(func=func)
 
@@ -481,7 +479,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--host", required=True)
     sp.add_argument("--mode", choices=("exact", "local"), default="exact")
     sp.add_argument("--seed", type=_seed, default=None, help="the local search's seed (default 0)")
-    options(sp, cmd_solve, budget=_positive_int)
+    options(sp, cmd_solve, budget="first-pass search nodes in exact mode (default: unbounded); "
+                                  "rounds in local mode (default 2000)")
 
     sp = sub.add_parser("analyze-richness", help="per-level edge richness of a host")
     sp.add_argument("--host", required=True)
@@ -490,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("embed-hk", help="embed the staircase via interval extraction")
     sp.add_argument("--host", required=True)
-    sp.add_argument("--k", type=int, required=True)
+    sp.add_argument("--k", type=_positive_int, required=True)
     sp.add_argument("--epsilon", type=_positive_unit_fraction, default=None,
                     help="run the paper's thresholds at this eps; without it, the desk preset")
     options(sp, cmd_embed_hk)
@@ -510,7 +509,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--levels", required=True)
     sp.add_argument("--w", type=int, required=True)
     sp.add_argument("--epsilon", type=_open_unit_fraction, required=True)
-    options(sp, cmd_tile_verify, budget=_positive_int)
+    options(sp, cmd_tile_verify,
+            budget=f"y-classes the report may count (default {tiling.DEFAULT_REPORT_BUDGET})")
 
     sp = sub.add_parser("appendix-check", help="verify one auxiliary inequality")
     sp.add_argument("--lemma", choices=tuple(_LEMMAS), required=True)
@@ -522,7 +522,9 @@ def build_parser() -> argparse.ArgumentParser:
     keys = ", ".join(f'"{key}"' for key in _GRID_KEYS[1:]) + "".join(
         f', and "{key}" for {name}' for name, (*_, extra, _) in _EXPERIMENTS.items() for key in extra)
     sp.add_argument("--grid", required=True, help=f'JSON grid: "experiment" ({experiments}), {keys}')
-    options(sp, cmd_report, budget=_positive_int)
+    budgets = "; ".join(f"{name} {counts} (default {default})" if default else f"{name} takes none"
+                        for name, (_, default, counts, _, _) in _EXPERIMENTS.items())
+    options(sp, cmd_report, budget=f"per experiment: {budgets}")
 
     return p
 

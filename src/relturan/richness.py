@@ -10,12 +10,11 @@ working levels' counts and each vertex's backward level degrees, comes
 from one table, ``HypercubeGraph.level_degrees``.
 
 The literal proportion constants make extraction impossible at any
-tractable dimension, so all stage thresholds live in a Thresholds object:
-``Thresholds.paper(eps)`` carries the literal values, ``Thresholds.desk()``
-a permissive preset for machine-scale runs.  Thresholds and the pipeline's
-results are NamedTuple records; ``Thresholds`` checks its values on
-construction, and the extraction checks them again.  Every postcondition
-is stated relative to whichever thresholds actually ran.
+tractable dimension, so the pipeline takes one eps: ``thresholds(eps)``
+gives the paper's stage thresholds as functions of it, and without eps a
+permissive desk preset for machine-scale runs.  The thresholds and the
+pipeline's results are NamedTuple records.  Every postcondition is stated
+relative to whichever thresholds actually ran.
 """
 
 from __future__ import annotations
@@ -108,7 +107,10 @@ def strip_top_forward(g: HypercubeGraph) -> tuple[HypercubeGraph, tuple[int, ...
     return HypercubeGraph._from_masks(n, tuple(chain.from_iterable(pieces)), bwd), tuple(removed)
 
 
-class _ThresholdFields(NamedTuple):
+class Thresholds(NamedTuple):
+    """Stage thresholds for the interval-extraction pipeline: the lower
+    bound each stage must meet."""
+
     rich_alpha: float  # threshold defining the working level set
     y1_value: float  # mean-f cutoff for the first vertex pool
     y1_prop: float  # required size of that pool, fraction of |V|
@@ -119,57 +121,17 @@ class _ThresholdFields(NamedTuple):
     final_prop: float  # popularity cutoff for the surviving level set
 
 
-def _check_values(thresholds: _ThresholdFields) -> None:
-    if thresholds.f_value <= 0 or thresholds.y1_value <= 0:
-        raise ValueError("value thresholds must be positive")
-
-
-class Thresholds(_ThresholdFields):
-    """Stage thresholds for the interval-extraction pipeline.
-
-    Values are the lower bounds each stage must meet; ``paper`` uses the
-    literal constants as functions of eps, ``desk`` a permissive preset for
-    dimensions a machine can hold.  All value thresholds must be positive so
-    that selected vertices genuinely have backward edges: checked on
-    construction and again by ``extract_rich_interval``, since ``_replace``
-    and ``_make`` build the tuple directly and skip the constructor.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs) -> "Thresholds":
-        self = super().__new__(cls, *args, **kwargs)
-        _check_values(self)
-        return self
-
-    @classmethod
-    def paper(cls, eps: float) -> "Thresholds":
-        if not 0 < eps <= 1:  # eps is the working set's rich_levels alpha
-            raise ValueError("eps must be in (0, 1]")
-        return cls(
-            rich_alpha=eps,
-            y1_value=eps / 3,
-            y1_prop=eps / 6,
-            f_value=eps / 6,
-            lstar_prop=eps / 18,
-            y2_prop=eps**2 / 108,
-            x_prop=eps / 6,
-            final_prop=eps / 24,
-        )
-
-    @classmethod
-    def desk(cls) -> "Thresholds":
+def thresholds(eps: Optional[float] = None) -> Thresholds:
+    """The paper's literal thresholds at eps in (0, 1], or without eps the
+    desk preset, permissive enough to succeed at dimensions a machine can
+    hold.  Both value thresholds are positive in each, so the vertices
+    selected genuinely have backward edges."""
+    if eps is None:
         tiny = 1e-12
-        return cls(
-            rich_alpha=tiny,
-            y1_value=tiny,
-            y1_prop=0.0,
-            f_value=tiny,
-            lstar_prop=0.0,
-            y2_prop=0.0,
-            x_prop=0.0,
-            final_prop=0.0,
-        )
+        return Thresholds(tiny, tiny, 0.0, tiny, 0.0, 0.0, 0.0, 0.0)
+    if not 0 < eps <= 1:  # eps is the working set's rich_levels alpha
+        raise ValueError("eps must be in (0, 1]")
+    return Thresholds(eps, eps / 3, eps / 6, eps / 6, eps / 18, eps**2 / 108, eps / 6, eps / 24)
 
 
 class StageFailure(NamedTuple):
@@ -201,9 +163,10 @@ class ExtractionResult(NamedTuple):
 
 
 def extract_rich_interval(
-    g: HypercubeGraph, thresholds: Thresholds
+    g: HypercubeGraph, eps: Optional[float] = None
 ) -> Union[ExtractionResult, StageFailure]:
-    """Run the extraction pipeline; failure names the first failing stage.
+    """Run the extraction pipeline under ``thresholds(eps)``; failure names
+    the first failing stage.
 
     Every stage reads ``g.level_degrees()``, the table of backward level
     degrees of the vertices with a backward edge, through
@@ -217,13 +180,12 @@ def extract_rich_interval(
     many high halves of Y3 -> relabelled subgraph of the right half.  Ties
     always break towards the smallest index so reruns are reproducible.
     A vertex with no backward edge has mean f 0, so it can be left out of
-    Y1 only because ``y1_value`` is positive: thresholds whose value
-    thresholds are not, as ``_replace`` can make, raise ``ValueError``.
+    Y1 because ``y1_value`` is positive.
     """
-    _check_values(thresholds)
+    t = thresholds(eps)
     d, n = g.d, g.n
     vertices, table = g.level_degrees()
-    working = rich_levels(table.sum(axis=1).tolist(), d, thresholds.rich_alpha)
+    working = rich_levels(table.sum(axis=1).tolist(), d, t.rich_alpha)
     if len(working) < 2:
         return StageFailure("working-levels", f"only {len(working)} levels qualify")
 
@@ -231,14 +193,14 @@ def extract_rich_interval(
     # and a sum of at most d of them, is exact in floats in any order
     levels = np.array(working)
     f = table[levels] / (1 << (d - levels))[:, None]
-    in_y1 = f.sum(axis=0) / len(working) >= thresholds.y1_value
+    in_y1 = f.sum(axis=0) / len(working) >= t.y1_value
     y1, f = vertices[in_y1], f[:, in_y1]
-    if len(y1) < max(1, thresholds.y1_prop * n):
+    if len(y1) < max(1, t.y1_prop * n):
         return StageFailure("y1", f"|Y1| = {len(y1)}")
 
     # a column per vertex of Y1: its level set, whose high half is its
     # largest ceil(|L_y|/2) levels and the low half the rest
-    member = f >= thresholds.f_value
+    member = f >= t.f_value
     rank = member.cumsum(axis=0, dtype=np.int8)  # a rank counts at most d levels
     low = member & (rank <= rank[-1] // 2)
     high = member & ~low
@@ -246,7 +208,7 @@ def extract_rich_interval(
     popularity = low.sum(axis=1)
     at = int(popularity.argmax())  # the least of the most popular levels
     pivot, best = working[at], int(popularity[at])
-    if best < max(1, thresholds.lstar_prop * len(y1)):
+    if best < max(1, t.lstar_prop * len(y1)):
         return StageFailure("pivot-level", f"best popularity {best}")
 
     y2 = y1[low[at]]
@@ -254,7 +216,7 @@ def extract_rich_interval(
     intervals, members = np.unique(y2 >> width, return_counts=True)
     j_idx = int(intervals[members.argmax()])  # the least of the fullest intervals
     inside = y2[y2 >> width == j_idx].tolist()
-    if len(inside) < max(1, thresholds.y2_prop * (1 << width)):
+    if len(inside) < max(1, t.y2_prop * (1 << width)):
         return StageFailure("interval", f"|Y2 ∩ J| = {len(inside)}")
     # members of Y2 have positive backward degree at the pivot level, so the
     # chosen interval is the right half of its parent
@@ -265,16 +227,16 @@ def extract_rich_interval(
     # the left half's vertex with most neighbours inside, the least such
     degree = {x: (g.forward(x) & inside_mask).bit_count() for x in range(base - size, base)}
     x = max(degree, key=lambda v: (degree[v], -v))
-    if degree[x] < max(1, thresholds.x_prop * len(inside)):
+    if degree[x] < max(1, t.x_prop * len(inside)):
         return StageFailure("x", f"best left-vertex degree {degree[x]}")
     y3 = [y for y in inside if g.has_edge(x, y)]
     y3_mask = sum(1 << y for y in y3)
 
     # how many high halves of Y3 hold each working level
     popular = high[:, np.searchsorted(y1, y3)].sum(axis=1)
-    kept = popular >= max(1, thresholds.final_prop * len(y3))
+    kept = popular >= max(1, t.final_prop * len(y3))
     surviving, counts = levels[kept].tolist(), popular[kept].tolist()
-    if len(surviving) < max(1, thresholds.final_prop * len(working)):
+    if len(surviving) < max(1, t.final_prop * len(working)):
         return StageFailure("surviving-levels", f"{len(surviving)} levels survive")
     _require(all(level > pivot for level in surviving), "a surviving level is not above the pivot")
 
@@ -297,7 +259,7 @@ def extract_rich_interval(
     # subgraph is the worst such guarantee over surviving levels (scaled a
     # hair down so float rounding cannot overshoot the integer counts)
     certified_eta = min(
-        count * math.ceil(thresholds.f_value * (1 << (d - level))) / tau(level - pivot, width)
+        count * math.ceil(t.f_value * (1 << (d - level))) / tau(level - pivot, width)
         for level, count in zip(surviving, counts)
     )
     certified_eta = min(certified_eta, 1.0) * (1 - 1e-9)
@@ -337,7 +299,7 @@ def _replay_postconditions(g: HypercubeGraph, res: ExtractionResult) -> None:
 
 
 def embed_hk_rich(
-    g: HypercubeGraph, k: int, thresholds: Optional[Thresholds] = None
+    g: HypercubeGraph, k: int, eps: Optional[float] = None
 ) -> Optional[tuple[int, ...]]:
     """Recursively embed the staircase H_k using interval extraction.
 
@@ -345,23 +307,23 @@ def embed_hk_rich(
     top forward levels, extract (I, x, subgraph), embed H_{k-1} in the
     subgraph, lift, and prepend x together with its retained top-level
     forward neighbour y, which precedes everything in the right half.
-    Returns None as soon as any stage fails.
+    Returns None as soon as any stage fails.  Every extraction runs under
+    ``thresholds(eps)``.
     """
-    thresholds = Thresholds.desk() if thresholds is None else thresholds
-    res = extract_rich_interval(strip_top_forward(g)[0], thresholds) if k > 1 else None
-    return embed_hk_extracted(g, k, res, thresholds)
+    res = extract_rich_interval(strip_top_forward(g)[0], eps) if k > 1 else None
+    return embed_hk_extracted(g, k, res, eps)
 
 
 def embed_hk_extracted(
     g: HypercubeGraph,
     k: int,
     res: Union[ExtractionResult, StageFailure, None],
-    thresholds: Thresholds,
+    eps: Optional[float] = None,
 ) -> Optional[tuple[int, ...]]:
     """``embed_hk_rich`` continued from its top-level extraction.
 
-    ``res`` must be ``extract_rich_interval(strip_top_forward(g)[0],
-    thresholds)``; it is not read when k = 1.
+    ``res`` must be ``extract_rich_interval(strip_top_forward(g)[0], eps)``;
+    it is not read when k = 1.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -371,7 +333,7 @@ def embed_hk_extracted(
         return None if u is None else (u, (g.forward(u) & -g.forward(u)).bit_length() - 1)
     if isinstance(res, StageFailure):
         return None
-    inner = embed_hk_rich(res.subgraph, k - 1, thresholds)
+    inner = embed_hk_rich(res.subgraph, k - 1, eps)
     if inner is None:
         return None
     lifted = tuple(v + res.rhs_base for v in inner)

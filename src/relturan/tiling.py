@@ -11,8 +11,8 @@ at the at most 2w - 2 level positions within w - 1 of the split's
 position, so the report counts these classes of y in integer arithmetic,
 and its work per level depends on w and not on d.
 
-The configuration and the report are NamedTuple records;
-``TilingConfig`` checks its values on construction.
+The configuration and the report are NamedTuple records; ``sample_many``
+and ``tiling_guarantee_report`` check the configuration they read.
 
 Window convention: the start a is uniform on the integers [0, L - w), the
 half-open variant; the level positions used are (a, a + w].
@@ -48,37 +48,29 @@ from .hosts import philox_rng
 DEFAULT_REPORT_BUDGET = 1 << 22  # max number of y-classes in a report
 
 
-class _TilingFields(NamedTuple):
+class TilingConfig(NamedTuple):
+    """Ambient dimension, working level set, window width, chain length."""
+
     d: int
     levels: tuple[int, ...]  # ascending subset of [1, d]
     w: int
     h: int
 
-
-class TilingConfig(_TilingFields):
-    """Ambient dimension, working level set, window width, chain length.
-
-    Checked on construction; ``_replace`` and ``_make`` build the tuple
-    directly and skip the checks.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs) -> "TilingConfig":
-        self = super().__new__(cls, *args, **kwargs)
-        if any(not 1 <= l <= self.d for l in self.levels):
-            raise ValueError("levels must lie in [1, d]")
-        if list(self.levels) != sorted(set(self.levels)):
-            raise ValueError("levels must be strictly ascending")
-        if not 1 <= self.h <= self.w:
-            raise ValueError("need 1 <= h <= w")
-        if self.w >= len(self.levels):
-            raise ValueError("window must be shorter than the level set")
-        return self
-
     @property
     def L(self) -> int:
         return len(self.levels)
+
+
+def _check_config(cfg: TilingConfig) -> None:
+    """Refuse (``ValueError``) a configuration no window can be drawn from."""
+    if any(not 1 <= l <= cfg.d for l in cfg.levels):
+        raise ValueError("levels must lie in [1, d]")
+    if list(cfg.levels) != sorted(set(cfg.levels)):
+        raise ValueError("levels must be strictly ascending")
+    if not 1 <= cfg.h <= cfg.w:
+        raise ValueError("need 1 <= h <= w")
+    if cfg.w >= len(cfg.levels):
+        raise ValueError("window must be shorter than the level set")
 
 
 def _window_levels(cfg: TilingConfig, a: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -137,9 +129,11 @@ def _sample_batch(
 def sample_many(cfg: TilingConfig, n: int, seed: int) -> np.ndarray:
     """n sampled vertex chains as an [n, h] integer array.
 
-    A batch whose n (9h + 25) bytes pass ``_MAX_BUILD_BYTES`` is refused
-    (``BudgetError``) before anything is drawn.
+    A configuration ``_check_config`` refuses raises ``ValueError``, and a
+    batch whose n (9h + 25) bytes pass ``_MAX_BUILD_BYTES`` is refused
+    (``BudgetError``), both before anything is drawn.
     """
+    _check_config(cfg)
     if (size := n * (9 * cfg.h + 25)) > _MAX_BUILD_BYTES:
         raise BudgetError(f"{n} chains of {cfg.h} vertices need {size} bytes, over {_MAX_BUILD_BYTES}")
     verts, _, _ = _sample_batch(cfg, n, philox_rng(seed))
@@ -267,8 +261,10 @@ def tiling_guarantee_report(
     Over the common denominator (L - w) C(w, h) tau_level a pair passes iff
     its class score S (see ``_class_scores``) reaches one integer cut, so
     the report counts passing classes and scales each by the number of
-    pairs it stands for.  ``budget`` bounds the number of classes.
+    pairs it stands for.  ``budget`` bounds the number of classes.  A
+    configuration ``_check_config`` refuses raises ``ValueError`` first.
     """
+    _check_config(cfg)
     if pattern.n != cfg.h:
         raise ValueError("pattern size must equal the chain length")
     if not 0 < epsilon < math.inf:

@@ -41,7 +41,6 @@ from relturan.patterns import (
 )
 from relturan.richness import (
     ExtractionResult,
-    Thresholds,
     embed_hk_rich,
     extract_rich_interval,
     rich_levels,
@@ -254,7 +253,6 @@ def test_criterion_7_quarter_constructor_guarantee():
 
 def test_criterion_8_extraction_soundness():
     rng = random.Random(808)
-    thresholds = Thresholds.desk()
     successes = 0
     attempts = 0
     while successes < 50:
@@ -264,7 +262,7 @@ def test_criterion_8_extraction_soundness():
         keep = rng.uniform(0.7, 1.0)
         full = complete_hypercube(d)
         g = HypercubeGraph(d, [e for e in full.sorted_edges() if rng.random() < keep])
-        res = extract_rich_interval(g, thresholds)
+        res = extract_rich_interval(g)  # the desk preset
         if not isinstance(res, ExtractionResult):
             continue
         successes += 1
@@ -276,7 +274,7 @@ def test_criterion_8_extraction_soundness():
         for _, v in res.subgraph.sorted_edges():
             assert g.has_edge(res.x, v + res.rhs_base)
         # embedding successes replay under the containment oracle
-        w = embed_hk_rich(g, 2, thresholds)
+        w = embed_hk_rich(g, 2)
         if w is not None:
             assert validate_witness(build_hk(2), g.to_ordered(), w)
     print(f"\n[PASS] criterion 8: 50/50 extractions sound ({attempts} attempts)")

@@ -398,7 +398,7 @@ class TestEmbedHk:
         write_hypercube(host_file, complete_hypercube(4))
         calls = []
 
-        def bad_embedding(g, k, res, thresholds):
+        def bad_embedding(g, k, res, eps):
             calls.append((k, res))
             return (3, 2, 1, 0)
 
@@ -418,9 +418,12 @@ class TestEmbedHk:
             assert out["witness"] == list(richness.embed_hk_rich(complete_hypercube(6), k))
 
     def test_bad_k_is_usage_error(self, tmp_path, capsys):
-        host_file = tmp_path / "cube.hg"
-        write_hypercube(host_file, complete_hypercube(3))
-        assert main(["embed-hk", "--host", str(host_file), "--k", "0"]) == 2
+        # refused while parsing, before the host file (here none) is opened
+        for k in ("0", "-3"):
+            with pytest.raises(SystemExit) as exc:
+                main(["embed-hk", "--host", str(tmp_path / "missing.hg"), "--k", k])
+            assert exc.value.code == 2
+            assert capsys.readouterr().err.endswith(f"argument --k: must be at least 1, got {k}\n")
 
     @pytest.mark.parametrize("value", ["-5", "0", "1.5", "inf", "nan"])
     def test_epsilon_outside_unit_interval_is_usage_error(self, tmp_path, capsys, value):
@@ -433,7 +436,7 @@ class TestEmbedHk:
 
     def test_epsilon_runs_the_paper_preset(self, tmp_path, capsys):
         # the stdout --preset paper --epsilon X printed, and the library's
-        # witness under Thresholds.paper(X); without --epsilon, the desk preset
+        # witness at eps = X; without --epsilon, the desk preset
         runs = [
             (5, 3, "0.5", 1, "05c2ff530611b79563eab0e1a60465ffedebdcc91cd051ecdd64bc20e2f218dd"),
             (6, 3, "0.5", 0, "2594a7798f9a031378c68204a34d723b573b7a6f8032ca84108bc1ede20a6502"),
@@ -448,11 +451,10 @@ class TestEmbedHk:
             captured = capsys.readouterr()
             assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
             assert code == 0 or "under the paper preset" in captured.err
-            paper = richness.Thresholds.paper(float(epsilon))
-            witness = richness.embed_hk_rich(complete_hypercube(d), k, paper)
+            witness = richness.embed_hk_rich(complete_hypercube(d), k, float(epsilon))
             assert json.loads(captured.out)["witness"] == (witness and list(witness))
             main(argv)
-            desk = richness.embed_hk_rich(complete_hypercube(d), k, richness.Thresholds.desk())
+            desk = richness.embed_hk_rich(complete_hypercube(d), k)
             assert json.loads(capsys.readouterr().out)["witness"] == (desk and list(desk))
 
 
@@ -1117,7 +1119,7 @@ class TestOptions:
             "--host": (None, None, None, True), "--alpha": ("_unit_fraction", None, None, True),
             "--out-dir": (None, None, None, False)},
         "embed-hk": {
-            "--host": (None, None, None, True), "--k": ("int", None, None, True),
+            "--host": (None, None, None, True), "--k": ("_positive_int", None, None, True),
             "--epsilon": ("_positive_unit_fraction", None, None, False),
             "--out-dir": (None, None, None, False)},
         "tile-sample": {
@@ -1169,6 +1171,19 @@ class TestOptions:
             main([*argv, flag, "x"])
         assert exc.value.code == 2
         assert capsys.readouterr().err.endswith(f"error: argument {flag}: {message}, got x\n")
+
+    @pytest.mark.parametrize("command, text", [
+        ("solve", "first-pass search nodes in exact mode (default: unbounded); "
+                  "rounds in local mode (default 2000)"),
+        ("tile-verify", "y-classes the report may count (default 4194304)"),
+        ("report", "per experiment: quarter-density takes none; local-density rounds (default 500); "
+                   "host-stats pair checks (default 50)"),
+    ])
+    def test_every_budget_says_what_it_counts(self, command, text, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "1000")  # one help line per flag
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert re.search(r"\n  --budget BUDGET +(.*)\n", capsys.readouterr().out)[1] == text
 
     def test_readme_and_help_name_every_experiment(self, capsys, monkeypatch):
         # a new experiment is documented where it is listed, or this fails
@@ -1250,7 +1265,7 @@ class TestRecordsAsJson:
         cfg = tiling.TilingConfig(6, (1, 2, 3, 4, 5, 6), 4, 3)
         guarantee = tiling.tiling_guarantee_report(monotone_p3(), cfg, 0.5)
         g = complete_hypercube(5)
-        extraction = richness.extract_rich_interval(g, richness.Thresholds.desk())
+        extraction = richness.extract_rich_interval(g)
         assert host_report.level_checks and host_report.pair_checks and guarantee.per_level
         return [
             density.rho_exhaustive(monotone_p3(), complete_ordered(4)),
@@ -1258,7 +1273,7 @@ class TestRecordsAsJson:
             lemma_checks.check_binomial_fraction(Fraction(1, 2), Fraction(1, 5), 2,
                                                  Fraction(1, 8), 100),
             cfg, guarantee, guarantee.per_level[0],
-            richness.Thresholds.desk(), richness.StageFailure("y1", "|Y1| = 0"),
+            richness.thresholds(), richness.StageFailure("y1", "|Y1| = 0"),
             extraction, extraction.trace,
         ]
 

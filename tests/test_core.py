@@ -16,7 +16,7 @@ from relturan.core import (BudgetError, HypercubeGraph, OrderedGraph, delta_int,
 from relturan.graphio import dumps_hypercube, loads_hypercube
 from relturan.hosts import complete_hypercube, complete_ordered
 from relturan.patterns import build_hk
-from relturan.richness import ExtractionResult, Thresholds, extract_rich_interval, strip_top_forward
+from relturan.richness import ExtractionResult, extract_rich_interval, strip_top_forward
 
 
 def naive_delta(x: int, y: int, d: int) -> int:
@@ -475,14 +475,14 @@ class TestMaskProducers:
         stripped, _ = strip_top_forward(g)
         assert_is_the_edge_list_graph(stripped)
         for h in (g, stripped):
-            res = extract_rich_interval(h, Thresholds.desk())
+            res = extract_rich_interval(h)
             if isinstance(res, ExtractionResult):
                 assert_is_the_edge_list_graph(res.subgraph)
 
     @pytest.mark.parametrize("d", range(3, 9))
     def test_extraction_on_complete_cubes(self, d):
         g = complete_hypercube(d)
-        res = extract_rich_interval(strip_top_forward(g)[0], Thresholds.desk())
+        res = extract_rich_interval(strip_top_forward(g)[0])
         assert isinstance(res, ExtractionResult)
         assert_is_the_edge_list_graph(res.subgraph)
 

@@ -143,54 +143,44 @@ class TestStrip:
 
 class TestThresholds:
     def test_paper_values_scale_with_eps(self):
-        t = Thresholds.paper(0.6)
-        assert t.rich_alpha == 0.6
-        assert t.y1_value == pytest.approx(0.2)
-        assert t.y2_prop == pytest.approx(0.6**2 / 108)
+        # the paper's table: alpha, the Y1 cutoff and size, f, L*, Y2, x, final
+        for eps in (0.2, 0.5, 0.9, 1):
+            assert richness.thresholds(eps) == Thresholds(
+                eps, eps / 3, eps / 6, eps / 6, eps / 18, eps**2 / 108, eps / 6, eps / 24)
 
     def test_desk_is_permissive(self):
-        t = Thresholds.desk()
-        assert t.y1_prop == 0.0 and t.f_value > 0
-
-    def test_rejects_zero_value_threshold(self):
-        with pytest.raises(ValueError):
-            Thresholds(0.1, 0.0, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1)
-        for name, value in (("y1_value", -0.1), ("f_value", 0.0), ("f_value", -1e-12)):
-            fields = {**Thresholds.desk()._asdict(), name: value}
-            with pytest.raises(ValueError, match="value thresholds must be positive"):
-                Thresholds(**fields)
-            with pytest.raises(ValueError, match="value thresholds must be positive"):
-                Thresholds(*fields.values())
+        assert richness.thresholds() == Thresholds(1e-12, 1e-12, 0.0, 1e-12, 0.0, 0.0, 0.0, 0.0)
 
     def test_check_holds_under_optimize(self):
-        # an explicit raise, not an assert: python -O refuses the same inputs
+        # an explicit raise, not an assert: python -O refuses the same eps
         code = (
             "import sys\n"
-            "from relturan.richness import Thresholds\n"
+            "from relturan.richness import thresholds\n"
             "print(sys.flags.optimize)\n"
-            "for name in ('y1_value', 'f_value'):\n"
+            "for eps in (0.0, 1.5):\n"
             "    try:\n"
-            "        Thresholds(**{**Thresholds.desk()._asdict(), name: 0.0})\n"
-            "    except ValueError:\n"
-            "        print('refused')\n"
+            "        thresholds(eps)\n"
+            "    except ValueError as exc:\n"
+            "        print('refused', exc)\n"
         )
         src = str(Path(richness.__file__).resolve().parents[1])
         run = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": src})
         assert run.returncode == 0, run.stderr
-        assert run.stdout.split() == ["1", "refused", "refused"]
+        assert run.stdout.splitlines() == ["1"] + ["refused eps must be in (0, 1]"] * 2
 
     def test_paper_rejects_bad_eps(self):
-        with pytest.raises(ValueError):
-            Thresholds.paper(0.0)
-        with pytest.raises(ValueError):
-            Thresholds.paper(1.5)
+        for eps in (0.0, -0.5, 1.5, float("nan")):
+            with pytest.raises(ValueError, match=r"^eps must be in \(0, 1\]$"):
+                richness.thresholds(eps)
+            with pytest.raises(ValueError, match=r"^eps must be in \(0, 1\]$"):
+                extract_rich_interval(complete_hypercube(3), eps)
 
 
 class TestExtraction:
     def test_succeeds_on_complete_cube(self):
         g = complete_hypercube(5)
-        res = extract_rich_interval(g, Thresholds.desk())
+        res = extract_rich_interval(g)
         assert isinstance(res, ExtractionResult)
         assert res.subgraph.d == g.d - res.pivot_level
         w = g.d - res.pivot_level
@@ -201,7 +191,7 @@ class TestExtraction:
     def test_edge_endpoints_adjacent_to_x(self):
         rng = random.Random(5)
         g = random_cube_graph(rng, 5, keep=0.9)
-        res = extract_rich_interval(g, Thresholds.desk())
+        res = extract_rich_interval(g)
         assert isinstance(res, ExtractionResult)
         for _, v in res.subgraph.sorted_edges():
             assert g.has_edge(res.x, v + res.rhs_base)
@@ -211,7 +201,7 @@ class TestExtraction:
         # per-edge reference for the per-vertex mask construction
         rng = random.Random(seed)
         g, _ = strip_top_forward(random_cube_graph(rng, rng.randint(3, 6), keep=0.85))
-        res = extract_rich_interval(g, Thresholds.desk())
+        res = extract_rich_interval(g)
         assert isinstance(res, ExtractionResult)
         base, size = res.rhs_base, 1 << res.subgraph.d
         expected = {
@@ -225,7 +215,7 @@ class TestExtraction:
 
     def test_replay_rejects_endpoint_not_adjacent_to_x(self):
         g = complete_hypercube(5)
-        res = extract_rich_interval(g, Thresholds.desk())
+        res = extract_rich_interval(g)
         _, v = max(res.subgraph.sorted_edges())
         cut = [e for e in g.sorted_edges() if e != (res.x, v + res.rhs_base)]
         with pytest.raises(PostconditionError):
@@ -233,7 +223,7 @@ class TestExtraction:
 
     def test_certified_count_is_honest(self):
         g = complete_hypercube(5)
-        res = extract_rich_interval(g, Thresholds.desk())
+        res = extract_rich_interval(g)
         assert isinstance(res, ExtractionResult)
         sub = res.subgraph
         recomputed = rich_levels(sub.level_counts(), sub.d, res.certified_eta)
@@ -242,7 +232,7 @@ class TestExtraction:
     def test_replay_rejects_overstated_certificate(self):
         # an explicit check, not an assert: it holds under python -O too
         g = complete_hypercube(5)
-        res = extract_rich_interval(g, Thresholds.desk())
+        res = extract_rich_interval(g)
         inflated = res._replace(certified_rich_count=g.d + 1)
         with pytest.raises(PostconditionError):
             _replay_postconditions(g, inflated)
@@ -250,35 +240,28 @@ class TestExtraction:
     def test_paper_preset_fails_on_thinned_graph(self):
         rng = random.Random(1)
         g = random_cube_graph(rng, 4, keep=0.5)
-        res = extract_rich_interval(g, Thresholds.paper(0.9))
+        res = extract_rich_interval(g, 0.9)
         assert isinstance(res, StageFailure)
         assert res.stage == "working-levels"
 
     def test_sparse_graph_fails_cleanly(self):
         g = HypercubeGraph(4, [(0, 8)])
-        res = extract_rich_interval(g, Thresholds.paper(0.9))
+        res = extract_rich_interval(g, 0.9)
         assert isinstance(res, StageFailure)
 
     def test_deterministic(self):
         g = complete_hypercube(4)
-        a = extract_rich_interval(g, Thresholds.desk())
-        b = extract_rich_interval(g, Thresholds.desk())
+        a = extract_rich_interval(g)
+        b = extract_rich_interval(g)
         assert isinstance(a, ExtractionResult)
         assert a.trace == b.trace
 
-    @pytest.mark.parametrize("field", ["y1_value", "f_value"])
-    def test_refuses_value_thresholds_that_skipped_the_check(self, field):
-        # _replace builds the tuple without the constructor's check; the
-        # table leaves out vertices with no backward edge, which is exact
-        # only for positive value thresholds
-        with pytest.raises(ValueError, match="value thresholds must be positive"):
-            extract_rich_interval(complete_hypercube(3), Thresholds.desk()._replace(**{field: 0.0}))
 
-
-PRESETS = [Thresholds.desk(), Thresholds.paper(0.2), Thresholds.paper(0.5), Thresholds.paper(0.9)]
+#: the eps of each preset: None for the desk preset, else the paper's thresholds
+PRESETS = [None, 0.2, 0.5, 0.9]
 # the desk preset with one stage tightened past what a cube graph meets
 TIGHTENED = [
-    Thresholds(**{**Thresholds.desk()._asdict(), field: value})
+    richness.thresholds()._replace(**{field: value})
     for field, value in (("y1_prop", 1.0), ("lstar_prop", 1.0), ("y2_prop", 1.0), ("x_prop", 2.0),
                          ("final_prop", 1.0))
 ]
@@ -293,9 +276,10 @@ HAND_BUILT = [complete_hypercube(d) for d in (2, 3, 4, 5)] + [
 ]
 
 
-def same_as_reference(g, thresholds):
-    """The outcome's stage ("ok" for a result), once every field equals the reference's."""
-    got, want = extract_rich_interval(g, thresholds), extract_reference(g, thresholds)
+def same_as_reference(g, eps=None):
+    """The outcome's stage ("ok" for a result), once every field equals the
+    reference's under ``richness.thresholds(eps)``."""
+    got, want = extract_rich_interval(g, eps), extract_reference(g, richness.thresholds(eps))
     assert type(got) is type(want)
     assert got == want  # field by field: the subgraph by its masks, certified_eta exactly
     if isinstance(got, StageFailure):
@@ -321,16 +305,20 @@ class TestAgainstListReference:
 
     @given(drawn_cube_graphs(), st.sampled_from(PRESETS))
     @settings(max_examples=150, deadline=None)
-    def test_drawn_graphs(self, g, thresholds):
+    def test_drawn_graphs(self, g, eps):
         assert g.level_counts() == level_counts_reference(g)
-        same_as_reference(g, thresholds)
+        same_as_reference(g, eps)
 
-    def test_hand_built_graphs_reach_every_stage(self):
+    def test_hand_built_graphs_reach_every_stage(self, monkeypatch):
         stages = set()
         for g in HAND_BUILT:
             assert g.level_counts() == level_counts_reference(g)
             for h in (g, strip_top_forward(g)[0]):
-                stages.update(same_as_reference(h, t) for t in PRESETS + TIGHTENED)
+                stages.update(same_as_reference(h, eps) for eps in PRESETS)
+                for tightened in TIGHTENED:  # the pipeline reads its thresholds from this one function
+                    monkeypatch.setattr(richness, "thresholds", lambda eps=None: tightened)
+                    stages.add(same_as_reference(h))
+                monkeypatch.undo()
         assert stages == {"ok", "working-levels", "y1", "pivot-level", "interval", "x", "surviving-levels"}
 
 
@@ -380,9 +368,9 @@ class TestEmbedHkRich:
         rng = random.Random(k)
         for _ in range(5):
             g = random_cube_graph(rng, 6, keep=0.95)
-            res = extract_rich_interval(strip_top_forward(g)[0], Thresholds.desk())
-            a = embed_hk_extracted(g, k, res, Thresholds.desk())
-            assert a == embed_hk_rich(g, k, Thresholds.desk())
+            for eps in (None, 0.2):
+                res = extract_rich_interval(strip_top_forward(g)[0], eps)
+                assert embed_hk_extracted(g, k, res, eps) == embed_hk_rich(g, k, eps)
 
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -24,7 +25,7 @@ from tiling_oracle import (
 )
 
 
-#: (d, levels, w, h) that ``TilingConfig`` refuses, with its message
+#: (d, levels, w, h) that ``sample_many`` and the report refuse, with the message
 INVALID_CONFIGS = [
     ((4, (0, 1, 2), 1, 1), r"levels must lie in \[1, d\]"),
     ((4, (1, 5), 1, 1), r"levels must lie in \[1, d\]"),
@@ -42,31 +43,44 @@ def full_cfg(d, w, h):
 
 class TestConfig:
     def test_validation(self):
+        # the record holds any values, however it is built; its readers
+        # refuse them before any other check
         for args, message in INVALID_CONFIGS:
-            with pytest.raises(ValueError, match=message):
-                TilingConfig(*args)
-            with pytest.raises(ValueError, match=message):
-                TilingConfig(**dict(zip(TilingConfig._fields, args)))
+            for cfg in (TilingConfig(*args), TilingConfig._make(args),
+                        full_cfg(4, 2, 2)._replace(**dict(zip(TilingConfig._fields, args)))):
+                assert tuple(cfg) == args
+                with pytest.raises(ValueError, match=f"^{message}$"):
+                    sample_many(cfg, 1, 0)
+                with pytest.raises(ValueError, match=f"^{message}$"):  # a pattern of h vertices
+                    tiling_guarantee_report(OrderedGraph(cfg.h, []), cfg, 0.5)
 
     def test_checks_hold_under_optimize(self):
-        # explicit raises, not asserts: python -O refuses the same inputs
+        # explicit raises, not asserts: python -O refuses the same configs
         code = (
             "import sys\n"
-            "from relturan.tiling import TilingConfig\n"
+            "from relturan.core import OrderedGraph\n"
+            "from relturan.tiling import TilingConfig, sample_many, tiling_guarantee_report\n"
             "print(sys.flags.optimize)\n"
             f"for args in {[args for args, _ in INVALID_CONFIGS]!r}:\n"
-            "    try:\n"
-            "        TilingConfig(*args)\n"
-            "    except ValueError:\n"
-            "        print('refused')\n"
-            "    else:\n"
-            "        print('accepted', args)\n"
+            "    cfg = TilingConfig._make(args)\n"
+            "    for read in (lambda: sample_many(cfg, 1, 0),\n"
+            "                 lambda: tiling_guarantee_report(OrderedGraph(cfg.h, []), cfg, 0.5)):\n"
+            "        try:\n"
+            "            read()\n"
+            "        except ValueError as exc:\n"
+            "            print(exc)\n"
+            "        else:\n"
+            "            print('accepted', args)\n"
         )
         src = str(Path(tiling.__file__).resolve().parents[1])
         run = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": src})
         assert run.returncode == 0, run.stderr
-        assert run.stdout.split("\n")[:-1] == ["1"] + ["refused"] * len(INVALID_CONFIGS)
+        flag, *lines = run.stdout.splitlines()
+        assert flag == "1" and len(lines) == 2 * len(INVALID_CONFIGS)
+        messages = [message for _, message in INVALID_CONFIGS for _reader in range(2)]
+        for line, message in zip(lines, messages):
+            assert re.fullmatch(message, line), line
 
 
 class TestSampler:
