@@ -206,9 +206,9 @@ def cmd_embed_hk(args):
         if isinstance(res, richness.StageFailure):
             trace_record["extraction"] = {"failed_stage": res.stage, "detail": res.detail}
         else:
-            trace_record["extraction"] = res.trace._asdict()
+            trace_record["extraction"] = dict(zip(res._fields[:-2], res))  # less eta and the subgraph
             trace_record["certified_eta"] = res.certified_eta
-            trace_record["certified_rich_count"] = res.certified_rich_count
+            trace_record["certified_rich_count"] = len(res.surviving_levels)
         trace_record["stripped_edges_per_level"] = list(removed[1:])
         trace_record["witness"] = witness
         _write_out(args, "trace.json", json.dumps(_jsonify(trace_record), indent=2) + "\n")
@@ -216,14 +216,9 @@ def cmd_embed_hk(args):
     return {"embedded": ok, "k": args.k, "witness": witness}, failure
 
 
-def _tiling_config(args, h: int) -> tiling.TilingConfig:
-    levels = tuple(int(t) for t in args.levels.split(","))
-    return tiling.TilingConfig(args.d, levels, args.w, h)
-
-
 def cmd_tile_sample(args):
     pat = graphio.read_ordered(args.pattern)
-    cfg = _tiling_config(args, pat.n)
+    cfg = tiling.TilingConfig(args.d, args.levels, args.w, pat.n)
     verts = tiling.sample_many(cfg, args.n_samples, args.seed)
     per_slot = [{str(lv): c for lv, c in enumerate(slot) if c}
                 for slot in tiling.split_level_counts(cfg, verts).tolist()]
@@ -241,7 +236,7 @@ def cmd_tile_sample(args):
 
 def cmd_tile_verify(args):
     pat = graphio.read_ordered(args.pattern)
-    cfg = _tiling_config(args, pat.n)
+    cfg = tiling.TilingConfig(args.d, args.levels, args.w, pat.n)
     report = tiling.tiling_guarantee_report(pat, cfg, args.epsilon,
                                             budget=args.budget or tiling.DEFAULT_REPORT_BUDGET)
     per_level = [{**lg._asdict(), "threshold": float(lg.threshold),
@@ -444,6 +439,8 @@ _positive_unit_fraction = _bounded("_positive_unit_fraction", float, lambda v: 0
                                    "in (0, 1]")
 _positive_int = _bounded("_positive_int", int, lambda v: v >= 1, "at least 1")
 _seed = _bounded("_seed", int, lambda v: v in _SEEDS, "non-negative and below 2^64")
+_levels = _bounded("_levels", lambda text: tuple(map(int, text.split(","))), lambda v: True,
+                   "comma-separated integers")
 
 
 @functools.cache
@@ -497,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("tile-sample", help="draw windowed embedding chains")
     sp.add_argument("--pattern", required=True)
     sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--levels", required=True, help="comma-separated ascending levels")
+    sp.add_argument("--levels", type=_levels, required=True, help="comma-separated ascending levels")
     sp.add_argument("--w", type=int, required=True)
     sp.add_argument("--n-samples", type=_positive_int, default=10000)
     sp.add_argument("--seed", type=_seed, default=0)
@@ -506,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("tile-verify", help="exact per-level near-uniformity table")
     sp.add_argument("--pattern", required=True)
     sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--levels", required=True)
+    sp.add_argument("--levels", type=_levels, required=True)
     sp.add_argument("--w", type=int, required=True)
     sp.add_argument("--epsilon", type=_open_unit_fraction, required=True)
     options(sp, cmd_tile_verify,

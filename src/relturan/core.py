@@ -57,6 +57,11 @@ class BudgetError(ValueError):
     memory or take too much work."""
 
 
+class PostconditionError(RuntimeError):
+    """A guarantee failed its explicit re-check: one of the staircase
+    pipeline's postconditions, or the local search's path-free start."""
+
+
 def _key_type(n: int) -> type:
     """The integer dtype of the pair keys u * n + v of n vertices: int32 when it holds n * n."""
     return np.int32 if n * n < 1 << 31 else np.int64

@@ -30,7 +30,8 @@ in one numpy pass (``core.mask_arrays``) as the sorted keys u * n + v, and
 its certificate is read back the same way.  A round begins level with the
 best set, so one that deletes a second edge has lost and stops there.  Its
 quarter start is checked to have no increasing 2-edge path, which every
-copy of a pattern it is used for contains.
+copy of a pattern it is used for contains; a start with one raises
+``core.PostconditionError``.
 
 Each route returns a ``DensityResult``, a NamedTuple record.
 
@@ -46,7 +47,7 @@ from bisect import bisect_left, insort
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .core import _SLAB_BYTES, BudgetError, OrderedGraph, mask_arrays, mask_edges
+from .core import _SLAB_BYTES, BudgetError, OrderedGraph, PostconditionError, mask_arrays, mask_edges
 from .patterns import contains_ordered, copy_table, has_monotone_p3, through_edge_search
 
 EXHAUSTIVE_EDGE_CAP = 20
@@ -399,8 +400,9 @@ def rho_local_search(
     fwd, bwd = [0] * host.n, [0] * host.n
     if has_monotone_p3(pattern):
         start = quarter_free_subgraph(host)
-        if not has_monotone_p3(start):
-            fwd, bwd = list(start.forward_masks), list(start.backward_masks)
+        if has_monotone_p3(start):
+            raise PostconditionError("the quarter start has an increasing 2-edge path")
+        fwd, bwd = list(start.forward_masks), list(start.backward_masks)
 
     def flip(e: tuple[int, int]) -> None:
         u, v = e

@@ -34,8 +34,12 @@ _GROUP = 8
 _MAX_WINDOW_SUMS = 1 << 31
 #: a3's identity: an n_max past this; it costs O(n_max^4), 2.6-2.9 s at 100
 _MAX_IDENTITY_N = 100
-#: a3's inequality: more premise windows than this, at about 5 us each
+#: a3's inequality: more premise windows, of the lengths its scan reads, than
+#: this, at about 5 us each
 _MAX_PREMISE_WINDOWS = 1 << 18
+#: a3's inequality: more terms of its sum than this, which bounds n wherever
+#: eta < 1/2; the check took 1.8 s at n = 4096, x = y = 1800
+_MAX_SUM_TERMS = 1 << 12
 
 
 class LemmaCheckReport(NamedTuple):
@@ -285,9 +289,12 @@ def check_binomial_average(
     """sum_t f(t) C(t-1, x) C(n-t, y) >= (1-eps) alpha C(n, x+y+1), exactly.
 
     f is a table indexed 1..n with values in [0, 1].  The window premise
-    (|mean_J f - alpha| <= eta on every window of length >= floor(eta n))
-    is verified first; a premise failure is flagged but the inequality is
-    still evaluated.  It needs n >= 1 and x, y >= 0 with x + y + 1 <= n:
+    (|mean_J f - alpha| <= eta on every window of length >= L = max(1,
+    floor(eta n))) is verified first, on the lengths L to min(2L - 1, n)
+    alone: a longer window splits into consecutive windows with lengths in
+    that range, and their deviations |sum_J f - alpha |J|| add, as in
+    ``_window_lengths``.  A premise failure is flagged but the inequality
+    is still evaluated.  It needs n >= 1 and x, y >= 0 with x + y + 1 <= n:
     past that, C(n, x + y + 1) and every term are 0, and nothing is checked.
     """
     if n < 1:
@@ -301,10 +308,12 @@ def check_binomial_average(
         raise ValueError("f must tabulate exactly n values")
     alpha, eps, eta = Fraction(alpha), Fraction(eps), Fraction(eta)
     min_len = max(1, math.floor(eta * n))
-    starts = max(0, n - min_len + 1)  # of the shortest windows; one fewer of each longer length
-    if starts * (starts + 1) // 2 > _MAX_PREMISE_WINDOWS:
-        raise BudgetError(f"{starts * (starts + 1) // 2} premise windows exceed "
-                          f"{_MAX_PREMISE_WINDOWS}")
+    lengths = range(min_len, min(2 * min_len - 1, n) + 1)
+    if (windows := sum(n - size + 1 for size in lengths)) > _MAX_PREMISE_WINDOWS:
+        raise BudgetError(f"{windows} premise windows exceed {_MAX_PREMISE_WINDOWS}")
+    t_lo, t_hi = math.ceil(eta * n), math.floor((1 - eta) * n)
+    if (terms := t_hi - max(1, t_lo) + 1) > _MAX_SUM_TERMS:
+        raise BudgetError(f"{terms} terms of the sum exceed {_MAX_SUM_TERMS}")
     table = [Fraction(v) for v in f]
     if any(not 0 <= v <= 1 for v in table):
         raise ValueError("f values must lie in [0, 1]")
@@ -313,18 +322,12 @@ def check_binomial_average(
     for v in table:
         prefix.append(prefix[-1] + v)
     premise_ok = True
-    for lo in range(1, n + 1):
-        if not premise_ok:
+    for size in lengths:  # each window's sum against alpha and eta times its length
+        expected, bound = alpha * size, eta * size
+        if any(abs(hi - lo - expected) > bound for lo, hi in zip(prefix, prefix[size:])):
+            premise_ok = False
             break
-        for hi in range(lo + min_len - 1, n + 1):
-            size = hi - lo + 1
-            mean = (prefix[hi] - prefix[lo - 1]) / size
-            if abs(mean - alpha) > eta:
-                premise_ok = False
-                break
 
-    t_lo = math.ceil(eta * n)
-    t_hi = math.floor((1 - eta) * n)
     lhs = sum(
         table[t - 1] * math.comb(t - 1, x) * math.comb(n - t, y)
         for t in range(max(1, t_lo), t_hi + 1)

@@ -13,8 +13,11 @@ The literal proportion constants make extraction impossible at any
 tractable dimension, so the pipeline takes one eps: ``thresholds(eps)``
 gives the paper's stage thresholds as functions of it, and without eps a
 permissive desk preset for machine-scale runs.  The thresholds and the
-pipeline's results are NamedTuple records.  Every postcondition is stated
-relative to whichever thresholds actually ran.
+pipeline's results are NamedTuple records: an extraction gives one
+``ExtractionResult``, each stage's output once, or the ``StageFailure`` of
+the first stage that failed.  Every postcondition is stated relative to
+whichever thresholds actually ran, and a broken one raises
+``PostconditionError``.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .core import HypercubeGraph, _nonzero_indices, delta_int, level_block, tau
+from .core import HypercubeGraph, PostconditionError, _nonzero_indices, delta_int, level_block, tau
 
 
 def rich_levels(counts: list[int], d: int, alpha: float, m: int = 1) -> list[int]:
@@ -53,10 +56,6 @@ def average_richness(level_counts: list[int], d: int, m: int = 1) -> Fraction:
     return sum(
         Fraction(level_counts[level], tau(level, d) * m * m) for level in range(1, d + 1)
     ) / d
-
-
-class PostconditionError(RuntimeError):
-    """A guarantee of the extraction pipeline failed its explicit re-check."""
 
 
 def _require(condition: bool, message: str) -> None:
@@ -139,27 +138,23 @@ class StageFailure(NamedTuple):
     detail: str = ""
 
 
-class ExtractionTrace(NamedTuple):
-    """Every intermediate set of the pipeline, for audit."""
+class ExtractionResult(NamedTuple):
+    """Every stage's output, for audit, then the certificate and the subgraph.
+
+    The right half of I starts at ``interval_index << subgraph.d``, and the
+    certified rich-level count is ``len(surviving_levels)``.
+    """
 
     working_levels: tuple[int, ...]
     y1: tuple[int, ...]
     pivot_level: int
     y2: tuple[int, ...]
-    interval_index: int  # index of the chosen interval at the pivot level
-    x: int
+    interval_index: int  # index of I's right half among the intervals at the pivot level
+    x: int  # vertex in the left half of I, original coordinates
     y3: tuple[int, ...]
     surviving_levels: tuple[int, ...]
-
-
-class ExtractionResult(NamedTuple):
-    x: int  # vertex in the left half of the parent interval I, original coordinates
-    subgraph: HypercubeGraph  # on {0,1}^(d - pivot), relabelled
-    rhs_base: int  # original coordinate of the smallest member of I's right half
-    pivot_level: int
     certified_eta: float
-    certified_rich_count: int
-    trace: ExtractionTrace
+    subgraph: HypercubeGraph  # on {0,1}^(d - pivot), relabelled
 
 
 def extract_rich_interval(
@@ -180,7 +175,9 @@ def extract_rich_interval(
     many high halves of Y3 -> relabelled subgraph of the right half.  Ties
     always break towards the smallest index so reruns are reproducible.
     A vertex with no backward edge has mean f 0, so it can be left out of
-    Y1 because ``y1_value`` is positive.
+    Y1 because ``y1_value`` is positive.  The result holds each stage's
+    output, the certified eta and the subgraph; its guarantees are replayed
+    before it is returned.
     """
     t = thresholds(eps)
     d, n = g.d, g.n
@@ -238,10 +235,9 @@ def extract_rich_interval(
     surviving, counts = levels[kept].tolist(), popular[kept].tolist()
     if len(surviving) < max(1, t.final_prop * len(working)):
         return StageFailure("surviving-levels", f"{len(surviving)} levels survive")
+    # at least one level survives, each above the pivot, so the right half has two vertices or more
     _require(all(level > pivot for level in surviving), "a surviving level is not above the pivot")
 
-    if width < 1:
-        return StageFailure("subgraph", "right half is a single vertex")
     # the subgraph keeps the edges of the right half whose larger endpoint is
     # in Y3: w's forward neighbours in Y3 and, for w in Y3, its backward
     # neighbours in the right half, relabelled by the base
@@ -264,22 +260,16 @@ def extract_rich_interval(
     )
     certified_eta = min(certified_eta, 1.0) * (1 - 1e-9)
     result = ExtractionResult(
-        x=x,
-        subgraph=subgraph,
-        rhs_base=base,
+        working_levels=tuple(working),
+        y1=tuple(y1.tolist()),
         pivot_level=pivot,
+        y2=tuple(y2.tolist()),
+        interval_index=j_idx,
+        x=x,
+        y3=tuple(y3),
+        surviving_levels=tuple(surviving),
         certified_eta=certified_eta,
-        certified_rich_count=len(surviving),
-        trace=ExtractionTrace(
-            working_levels=tuple(working),
-            y1=tuple(y1.tolist()),
-            pivot_level=pivot,
-            y2=tuple(y2.tolist()),
-            interval_index=j_idx,
-            x=x,
-            y3=tuple(y3),
-            surviving_levels=tuple(surviving),
-        ),
+        subgraph=subgraph,
     )
     _replay_postconditions(g, result)
     return result
@@ -288,14 +278,13 @@ def extract_rich_interval(
 def _replay_postconditions(g: HypercubeGraph, res: ExtractionResult) -> None:
     """Independent re-checks of the extraction guarantees (PostconditionError)."""
     sub = res.subgraph
-    y3 = set(res.trace.y3)
-    for v in range(sub.n):
-        if sub.backward(v):  # v is the larger endpoint of an edge
-            _require(v + res.rhs_base in y3 and g.has_edge(res.x, v + res.rhs_base),
-                     "larger endpoint not adjacent to x")
+    base, y3 = res.interval_index << sub.d, set(res.y3)
+    for v in range(base, base + sub.n):
+        if sub.backward(v - base):  # v is the larger endpoint of an edge
+            _require(v in y3 and g.has_edge(res.x, v), "larger endpoint not adjacent to x")
     count = len(rich_levels(sub.level_counts(), sub.d, res.certified_eta))
-    _require(count >= res.certified_rich_count,
-             f"recomputed rich count {count} < certified {res.certified_rich_count}")
+    _require(count >= len(res.surviving_levels),
+             f"recomputed rich count {count} < certified {len(res.surviving_levels)}")
 
 
 def embed_hk_rich(
@@ -323,7 +312,9 @@ def embed_hk_extracted(
     """``embed_hk_rich`` continued from its top-level extraction.
 
     ``res`` must be ``extract_rich_interval(strip_top_forward(g)[0], eps)``;
-    it is not read when k = 1.
+    it is not read when k = 1.  That extraction's x has a top forward
+    neighbour in ``g`` above the pivot level and before the right half; a
+    result whose x has none raises PostconditionError.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -336,11 +327,12 @@ def embed_hk_extracted(
     inner = embed_hk_rich(res.subgraph, k - 1, eps)
     if inner is None:
         return None
-    lifted = tuple(v + res.rhs_base for v in inner)
+    base = res.interval_index << res.subgraph.d
+    lifted = tuple(v + base for v in inner)
 
     x = res.x
     forward = g.forward(x)
     y = (forward & -forward).bit_length() - 1  # at x's top forward level
-    if not forward or delta_int(x, y, g.d) <= res.pivot_level or not x < y < lifted[0]:
-        return None  # cannot happen when extraction succeeded; defensive
+    _require(forward != 0 and delta_int(x, y, g.d) > res.pivot_level and x < y < lifted[0],
+             f"x = {x} has no top forward neighbour above the pivot level before the right half")
     return (x, y) + lifted

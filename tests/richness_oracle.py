@@ -20,7 +20,6 @@ from typing import Union
 from relturan.core import HypercubeGraph, delta_int, level_block, tau
 from relturan.richness import (
     ExtractionResult,
-    ExtractionTrace,
     StageFailure,
     Thresholds,
     _replay_postconditions,
@@ -154,8 +153,6 @@ def extract_rich_interval(
         return StageFailure("surviving-levels", f"{len(surviving)} levels survive")
     _require(all(level > pivot for level in surviving), "a surviving level is not above the pivot")
 
-    if width < 1:
-        return StageFailure("subgraph", "right half is a single vertex")
     # the subgraph keeps the edges of the right half whose larger endpoint is
     # in Y3: w's forward neighbours in Y3 and, for w in Y3, its backward
     # neighbours in the right half, relabelled by the base
@@ -180,22 +177,16 @@ def extract_rich_interval(
     )
     certified_eta = min(certified_eta, 1.0) * (1 - 1e-9)
     result = ExtractionResult(
-        x=x,
-        subgraph=subgraph,
-        rhs_base=base,
+        working_levels=tuple(working),
+        y1=tuple(y1),
         pivot_level=pivot,
+        y2=tuple(y2),
+        interval_index=j_idx,
+        x=x,
+        y3=tuple(y3),
+        surviving_levels=tuple(surviving),
         certified_eta=certified_eta,
-        certified_rich_count=len(surviving),
-        trace=ExtractionTrace(
-            working_levels=tuple(working),
-            y1=tuple(y1),
-            pivot_level=pivot,
-            y2=tuple(y2),
-            interval_index=j_idx,
-            x=x,
-            y3=tuple(y3),
-            surviving_levels=tuple(surviving),
-        ),
+        subgraph=subgraph,
     )
     _replay_postconditions(g, result)
     return result

@@ -600,8 +600,10 @@ class TestAppendixCheck:
          "1 x 33999827110 window sums exceed 2147483648"),
         ("a3", {"n_max": 100_000}, "n_max 100000 exceeds 100"),
         ("a3", {"f": [0.5] * 20_000, "n": 20_000, "x": 1, "y": 1, "alpha": 0.5, "eps": 0.1,
-                "eta": 0.001}, "199630171 premise windows exceed 262144"),
-    ], ids=["a1-binomial", "a2-window-sums", "a3-n-max", "a3-premise-windows"])
+                "eta": 0.001}, "399430 premise windows exceed 262144"),
+        ("a3", {"f": [0.5] * 5000, "n": 5000, "x": 1, "y": 1, "alpha": 0.5, "eps": 0.1,
+                "eta": "1/5000"}, "4999 terms of the sum exceed 4096"),
+    ], ids=["a1-binomial", "a2-window-sums", "a3-n-max", "a3-premise-windows", "a3-sum-terms"])
     def test_sizes_past_the_bounds_are_usage_errors(self, lemma, params, message, capsys):
         # each ran past 10 s before it was refused up front
         start = time.perf_counter()
@@ -1124,12 +1126,12 @@ class TestOptions:
             "--out-dir": (None, None, None, False)},
         "tile-sample": {
             "--pattern": (None, None, None, True), "--d": ("int", None, None, True),
-            "--levels": (None, None, None, True), "--w": ("int", None, None, True),
+            "--levels": ("_levels", None, None, True), "--w": ("int", None, None, True),
             "--n-samples": ("_positive_int", 10000, None, False), "--seed": ("_seed", 0, None, False),
             "--out-dir": (None, None, None, False)},
         "tile-verify": {
             "--pattern": (None, None, None, True), "--d": ("int", None, None, True),
-            "--levels": (None, None, None, True), "--w": ("int", None, None, True),
+            "--levels": ("_levels", None, None, True), "--w": ("int", None, None, True),
             "--epsilon": ("_open_unit_fraction", None, None, True),
             "--budget": ("_positive_int", None, None, False), "--out-dir": (None, None, None, False)},
         "appendix-check": {
@@ -1171,6 +1173,19 @@ class TestOptions:
             main([*argv, flag, "x"])
         assert exc.value.code == 2
         assert capsys.readouterr().err.endswith(f"error: argument {flag}: {message}, got x\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["tile-sample", "--pattern", "missing.og", "--d", "3", "--w", "1"],
+        ["tile-verify", "--pattern", "missing.og", "--d", "3", "--w", "1", "--epsilon", "0.5"],
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("levels", ["", "1,,2", "x", "1,2,"])
+    def test_unreadable_levels_are_refused_before_the_pattern_is_read(self, argv, levels, capsys):
+        # the pattern file is missing: --levels is refused while parsing, before the file is read
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--levels", levels])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: argument --levels: must be comma-separated integers, got {levels}\n")
 
     @pytest.mark.parametrize("command, text", [
         ("solve", "first-pass search nodes in exact mode (default: unbounded); "
@@ -1273,8 +1288,7 @@ class TestRecordsAsJson:
             lemma_checks.check_binomial_fraction(Fraction(1, 2), Fraction(1, 5), 2,
                                                  Fraction(1, 8), 100),
             cfg, guarantee, guarantee.per_level[0],
-            richness.thresholds(), richness.StageFailure("y1", "|Y1| = 0"),
-            extraction, extraction.trace,
+            richness.thresholds(), richness.StageFailure("y1", "|Y1| = 0"), extraction,
         ]
 
     def test_every_record_type_is_covered(self):
@@ -1284,11 +1298,10 @@ class TestRecordsAsJson:
             if isinstance(cls, type) and issubclass(cls, tuple) and not name.startswith("_")
             and cls.__module__ == module.__name__
         }
-        assert {type(rec) for rec in self.one_of_each()} == defined and len(defined) == 12
+        assert {type(rec) for rec in self.one_of_each()} == defined and len(defined) == 11
 
     def test_each_record_is_an_object_of_its_fields(self):
-        # nested records too: HostReport's checks, GuaranteeReport.per_level
-        # and ExtractionResult.trace
+        # nested records too: HostReport's checks and GuaranteeReport.per_level
         for rec in self.one_of_each():
             _assert_records_as_objects(rec, _jsonify(rec))
             assert not hasattr(rec, "__dict__")  # immutable: no attributes beside the fields

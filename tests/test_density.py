@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relturan.core import OrderedGraph
+from relturan.core import OrderedGraph, PostconditionError
 from relturan import density, patterns
 from relturan.density import (
     _edges_of,
@@ -453,6 +453,12 @@ class TestLocalSearch:
         a = rho_local_search(P3, host, budget=100, seed=3)
         b = rho_local_search(P3, host, budget=100, seed=3)
         assert a.certificate == b.certificate
+
+    def test_a_start_with_a_path_is_refused(self, monkeypatch):
+        # with the host as its start, the search would run from no edges and keep 11 of K_8's best 15
+        monkeypatch.setattr(density, "quarter_free_subgraph", lambda host: host)
+        with pytest.raises(PostconditionError, match="^the quarter start has an increasing 2-edge path$"):
+            rho_local_search(P3, complete_ordered(8), budget=20, seed=0)
 
 
 def _fields(res):

@@ -20,6 +20,18 @@ from relturan.lemma_checks import (
 )
 
 
+def premise_by_every_window(f, alpha, eta) -> bool:
+    """Oracle for the A3 premise: |mean_J f - alpha| <= eta on every window of
+    length >= max(1, floor(eta n)), each window's mean taken in Fractions."""
+    n = len(f)
+    min_len = max(1, math.floor(eta * n))
+    prefix = [Fraction(0)]
+    for v in f:
+        prefix.append(prefix[-1] + v)
+    return all(abs((prefix[hi] - prefix[lo - 1]) / (hi - lo + 1) - alpha) <= eta
+               for lo in range(1, n + 1) for hi in range(lo + min_len - 1, n + 1))
+
+
 def string_violates(bits, eps: float) -> bool:
     """Oracle for the A2 check: does some window of length >= ceil(ln^2 n) deviate by eps |J|?"""
     n = len(bits)
@@ -259,6 +271,23 @@ class TestBinomialAverage:
         # the (1 - eps)-discounted target
         assert rep.lhs <= Fraction(1, 2) * math.comb(n, 3)
 
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_premise_matches_every_window(self, data):
+        # the scan reads lengths L to 2L - 1 alone; the oracle reads every window of length >= L
+        n = data.draw(st.integers(1, 40))
+        fraction = st.integers(1, 10).flatmap(lambda den: st.integers(0, den).map(lambda k: Fraction(k, den)))
+        f = data.draw(st.lists(fraction, min_size=n, max_size=n))
+        alpha, eta = data.draw(fraction), data.draw(fraction)
+        rep = check_binomial_average(f, n, 0, 0, alpha, Fraction(1, 2), eta)
+        assert rep.extra["premise_ok"] == premise_by_every_window(f, alpha, eta)
+
+    def test_premise_reads_lengths_past_the_least(self):
+        # L = 2: every window of length 2 sums to exactly 2 alpha, and every one of length 3 is off by 1/2
+        f = [Fraction(1), Fraction(0)] * 10
+        rep = check_binomial_average(f, 20, 0, 0, Fraction(1, 2), Fraction(1, 4), Fraction(1, 10))
+        assert not rep.extra["premise_ok"] and not premise_by_every_window(f, Fraction(1, 2), Fraction(1, 10))
+
     def test_premise_violation_detected(self):
         n = 30
         f = [Fraction(1)] * 15 + [Fraction(0)] * 15
@@ -339,8 +368,17 @@ class TestInputBounds:
             check_binomial_identity(6)
 
     def test_premise_windows(self, monkeypatch):
-        # 10 values and windows of length 2 and up: 9 + 8 + ... + 1 = 45
-        monkeypatch.setattr(lemma_checks, "_MAX_PREMISE_WINDOWS", 45)
-        assert check_binomial_average([0.5] * 10, 10, 0, 0, 0.5, 0.5, 0.2).extra["premise_ok"]
-        with pytest.raises(BudgetError, match="55 premise windows exceed 45"):
-            check_binomial_average([0.5] * 10, 10, 0, 0, 0.5, 0.5, 0.1)
+        # 10 values: lengths 2 and 3 at eta = 0.2, 9 + 8 = 17 windows; 3 to 5
+        # at eta = 0.3, 8 + 7 + 6 = 21; length 1 alone at eta = 0.1, 10
+        monkeypatch.setattr(lemma_checks, "_MAX_PREMISE_WINDOWS", 17)
+        for eta in (Fraction(1, 10), Fraction(2, 10)):
+            assert check_binomial_average([0.5] * 10, 10, 0, 0, 0.5, 0.5, eta).extra["premise_ok"]
+        with pytest.raises(BudgetError, match="^21 premise windows exceed 17$"):
+            check_binomial_average([0.5] * 10, 10, 0, 0, 0.5, 0.5, Fraction(3, 10))
+
+    def test_sum_terms(self, monkeypatch):
+        # t runs from max(1, ceil(eta n)) to floor((1 - eta) n): 1 to 9 at eta = 1/10, 1 to 10 at 0
+        monkeypatch.setattr(lemma_checks, "_MAX_SUM_TERMS", 9)
+        assert check_binomial_average([0.5] * 10, 10, 0, 0, 0.5, 0.5, Fraction(1, 10)).passed
+        with pytest.raises(BudgetError, match="^10 terms of the sum exceed 9$"):
+            check_binomial_average([0.5] * 10, 10, 0, 0, 0.5, 0.5, 0)

@@ -184,8 +184,9 @@ class TestExtraction:
         assert isinstance(res, ExtractionResult)
         assert res.subgraph.d == g.d - res.pivot_level
         w = g.d - res.pivot_level
-        assert res.x in range(res.rhs_base - (1 << w), res.rhs_base)
-        assert res.rhs_base % (1 << w) == 0 and (res.rhs_base >> w) & 1 == 1
+        base = res.interval_index << w
+        assert res.x in range(base - (1 << w), base)
+        assert res.interval_index & 1 == 1
         _replay_postconditions(g, res)
 
     def test_edge_endpoints_adjacent_to_x(self):
@@ -194,7 +195,7 @@ class TestExtraction:
         res = extract_rich_interval(g)
         assert isinstance(res, ExtractionResult)
         for _, v in res.subgraph.sorted_edges():
-            assert g.has_edge(res.x, v + res.rhs_base)
+            assert g.has_edge(res.x, v + (res.interval_index << res.subgraph.d))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_subgraph_is_right_half_edges_ending_in_y3(self, seed):
@@ -203,21 +204,21 @@ class TestExtraction:
         g, _ = strip_top_forward(random_cube_graph(rng, rng.randint(3, 6), keep=0.85))
         res = extract_rich_interval(g)
         assert isinstance(res, ExtractionResult)
-        base, size = res.rhs_base, 1 << res.subgraph.d
+        base, size = res.interval_index << res.subgraph.d, 1 << res.subgraph.d
         expected = {
             (u - base, y - base)
-            for y in res.trace.y3
+            for y in res.y3
             for u in range(base, y)
             if g.has_edge(u, y)
         }
-        assert all(base <= y < base + size for y in res.trace.y3)
+        assert all(base <= y < base + size for y in res.y3)
         assert set(res.subgraph.sorted_edges()) == expected
 
     def test_replay_rejects_endpoint_not_adjacent_to_x(self):
         g = complete_hypercube(5)
         res = extract_rich_interval(g)
         _, v = max(res.subgraph.sorted_edges())
-        cut = [e for e in g.sorted_edges() if e != (res.x, v + res.rhs_base)]
+        cut = [e for e in g.sorted_edges() if e != (res.x, v + (res.interval_index << res.subgraph.d))]
         with pytest.raises(PostconditionError):
             _replay_postconditions(HypercubeGraph(g.d, cut), res)
 
@@ -227,14 +228,15 @@ class TestExtraction:
         assert isinstance(res, ExtractionResult)
         sub = res.subgraph
         recomputed = rich_levels(sub.level_counts(), sub.d, res.certified_eta)
-        assert len(recomputed) >= res.certified_rich_count
+        assert len(recomputed) >= len(res.surviving_levels)
 
     def test_replay_rejects_overstated_certificate(self):
-        # an explicit check, not an assert: it holds under python -O too
+        # an explicit check, not an assert: it holds under python -O too; the
+        # certified count is the number of surviving levels
         g = complete_hypercube(5)
         res = extract_rich_interval(g)
-        inflated = res._replace(certified_rich_count=g.d + 1)
-        with pytest.raises(PostconditionError):
+        inflated = res._replace(surviving_levels=tuple(range(1, g.d + 2)))
+        with pytest.raises(PostconditionError, match=r"^recomputed rich count \d+ < certified 6$"):
             _replay_postconditions(g, inflated)
 
     def test_paper_preset_fails_on_thinned_graph(self):
@@ -254,7 +256,7 @@ class TestExtraction:
         a = extract_rich_interval(g)
         b = extract_rich_interval(g)
         assert isinstance(a, ExtractionResult)
-        assert a.trace == b.trace
+        assert a == b
 
 
 #: the eps of each preset: None for the desk preset, else the paper's thresholds
@@ -284,8 +286,8 @@ def same_as_reference(g, eps=None):
     assert got == want  # field by field: the subgraph by its masks, certified_eta exactly
     if isinstance(got, StageFailure):
         return got.stage
-    # the trace reaches embed-hk's trace.json: Python ints only
-    for value in (got.x, got.rhs_base, got.pivot_level, got.certified_rich_count, *got.trace):
+    # the stages' outputs reach embed-hk's trace.json: Python ints only
+    for value in got[:-2]:
         assert all(type(v) is int for v in (value if isinstance(value, tuple) else (value,)))
     return "ok"
 
@@ -371,6 +373,13 @@ class TestEmbedHkRich:
             for eps in (None, 0.2):
                 res = extract_rich_interval(strip_top_forward(g)[0], eps)
                 assert embed_hk_extracted(g, k, res, eps) == embed_hk_rich(g, k, eps)
+
+    def test_extraction_of_another_graph_is_refused(self):
+        # the extraction of the stripped complete cube has an x with no forward
+        # neighbour in the edgeless cube; an explicit check, so it holds under -O
+        res = extract_rich_interval(strip_top_forward(complete_hypercube(4))[0])
+        with pytest.raises(PostconditionError, match="has no top forward neighbour"):
+            embed_hk_extracted(HypercubeGraph(4), 2, res)
 
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):

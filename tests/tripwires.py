@@ -299,6 +299,9 @@ ROWS = [
     # a k below 1 is refused while parsing, before the host file (here none) is read
     _usage_error("k-zero", "embed-hk", "--host", "never.hg", "--k", "0",
                  stderr=r"(?s).*argument --k: must be at least 1, got 0\n"),
+    # so is a level text int() cannot read, before the pattern file (here none) is read
+    _usage_error("levels-text", "tile-sample", "--pattern", "never.og", "--d", "3", "--levels", "1,,2", "--w", "1",
+                 stderr=r"(?s).*argument --levels: must be comma-separated integers, got 1,,2\n"),
     # star.og and star.hg: the star from vertex 0 to the top 2^17 of 2^21 vertices, so vertex 0's masks
     # span all 2^21 bits; star.hg adds (0, 1), and every other edge lies on level 1; the star.og
     # ceiling keeps the 1.47 times headroom of the star.hg analyze-richness row over its peak
